@@ -14,7 +14,6 @@ from .model import (
     Instance,
     ValidationReport,
     validate_instance,
-    total_arrivals,
     products_of_resource,
     scale_instance,
 )

@@ -23,6 +23,10 @@ import numpy as np
 from .choice import (
     AttractionChoiceModel,
     ChoiceModel,
+    MixtureChoiceModel,
+    _as_assortment,
+    _distribution,
+    _subset_revenues,
     choice_probability,
     expected_revenue,
 )
@@ -116,8 +120,7 @@ def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> L
         model = inst.ctype(k).choice
         cap_coef = [0.0] * L
         obj = 0.0
-        for n in sorted(S):
-            p = choice_probability(model, n, S)
+        for n, p in _distribution(model, _as_assortment(S)):
             obj += lam * p * inst.reward(k, n)
             cap_coef[resource_of[n] - 1] += lam * p
         objective.append(obj)
@@ -173,18 +176,55 @@ def _lex_subsets(ids: Sequence[int]):
     return sorted(chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)))
 
 
+def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float]):
+    """Subsets of ``ids`` whose kernel value is within tol of the kernel
+    maximum, as sorted tuples in ``_lex_subsets`` order; every subset when
+    the kernel overflows."""
+    tol = 1e-9 * max(1.0, max(abs(price[n]) for n in ids))
+    top = -math.inf
+    kept: list[tuple[int, float]] = []
+    for first, values in _subset_revenues(model, ids, price):
+        block_top = values.max()  # nan if any value is nan
+        if not math.isfinite(block_top):
+            return _lex_subsets(ids)
+        top = max(top, block_top)
+        hits = np.flatnonzero(values >= top - tol)
+        kept.extend(zip((hits + first).tolist(), values[hits].tolist()))
+    return sorted(
+        tuple(n for i, n in enumerate(ids) if s >> i & 1) for s, v in kept if v >= top - tol
+    )
+
+
 def assortment_subproblem_bruteforce(model: ChoiceModel, price: Mapping[int, float],
                                      n_max: int = 20) -> SubproblemResult:
     """Exhaustive subproblem solver over all subsets of the priced products.
 
     Ties resolve to the lexicographically smallest product set.  Intended as
     the exact oracle for any choice model at desk scale.
+
+    For attraction models and their mixtures, a vectorized kernel
+    (``choice._subset_revenues``) scores every subset first.  Only subsets
+    whose kernel value lies within tol = 1e-9 * max(1, max|price|) of the
+    kernel maximum are scored again with ``expected_revenue``, in the same
+    order and under the same strict ``>`` rule as a full scan.  This is
+    exact: each evaluation sums at most m + segments terms of magnitude at
+    most max|price|, so the two values of any subset differ by a few ulps
+    of max|price|, far below tol/2.  Every subset of largest exact value
+    therefore passes the screen, and the lexicographically first one is
+    returned with the same value a full scan returns.  Tabulated models
+    (whose missing entries must raise) and m <= 1 score every subset
+    directly; so does a kernel result that overflows.
     """
     ids = sorted(price)
     if len(ids) > n_max:
         raise ValueError(f"brute force capped at {n_max} products, got {len(ids)}")
+    _as_assortment(ids)
+    if len(ids) > 1 and isinstance(model, (AttractionChoiceModel, MixtureChoiceModel)):
+        subsets = _screened_subsets(model, ids, price)
+    else:
+        subsets = _lex_subsets(ids)
     best_value, best_set = 0.0, frozenset()
-    for tup in _lex_subsets(ids):
+    for tup in subsets:
         if not tup:
             continue
         S = frozenset(tup)

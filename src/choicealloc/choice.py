@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "AttractionChoiceModel",
@@ -74,6 +76,13 @@ class AttractionChoiceModel:
     def weight(self, n: int) -> float:
         return self.mu[n - 1] + self.nu[n - 1]
 
+    @cached_property
+    def _segment_table(self):
+        """(segment weights, base weights, mu+nu rows, nu rows) as arrays,
+        this model being its own single segment."""
+        weight = np.add(self.mu, self.nu)
+        return np.ones(1), np.array([self.base_weight]), weight[None, :], np.array([self.nu])
+
     # Removing products never lowers the selection probability of the ones
     # that remain, so positive-price pruning cannot hurt expected revenue.
     is_removal_monotone = True
@@ -101,6 +110,16 @@ class MixtureChoiceModel:
     @property
     def num_products(self) -> int:
         return self.segments[0][1].num_products
+
+    @cached_property
+    def _segment_table(self):
+        """(segment weights, base weights, mu+nu rows, nu rows) as arrays,
+        one entry or row per segment."""
+        tables = [seg._segment_table for _, seg in self.segments]
+        return (np.array([w for w, _ in self.segments]),
+                np.concatenate([t[1] for t in tables]),
+                np.concatenate([t[2] for t in tables]),
+                np.concatenate([t[3] for t in tables]))
 
     is_removal_monotone = True
 
@@ -175,6 +194,52 @@ def _distribution(model: ChoiceModel, S: frozenset[int]) -> list[tuple[int, floa
         entry = model.entry(S)
         return [(n, entry.get(n, 0.0)) for n in members]
     raise TypeError(f"unsupported choice model {type(model).__name__}")
+
+
+# The kernel scores at most 2**_BLOCK_BITS subsets per block, so every
+# temporary stays below a few MB even at 20 products.  Its 0/1 mask matrices
+# have at most 2**_MASK_BITS columns: OpenBLAS threads larger matrix products,
+# and on a shared 2-vCPU host a threaded 14-bit product ran about 40x slower
+# than a single-threaded one.
+_BLOCK_BITS = 14
+_MASK_BITS = 10
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(bits: int) -> np.ndarray:
+    """Read-only 0/1 matrix of shape (bits, 2**bits): column s has row i set
+    iff bit i of s is set (the transpose of the subsets-by-products mask,
+    stored so that the kernel's products run over contiguous rows)."""
+    masks = ((np.arange(1 << bits) >> np.arange(bits)[:, None]) & 1).astype(float)
+    masks.flags.writeable = False
+    return masks
+
+
+def _subset_revenues(model: Union[AttractionChoiceModel, MixtureChoiceModel],
+                     ids: Sequence[int],
+                     price: Mapping[int, float]) -> Iterator[tuple[int, np.ndarray]]:
+    """Approximate expected revenue of every subset of ``ids`` at ``price``.
+
+    Subset ``s`` is the bitmask whose bit i stands for ``ids[i]``.  Yields
+    ``(first, values)`` blocks of at most 2**_BLOCK_BITS subsets, in
+    ascending mask order, where ``values[j]`` scores subset ``first + j`` as
+    sum over segments of w * sum_S((mu+nu)*price) / (base + sum_S(nu)).
+    The sums run through matrix products rather than ``math.fsum``, so a
+    value may differ from ``expected_revenue`` by a few ulps of max|price|.
+    """
+    w, base, weight, nu = model._segment_table
+    idx = np.asarray(ids, dtype=np.intp) - 1
+    segs, m = len(w), len(ids)
+    # rows: nu of each segment, then (mu+nu)*price of each segment
+    table = np.concatenate((nu[:, idx], weight[:, idx] * [price[n] for n in ids]))
+    bits = min(m, _MASK_BITS)
+    low = table[:, :bits] @ _subset_masks(bits)
+    low[:segs] += base[:, None]
+    high = table[:, bits:] @ _subset_masks(m - bits)
+    step = 1 << max(0, _BLOCK_BITS - bits)
+    for h in range(0, high.shape[1], step):
+        sums = (low[:, None, :] + high[:, h:h + step, None]).reshape(2 * segs, -1)
+        yield h << bits, w @ (sums[segs:] / sums[:segs])
 
 
 def choice_probability(model: ChoiceModel, n: int, assortment: Iterable[int]) -> float:

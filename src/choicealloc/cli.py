@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -334,11 +335,11 @@ def cmd_verify(args) -> int:
         overrides["instances"] = args.instances
     if args.seed is not None:
         overrides["seed"] = args.seed
-    try:
-        results = run_suite(args.suite, **overrides)
-    except TypeError as exc:
-        print(f"error: suite {args.suite!r} does not accept these overrides: {exc}")
+    rejected = sorted(set(overrides) - set(inspect.signature(SUITES[args.suite]).parameters))
+    if rejected:
+        print(f"error: suite {args.suite!r} does not accept --{', --'.join(rejected)}")
         return EXIT_INVARIANT
+    results = run_suite(args.suite, **overrides)
     failed = 0
     for check in results:
         mark = "PASS" if check.passed else "FAIL"

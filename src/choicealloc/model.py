@@ -21,7 +21,6 @@ __all__ = [
     "Instance",
     "ValidationReport",
     "validate_instance",
-    "total_arrivals",
     "products_of_resource",
     "scale_instance",
 ]
@@ -177,11 +176,6 @@ class ValidationReport:
     ok: bool
     errors: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-
-
-def total_arrivals(ctype: CustomerType) -> float:
-    """Exact integral of the type's arrival curve (expected arrival count)."""
-    return ctype.rate.total_mass()
 
 
 def products_of_resource(inst: Instance, l: int) -> frozenset[int]:

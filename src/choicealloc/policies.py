@@ -85,9 +85,9 @@ def fcfs_accept(state: PolicyState, n: int, inst: Instance) -> bool:
 
 
 def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid],
-              inst: Instance, k: int | None = None) -> bool:
-    """Threshold acceptance: sell iff in stock and the operative reward is at
-    least the marginal value of the unit (ties accept)."""
+              inst: Instance, k: int) -> bool:
+    """Threshold acceptance: sell iff in stock and type k's operative reward
+    for product n is at least the marginal value of the unit (ties accept)."""
     if n <= 0:
         raise ValueError("acceptance is decided only for actual products")
     l = inst.product(n).resource
@@ -97,8 +97,7 @@ def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid]
     mv = marginal_value(grids[l], c, state.now)
     if mv.infinite:
         return False
-    reward = inst.reward(k, n) if k is not None else inst.product(n).reward
-    return reward >= mv.value
+    return inst.reward(k, n) >= mv.value
 
 
 def _offerable(inst: Instance, state: PolicyState, n: int) -> bool:

@@ -1,5 +1,9 @@
+from itertools import chain, combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicealloc import (
     AttractionChoiceModel,
@@ -16,14 +20,18 @@ from choicealloc import (
     assortment_subproblem_localsearch,
     assortment_subproblem_sort,
     build_master,
+    choice_probability,
     dual_bound,
+    expected_revenue,
     master_columns,
     random_instance,
     solve_cdlp,
     solve_cdlp_enumeration,
     static_selection_probs,
 )
-from choicealloc.verify import DegradedSolver
+from choicealloc import choice
+from choicealloc.lp import LinearProgram
+from choicealloc.verify import DegradedSolver, _batch_instance, _extended_model
 
 
 def mnl(*nu):
@@ -82,6 +90,46 @@ def test_build_master_capacity_row_sums_types():
     assert prog.rows[0] == (1.0, 1.5)
     assert prog.rows[1] == (1.0, 0.0)
     assert prog.rows[2] == (0.0, 1.0)
+
+
+def _reference_master(inst, H):
+    """build_master as it was before it iterated each column's distribution
+    once: one choice_probability call per member of each assortment."""
+    L, K = inst.num_resources, inst.num_types
+    resource_of = {p.id: p.resource for p in inst.products}
+    objective, rows = [], [[] for _ in range(L + K)]
+    for k, S in master_columns(H):
+        lam = inst.arrival_mass(k)
+        model = inst.ctype(k).choice
+        cap_coef = [0.0] * L
+        obj = 0.0
+        for n in sorted(S):
+            p = choice_probability(model, n, S)
+            obj += lam * p * inst.reward(k, n)
+            cap_coef[resource_of[n] - 1] += lam * p
+        objective.append(obj)
+        for j in range(L):
+            rows[j].append(cap_coef[j])
+        for kk in range(K):
+            rows[L + kk].append(1.0 if kk + 1 == k else 0.0)
+    rhs = [float(r.capacity) for r in inst.resources] + [1.0] * K
+    return LinearProgram(tuple(objective), tuple(tuple(r) for r in rows), tuple(rhs))
+
+
+def _all_subsets(ids):
+    return [frozenset(t) for t in
+            sorted(chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)))]
+
+
+@pytest.mark.parametrize("inst", [
+    random_instance(4, max_products=8, model_kinds=("mixture",)),
+    random_instance(51, max_products=6, model_kinds=("attraction", "mixture", "table")),
+    *(_batch_instance(20240601 + i) for i in range(6)),
+], ids=["mixture4", "mixed51", *(f"batch{i}" for i in range(6))])
+def test_build_master_equals_per_member_reference(inst):
+    subsets = _all_subsets(range(1, inst.num_products + 1))
+    H = {k: subsets for k in range(1, inst.num_types + 1)}
+    assert build_master(inst, H) == _reference_master(inst, H)
 
 
 def test_build_master_rejects_invalid_instance():
@@ -166,6 +214,121 @@ def test_bruteforce_cap():
     model = mnl(*([1.0] * 6))
     with pytest.raises(ValueError):
         assortment_subproblem_bruteforce(model, {i + 1: 1.0 for i in range(6)}, n_max=5)
+
+
+def _scalar_bruteforce(model, price):
+    """Every subset scored one at a time with expected_revenue: the brute
+    force before the kernel screen, kept as its reference."""
+    best_value, best_set = 0.0, frozenset()
+    for S in _all_subsets(sorted(price)):
+        if not S:
+            continue
+        value = expected_revenue(model, S, price)
+        if value > best_value:
+            best_value, best_set = value, S
+    return best_set, best_value
+
+
+# Decimal grids make sums whose real values tie but whose float values differ.
+_weights = st.one_of(st.just(0.0), st.just(1.0), st.sampled_from([0.1, 0.3, 0.6, 0.7]),
+                     st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
+_prices = st.one_of(st.just(0.0), st.just(1.0), st.just(-0.5), st.sampled_from([0.1, 0.2, -0.1]),
+                    st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(model, price): MNL, independent-demand or general attraction models,
+    or mixtures of 1-4 of them, over 0-12 products with zero, negative and
+    duplicated prices, some products made never-selected as in
+    verify._extended_model."""
+    m = draw(st.integers(min_value=0, max_value=12))
+    extra = draw(st.integers(min_value=0, max_value=min(2, m)))
+
+    def attraction(kind):
+        mu = (0.0,) * (m - extra) if kind == "mnl" else draw(st.tuples(*[_weights] * (m - extra)))
+        nu = (0.0,) * (m - extra) if kind == "independent" else draw(st.tuples(*[_weights] * (m - extra)))
+        return AttractionChoiceModel(mu, nu)
+
+    kinds = st.sampled_from(["mnl", "independent", "general"])
+    if draw(st.booleans()):
+        model = attraction(draw(kinds))
+    else:
+        raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=4))
+        model = MixtureChoiceModel(tuple((w / sum(raw), attraction(draw(kinds))) for w in raw))
+    model = _extended_model(model, extra)
+    prices = draw(st.lists(_prices, min_size=m, max_size=m))
+    return model, {n: p for n, p in enumerate(prices, start=1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kernel_cases())
+def test_bruteforce_screen_equals_scalar_enumeration(case):
+    model, price = case
+    res = assortment_subproblem_bruteforce(model, price)
+    assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_kernel_cases())
+def test_kernel_values_match_expected_revenue(case):
+    model, price = case
+    ids = sorted(price)
+    values = np.concatenate([v for _, v in choice._subset_revenues(model, ids, price)])
+    want = [expected_revenue(model, [n for i, n in enumerate(ids) if s >> i & 1], price)
+            for s in range(1 << len(ids))]
+    # both sum at most m + 4 terms bounded by max|price|; 1e-12 is far above their rounding
+    scale = max([1.0] + [abs(p) for p in price.values()])
+    np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_bruteforce_screen_exact_across_blocks(monkeypatch):
+    monkeypatch.setattr(choice, "_MASK_BITS", 2)
+    monkeypatch.setattr(choice, "_BLOCK_BITS", 3)
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        m = int(rng.integers(4, 11))
+        segs = tuple((float(w), AttractionChoiceModel(tuple(rng.uniform(0, 1, m) * (rng.random(m) < 0.5)),
+                                                      tuple(rng.choice([0.0, 0.5, 1.0], m))))
+                     for w in rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+        model = MixtureChoiceModel(segs)
+        price = {n: float(rng.choice([-0.5, 0.0, 1.0, rng.uniform(-1, 2)])) for n in range(1, m + 1)}
+        blocks = list(choice._subset_revenues(model, sorted(price), price))
+        assert [first for first, _ in blocks] == list(range(0, 1 << m, 8))
+        res = assortment_subproblem_bruteforce(model, price)
+        assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
+
+
+@pytest.mark.parametrize("mu, nu, prices", [
+    ((0.0,) * 5, (0.1, 0.3, 0.3, 0.3, 0.7), (0.1, 0.2, 0.1, -0.1, 0.2)),
+    ((0.0,) * 5, (0.3, 0.6, 0.6, 0.3, 0.7), (0.2, 0.1, -0.1, 0.1, 0.2)),
+    ((0.0, 0.6, 0.0, 0.3, 0.1), (0.0, 0.1, 0.7, 0.0, 0.6), (1.0, 0.1, 0.1, 0.2, 0.2)),
+])
+def test_bruteforce_screen_keeps_rounding_ties(mu, nu, prices):
+    # Several subsets reach the maximum in real arithmetic; rounding orders
+    # them differently in the kernel and in expected_revenue, so a screen
+    # keeping only the kernel's own maximum would return the wrong one.
+    model = AttractionChoiceModel(mu, nu)
+    price = dict(enumerate(prices, start=1))
+    res = assortment_subproblem_bruteforce(model, price)
+    assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
+
+
+def test_bruteforce_screen_falls_back_when_kernel_overflows():
+    # (mu+nu)*price overflows to inf in the kernel; the scalar values stay finite
+    model = mnl(1e200, 1.0, 1e200)
+    price = {1: 1e200, 2: 1e150, 3: 2e200}
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = next(choice._subset_revenues(model, sorted(price), price))[1]
+        assert not np.isfinite(values).all()
+        res = assortment_subproblem_bruteforce(model, price)
+    assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
+    assert res.value > 0.0
+
+
+def test_bruteforce_rejects_no_purchase_id():
+    with pytest.raises(ValueError):
+        assortment_subproblem_bruteforce(mnl(1.0, 1.0), {0: 1.0, 1: 1.0})
 
 
 # ------------------------------------------------ subproblem: local search

@@ -4,6 +4,7 @@ import pytest
 
 from choicealloc import random_instance
 from choicealloc.cli import dump_instance, load_instance, main
+from choicealloc.verify import SUITES
 
 GOOD = {
     "resources": [{"capacity": 1}],
@@ -144,6 +145,16 @@ def test_verify_inequality_suite(capsys):
 
 def test_verify_rejects_bad_overrides(capsys):
     assert main(["verify", "--suite", "inequality", "--reps", "5"]) == 1
+    assert "--reps" in capsys.readouterr().out
+
+
+def test_verify_propagates_type_error_from_suite(monkeypatch):
+    def broken_suite(reps: int = 10, seed: int = 0):
+        raise TypeError("defect inside the suite")
+
+    monkeypatch.setitem(SUITES, "inequality", broken_suite)
+    with pytest.raises(TypeError, match="defect inside the suite"):
+        main(["verify", "--suite", "inequality", "--reps", "5"])
 
 
 def test_spike_smoke(tmp_path, capsys):

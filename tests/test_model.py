@@ -14,7 +14,6 @@ from choicealloc import (
     products_of_resource,
     random_instance,
     scale_instance,
-    total_arrivals,
     validate_instance,
 )
 
@@ -78,11 +77,10 @@ def test_validate_warns_on_reachable_expired_products():
     assert any("expires" in w for w in report.warnings)
 
 
-def test_total_arrivals_rectangles():
-    assert total_arrivals(CustomerType(1, RateCurve.constant(2.0), None)) == pytest.approx(2.0)
-    curve = RateCurve((0.0, 0.25, 1.0), (4.0, 0.0))
-    assert total_arrivals(CustomerType(1, curve, None)) == pytest.approx(1.0)
-    assert total_arrivals(CustomerType(1, RateCurve.constant(0.0), None)) == 0.0
+def test_total_mass_rectangles():
+    assert RateCurve.constant(2.0).total_mass() == pytest.approx(2.0)
+    assert RateCurve((0.0, 0.25, 1.0), (4.0, 0.0)).total_mass() == pytest.approx(1.0)
+    assert RateCurve.constant(0.0).total_mass() == 0.0
 
 
 def test_rate_curve_cumulative_and_rate_at():
@@ -159,8 +157,8 @@ def test_scaling_multiplies_arrival_mass_exactly(theta, seed):
     inst = random_instance(seed)
     scaled = scale_instance(inst, theta)
     for k in range(1, inst.num_types + 1):
-        got = total_arrivals(scaled.ctype(k))
-        want = theta * total_arrivals(inst.ctype(k))
+        got = scaled.ctype(k).rate.total_mass()
+        want = theta * inst.ctype(k).rate.total_mass()
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
