@@ -317,3 +317,120 @@ def test_ci_narrows_with_replications():
     small = monte_carlo(inst, "fcfs", 500, 3)
     big = monte_carlo(inst, "fcfs", 8000, 3)
     assert big.half_width < small.half_width / 2.5
+
+
+# -------------------------------------------------------- golden rewards
+
+# SHA-256 of the float64 bytes of monte_carlo's per-replication reward array
+# for every policy in both modes, recorded before the simulator was rebuilt
+# around per-run compiled tables.  The rewrite keeps the arithmetic and its
+# order, so these must not move on any case; a changed digest means a
+# changed decision, draw order or summation somewhere in the run.
+GOLDEN_GRID = 2000
+
+
+def _golden_instance(case: str) -> tuple[Instance, int]:
+    """(instance, replications) of one golden case."""
+    from choicealloc import scale_instance
+    from choicealloc.verify import _batch_instance, _scaling_base_instance
+
+    if case == "random7":
+        return random_instance(7), 200
+    if case.startswith("batch"):  # verify batch seeds where pr differs from fcfs
+        return _batch_instance(int(case[5:])), 200
+    if case == "theta64":
+        return scale_instance(_scaling_base_instance(), 64.0), 30
+    if case == "mixture":  # opr prices every type by brute force
+        return random_instance(4, model_kinds=("mixture",)), 100
+    if case == "table":  # removal-monotone probability tables
+        return random_instance(1, max_products=3, max_types=2, model_kinds=("table",)), 200
+    if case == "expiry":  # resource 1 expires while its demand still arrives
+        inst = scale_instance(random_instance(7), 4.0)
+        resources = (Resource(1, inst.resources[0].capacity, expiry=0.45),) + inst.resources[1:]
+        return Instance(resources, inst.products, inst.types), 200
+    raise KeyError(case)
+
+
+def _golden_digests(case: str) -> dict[str, str]:
+    import hashlib
+
+    inst, reps = _golden_instance(case)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, GOLDEN_GRID)
+    out = {}
+    for policy in ("fcfs", "pr", "opr"):
+        for relaxed in (False, True):
+            run = monte_carlo(inst, policy, reps, 4242, sol=sol, grids=grids, relaxed=relaxed)
+            key = f"{policy}{'-relaxed' if relaxed else ''}"
+            out[key] = hashlib.sha256(run.rewards.tobytes()).hexdigest()[:16]
+    return out
+
+
+GOLDEN_REWARDS = {
+    "batch20240602": {"fcfs": "caba287cf86888a8", "fcfs-relaxed": "caba287cf86888a8",
+                      "pr": "6395e97abe7fa9ed", "pr-relaxed": "6395e97abe7fa9ed",
+                      "opr": "d08b0a4e3c804847", "opr-relaxed": "d08b0a4e3c804847"},
+    "batch20240608": {"fcfs": "70985e7434eff7df", "fcfs-relaxed": "70985e7434eff7df",
+                      "pr": "11eff47e7c82f887", "pr-relaxed": "11eff47e7c82f887",
+                      "opr": "fd169e49f984d3be", "opr-relaxed": "fd169e49f984d3be"},
+    "expiry": {"fcfs": "b87a5ed4328a2b33", "fcfs-relaxed": "aca583c5fe736791",
+               "pr": "b87a5ed4328a2b33", "pr-relaxed": "aca583c5fe736791",
+               "opr": "30bb59b64dda1347", "opr-relaxed": "30bb59b64dda1347"},
+    "mixture": {"fcfs": "2e76879045aae727", "fcfs-relaxed": "1ccbeb984a238112",
+                "pr": "2e76879045aae727", "pr-relaxed": "1ccbeb984a238112",
+                "opr": "9577b99132aa4267", "opr-relaxed": "9577b99132aa4267"},
+    "random7": {"fcfs": "a6d7f8f854fdd2ab", "fcfs-relaxed": "cd1b9e78f9a992bc",
+                "pr": "a6d7f8f854fdd2ab", "pr-relaxed": "cd1b9e78f9a992bc",
+                "opr": "1fd7c2f24a3be063", "opr-relaxed": "1fd7c2f24a3be063"},
+    "table": {"fcfs": "48c5f590da9556a3", "fcfs-relaxed": "48c5f590da9556a3",
+              "pr": "48c5f590da9556a3", "pr-relaxed": "48c5f590da9556a3",
+              "opr": "48c5f590da9556a3", "opr-relaxed": "48c5f590da9556a3"},
+    "theta64": {"fcfs": "64377cc1d66373f5", "fcfs-relaxed": "64377cc1d66373f5",
+                "pr": "64377cc1d66373f5", "pr-relaxed": "64377cc1d66373f5",
+                "opr": "323f2d6d4593ebc1", "opr-relaxed": "323f2d6d4593ebc1"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REWARDS))
+def test_golden_reward_digests(case):
+    assert _golden_digests(case) == GOLDEN_REWARDS[case]
+
+
+def _golden_trace() -> list[tuple]:
+    # a path on which the three policies earn three different rewards
+    inst, _ = _golden_instance("batch20240608")
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, GOLDEN_GRID)
+    path = generate_arrivals(inst, (4242, 9, 0))
+    rows = []
+    for policy in ("fcfs", "pr", "opr"):
+        rep = run_policy(inst, policy, sol, grids, path, (4242, 9, 1), collect_trace=True)
+        rows.append((policy, rep.reward, rep.per_resource_sales))
+        rows.extend(rep.trace)
+    return rows
+
+
+GOLDEN_TRACE = [
+    ("fcfs", 2.2501629056062713, (2,)),
+    (0.008915539926957039, 1, "2|3", 2, 1, 1.1250814528031357),
+    (0.2575236404149226, 1, "2|3", 2, 1, 1.1250814528031357),
+    (0.40293092387360085, 1, "", 0, 0, 0.0),
+    (0.8499671579432257, 2, "", 0, 0, 0.0),
+    (0.8782030094818158, 2, "", 0, 0, 0.0),
+    ("pr", 5.0479638811384255, (2,)),
+    (0.008915539926957039, 1, "2|3", 2, 1, 1.1250814528031357),
+    (0.2575236404149226, 1, "2|3", 2, 0, 0.0),
+    (0.40293092387360085, 1, "2|3", 0, 0, 0.0),
+    (0.8499671579432257, 2, "4", 4, 1, 3.9228824283352894),
+    (0.8782030094818158, 2, "", 0, 0, 0.0),
+    ("opr", 5.10398920071436, (2,)),
+    (0.008915539926957039, 1, "3", 3, 1, 1.1811067723790705),
+    (0.2575236404149226, 1, "", 0, 0, 0.0),
+    (0.40293092387360085, 1, "", 0, 0, 0.0),
+    (0.8499671579432257, 2, "4", 4, 1, 3.9228824283352894),
+    (0.8782030094818158, 2, "", 0, 0, 0.0),
+]
+
+
+def test_golden_trace():
+    assert _golden_trace() == GOLDEN_TRACE

@@ -183,3 +183,40 @@ def test_build_value_grids_covers_all_resources():
     sol = solve_cdlp(inst)
     grids = build_value_grids(inst, sol.s_star, 500)
     assert set(grids) == set(range(1, inst.num_resources + 1))
+
+
+def _reference_hjb_values(inst, s_star, l, grid_size):
+    """The original level-major integration loop, kept as the byte oracle."""
+    from choicealloc.valuefn import _demand_classes
+
+    C = inst.resource(l).capacity
+    times = np.linspace(0.0, 1.0, grid_size + 1)
+    rewards, masses = _demand_classes(inst, s_star, l, times)
+    values = np.zeros((C + 1, grid_size + 1))
+    if C > 0 and rewards.size > 0:
+        for g in range(grid_size, 0, -1):
+            col = values[:, g]
+            delta = col[1:] - col[:-1]
+            gain = np.clip(rewards[:, None] - delta[None, :], 0.0, None)
+            values[1:, g - 1] = col[1:] + masses[:, g - 1] @ gain
+    return values
+
+
+@pytest.mark.parametrize("case", ["theta1", "theta16", "theta64", "batch", "random"])
+def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
+    from choicealloc import scale_instance
+    from choicealloc.verify import _batch_instance, _scaling_base_instance
+
+    if case.startswith("theta"):
+        inst = scale_instance(_scaling_base_instance(), float(case[5:]))
+    elif case == "batch":
+        inst = _batch_instance(20240608)
+    else:
+        inst = random_instance(7, capacity_range=(1, 20))
+    sol = solve_cdlp(inst)
+    for l in range(1, inst.num_resources + 1):
+        grid = solve_resource_hjb(inst, sol.s_star, l, 2000)
+        want = _reference_hjb_values(inst, sol.s_star, l, 2000)
+        assert grid.values.shape == want.shape
+        assert grid.values.tobytes() == want.tobytes()
+        assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()

@@ -60,3 +60,61 @@ def test_run_suite_dispatch():
     assert run_suite("inequality")[0].passed
     with pytest.raises(ValueError):
         run_suite("nonesuch")
+
+
+def _reference_degraded(gamma, model, price):
+    """DegradedSolver before the kernel screen: every subset scored with
+    expected_revenue in lexicographic order."""
+    from choicealloc import assortment_subproblem_bruteforce
+    from choicealloc.cdlp import _lex_subsets
+
+    exact = assortment_subproblem_bruteforce(model, price)
+    if exact.value <= 0.0:
+        return frozenset(), 0.0
+    threshold = gamma * exact.value
+    best_set, best_value = exact.assortment, exact.value
+    for tup in _lex_subsets(sorted(price)):
+        if not tup:
+            continue
+        v = expected_revenue(model, frozenset(tup), price)
+        if threshold <= v < best_value:
+            best_set, best_value = frozenset(tup), v
+    return best_set, best_value
+
+
+def _degraded_models():
+    import numpy as np
+
+    from choicealloc import AttractionChoiceModel, MixtureChoiceModel
+
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        m = int(rng.integers(2, 9))
+        segs = tuple((float(w), AttractionChoiceModel(
+            tuple(rng.uniform(0, 0.5, m) * (rng.random(m) < 0.4)),
+            tuple(rng.choice([0.0, 0.3, 0.6, rng.uniform(0.2, 1.6)], m))))
+            for w in rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+        model = segs[0][1] if len(segs) == 1 else MixtureChoiceModel(segs)
+        price = {n: float(rng.choice([-0.1, 0.1, 0.2, 1.0, rng.uniform(-0.5, 2.0)]))
+                 for n in range(1, m + 1)}
+        yield model, price
+
+
+def test_degraded_solver_screen_equals_full_scan():
+    from choicealloc.cdlp import _lex_subsets
+
+    ties = 0
+    for model, price in _degraded_models():
+        opt = _reference_degraded(1.0, model, price)[1]
+        gammas = [1.0, 0.95, 0.7, 0.5, 0.1]
+        # thresholds that equal some subset's exact value
+        for tup in _lex_subsets(sorted(price))[1:]:
+            v = expected_revenue(model, frozenset(tup), price)
+            if 0.0 < v < opt and (v / opt) * opt == v:
+                gammas.append(v / opt)
+        for gamma in gammas:
+            res = DegradedSolver(gamma)(model, price)
+            want = _reference_degraded(gamma, model, price)
+            assert (res.assortment, res.value) == want
+            ties += want[1] == gamma * opt and gamma < 1.0
+    assert ties >= 5
