@@ -176,10 +176,18 @@ def _lex_subsets(ids: Sequence[int]):
     return sorted(chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)))
 
 
-def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float]):
-    """Subsets of ``ids`` whose kernel value is within tol of the kernel
-    maximum, as sorted tuples in ``_lex_subsets`` order; every subset when
-    the kernel overflows."""
+def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
+                      floor: float | None = None):
+    """Subsets of ``ids`` that may reach ``floor`` (default: the kernel
+    maximum) in exact scoring, as sorted tuples in ``_lex_subsets`` order.
+
+    For attraction models and their mixtures with m > 1 these are the
+    subsets whose kernel value is at least floor - tol, with tol =
+    1e-9 * max(1, max|price|); every subset for other models, for m <= 1
+    and when the kernel overflows.
+    """
+    if len(ids) <= 1 or not isinstance(model, (AttractionChoiceModel, MixtureChoiceModel)):
+        return _lex_subsets(ids)
     tol = 1e-9 * max(1.0, max(abs(price[n]) for n in ids))
     top = -math.inf
     kept: list[tuple[int, float]] = []
@@ -188,10 +196,12 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float]):
         if not math.isfinite(block_top):
             return _lex_subsets(ids)
         top = max(top, block_top)
-        hits = np.flatnonzero(values >= top - tol)
+        bar = (top if floor is None else floor) - tol
+        hits = np.flatnonzero(values >= bar)
         kept.extend(zip((hits + first).tolist(), values[hits].tolist()))
+    bar = (top if floor is None else floor) - tol
     return sorted(
-        tuple(n for i, n in enumerate(ids) if s >> i & 1) for s, v in kept if v >= top - tol
+        tuple(n for i, n in enumerate(ids) if s >> i & 1) for s, v in kept if v >= bar
     )
 
 
@@ -219,12 +229,8 @@ def assortment_subproblem_bruteforce(model: ChoiceModel, price: Mapping[int, flo
     if len(ids) > n_max:
         raise ValueError(f"brute force capped at {n_max} products, got {len(ids)}")
     _as_assortment(ids)
-    if len(ids) > 1 and isinstance(model, (AttractionChoiceModel, MixtureChoiceModel)):
-        subsets = _screened_subsets(model, ids, price)
-    else:
-        subsets = _lex_subsets(ids)
     best_value, best_set = 0.0, frozenset()
-    for tup in subsets:
+    for tup in _screened_subsets(model, ids, price):
         if not tup:
             continue
         S = frozenset(tup)

@@ -263,9 +263,13 @@ def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> in
     The CDF runs over the assortment in ascending product id, with no
     purchase last, so the outcome is deterministic given ``u``.
     """
-    S = _as_assortment(assortment)
+    return _sample(_distribution(model, _as_assortment(assortment)), u)
+
+
+def _sample(dist: list[tuple[int, float]], u: float) -> int:
+    """Inverse-transform draw from a ``_distribution`` list."""
     cum = 0.0
-    for n, p in _distribution(model, S):
+    for n, p in dist:
         cum += p
         if u < cum:
             return n
@@ -274,8 +278,12 @@ def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> in
 
 def expected_revenue(model: ChoiceModel, assortment: Iterable[int], price: Mapping[int, float]) -> float:
     """Expected revenue of showing ``assortment`` at the given prices."""
-    S = _as_assortment(assortment)
-    return math.fsum(p * price[n] for n, p in _distribution(model, S))
+    return _revenue(_distribution(model, _as_assortment(assortment)), price)
+
+
+def _revenue(dist: list[tuple[int, float]], price: Mapping[int, float]) -> float:
+    """Expected revenue of a ``_distribution`` list at the given prices."""
+    return math.fsum(p * price[n] for n, p in dist)
 
 
 def prune_nonpositive(assortment: Iterable[int], price: Mapping[int, float]) -> frozenset[int]:

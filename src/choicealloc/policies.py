@@ -3,17 +3,24 @@
 
 All three consume the same fluid plan.  fcfs and pr draw a static random
 assortment per arrival from the plan's display probabilities; fcfs accepts
-any in-stock purchase while pr accepts only purchases whose reward covers
-the marginal value of the consumed unit.  opr re-optimizes the offered
-assortment per arrival against marginal-value-adjusted prices and never
-lists a product that is stocked out or expired, so every purchase it
-induces is accepted.
+any purchase of a sellable product while pr accepts only purchases whose
+reward covers the marginal value of the consumed unit.  opr re-optimizes
+the offered assortment per arrival against marginal-value-adjusted prices
+and never lists a product that cannot be sold, so every purchase it induces
+is accepted.
+
+Every decision reads a ``_Tables`` compiled from the instance, the plan and
+the value grids, and ``_sellable`` alone decides whether a product can be
+sold (its resource is in stock and not expired).  The simulator compiles the
+tables once per run and calls the private decision functions directly; the
+public functions below compile what they need per call and make the same
+decisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .cdlp import (
     CdlpSolution,
@@ -21,9 +28,9 @@ from .cdlp import (
     assortment_subproblem_localsearch,
     assortment_subproblem_sort,
 )
-from .choice import AttractionChoiceModel, TabulatedChoiceModel, expected_revenue, prune_nonpositive
+from .choice import AttractionChoiceModel, TabulatedChoiceModel, _distribution, _revenue
 from .model import Instance
-from .valuefn import ResourceValueGrid, marginal_value
+from .valuefn import ResourceValueGrid, _interp
 
 __all__ = [
     "PolicyState",
@@ -37,6 +44,9 @@ __all__ = [
 ]
 
 POLICY_NAMES = ("fcfs", "pr", "opr")
+
+_EMPTY: frozenset[int] = frozenset()
+_DIST_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -62,83 +72,115 @@ class OfferDecision:
     marginal_reward: float | None = None
 
 
-def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> OfferDecision:
-    """Sample an assortment from the plan's display distribution for type k.
-
-    The CDF runs over the active assortments in ascending enumeration order;
-    residual probability mass yields the empty offer.  The draw depends only
-    on (k, u), never on inventory or time.
-    """
-    cum = 0.0
+def _offer_cdf(sol: CdlpSolution, k: int) -> list[tuple[float, frozenset[int]]]:
+    """Type k's active assortments in enumeration order, each with the
+    running sum of display probabilities up to and including it."""
+    cum, out = 0.0, []
     for S in sol.active.get(k, ()):
         cum += sol.x[(k, S)]
-        if u < cum:
-            return OfferDecision(S)
-    return OfferDecision(frozenset())
+        out.append((cum, S))
+    return out
 
 
-def fcfs_accept(state: PolicyState, n: int, inst: Instance) -> bool:
-    """Greedy acceptance: sell whenever the product's resource is in stock."""
-    if n <= 0:
-        raise ValueError("acceptance is decided only for actual products")
-    return state.level(inst.product(n).resource) > 0
+class _Tables:
+    """Everything the decisions of a run read that stays fixed for the run.
 
-
-def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid],
-              inst: Instance, k: int) -> bool:
-    """Threshold acceptance: sell iff in stock and type k's operative reward
-    for product n is at least the marginal value of the unit (ties accept)."""
-    if n <= 0:
-        raise ValueError("acceptance is decided only for actual products")
-    l = inst.product(n).resource
-    c = state.level(l)
-    if c <= 0:
-        return False
-    mv = marginal_value(grids[l], c, state.now)
-    if mv.infinite:
-        return False
-    return inst.reward(k, n) >= mv.value
-
-
-def _offerable(inst: Instance, state: PolicyState, n: int) -> bool:
-    res = inst.resource(inst.product(n).resource)
-    return state.level(res.id) > 0 and state.now < res.expiry
-
-
-def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid],
-              sol: CdlpSolution, inst: Instance, n_max: int = 20,
-              restarts: int = 4) -> OfferDecision:
-    """Offer the assortment maximizing expected marginal reward for this
-    arrival.
-
-    Products are priced at reward minus the marginal value of their
-    resource; stocked-out or expired products are excluded outright.  The
-    optimizer (exact sort for attraction models, brute force up to ``n_max``
-    products, local search beyond) is compared against a fallback built
-    from the plan's own assortments with nonpositive-price products pruned,
-    and the better of the two is offered; the fallback guarantees the offer
-    collects at least the marginal reward the static threshold policy would.
-    Every purchase from the offer is accepted.
+    Resources sit at position l-1 (as in ``PolicyState.inventory``);
+    products and types at their id, slot 0 unused.  ``resource_of[n]`` is
+    the position of product n's resource, ``rewards[k][n]`` type k's
+    operative reward for n, ``offers[k]`` the ``_offer_cdf`` of type k, and
+    ``marginals[l-1]`` the marginal-value table of resource l's grid (the
+    grid's own array, not a copy).  Per-type entries exist for ``types``
+    only (default: all types).
     """
-    model = inst.ctype(k).choice
-    if isinstance(model, TabulatedChoiceModel) and not model.is_removal_monotone:
+
+    __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models",
+                 "rewards", "offers", "prunable", "_dists")
+
+    def __init__(self, inst: Instance, sol: CdlpSolution | None = None,
+                 grids: Mapping[int, ResourceValueGrid] | None = None,
+                 types: Iterable[int] | None = None):
+        self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
+        self.expiry = [r.expiry for r in inst.resources]
+        self.capacity = [r.capacity for r in inst.resources]
+        self.marginals = None
+        if grids is not None:
+            missing = [r.id for r in inst.resources if r.id not in grids]
+            if missing:
+                raise ValueError(f"no value grid for resources {missing}")
+            short = [r.id for r in inst.resources if grids[r.id].capacity < r.capacity]
+            if short:
+                raise ValueError(f"value grids of resources {short} are below capacity")
+            self.marginals = [grids[r.id]._marginals for r in inst.resources]
+        self.models, self.rewards, self.offers, self.prunable = {}, {}, {}, {}
+        self._dists: dict[int, dict[frozenset[int], list[tuple[int, float]]]] = {}
+        for k in range(1, inst.num_types + 1) if types is None else types:
+            model = inst.ctype(k).choice
+            self.models[k] = model
+            self._dists[k] = {}
+            self.rewards[k] = [0.0] + [inst.reward(k, n) for n in range(1, inst.num_products + 1)]
+            self.offers[k] = _offer_cdf(sol, k) if sol is not None else []
+            # opr prunes nonpositive-price products, which only removal-
+            # monotone choice models guarantee cannot lower the revenue
+            self.prunable[k] = not (isinstance(model, TabulatedChoiceModel)
+                                    and not model.is_removal_monotone)
+
+    def dist(self, k: int, S: frozenset[int]) -> list[tuple[int, float]]:
+        """``choice._distribution`` of type k's model over S, memoized: it
+        depends on the model and S only, and a run offers few distinct sets.
+        At most ``_DIST_MEMO`` sets are kept per type."""
+        memo = self._dists[k]
+        dist = memo.get(S)
+        if dist is None:
+            if len(memo) >= _DIST_MEMO:
+                memo.clear()
+            dist = memo[S] = _distribution(self.models[k], S)
+        return dist
+
+
+def _sellable(t: _Tables, inventory, now: float, n: int) -> bool:
+    """Whether product n can be sold: its resource is in stock and unexpired."""
+    l = t.resource_of[n]
+    return inventory[l] > 0 and now < t.expiry[l]
+
+
+def _static_offer(offers: list[tuple[float, frozenset[int]]], u: float) -> frozenset[int]:
+    """The first assortment whose cumulative display probability exceeds u;
+    the empty offer on the residual mass."""
+    for cum, S in offers:
+        if u < cum:
+            return S
+    return _EMPTY
+
+
+def _pr_accepts(t: _Tables, inventory, now: float, k: int, n: int) -> bool:
+    """Sell iff n can be sold and type k's operative reward for it is at
+    least the marginal value of the unit (ties accept)."""
+    if not _sellable(t, inventory, now, n):
+        return False
+    l = t.resource_of[n]
+    return t.rewards[k][n] >= _interp(t.marginals[l], inventory[l] - 1, now)
+
+
+def _opr_decision(t: _Tables, inventory, now: float, k: int, n_max: int = 20,
+                  restarts: int = 4) -> tuple[frozenset[int], float]:
+    """opr's offer to a type-k arrival and its expected marginal reward
+    (see ``opr_offer``)."""
+    if not t.prunable[k]:
         raise ValueError(
             "opr requires choice models where pruning cannot hurt expected "
             "revenue; this probability table violates that"
         )
-
-    prices: dict[int, float] = {}
-    for n in range(1, inst.num_products + 1):
-        if not _offerable(inst, state, n):
-            continue
-        l = inst.product(n).resource
-        mv = marginal_value(grids[l], state.level(l), state.now)
-        if mv.infinite:
-            continue
-        prices[n] = inst.reward(k, n) - mv.value
-
+    model = t.models[k]
+    value_of_unit = [_interp(m, c - 1, now) if c > 0 else 0.0
+                     for m, c in zip(t.marginals, inventory)]
+    reward, resource_of = t.rewards[k], t.resource_of
+    prices = {
+        n: reward[n] - value_of_unit[resource_of[n]]
+        for n in range(1, len(reward)) if _sellable(t, inventory, now, n)
+    }
     if not prices:
-        return OfferDecision(frozenset(), 0.0)
+        return _EMPTY, 0.0
 
     if isinstance(model, AttractionChoiceModel):
         best = assortment_subproblem_sort(model, prices)
@@ -148,12 +190,59 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
         best = assortment_subproblem_localsearch(model, prices, restarts=restarts, seed=0)
     offer, value = best.assortment, best.value
 
-    for S in sol.active.get(k, ()):
-        visible = frozenset(n for n in S if n in prices)
-        pruned = prune_nonpositive(visible, prices)
-        v = expected_revenue(model, pruned, prices) if pruned else 0.0
+    for _, S in t.offers[k]:
+        pruned = frozenset(n for n in S if n in prices and prices[n] > 0.0)
+        v = _revenue(t.dist(k, pruned), prices) if pruned else 0.0
         if v > value:
             offer, value = pruned, v
+    return offer, value
+
+
+def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> OfferDecision:
+    """Sample an assortment from the plan's display distribution for type k.
+
+    The CDF runs over the active assortments in ascending enumeration order;
+    residual probability mass yields the empty offer.  The draw depends only
+    on (k, u), never on inventory or time.
+    """
+    return OfferDecision(_static_offer(_offer_cdf(sol, k), u))
+
+
+def fcfs_accept(state: PolicyState, n: int, inst: Instance) -> bool:
+    """Greedy acceptance: sell whenever the product can be sold (its
+    resource is in stock and not expired)."""
+    if n <= 0:
+        raise ValueError("acceptance is decided only for actual products")
+    return _sellable(_Tables(inst, types=()), state.inventory, state.now, n)
+
+
+def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid],
+              inst: Instance, k: int) -> bool:
+    """Threshold acceptance: sell iff the product can be sold and type k's
+    operative reward for it is at least the marginal value of the unit
+    (ties accept)."""
+    if n <= 0:
+        raise ValueError("acceptance is decided only for actual products")
+    return _pr_accepts(_Tables(inst, grids=grids, types=(k,)), state.inventory, state.now, k, n)
+
+
+def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid],
+              sol: CdlpSolution, inst: Instance, n_max: int = 20,
+              restarts: int = 4) -> OfferDecision:
+    """Offer the assortment maximizing expected marginal reward for this
+    arrival.
+
+    Products are priced at reward minus the marginal value of their
+    resource; products that cannot be sold are excluded outright.  The
+    optimizer (exact sort for attraction models, brute force up to ``n_max``
+    products, local search beyond) is compared against a fallback built
+    from the plan's own assortments with nonpositive-price products pruned,
+    and the better of the two is offered; the fallback guarantees the offer
+    collects at least the marginal reward the static threshold policy would.
+    Every purchase from the offer is accepted.
+    """
+    tables = _Tables(inst, sol, grids, types=(k,))
+    offer, value = _opr_decision(tables, state.inventory, state.now, k, n_max, restarts)
     return OfferDecision(offer, value)
 
 

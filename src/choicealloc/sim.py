@@ -5,20 +5,30 @@ constant envelope makes thinning acceptance-free), merged in time order.
 Choice randomness is a separate stream indexed by event ordinal, so every
 policy replayed on the same path with the same choice seed consumes
 identical draws per arrival; paired policy comparisons rely on this.
+
+A run is compiled once into ``policies._Tables`` (product-to-resource and
+expiry lists, per-type operative rewards, choice models and offer CDFs,
+and the grids' marginal-value tables), once per ``monte_carlo`` call and
+once per ``run_policy`` call.  One flat per-arrival loop then drives fcfs,
+pr and opr with a mutable inventory list and the private decision
+functions behind ``fcfs_offer``/``pr_accept``/``opr_offer``; whether a
+product can be sold is decided by ``policies._sellable`` alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cdlp import CdlpSolution, solve_cdlp
-from .choice import sample_choice
+from .choice import _sample
 from .model import Instance, RateCurve
-from .policies import PolicyState, apply_purchase, fcfs_offer, opr_offer, pr_accept
+from .policies import POLICY_NAMES, _opr_decision, _pr_accepts, _sellable, _static_offer, _Tables
 from .valuefn import ResourceValueGrid, build_value_grids
 
 __all__ = [
@@ -91,15 +101,65 @@ def generate_arrivals(inst: Instance, seed) -> SamplePath:
             count = int(rng.poisson(mass))
             if count:
                 times = rng.uniform(a, b, count)
-                events.extend((float(t), k) for t in times)
+                events.extend(zip(times.tolist(), repeat(k)))
                 total += count
         counts.append(total)
-    events.sort(key=lambda e: e[0])
+    events.sort(key=itemgetter(0))
     return SamplePath(
         events=tuple(ArrivalEvent(t, k) for t, k in events),
         seed=seed,
         counts=tuple(counts),
     )
+
+
+def _compile(inst: Instance, policy: str, sol: CdlpSolution,
+             grids: Mapping[int, ResourceValueGrid] | None) -> _Tables:
+    """The run tables for one policy; value grids are read by pr and opr only."""
+    if policy not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if policy != "fcfs" and grids is None:
+        raise ValueError(f"policy {policy!r} needs value grids")
+    return _Tables(inst, sol, grids if policy != "fcfs" else None)
+
+
+def _run(tables: _Tables, policy: str, path: SamplePath, choice_seed, relaxed: bool,
+         collect_trace: bool) -> ReplicationReport:
+    draws = np.random.default_rng(choice_seed).random((len(path.events), 2)).tolist()
+    inventory = list(tables.capacity)
+    sales = [0] * len(inventory)
+    reward = 0.0
+    trace: list[tuple] | None = [] if collect_trace else None
+
+    for ev, (u_offer, u_choice) in zip(path.events, draws):
+        now, k = ev.time, ev.ctype
+        if policy == "opr":
+            offer = _opr_decision(tables, inventory, now, k)[0]
+            bad = [n for n in offer if not _sellable(tables, inventory, now, n)]
+            if bad:
+                raise SimulationError(f"opr offered unavailable products {bad} at t={now:.6f}")
+        else:
+            offer = _static_offer(tables.offers[k], u_offer)
+            if not relaxed:
+                offer = frozenset(n for n in offer if _sellable(tables, inventory, now, n))
+
+        n = _sample(tables.dist(k, offer), u_choice)
+        if n > 0 and policy == "pr":
+            accepted = _pr_accepts(tables, inventory, now, k, n)
+        else:
+            accepted = n > 0 and _sellable(tables, inventory, now, n)
+        if accepted:
+            l = tables.resource_of[n]
+            reward += tables.rewards[k][n]
+            sales[l] += 1
+            inventory[l] -= 1
+
+        if trace is not None:
+            trace.append((
+                now, k, "|".join(str(m) for m in sorted(offer)), n,
+                int(accepted), tables.rewards[k][n] if accepted else 0.0,
+            ))
+
+    return ReplicationReport(policy, reward, tuple(sales), trace)
 
 
 def run_policy(inst: Instance, policy: str, sol: CdlpSolution,
@@ -108,81 +168,24 @@ def run_policy(inst: Instance, policy: str, sol: CdlpSolution,
                relaxed: bool = False, collect_trace: bool = False) -> ReplicationReport:
     """Run one policy over one sample path.
 
-    In the default mode offers never contain stocked-out or expired
-    products.  ``relaxed`` switches fcfs/pr to static substitution: the
-    drawn assortment is shown unfiltered and a customer choosing an
-    unavailable product simply leaves without effect.  Choice randomness is
-    drawn up front, two uniforms per event ordinal (offer draw, choice
-    draw), so runs with equal seeds are paired across policies.
+    In the default mode offers never contain products that cannot be sold.
+    ``relaxed`` switches fcfs/pr to static substitution: the drawn
+    assortment is shown unfiltered and a customer choosing an unavailable
+    product simply leaves without effect.  Choice randomness is drawn up
+    front, two uniforms per event ordinal (offer draw, choice draw), so runs
+    with equal seeds are paired across policies.
     """
-    if policy not in ("fcfs", "pr", "opr"):
-        raise ValueError(f"unknown policy {policy!r}")
-    if policy in ("pr", "opr") and grids is None:
-        raise ValueError(f"policy {policy!r} needs value grids")
-
-    rng = np.random.default_rng(choice_seed)
-    draws = rng.random((len(path.events), 2))
-
-    expiry = {r.id: r.expiry for r in inst.resources}
-    resource_of = {p.id: p.resource for p in inst.products}
-    state = PolicyState(tuple(r.capacity for r in inst.resources), 0.0)
-    reward = 0.0
-    sales = [0] * inst.num_resources
-    trace: list[tuple] | None = [] if collect_trace else None
-
-    for i, ev in enumerate(path.events):
-        state = dc_replace(state, now=ev.time)
-        k = ev.ctype
-        u_offer, u_choice = draws[i]
-
-        if policy == "opr":
-            offer = opr_offer(state, k, grids, sol, inst).assortment
-            bad = [n for n in offer
-                   if state.level(resource_of[n]) <= 0 or ev.time >= expiry[resource_of[n]]]
-            if bad:
-                raise SimulationError(
-                    f"opr offered unavailable products {bad} at t={ev.time:.6f}"
-                )
-        else:
-            offer = fcfs_offer(state, k, sol, u_offer).assortment
-            if not relaxed:
-                offer = frozenset(
-                    n for n in offer
-                    if state.level(resource_of[n]) > 0 and ev.time < expiry[resource_of[n]]
-                )
-
-        n = sample_choice(inst.ctype(k).choice, offer, u_choice)
-        accepted = False
-        if n > 0:
-            l = resource_of[n]
-            available = state.level(l) > 0 and ev.time < expiry[l]
-            if policy == "fcfs":
-                accepted = available
-            elif policy == "pr":
-                accepted = available and pr_accept(state, n, grids, inst, k)
-            else:
-                accepted = True
-            if accepted:
-                reward += inst.reward(k, n)
-                sales[l - 1] += 1
-                state = apply_purchase(state, n, inst)
-
-        if trace is not None:
-            trace.append((
-                ev.time, k, "|".join(str(m) for m in sorted(offer)), n,
-                int(accepted), inst.reward(k, n) if accepted else 0.0,
-            ))
-
-    return ReplicationReport(policy, reward, tuple(sales), trace)
+    return _run(_compile(inst, policy, sol, grids), policy, path, choice_seed,
+                relaxed, collect_trace)
 
 
-def _replication_rewards(inst, policy, sol, grids, reps, base_seed, relaxed, indices):
-    out = []
-    for r in indices:
-        path = generate_arrivals(inst, (base_seed, r, 0))
-        rep = run_policy(inst, policy, sol, grids, path, (base_seed, r, 1), relaxed=relaxed)
-        out.append(rep.reward)
-    return out
+def _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices):
+    tables = _compile(inst, policy, sol, grids)
+    return [
+        _run(tables, policy, generate_arrivals(inst, (base_seed, r, 0)), (base_seed, r, 1),
+             relaxed, False).reward
+        for r in indices
+    ]
 
 
 def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
@@ -212,7 +215,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_replication_rewards, inst, policy, sol, grids,
-                            reps, base_seed, relaxed, chunk)
+                            base_seed, relaxed, chunk)
                 for chunk in chunks
             ]
             for chunk, fut in zip(chunks, futures):
@@ -220,7 +223,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
                     rewards[r] = value
     else:
         rewards = np.array(
-            _replication_rewards(inst, policy, sol, grids, reps, base_seed, relaxed, indices)
+            _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices)
         )
 
     mean = float(rewards.mean())

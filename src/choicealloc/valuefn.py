@@ -83,18 +83,21 @@ class ResourceValueGrid:
         """V(c, t) with piecewise-linear interpolation in t."""
         if not 0 <= c <= self.capacity:
             raise ValueError(f"inventory level {c} outside 0..{self.capacity}")
-        return _interp_row(self.values[c], t)
+        return _interp(self.values, c, t)
 
 
-def _interp_row(row: np.ndarray, t: float) -> float:
+def _interp(table: np.ndarray, r: int, t: float) -> float:
+    """Row ``r`` of a (rows x grid times) table at time ``t``, linear between
+    grid times; the one interpolation formula for values and marginals."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
-    pos = t * (len(row) - 1)
+    last = table.shape[1] - 1
+    pos = t * last
     i = int(pos)
-    if i >= len(row) - 1:
-        return float(row[-1])
+    if i >= last:
+        return table.item(r, last)
     frac = pos - i
-    return float(row[i] * (1.0 - frac) + row[i + 1] * frac)
+    return table.item(r, i) * (1.0 - frac) + table.item(r, i + 1) * frac
 
 
 def _cumulative_on_grid(curve, times: np.ndarray) -> np.ndarray:
@@ -139,6 +142,12 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
 
     All inventory levels advance jointly within a step; level c reads only
     the previous column of itself and level c-1, so the update is explicit.
+
+    The surface is integrated time-major, one contiguous row per grid time,
+    into preallocated step buffers, and ``values`` is the transposed view of
+    that array.  The mass vector stays the strided column ``masses[:, g-1]``:
+    OpenBLAS's matrix-vector product can round a contiguous copy differently
+    in the last ulp, which would move the surface.
     """
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
@@ -146,14 +155,20 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
     C = res.capacity
     times = np.linspace(0.0, 1.0, grid_size + 1)
     rewards, masses = _demand_classes(inst, s_star, l, times)
-    values = np.zeros((C + 1, grid_size + 1))
+    by_time = np.zeros((grid_size + 1, C + 1))
     if C > 0 and rewards.size > 0:
+        delta = np.empty(C)
+        gain = np.empty((rewards.size, C))
+        inc = np.empty(C)
+        column = rewards[:, None]
         for g in range(grid_size, 0, -1):
-            col = values[:, g]
-            delta = col[1:] - col[:-1]
-            gain = np.clip(rewards[:, None] - delta[None, :], 0.0, None)
-            values[1:, g - 1] = col[1:] + masses[:, g - 1] @ gain
-    return ResourceValueGrid(l, times, values, rewards, masses)
+            row = by_time[g]
+            np.subtract(row[1:], row[:-1], out=delta)
+            np.subtract(column, delta, out=gain)
+            np.maximum(gain, 0.0, out=gain)
+            np.matmul(masses[:, g - 1], gain, out=inc)
+            np.add(row[1:], inc, out=by_time[g - 1, 1:])
+    return ResourceValueGrid(l, times, by_time.T, rewards, masses)
 
 
 def build_value_grids(inst: Instance, s_star: Mapping[tuple[int, int], float],
@@ -172,7 +187,7 @@ def marginal_value(grid: ResourceValueGrid, c: int, t: float) -> MarginalValue:
         raise ValueError(f"inventory level {c} outside 0..{grid.capacity}")
     if c == 0:
         return MarginalValue.out_of_stock()
-    return MarginalValue(_interp_row(grid._marginals[c - 1], t))
+    return MarginalValue(_interp(grid._marginals, c - 1, t))
 
 
 def pr_total_value(grids: Mapping[int, ResourceValueGrid],

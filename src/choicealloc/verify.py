@@ -19,7 +19,7 @@ import numpy as np
 from .cdlp import (
     BruteForceSolver,
     SubproblemResult,
-    _lex_subsets,
+    _screened_subsets,
     assortment_subproblem_bruteforce,
     assortment_subproblem_sort,
     dual_bound,
@@ -69,7 +69,9 @@ class DegradedSolver:
 
     Returns the *worst* assortment whose value still clears ``gamma`` times
     the true optimum, so the declared guarantee is exercised rather than
-    vacuously satisfied.
+    vacuously satisfied.  Ties go to the lexicographically smallest set.
+    Only the subsets the brute force's kernel screen keeps against that
+    threshold are scored exactly; every other subset scores below it.
     """
 
     def __init__(self, gamma: float, n_max: int = 20):
@@ -82,7 +84,7 @@ class DegradedSolver:
             return SubproblemResult(frozenset(), 0.0, self.guarantee)
         threshold = self.guarantee * exact.value
         best_set, best_value = exact.assortment, exact.value
-        for tup in _lex_subsets(sorted(price)):
+        for tup in _screened_subsets(model, sorted(price), price, threshold):
             if not tup:
                 continue
             S = frozenset(tup)
