@@ -199,7 +199,6 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
         bar = (top if floor is None else floor) - tol
         hits = np.flatnonzero(values >= bar)
         kept.extend(zip((hits + first).tolist(), values[hits].tolist()))
-    bar = (top if floor is None else floor) - tol
     return sorted(
         tuple(n for i, n in enumerate(ids) if s >> i & 1) for s, v in kept if v >= bar
     )

@@ -244,3 +244,27 @@ def test_apply_purchase():
     assert apply_purchase(state, 0, inst) == state
     with pytest.raises(ValueError):
         apply_purchase(PolicyState((0, 1), 0.3), 1, inst)
+
+
+def test_acceptance_refuses_expired_products():
+    # Sellability (in stock and before expiry) is one decision shared by the
+    # simulator and the public acceptance functions.
+    inst = Instance(
+        (Resource(1, 2, expiry=0.5),),
+        (Product(1, 1, 1.0),),
+        (CustomerType(1, RateCurve.constant(1.0), mnl(1.0)),),
+    )
+    grids = build_value_grids(inst, {(1, 1): 1.0}, 500)
+    assert fcfs_accept(PolicyState((2,), 0.4), 1, inst)
+    assert not fcfs_accept(PolicyState((2,), 0.5), 1, inst)
+    assert pr_accept(PolicyState((2,), 0.4), 1, grids, inst, 1)
+    assert not pr_accept(PolicyState((2,), 0.5), 1, grids, inst, 1)
+
+
+def test_decisions_reject_grids_that_do_not_cover_the_instance():
+    inst = two_product_instance(capacity=3)
+    small = build_value_grids(two_product_instance(capacity=2), {(1, 1): 1.0}, 500)
+    with pytest.raises(ValueError, match="below capacity"):
+        pr_accept(PolicyState((3,), 0.0), 1, small, inst, 1)
+    with pytest.raises(ValueError, match="no value grid"):
+        pr_accept(PolicyState((3,), 0.0), 1, {}, inst, 1)

@@ -434,3 +434,37 @@ GOLDEN_TRACE = [
 
 def test_golden_trace():
     assert _golden_trace() == GOLDEN_TRACE
+
+
+def test_monte_carlo_compiles_the_run_once(monkeypatch):
+    from choicealloc import sim
+
+    built = []
+
+    class Counting(sim._Tables):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_Tables", Counting)
+    inst = random_instance(7)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 500)
+    for policy in ("fcfs", "pr", "opr"):
+        monte_carlo(inst, policy, 25, 3, sol=sol, grids=grids)
+    assert len(built) == 3
+
+
+def test_distribution_memo_bound_keeps_rewards(monkeypatch):
+    from choicealloc import policies
+
+    inst, _ = _golden_instance("mixture")
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 500)
+    want = {p: monte_carlo(inst, p, 40, 9, sol=sol, grids=grids).rewards for p in ("fcfs", "opr")}
+    monkeypatch.setattr(policies, "_DIST_MEMO", 1)  # clear on nearly every offer
+    for policy, rewards in want.items():
+        got = monte_carlo(inst, policy, 40, 9, sol=sol, grids=grids).rewards
+        assert got.tobytes() == rewards.tobytes()
