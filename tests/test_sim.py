@@ -321,11 +321,10 @@ def test_ci_narrows_with_replications():
 
 # -------------------------------------------------------- golden rewards
 
-# SHA-256 of the float64 bytes of monte_carlo's per-replication reward array
-# for every policy in both modes, recorded before the simulator was rebuilt
-# around per-run compiled tables.  The rewrite keeps the arithmetic and its
-# order, so these must not move on any case; a changed digest means a
-# changed decision, draw order or summation somewhere in the run.
+# SHA-256 (first 16 hex digits) of the float64 bytes of monte_carlo's
+# per-replication reward array for every policy in both modes.  A change in
+# any decision, in the order draws are consumed or in a summation moves a
+# digest; only a change meant to alter rewards may re-record them.
 GOLDEN_GRID = 2000
 
 

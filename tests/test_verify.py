@@ -63,8 +63,8 @@ def test_run_suite_dispatch():
 
 
 def _reference_degraded(gamma, model, price):
-    """DegradedSolver before the kernel screen: every subset scored with
-    expected_revenue in lexicographic order."""
+    """DegradedSolver's rule with every subset scored by expected_revenue
+    in lexicographic order, kept as the reference for the screened scan."""
     from choicealloc import assortment_subproblem_bruteforce
     from choicealloc.cdlp import _lex_subsets
 
