@@ -288,5 +288,9 @@ def _revenue(dist: list[tuple[int, float]], price: Mapping[int, float]) -> float
 
 def prune_nonpositive(assortment: Iterable[int], price: Mapping[int, float]) -> frozenset[int]:
     """Members of the assortment with strictly positive price."""
-    S = _as_assortment(assortment)
+    return _prune_nonpositive(_as_assortment(assortment), price)
+
+
+def _prune_nonpositive(S: frozenset[int], price: Mapping[int, float]) -> frozenset[int]:
+    """``prune_nonpositive`` of an assortment that is already valid."""
     return frozenset(n for n in S if price[n] > 0.0)

@@ -9,18 +9,17 @@ the offered assortment per arrival against marginal-value-adjusted prices
 and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
-Every decision reads a ``_Tables`` compiled from the instance, the plan and
-the value grids, and ``_sellable`` alone decides whether a product can be
-sold (its resource is in stock and not expired).  The simulator compiles the
-tables once per run and calls the private decision functions directly; the
-public functions below compile what they need per call and make the same
-decisions.
+The simulator compiles the instance, the plan and the value grids into a
+``_Tables`` once per run and calls the private decision functions directly;
+the public functions below are thin wrappers over the same functions, and
+only ``opr_offer`` compiles tables per call.  ``_sellable`` alone decides
+whether a product can be sold (its resource is in stock and not expired).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .cdlp import (
     CdlpSolution,
@@ -28,7 +27,13 @@ from .cdlp import (
     assortment_subproblem_localsearch,
     assortment_subproblem_sort,
 )
-from .choice import AttractionChoiceModel, TabulatedChoiceModel, _distribution, _revenue
+from .choice import (
+    AttractionChoiceModel,
+    TabulatedChoiceModel,
+    _distribution,
+    _prune_nonpositive,
+    _revenue,
+)
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
 
@@ -46,7 +51,7 @@ __all__ = [
 POLICY_NAMES = ("fcfs", "pr", "opr")
 
 _EMPTY: frozenset[int] = frozenset()
-_DIST_MEMO = 4096
+_DIST_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -90,16 +95,21 @@ class _Tables:
     the position of product n's resource, ``rewards[k][n]`` type k's
     operative reward for n, ``offers[k]`` the ``_offer_cdf`` of type k, and
     ``marginals[l-1]`` the marginal-value table of resource l's grid (the
-    grid's own array, not a copy).  Per-type entries exist for ``types``
-    only (default: all types).
+    grid's own array, not a copy).  With ``grids``, every resource needs a
+    grid covering its capacity.
+
+    ``dist`` memoizes ``choice._distribution`` per type and offered set.
+    The benchmark workloads hit it on 31-99 % of lookups and a call holding
+    a whole round of replications keeps at most 40 distinct sets per type
+    (10 products); ``_DIST_MEMO`` caps a type at 1024 sets, about 2.7 MB at
+    20 products, and is cleared when full.
     """
 
     __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models",
                  "rewards", "offers", "prunable", "_dists")
 
     def __init__(self, inst: Instance, sol: CdlpSolution | None = None,
-                 grids: Mapping[int, ResourceValueGrid] | None = None,
-                 types: Iterable[int] | None = None):
+                 grids: Mapping[int, ResourceValueGrid] | None = None):
         self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
         self.expiry = [r.expiry for r in inst.resources]
         self.capacity = [r.capacity for r in inst.resources]
@@ -114,7 +124,7 @@ class _Tables:
             self.marginals = [grids[r.id]._marginals for r in inst.resources]
         self.models, self.rewards, self.offers, self.prunable = {}, {}, {}, {}
         self._dists: dict[int, dict[frozenset[int], list[tuple[int, float]]]] = {}
-        for k in range(1, inst.num_types + 1) if types is None else types:
+        for k in range(1, inst.num_types + 1):
             model = inst.ctype(k).choice
             self.models[k] = model
             self._dists[k] = {}
@@ -126,9 +136,8 @@ class _Tables:
                                     and not model.is_removal_monotone)
 
     def dist(self, k: int, S: frozenset[int]) -> list[tuple[int, float]]:
-        """``choice._distribution`` of type k's model over S, memoized: it
-        depends on the model and S only, and a run offers few distinct sets.
-        At most ``_DIST_MEMO`` sets are kept per type."""
+        """``choice._distribution`` of type k's model over S, memoized (it
+        depends on the model and S only)."""
         memo = self._dists[k]
         dist = memo.get(S)
         if dist is None:
@@ -138,10 +147,10 @@ class _Tables:
         return dist
 
 
-def _sellable(t: _Tables, inventory, now: float, n: int) -> bool:
-    """Whether product n can be sold: its resource is in stock and unexpired."""
-    l = t.resource_of[n]
-    return inventory[l] > 0 and now < t.expiry[l]
+def _sellable(stock: int, expiry: float, now: float) -> bool:
+    """Whether a product of a resource with this stock and expiry can be
+    sold at time now: the resource is in stock and unexpired."""
+    return stock > 0 and now < expiry
 
 
 def _static_offer(offers: list[tuple[float, frozenset[int]]], u: float) -> frozenset[int]:
@@ -153,13 +162,11 @@ def _static_offer(offers: list[tuple[float, frozenset[int]]], u: float) -> froze
     return _EMPTY
 
 
-def _pr_accepts(t: _Tables, inventory, now: float, k: int, n: int) -> bool:
-    """Sell iff n can be sold and type k's operative reward for it is at
-    least the marginal value of the unit (ties accept)."""
-    if not _sellable(t, inventory, now, n):
-        return False
-    l = t.resource_of[n]
-    return t.rewards[k][n] >= _interp(t.marginals[l], inventory[l] - 1, now)
+def _pr_accepts(reward: float, stock: int, expiry: float, marginals, now: float) -> bool:
+    """Sell a product iff it can be sold and its operative reward is at
+    least the marginal value of the unit in its resource's ``marginals``
+    table (ties accept)."""
+    return _sellable(stock, expiry, now) and reward >= _interp(marginals, stock - 1, now)
 
 
 def _opr_decision(t: _Tables, inventory, now: float, k: int, n_max: int = 20,
@@ -174,11 +181,12 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int, n_max: int = 20,
     model = t.models[k]
     value_of_unit = [_interp(m, c - 1, now) if c > 0 else 0.0
                      for m, c in zip(t.marginals, inventory)]
-    reward, resource_of = t.rewards[k], t.resource_of
-    prices = {
-        n: reward[n] - value_of_unit[resource_of[n]]
-        for n in range(1, len(reward)) if _sellable(t, inventory, now, n)
-    }
+    reward, resource_of, expiry = t.rewards[k], t.resource_of, t.expiry
+    prices = {}
+    for n in range(1, len(reward)):
+        l = resource_of[n]
+        if _sellable(inventory[l], expiry[l], now):
+            prices[n] = reward[n] - value_of_unit[l]
     if not prices:
         return _EMPTY, 0.0
 
@@ -191,7 +199,7 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int, n_max: int = 20,
     offer, value = best.assortment, best.value
 
     for _, S in t.offers[k]:
-        pruned = frozenset(n for n in S if n in prices and prices[n] > 0.0)
+        pruned = _prune_nonpositive(S.intersection(prices), prices)
         v = _revenue(t.dist(k, pruned), prices) if pruned else 0.0
         if v > value:
             offer, value = pruned, v
@@ -213,17 +221,25 @@ def fcfs_accept(state: PolicyState, n: int, inst: Instance) -> bool:
     resource is in stock and not expired)."""
     if n <= 0:
         raise ValueError("acceptance is decided only for actual products")
-    return _sellable(_Tables(inst, types=()), state.inventory, state.now, n)
+    res = inst.resource(inst.product(n).resource)
+    return _sellable(state.level(res.id), res.expiry, state.now)
 
 
 def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid],
               inst: Instance, k: int) -> bool:
     """Threshold acceptance: sell iff the product can be sold and type k's
     operative reward for it is at least the marginal value of the unit
-    (ties accept)."""
+    (ties accept).  Only the grid of the product's resource is read."""
     if n <= 0:
         raise ValueError("acceptance is decided only for actual products")
-    return _pr_accepts(_Tables(inst, grids=grids, types=(k,)), state.inventory, state.now, k, n)
+    res = inst.resource(inst.product(n).resource)
+    c = state.level(res.id)
+    if c <= 0:
+        return False
+    grid = grids[res.id]
+    if c > grid.capacity:
+        raise ValueError(f"inventory level {c} outside 0..{grid.capacity}")
+    return _pr_accepts(inst.reward(k, n), c, res.expiry, grid._marginals, state.now)
 
 
 def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid],
@@ -239,9 +255,10 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     from the plan's own assortments with nonpositive-price products pruned,
     and the better of the two is offered; the fallback guarantees the offer
     collects at least the marginal reward the static threshold policy would.
-    Every purchase from the offer is accepted.
+    Every purchase from the offer is accepted.  ``grids`` must hold a grid
+    for every resource, covering its capacity.
     """
-    tables = _Tables(inst, sol, grids, types=(k,))
+    tables = _Tables(inst, sol, grids)
     offer, value = _opr_decision(tables, state.inventory, state.now, k, n_max, restarts)
     return OfferDecision(offer, value)
 

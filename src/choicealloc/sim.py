@@ -125,6 +125,7 @@ def _compile(inst: Instance, policy: str, sol: CdlpSolution,
 def _run(tables: _Tables, policy: str, path: SamplePath, choice_seed, relaxed: bool,
          collect_trace: bool) -> ReplicationReport:
     draws = np.random.default_rng(choice_seed).random((len(path.events), 2)).tolist()
+    resource_of, expiry = tables.resource_of, tables.expiry
     inventory = list(tables.capacity)
     sales = [0] * len(inventory)
     reward = 0.0
@@ -134,21 +135,26 @@ def _run(tables: _Tables, policy: str, path: SamplePath, choice_seed, relaxed: b
         now, k = ev.time, ev.ctype
         if policy == "opr":
             offer = _opr_decision(tables, inventory, now, k)[0]
-            bad = [n for n in offer if not _sellable(tables, inventory, now, n)]
+            bad = [n for n in offer
+                   if not _sellable(inventory[resource_of[n]], expiry[resource_of[n]], now)]
             if bad:
                 raise SimulationError(f"opr offered unavailable products {bad} at t={now:.6f}")
         else:
             offer = _static_offer(tables.offers[k], u_offer)
             if not relaxed:
-                offer = frozenset(n for n in offer if _sellable(tables, inventory, now, n))
+                offer = frozenset(n for n in offer if _sellable(
+                    inventory[resource_of[n]], expiry[resource_of[n]], now))
 
         n = _sample(tables.dist(k, offer), u_choice)
-        if n > 0 and policy == "pr":
-            accepted = _pr_accepts(tables, inventory, now, k, n)
+        l = resource_of[n]
+        if n <= 0:
+            accepted = False
+        elif policy == "pr":
+            accepted = _pr_accepts(tables.rewards[k][n], inventory[l], expiry[l],
+                                   tables.marginals[l], now)
         else:
-            accepted = n > 0 and _sellable(tables, inventory, now, n)
+            accepted = _sellable(inventory[l], expiry[l], now)
         if accepted:
-            l = tables.resource_of[n]
             reward += tables.rewards[k][n]
             sales[l] += 1
             inventory[l] -= 1

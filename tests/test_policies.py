@@ -19,6 +19,7 @@ from choicealloc import (
     fcfs_accept,
     fcfs_offer,
     marginal_value,
+    monte_carlo,
     opr_offer,
     pr_accept,
     prune_nonpositive,
@@ -263,8 +264,18 @@ def test_acceptance_refuses_expired_products():
 
 def test_decisions_reject_grids_that_do_not_cover_the_instance():
     inst = two_product_instance(capacity=3)
+    sol = solve_cdlp(inst)
     small = build_value_grids(two_product_instance(capacity=2), {(1, 1): 1.0}, 500)
     with pytest.raises(ValueError, match="below capacity"):
-        pr_accept(PolicyState((3,), 0.0), 1, small, inst, 1)
+        opr_offer(PolicyState((3,), 0.0), 1, small, sol, inst)
     with pytest.raises(ValueError, match="no value grid"):
-        pr_accept(PolicyState((3,), 0.0), 1, {}, inst, 1)
+        opr_offer(PolicyState((3,), 0.0), 1, {}, sol, inst)
+    with pytest.raises(ValueError, match="below capacity"):
+        monte_carlo(inst, "pr", 2, 0, sol=sol, grids=small)
+    # pr_accept reads only the grid of the product's resource, and only
+    # when the product is in stock
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        pr_accept(PolicyState((3,), 0.0), 1, small, inst, 1)
+    threshold = marginal_value(small[1], 2, 0.0).value
+    assert pr_accept(PolicyState((2,), 0.0), 1, small, inst, 1) == (1.0 >= threshold)
+    assert not pr_accept(PolicyState((0,), 0.0), 1, {}, inst, 1)
