@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 from itertools import repeat
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +52,13 @@ class SimulationError(RuntimeError):
     """A policy violated one of its own invariants during a run."""
 
 
-@dataclass(frozen=True)
-class ArrivalEvent:
+class ArrivalEvent(NamedTuple):
+    """One arrival: its time and the arriving customer type.
+
+    A named tuple, so it is immutable and also compares equal to the plain
+    tuple ``(time, ctype)``.
+    """
+
     time: float
     ctype: int
 
@@ -106,7 +111,7 @@ def generate_arrivals(inst: Instance, seed) -> SamplePath:
         counts.append(total)
     events.sort(key=itemgetter(0))
     return SamplePath(
-        events=tuple(ArrivalEvent(t, k) for t, k in events),
+        events=tuple(map(ArrivalEvent._make, events)),
         seed=seed,
         counts=tuple(counts),
     )
@@ -131,8 +136,7 @@ def _run(tables: _Tables, policy: str, path: SamplePath, choice_seed, relaxed: b
     reward = 0.0
     trace: list[tuple] | None = [] if collect_trace else None
 
-    for ev, (u_offer, u_choice) in zip(path.events, draws):
-        now, k = ev.time, ev.ctype
+    for (now, k), (u_offer, u_choice) in zip(path.events, draws):
         if policy == "opr":
             offer = _opr_decision(tables, inventory, now, k)[0]
             bad = [n for n in offer

@@ -12,6 +12,20 @@ grid with the class arrival mass integrated exactly per step; the
 right-hand side is Lipschitz with kinks from the positive part, so the
 first-order monotone scheme is the appropriate tool and preserves the
 monotonicity/concavity structure of the surface in practice.
+
+One Euler step adds ``masses[:, g-1] @ max(rewards - delta, 0)`` to every
+level, and the surface is stepped by one of two kernels:
+
+- a resource with one demand class and at most ``_FLOAT_LOOP_MAX_CAPACITY``
+  units steps on Python floats.  Its product has one term per level, so
+  it is a single rounded multiplication whichever BLAS kernel would run
+  it, and the float loop reproduces it bit for bit;
+- every other resource with demand steps by numpy, one matrix-vector
+  product per step with the shapes and strides of the reference loop.  A
+  sum of two or more terms can round differently in another gemv layout,
+  so resources are never stacked into one product.
+
+A resource without capacity or demand keeps V = 0.
 """
 
 from __future__ import annotations
@@ -136,6 +150,66 @@ def _demand_classes(inst: Instance, s_star: Mapping[tuple[int, int], float],
     return rewards, masses
 
 
+# Single-class resources with at most this many units take the float loop,
+# every other resource the numpy step.  Per-step costs on one resource at
+# 10k steps (three passes, each the min of 5 CPU-time runs; 2-vCPU host, one
+# BLAS thread): the float loop costs 0.2-0.4 us at C = 1, 1.7-1.9 us at
+# C = 16, 3.6-5.8 us at C = 32 and 5.7-10.2 us at C = 48; the numpy step
+# costs 3.2-7.4 us at any size.  The crossover sits near C = 32; the cutoff
+# is half of it, so the float loop stays ahead where numpy calls are cheaper.
+_FLOAT_LOOP_MAX_CAPACITY = 16
+
+
+def _single_class_steps(by_time: np.ndarray, reward: float, masses: np.ndarray) -> None:
+    """Fill rows G-1..0 of ``by_time`` for one demand class, on floats.
+
+    Level c steps to V(c) + m * max(reward - (V(c) - V(c-1)), 0.0), the
+    numpy step's arithmetic in its order.  A level whose gain is not
+    positive keeps its value, which is what adding m * 0.0 gives for the
+    finite, nonnegative masses here.
+    """
+    width = by_time.shape[1]
+    flat = by_time.reshape(-1).data
+    v = [0.0] * width
+    levels = range(1, width)
+    base = by_time.size - width
+    for m in masses[::-1].data:  # Python floats, one at a time
+        base -= width
+        lo = 0.0
+        for c in levels:
+            hi = v[c]
+            gain = reward - (hi - lo)
+            lo = hi
+            if gain > 0.0:
+                hi += m * gain
+                v[c] = hi
+            flat[base + c] = hi
+
+
+def _numpy_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
+    """Fill rows G-1..0 of ``by_time`` with one matrix-vector product per step.
+
+    The row views come lazily from iterating reversed views of the arrays,
+    so the loop slices nothing and holds no list of views.  The mass vector
+    ``masses.T[g - 1]`` keeps the strided layout of ``masses[:, g - 1]``:
+    OpenBLAS can round a contiguous copy differently in the last ulp.
+    """
+    C = by_time.shape[1] - 1
+    delta = np.empty(C)
+    gain = np.empty((rewards.size, C))
+    inc = np.empty(C)
+    column = rewards[:, None]
+    subtract, maximum, matmul, add = np.subtract, np.maximum, np.matmul, np.add
+    hi = by_time[-1, 1:]
+    for lo, out, mass in zip(by_time[:0:-1, :-1], by_time[-2::-1, 1:], masses.T[::-1]):
+        subtract(hi, lo, out=delta)
+        subtract(column, delta, out=gain)
+        maximum(gain, 0.0, out=gain)
+        matmul(mass, gain, out=inc)
+        add(hi, inc, out=out)
+        hi = out
+
+
 def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
                        l: int, grid_size: int = 10_000) -> ResourceValueGrid:
     """Integrate the resource's value surface backward from the horizon end.
@@ -144,10 +218,10 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
     the previous column of itself and level c-1, so the update is explicit.
 
     The surface is integrated time-major, one contiguous row per grid time,
-    into preallocated step buffers, and ``values`` is the transposed view of
-    that array.  The mass vector stays the strided column ``masses[:, g-1]``:
-    OpenBLAS's matrix-vector product can round a contiguous copy differently
-    in the last ulp, which would move the surface.
+    into one preallocated array, and ``values`` is the transposed view of
+    it.  Single-class resources of capacity at most
+    ``_FLOAT_LOOP_MAX_CAPACITY`` step on Python floats, every other resource
+    by numpy (see the module docstring); both give the same bytes.
     """
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
@@ -156,18 +230,10 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
     times = np.linspace(0.0, 1.0, grid_size + 1)
     rewards, masses = _demand_classes(inst, s_star, l, times)
     by_time = np.zeros((grid_size + 1, C + 1))
-    if C > 0 and rewards.size > 0:
-        delta = np.empty(C)
-        gain = np.empty((rewards.size, C))
-        inc = np.empty(C)
-        column = rewards[:, None]
-        for g in range(grid_size, 0, -1):
-            row = by_time[g]
-            np.subtract(row[1:], row[:-1], out=delta)
-            np.subtract(column, delta, out=gain)
-            np.maximum(gain, 0.0, out=gain)
-            np.matmul(masses[:, g - 1], gain, out=inc)
-            np.add(row[1:], inc, out=by_time[g - 1, 1:])
+    if C > 0 and rewards.size == 1 and C <= _FLOAT_LOOP_MAX_CAPACITY:
+        _single_class_steps(by_time, rewards.item(0), masses[0])
+    elif C > 0 and rewards.size > 0:
+        _numpy_steps(by_time, rewards, masses)
     return ResourceValueGrid(l, times, by_time.T, rewards, masses)
 
 

@@ -29,9 +29,14 @@ from choicealloc import (
     solve_cdlp_enumeration,
     static_selection_probs,
 )
-from choicealloc import choice
+from choicealloc import cdlp, choice
 from choicealloc.lp import LinearProgram
-from choicealloc.verify import DegradedSolver, _batch_instance, _extended_model
+from choicealloc.verify import (
+    DegradedSolver,
+    _batch_instance,
+    _extended_model,
+    _scaling_base_instance,
+)
 
 
 def mnl(*nu):
@@ -130,6 +135,34 @@ def test_build_master_equals_per_member_reference(inst):
     subsets = _all_subsets(range(1, inst.num_products + 1))
     H = {k: subsets for k in range(1, inst.num_types + 1)}
     assert build_master(inst, H) == _reference_master(inst, H)
+
+
+@pytest.mark.parametrize("inst", [
+    _scaling_base_instance(),
+    random_instance(4, max_products=8, model_kinds=("mixture",)),
+    random_instance(3, max_products=5, model_kinds=("table",)),
+], ids=["mnl", "mixture4", "table3"])
+def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
+    # solve_cdlp caches each column's coefficients across iterations; every
+    # master it solves must still be the one build_master gives for its H.
+    snapshots, solved = [], []
+    real_columns, real_solve = cdlp.master_columns, cdlp.solve_lp
+
+    def columns_spy(H):
+        snapshots.append({k: list(v) for k, v in H.items()})
+        return real_columns(H)
+
+    def solve_spy(prog):
+        solved.append((snapshots[-1], prog))
+        return real_solve(prog)
+
+    monkeypatch.setattr(cdlp, "master_columns", columns_spy)
+    monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
+    sol = solve_cdlp(inst, 0.0, BruteForceSolver())
+    monkeypatch.undo()
+    assert len(solved) == sol.iterations > 1
+    for H, prog in solved:
+        assert prog == build_master(inst, H)
 
 
 def test_build_master_rejects_invalid_instance():

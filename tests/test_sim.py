@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choicealloc import (
+    ArrivalEvent,
     CustomerType,
     Instance,
     Product,
@@ -92,6 +93,14 @@ def test_arrival_determinism():
     a = generate_arrivals(inst, 99)
     b = generate_arrivals(inst, 99)
     assert a.events == b.events
+
+
+def test_arrival_event_is_an_immutable_named_tuple():
+    ev = generate_arrivals(unit_instance(3.0), 5).events[0]
+    assert isinstance(ev, ArrivalEvent)
+    assert ev == (ev.time, ev.ctype) == ArrivalEvent(ev.time, 1)
+    with pytest.raises(AttributeError):
+        ev.time = 0.5
 
 
 # ------------------------------------------------------------ run_policy

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from choicealloc import (
     AttractionChoiceModel,
     CustomerType,
     Instance,
+    MixtureChoiceModel,
     Product,
     RateCurve,
     Resource,
@@ -19,6 +22,7 @@ from choicealloc import (
     solve_resource_hjb,
     build_value_grids,
 )
+from choicealloc.valuefn import _FLOAT_LOOP_MAX_CAPACITY, MIN_GRID
 
 FULL = {(1, 1): 1.0}
 
@@ -202,7 +206,27 @@ def _reference_hjb_values(inst, s_star, l, grid_size):
     return values
 
 
-@pytest.mark.parametrize("case", ["theta1", "theta16", "theta64", "batch", "random"])
+def _single_class_mixture_instance():
+    """Mixture-of-MNL instance with one product per resource, so every
+    resource with demand has a single class; capacities straddle the float
+    loop's cutoff."""
+    rng = np.random.default_rng(10)
+    caps = (1, 2, 3, _FLOAT_LOOP_MAX_CAPACITY, _FLOAT_LOOP_MAX_CAPACITY + 1, 40)
+    N = len(caps)
+    resources = tuple(Resource(l, c) for l, c in enumerate(caps, start=1))
+    products = tuple(Product(n, n, float(rng.uniform(0.2, 2.0))) for n in range(1, N + 1))
+    types = []
+    for k in range(1, 4):
+        segments = tuple(
+            (float(w), AttractionChoiceModel((0.0,) * N, tuple(rng.uniform(0.2, 1.6, N))))
+            for w in rng.dirichlet(np.ones(3))
+        )
+        types.append(CustomerType(k, RateCurve.constant(float(rng.uniform(5.0, 30.0))),
+                                  MixtureChoiceModel(segments)))
+    return Instance(resources, products, tuple(types))
+
+
+@pytest.mark.parametrize("case", ["theta1", "theta16", "theta64", "batch", "random", "mixture"])
 def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
     from choicealloc import scale_instance
     from choicealloc.verify import _batch_instance, _scaling_base_instance
@@ -211,12 +235,58 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
         inst = scale_instance(_scaling_base_instance(), float(case[5:]))
     elif case == "batch":
         inst = _batch_instance(20240608)
+    elif case == "mixture":
+        inst = _single_class_mixture_instance()
     else:
         inst = random_instance(7, capacity_range=(1, 20))
     sol = solve_cdlp(inst)
+    single_class = set()
     for l in range(1, inst.num_resources + 1):
         grid = solve_resource_hjb(inst, sol.s_star, l, 2000)
         want = _reference_hjb_values(inst, sol.s_star, l, 2000)
         assert grid.values.shape == want.shape
         assert grid.values.tobytes() == want.tobytes()
         assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
+        if grid.class_rewards.size == 1:
+            single_class.add(grid.capacity)
+    if case == "mixture":  # both kernels ran on single-class resources
+        assert {1, 2, 3, _FLOAT_LOOP_MAX_CAPACITY, _FLOAT_LOOP_MAX_CAPACITY + 1} <= single_class
+
+
+@st.composite
+def single_class_resources(draw):
+    """One resource fed by one demand class: product 1 at ``reward``, and
+    optionally product 2, priced differently but overridden to ``reward``
+    for the one type, so its demand merges into the same class.  Per-cell
+    masses run from 1e-8 to 1, and a segment may carry no demand."""
+    C = draw(st.integers(0, _FLOAT_LOOP_MAX_CAPACITY + 1))
+    grid_size = draw(st.integers(MIN_GRID, 300))
+    reward = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0))
+    merged = draw(st.booleans())
+    share = draw(st.floats(0.05, 1.0))
+    cell_masses = draw(st.lists(st.just(0.0) | st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e),
+                                min_size=1, max_size=4))
+    rates = tuple(m * grid_size / share for m in cell_masses)
+    breakpoints = tuple(np.linspace(0.0, 1.0, len(rates) + 1))
+    products = (Product(1, 1, reward),)
+    s_star = {(1, 1): share}
+    if merged:
+        products += (Product(2, 1, reward + 1.0),)
+        s_star = {(1, 1): share / 2, (1, 2): share / 2}
+    ctype = CustomerType(1, RateCurve(breakpoints, rates),
+                         AttractionChoiceModel((0.0,) * len(products), (1.0,) * len(products)),
+                         reward_override={2: reward} if merged else None)
+    return Instance((Resource(1, C),), products, (ctype,)), s_star, grid_size
+
+
+@settings(max_examples=80, deadline=None)
+@given(single_class_resources())
+@example((unit_instance(2.0, capacity=_FLOAT_LOOP_MAX_CAPACITY), FULL, MIN_GRID))
+@example((unit_instance(2.0, capacity=_FLOAT_LOOP_MAX_CAPACITY + 1), FULL, MIN_GRID))
+def test_single_class_float_loop_is_byte_identical_to_reference_loop(case):
+    inst, s_star, grid_size = case
+    grid = solve_resource_hjb(inst, s_star, 1, grid_size)
+    want = _reference_hjb_values(inst, s_star, 1, grid_size)
+    assert grid.class_rewards.size == 1
+    assert grid.values.tobytes() == want.tobytes()
+    assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
