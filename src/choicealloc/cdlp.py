@@ -27,7 +27,6 @@ from .choice import (
     _as_assortment,
     _distribution,
     _subset_revenues,
-    choice_probability,
     expected_revenue,
 )
 from .lp import LinearProgram, LpSolution, solve_lp
@@ -109,13 +108,14 @@ def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> L
     report = validate_instance(inst)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(report.errors))
-    return _master_lp(inst, H)
+    return _master_lp(inst, master_columns(H))
 
 
-def _master_lp(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]],
+def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
                columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]] | None = None
                ) -> LinearProgram:
-    """``build_master`` for an instance the caller has validated.
+    """``build_master`` over the variables ``cols`` (``master_columns``
+    order) of an instance the caller has validated.
 
     ``columns``, when given, maps (k, S) to the objective and per-resource
     capacity coefficients of x_k(S) and gains the columns it lacks, so a
@@ -126,7 +126,7 @@ def _master_lp(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]],
     resource_of = {p.id: p.resource for p in inst.products}
     objective = []
     rows = [[] for _ in range(L + K)]
-    for k, S in master_columns(H):
+    for k, S in cols:
         column = None if columns is None else columns.get((k, S))
         if column is None:
             lam = inst.arrival_mass(k)
@@ -368,9 +368,10 @@ def _initial_columns(inst: Instance) -> dict[int, list[frozenset[int]]]:
         best_n, best_v = None, 0.0
         for n in range(1, inst.num_products + 1):
             try:
-                v = choice_probability(model, n, frozenset({n})) * inst.reward(k, n)
+                [(_, p)] = _distribution(model, frozenset({n}))
             except ValueError:
                 continue  # singleton not tabulated for this type
+            v = p * inst.reward(k, n)
             if v > best_v:
                 best_n, best_v = n, v
         if best_n is not None:
@@ -385,16 +386,17 @@ def _selection_probs(inst: Instance, active, x) -> dict[tuple[int, int], float]:
         model = inst.ctype(k).choice
         for S in active.get(k, ()):
             weight = x[(k, S)]
+            prob = dict(_distribution(model, S))
             for n in S:
-                s_star[(k, n)] = s_star.get((k, n), 0.0) + weight * choice_probability(model, n, S)
+                s_star[(k, n)] = s_star.get((k, n), 0.0) + weight * prob[n]
     return s_star
 
 
-def _extract_solution(inst: Instance, H, lp_sol: LpSolution, eps: float,
+def _extract_solution(inst: Instance, cols, lp_sol: LpSolution, eps: float,
                       certified: bool, iterations: int,
                       trace: tuple[float, ...]) -> CdlpSolution:
+    """Plan from the master over variables ``cols`` that ``lp_sol`` solved."""
     L, K = inst.num_resources, inst.num_types
-    cols = master_columns(H)
     x = {}
     for (k, S), v in zip(cols, lp_sol.primal):
         if v > SUPPORT_TOL:
@@ -452,6 +454,8 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
     if max_iterations is None:
         max_iterations = 10 * (L + K + N)
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     resource_of = {p.id: p.resource for p in inst.products}
 
     H = _initial_columns(inst)
@@ -464,7 +468,8 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
 
     while iterations < max_iterations:
         iterations += 1
-        lp_sol = solve_lp(_master_lp(inst, H, columns))
+        cols = master_columns(H)
+        lp_sol = solve_lp(_master_lp(inst, cols, columns))
         if lp_sol.status != "optimal":
             raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
         trace.append(float(lp_sol.objective_value))
@@ -491,7 +496,9 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
             certified = True
             break
 
-    return _extract_solution(inst, H, lp_sol, eps, certified, iterations, tuple(trace))
+    # The last iteration may have added columns to H after its master was
+    # solved, so the plan is read against the columns of that master.
+    return _extract_solution(inst, cols, lp_sol, eps, certified, iterations, tuple(trace))
 
 
 def solve_cdlp_enumeration(inst: Instance, n_max: int = 12) -> CdlpSolution:
@@ -507,11 +514,11 @@ def solve_cdlp_enumeration(inst: Instance, n_max: int = 12) -> CdlpSolution:
     if N > n_max:
         raise ValueError(f"enumeration capped at {n_max} products, got {N}")
     subsets = [frozenset(t) for t in _lex_subsets(range(1, N + 1))]
-    H = {k: list(subsets) for k in range(1, inst.num_types + 1)}
-    lp_sol = solve_lp(_master_lp(inst, H))
+    cols = master_columns({k: subsets for k in range(1, inst.num_types + 1)})
+    lp_sol = solve_lp(_master_lp(inst, cols))
     if lp_sol.status != "optimal":
         raise CdlpError(f"enumeration LP solve failed with status {lp_sol.status!r}")
-    return _extract_solution(inst, H, lp_sol, 0.0, True, 1, (float(lp_sol.objective_value),))
+    return _extract_solution(inst, cols, lp_sol, 0.0, True, 1, (float(lp_sol.objective_value),))
 
 
 def static_selection_probs(sol: CdlpSolution, inst: Instance):

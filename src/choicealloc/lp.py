@@ -8,6 +8,20 @@ final basis by a direct linear solve rather than read off the pivoted
 tableau, which keeps the certificates clean of accumulated roundoff.  The
 dual values are load-bearing downstream (column-generation reduced costs),
 hence the insistence on exact basis duals over speed.
+
+Pivots run in place on one C-contiguous ``(m, ncols + 1)`` tableau: the
+pivot row is scaled, and every other row subtracts its multiple of it
+through one reused product buffer.  The O(m) steps run on Python floats:
+the ratio test over the pivot column, the lowest-basic-index tie-break and
+the update of the basic costs.  Every number a pivot decision reads comes
+from the same IEEE operations as in the copy-per-pivot reference solver
+that ``tests/test_lp.py`` keeps: reduced costs are ``cost - cb @ T[:, :ncols]``
+with the same operand shapes and strides, row updates are ``t - f * p`` on
+rows other than the pivot row, and ratios are ``b / a`` under the same
+tolerances and tie band.  So both make the same decisions and end on the
+same basis, and the final solves against the original columns return the
+same bytes.  The one difference: a ratio test that reads NaN (a tableau
+that overflowed) returns status "failed", where the reference raises.
 """
 
 from __future__ import annotations
@@ -70,31 +84,50 @@ class LpSolution:
     objective_value: float = float("nan")
 
 
-def _run_simplex(T, basis, cost, allowed, max_iters):
+def _pivot(T, buf, i, j):
+    """Pivot the dictionary ``T`` on entry (i, j) in place.
+
+    Row i is scaled by its pivot, then every other row r becomes
+    ``T[r] - T[r, j] * T[i]``: the products land in ``buf`` and are
+    subtracted from the rows above and below i, so the pivot row itself is
+    never touched and no row is copied.
+    """
+    T[i] /= T[i, j]
+    np.multiply(T[:, j, None], T[i], out=buf)
+    T[:i] -= buf[:i]
+    T[i + 1:] -= buf[i + 1:]
+
+
+def _run_simplex(T, buf, basis, cost, limit, max_iters):
     """Primal simplex iterations on the dictionary ``T`` (rows = B^-1 [M | b]).
 
-    Returns "optimal", "unbounded", or "failed" (iteration cap).
+    Only the first ``limit`` columns may enter the basis.  Returns
+    "optimal", "unbounded", or "failed" (iteration cap, or a ratio test
+    that reads NaN).
     """
-    ncols = T.shape[1] - 1
+    m, ncols = T.shape[0], T.shape[1] - 1
+    lhs, rhs = T[:, :ncols], T[:, ncols]
+    cb = cost[basis]
     for _ in range(max_iters):
-        cb = cost[basis]
-        reduced = cost[:ncols] - cb @ T[:, :ncols]
-        candidates = np.nonzero((reduced > OPTIMALITY_TOL) & allowed)[0]
-        if candidates.size == 0:
+        eligible = (cost - cb @ lhs)[:limit] > OPTIMALITY_TOL
+        j = int(eligible.argmax())  # Bland: lowest eligible index
+        if not eligible[j]:
             return "optimal"
-        j = int(candidates[0])  # Bland: lowest eligible index
-        col = T[:, j]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
-        if rows.size == 0:
+        col, b = lhs[:, j].tolist(), rhs.tolist()
+        rows = [r for r, a in enumerate(col) if a > PIVOT_TOL]
+        if not rows:
             return "unbounded"
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        i = int(ties[np.argmin([basis[r] for r in ties])])  # Bland: lowest basic var
-        T[i] /= T[i, j]
-        others = np.arange(T.shape[0]) != i
-        T[others] -= np.outer(T[others, j], T[i])
+        ratios = [b[r] / col[r] for r in rows]
+        if any(map(math.isnan, ratios)):
+            return "failed"
+        bar = min(ratios) + 1e-12
+        i = -1
+        for r, q in zip(rows, ratios):  # Bland: lowest basic var in the tie band
+            if q <= bar and (i < 0 or basis[r] < basis[i]):
+                i = r
+        _pivot(T, buf, i, j)
         basis[i] = j
+        cb[i] = cost[j]
     return "failed"
 
 
@@ -117,21 +150,22 @@ def solve_lp(program: LinearProgram) -> LpSolution:
 
     # Columns of the equality system: structural, slack (coefficient = row
     # sign), then one artificial per flipped row.
-    M = np.hstack([A * sign[:, None], np.diag(sign), np.zeros((m, n_art))])
+    M = np.concatenate([A * sign[:, None], np.diag(sign), np.zeros((m, n_art))], axis=1)
     for a, i in enumerate(art_rows):
         M[i, n + m + a] = 1.0
     ncols = n + m + n_art
 
-    T = np.hstack([M, (sign * b)[:, None]])
-    basis = [n + i if sign[i] > 0 else n + m + int(np.nonzero(art_rows == i)[0][0])
-             for i in range(m)]
-    basis = np.array(basis, dtype=int)
+    T = np.concatenate([M, (sign * b)[:, None]], axis=1)
+    buf = np.empty_like(T)
+    basis = [n + i for i in range(m)]
+    for a, i in enumerate(art_rows.tolist()):
+        basis[i] = n + m + a
     max_iters = 200 + 50 * (m + ncols)
 
     if n_art:
         cost1 = np.zeros(ncols)
         cost1[n + m:] = -1.0
-        status = _run_simplex(T, basis, cost1, np.ones(ncols, dtype=bool), max_iters)
+        status = _run_simplex(T, buf, basis, cost1, ncols, max_iters)
         if status == "failed":
             return LpSolution("failed")
         phase1 = cost1[basis] @ T[:, -1]
@@ -143,18 +177,14 @@ def solve_lp(program: LinearProgram) -> LpSolution:
                 pivots = np.nonzero(np.abs(T[i, : n + m]) > PIVOT_TOL)[0]
                 if pivots.size:
                     j = int(pivots[0])
-                    T[i] /= T[i, j]
-                    others = np.arange(m) != i
-                    T[others] -= np.outer(T[others, j], T[i])
+                    _pivot(T, buf, i, j)
                     basis[i] = j
 
     cost2 = np.zeros(ncols)
     cost2[:n] = c
-    allowed = np.ones(ncols, dtype=bool)
-    allowed[n + m:] = False
-    status = _run_simplex(T, basis, cost2, allowed, max_iters)
+    status = _run_simplex(T, buf, basis, cost2, n + m, max_iters)
     if status != "optimal":
-        return LpSolution(status if status == "unbounded" else "failed")
+        return LpSolution(status)
 
     # Refactor primal and duals from the final basis against the original data.
     B = M[:, basis]
@@ -167,10 +197,5 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     x[basis] = xb
     primal = x[:n]
     duals = sign * w
-    value = float(c @ primal)
-    return LpSolution(
-        "optimal",
-        tuple(float(v) for v in primal),
-        tuple(float(v) for v in duals),
-        value,
-    )
+    return LpSolution("optimal", tuple(primal.tolist()), tuple(duals.tolist()),
+                      float(c @ primal))

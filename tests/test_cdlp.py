@@ -56,6 +56,12 @@ def unit_instance(lam, capacity=1):
     )
 
 
+# 10 products, 5 resources, 5 mixture types; column generation takes 8
+# iterations, and each of the first three adds columns.
+_MIXTURE10 = random_instance(183, max_resources=5, max_products=10, max_types=5,
+                             model_kinds=("mixture",))
+
+
 # ---------------------------------------------------------------- master LP
 
 
@@ -457,6 +463,50 @@ def test_objective_trace_monotone():
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
+def _reference_initial_columns(inst):
+    """cdlp._initial_columns as it was: one choice_probability per product."""
+    H = {}
+    for k in range(1, inst.num_types + 1):
+        model = inst.ctype(k).choice
+        cols = [frozenset()]
+        best_n, best_v = None, 0.0
+        for n in range(1, inst.num_products + 1):
+            try:
+                v = choice_probability(model, n, frozenset({n})) * inst.reward(k, n)
+            except ValueError:
+                continue
+            if v > best_v:
+                best_n, best_v = n, v
+        if best_n is not None:
+            cols.append(frozenset({best_n}))
+        H[k] = cols
+    return H
+
+
+def _reference_selection_probs(inst, active, x):
+    """cdlp._selection_probs as it was: one choice_probability per member."""
+    s_star = {}
+    for k in range(1, inst.num_types + 1):
+        model = inst.ctype(k).choice
+        for S in active.get(k, ()):
+            for n in S:
+                s_star[(k, n)] = s_star.get((k, n), 0.0) + x[(k, S)] * choice_probability(model, n, S)
+    return s_star
+
+
+@pytest.mark.parametrize("inst", [
+    _scaling_base_instance(),
+    _MIXTURE10,
+    random_instance(3, max_products=5, model_kinds=("table",)),
+], ids=["mnl", "mixture10", "table3"])
+def test_selection_probs_and_initial_columns_equal_per_product_loop(inst):
+    sol = solve_cdlp(inst)
+    assert list(sol.s_star.items()) == list(
+        _reference_selection_probs(inst, sol.active, sol.x).items())
+    assert list(cdlp._initial_columns(inst).items()) == list(
+        _reference_initial_columns(inst).items())
+
+
 def test_static_selection_probs_hand_example():
     inst = unit_instance(2.0)
     sol = solve_cdlp(inst)
@@ -506,6 +556,21 @@ def test_iteration_cap_flags_non_certified():
     assert not capped.certified
     assert capped.objective <= full.objective + 1e-9
     assert full.certified
+    with pytest.raises(ValueError):
+        solve_cdlp(inst, max_iterations=0)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("inst", [random_instance(7), _MIXTURE10], ids=["random7", "mixture10"])
+def test_iteration_cap_plan_is_its_masters_solution(inst, cap):
+    # A capped run stops right after adding columns; its plan must still be
+    # the primal of the master that was solved, not shifted onto new columns.
+    sol = solve_cdlp(inst, max_iterations=cap)
+    H = {k: list(sol.active[k]) for k in sol.active}
+    prog = build_master(inst, H)
+    x = np.array([sol.x[col] for col in master_columns(H)])
+    assert np.all(np.array(prog.rows) @ x <= np.array(prog.rhs) + 1e-9)
+    assert abs(float(np.array(prog.objective) @ x) - sol.objective) <= 1e-9
 
 
 def test_reward_override_enters_objective():

@@ -3,8 +3,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from choicealloc import LinearProgram, solve_lp
+from choicealloc import (
+    LinearProgram,
+    generate_arrivals,
+    hindsight_bound,
+    random_instance,
+    solve_cdlp,
+    solve_cdlp_enumeration,
+    solve_lp,
+)
+from choicealloc import cdlp
+from choicealloc.lp import FEASIBILITY_TOL, OPTIMALITY_TOL, PIVOT_TOL, LpSolution
+from choicealloc.verify import _batch_instance
 
 
 def test_single_constraint_example():
@@ -171,3 +184,207 @@ def test_status_stress_against_scipy(batch):
         assert mine.status == want
         if want == "optimal":
             assert abs(mine.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+
+
+# ------------------------------------------------- frozen reference solver
+#
+# solve_lp as it was before its pivots ran in place: Bland's rule on a
+# tableau copied by fancy indexing at every pivot.  The in-place solver
+# must make the same pivot decisions, so its LpSolution is == this one.
+
+
+def _reference_run_simplex(T, basis, cost, allowed, max_iters):
+    ncols = T.shape[1] - 1
+    for _ in range(max_iters):
+        cb = cost[basis]
+        reduced = cost[:ncols] - cb @ T[:, :ncols]
+        candidates = np.nonzero((reduced > OPTIMALITY_TOL) & allowed)[0]
+        if candidates.size == 0:
+            return "optimal"
+        j = int(candidates[0])
+        col = T[:, j]
+        rows = np.nonzero(col > PIVOT_TOL)[0]
+        if rows.size == 0:
+            return "unbounded"
+        ratios = T[rows, -1] / col[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + 1e-12]
+        i = int(ties[np.argmin([basis[r] for r in ties])])
+        T[i] /= T[i, j]
+        others = np.arange(T.shape[0]) != i
+        T[others] -= np.outer(T[others, j], T[i])
+        basis[i] = j
+    return "failed"
+
+
+def _reference_solve_lp(program):
+    m = len(program.rows)
+    n = len(program.objective)
+    c = np.asarray(program.objective, dtype=float)
+    if m == 0:
+        if np.any(c > OPTIMALITY_TOL):
+            return LpSolution("unbounded")
+        return LpSolution("optimal", (0.0,) * n, (), 0.0)
+
+    A = np.asarray(program.rows, dtype=float)
+    b = np.asarray(program.rhs, dtype=float)
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    art_rows = np.nonzero(sign < 0)[0]
+    n_art = art_rows.size
+    M = np.hstack([A * sign[:, None], np.diag(sign), np.zeros((m, n_art))])
+    for a, i in enumerate(art_rows):
+        M[i, n + m + a] = 1.0
+    ncols = n + m + n_art
+
+    T = np.hstack([M, (sign * b)[:, None]])
+    basis = [n + i if sign[i] > 0 else n + m + int(np.nonzero(art_rows == i)[0][0])
+             for i in range(m)]
+    basis = np.array(basis, dtype=int)
+    max_iters = 200 + 50 * (m + ncols)
+
+    if n_art:
+        cost1 = np.zeros(ncols)
+        cost1[n + m:] = -1.0
+        status = _reference_run_simplex(T, basis, cost1, np.ones(ncols, dtype=bool), max_iters)
+        if status == "failed":
+            return LpSolution("failed")
+        phase1 = cost1[basis] @ T[:, -1]
+        if phase1 < -FEASIBILITY_TOL * (1.0 + float(np.abs(b).max())):
+            return LpSolution("infeasible")
+        for i in range(m):
+            if basis[i] >= n + m:
+                pivots = np.nonzero(np.abs(T[i, : n + m]) > PIVOT_TOL)[0]
+                if pivots.size:
+                    j = int(pivots[0])
+                    T[i] /= T[i, j]
+                    others = np.arange(m) != i
+                    T[others] -= np.outer(T[others, j], T[i])
+                    basis[i] = j
+
+    cost2 = np.zeros(ncols)
+    cost2[:n] = c
+    allowed = np.ones(ncols, dtype=bool)
+    allowed[n + m:] = False
+    status = _reference_run_simplex(T, basis, cost2, allowed, max_iters)
+    if status != "optimal":
+        return LpSolution(status if status == "unbounded" else "failed")
+
+    B = M[:, basis]
+    try:
+        xb = np.linalg.solve(B, sign * b)
+        w = np.linalg.solve(B.T, cost2[basis])
+    except np.linalg.LinAlgError:
+        return LpSolution("failed")
+    x = np.zeros(ncols)
+    x[basis] = xb
+    primal = x[:n]
+    duals = sign * w
+    value = float(c @ primal)
+    return LpSolution(
+        "optimal",
+        tuple(float(v) for v in primal),
+        tuple(float(v) for v in duals),
+        value,
+    )
+
+
+@st.composite
+def _integer_programs(draw):
+    """LPs with m = 1-8 rows and n = 1-14 columns of small integers: ties and
+    degenerate vertices are common, negative right-hand sides start phase 1,
+    and zero or duplicated rows leave artificials in the basis."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 14))
+    small = st.integers(-3, 3)
+    objective = draw(st.lists(small, min_size=n, max_size=n))
+    rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = draw(st.lists(st.integers(-3, 4), min_size=m, max_size=m))
+    for r in range(m):
+        kind = draw(st.sampled_from(("as drawn", "as drawn", "zero", "duplicate")))
+        if kind == "zero":
+            rows[r] = [0] * n
+        elif kind == "duplicate" and r > 0:
+            source = draw(st.integers(0, r - 1))
+            rows[r] = list(rows[source])
+            if draw(st.booleans()):
+                rhs[r] = rhs[source]
+    return LinearProgram(tuple(objective), tuple(map(tuple, rows)), tuple(rhs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(prog=_integer_programs())
+@example(prog=LinearProgram((1.0,), ((1.0,),), (-1.0,)))  # infeasible
+@example(prog=LinearProgram((1.0, 0.0), ((0.0, 1.0),), (1.0,)))  # unbounded
+@example(prog=LinearProgram(  # phase 1, a duplicated row, a zero row
+    (1.0, 1.0), ((-1.0, -1.0), (-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)), (-1.0, -1.0, 0.0, 2.0)))
+@example(prog=LinearProgram(  # ratios 1 + 3e-14 and 1 fall in one tie band
+    (1.0,), ((3.0,), (1.0,)), (3.0000000000001, 1.0)))
+def test_in_place_pivots_equal_reference_solver(prog):
+    assert solve_lp(prog) == _reference_solve_lp(prog)
+
+
+def test_overflowing_tableau_fails_instead_of_raising():
+    # Pivoting overflows to inf - inf = NaN in the right-hand side; the
+    # reference then raised from an empty tie set, the solver reports it.
+    prog = LinearProgram((3.0, 1e200), ((0.0, 3.0), (3.0, 1e308)), (-1e200, 1e308))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError):
+            _reference_solve_lp(prog)
+        assert solve_lp(prog) == LpSolution("failed")
+
+
+# ----------------------------------------- column-generation-shaped LPs
+
+# A 10-product mixture-of-MNL instance with 5 resources and 5 types: column
+# generation takes 8 iterations and its enumeration master is 10 x 5120.
+_MIXTURE = random_instance(183, max_resources=5, max_products=10, max_types=5,
+                           model_kinds=("mixture",))
+
+
+def _recorded_masters(monkeypatch, instances):
+    """Every LP that solve_cdlp, solve_cdlp_enumeration and hindsight_bound
+    solve on ``instances``."""
+    recorded = []
+    real_solve = cdlp.solve_lp
+
+    def spy(prog):
+        recorded.append(prog)
+        return real_solve(prog)
+
+    monkeypatch.setattr(cdlp, "solve_lp", spy)
+    for seed, inst in enumerate(instances):
+        solve_cdlp(inst)
+        solve_cdlp_enumeration(inst)
+        hindsight_bound(inst, generate_arrivals(inst, 100 + seed))
+    monkeypatch.undo()
+    return recorded
+
+
+def test_in_place_pivots_equal_reference_on_recorded_masters(monkeypatch):
+    instances = [random_instance(7), *(_batch_instance(20240601 + i) for i in range(3)), _MIXTURE]
+    recorded = _recorded_masters(monkeypatch, instances)
+    assert max(len(p.objective) for p in recorded) == 5 * 2 ** 10
+    for prog in recorded:
+        assert solve_lp(prog) == _reference_solve_lp(prog)
+
+
+def _assert_agrees_with_highs(prog):
+    A, b, c = np.array(prog.rows), np.array(prog.rhs), np.array(prog.objective)
+    sol = solve_lp(prog)
+    ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
+    assert abs(sol.objective_value - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun))
+    x, y = np.array(sol.primal), np.array(sol.duals)
+    assert np.all(y >= -1e-9)
+    assert np.all(A.T @ y >= c - 1e-9)
+    assert abs(float(b @ y) - float(c @ x)) <= 1e-9 * max(1.0, abs(sol.objective_value))
+
+
+def test_column_generation_masters_agree_with_highs(monkeypatch):
+    # Restricted and hindsight masters, and the 10 x 5120 enumeration master
+    # that vertex enumeration cannot reach.
+    recorded = _recorded_masters(monkeypatch, [_MIXTURE])
+    assert len(recorded) > 9
+    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p in recorded}
+    for prog in recorded:
+        _assert_agrees_with_highs(prog)
