@@ -368,9 +368,10 @@ def _initial_columns(inst: Instance) -> dict[int, list[frozenset[int]]]:
         best_n, best_v = None, 0.0
         for n in range(1, inst.num_products + 1):
             try:
-                [(_, p)] = _distribution(model, frozenset({n}))
+                dist = _distribution(model, frozenset({n}))
             except ValueError:
                 continue  # singleton not tabulated for this type
+            [(_, p)] = dist
             v = p * inst.reward(k, n)
             if v > best_v:
                 best_n, best_v = n, v

@@ -105,7 +105,7 @@ def _run_simplex(T, buf, basis, cost, limit, max_iters):
     "optimal", "unbounded", or "failed" (iteration cap, or a ratio test
     that reads NaN).
     """
-    m, ncols = T.shape[0], T.shape[1] - 1
+    ncols = T.shape[1] - 1
     lhs, rhs = T[:, :ncols], T[:, ncols]
     cb = cost[basis]
     for _ in range(max_iters):

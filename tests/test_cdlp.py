@@ -57,7 +57,8 @@ def unit_instance(lam, capacity=1):
 
 
 # 10 products, 5 resources, 5 mixture types; column generation takes 8
-# iterations, and each of the first three adds columns.
+# iterations, each of the first three adds columns, and the enumeration
+# master is 10 x 5120.  tests/test_lp.py checks its masters too.
 _MIXTURE10 = random_instance(183, max_resources=5, max_products=10, max_types=5,
                              model_kinds=("mixture",))
 

@@ -18,6 +18,7 @@ from choicealloc import (
 from choicealloc import cdlp
 from choicealloc.lp import FEASIBILITY_TOL, OPTIMALITY_TOL, PIVOT_TOL, LpSolution
 from choicealloc.verify import _batch_instance
+from test_cdlp import _MIXTURE10
 
 
 def test_single_constraint_example():
@@ -335,10 +336,6 @@ def test_overflowing_tableau_fails_instead_of_raising():
 
 # ----------------------------------------- column-generation-shaped LPs
 
-# A 10-product mixture-of-MNL instance with 5 resources and 5 types: column
-# generation takes 8 iterations and its enumeration master is 10 x 5120.
-_MIXTURE = random_instance(183, max_resources=5, max_products=10, max_types=5,
-                           model_kinds=("mixture",))
 
 
 def _recorded_masters(monkeypatch, instances):
@@ -361,7 +358,7 @@ def _recorded_masters(monkeypatch, instances):
 
 
 def test_in_place_pivots_equal_reference_on_recorded_masters(monkeypatch):
-    instances = [random_instance(7), *(_batch_instance(20240601 + i) for i in range(3)), _MIXTURE]
+    instances = [random_instance(7), *(_batch_instance(20240601 + i) for i in range(3)), _MIXTURE10]
     recorded = _recorded_masters(monkeypatch, instances)
     assert max(len(p.objective) for p in recorded) == 5 * 2 ** 10
     for prog in recorded:
@@ -383,7 +380,7 @@ def _assert_agrees_with_highs(prog):
 def test_column_generation_masters_agree_with_highs(monkeypatch):
     # Restricted and hindsight masters, and the 10 x 5120 enumeration master
     # that vertex enumeration cannot reach.
-    recorded = _recorded_masters(monkeypatch, [_MIXTURE])
+    recorded = _recorded_masters(monkeypatch, [_MIXTURE10])
     assert len(recorded) > 9
     assert (10, 5120) in {(len(p.rows), len(p.objective)) for p in recorded}
     for prog in recorded:
