@@ -35,13 +35,10 @@ from .cdlp import (
     assortment_subproblem_sort,
     assortment_subproblem_bruteforce,
     assortment_subproblem_localsearch,
-    SortSolver,
-    BruteForceSolver,
-    LocalSearchSolver,
+    SOLVERS,
     AutoExactSolver,
     solve_cdlp,
     solve_cdlp_enumeration,
-    static_selection_probs,
     dual_bound,
 )
 from .valuefn import (

@@ -9,6 +9,13 @@ where pi are the capacity duals of the restricted master; with an exact
 subproblem solver the procedure terminates at the LP optimum, and with a
 solver carrying a guarantee factor gamma >= 1/(1+eps) it terminates with an
 eps-optimal plan certified by the terminal duals.
+
+Subproblem solvers are chosen by name from ``SOLVERS``: ``sort`` (exact,
+plain attraction models only), ``bruteforce`` (exact, any model, at most
+20 priced products), ``localsearch`` (heuristic, declared guarantee 0.9)
+and ``auto`` (sort where the model has attraction weights, brute force
+otherwise).  Each entry is a plain function of (model, prices) carrying
+its declared ``guarantee``; ``solve_cdlp`` also takes any such callable.
 """
 
 from __future__ import annotations
@@ -20,15 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .choice import (
-    AttractionChoiceModel,
-    ChoiceModel,
-    MixtureChoiceModel,
-    _as_assortment,
-    _distribution,
-    _subset_revenues,
-    expected_revenue,
-)
+from .choice import ChoiceModel, _as_assortment, _subset_revenues, expected_revenue
 from .lp import LinearProgram, LpSolution, solve_lp
 from .model import Instance, products_of_resource, validate_instance
 
@@ -41,13 +40,10 @@ __all__ = [
     "assortment_subproblem_sort",
     "assortment_subproblem_bruteforce",
     "assortment_subproblem_localsearch",
-    "SortSolver",
-    "BruteForceSolver",
-    "LocalSearchSolver",
+    "SOLVERS",
     "AutoExactSolver",
     "solve_cdlp",
     "solve_cdlp_enumeration",
-    "static_selection_probs",
     "dual_bound",
 ]
 
@@ -96,6 +92,19 @@ class CdlpSolution:
     iterations: int
     objective_trace: tuple[float, ...] = ()
 
+    def expected_demand(self, inst: Instance) -> tuple[float, ...]:
+        """Per-resource expected demand the plan induces: resource j's is
+        sum_k Lambda_k sum_{n in N_j} s*_kn."""
+        demand = []
+        for j in range(1, inst.num_resources + 1):
+            members = products_of_resource(inst, j)
+            demand.append(math.fsum(
+                inst.arrival_mass(k) * self.s_star.get((k, n), 0.0)
+                for k in range(1, inst.num_types + 1)
+                for n in members
+            ))
+        return tuple(demand)
+
 
 def master_columns(H: Mapping[int, Sequence[frozenset[int]]]) -> list[tuple[int, frozenset[int]]]:
     """Variable order of the master built from ``H``: types ascending, then
@@ -132,7 +141,7 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
             lam = inst.arrival_mass(k)
             cap_coef = [0.0] * L
             obj = 0.0
-            for n, p in _distribution(inst.ctype(k).choice, _as_assortment(S)):
+            for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
                 obj += lam * p * inst.reward(k, n)
                 cap_coef[resource_of[n] - 1] += lam * p
             column = (obj, cap_coef)
@@ -149,7 +158,7 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
     return LinearProgram(tuple(objective), tuple(tuple(r) for r in rows), tuple(rhs))
 
 
-def assortment_subproblem_sort(model: AttractionChoiceModel,
+def assortment_subproblem_sort(model: ChoiceModel,
                                price: Mapping[int, float]) -> SubproblemResult:
     """Exact subproblem solver for attraction-form models.
 
@@ -157,26 +166,29 @@ def assortment_subproblem_sort(model: AttractionChoiceModel,
     / nu_n (descending, with nu_n = 0 ranking first); the optimum is the
     best prefix of that ranking.  For MNL (mu == 0) the ratio reduces to
     the price itself.  Ties between equal-value prefixes resolve to the
-    shorter prefix; equal-rank products order by ascending id.
+    shorter prefix; equal-rank products order by ascending id.  A model
+    without attraction weights raises ``ValueError``.
     """
-    if not isinstance(model, AttractionChoiceModel):
-        raise TypeError("the sort solver requires an attraction-form model")
+    weights = model.attraction()
+    if weights is None:
+        raise ValueError(f"the sort solver requires an attraction-form model, "
+                         f"not a {model.kind!r} model")
+    weight, nus, base = weights
     ranked = []
     for n in sorted(price):
         p = price[n]
         if p <= 0.0:
             continue
-        w = model.weight(n)
-        gain = p * w
+        gain = p * weight[n - 1]
         if gain <= 0.0:
             continue  # zero-weight product, can never be selected
-        nu = model.nu[n - 1]
+        nu = nus[n - 1]
         rho = gain / nu if nu > 0.0 else math.inf
         ranked.append((-rho, n, gain, nu))
     ranked.sort()
 
     best_value, best_set = 0.0, frozenset()
-    num, den = 0.0, model.base_weight
+    num, den = 0.0, base
     prefix: list[int] = []
     for _, n, gain, nu in ranked:
         num += gain
@@ -197,10 +209,10 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
     """Subsets of ``ids`` that may reach ``floor`` (default: the kernel
     maximum) in exact scoring, as sorted tuples in ``_lex_subsets`` order.
 
-    For attraction models and their mixtures with m > 2 these are the
-    subsets whose kernel value is at least floor - tol, with tol =
-    1e-9 * max(1, max|price|); every subset for other models, for m <= 2
-    and when the kernel overflows.
+    For models with a ``_segment_table`` (attraction models and their
+    mixtures) and m > 2 these are the subsets whose kernel value is at
+    least floor - tol, with tol = 1e-9 * max(1, max|price|); every subset
+    for other models, for m <= 2 and when the kernel overflows.
     """
     # At m <= 2 the kernel's fixed numpy cost exceeds a scalar scan of every
     # subset.  Brute-force subproblem times (min of 7 runs of 200 calls,
@@ -208,7 +220,7 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
     # costs 35-51 vs 20-23 us (attraction) and 36-52 vs 31-35 us (3-segment
     # mixture); m = 3 costs 33-47 vs 44-47 us and 40-52 vs 76-83 us; from
     # m = 4 the kernel is at least twice as fast.
-    if len(ids) <= 2 or not isinstance(model, (AttractionChoiceModel, MixtureChoiceModel)):
+    if len(ids) <= 2 or model._segment_table is None:
         return _lex_subsets(ids)
     tol = 1e-9 * max(1.0, max(abs(price[n]) for n in ids))
     top = -math.inf
@@ -308,53 +320,33 @@ def assortment_subproblem_localsearch(model: ChoiceModel, price: Mapping[int, fl
     return SubproblemResult(best_set, best_value, float(guarantee))
 
 
-class SortSolver:
-    """Exact subproblem solver for attraction-form models."""
-
-    guarantee = 1.0
-
-    def __call__(self, model, price):
+def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
+    """Sort for models with attraction weights, brute force otherwise;
+    always exact.  Mixtures, even of one segment, take the brute force."""
+    if model.attraction() is not None:
         return assortment_subproblem_sort(model, price)
+    return assortment_subproblem_bruteforce(model, price)
 
 
-class BruteForceSolver:
-    """Exact subproblem solver for any model, capped at ``n_max`` products."""
-
-    guarantee = 1.0
-
-    def __init__(self, n_max: int = 20):
-        self.n_max = n_max
-
-    def __call__(self, model, price):
-        return assortment_subproblem_bruteforce(model, price, self.n_max)
-
-
-class LocalSearchSolver:
-    """Heuristic solver with a declared (unproven) guarantee factor."""
-
-    def __init__(self, restarts: int = 8, seed: int = 0, guarantee: float = 0.9):
-        self.restarts = restarts
-        self.seed = seed
-        self.guarantee = float(guarantee)
-
-    def __call__(self, model, price):
-        return assortment_subproblem_localsearch(
-            model, price, restarts=self.restarts, seed=self.seed, guarantee=self.guarantee
-        )
+# the guarantee factor each solver's results carry (localsearch: its default)
+_auto.guarantee = 1.0
+assortment_subproblem_sort.guarantee = 1.0
+assortment_subproblem_bruteforce.guarantee = 1.0
+assortment_subproblem_localsearch.guarantee = 0.9
+SOLVERS: dict[str, Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult]] = {
+    "auto": _auto,
+    "sort": assortment_subproblem_sort,
+    "bruteforce": assortment_subproblem_bruteforce,
+    "localsearch": assortment_subproblem_localsearch,
+}
 
 
 class AutoExactSolver:
-    """Sort for attraction models, brute force otherwise; always exact."""
+    """The ``"auto"`` solver as a class, kept for callers of the earlier
+    class-based API (the benchmark workloads construct it)."""
 
     guarantee = 1.0
-
-    def __init__(self, n_max: int = 20):
-        self.n_max = n_max
-
-    def __call__(self, model, price):
-        if isinstance(model, AttractionChoiceModel):
-            return assortment_subproblem_sort(model, price)
-        return assortment_subproblem_bruteforce(model, price, self.n_max)
+    __call__ = staticmethod(_auto)
 
 
 def _initial_columns(inst: Instance) -> dict[int, list[frozenset[int]]]:
@@ -368,7 +360,7 @@ def _initial_columns(inst: Instance) -> dict[int, list[frozenset[int]]]:
         best_n, best_v = None, 0.0
         for n in range(1, inst.num_products + 1):
             try:
-                dist = _distribution(model, frozenset({n}))
+                dist = model.distribution(frozenset({n}))
             except ValueError:
                 continue  # singleton not tabulated for this type
             [(_, p)] = dist
@@ -387,7 +379,7 @@ def _selection_probs(inst: Instance, active, x) -> dict[tuple[int, int], float]:
         model = inst.ctype(k).choice
         for S in active.get(k, ()):
             weight = x[(k, S)]
-            prob = dict(_distribution(model, S))
+            prob = dict(model.distribution(S))
             for n in S:
                 s_star[(k, n)] = s_star.get((k, n), 0.0) + weight * prob[n]
     return s_star
@@ -423,10 +415,13 @@ def _extract_solution(inst: Instance, cols, lp_sol: LpSolution, eps: float,
 
 
 def solve_cdlp(inst: Instance, eps: float = 0.0,
-               solver: Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult] | None = None,
+               solver: str | Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult] = "auto",
                max_iterations: int | None = None) -> CdlpSolution:
     """Column generation on the fluid LP.
 
+    ``solver`` is a ``SOLVERS`` name or any callable of (model, prices)
+    returning a ``SubproblemResult``; a callable's ``guarantee`` attribute
+    is optional, and every result's guarantee is checked.
     With ``eps == 0`` the solver must be exact (guarantee 1); with
     ``eps > 0`` any solver whose guarantee is at least 1/(1+eps) may be
     used, and the returned plan's objective is certified to be at least
@@ -442,8 +437,10 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
         raise ValueError("invalid instance: " + "; ".join(report.errors))
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if solver is None:
-        solver = AutoExactSolver()
+    if isinstance(solver, str):
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}; choose from {', '.join(sorted(SOLVERS))}")
+        solver = SOLVERS[solver]
     required = 1.0 if eps == 0.0 else 1.0 / (1.0 + eps)
     declared = getattr(solver, "guarantee", None)
     if declared is not None and declared < required - 1e-12:
@@ -520,27 +517,6 @@ def solve_cdlp_enumeration(inst: Instance, n_max: int = 12) -> CdlpSolution:
     if lp_sol.status != "optimal":
         raise CdlpError(f"enumeration LP solve failed with status {lp_sol.status!r}")
     return _extract_solution(inst, cols, lp_sol, 0.0, True, 1, (float(lp_sol.objective_value),))
-
-
-def static_selection_probs(sol: CdlpSolution, inst: Instance):
-    """Per-(type, product) selection probabilities implied by the plan, and
-    the per-resource expected demand they induce.
-
-    s*_kn sums x_k(S) * P^k(n, S) over the active assortments containing n;
-    expected demand of resource j is sum_k Lambda_k sum_{n in N_j} s*_kn.
-    """
-    s_star = _selection_probs(inst, sol.active, sol.x)
-    expected_demand = []
-    for j in range(1, inst.num_resources + 1):
-        members = products_of_resource(inst, j)
-        expected_demand.append(
-            math.fsum(
-                inst.arrival_mass(k) * s_star.get((k, n), 0.0)
-                for k in range(1, inst.num_types + 1)
-                for n in members
-            )
-        )
-    return s_star, tuple(expected_demand)
 
 
 def dual_bound(sol: CdlpSolution, inst: Instance) -> float:

@@ -6,6 +6,20 @@ mixtures of attraction models, and explicit probability tables for
 adversarial test inputs.  Assortments are sets of product ids; the
 no-purchase option (id 0) is implicit in every assortment and absorbs the
 residual probability mass.
+
+The rest of the package reads a model only through the ``ChoiceModel``
+protocol, which every model class implements:
+
+- ``distribution(S)``: (product, probability) pairs over the members of a
+  valid assortment, ascending id; empty for the empty offer;
+- ``selectable(n)``: whether some assortment leads to a purchase of n;
+- ``attraction()``: (mu+nu, nu, base weight) of a plain attraction model,
+  which the sort solver needs, and None for every other model;
+- ``is_removal_monotone``: whether dropping products never lowers a
+  survivor's selection probability, so that pruning is safe;
+- ``coverage_error(N)``: why the model does not fit N products, or None;
+- ``_segment_table``: the subset kernel's arrays, or None;
+- ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -39,8 +53,37 @@ def _as_assortment(assortment: Iterable[int]) -> frozenset[int]:
     return s
 
 
+class ChoiceModel(Protocol):
+    """A choice model over products 1..num_products; the module docstring
+    describes each member.  The model classes below inherit the defaults."""
+
+    kind: ClassVar[str]
+    num_products: int
+    # Removing products never lowers the selection probability of the ones
+    # that remain in attraction models and their mixtures, so positive-price
+    # pruning cannot hurt expected revenue; tables check it themselves.
+    is_removal_monotone: bool = True
+    _segment_table: Optional[tuple[np.ndarray, ...]] = None
+
+    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]: ...
+    def selectable(self, n: int) -> bool: ...
+
+    def attraction(self) -> Optional[tuple[tuple[float, ...], tuple[float, ...], float]]:
+        return None
+
+    def coverage_error(self, num_products: int) -> Optional[str]:
+        if self.num_products != num_products:
+            return (f"choice model covers {self.num_products} products, "
+                    f"instance has {num_products}")
+        return None
+
+    def to_doc(self) -> dict: ...
+    @classmethod
+    def from_doc(cls, doc: Mapping) -> "ChoiceModel": ...
+
+
 @dataclass(frozen=True)
-class AttractionChoiceModel:
+class AttractionChoiceModel(ChoiceModel):
     """Attraction-form choice over products 1..N.
 
     A product ``n`` shown in assortment ``S`` is selected with probability
@@ -53,6 +96,8 @@ class AttractionChoiceModel:
 
     mu: tuple[float, ...]
     nu: tuple[float, ...]
+
+    kind: ClassVar[str] = "attraction"
 
     def __post_init__(self):
         mu = tuple(float(w) for w in self.mu)
@@ -73,8 +118,21 @@ class AttractionChoiceModel:
         """Denominator contribution independent of the assortment."""
         return 1.0 + math.fsum(self.mu)
 
-    def weight(self, n: int) -> float:
-        return self.mu[n - 1] + self.nu[n - 1]
+    @cached_property
+    def _weights(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        return tuple(m + v for m, v in zip(self.mu, self.nu)), self.nu, self.base_weight
+
+    def attraction(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        return self._weights
+
+    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
+        weight, nu, base = self._weights
+        members = sorted(S)
+        den = base + math.fsum(nu[n - 1] for n in members)
+        return [(n, weight[n - 1] / den) for n in members]
+
+    def selectable(self, n: int) -> bool:
+        return n <= self.num_products and self._weights[0][n - 1] > 0.0
 
     @cached_property
     def _segment_table(self):
@@ -83,16 +141,21 @@ class AttractionChoiceModel:
         weight = np.add(self.mu, self.nu)
         return np.ones(1), np.array([self.base_weight]), weight[None, :], np.array([self.nu])
 
-    # Removing products never lowers the selection probability of the ones
-    # that remain, so positive-price pruning cannot hurt expected revenue.
-    is_removal_monotone = True
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, "mu": list(self.mu), "nu": list(self.nu)}
+
+    @classmethod
+    def from_doc(cls, doc: Mapping) -> "AttractionChoiceModel":
+        return cls(tuple(doc["mu"]), tuple(doc["nu"]))
 
 
 @dataclass(frozen=True)
-class MixtureChoiceModel:
+class MixtureChoiceModel(ChoiceModel):
     """Finite mixture of attraction models (e.g. mixed MNL)."""
 
     segments: tuple[tuple[float, AttractionChoiceModel], ...]
+
+    kind: ClassVar[str] = "mixture"
 
     def __post_init__(self):
         segs = tuple((float(w), m) for w, m in self.segments)
@@ -111,6 +174,19 @@ class MixtureChoiceModel:
     def num_products(self) -> int:
         return self.segments[0][1].num_products
 
+    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
+        members = sorted(S)
+        acc = [0.0] * len(members)
+        for w, seg in self.segments:
+            weight, nu, base = seg._weights
+            den = base + math.fsum(nu[n - 1] for n in members)
+            for i, n in enumerate(members):
+                acc[i] += w * weight[n - 1] / den
+        return list(zip(members, acc))
+
+    def selectable(self, n: int) -> bool:
+        return any(seg.selectable(n) for _, seg in self.segments)
+
     @cached_property
     def _segment_table(self):
         """(segment weights, base weights, mu+nu rows, nu rows) as arrays,
@@ -121,10 +197,18 @@ class MixtureChoiceModel:
                 np.concatenate([t[2] for t in tables]),
                 np.concatenate([t[3] for t in tables]))
 
-    is_removal_monotone = True
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, "segments": [
+            {"weight": w, "mu": list(m.mu), "nu": list(m.nu)} for w, m in self.segments
+        ]}
+
+    @classmethod
+    def from_doc(cls, doc: Mapping) -> "MixtureChoiceModel":
+        return cls(tuple((seg["weight"], AttractionChoiceModel.from_doc(seg))
+                         for seg in doc["segments"]))
 
 
-class TabulatedChoiceModel:
+class TabulatedChoiceModel(ChoiceModel):
     """Explicit table of selection probabilities, one entry per assortment.
 
     ``table`` maps an assortment to a ``{product: probability}`` mapping over
@@ -135,6 +219,8 @@ class TabulatedChoiceModel:
     probability; consumers that rely on positive-price pruning must reject
     tables where this is False.
     """
+
+    kind = "table"
 
     def __init__(self, table: Mapping[Iterable[int], Mapping[int, float]], num_products=None):
         normalized: dict[frozenset[int], dict[int, float]] = {}
@@ -165,35 +251,36 @@ class TabulatedChoiceModel:
                     return False
         return True
 
-    def entry(self, S: frozenset[int]) -> dict[int, float]:
+    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
+        if not S:
+            return []  # the empty offer needs no table entry
         try:
-            return self.table[S]
+            entry = self.table[S]
         except KeyError:
             raise ValueError(f"assortment {sorted(S)} not present in the probability table") from None
+        return [(n, entry.get(n, 0.0)) for n in sorted(S)]
 
+    def selectable(self, n: int) -> bool:
+        return any(entry.get(n, 0.0) > 0.0 for entry in self.table.values())
 
-ChoiceModel = Union[AttractionChoiceModel, MixtureChoiceModel, TabulatedChoiceModel]
+    def coverage_error(self, num_products: int) -> Optional[str]:
+        if any(not 1 <= n <= num_products for S in self.table for n in S):
+            return "tabulated assortment references unknown product"
+        return None
 
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, "entries": [
+            {"S": sorted(S), "p": {str(n): p for n, p in sorted(entry.items())}}
+            for S, entry in sorted(self.table.items(), key=lambda kv: sorted(kv[0]))
+        ]}
 
-def _distribution(model: ChoiceModel, S: frozenset[int]) -> list[tuple[int, float]]:
-    """(product, probability) pairs over the members of ``S``, ascending id."""
-    if not S:
-        return []  # the empty offer always yields no purchase
-    members = sorted(S)
-    if isinstance(model, AttractionChoiceModel):
-        den = model.base_weight + math.fsum(model.nu[n - 1] for n in members)
-        return [(n, model.weight(n) / den) for n in members]
-    if isinstance(model, MixtureChoiceModel):
-        acc = [0.0] * len(members)
-        for w, seg in model.segments:
-            den = seg.base_weight + math.fsum(seg.nu[n - 1] for n in members)
-            for i, n in enumerate(members):
-                acc[i] += w * seg.weight(n) / den
-        return list(zip(members, acc))
-    if isinstance(model, TabulatedChoiceModel):
-        entry = model.entry(S)
-        return [(n, entry.get(n, 0.0)) for n in members]
-    raise TypeError(f"unsupported choice model {type(model).__name__}")
+    @classmethod
+    def from_doc(cls, doc: Mapping) -> "TabulatedChoiceModel":
+        return cls({
+            frozenset(int(n) for n in entry["S"]):
+                {int(n): float(p) for n, p in entry["p"].items()}
+            for entry in doc["entries"]
+        })
 
 
 # The kernel scores at most 2**_BLOCK_BITS subsets per block, so every
@@ -215,8 +302,7 @@ def _subset_masks(bits: int) -> np.ndarray:
     return masks
 
 
-def _subset_revenues(model: Union[AttractionChoiceModel, MixtureChoiceModel],
-                     ids: Sequence[int],
+def _subset_revenues(model: ChoiceModel, ids: Sequence[int],
                      price: Mapping[int, float]) -> Iterator[tuple[int, np.ndarray]]:
     """Approximate expected revenue of every subset of ``ids`` at ``price``.
 
@@ -226,6 +312,7 @@ def _subset_revenues(model: Union[AttractionChoiceModel, MixtureChoiceModel],
     sum over segments of w * sum_S((mu+nu)*price) / (base + sum_S(nu)).
     The sums run through matrix products rather than ``math.fsum``, so a
     value may differ from ``expected_revenue`` by a few ulps of max|price|.
+    The model must have a ``_segment_table``.
     """
     w, base, weight, nu = model._segment_table
     idx = np.asarray(ids, dtype=np.intp) - 1
@@ -248,10 +335,10 @@ def choice_probability(model: ChoiceModel, n: int, assortment: Iterable[int]) ->
     S = _as_assortment(assortment)
     n = int(n)
     if n == 0:
-        return 1.0 - math.fsum(p for _, p in _distribution(model, S))
+        return 1.0 - math.fsum(p for _, p in model.distribution(S))
     if n not in S:
         raise ValueError(f"product {n} is not in the offered assortment")
-    for m, p in _distribution(model, S):
+    for m, p in model.distribution(S):
         if m == n:
             return p
     raise AssertionError("unreachable")
@@ -263,11 +350,11 @@ def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> in
     The CDF runs over the assortment in ascending product id, with no
     purchase last, so the outcome is deterministic given ``u``.
     """
-    return _sample(_distribution(model, _as_assortment(assortment)), u)
+    return _sample(model.distribution(_as_assortment(assortment)), u)
 
 
 def _sample(dist: list[tuple[int, float]], u: float) -> int:
-    """Inverse-transform draw from a ``_distribution`` list."""
+    """Inverse-transform draw from a ``distribution`` list."""
     cum = 0.0
     for n, p in dist:
         cum += p
@@ -278,11 +365,11 @@ def _sample(dist: list[tuple[int, float]], u: float) -> int:
 
 def expected_revenue(model: ChoiceModel, assortment: Iterable[int], price: Mapping[int, float]) -> float:
     """Expected revenue of showing ``assortment`` at the given prices."""
-    return _revenue(_distribution(model, _as_assortment(assortment)), price)
+    return _revenue(model.distribution(_as_assortment(assortment)), price)
 
 
 def _revenue(dist: list[tuple[int, float]], price: Mapping[int, float]) -> float:
-    """Expected revenue of a ``_distribution`` list at the given prices."""
+    """Expected revenue of a ``distribution`` list at the given prices."""
     return math.fsum(p * price[n] for n, p in dist)
 
 

@@ -33,14 +33,8 @@ import json
 import sys
 from pathlib import Path
 
-from .cdlp import (
-    AutoExactSolver,
-    BruteForceSolver,
-    LocalSearchSolver,
-    SortSolver,
-    solve_cdlp,
-)
-from .choice import AttractionChoiceModel, MixtureChoiceModel, TabulatedChoiceModel
+from .cdlp import SOLVERS, solve_cdlp
+from .choice import AttractionChoiceModel, ChoiceModel, MixtureChoiceModel, TabulatedChoiceModel
 from .model import (
     CustomerType,
     Instance,
@@ -65,35 +59,24 @@ EXIT_NOT_CERTIFIED = 3
 EXIT_VERIFY_FAILED = 4
 
 
+_CHOICE_KINDS = {cls.kind: cls for cls in
+                 (AttractionChoiceModel, MixtureChoiceModel, TabulatedChoiceModel)}
+
+
 class InstanceFormatError(ValueError):
     """The document cannot be interpreted as an instance at all."""
 
 
-def _parse_choice(doc) -> object:
+def _parse_choice(doc) -> ChoiceModel:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InstanceFormatError("choice document must be an object with a 'kind'")
     kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _CHOICE_KINDS:
+        raise InstanceFormatError(f"unknown choice kind {kind!r}")
     try:
-        if kind == "attraction":
-            return AttractionChoiceModel(tuple(doc["mu"]), tuple(doc["nu"]))
-        if kind == "mixture":
-            segments = tuple(
-                (seg["weight"], AttractionChoiceModel(tuple(seg["mu"]), tuple(seg["nu"])))
-                for seg in doc["segments"]
-            )
-            return MixtureChoiceModel(segments)
-        if kind == "table":
-            table = {
-                frozenset(int(n) for n in entry["S"]):
-                    {int(n): float(p) for n, p in entry["p"].items()}
-                for entry in doc["entries"]
-            }
-            return TabulatedChoiceModel(table)
-    except InstanceFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        return _CHOICE_KINDS[kind].from_doc(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad {kind!r} choice document: {exc}") from exc
-    raise InstanceFormatError(f"unknown choice kind {kind!r}")
 
 
 def load_instance(path) -> Instance:
@@ -128,24 +111,9 @@ def load_instance(path) -> Instance:
             types.append(CustomerType(i, rate, _parse_choice(t["choice"]), override))
     except InstanceFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad instance document: {exc}") from exc
     return Instance(resources, products, tuple(types))
-
-
-def _dump_choice(model) -> dict:
-    if isinstance(model, AttractionChoiceModel):
-        return {"kind": "attraction", "mu": list(model.mu), "nu": list(model.nu)}
-    if isinstance(model, MixtureChoiceModel):
-        return {"kind": "mixture", "segments": [
-            {"weight": w, "mu": list(m.mu), "nu": list(m.nu)} for w, m in model.segments
-        ]}
-    if isinstance(model, TabulatedChoiceModel):
-        return {"kind": "table", "entries": [
-            {"S": sorted(S), "p": {str(n): p for n, p in sorted(entry.items())}}
-            for S, entry in sorted(model.table.items(), key=lambda kv: sorted(kv[0]))
-        ]}
-    raise TypeError(f"cannot serialize choice model {type(model).__name__}")
 
 
 def dump_instance(inst: Instance, path) -> None:
@@ -155,7 +123,7 @@ def dump_instance(inst: Instance, path) -> None:
         "types": [
             {
                 "rate": {"breakpoints": list(t.rate.breakpoints), "rates": list(t.rate.rates)},
-                "choice": _dump_choice(t.choice),
+                "choice": t.choice.to_doc(),
                 **({"reward_override": {str(n): r for n, r in sorted(t.reward_override.items())}}
                    if t.reward_override else {}),
             }
@@ -163,18 +131,6 @@ def dump_instance(inst: Instance, path) -> None:
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def _make_solver(name: str):
-    if name == "auto":
-        return AutoExactSolver()
-    if name == "sort":
-        return SortSolver()
-    if name == "bruteforce":
-        return BruteForceSolver()
-    if name == "localsearch":
-        return LocalSearchSolver()
-    raise ValueError(f"unknown solver {name!r}")
 
 
 def _fmt(value) -> str:
@@ -221,8 +177,7 @@ def cmd_cdlp(args) -> int:
         print(f"parse error: {exc}")
         return EXIT_PARSE
     try:
-        solver = _make_solver(args.solver)
-        sol = solve_cdlp(inst, args.eps, solver)
+        sol = solve_cdlp(inst, args.eps, args.solver)
     except ValueError as exc:
         print(f"error: {exc}")
         return EXIT_INVARIANT
@@ -283,8 +238,7 @@ def cmd_simulate(args) -> int:
         tag = instance_id if len(thetas) == 1 and theta == 1.0 \
             else f"{instance_id}@theta{theta:g}"
         try:
-            solver = _make_solver(args.solver)
-            sol = solve_cdlp(scaled, args.eps, solver)
+            sol = solve_cdlp(scaled, args.eps, args.solver)
         except ValueError as exc:
             print(f"error: {exc}")
             return EXIT_INVARIANT
@@ -304,9 +258,13 @@ def cmd_simulate(args) -> int:
                 _write_csv(out_dir / f"grid_{tag}_resource{l}.csv",
                            ("t", "c", "V"), grid_rows)
         for policy in policies:
-            run = monte_carlo(scaled, policy, args.reps, args.seed, sol=sol,
-                              grids=grids, relaxed=args.relaxed_mode,
-                              workers=args.workers)
+            try:
+                run = monte_carlo(scaled, policy, args.reps, args.seed, sol=sol,
+                                  grids=grids, relaxed=args.relaxed_mode,
+                                  workers=args.workers)
+            except ValueError as exc:  # e.g. opr on a table that is not removal-monotone
+                print(f"error: {exc}")
+                return EXIT_INVARIANT
             ratio, _ = estimate_ratio(run, sol.objective) if sol.objective > 0 else (0.0, 0.0)
             rows.append((tag, policy, args.reps, run.mean, run.half_width,
                          sol.objective, ratio, args.seed))
@@ -350,10 +308,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spike(args) -> int:
-    sweep = [float(s) for s in args.sharpness.split(",")]
+    try:
+        sweep = [(float(s), spike_instance(float(s))) for s in args.sharpness.split(",")]
+    except ValueError as exc:
+        print(f"error: bad --sharpness value: {exc}")
+        return EXIT_INVARIANT
     rows = []
-    for s in sweep:
-        inst = spike_instance(s)
+    for s, inst in sweep:
         sol = solve_cdlp(inst)
         grids = build_value_grids(inst, sol.s_star, args.grid)
         run = monte_carlo(inst, "opr", args.reps, args.seed * 17 + int(s),
@@ -385,8 +346,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("cdlp", help="solve the fluid plan and dump it")
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--solver", default="auto",
-                   choices=("auto", "sort", "bruteforce", "localsearch"))
+    p.add_argument("--solver", default="auto", choices=sorted(SOLVERS))
     p.add_argument("--out", default=None, help="optional CSV dump path")
     p.set_defaults(func=cmd_cdlp)
 
@@ -400,8 +360,7 @@ def main(argv=None) -> int:
     p.add_argument("--theta", default="1")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--solver", default="auto",
-                   choices=("auto", "sort", "bruteforce", "localsearch"))
+    p.add_argument("--solver", default="auto", choices=sorted(SOLVERS))
     p.add_argument("--relaxed-mode", action="store_true",
                    help="static substitution for fcfs/pr (analysis mode)")
     p.add_argument("--trace", action="store_true",

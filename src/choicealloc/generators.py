@@ -7,6 +7,7 @@ given seed always produces the same instance.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 
 import numpy as np
@@ -120,8 +121,8 @@ def spike_instance(sharpness: float, *, background_mass: float = 3.0,
     ``attention`` sets each type's MNL weight on its product (selection
     probability attention/(attention+1) for a singleton offer).
     """
-    if sharpness < 1:
-        raise ValueError("sharpness must be at least 1")
+    if not 1 <= sharpness < math.inf:
+        raise ValueError(f"sharpness must be finite and at least 1, got {sharpness!r}")
     s = float(sharpness)
     resources = (Resource(1, 1),)
     products = (Product(1, 1, 1.0), Product(2, 1, s))

@@ -184,23 +184,9 @@ def products_of_resource(inst: Instance, l: int) -> frozenset[int]:
     return frozenset(p.id for p in inst.products if p.resource == l)
 
 
-def _choice_weight_on(model, n: int) -> bool:
-    """Whether the model can select product ``n`` from some assortment."""
-    from . import choice as _choice
-
-    if isinstance(model, _choice.AttractionChoiceModel):
-        return n <= model.num_products and model.weight(n) > 0.0
-    if isinstance(model, _choice.MixtureChoiceModel):
-        return any(_choice_weight_on(seg, n) for _, seg in model.segments)
-    if isinstance(model, _choice.TabulatedChoiceModel):
-        return any(entry.get(n, 0.0) > 0.0 for entry in model.table.values())
-    return False
-
-
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Check structural invariants; failures are reported, never raised."""
-    from . import choice as _choice
-
+    """Check structural invariants; failures are reported, never raised.
+    An object without a ``coverage_error`` is no recognized choice model."""
     errors: list[str] = []
     warnings: list[str] = []
 
@@ -237,20 +223,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 elif r < 0:
                     errors.append(f"type {pos}: negative reward override for product {n}")
 
-        model = ct.choice
-        if isinstance(model, (_choice.AttractionChoiceModel, _choice.MixtureChoiceModel)):
-            if model.num_products != inst.num_products:
-                errors.append(
-                    f"type {pos}: choice model covers {model.num_products} products, "
-                    f"instance has {inst.num_products}"
-                )
-        elif isinstance(model, _choice.TabulatedChoiceModel):
-            for S in model.table:
-                if any(not 1 <= n <= inst.num_products for n in S):
-                    errors.append(f"type {pos}: tabulated assortment references unknown product")
-                    break
-        else:
-            errors.append(f"type {pos}: unrecognized choice model {type(model).__name__}")
+        coverage_error = getattr(ct.choice, "coverage_error", None)
+        if coverage_error is None:
+            errors.append(f"type {pos}: unrecognized choice model {type(ct.choice).__name__}")
+        elif (problem := coverage_error(inst.num_products)) is not None:
+            errors.append(f"type {pos}: {problem}")
 
     if not errors:
         for res in inst.resources:
@@ -261,7 +238,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 late_mass = ct.rate.total_mass() - ct.rate.cumulative(res.expiry)
                 if late_mass <= 1e-12:
                     continue
-                if any(_choice_weight_on(ct.choice, n) for n in affected):
+                if any(ct.choice.selectable(n) for n in affected):
                     warnings.append(
                         f"resource {res.id} expires at {res.expiry} but its products are "
                         f"reachable by type {ct.id} arriving later"

@@ -9,6 +9,9 @@ the offered assortment per arrival against marginal-value-adjusted prices
 and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
+opr's subproblem solver is taken from ``cdlp.SOLVERS`` once per customer
+type when the run's tables are compiled (see ``opr_offer``).
+
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
 the public functions below are thin wrappers over the same functions, and
@@ -21,19 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .cdlp import (
-    CdlpSolution,
-    assortment_subproblem_bruteforce,
-    assortment_subproblem_localsearch,
-    assortment_subproblem_sort,
-)
-from .choice import (
-    AttractionChoiceModel,
-    TabulatedChoiceModel,
-    _distribution,
-    _prune_nonpositive,
-    _revenue,
-)
+from .cdlp import SOLVERS, CdlpSolution, assortment_subproblem_localsearch
+from .choice import ChoiceModel, _prune_nonpositive, _revenue
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
 
@@ -52,6 +44,10 @@ POLICY_NAMES = ("fcfs", "pr", "opr")
 
 _EMPTY: frozenset[int] = frozenset()
 _DIST_MEMO = 1024
+# opr re-optimizes exactly by brute force up to this many priced products of
+# a model without attraction weights, and by local search beyond
+_OPR_N_MAX = 20
+_OPR_RESTARTS = 4
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,10 @@ class _Tables:
     grid's own array, not a copy).  With ``grids``, every resource needs a
     grid covering its capacity.
 
-    ``dist`` memoizes ``choice._distribution`` per type and offered set.
+    ``solvers[k]`` is opr's subproblem solver for type k, and
+    ``prunable[k]`` whether type k's model is removal-monotone.
+
+    ``dist`` memoizes the model's ``distribution`` per type and offered set.
     The benchmark workloads hit it on 31-99 % of lookups and a call holding
     a whole round of replications keeps at most 40 distinct sets per type
     (10 products); ``_DIST_MEMO`` caps a type at 1024 sets, about 2.7 MB at
@@ -106,7 +105,7 @@ class _Tables:
     """
 
     __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models",
-                 "rewards", "offers", "prunable", "_dists")
+                 "rewards", "offers", "prunable", "solvers", "_dists")
 
     def __init__(self, inst: Instance, sol: CdlpSolution | None = None,
                  grids: Mapping[int, ResourceValueGrid] | None = None):
@@ -122,7 +121,7 @@ class _Tables:
             if short:
                 raise ValueError(f"value grids of resources {short} are below capacity")
             self.marginals = [grids[r.id]._marginals for r in inst.resources]
-        self.models, self.rewards, self.offers, self.prunable = {}, {}, {}, {}
+        self.models, self.rewards, self.offers, self.prunable, self.solvers = {}, {}, {}, {}, {}
         self._dists: dict[int, dict[frozenset[int], list[tuple[int, float]]]] = {}
         for k in range(1, inst.num_types + 1):
             model = inst.ctype(k).choice
@@ -132,19 +131,28 @@ class _Tables:
             self.offers[k] = _offer_cdf(sol, k) if sol is not None else []
             # opr prunes nonpositive-price products, which only removal-
             # monotone choice models guarantee cannot lower the revenue
-            self.prunable[k] = not (isinstance(model, TabulatedChoiceModel)
-                                    and not model.is_removal_monotone)
+            self.prunable[k] = model.is_removal_monotone
+            self.solvers[k] = (SOLVERS["sort"] if model.attraction() is not None
+                               else _bruteforce_or_search)
 
     def dist(self, k: int, S: frozenset[int]) -> list[tuple[int, float]]:
-        """``choice._distribution`` of type k's model over S, memoized (it
-        depends on the model and S only)."""
+        """Type k's model's ``distribution`` over S, memoized (it depends on
+        the model and S only)."""
         memo = self._dists[k]
         dist = memo.get(S)
         if dist is None:
             if len(memo) >= _DIST_MEMO:
                 memo.clear()
-            dist = memo[S] = _distribution(self.models[k], S)
+            dist = memo[S] = self.models[k].distribution(S)
         return dist
+
+
+def _bruteforce_or_search(model: ChoiceModel, prices: Mapping[int, float]):
+    """Exact brute force up to ``_OPR_N_MAX`` priced products, local search
+    beyond."""
+    if len(prices) <= _OPR_N_MAX:
+        return SOLVERS["bruteforce"](model, prices)
+    return assortment_subproblem_localsearch(model, prices, restarts=_OPR_RESTARTS, seed=0)
 
 
 def _sellable(stock: int, expiry: float, now: float) -> bool:
@@ -169,8 +177,7 @@ def _pr_accepts(reward: float, stock: int, expiry: float, marginals, now: float)
     return _sellable(stock, expiry, now) and reward >= _interp(marginals, stock - 1, now)
 
 
-def _opr_decision(t: _Tables, inventory, now: float, k: int, n_max: int = 20,
-                  restarts: int = 4) -> tuple[frozenset[int], float]:
+def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[int], float]:
     """opr's offer to a type-k arrival and its expected marginal reward
     (see ``opr_offer``)."""
     if not t.prunable[k]:
@@ -178,7 +185,6 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int, n_max: int = 20,
             "opr requires choice models where pruning cannot hurt expected "
             "revenue; this probability table violates that"
         )
-    model = t.models[k]
     value_of_unit = [_interp(m, c - 1, now) if c > 0 else 0.0
                      for m, c in zip(t.marginals, inventory)]
     reward, resource_of, expiry = t.rewards[k], t.resource_of, t.expiry
@@ -190,12 +196,7 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int, n_max: int = 20,
     if not prices:
         return _EMPTY, 0.0
 
-    if isinstance(model, AttractionChoiceModel):
-        best = assortment_subproblem_sort(model, prices)
-    elif len(prices) <= n_max:
-        best = assortment_subproblem_bruteforce(model, prices, n_max)
-    else:
-        best = assortment_subproblem_localsearch(model, prices, restarts=restarts, seed=0)
+    best = t.solvers[k](t.models[k], prices)
     offer, value = best.assortment, best.value
 
     for _, S in t.offers[k]:
@@ -243,23 +244,22 @@ def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid]
 
 
 def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid],
-              sol: CdlpSolution, inst: Instance, n_max: int = 20,
-              restarts: int = 4) -> OfferDecision:
+              sol: CdlpSolution, inst: Instance) -> OfferDecision:
     """Offer the assortment maximizing expected marginal reward for this
     arrival.
 
     Products are priced at reward minus the marginal value of their
     resource; products that cannot be sold are excluded outright.  The
-    optimizer (exact sort for attraction models, brute force up to ``n_max``
-    products, local search beyond) is compared against a fallback built
-    from the plan's own assortments with nonpositive-price products pruned,
-    and the better of the two is offered; the fallback guarantees the offer
-    collects at least the marginal reward the static threshold policy would.
-    Every purchase from the offer is accepted.  ``grids`` must hold a grid
-    for every resource, covering its capacity.
+    optimizer (exact sort for attraction models, brute force up to
+    ``_OPR_N_MAX`` products, local search beyond) is compared against a
+    fallback built from the plan's own assortments with nonpositive-price
+    products pruned, and the better of the two is offered; the fallback
+    guarantees the offer collects at least the marginal reward the static
+    threshold policy would.  Every purchase from the offer is accepted.
+    ``grids`` must hold a grid for every resource, covering its capacity.
     """
     tables = _Tables(inst, sol, grids)
-    offer, value = _opr_decision(tables, state.inventory, state.now, k, n_max, restarts)
+    offer, value = _opr_decision(tables, state.inventory, state.now, k)
     return OfferDecision(offer, value)
 
 

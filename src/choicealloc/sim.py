@@ -201,7 +201,7 @@ def _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices):
 def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
                 sol: CdlpSolution | None = None,
                 grids: Mapping[int, ResourceValueGrid] | None = None,
-                relaxed: bool = False, eps: float = 0.0, solver=None,
+                relaxed: bool = False, eps: float = 0.0, solver="auto",
                 grid_size: int = 10_000, workers: int = 1) -> MonteCarloReport:
     """Independent replications with seed streams indexed by replication.
 
@@ -241,7 +241,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
     return MonteCarloReport(policy, mean, half, reps, rewards)
 
 
-def hindsight_bound(inst: Instance, path: SamplePath, solver=None) -> float:
+def hindsight_bound(inst: Instance, path: SamplePath, solver="auto") -> float:
     """Fluid optimum recomputed with the path's realized arrival counts in
     place of the expected counts; a per-path planning benchmark."""
     types = tuple(

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .cdlp import (
-    BruteForceSolver,
     SubproblemResult,
     _screened_subsets,
     assortment_subproblem_bruteforce,
@@ -178,7 +177,7 @@ def suite_cdlp(instances: int = 50, sort_cases: int = 200,
 
     worst_gap, bad = 0.0, []
     for i, (inst, oracle) in enumerate(zip(insts, oracles)):
-        sol = solve_cdlp(inst, 0.0, BruteForceSolver())
+        sol = solve_cdlp(inst, 0.0, "bruteforce")
         gap = abs(sol.objective - oracle.objective) / (1.0 + abs(oracle.objective))
         worst_gap = max(worst_gap, gap)
         if gap > 1e-6:

@@ -1,3 +1,4 @@
+import math
 from itertools import chain, combinations
 
 import numpy as np
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicealloc import (
+    SOLVERS,
     AttractionChoiceModel,
-    BruteForceSolver,
+    AutoExactSolver,
     CustomerType,
     Instance,
-    LocalSearchSolver,
     MixtureChoiceModel,
     Product,
     RateCurve,
@@ -24,10 +25,10 @@ from choicealloc import (
     dual_bound,
     expected_revenue,
     master_columns,
+    products_of_resource,
     random_instance,
     solve_cdlp,
     solve_cdlp_enumeration,
-    static_selection_probs,
 )
 from choicealloc import cdlp, choice
 from choicealloc.lp import LinearProgram
@@ -165,7 +166,7 @@ def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
 
     monkeypatch.setattr(cdlp, "master_columns", columns_spy)
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
-    sol = solve_cdlp(inst, 0.0, BruteForceSolver())
+    sol = solve_cdlp(inst, 0.0, "bruteforce")
     monkeypatch.undo()
     assert len(solved) == sol.iterations > 1
     for H, prog in solved:
@@ -433,7 +434,7 @@ def test_solve_cdlp_matches_enumeration_on_random_instances():
     for seed in range(12):
         inst = random_instance(seed, max_products=6, model_kinds=("attraction", "mixture", "table"))
         enum = solve_cdlp_enumeration(inst)
-        cg = solve_cdlp(inst, 0.0, BruteForceSolver())
+        cg = solve_cdlp(inst, 0.0, "bruteforce")
         assert cg.objective == pytest.approx(enum.objective, rel=1e-6, abs=1e-9)
         assert cg.certified
 
@@ -449,7 +450,7 @@ def test_solution_support_and_feasibility_bounds():
             assert v >= 0
             per_type[k] += v
         assert all(v <= 1 + 1e-8 for v in per_type.values())
-        s_star, demand = static_selection_probs(sol, inst)
+        s_star, demand = sol.s_star, sol.expected_demand(inst)
         for j, r in enumerate(inst.resources):
             assert demand[j] <= r.capacity + 1e-8
         for k in range(1, K + 1):
@@ -508,12 +509,11 @@ def test_selection_probs_and_initial_columns_equal_per_product_loop(inst):
         _reference_initial_columns(inst).items())
 
 
-def test_static_selection_probs_hand_example():
+def test_expected_demand_hand_example():
     inst = unit_instance(2.0)
     sol = solve_cdlp(inst)
-    s_star, demand = static_selection_probs(sol, inst)
-    assert s_star[(1, 1)] == pytest.approx(0.5)
-    assert demand[0] == pytest.approx(1.0)
+    assert sol.s_star[(1, 1)] == pytest.approx(0.5)
+    assert sol.expected_demand(inst)[0] == pytest.approx(1.0)
 
 
 def test_dual_bound_equals_objective_on_exact_solve():
@@ -526,7 +526,7 @@ def test_dual_bound_equals_objective_on_exact_solve():
 def test_eps_solver_guarantee_precondition():
     inst = unit_instance(2.0)
     with pytest.raises(ValueError):
-        solve_cdlp(inst, 0.0, LocalSearchSolver(guarantee=0.9))
+        solve_cdlp(inst, 0.0, "localsearch")
     with pytest.raises(ValueError):
         solve_cdlp(inst, 0.05, DegradedSolver(0.5))  # 0.5 < 1/1.05
 
@@ -545,7 +545,7 @@ def test_localsearch_solver_allowed_with_matching_eps():
     # guarantee 0.9 certifies eps = (1 - 0.9)/0.9; anything looser works too.
     inst = random_instance(2, max_products=5, model_kinds=("attraction", "mixture"))
     enum = solve_cdlp_enumeration(inst)
-    sol = solve_cdlp(inst, 0.2, LocalSearchSolver(restarts=4, guarantee=0.9))
+    sol = solve_cdlp(inst, 0.2, "localsearch")
     assert sol.certified
     assert sol.objective >= (1 - 0.2) * enum.objective - 1e-9
 
@@ -583,3 +583,74 @@ def test_reward_override_enters_objective():
                       reward_override={1: 2.0}),),
     )
     assert solve_cdlp(boosted).objective == pytest.approx(2.0 * solve_cdlp(base).objective)
+
+
+# ------------------------------------------------------------ registry
+
+
+def _reference_expected_demand(sol, inst):
+    """The demand half of the former static_selection_probs, from s_star
+    recomputed off the plan."""
+    s_star = _reference_selection_probs(inst, sol.active, sol.x)
+    return tuple(
+        math.fsum(inst.arrival_mass(k) * s_star.get((k, n), 0.0)
+                  for k in range(1, inst.num_types + 1)
+                  for n in products_of_resource(inst, j))
+        for j in range(1, inst.num_resources + 1)
+    )
+
+
+@pytest.mark.parametrize("inst", [
+    _scaling_base_instance(),
+    random_instance(7),
+    random_instance(3, max_products=5, model_kinds=("table",)),
+], ids=["mnl", "random7", "table3"])
+def test_expected_demand_equals_reference(inst):
+    sol = solve_cdlp(inst)
+    assert sol.expected_demand(inst) == _reference_expected_demand(sol, inst)
+
+
+def test_registry_names_and_guarantees():
+    assert sorted(SOLVERS) == ["auto", "bruteforce", "localsearch", "sort"]
+    assert {name: fn.guarantee for name, fn in SOLVERS.items()} == {
+        "auto": 1.0, "sort": 1.0, "bruteforce": 1.0, "localsearch": 0.9}
+
+
+def test_unknown_solver_name_lists_the_registry():
+    with pytest.raises(ValueError, match="auto, bruteforce, localsearch, sort"):
+        solve_cdlp(unit_instance(1.0), 0.0, "greedy")
+
+
+def test_solvers_by_name_match_their_functions():
+    inst = random_instance(2, max_products=5, model_kinds=("attraction",))
+    price = {n: inst.reward(1, n) - 0.3 for n in range(1, inst.num_products + 1)}
+    model = inst.ctype(1).choice
+    assert SOLVERS["sort"](model, price) == assortment_subproblem_sort(model, price)
+    assert SOLVERS["auto"](model, price) == assortment_subproblem_sort(model, price)
+    assert SOLVERS["bruteforce"](model, price) == assortment_subproblem_bruteforce(model, price, 20)
+    assert SOLVERS["localsearch"](model, price) == assortment_subproblem_localsearch(
+        model, price, restarts=8, seed=0, guarantee=0.9)
+    assert AutoExactSolver()(model, price) == SOLVERS["auto"](model, price)
+    assert AutoExactSolver.guarantee == 1.0
+
+
+def test_auto_sends_mixtures_to_bruteforce():
+    # a one-segment mixture is an attraction model in disguise, but sort
+    # could break its ties differently, so it stays on the brute force
+    one = MixtureChoiceModel(((1.0, mnl(1.0, 1.0, 1.0)),))
+    price = {1: 1.0, 2: 1.0, 3: 1.0}
+    assert SOLVERS["auto"](one, price) == assortment_subproblem_bruteforce(one, price)
+    with pytest.raises(ValueError, match="attraction-form"):
+        SOLVERS["sort"](one, price)
+
+
+def test_plain_callable_solver_without_guarantee():
+    inst = random_instance(7)
+    calls = []
+
+    def solver(model, price):
+        calls.append(model)
+        return SOLVERS["auto"](model, price)
+
+    assert solve_cdlp(inst, 0.0, solver) == solve_cdlp(inst)
+    assert calls

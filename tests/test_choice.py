@@ -12,6 +12,7 @@ from choicealloc import (
     choice_probability,
     expected_revenue,
     prune_nonpositive,
+    random_instance,
     sample_choice,
 )
 
@@ -175,3 +176,55 @@ def test_constructor_rejects_bad_weights():
         AttractionChoiceModel((0.0, 0.0), (1.0,))
     with pytest.raises(ValueError):
         MixtureChoiceModel(((0.5, mnl(1.0)),))
+
+
+# ------------------------------------------------------------ protocol
+
+
+def _reference_choice_weight_on(model, n):
+    """model._choice_weight_on as it was before the models answered
+    ``selectable`` themselves."""
+    if isinstance(model, AttractionChoiceModel):
+        return n <= model.num_products and model.mu[n - 1] + model.nu[n - 1] > 0.0
+    if isinstance(model, MixtureChoiceModel):
+        return any(_reference_choice_weight_on(seg, n) for _, seg in model.segments)
+    if isinstance(model, TabulatedChoiceModel):
+        return any(entry.get(n, 0.0) > 0.0 for entry in model.table.values())
+    return False
+
+
+def _drawn_models(seeds=range(12)):
+    for seed in seeds:
+        inst = random_instance(seed, max_products=5,
+                               model_kinds=("attraction", "mixture", "table"))
+        for ct in inst.types:
+            yield ct.choice
+
+
+def test_to_doc_from_doc_roundtrip():
+    models = list(_drawn_models())
+    assert {m.kind for m in models} == {"attraction", "mixture", "table"}
+    for model in models:
+        again = type(model).from_doc(model.to_doc())
+        if isinstance(model, TabulatedChoiceModel):
+            assert again.table == model.table
+            assert again.num_products == model.num_products
+        else:
+            assert again == model
+
+
+def test_selectable_matches_reference():
+    zeros = AttractionChoiceModel((0.0, 0.3), (0.0, 0.0))
+    sparse = TabulatedChoiceModel({frozenset({1, 2}): {1: 0.4, 2: 0.0}}, num_products=3)
+    models = [zeros, sparse, MixtureChoiceModel(((0.5, zeros), (0.5, mnl(0.0, 0.0))))]
+    for model in models + list(_drawn_models()):
+        for n in range(1, model.num_products + 2):
+            assert model.selectable(n) == _reference_choice_weight_on(model, n)
+
+
+def test_attraction_weights_only_for_plain_attraction_models():
+    model = AttractionChoiceModel((0.5, 0.0), (1.0, 2.0))
+    weight, nu, base = model.attraction()
+    assert weight == (1.5, 2.0) and nu == (1.0, 2.0) and base == model.base_weight
+    assert MixtureChoiceModel(((1.0, model),)).attraction() is None
+    assert TabulatedChoiceModel({frozenset({1}): {1: 1.0}}).attraction() is None

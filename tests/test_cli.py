@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from choicealloc import random_instance
+from choicealloc import SOLVERS, TabulatedChoiceModel, random_instance
 from choicealloc.cli import dump_instance, load_instance, main
 from choicealloc.verify import SUITES
 
@@ -50,6 +50,22 @@ def test_validate_invariant_violation(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", "--instance", str(path)]) == 1
     assert "dangling resource" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path,value", [
+    (("types", 0, "choice", "entries", 0, "p"), [1.0]),
+    (("types", 0, "reward_override"), [0.8]),
+], ids=["table-p-list", "override-list"])
+def test_validate_non_object_field_is_a_parse_error(path, value, tmp_path, capsys):
+    doc = json.loads(json.dumps(GOOD))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(bad)]) == 2
+    assert "parse error" in capsys.readouterr().out
 
 
 def test_cdlp_command_objective(good_path, capsys, tmp_path):
@@ -167,6 +183,36 @@ def test_spike_smoke(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("sharpness", ["1,x", "0.5", "inf"])
+def test_spike_rejects_bad_sharpness(sharpness, capsys):
+    assert main(["spike", "--sharpness", sharpness, "--reps", "10", "--seed", "1"]) == 1
+    assert "error: bad --sharpness value" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["cdlp", "simulate"])
+@pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_solver_on_every_model_kind_exits_cleanly(solver, kind, command,
+                                                        tmp_path, capsys):
+    # a solver that cannot handle the model (sort on a mixture or table) is
+    # a domain error, and so is opr on a table that is not removal-monotone
+    path = tmp_path / f"{kind}.json"
+    dump_instance(random_instance(4, max_products=4, model_kinds=(kind,)), path)
+    argv = [command, "--instance", str(path), "--solver", solver]
+    if solver == "localsearch":
+        argv += ["--eps", "0.2"]  # within its declared guarantee of 0.9
+    if command == "simulate":
+        argv += ["--reps", "20", "--seed", "1", "--grid", "200", "--out", str(tmp_path / "run")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 3)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert "error: " in out
+    if solver == "sort" and kind != "attraction":
+        assert code == 1 and "sort solver requires an attraction-form model" in out
+
+
 def test_dump_and_load_roundtrip(tmp_path):
     for seed in (0, 5):
         inst = random_instance(seed, model_kinds=("attraction", "mixture", "table"))
@@ -179,6 +225,11 @@ def test_dump_and_load_roundtrip(tmp_path):
             assert a.rate == b.rate
             assert a.reward_override == b.reward_override
             assert type(a.choice) is type(b.choice)
+            if isinstance(b.choice, TabulatedChoiceModel):
+                assert a.choice.table == b.choice.table
+                assert a.choice.num_products == b.choice.num_products
+            else:
+                assert a.choice == b.choice
 
 
 def test_grid_dump(good_path, tmp_path):

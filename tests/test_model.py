@@ -182,3 +182,12 @@ def test_reward_override_is_operative():
     )
     assert inst.reward(1, 1) == 0.25
     assert inst.product(1).reward == 1.0
+
+
+def test_validate_reports_unrecognized_choice_model():
+    base = unit_instance()
+    inst = Instance(base.resources, base.products,
+                    (CustomerType(1, RateCurve.constant(1.0), object()),))
+    report = validate_instance(inst)
+    assert not report.ok
+    assert report.errors == ("type 1: unrecognized choice model object",)

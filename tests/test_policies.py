@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,12 +9,16 @@ from choicealloc import (
     AttractionChoiceModel,
     CustomerType,
     Instance,
+    MixtureChoiceModel,
     PolicyState,
     Product,
     RateCurve,
     Resource,
     TabulatedChoiceModel,
     apply_purchase,
+    assortment_subproblem_bruteforce,
+    assortment_subproblem_localsearch,
+    assortment_subproblem_sort,
     build_value_grids,
     choice_probability,
     expected_revenue,
@@ -26,7 +32,9 @@ from choicealloc import (
     random_instance,
     solve_cdlp,
 )
+from choicealloc import policies
 from choicealloc.cdlp import CdlpSolution
+from choicealloc.valuefn import _interp
 
 
 def mnl(*nu):
@@ -279,3 +287,94 @@ def test_decisions_reject_grids_that_do_not_cover_the_instance():
     threshold = marginal_value(small[1], 2, 0.0).value
     assert pr_accept(PolicyState((2,), 0.0), 1, small, inst, 1) == (1.0 >= threshold)
     assert not pr_accept(PolicyState((0,), 0.0), 1, {}, inst, 1)
+
+
+# ------------------------------------------------- opr solver dispatch
+
+
+def _reference_opr_decision(t, inventory, now, k, n_max=20, restarts=4):
+    """policies._opr_decision as it was, picking its subproblem solver by
+    model class on every arrival."""
+    if not t.prunable[k]:
+        raise ValueError("not removal-monotone")
+    model = t.models[k]
+    value_of_unit = [_interp(m, c - 1, now) if c > 0 else 0.0
+                     for m, c in zip(t.marginals, inventory)]
+    prices = {}
+    for n in range(1, len(t.rewards[k])):
+        l = t.resource_of[n]
+        if inventory[l] > 0 and now < t.expiry[l]:
+            prices[n] = t.rewards[k][n] - value_of_unit[l]
+    if not prices:
+        return frozenset(), 0.0
+    if isinstance(model, AttractionChoiceModel):
+        best = assortment_subproblem_sort(model, prices)
+    elif len(prices) <= n_max:
+        best = assortment_subproblem_bruteforce(model, prices, n_max)
+    else:
+        best = assortment_subproblem_localsearch(model, prices, restarts=restarts, seed=0)
+    offer, value = best.assortment, best.value
+    for _, S in t.offers[k]:
+        pruned = prune_nonpositive(S.intersection(prices), prices)
+        v = expected_revenue(model, pruned, prices) if pruned else 0.0
+        if v > value:
+            offer, value = pruned, v
+    return offer, value
+
+
+def _tabulated_mnl(model, N):
+    """A probability table holding every assortment's MNL probabilities;
+    removal-monotone like the MNL it copies."""
+    return TabulatedChoiceModel({
+        frozenset(S): {n: choice_probability(model, n, S) for n in S}
+        for r in range(1, N + 1) for S in combinations(range(1, N + 1), r)
+    }, num_products=N)
+
+
+def _table_instance(seed):
+    inst = random_instance(seed, max_resources=2, max_products=5, max_types=2,
+                           model_kinds=("attraction",))
+    types = tuple(replace(ct, choice=_tabulated_mnl(ct.choice, inst.num_products))
+                  for ct in inst.types)
+    return replace(inst, types=types)
+
+
+@pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
+def test_opr_offers_equal_class_dispatch(kind):
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        if kind == "table":
+            inst = _table_instance(seed)
+        else:
+            inst = random_instance(seed, max_resources=2, max_products=5, max_types=2,
+                                   model_kinds=(kind,))
+        sol = solve_cdlp(inst)
+        grids = build_value_grids(inst, sol.s_star, 800)
+        tables = policies._Tables(inst, sol, grids)
+        assert all(tables.prunable.values())
+        for _ in range(20):
+            inventory = [int(rng.integers(0, r.capacity + 1)) for r in inst.resources]
+            now = float(rng.uniform(0.0, 1.0))
+            for k in range(1, inst.num_types + 1):
+                assert policies._opr_decision(tables, inventory, now, k) == \
+                    _reference_opr_decision(tables, inventory, now, k)
+
+
+def test_opr_searches_locally_past_the_bruteforce_cap():
+    N = policies._OPR_N_MAX + 1
+    rng = np.random.default_rng(3)
+    mix = MixtureChoiceModel(tuple(
+        (0.5, AttractionChoiceModel((0.0,) * N, tuple(rng.uniform(0.2, 1.6, N))))
+        for _ in range(2)
+    ))
+    inst = Instance(
+        (Resource(1, 2),),
+        tuple(Product(n, 1, float(rng.uniform(0.2, 2.0))) for n in range(1, N + 1)),
+        (CustomerType(1, RateCurve.constant(1.0), mix),),
+    )
+    sol = plan_stub({1: ()}, {})
+    grids = build_value_grids(inst, {}, 200)
+    tables = policies._Tables(inst, sol, grids)
+    got = policies._opr_decision(tables, [2], 0.3, 1)
+    assert got == _reference_opr_decision(tables, [2], 0.3, 1)
+    assert got[0]
