@@ -49,6 +49,8 @@ __all__ = [
 
 REDUCED_COST_TOL = 1e-9
 SUPPORT_TOL = 1e-9
+_BRUTEFORCE_CAP = 20  # priced products; opr searches locally above it
+_ENUMERATION_CAP = 12  # products of solve_cdlp_enumeration
 
 
 class CdlpError(RuntimeError):
@@ -112,11 +114,16 @@ def master_columns(H: Mapping[int, Sequence[frozenset[int]]]) -> list[tuple[int,
     return [(k, S) for k in sorted(H) for S in H[k]]
 
 
-def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> LinearProgram:
-    """Restricted master LP over the assortment collections ``H``."""
+def _require_valid(inst: Instance) -> None:
+    """Raise ``ValueError`` listing every violation of an invalid instance."""
     report = validate_instance(inst)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(report.errors))
+
+
+def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> LinearProgram:
+    """Restricted master LP over the assortment collections ``H``."""
+    _require_valid(inst)
     return _master_lp(inst, master_columns(H))
 
 
@@ -238,8 +245,8 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
     )
 
 
-def assortment_subproblem_bruteforce(model: ChoiceModel, price: Mapping[int, float],
-                                     n_max: int = 20) -> SubproblemResult:
+def assortment_subproblem_bruteforce(model: ChoiceModel,
+                                     price: Mapping[int, float]) -> SubproblemResult:
     """Exhaustive subproblem solver over all subsets of the priced products.
 
     Ties resolve to the lexicographically smallest product set.  Intended as
@@ -259,8 +266,8 @@ def assortment_subproblem_bruteforce(model: ChoiceModel, price: Mapping[int, flo
     directly; so does a kernel result that overflows.
     """
     ids = sorted(price)
-    if len(ids) > n_max:
-        raise ValueError(f"brute force capped at {n_max} products, got {len(ids)}")
+    if len(ids) > _BRUTEFORCE_CAP:
+        raise ValueError(f"brute force capped at {_BRUTEFORCE_CAP} products, got {len(ids)}")
     _as_assortment(ids)
     best_value, best_set = 0.0, frozenset()
     for tup in _screened_subsets(model, ids, price):
@@ -274,13 +281,12 @@ def assortment_subproblem_bruteforce(model: ChoiceModel, price: Mapping[int, flo
 
 
 def assortment_subproblem_localsearch(model: ChoiceModel, price: Mapping[int, float],
-                                      restarts: int = 8, seed: int = 0,
-                                      guarantee: float = 0.9) -> SubproblemResult:
+                                      restarts: int = 8, seed: int = 0) -> SubproblemResult:
     """Add/drop/swap local search with random restarts.
 
-    The reported ``guarantee`` is a configured pessimistic factor, validated
-    empirically against the brute-force oracle rather than proven; callers
-    requiring certified optimality must use an exact solver.
+    Results carry the function's declared ``guarantee`` (0.9), a pessimistic
+    factor validated empirically against the brute-force oracle rather than
+    proven; callers requiring certified optimality must use an exact solver.
     """
     ids = sorted(price)
     value_of = lambda S: expected_revenue(model, S, price) if S else 0.0
@@ -317,7 +323,7 @@ def assortment_subproblem_localsearch(model: ChoiceModel, price: Mapping[int, fl
         v, T = ascend(S)
         if v > best_value or (v == best_value and tuple(sorted(T)) < tuple(sorted(best_set))):
             best_value, best_set = v, T
-    return SubproblemResult(best_set, best_value, float(guarantee))
+    return SubproblemResult(best_set, best_value, assortment_subproblem_localsearch.guarantee)
 
 
 def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
@@ -328,7 +334,7 @@ def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
     return assortment_subproblem_bruteforce(model, price)
 
 
-# the guarantee factor each solver's results carry (localsearch: its default)
+# the guarantee factor each solver's results carry
 _auto.guarantee = 1.0
 assortment_subproblem_sort.guarantee = 1.0
 assortment_subproblem_bruteforce.guarantee = 1.0
@@ -432,9 +438,7 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     coefficients are computed once and reused by every later master; each
     master equals ``build_master`` on the iteration's columns.
     """
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError("invalid instance: " + "; ".join(report.errors))
+    _require_valid(inst)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if isinstance(solver, str):
@@ -499,18 +503,16 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     return _extract_solution(inst, cols, lp_sol, eps, certified, iterations, tuple(trace))
 
 
-def solve_cdlp_enumeration(inst: Instance, n_max: int = 12) -> CdlpSolution:
+def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
     """Exact fluid plan by enumerating every assortment for every type.
 
-    Exponential in the product count; used as the independent oracle for
-    the column-generation path.
+    Exponential in the product count, so capped at ``_ENUMERATION_CAP`` (12)
+    products; used as the independent oracle for the column-generation path.
     """
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError("invalid instance: " + "; ".join(report.errors))
+    _require_valid(inst)
     N = inst.num_products
-    if N > n_max:
-        raise ValueError(f"enumeration capped at {n_max} products, got {N}")
+    if N > _ENUMERATION_CAP:
+        raise ValueError(f"enumeration capped at {_ENUMERATION_CAP} products, got {N}")
     subsets = [frozenset(t) for t in _lex_subsets(range(1, N + 1))]
     cols = master_columns({k: subsets for k in range(1, inst.num_types + 1)})
     lp_sol = solve_lp(_master_lp(inst, cols))

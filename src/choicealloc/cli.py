@@ -44,11 +44,10 @@ from .model import (
     scale_instance,
     validate_instance,
 )
-from .generators import spike_instance
 from .policies import POLICY_NAMES
 from .sim import estimate_ratio, generate_arrivals, monte_carlo, run_policy
-from .valuefn import build_value_grids
-from .verify import SUITES, run_suite
+from .valuefn import MIN_GRID, build_value_grids
+from .verify import SUITES, _spike_sweep, run_suite
 
 __all__ = ["main", "load_instance", "dump_instance", "InstanceFormatError"]
 
@@ -79,6 +78,12 @@ def _parse_choice(doc) -> ChoiceModel:
         raise InstanceFormatError(f"bad {kind!r} choice document: {exc}") from exc
 
 
+def _capacity(value):
+    """``int(value)``, except a float that is no integer (NaN, infinite or
+    fractional), which is left for ``validate_instance`` to report."""
+    return value if isinstance(value, float) and not value.is_integer() else int(value)
+
+
 def load_instance(path) -> Instance:
     """Parse an instance file; raises InstanceFormatError on anything that
     prevents construction (semantic checks are validate_instance's job)."""
@@ -95,7 +100,7 @@ def load_instance(path) -> Instance:
             raise InstanceFormatError(f"missing or non-array field {key!r}")
     try:
         resources = tuple(
-            Resource(i, int(r["capacity"]), float(r.get("expiry", 1.0)))
+            Resource(i, _capacity(r["capacity"]), float(r.get("expiry", 1.0)))
             for i, r in enumerate(doc["resources"], start=1)
         )
         products = tuple(
@@ -286,13 +291,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    overrides = {}
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.instances is not None:
-        overrides["instances"] = args.instances
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {name: getattr(args, name) for name in ("reps", "instances", "seed")
+                 if getattr(args, name) is not None}
     rejected = sorted(set(overrides) - set(inspect.signature(SUITES[args.suite]).parameters))
     if rejected:
         print(f"error: suite {args.suite!r} does not accept --{', --'.join(rejected)}")
@@ -309,21 +309,16 @@ def cmd_verify(args) -> int:
 
 def cmd_spike(args) -> int:
     try:
-        sweep = [(float(s), spike_instance(float(s))) for s in args.sharpness.split(",")]
+        sweep = _spike_sweep([float(s) for s in args.sharpness.split(",")],
+                             args.reps, args.seed, args.grid, args.workers)
     except ValueError as exc:
         print(f"error: bad --sharpness value: {exc}")
         return EXIT_INVARIANT
     rows = []
-    for s, inst in sweep:
-        sol = solve_cdlp(inst)
-        grids = build_value_grids(inst, sol.s_star, args.grid)
-        run = monte_carlo(inst, "opr", args.reps, args.seed * 17 + int(s),
-                          sol=sol, grids=grids, workers=args.workers)
-        ratio, hw = estimate_ratio(run, sol.objective)
-        rows.append((s, "opr", args.reps, run.mean, run.half_width,
-                     sol.objective, ratio, args.seed))
+    for s, run, plan, ratio, hw in sweep:
+        rows.append((s, "opr", args.reps, run.mean, run.half_width, plan, ratio, args.seed))
         print(f"sharpness {s:g}: ratio {ratio:.4f} ± {hw:.4f} "
-              f"(mean {run.mean:.4f}, plan {sol.objective:.4f})")
+              f"(mean {run.mean:.4f}, plan {plan:.4f})")
     if args.out:
         _write_csv(Path(args.out) / "spike.csv",
                    ("sharpness", "policy", "M", "mean", "ci_half_width",
@@ -386,6 +381,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_spike)
 
     args = parser.parse_args(argv)
+    # a confidence interval needs two replications, a value surface MIN_GRID steps
+    for flag, low in (("reps", 2), ("grid", MIN_GRID), ("instances", 1)):
+        if (value := getattr(args, flag, None)) is not None and value < low:
+            parser.error(f"argument --{flag}: must be at least {low}")
     return args.func(args)
 
 

@@ -50,19 +50,18 @@ def _random_table(rng: np.random.Generator, N: int) -> TabulatedChoiceModel:
 
 def random_instance(seed: int, *, max_resources: int = 3, max_products: int = 6,
                     max_types: int = 3, model_kinds=("attraction", "mixture"),
-                    capacity_range=(1, 3), reward_range=(0.2, 2.0),
-                    mass_range=(0.4, 1.6), override_prob: float = 0.25) -> Instance:
+                    capacity_range=(1, 3), mass_range=(0.4, 1.6)) -> Instance:
     """Random instance family used across the experiment suites.
 
     Ranges: ``max_resources`` resources with integer capacities drawn from
     ``capacity_range``; up to ``max_products`` products, each on a uniform
-    random resource with reward drawn from ``reward_range``; up to
+    random resource with reward uniform in [0.2, 2.0); up to
     ``max_types`` customer types with 1-3-segment rate curves of total mass
     drawn from ``mass_range`` and a choice model drawn from ``model_kinds``
     ("attraction" = MNL or general attraction, "mixture" = 2-3 MNL
     segments, "table" = fully enumerated random probability table).  With
-    probability ``override_prob`` a type carries a reward override for one
-    product (uniform factor in [0.5, 1.5] of the base reward).
+    probability 1/4 a type carries a reward override for one product
+    (uniform factor in [0.5, 1.5] of the base reward).
     """
     rng = np.random.default_rng(seed)
     L = int(rng.integers(1, max_resources + 1))
@@ -74,7 +73,7 @@ def random_instance(seed: int, *, max_resources: int = 3, max_products: int = 6,
         for l in range(1, L + 1)
     )
     products = tuple(
-        Product(n, int(rng.integers(1, L + 1)), float(rng.uniform(*reward_range)))
+        Product(n, int(rng.integers(1, L + 1)), float(rng.uniform(0.2, 2.0)))
         for n in range(1, N + 1)
     )
 
@@ -95,7 +94,7 @@ def random_instance(seed: int, *, max_resources: int = 3, max_products: int = 6,
         else:
             raise ValueError(f"unknown model kind {kind!r}")
         override = None
-        if rng.random() < override_prob:
+        if rng.random() < 0.25:
             n = int(rng.integers(1, N + 1))
             override = {n: float(products[n - 1].reward * rng.uniform(0.5, 1.5))}
         types.append(CustomerType(
@@ -107,19 +106,18 @@ def random_instance(seed: int, *, max_resources: int = 3, max_products: int = 6,
     return Instance(resources, products, tuple(types))
 
 
-def spike_instance(sharpness: float, *, background_mass: float = 3.0,
-                   attention: float = 9.0) -> Instance:
+def spike_instance(sharpness: float) -> Instance:
     """Single-unit instance with a late burst of scarce high-reward demand.
 
-    A background type wants a reward-1 product throughout the horizon; a
-    burst type wants a reward-``sharpness`` product but arrives only in the
-    final window of width 1/sharpness, with expected count 1/sharpness, so
-    its expected contribution stays near 1 at every sharpness.  An online
+    A background type (expected count 3) wants a reward-1 product all
+    along; a burst type wants a reward-``sharpness`` product but arrives
+    only in the final window of width 1/sharpness, with expected count
+    1/sharpness, so its expected contribution stays near 1.  An online
     controller must commit the single unit before learning whether the
     burst materializes, while the fluid benchmark keeps collecting both
     revenues; the value ratio therefore degrades as the burst sharpens.
-    ``attention`` sets each type's MNL weight on its product (selection
-    probability attention/(attention+1) for a singleton offer).
+    Each type's MNL weight on its product is 9 (selection probability 0.9
+    for a singleton offer).
     """
     if not 1 <= sharpness < math.inf:
         raise ValueError(f"sharpness must be finite and at least 1, got {sharpness!r}")
@@ -131,9 +129,9 @@ def spike_instance(sharpness: float, *, background_mass: float = 3.0,
     else:
         burst = RateCurve((0.0, 1.0 - 1.0 / s, 1.0), (0.0, 1.0))
     types = (
-        CustomerType(1, RateCurve.constant(background_mass),
-                     AttractionChoiceModel((0.0, 0.0), (attention, 0.0))),
+        CustomerType(1, RateCurve.constant(3.0),
+                     AttractionChoiceModel((0.0, 0.0), (9.0, 0.0))),
         CustomerType(2, burst,
-                     AttractionChoiceModel((0.0, 0.0), (0.0, attention))),
+                     AttractionChoiceModel((0.0, 0.0), (0.0, 9.0))),
     )
     return Instance(resources, products, types)

@@ -186,14 +186,16 @@ def products_of_resource(inst: Instance, l: int) -> frozenset[int]:
 
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check structural invariants; failures are reported, never raised.
-    An object without a ``coverage_error`` is no recognized choice model."""
+    A NaN or infinite number is a violation.  An object without a
+    ``coverage_error`` is no recognized choice model."""
     errors: list[str] = []
     warnings: list[str] = []
 
     for pos, res in enumerate(inst.resources, start=1):
         if res.id != pos:
             errors.append(f"resource ids not dense: expected {pos}, found {res.id}")
-        if res.capacity < 0 or res.capacity != int(res.capacity):
+        # NaN fails ">= 0" and infinity % 1 is NaN
+        if not res.capacity >= 0 or res.capacity % 1 != 0:
             errors.append(f"resource {pos}: capacity must be a nonnegative integer")
         if not 0.0 < res.expiry <= 1.0:
             errors.append(f"resource {pos}: expiry must lie in (0, 1]")
@@ -203,25 +205,25 @@ def validate_instance(inst: Instance) -> ValidationReport:
             errors.append(f"product ids not dense: expected {pos}, found {prod.id}")
         if not 1 <= prod.resource <= inst.num_resources:
             errors.append(f"product {pos}: dangling resource reference {prod.resource}")
-        if prod.reward < 0:
-            errors.append(f"product {pos}: negative reward")
+        if not 0.0 <= prod.reward < math.inf:
+            errors.append(f"product {pos}: non-finite or negative reward")
 
     for pos, ct in enumerate(inst.types, start=1):
         if ct.id != pos:
             errors.append(f"type ids not dense: expected {pos}, found {ct.id}")
         bp = ct.rate.breakpoints
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if any(not b1 < b2 for b1, b2 in zip(bp, bp[1:])):  # NaN is unordered
             errors.append(f"type {pos}: non-monotone breakpoints")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             errors.append(f"type {pos}: rate curve must span [0, 1]")
-        if any(r < 0 for r in ct.rate.rates):
-            errors.append(f"type {pos}: negative rate")
+        if not all(0.0 <= r < math.inf for r in ct.rate.rates):
+            errors.append(f"type {pos}: non-finite or negative rate")
         if ct.reward_override:
             for n, r in ct.reward_override.items():
                 if not 1 <= n <= inst.num_products:
                     errors.append(f"type {pos}: reward override for unknown product {n}")
-                elif r < 0:
-                    errors.append(f"type {pos}: negative reward override for product {n}")
+                elif not 0.0 <= r < math.inf:
+                    errors.append(f"type {pos}: non-finite or negative override for product {n}")
 
         coverage_error = getattr(ct.choice, "coverage_error", None)
         if coverage_error is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .cdlp import SOLVERS, CdlpSolution, assortment_subproblem_localsearch
+from .cdlp import _BRUTEFORCE_CAP, SOLVERS, CdlpSolution, assortment_subproblem_localsearch
 from .choice import ChoiceModel, _prune_nonpositive, _revenue
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
@@ -44,9 +44,6 @@ POLICY_NAMES = ("fcfs", "pr", "opr")
 
 _EMPTY: frozenset[int] = frozenset()
 _DIST_MEMO = 1024
-# opr re-optimizes exactly by brute force up to this many priced products of
-# a model without attraction weights, and by local search beyond
-_OPR_N_MAX = 20
 _OPR_RESTARTS = 4
 
 
@@ -107,7 +104,7 @@ class _Tables:
     __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models",
                  "rewards", "offers", "prunable", "solvers", "_dists")
 
-    def __init__(self, inst: Instance, sol: CdlpSolution | None = None,
+    def __init__(self, inst: Instance, sol: CdlpSolution,
                  grids: Mapping[int, ResourceValueGrid] | None = None):
         self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
         self.expiry = [r.expiry for r in inst.resources]
@@ -128,7 +125,7 @@ class _Tables:
             self.models[k] = model
             self._dists[k] = {}
             self.rewards[k] = [0.0] + [inst.reward(k, n) for n in range(1, inst.num_products + 1)]
-            self.offers[k] = _offer_cdf(sol, k) if sol is not None else []
+            self.offers[k] = _offer_cdf(sol, k)
             # opr prunes nonpositive-price products, which only removal-
             # monotone choice models guarantee cannot lower the revenue
             self.prunable[k] = model.is_removal_monotone
@@ -148,9 +145,9 @@ class _Tables:
 
 
 def _bruteforce_or_search(model: ChoiceModel, prices: Mapping[int, float]):
-    """Exact brute force up to ``_OPR_N_MAX`` priced products, local search
-    beyond."""
-    if len(prices) <= _OPR_N_MAX:
+    """Exact brute force up to ``cdlp._BRUTEFORCE_CAP`` priced products,
+    local search beyond."""
+    if len(prices) <= _BRUTEFORCE_CAP:
         return SOLVERS["bruteforce"](model, prices)
     return assortment_subproblem_localsearch(model, prices, restarts=_OPR_RESTARTS, seed=0)
 
@@ -251,7 +248,7 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     Products are priced at reward minus the marginal value of their
     resource; products that cannot be sold are excluded outright.  The
     optimizer (exact sort for attraction models, brute force up to
-    ``_OPR_N_MAX`` products, local search beyond) is compared against a
+    ``cdlp._BRUTEFORCE_CAP`` products, local search beyond) is compared against a
     fallback built from the plan's own assortments with nonpositive-price
     products pruned, and the better of the two is offered; the fallback
     guarantees the offer collects at least the marginal reward the static

@@ -29,7 +29,7 @@ from .cdlp import CdlpSolution, solve_cdlp
 from .choice import _sample
 from .model import Instance, RateCurve
 from .policies import POLICY_NAMES, _opr_decision, _pr_accepts, _sellable, _static_offer, _Tables
-from .valuefn import ResourceValueGrid, build_value_grids
+from .valuefn import ResourceValueGrid
 
 __all__ = [
     "ArrivalEvent",
@@ -199,22 +199,18 @@ def _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices):
 
 
 def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
-                sol: CdlpSolution | None = None,
+                sol: CdlpSolution,
                 grids: Mapping[int, ResourceValueGrid] | None = None,
-                relaxed: bool = False, eps: float = 0.0, solver="auto",
-                grid_size: int = 10_000, workers: int = 1) -> MonteCarloReport:
+                relaxed: bool = False, workers: int = 1) -> MonteCarloReport:
     """Independent replications with seed streams indexed by replication.
 
     Replication r draws its arrivals from seed (base_seed, r, 0) and its
     choice stream from (base_seed, r, 1); running several policies with the
     same base seed therefore pairs them path by path and draw by draw.
+    ``sol`` is the plan to follow; pr and opr also need its value ``grids``.
     """
     if reps < 2:
         raise ValueError("at least two replications required")
-    if sol is None:
-        sol = solve_cdlp(inst, eps, solver)
-    if grids is None and policy in ("pr", "opr"):
-        grids = build_value_grids(inst, sol.s_star, grid_size)
 
     indices = list(range(reps))
     if workers > 1:
@@ -241,15 +237,15 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
     return MonteCarloReport(policy, mean, half, reps, rewards)
 
 
-def hindsight_bound(inst: Instance, path: SamplePath, solver="auto") -> float:
-    """Fluid optimum recomputed with the path's realized arrival counts in
-    place of the expected counts; a per-path planning benchmark."""
+def hindsight_bound(inst: Instance, path: SamplePath) -> float:
+    """Exact fluid optimum with the path's realized arrival counts in place
+    of the expected counts; a per-path planning benchmark and upper bound."""
     types = tuple(
         dc_replace(ct, rate=RateCurve.constant(float(path.counts[i])))
         for i, ct in enumerate(inst.types)
     )
     realized = dc_replace(inst, types=types)
-    return solve_cdlp(realized, 0.0, solver).objective
+    return solve_cdlp(realized).objective
 
 
 def estimate_ratio(report: MonteCarloReport, benchmark: float) -> tuple[float, float]:

@@ -3,9 +3,9 @@
 Each suite re-derives its expected values from an independent oracle
 (closed forms, exhaustive enumeration, or paired Monte Carlo) and checks
 the corresponding guarantee of the planning/policy stack at a stated
-tolerance.  Suites are pure functions of their parameters, so reruns
-reproduce results exactly; the CLI's ``verify`` subcommand prints one line
-per check.
+tolerance.  Suites are pure functions of their parameters, which are only
+what the CLI's ``--instances/--reps/--seed`` set and the spike sweep's
+``sharpness``; reruns reproduce results exactly.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20240601
+_GRID_SIZE = 10_000  # value-surface steps of every suite (the CLI's --grid default)
+_HINDSIGHT_PATHS = 300  # most hindsight bounds per instance of the policy batch
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,11 @@ class DegradedSolver:
     threshold are scored exactly; every other subset scores below it.
     """
 
-    def __init__(self, gamma: float, n_max: int = 20):
+    def __init__(self, gamma: float):
         self.guarantee = float(gamma)
-        self.n_max = n_max
 
     def __call__(self, model, price):
-        exact = assortment_subproblem_bruteforce(model, price, self.n_max)
+        exact = assortment_subproblem_bruteforce(model, price)
         if exact.value <= 0.0:
             return SubproblemResult(frozenset(), 0.0, self.guarantee)
         threshold = self.guarantee * exact.value
@@ -101,12 +102,11 @@ def _poisson_partial_ratio(x: float) -> float:
     )
 
 
-def suite_inequality(step: float = 0.01, x_max: float = 50.0) -> list[CheckResult]:
+def suite_inequality() -> list[CheckResult]:
     """The partial-expectation inequality behind the 1/e service guarantee."""
-    n = int(round(x_max / step))
     worst_x, worst = None, math.inf
-    for i in range(1, n + 1):
-        x = i * step
+    for i in range(1, 5001):  # x = 0.01, 0.02, ..., 50
+        x = i * 0.01
         v = _poisson_partial_ratio(x)
         if v < worst:
             worst_x, worst = x, v
@@ -134,13 +134,13 @@ def _unit_demand_instance(lam: float, capacity: int) -> Instance:
     )
 
 
-def suite_hjb(grid_size: int = 10_000) -> list[CheckResult]:
+def suite_hjb() -> list[CheckResult]:
     """Value-surface accuracy against closed-form single-class solutions."""
     checks = []
     full_selection = {(1, 1): 1.0}
     for lam in (0.5, 1.0, 2.0):
         for cap in (1, 2):
-            grid = solve_resource_hjb(_unit_demand_instance(lam, cap), full_selection, 1, grid_size)
+            grid = solve_resource_hjb(_unit_demand_instance(lam, cap), full_selection, 1, _GRID_SIZE)
             got = float(grid.values[cap, 0])
             if cap == 1:
                 want = 1.0 - math.exp(-lam)  # dV/dt = -lam (1 - V), V(1) = 0
@@ -163,8 +163,7 @@ def _sort_case(rng: np.random.Generator):
     return model, price
 
 
-def suite_cdlp(instances: int = 50, sort_cases: int = 200,
-               seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def suite_cdlp(instances: int = 50, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Plan exactness, eps-certificates, and sort-solver exactness."""
     checks = []
 
@@ -213,10 +212,10 @@ def suite_cdlp(instances: int = 50, sort_cases: int = 200,
 
     rng = np.random.default_rng(seed + 777)
     worst_sort, sort_bad = 0.0, 0
-    for _ in range(sort_cases):
+    for _ in range(200):
         model, price = _sort_case(rng)
         fast = assortment_subproblem_sort(model, price)
-        slow = assortment_subproblem_bruteforce(model, price, n_max=12)
+        slow = assortment_subproblem_bruteforce(model, price)
         gap = abs(fast.value - slow.value)
         worst_sort = max(worst_sort, gap)
         if gap > 1e-9:
@@ -224,7 +223,7 @@ def suite_cdlp(instances: int = 50, sort_cases: int = 200,
     checks.append(CheckResult(
         "sort-solver-exact",
         sort_bad == 0,
-        f"{sort_cases - sort_bad}/{sort_cases} cases, worst gap {worst_sort:.2e}",
+        f"{200 - sort_bad}/200 cases, worst gap {worst_sort:.2e}",
     ))
     return checks
 
@@ -265,14 +264,13 @@ def _batch_instance(seed: int) -> Instance:
 
 
 @lru_cache(maxsize=4)
-def _policy_batch(instances: int, reps: int, seed: int, grid_size: int,
-                  hindsight_paths: int):
+def _policy_batch(instances: int, reps: int, seed: int):
     """Paired policy runs shared by the dominance and bounds suites."""
     batch = []
     for i in range(instances):
         inst = _batch_instance(seed + i)
         sol = solve_cdlp(inst)
-        grids = build_value_grids(inst, sol.s_star, grid_size)
+        grids = build_value_grids(inst, sol.s_star, _GRID_SIZE)
         base = seed * 1009 + i
         runs = {
             "fcfs": monte_carlo(inst, "fcfs", reps, base, sol=sol, grids=grids, relaxed=True),
@@ -281,21 +279,21 @@ def _policy_batch(instances: int, reps: int, seed: int, grid_size: int,
         }
         hb = np.array([
             hindsight_bound(inst, generate_arrivals(inst, (base, r, 0)))
-            for r in range(hindsight_paths)
+            for r in range(min(_HINDSIGHT_PATHS, reps))  # suite_bounds pairs them with runs
         ])
         batch.append({"inst": inst, "sol": sol, "runs": runs, "hindsight": hb, "base": base})
     return batch
 
 
-def suite_dominance(instances: int = 20, reps: int = 10_000, seed: int = DEFAULT_SEED,
-                    grid_size: int = 10_000, hindsight_paths: int = 300) -> list[CheckResult]:
+def suite_dominance(instances: int = 20, reps: int = 10_000,
+                    seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Paired ordering of the three policies: opr >= pr >= fcfs in mean.
 
     fcfs and pr run under static substitution (their analysis mode); opr
     runs in the default dynamic-substitution mode.  Each comparison gets
     two paired CI half-widths of slack.
     """
-    batch = _policy_batch(instances, reps, seed, grid_size, hindsight_paths)
+    batch = _policy_batch(instances, reps, seed)
     results = []
     for upper, lower in (("opr", "pr"), ("pr", "fcfs")):
         bad, worst = [], math.inf
@@ -314,10 +312,10 @@ def suite_dominance(instances: int = 20, reps: int = 10_000, seed: int = DEFAULT
     return results
 
 
-def suite_bounds(instances: int = 20, reps: int = 10_000, seed: int = DEFAULT_SEED,
-                 grid_size: int = 10_000, hindsight_paths: int = 300) -> list[CheckResult]:
+def suite_bounds(instances: int = 20, reps: int = 10_000,
+                 seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Constant-factor floors, per-resource sandwich, and upper-bound sanity."""
-    batch = _policy_batch(instances, reps, seed, grid_size, hindsight_paths)
+    batch = _policy_batch(instances, reps, seed)
     results = []
 
     for policy, floor, label in (("pr", 0.5, "pr-at-least-half"),
@@ -366,8 +364,8 @@ def suite_bounds(instances: int = 20, reps: int = 10_000, seed: int = DEFAULT_SE
             for k in range(1, inst.num_types + 1)
             for n in products_of_resource(inst, 1)
         )
-        bound = interval_decomposition_bound(inst, sol.s_star, 1, grid_size)
-        grid = solve_resource_hjb(inst, sol.s_star, 1, grid_size)
+        bound = interval_decomposition_bound(inst, sol.s_star, 1, _GRID_SIZE)
+        grid = solve_resource_hjb(inst, sol.s_star, 1, _GRID_SIZE)
         top = float(grid.values[grid.capacity, 0])
         if bound < 0.5 * planned - 1e-3 * max(1.0, planned):
             lower_bad.append(i)
@@ -399,16 +397,16 @@ def _scaling_base_instance() -> Instance:
     )
 
 
-def suite_scaling(thetas=(1, 4, 16, 64), reps: int = 2000, seed: int = DEFAULT_SEED,
-                  grid_size: int = 10_000) -> list[CheckResult]:
+def suite_scaling(reps: int = 2000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Asymptotic optimality: opr's plan-value ratio rises with joint
     demand/capacity scaling and nears 1."""
+    thetas = (1, 4, 16, 64)
     base = _scaling_base_instance()
     ratios, hws = [], []
     for theta in thetas:
         inst = scale_instance(base, float(theta))
         sol = solve_cdlp(inst)
-        grids = build_value_grids(inst, sol.s_star, grid_size)
+        grids = build_value_grids(inst, sol.s_star, _GRID_SIZE)
         run = monte_carlo(inst, "opr", reps, seed * 13 + int(theta), sol=sol, grids=grids)
         ratio, hw = estimate_ratio(run, sol.objective)
         ratios.append(ratio)
@@ -427,23 +425,30 @@ def suite_scaling(thetas=(1, 4, 16, 64), reps: int = 2000, seed: int = DEFAULT_S
     ]
 
 
-def suite_spike(sharpness=(1, 4, 16, 64), reps: int = 3000, seed: int = DEFAULT_SEED,
-                grid_size: int = 10_000) -> list[CheckResult]:
-    """Demand-spike stress: the opr/plan ratio decays as a late high-reward
-    burst sharpens, approaching the one-half worst case."""
-    ratios, hws = [], []
-    for s in sharpness:
-        inst = spike_instance(float(s))
+def _spike_sweep(sharpness, reps: int, seed: int, grid_size: int, workers: int):
+    """(s, opr run, plan value, ratio, ratio half-width) on
+    ``spike_instance(s)`` per sharpness s, for the spike suite and the CLI;
+    every s is checked (``ValueError``) before the first run."""
+    cases = [(float(s), spike_instance(float(s))) for s in sharpness]
+    sweep = []
+    for s, inst in cases:
         sol = solve_cdlp(inst)
         grids = build_value_grids(inst, sol.s_star, grid_size)
-        run = monte_carlo(inst, "opr", reps, seed * 17 + int(s), sol=sol, grids=grids)
-        ratio, hw = estimate_ratio(run, sol.objective)
-        ratios.append(ratio)
-        hws.append(hw)
+        run = monte_carlo(inst, "opr", reps, seed * 17 + int(s), sol=sol, grids=grids, workers=workers)
+        sweep.append((s, run, sol.objective, *estimate_ratio(run, sol.objective)))
+    return sweep
+
+
+def suite_spike(sharpness=(1, 4, 16, 64), reps: int = 3000,
+                seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Demand-spike stress: the opr/plan ratio decays as a late high-reward
+    burst sharpens, approaching the one-half worst case."""
+    sweep = _spike_sweep(sharpness, reps, seed, _GRID_SIZE, workers=1)
+    ratios, hws = [r for *_, r, _ in sweep], [hw for *_, hw in sweep]
     monotone = all(
         ratios[i + 1] <= ratios[i] + (hws[i] + hws[i + 1]) for i in range(len(ratios) - 1)
     )
-    series = ", ".join(f"s={s:g}: {r:.4f}±{h:.4f}" for s, r, h in zip(sharpness, ratios, hws))
+    series = ", ".join(f"s={s:g}: {r:.4f}±{h:.4f}" for s, _, _, r, h in sweep)
     return [CheckResult("spike-ratio-nonincreasing", monotone, series)]
 
 

@@ -225,7 +225,7 @@ def test_sort_matches_bruteforce_on_random_mnl(case):
     model = mnl(*rng.uniform(0.05, 2.0, n))
     price = {i + 1: float(rng.uniform(-1.0, 2.0)) for i in range(n)}
     fast = assortment_subproblem_sort(model, price)
-    slow = assortment_subproblem_bruteforce(model, price, n_max=12)
+    slow = assortment_subproblem_bruteforce(model, price)
     assert abs(fast.value - slow.value) <= 1e-9
 
 
@@ -252,9 +252,10 @@ def test_bruteforce_adversarial_table():
 
 
 def test_bruteforce_cap():
-    model = mnl(*([1.0] * 6))
-    with pytest.raises(ValueError):
-        assortment_subproblem_bruteforce(model, {i + 1: 1.0 for i in range(6)}, n_max=5)
+    N = cdlp._BRUTEFORCE_CAP + 1
+    model = mnl(*([1.0] * N))
+    with pytest.raises(ValueError, match=f"capped at {N - 1} products, got {N}"):
+        assortment_subproblem_bruteforce(model, {i + 1: 1.0 for i in range(N)})
 
 
 def _scalar_bruteforce(model, price):
@@ -437,6 +438,27 @@ def test_solve_cdlp_matches_enumeration_on_random_instances():
         cg = solve_cdlp(inst, 0.0, "bruteforce")
         assert cg.objective == pytest.approx(enum.objective, rel=1e-6, abs=1e-9)
         assert cg.certified
+
+
+def test_planners_reject_an_invalid_instance_alike():
+    inst = Instance((Resource(1, -1),), (Product(1, 1, -1.0),),
+                    (CustomerType(1, RateCurve.constant(1.0), deterministic_taker()),))
+    want = ("invalid instance: resource 1: capacity must be a nonnegative integer; "
+            "product 1: non-finite or negative reward")
+    for plan in (lambda: build_master(inst, {1: [frozenset()]}),
+                 lambda: solve_cdlp(inst),
+                 lambda: solve_cdlp_enumeration(inst)):
+        with pytest.raises(ValueError) as err:
+            plan()
+        assert str(err.value) == want
+
+
+def test_enumeration_cap():
+    N = cdlp._ENUMERATION_CAP + 1
+    inst = Instance((Resource(1, 1),), tuple(Product(n, 1, 1.0) for n in range(1, N + 1)),
+                    (CustomerType(1, RateCurve.constant(1.0), mnl(*([1.0] * N))),))
+    with pytest.raises(ValueError, match=f"enumeration capped at {N - 1} products, got {N}"):
+        solve_cdlp_enumeration(inst)
 
 
 def test_solution_support_and_feasibility_bounds():
@@ -627,9 +649,9 @@ def test_solvers_by_name_match_their_functions():
     model = inst.ctype(1).choice
     assert SOLVERS["sort"](model, price) == assortment_subproblem_sort(model, price)
     assert SOLVERS["auto"](model, price) == assortment_subproblem_sort(model, price)
-    assert SOLVERS["bruteforce"](model, price) == assortment_subproblem_bruteforce(model, price, 20)
+    assert SOLVERS["bruteforce"](model, price) == assortment_subproblem_bruteforce(model, price)
     assert SOLVERS["localsearch"](model, price) == assortment_subproblem_localsearch(
-        model, price, restarts=8, seed=0, guarantee=0.9)
+        model, price, restarts=8, seed=0)
     assert AutoExactSolver()(model, price) == SOLVERS["auto"](model, price)
     assert AutoExactSolver.guarantee == 1.0
 

@@ -1,10 +1,12 @@
+import csv
 import json
 
 import pytest
 
-from choicealloc import SOLVERS, TabulatedChoiceModel, random_instance
+from choicealloc import SOLVERS, TabulatedChoiceModel, random_instance, validate_instance
 from choicealloc.cli import dump_instance, load_instance, main
-from choicealloc.verify import SUITES
+from choicealloc.valuefn import MIN_GRID
+from choicealloc.verify import _GRID_SIZE, SUITES, _spike_sweep, suite_spike
 
 GOOD = {
     "resources": [{"capacity": 1}],
@@ -66,6 +68,59 @@ def test_validate_non_object_field_is_a_parse_error(path, value, tmp_path, capsy
     bad.write_text(json.dumps(doc))
     assert main(["validate", "--instance", str(bad)]) == 2
     assert "parse error" in capsys.readouterr().out
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("resources", 0, "capacity"), NAN, "capacity must be a nonnegative integer"),
+    (("resources", 0, "capacity"), INF, "capacity must be a nonnegative integer"),
+    (("resources", 0, "capacity"), 1.5, "capacity must be a nonnegative integer"),
+    (("resources", 0, "expiry"), NAN, "expiry must lie in (0, 1]"),
+    (("resources", 0, "expiry"), INF, "expiry must lie in (0, 1]"),
+    (("products", 0, "reward"), NAN, "non-finite or negative reward"),
+    (("products", 0, "reward"), INF, "non-finite or negative reward"),
+    (("types", 0, "rate", "breakpoints", 1), NAN, "non-monotone breakpoints"),
+    (("types", 0, "rate", "breakpoints", 1), INF, "non-monotone breakpoints"),
+    (("types", 0, "rate", "rates", 0), NAN, "non-finite or negative rate"),
+    (("types", 0, "rate", "rates", 0), INF, "non-finite or negative rate"),
+    (("types", 0, "reward_override"), {"1": NAN}, "non-finite or negative override"),
+    (("types", 0, "reward_override"), {"1": INF}, "non-finite or negative override"),
+])
+def test_validate_reports_non_finite_numbers(path, value, message, tmp_path, capsys):
+    doc = json.loads(json.dumps(GOOD))
+    doc["types"][0]["rate"] = {"breakpoints": [0.0, 0.5, 1.0], "rates": [2.0, 2.0]}
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity literals, which json reads back
+    report = validate_instance(load_instance(bad))
+    assert not report.ok
+    assert any(message in e for e in report.errors)
+    assert main(["validate", "--instance", str(bad)]) == 1
+    assert "violation: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--instance", "x.json", "--seed", "1", "--out", "x", "--reps", "1"],
+    ["simulate", "--instance", "x.json", "--seed", "1", "--out", "x", "--grid", str(MIN_GRID - 1)],
+    ["spike", "--seed", "1", "--reps", "1"],
+    ["spike", "--seed", "1", "--grid", str(MIN_GRID - 1)],
+    ["verify", "--suite", "scaling", "--reps", "1"],
+    ["verify", "--suite", "dominance", "--reps", "1"],
+    ["verify", "--suite", "dominance", "--instances", "0"],
+    ["verify", "--suite", "dominance", "--instances", "many"],
+])
+def test_out_of_range_counts_are_parse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err or "invalid int value" in err
+    assert "Traceback" not in err
 
 
 def test_cdlp_command_objective(good_path, capsys, tmp_path):
@@ -164,6 +219,13 @@ def test_verify_rejects_bad_overrides(capsys):
     assert "--reps" in capsys.readouterr().out
 
 
+def test_verify_bounds_with_fewer_reps_than_hindsight_paths(capsys):
+    # the bounds suite pairs each run's first rewards with per-path
+    # hindsight bounds, so it must not draw more paths than replications
+    assert main(["verify", "--suite", "bounds", "--reps", "20", "--instances", "1"]) in (0, 4)
+    assert "checks passed" in capsys.readouterr().out
+
+
 def test_verify_propagates_type_error_from_suite(monkeypatch):
     def broken_suite(reps: int = 10, seed: int = 0):
         raise TypeError("defect inside the suite")
@@ -181,6 +243,21 @@ def test_spike_smoke(tmp_path, capsys):
     assert code == 0
     lines = (tmp_path / "spike.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_spike_command_writes_the_spike_suite_sweep(tmp_path):
+    seed = 3
+    assert main(["spike", "--sharpness", "1,8", "--reps", "500", "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "spike.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    sweep = _spike_sweep((1, 8), 500, seed, _GRID_SIZE, 1)
+    assert [(float(r["mean"]), float(r["V_CDLP"]), float(r["ratio"])) for r in rows] == \
+        [(run.mean, plan, ratio) for _, run, plan, ratio, _ in sweep]
+    [check] = suite_spike(sharpness=(1, 8), reps=500, seed=seed)
+    assert check.detail == ", ".join(
+        f"s={float(r['sharpness']):g}: {float(r['ratio']):.4f}"
+        f"±{float(r['ci_half_width']) / float(r['V_CDLP']):.4f}" for r in rows)
 
 
 @pytest.mark.parametrize("sharpness", ["1,x", "0.5", "inf"])

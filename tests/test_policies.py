@@ -32,7 +32,7 @@ from choicealloc import (
     random_instance,
     solve_cdlp,
 )
-from choicealloc import policies
+from choicealloc import cdlp, policies
 from choicealloc.cdlp import CdlpSolution
 from choicealloc.valuefn import _interp
 
@@ -292,7 +292,7 @@ def test_decisions_reject_grids_that_do_not_cover_the_instance():
 # ------------------------------------------------- opr solver dispatch
 
 
-def _reference_opr_decision(t, inventory, now, k, n_max=20, restarts=4):
+def _reference_opr_decision(t, inventory, now, k, restarts=4):
     """policies._opr_decision as it was, picking its subproblem solver by
     model class on every arrival."""
     if not t.prunable[k]:
@@ -309,8 +309,8 @@ def _reference_opr_decision(t, inventory, now, k, n_max=20, restarts=4):
         return frozenset(), 0.0
     if isinstance(model, AttractionChoiceModel):
         best = assortment_subproblem_sort(model, prices)
-    elif len(prices) <= n_max:
-        best = assortment_subproblem_bruteforce(model, prices, n_max)
+    elif len(prices) <= 20:
+        best = assortment_subproblem_bruteforce(model, prices)
     else:
         best = assortment_subproblem_localsearch(model, prices, restarts=restarts, seed=0)
     offer, value = best.assortment, best.value
@@ -360,8 +360,9 @@ def test_opr_offers_equal_class_dispatch(kind):
                     _reference_opr_decision(tables, inventory, now, k)
 
 
-def test_opr_searches_locally_past_the_bruteforce_cap():
-    N = policies._OPR_N_MAX + 1
+def _wide_mixture_tables(N):
+    """Compiled tables of one two-segment mixture type over N products on
+    one resource, with an empty plan and zero marginal values."""
     rng = np.random.default_rng(3)
     mix = MixtureChoiceModel(tuple(
         (0.5, AttractionChoiceModel((0.0,) * N, tuple(rng.uniform(0.2, 1.6, N))))
@@ -374,7 +375,33 @@ def test_opr_searches_locally_past_the_bruteforce_cap():
     )
     sol = plan_stub({1: ()}, {})
     grids = build_value_grids(inst, {}, 200)
-    tables = policies._Tables(inst, sol, grids)
+    return policies._Tables(inst, sol, grids)
+
+
+def test_opr_searches_locally_past_the_bruteforce_cap():
+    tables = _wide_mixture_tables(cdlp._BRUTEFORCE_CAP + 1)
     got = policies._opr_decision(tables, [2], 0.3, 1)
     assert got == _reference_opr_decision(tables, [2], 0.3, 1)
     assert got[0]
+
+
+@pytest.mark.parametrize("extra, solver", [(0, "bruteforce"), (1, "localsearch")])
+def test_opr_switches_solver_at_the_bruteforce_cap(monkeypatch, extra, solver):
+    # opr prices every product here, so it must call the brute force at
+    # exactly cdlp's cap and local search one product above it
+    calls = []
+
+    def spy(name, inner):
+        def solve(model, prices, **kwargs):
+            calls.append((name, len(prices)))
+            return inner(model, prices, **kwargs)
+        return solve
+
+    monkeypatch.setitem(cdlp.SOLVERS, "bruteforce", spy("bruteforce", cdlp.SOLVERS["bruteforce"]))
+    monkeypatch.setattr(policies, "assortment_subproblem_localsearch",
+                        spy("localsearch", assortment_subproblem_localsearch))
+    N = cdlp._BRUTEFORCE_CAP + extra
+    tables = _wide_mixture_tables(N)
+    assert policies._opr_decision(tables, [2], 0.3, 1) == \
+        _reference_opr_decision(tables, [2], 0.3, 1)
+    assert calls == [(solver, N)]

@@ -203,7 +203,8 @@ def test_sales_never_exceed_capacity():
 
 
 def test_zero_demand_report():
-    rep = monte_carlo(unit_instance(0.0), "fcfs", 50, 7)
+    inst = unit_instance(0.0)
+    rep = monte_carlo(inst, "fcfs", 50, 7, sol=solve_cdlp(inst))
     assert rep.mean == 0.0
     assert rep.half_width == 0.0
 
@@ -211,7 +212,8 @@ def test_zero_demand_report():
 def test_fcfs_matches_poisson_hit_probability():
     # Unit capacity, deterministic buyer: reward is 1 iff at least one
     # arrival occurs, so the mean estimates 1 - exp(-1).
-    rep = monte_carlo(unit_instance(1.0), "fcfs", 10_000, 11)
+    inst = unit_instance(1.0)
+    rep = monte_carlo(inst, "fcfs", 10_000, 11, sol=solve_cdlp(inst))
     want = 1 - math.exp(-1)
     assert abs(rep.mean - want) <= rep.half_width + 0.005
 
@@ -226,8 +228,20 @@ def test_monte_carlo_reproducible():
 
 
 def test_monte_carlo_requires_two_reps():
+    inst = unit_instance(1.0)
+    sol = solve_cdlp(inst)
     with pytest.raises(ValueError):
-        monte_carlo(unit_instance(1.0), "fcfs", 1, 0)
+        monte_carlo(inst, "fcfs", 1, 0, sol=sol)
+
+
+def test_monte_carlo_needs_a_plan_and_grids_for_pr_and_opr():
+    inst = unit_instance(1.0)
+    with pytest.raises(TypeError):
+        monte_carlo(inst, "fcfs", 2, 0)
+    sol = solve_cdlp(inst)
+    for policy in ("pr", "opr"):
+        with pytest.raises(ValueError, match="needs value grids"):
+            monte_carlo(inst, policy, 2, 0, sol=sol)
 
 
 def test_policies_share_paths_and_draws():
@@ -323,8 +337,9 @@ def test_estimate_ratio():
 
 def test_ci_narrows_with_replications():
     inst = unit_instance(1.0)
-    small = monte_carlo(inst, "fcfs", 500, 3)
-    big = monte_carlo(inst, "fcfs", 8000, 3)
+    sol = solve_cdlp(inst)
+    small = monte_carlo(inst, "fcfs", 500, 3, sol=sol)
+    big = monte_carlo(inst, "fcfs", 8000, 3, sol=sol)
     assert big.half_width < small.half_width / 2.5
 
 
