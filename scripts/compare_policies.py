@@ -17,6 +17,7 @@ from choicealloc import (
     random_instance,
     solve_cdlp,
 )
+from choicealloc.valuefn import DEFAULT_GRID_SIZE
 
 
 def main() -> None:
@@ -24,7 +25,7 @@ def main() -> None:
     ap.add_argument("--instances", type=int, default=10)
     ap.add_argument("--reps", type=int, default=4000)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--grid", type=int, default=10_000)
+    ap.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     args = ap.parse_args()
 
     print(f"{'inst':>4} {'V_plan':>8} {'fcfs':>14} {'pr':>14} {'opr':>14} {'opr-pr':>10}")

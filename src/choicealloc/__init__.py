@@ -58,7 +58,6 @@ from .policies import (
     fcfs_accept,
     pr_accept,
     opr_offer,
-    apply_purchase,
 )
 from .sim import (
     ArrivalEvent,

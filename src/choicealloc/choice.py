@@ -17,7 +17,8 @@ protocol, which every model class implements:
   which the sort solver needs, and None for every other model;
 - ``is_removal_monotone``: whether dropping products never lowers a
   survivor's selection probability, so that pruning is safe;
-- ``coverage_error(N)``: why the model does not fit N products, or None;
+- ``coverage_error(N)``: why the model does not fit N products (a wrong
+  product count, or a NaN or infinite weight or probability), or None;
 - ``_segment_table``: the subset kernel's arrays, or None;
 - ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
 """
@@ -75,7 +76,19 @@ class ChoiceModel(Protocol):
         if self.num_products != num_products:
             return (f"choice model covers {self.num_products} products, "
                     f"instance has {num_products}")
+        if not self._finite_weights:
+            return "non-finite choice weight"
         return None
+
+    @cached_property
+    def _finite_weights(self) -> bool:
+        """Whether the kernel's arrays, which hold every weight (segment
+        weights included), are finite; True for a model without them."""
+        try:
+            table = self._segment_table
+        except OverflowError:  # the base weight's exact sum of finite weights
+            return False
+        return table is None or all(np.isfinite(a).all() for a in table)
 
     def to_doc(self) -> dict: ...
     @classmethod
@@ -266,6 +279,8 @@ class TabulatedChoiceModel(ChoiceModel):
     def coverage_error(self, num_products: int) -> Optional[str]:
         if any(not 1 <= n <= num_products for S in self.table for n in S):
             return "tabulated assortment references unknown product"
+        if not all(math.isfinite(p) for entry in self.table.values() for p in entry.values()):
+            return "non-finite selection probability"
         return None
 
     def to_doc(self) -> dict:

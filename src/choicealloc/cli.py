@@ -45,9 +45,9 @@ from .model import (
     validate_instance,
 )
 from .policies import POLICY_NAMES
-from .sim import estimate_ratio, generate_arrivals, monte_carlo, run_policy
-from .valuefn import MIN_GRID, build_value_grids
-from .verify import SUITES, _spike_sweep, run_suite
+from .sim import _replication, estimate_ratio, monte_carlo, run_policy
+from .valuefn import DEFAULT_GRID_SIZE, MIN_GRID, build_value_grids
+from .verify import SUITES, _opr_sweep, _spike_cases, run_suite
 
 __all__ = ["main", "load_instance", "dump_instance", "InstanceFormatError"]
 
@@ -158,11 +158,7 @@ def _assortment_str(S) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except InstanceFormatError as exc:
-        print(f"parse error: {exc}")
-        return EXIT_PARSE
+    inst = args.inst
     report = validate_instance(inst)
     for w in report.warnings:
         print(f"warning: {w}")
@@ -176,11 +172,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cdlp(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except InstanceFormatError as exc:
-        print(f"parse error: {exc}")
-        return EXIT_PARSE
+    inst = args.inst
     try:
         sol = solve_cdlp(inst, args.eps, args.solver)
     except ValueError as exc:
@@ -217,11 +209,7 @@ def cmd_cdlp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except InstanceFormatError as exc:
-        print(f"parse error: {exc}")
-        return EXIT_PARSE
+    inst = args.inst
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     bad = [p for p in policies if p not in POLICY_NAMES]
     if bad or not policies:
@@ -276,8 +264,7 @@ def cmd_simulate(args) -> int:
             print(f"{tag} {policy}: mean {run.mean:.4f} ± {run.half_width:.4f} "
                   f"(plan {sol.objective:.4f}, ratio {ratio:.4f})")
             if args.trace:
-                path = generate_arrivals(scaled, (args.seed, 0, 0))
-                rep = run_policy(scaled, policy, sol, grids, path, (args.seed, 0, 1),
+                rep = run_policy(scaled, policy, sol, grids, *_replication(scaled, args.seed, 0),
                                  relaxed=args.relaxed_mode, collect_trace=True)
                 _write_csv(out_dir / f"trace_{tag}_{policy}.csv",
                            ("time", "type", "assortment", "choice", "accept", "reward"),
@@ -309,11 +296,11 @@ def cmd_verify(args) -> int:
 
 def cmd_spike(args) -> int:
     try:
-        sweep = _spike_sweep([float(s) for s in args.sharpness.split(",")],
-                             args.reps, args.seed, args.grid, args.workers)
+        cases, base_seed = _spike_cases(args.sharpness.split(","), args.seed)
     except ValueError as exc:
         print(f"error: bad --sharpness value: {exc}")
         return EXIT_INVARIANT
+    sweep = _opr_sweep(cases, base_seed, args.reps, grid_size=args.grid, workers=args.workers)
     rows = []
     for s, run, plan, ratio, hw in sweep:
         rows.append((s, "opr", args.reps, run.mean, run.half_width, plan, ratio, args.seed))
@@ -351,7 +338,7 @@ def main(argv=None) -> int:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid", type=int, default=10_000)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--theta", default="1")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
@@ -375,7 +362,7 @@ def main(argv=None) -> int:
     p.add_argument("--sharpness", default="1,4,16,64")
     p.add_argument("--reps", type=int, default=3000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid", type=int, default=10_000)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="optional output directory")
     p.set_defaults(func=cmd_spike)
@@ -385,6 +372,12 @@ def main(argv=None) -> int:
     for flag, low in (("reps", 2), ("grid", MIN_GRID), ("instances", 1)):
         if (value := getattr(args, flag, None)) is not None and value < low:
             parser.error(f"argument --{flag}: must be at least {low}")
+    if getattr(args, "instance", None) is not None:  # validate, cdlp, simulate
+        try:
+            args.inst = load_instance(args.instance)
+        except InstanceFormatError as exc:
+            print(f"parse error: {exc}")
+            return EXIT_PARSE
     return args.func(args)
 
 

@@ -62,17 +62,6 @@ class LinearProgram:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
 
-    def pretty(self) -> str:
-        """Human-readable dump for debugging."""
-        def terms(coeffs):
-            parts = [f"{v:+g} x{j + 1}" for j, v in enumerate(coeffs) if v != 0.0]
-            return " ".join(parts) if parts else "0"
-
-        lines = [f"max  {terms(self.objective)}"]
-        lines += [f"s.t. {terms(row)} <= {b:g}" for row, b in zip(self.rows, self.rhs)]
-        lines.append(f"     x1..x{len(self.objective)} >= 0")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LpSolution:

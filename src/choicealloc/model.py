@@ -10,6 +10,7 @@ ids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -68,13 +69,6 @@ class RateCurve:
     def constant(rate: float) -> "RateCurve":
         return RateCurve((0.0, 1.0), (float(rate),))
 
-    def rate_at(self, t: float) -> float:
-        """Intensity at time ``t`` (right-continuous; t=1 uses the last segment)."""
-        for i in range(len(self.rates)):
-            if t < self.breakpoints[i + 1]:
-                return self.rates[i]
-        return self.rates[-1]
-
     def total_mass(self) -> float:
         """Exact integral of the curve over its breakpoint span."""
         return sum(
@@ -91,9 +85,6 @@ class RateCurve:
                 break
             acc += r * (min(t, b) - a)
         return acc
-
-    def mass_between(self, a: float, b: float) -> float:
-        return self.cumulative(b) - self.cumulative(a)
 
     def scaled(self, theta: float) -> "RateCurve":
         return RateCurve(self.breakpoints, tuple(r * theta for r in self.rates))
@@ -186,16 +177,16 @@ def products_of_resource(inst: Instance, l: int) -> frozenset[int]:
 
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check structural invariants; failures are reported, never raised.
-    A NaN or infinite number is a violation.  An object without a
-    ``coverage_error`` is no recognized choice model."""
+    A NaN or infinite number (choice weights included) is a violation, and
+    so is a capacity that is no ``numbers.Integral``, such as ``2.0``.  An
+    object without a ``coverage_error`` is no recognized choice model."""
     errors: list[str] = []
     warnings: list[str] = []
 
     for pos, res in enumerate(inst.resources, start=1):
         if res.id != pos:
             errors.append(f"resource ids not dense: expected {pos}, found {res.id}")
-        # NaN fails ">= 0" and infinity % 1 is NaN
-        if not res.capacity >= 0 or res.capacity % 1 != 0:
+        if not (isinstance(res.capacity, numbers.Integral) and res.capacity >= 0):
             errors.append(f"resource {pos}: capacity must be a nonnegative integer")
         if not 0.0 < res.expiry <= 1.0:
             errors.append(f"resource {pos}: expiry must lie in (0, 1]")

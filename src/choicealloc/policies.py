@@ -21,7 +21,7 @@ whether a product can be sold (its resource is in stock and not expired).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .cdlp import _BRUTEFORCE_CAP, SOLVERS, CdlpSolution, assortment_subproblem_localsearch
@@ -37,7 +37,6 @@ __all__ = [
     "fcfs_accept",
     "pr_accept",
     "opr_offer",
-    "apply_purchase",
 ]
 
 POLICY_NAMES = ("fcfs", "pr", "opr")
@@ -259,21 +258,3 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     offer, value = _opr_decision(tables, state.inventory, state.now, k)
     return OfferDecision(offer, value)
 
-
-def apply_purchase(state: PolicyState, n: int, inst: Instance) -> PolicyState:
-    """Deplete the purchased product's resource by one unit.
-
-    A purchase at zero inventory is a policy bug (dynamic substitution
-    violated) and raises.
-    """
-    if n == 0:
-        return state
-    l = inst.product(n).resource
-    if state.level(l) <= 0:
-        raise ValueError(
-            f"purchase of product {n} with resource {l} out of stock: "
-            "dynamic substitution violated"
-        )
-    inv = list(state.inventory)
-    inv[l - 1] -= 1
-    return replace(state, inventory=tuple(inv))

@@ -5,6 +5,8 @@ constant envelope makes thinning acceptance-free), merged in time order.
 Choice randomness is a separate stream indexed by event ordinal, so every
 policy replayed on the same path with the same choice seed consumes
 identical draws per arrival; paired policy comparisons rely on this.
+``_replication`` alone lays out replication r's seeds, for ``monte_carlo``,
+the suites' hindsight paths and the CLI's ``--trace``.
 
 A run is compiled once into ``policies._Tables`` (product-to-resource and
 expiry lists, per-type operative rewards, choice models and offer CDFs,
@@ -189,11 +191,16 @@ def run_policy(inst: Instance, policy: str, sol: CdlpSolution,
                 relaxed, collect_trace)
 
 
+def _replication(inst: Instance, base_seed: int, r: int) -> tuple[SamplePath, tuple]:
+    """The arrival path and the choice seed of replication ``r``: arrivals
+    from seed (base_seed, r, 0), choices from (base_seed, r, 1)."""
+    return generate_arrivals(inst, (base_seed, r, 0)), (base_seed, r, 1)
+
+
 def _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices):
     tables = _compile(inst, policy, sol, grids)
     return [
-        _run(tables, policy, generate_arrivals(inst, (base_seed, r, 0)), (base_seed, r, 1),
-             relaxed, False).reward
+        _run(tables, policy, *_replication(inst, base_seed, r), relaxed, False).reward
         for r in indices
     ]
 
@@ -204,9 +211,9 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
                 relaxed: bool = False, workers: int = 1) -> MonteCarloReport:
     """Independent replications with seed streams indexed by replication.
 
-    Replication r draws its arrivals from seed (base_seed, r, 0) and its
-    choice stream from (base_seed, r, 1); running several policies with the
-    same base seed therefore pairs them path by path and draw by draw.
+    Replication r draws its arrivals and its choice stream from the seeds
+    of ``_replication``; running several policies with the same base seed
+    therefore pairs them path by path and draw by draw.
     ``sol`` is the plan to follow; pr and opr also need its value ``grids``.
     """
     if reps < 2:

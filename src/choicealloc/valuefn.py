@@ -25,7 +25,9 @@ level, and the surface is stepped by one of two kernels:
   sum of two or more terms can round differently in another gemv layout,
   so resources are never stacked into one product.
 
-A resource without capacity or demand keeps V = 0.
+A resource without capacity or demand keeps V = 0.  ``_step_surface``
+picks the kernel, for the full surfaces and for each single-unit interval
+of ``interval_decomposition_bound`` alike.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
 ]
 
 MIN_GRID = 100
+DEFAULT_GRID_SIZE = 10_000
 MASS_BISECTION_TOL = 1e-12
 
 
@@ -210,8 +213,19 @@ def _numpy_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -
         hi = out
 
 
+def _step_surface(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
+    """Step the time-major surface ``by_time`` back from its zero last row
+    with the kernel for its capacity and demand classes; a surface without
+    capacity or demand stays zero."""
+    C = by_time.shape[1] - 1
+    if C > 0 and rewards.size == 1 and C <= _FLOAT_LOOP_MAX_CAPACITY:
+        _single_class_steps(by_time, rewards.item(0), masses[0])
+    elif C > 0 and rewards.size > 0:
+        _numpy_steps(by_time, rewards, masses)
+
+
 def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
-                       l: int, grid_size: int = 10_000) -> ResourceValueGrid:
+                       l: int, grid_size: int = DEFAULT_GRID_SIZE) -> ResourceValueGrid:
     """Integrate the resource's value surface backward from the horizon end.
 
     All inventory levels advance jointly within a step; level c reads only
@@ -230,15 +244,12 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
     times = np.linspace(0.0, 1.0, grid_size + 1)
     rewards, masses = _demand_classes(inst, s_star, l, times)
     by_time = np.zeros((grid_size + 1, C + 1))
-    if C > 0 and rewards.size == 1 and C <= _FLOAT_LOOP_MAX_CAPACITY:
-        _single_class_steps(by_time, rewards.item(0), masses[0])
-    elif C > 0 and rewards.size > 0:
-        _numpy_steps(by_time, rewards, masses)
+    _step_surface(by_time, rewards, masses)
     return ResourceValueGrid(l, times, by_time.T, rewards, masses)
 
 
 def build_value_grids(inst: Instance, s_star: Mapping[tuple[int, int], float],
-                      grid_size: int = 10_000) -> dict[int, ResourceValueGrid]:
+                      grid_size: int = DEFAULT_GRID_SIZE) -> dict[int, ResourceValueGrid]:
     """One value grid per resource (grids are independent of one another)."""
     return {
         l: solve_resource_hjb(inst, s_star, l, grid_size)
@@ -270,7 +281,7 @@ def pr_total_value(grids: Mapping[int, ResourceValueGrid],
 
 
 def interval_decomposition_bound(inst: Instance, s_star: Mapping[tuple[int, int], float],
-                                 l: int, grid_size: int = 10_000) -> float:
+                                 l: int, grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """Lower bound on V_l(C_l, 0) from a single-unit interval partition.
 
     The horizon is split into C_l intervals of equal expected demand mass
@@ -317,10 +328,7 @@ def interval_decomposition_bound(inst: Instance, s_star: Mapping[tuple[int, int]
         a, b = bounds[i], bounds[i + 1]
         steps = max(MIN_GRID, int(round(grid_size * (b - a))))
         times = np.linspace(a, b, steps + 1)
-        rewards, masses = _demand_classes(inst, s_star, l, times)
-        g = 0.0
-        for j in range(steps, 0, -1):
-            gains = np.clip(rewards - g, 0.0, None)
-            g += float(masses[:, j - 1] @ gains) if rewards.size else 0.0
-        value += g
+        by_time = np.zeros((steps + 1, 2))
+        _step_surface(by_time, *_demand_classes(inst, s_star, l, times))
+        value += by_time.item(0, 1)
     return value

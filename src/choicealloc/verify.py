@@ -5,7 +5,10 @@ Each suite re-derives its expected values from an independent oracle
 the corresponding guarantee of the planning/policy stack at a stated
 tolerance.  Suites are pure functions of their parameters, which are only
 what the CLI's ``--instances/--reps/--seed`` set and the spike sweep's
-``sharpness``; reruns reproduce results exactly.
+``sharpness``; reruns reproduce results exactly.  Every suite's value
+surfaces take valuefn's default of ``DEFAULT_GRID_SIZE`` steps.  The
+scaling and spike suites and ``choicealloc spike`` share one opr ratio
+sweep, ``_opr_sweep``, and one monotonicity check, ``_monotone``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,13 @@ from .model import (
     products_of_resource,
     scale_instance,
 )
-from .sim import estimate_ratio, generate_arrivals, hindsight_bound, monte_carlo, paired_half_width
-from .valuefn import build_value_grids, interval_decomposition_bound, solve_resource_hjb
+from .sim import _replication, estimate_ratio, hindsight_bound, monte_carlo, paired_half_width
+from .valuefn import (
+    DEFAULT_GRID_SIZE,
+    build_value_grids,
+    interval_decomposition_bound,
+    solve_resource_hjb,
+)
 
 __all__ = [
     "CheckResult",
@@ -54,7 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20240601
-_GRID_SIZE = 10_000  # value-surface steps of every suite (the CLI's --grid default)
 _HINDSIGHT_PATHS = 300  # most hindsight bounds per instance of the policy batch
 
 
@@ -140,7 +147,7 @@ def suite_hjb() -> list[CheckResult]:
     full_selection = {(1, 1): 1.0}
     for lam in (0.5, 1.0, 2.0):
         for cap in (1, 2):
-            grid = solve_resource_hjb(_unit_demand_instance(lam, cap), full_selection, 1, _GRID_SIZE)
+            grid = solve_resource_hjb(_unit_demand_instance(lam, cap), full_selection, 1)
             got = float(grid.values[cap, 0])
             if cap == 1:
                 want = 1.0 - math.exp(-lam)  # dV/dt = -lam (1 - V), V(1) = 0
@@ -270,7 +277,7 @@ def _policy_batch(instances: int, reps: int, seed: int):
     for i in range(instances):
         inst = _batch_instance(seed + i)
         sol = solve_cdlp(inst)
-        grids = build_value_grids(inst, sol.s_star, _GRID_SIZE)
+        grids = build_value_grids(inst, sol.s_star)
         base = seed * 1009 + i
         runs = {
             "fcfs": monte_carlo(inst, "fcfs", reps, base, sol=sol, grids=grids, relaxed=True),
@@ -278,7 +285,7 @@ def _policy_batch(instances: int, reps: int, seed: int):
             "opr": monte_carlo(inst, "opr", reps, base, sol=sol, grids=grids),
         }
         hb = np.array([
-            hindsight_bound(inst, generate_arrivals(inst, (base, r, 0)))
+            hindsight_bound(inst, _replication(inst, base, r)[0])
             for r in range(min(_HINDSIGHT_PATHS, reps))  # suite_bounds pairs them with runs
         ])
         batch.append({"inst": inst, "sol": sol, "runs": runs, "hindsight": hb, "base": base})
@@ -364,8 +371,8 @@ def suite_bounds(instances: int = 20, reps: int = 10_000,
             for k in range(1, inst.num_types + 1)
             for n in products_of_resource(inst, 1)
         )
-        bound = interval_decomposition_bound(inst, sol.s_star, 1, _GRID_SIZE)
-        grid = solve_resource_hjb(inst, sol.s_star, 1, _GRID_SIZE)
+        bound = interval_decomposition_bound(inst, sol.s_star, 1)
+        grid = solve_resource_hjb(inst, sol.s_star, 1)
         top = float(grid.values[grid.capacity, 0])
         if bound < 0.5 * planned - 1e-3 * max(1.0, planned):
             lower_bad.append(i)
@@ -397,59 +404,62 @@ def _scaling_base_instance() -> Instance:
     )
 
 
+def _opr_sweep(cases, base_seed: int, reps: int, *,
+               grid_size: int = DEFAULT_GRID_SIZE, workers: int = 1):
+    """(x, opr run, plan value, ratio, ratio half-width) per ``(x, instance)``
+    case, each planned afresh and run at base seed ``base_seed + int(x)``;
+    the ratio sweeps of the scaling and spike suites and the CLI."""
+    sweep = []
+    for x, inst in cases:
+        sol = solve_cdlp(inst)
+        grids = build_value_grids(inst, sol.s_star, grid_size)
+        run = monte_carlo(inst, "opr", reps, base_seed + int(x), sol=sol, grids=grids,
+                          workers=workers)
+        sweep.append((x, run, sol.objective, *estimate_ratio(run, sol.objective)))
+    return sweep
+
+
+def _monotone(sweep, rising: bool) -> bool:
+    """Whether the sweep's ratios rise (or fall) from case to case, within
+    the two cases' CI half-widths."""
+    ratios = [(ratio, hw) for *_, ratio, hw in sweep]
+    pairs = zip(ratios, ratios[1:])
+    if rising:
+        return all(r2 >= r1 - (h1 + h2) for (r1, h1), (r2, h2) in pairs)
+    return all(r2 <= r1 + (h1 + h2) for (r1, h1), (r2, h2) in pairs)
+
+
 def suite_scaling(reps: int = 2000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Asymptotic optimality: opr's plan-value ratio rises with joint
     demand/capacity scaling and nears 1."""
-    thetas = (1, 4, 16, 64)
     base = _scaling_base_instance()
-    ratios, hws = [], []
-    for theta in thetas:
-        inst = scale_instance(base, float(theta))
-        sol = solve_cdlp(inst)
-        grids = build_value_grids(inst, sol.s_star, _GRID_SIZE)
-        run = monte_carlo(inst, "opr", reps, seed * 13 + int(theta), sol=sol, grids=grids)
-        ratio, hw = estimate_ratio(run, sol.objective)
-        ratios.append(ratio)
-        hws.append(hw)
-    monotone = all(
-        ratios[i + 1] >= ratios[i] - (hws[i] + hws[i + 1]) for i in range(len(ratios) - 1)
-    )
-    series = ", ".join(f"theta={t:g}: {r:.4f}±{h:.4f}" for t, r, h in zip(thetas, ratios, hws))
+    cases = [(theta, scale_instance(base, float(theta))) for theta in (1, 4, 16, 64)]
+    sweep = _opr_sweep(cases, seed * 13, reps)
+    series = ", ".join(f"theta={t:g}: {r:.4f}±{h:.4f}" for t, _, _, r, h in sweep)
+    theta, _, _, ratio, hw = sweep[-1]
     return [
-        CheckResult("scaling-ratio-nondecreasing", monotone, series),
+        CheckResult("scaling-ratio-nondecreasing", _monotone(sweep, rising=True), series),
         CheckResult(
             "scaling-ratio-near-one",
-            ratios[-1] >= 0.95 - hws[-1],
-            f"ratio {ratios[-1]:.4f}±{hws[-1]:.4f} at theta={thetas[-1]:g} vs 0.95",
+            ratio >= 0.95 - hw,
+            f"ratio {ratio:.4f}±{hw:.4f} at theta={theta:g} vs 0.95",
         ),
     ]
 
 
-def _spike_sweep(sharpness, reps: int, seed: int, grid_size: int, workers: int):
-    """(s, opr run, plan value, ratio, ratio half-width) on
-    ``spike_instance(s)`` per sharpness s, for the spike suite and the CLI;
-    every s is checked (``ValueError``) before the first run."""
-    cases = [(float(s), spike_instance(float(s))) for s in sharpness]
-    sweep = []
-    for s, inst in cases:
-        sol = solve_cdlp(inst)
-        grids = build_value_grids(inst, sol.s_star, grid_size)
-        run = monte_carlo(inst, "opr", reps, seed * 17 + int(s), sol=sol, grids=grids, workers=workers)
-        sweep.append((s, run, sol.objective, *estimate_ratio(run, sol.objective)))
-    return sweep
+def _spike_cases(sharpness, seed: int):
+    """The spike sweep's ``(s, spike_instance(s))`` cases and base seed; a
+    bad sharpness raises ``ValueError`` here, before any run."""
+    return [(float(s), spike_instance(float(s))) for s in sharpness], seed * 17
 
 
 def suite_spike(sharpness=(1, 4, 16, 64), reps: int = 3000,
                 seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Demand-spike stress: the opr/plan ratio decays as a late high-reward
     burst sharpens, approaching the one-half worst case."""
-    sweep = _spike_sweep(sharpness, reps, seed, _GRID_SIZE, workers=1)
-    ratios, hws = [r for *_, r, _ in sweep], [hw for *_, hw in sweep]
-    monotone = all(
-        ratios[i + 1] <= ratios[i] + (hws[i] + hws[i + 1]) for i in range(len(ratios) - 1)
-    )
+    sweep = _opr_sweep(*_spike_cases(sharpness, seed), reps)
     series = ", ".join(f"s={s:g}: {r:.4f}±{h:.4f}" for s, _, _, r, h in sweep)
-    return [CheckResult("spike-ratio-nonincreasing", monotone, series)]
+    return [CheckResult("spike-ratio-nonincreasing", _monotone(sweep, rising=False), series)]
 
 
 SUITES = {

@@ -5,8 +5,8 @@ import pytest
 
 from choicealloc import SOLVERS, TabulatedChoiceModel, random_instance, validate_instance
 from choicealloc.cli import dump_instance, load_instance, main
-from choicealloc.valuefn import MIN_GRID
-from choicealloc.verify import _GRID_SIZE, SUITES, _spike_sweep, suite_spike
+from choicealloc.valuefn import DEFAULT_GRID_SIZE, MIN_GRID
+from choicealloc.verify import SUITES, _opr_sweep, _spike_cases, suite_spike
 
 GOOD = {
     "resources": [{"capacity": 1}],
@@ -87,6 +87,13 @@ NAN, INF = float("nan"), float("inf")
     (("types", 0, "rate", "rates", 0), INF, "non-finite or negative rate"),
     (("types", 0, "reward_override"), {"1": NAN}, "non-finite or negative override"),
     (("types", 0, "reward_override"), {"1": INF}, "non-finite or negative override"),
+    (("types", 0, "choice"), {"kind": "attraction", "mu": [0.0], "nu": [INF]},
+     "non-finite choice weight"),
+    (("types", 0, "choice"), {"kind": "attraction", "mu": [0.0], "nu": [NAN]},
+     "non-finite choice weight"),
+    (("types", 0, "choice"), {"kind": "mixture", "segments": [
+        {"weight": NAN, "mu": [0.0], "nu": [1.0]}]}, "non-finite choice weight"),
+    (("types", 0, "choice", "entries", 0, "p", "1"), NAN, "non-finite selection probability"),
 ])
 def test_validate_reports_non_finite_numbers(path, value, message, tmp_path, capsys):
     doc = json.loads(json.dumps(GOOD))
@@ -102,6 +109,17 @@ def test_validate_reports_non_finite_numbers(path, value, message, tmp_path, cap
     assert any(message in e for e in report.errors)
     assert main(["validate", "--instance", str(bad)]) == 1
     assert "violation: " in capsys.readouterr().out
+
+
+def test_integral_float_capacity_in_a_file_is_an_integer(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOOD))
+    doc["resources"][0]["capacity"] = 2.0
+    path = tmp_path / "float_capacity.json"
+    path.write_text(json.dumps(doc))
+    capacity = load_instance(path).resources[0].capacity
+    assert capacity == 2 and type(capacity) is int
+    assert main(["validate", "--instance", str(path)]) == 0
+    assert "ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,12 +188,13 @@ def test_simulate_theta_sweep_rows(good_path, tmp_path):
 def test_simulate_rerun_byte_identical(good_path, tmp_path):
     args = lambda out: [
         "simulate", "--instance", str(good_path), "--policies", "fcfs,opr",
-        "--reps", "40", "--seed", "9", "--grid", "400", "--trace",
+        "--reps", "40", "--seed", "9", "--grid", "400", "--trace", "--dump-grids",
         "--out", str(out),
     ]
     assert main(args(tmp_path / "a")) == 0
     assert main(args(tmp_path / "b")) == 0
-    for name in ("report.csv", "trace_inst_fcfs.csv", "trace_inst_opr.csv"):
+    for name in ("report.csv", "trace_inst_fcfs.csv", "trace_inst_opr.csv",
+                 "grid_inst_resource1.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -251,7 +270,7 @@ def test_spike_command_writes_the_spike_suite_sweep(tmp_path):
                  "--out", str(tmp_path)]) == 0
     with open(tmp_path / "spike.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    sweep = _spike_sweep((1, 8), 500, seed, _GRID_SIZE, 1)
+    sweep = _opr_sweep(*_spike_cases((1, 8), seed), 500, grid_size=DEFAULT_GRID_SIZE)
     assert [(float(r["mean"]), float(r["V_CDLP"]), float(r["ratio"])) for r in rows] == \
         [(run.mean, plan, ratio) for _, run, plan, ratio, _ in sweep]
     [check] = suite_spike(sharpness=(1, 8), reps=500, seed=seed)

@@ -55,13 +55,6 @@ def test_dimension_mismatch_rejected():
         LinearProgram((float("nan"),), ((1.0,),), (1.0,))
 
 
-def test_pretty_dump():
-    prog = LinearProgram((1.0, 0.0), ((1.0, 2.0),), (3.0,))
-    text = prog.pretty()
-    assert "max  +1 x1" in text
-    assert "+1 x1 +2 x2 <= 3" in text
-
-
 def test_deterministic_resolve():
     rng = np.random.default_rng(3)
     prog = LinearProgram(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +9,15 @@ from choicealloc import (
     AttractionChoiceModel,
     CustomerType,
     Instance,
+    MixtureChoiceModel,
     Product,
     RateCurve,
     Resource,
+    TabulatedChoiceModel,
     products_of_resource,
     random_instance,
     scale_instance,
+    solve_cdlp,
     validate_instance,
 )
 
@@ -77,19 +81,68 @@ def test_validate_warns_on_reachable_expired_products():
     assert any("expires" in w for w in report.warnings)
 
 
+def test_validate_reports_integral_float_capacity():
+    # a float capacity would reach the value surfaces' array shapes
+    inst = Instance(
+        (Resource(1, 2.0),),
+        (Product(1, 1, 1.0),),
+        (CustomerType(1, RateCurve.constant(1.0), AttractionChoiceModel((0.0,), (1.0,))),),
+    )
+    report = validate_instance(inst)
+    assert not report.ok
+    assert report.errors == ("resource 1: capacity must be a nonnegative integer",)
+    assert validate_instance(unit_instance(capacity=np.int64(2))).ok
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("choice,message", [
+    (AttractionChoiceModel((0.0,), (INF,)), "non-finite choice weight"),
+    (AttractionChoiceModel((0.0,), (NAN,)), "non-finite choice weight"),
+    (AttractionChoiceModel((NAN,), (1.0,)), "non-finite choice weight"),
+    (MixtureChoiceModel(((NAN, AttractionChoiceModel((0.0,), (1.0,))),)),
+     "non-finite choice weight"),
+    (MixtureChoiceModel(((1.0, AttractionChoiceModel((0.0,), (NAN,))),)),
+     "non-finite choice weight"),
+    (TabulatedChoiceModel({(1,): {1: NAN}}), "non-finite selection probability"),
+], ids=["nu-inf", "nu-nan", "mu-nan", "segment-weight-nan", "segment-nu-nan", "table-p-nan"])
+def test_validate_reports_non_finite_choice_numbers(choice, message):
+    # each once validated ok and planned a "certified" objective of 0.0
+    inst = Instance(
+        (Resource(1, 1),),
+        (Product(1, 1, 1.0),),
+        (CustomerType(1, RateCurve.constant(1.0), choice),),
+    )
+    report = validate_instance(inst)
+    assert not report.ok
+    assert report.errors == (f"type 1: {message}",)
+    with pytest.raises(ValueError, match=message):
+        solve_cdlp(inst)
+
+
+def test_validate_reports_overflowing_choice_weights():
+    # finite weights whose sum overflows are reported, not raised
+    inst = Instance(
+        (Resource(1, 1),),
+        (Product(1, 1, 1.0), Product(2, 1, 1.0)),
+        (CustomerType(1, RateCurve.constant(1.0),
+                      AttractionChoiceModel((1e308, 1e308), (0.0, 0.0))),),
+    )
+    assert validate_instance(inst).errors == ("type 1: non-finite choice weight",)
+
+
 def test_total_mass_rectangles():
     assert RateCurve.constant(2.0).total_mass() == pytest.approx(2.0)
     assert RateCurve((0.0, 0.25, 1.0), (4.0, 0.0)).total_mass() == pytest.approx(1.0)
     assert RateCurve.constant(0.0).total_mass() == 0.0
 
 
-def test_rate_curve_cumulative_and_rate_at():
+def test_rate_curve_cumulative():
     curve = RateCurve((0.0, 0.25, 1.0), (4.0, 0.0))
-    assert curve.rate_at(0.1) == 4.0
-    assert curve.rate_at(0.5) == 0.0
     assert curve.cumulative(0.25) == pytest.approx(1.0)
     assert curve.cumulative(0.1) == pytest.approx(0.4)
-    assert curve.mass_between(0.1, 0.3) == pytest.approx(0.6)
+    assert curve.cumulative(0.3) - curve.cumulative(0.1) == pytest.approx(0.6)
 
 
 def test_products_of_resource():

@@ -15,7 +15,6 @@ from choicealloc import (
     RateCurve,
     Resource,
     TabulatedChoiceModel,
-    apply_purchase,
     assortment_subproblem_bruteforce,
     assortment_subproblem_localsearch,
     assortment_subproblem_sort,
@@ -236,23 +235,6 @@ def test_opr_rejects_non_monotone_table():
     grids = build_value_grids(inst, sol.s_star, 500)
     with pytest.raises(ValueError):
         opr_offer(PolicyState((1,), 0.0), 1, grids, sol, inst)
-
-
-# -------------------------------------------------------- apply_purchase
-
-
-def test_apply_purchase():
-    inst = Instance(
-        (Resource(1, 2), Resource(2, 1)),
-        (Product(1, 1, 1.0), Product(2, 2, 1.0)),
-        (CustomerType(1, RateCurve.constant(1.0), mnl(1.0, 1.0)),),
-    )
-    state = PolicyState((2, 1), 0.3)
-    after = apply_purchase(state, 1, inst)
-    assert after.inventory == (1, 1)
-    assert apply_purchase(state, 0, inst) == state
-    with pytest.raises(ValueError):
-        apply_purchase(PolicyState((0, 1), 0.3), 1, inst)
 
 
 def test_acceptance_refuses_expired_products():

@@ -227,6 +227,19 @@ def test_monte_carlo_reproducible():
     assert a.mean == b.mean and a.half_width == b.half_width
 
 
+def test_replication_seed_layout():
+    # replication r: arrivals from (base, r, 0), choices from (base, r, 1)
+    from choicealloc.sim import _replication
+
+    inst = random_instance(3, model_kinds=("attraction",))
+    sol = solve_cdlp(inst)
+    path, choice_seed = _replication(inst, 17, 5)
+    assert path == generate_arrivals(inst, (17, 5, 0))
+    assert choice_seed == (17, 5, 1)
+    report = monte_carlo(inst, "fcfs", 6, 17, sol=sol)
+    assert report.rewards[5] == run_policy(inst, "fcfs", sol, None, path, choice_seed).reward
+
+
 def test_monte_carlo_requires_two_reps():
     inst = unit_instance(1.0)
     sol = solve_cdlp(inst)

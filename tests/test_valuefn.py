@@ -290,3 +290,83 @@ def test_single_class_float_loop_is_byte_identical_to_reference_loop(case):
     assert grid.class_rewards.size == 1
     assert grid.values.tobytes() == want.tobytes()
     assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
+
+
+def _reference_interval_bound(inst, s_star, l, grid_size):
+    """The interval bound's own Euler loop, kept as the byte oracle of the
+    shared surface kernels: one unit, one float stepped per interval."""
+    from choicealloc.valuefn import MASS_BISECTION_TOL, _demand_classes
+
+    C = inst.resource(l).capacity
+    if C == 0:
+        return 0.0
+    members = products_of_resource(inst, l)
+    type_weight = {
+        k: math.fsum(s_star.get((k, n), 0.0) for n in members)
+        for k in range(1, inst.num_types + 1)
+    }
+
+    def cum_mass(t):
+        return math.fsum(w * inst.ctype(k).rate.cumulative(t) for k, w in type_weight.items())
+
+    total = cum_mass(1.0)
+    if total <= 1e-15:
+        return 0.0
+    bounds = [0.0]
+    for i in range(1, C):
+        target = total * i / C
+        lo, hi = bounds[-1], 1.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            m = cum_mass(mid)
+            if abs(m - target) <= MASS_BISECTION_TOL or hi - lo < 1e-15:
+                break
+            if m < target:
+                lo = mid
+            else:
+                hi = mid
+        bounds.append(mid)
+    bounds.append(1.0)
+    value = 0.0
+    for i in range(C):
+        a, b = bounds[i], bounds[i + 1]
+        steps = max(MIN_GRID, int(round(grid_size * (b - a))))
+        times = np.linspace(a, b, steps + 1)
+        rewards, masses = _demand_classes(inst, s_star, l, times)
+        g = 0.0
+        for j in range(steps, 0, -1):
+            gains = np.clip(rewards - g, 0.0, None)
+            g += float(masses[:, j - 1] @ gains) if rewards.size else 0.0
+        value += g
+    return value
+
+
+def _interval_bound_cases():
+    """The bounds suite's sandwich instances at its grid size, the sandwich
+    test's above, and random ones with up to 4 units and 3 model kinds."""
+    from choicealloc.valuefn import DEFAULT_GRID_SIZE
+    from choicealloc.verify import DEFAULT_SEED
+
+    for i in range(20):
+        yield f"suite{i}", random_instance(
+            DEFAULT_SEED * 31 + i, max_resources=1, max_products=5, max_types=2,
+            model_kinds=("attraction", "mixture")), DEFAULT_GRID_SIZE
+    for seed in range(6):
+        yield f"sandwich{seed}", random_instance(
+            seed, max_resources=1, max_products=4, max_types=2), 4000
+    for seed in range(40):
+        yield f"random{seed}", random_instance(
+            1000 + seed, max_resources=1, max_products=5, max_types=3,
+            model_kinds=("attraction", "mixture", "table"), capacity_range=(1, 4)), 2000
+
+
+def test_interval_bound_is_byte_identical_to_reference_loop():
+    multi_class = 0
+    for name, inst, grid_size in _interval_bound_cases():
+        sol = solve_cdlp(inst)
+        got = interval_decomposition_bound(inst, sol.s_star, 1, grid_size)
+        assert type(got) is float
+        assert got == _reference_interval_bound(inst, sol.s_star, 1, grid_size), name
+        if solve_resource_hjb(inst, sol.s_star, 1, MIN_GRID).class_rewards.size >= 2:
+            multi_class += 1
+    assert multi_class >= 40  # the numpy kernel, not only the float loop

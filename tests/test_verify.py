@@ -54,6 +54,8 @@ def test_poisson_partial_ratio_identity():
 def test_spike_suite_reduced_scale():
     checks = suite_spike(sharpness=(1, 8), reps=500)
     assert all(c.passed for c in checks)
+    # pinned as for the scaling suite
+    assert [c.detail for c in checks] == ["s=1: 0.9820±0.0117, s=8: 0.5505±0.0291"]
 
 
 def test_run_suite_dispatch():
@@ -118,3 +120,15 @@ def test_degraded_solver_screen_equals_full_scan():
             assert (res.assortment, res.value) == want
             ties += want[1] == gamma * opt and gamma < 1.0
     assert ties >= 5
+
+
+def test_scaling_suite_details_are_pinned():
+    # recorded before the scaling and spike suites shared one sweep; its
+    # seeds and monotonicity comparison must not move
+    checks = run_suite("scaling", reps=200)
+    assert all(c.passed for c in checks)
+    assert [c.detail for c in checks] == [
+        "theta=1: 0.8453±0.0763, theta=4: 0.9915±0.0474, "
+        "theta=16: 0.9885±0.0278, theta=64: 1.0014±0.0143",
+        "ratio 1.0014±0.0143 at theta=64 vs 0.95",
+    ]
