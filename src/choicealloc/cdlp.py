@@ -165,6 +165,41 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
     return LinearProgram(tuple(objective), tuple(tuple(r) for r in rows), tuple(rhs))
 
 
+def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
+                 price_items) -> tuple[frozenset[int], float]:
+    """Best prefix of the ratio ranking of an attraction model's
+    ``attraction()`` tuples at the given prices: the assortment and value
+    of ``assortment_subproblem_sort``, and opr's per-arrival optimizer.
+
+    ``price_items`` are (product, price) pairs.  The ranking breaks ties by
+    product id, so their order matters only for NaN prices; callers pass
+    them in ascending product order.
+    """
+    weight, nus, base = attraction
+    ranked = []
+    for n, p in price_items:
+        if p <= 0.0:
+            continue
+        gain = p * weight[n - 1]
+        if gain <= 0.0:
+            continue  # zero-weight product, can never be selected
+        nu = nus[n - 1]
+        rho = gain / nu if nu > 0.0 else math.inf
+        ranked.append((-rho, n, gain, nu))
+    ranked.sort()
+
+    best_value, best_len, length = 0.0, 0, 0
+    num, den = 0.0, base
+    for _, _, gain, nu in ranked:
+        num += gain
+        den += nu
+        length += 1
+        value = num / den
+        if value > best_value:
+            best_value, best_len = value, length
+    return frozenset([r[1] for r in ranked[:best_len]]), best_value
+
+
 def assortment_subproblem_sort(model: ChoiceModel,
                                price: Mapping[int, float]) -> SubproblemResult:
     """Exact subproblem solver for attraction-form models.
@@ -180,31 +215,7 @@ def assortment_subproblem_sort(model: ChoiceModel,
     if weights is None:
         raise ValueError(f"the sort solver requires an attraction-form model, "
                          f"not a {model.kind!r} model")
-    weight, nus, base = weights
-    ranked = []
-    for n in sorted(price):
-        p = price[n]
-        if p <= 0.0:
-            continue
-        gain = p * weight[n - 1]
-        if gain <= 0.0:
-            continue  # zero-weight product, can never be selected
-        nu = nus[n - 1]
-        rho = gain / nu if nu > 0.0 else math.inf
-        ranked.append((-rho, n, gain, nu))
-    ranked.sort()
-
-    best_value, best_set = 0.0, frozenset()
-    num, den = 0.0, base
-    prefix: list[int] = []
-    for _, n, gain, nu in ranked:
-        num += gain
-        den += nu
-        prefix.append(n)
-        value = num / den
-        if value > best_value:
-            best_value, best_set = value, frozenset(prefix)
-    return SubproblemResult(best_set, best_value, 1.0)
+    return SubproblemResult(*_best_prefix(weights, sorted(price.items())), 1.0)
 
 
 def _lex_subsets(ids: Sequence[int]):

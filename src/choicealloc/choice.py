@@ -385,14 +385,9 @@ def expected_revenue(model: ChoiceModel, assortment: Iterable[int], price: Mappi
 
 def _revenue(dist: list[tuple[int, float]], price: Mapping[int, float]) -> float:
     """Expected revenue of a ``distribution`` list at the given prices."""
-    return math.fsum(p * price[n] for n, p in dist)
+    return math.fsum([p * price[n] for n, p in dist])
 
 
 def prune_nonpositive(assortment: Iterable[int], price: Mapping[int, float]) -> frozenset[int]:
     """Members of the assortment with strictly positive price."""
-    return _prune_nonpositive(_as_assortment(assortment), price)
-
-
-def _prune_nonpositive(S: frozenset[int], price: Mapping[int, float]) -> frozenset[int]:
-    """``prune_nonpositive`` of an assortment that is already valid."""
-    return frozenset(n for n in S if price[n] > 0.0)
+    return frozenset(n for n in _as_assortment(assortment) if price[n] > 0.0)

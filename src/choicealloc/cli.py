@@ -30,6 +30,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -217,8 +218,8 @@ def cmd_simulate(args) -> int:
         return EXIT_INVARIANT
     try:
         thetas = [float(t) for t in args.theta.split(",")]
-        if any(t <= 0 for t in thetas):
-            raise ValueError("scaling factors must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in thetas):
+            raise ValueError("scaling factors must be positive and finite")
     except ValueError as exc:
         print(f"error: bad --theta value: {exc}")
         return EXIT_INVARIANT

@@ -244,8 +244,8 @@ def scale_instance(inst: Instance, theta: float) -> Instance:
     """Scale all capacities and arrival rates by ``theta`` (capacities are
     rounded half up to the nearest integer); rewards, choice models, and
     expiries are unchanged."""
-    if theta <= 0:
-        raise ValueError("scaling factor must be positive")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"scaling factor must be positive and finite, got {theta}")
     resources = tuple(
         replace(r, capacity=int(math.floor(r.capacity * theta + 0.5))) for r in inst.resources
     )

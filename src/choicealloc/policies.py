@@ -9,8 +9,10 @@ the offered assortment per arrival against marginal-value-adjusted prices
 and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
-opr's subproblem solver is taken from ``cdlp.SOLVERS`` once per customer
-type when the run's tables are compiled (see ``opr_offer``).
+opr decides an attraction-model type's offer inline, through the ratio
+ranking of ``cdlp._best_prefix`` over the model's cached ``attraction()``
+tuples; mixtures and probability tables go through
+``_bruteforce_or_search`` (see ``opr_offer``).
 
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
@@ -24,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import _BRUTEFORCE_CAP, SOLVERS, CdlpSolution, assortment_subproblem_localsearch
-from .choice import ChoiceModel, _prune_nonpositive, _revenue
+from .cdlp import (_BRUTEFORCE_CAP, SOLVERS, CdlpSolution, _best_prefix,
+                   assortment_subproblem_localsearch)
+from .choice import ChoiceModel, _revenue
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
 
@@ -90,8 +93,11 @@ class _Tables:
     grid's own array, not a copy).  With ``grids``, every resource needs a
     grid covering its capacity.
 
-    ``solvers[k]`` is opr's subproblem solver for type k, and
-    ``prunable[k]`` whether type k's model is removal-monotone.
+    With ``grids``, ``products[k]`` lists type k's (product, resource
+    position, operative reward) rows in product order, which opr prices.
+    ``attraction[k]`` is type k's ``attraction()`` tuples (None for
+    mixtures and tables), and ``prunable[k]`` whether its model is
+    removal-monotone.
 
     ``dist`` memoizes the model's ``distribution`` per type and offered set.
     The benchmark workloads hit it on 31-99 % of lookups and a call holding
@@ -100,8 +106,8 @@ class _Tables:
     20 products, and is cleared when full.
     """
 
-    __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models",
-                 "rewards", "offers", "prunable", "solvers", "_dists")
+    __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models", "rewards",
+                 "products", "offers", "prunable", "attraction", "_dists")
 
     def __init__(self, inst: Instance, sol: CdlpSolution,
                  grids: Mapping[int, ResourceValueGrid] | None = None):
@@ -117,19 +123,22 @@ class _Tables:
             if short:
                 raise ValueError(f"value grids of resources {short} are below capacity")
             self.marginals = [grids[r.id]._marginals for r in inst.resources]
-        self.models, self.rewards, self.offers, self.prunable, self.solvers = {}, {}, {}, {}, {}
+        self.models, self.rewards, self.products, self.offers = {}, {}, {}, {}
+        self.prunable, self.attraction = {}, {}
         self._dists: dict[int, dict[frozenset[int], list[tuple[int, float]]]] = {}
         for k in range(1, inst.num_types + 1):
             model = inst.ctype(k).choice
             self.models[k] = model
             self._dists[k] = {}
             self.rewards[k] = [0.0] + [inst.reward(k, n) for n in range(1, inst.num_products + 1)]
+            if grids is not None:  # opr prices with grids only
+                self.products[k] = list(zip(range(1, inst.num_products + 1),
+                                            self.resource_of[1:], self.rewards[k][1:]))
             self.offers[k] = _offer_cdf(sol, k)
             # opr prunes nonpositive-price products, which only removal-
             # monotone choice models guarantee cannot lower the revenue
             self.prunable[k] = model.is_removal_monotone
-            self.solvers[k] = (SOLVERS["sort"] if model.attraction() is not None
-                               else _bruteforce_or_search)
+            self.attraction[k] = model.attraction()
 
     def dist(self, k: int, S: frozenset[int]) -> list[tuple[int, float]]:
         """Type k's model's ``distribution`` over S, memoized (it depends on
@@ -175,28 +184,40 @@ def _pr_accepts(reward: float, stock: int, expiry: float, marginals, now: float)
 
 def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[int], float]:
     """opr's offer to a type-k arrival and its expected marginal reward
-    (see ``opr_offer``)."""
+    (see ``opr_offer``).  A resource's marginal value is interpolated only
+    when one of its products can be sold, once per call."""
     if not t.prunable[k]:
         raise ValueError(
             "opr requires choice models where pruning cannot hurt expected "
             "revenue; this probability table violates that"
         )
-    value_of_unit = [_interp(m, c - 1, now) if c > 0 else 0.0
-                     for m, c in zip(t.marginals, inventory)]
-    reward, resource_of, expiry = t.rewards[k], t.resource_of, t.expiry
-    prices = {}
-    for n in range(1, len(reward)):
-        l = resource_of[n]
-        if _sellable(inventory[l], expiry[l], now):
-            prices[n] = reward[n] - value_of_unit[l]
-    if not prices:
+    if not 0.0 <= now <= 1.0:  # _interp checks too, but may not be called
+        raise ValueError(f"time {now} outside [0, 1]")
+    expiry, marginals = t.expiry, t.marginals
+    value_of_unit: dict[int, float] = {}
+    prices, positive = {}, set()
+    for n, l, reward in t.products[k]:
+        stock = inventory[l]
+        if _sellable(stock, expiry[l], now):
+            v = value_of_unit.get(l)
+            if v is None:
+                v = value_of_unit[l] = _interp(marginals[l], stock - 1, now)
+            price = prices[n] = reward - v
+            if price > 0.0:
+                positive.add(n)
+    if not positive:
+        # every solver and every pruned plan assortment is then worth 0
         return _EMPTY, 0.0
 
-    best = t.solvers[k](t.models[k], prices)
-    offer, value = best.assortment, best.value
+    weights = t.attraction[k]
+    if weights is not None:
+        offer, value = _best_prefix(weights, prices.items())
+    else:
+        best = _bruteforce_or_search(t.models[k], prices)
+        offer, value = best.assortment, best.value
 
     for _, S in t.offers[k]:
-        pruned = _prune_nonpositive(S.intersection(prices), prices)
+        pruned = S & positive
         v = _revenue(t.dist(k, pruned), prices) if pruned else 0.0
         if v > value:
             offer, value = pruned, v
@@ -246,8 +267,11 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
 
     Products are priced at reward minus the marginal value of their
     resource; products that cannot be sold are excluded outright.  The
-    optimizer (exact sort for attraction models, brute force up to
-    ``cdlp._BRUTEFORCE_CAP`` products, local search beyond) is compared against a
+    optimizer (for attraction models the exact best prefix of the ratio
+    ranking, ``cdlp._best_prefix``, run inline on the model's cached
+    ``attraction()`` tuples; for mixtures and tables ``_bruteforce_or_search``:
+    brute force up to ``cdlp._BRUTEFORCE_CAP`` products, local search
+    beyond) is compared against a
     fallback built from the plan's own assortments with nonpositive-price
     products pruned, and the better of the two is offered; the fallback
     guarantees the offer collects at least the marginal reward the static

@@ -284,11 +284,17 @@ def _policy_batch(instances: int, reps: int, seed: int):
             "pr": monte_carlo(inst, "pr", reps, base, sol=sol, grids=grids, relaxed=True),
             "opr": monte_carlo(inst, "opr", reps, base, sol=sol, grids=grids),
         }
-        hb = np.array([
-            hindsight_bound(inst, _replication(inst, base, r)[0])
-            for r in range(min(_HINDSIGHT_PATHS, reps))  # suite_bounds pairs them with runs
-        ])
-        batch.append({"inst": inst, "sol": sol, "runs": runs, "hindsight": hb, "base": base})
+        # hindsight_bound reads only the path's counts, which repeat across
+        # paths, so each distinct count vector is solved once
+        bounds: dict[tuple[int, ...], float] = {}
+        hb = []
+        for r in range(min(_HINDSIGHT_PATHS, reps)):  # suite_bounds pairs them with runs
+            path = _replication(inst, base, r)[0]
+            if path.counts not in bounds:
+                bounds[path.counts] = hindsight_bound(inst, path)
+            hb.append(bounds[path.counts])
+        batch.append({"inst": inst, "sol": sol, "runs": runs, "hindsight": np.array(hb),
+                      "base": base})
     return batch
 
 

@@ -229,6 +229,65 @@ def test_sort_matches_bruteforce_on_random_mnl(case):
     assert abs(fast.value - slow.value) <= 1e-9
 
 
+# Decimal grids make sums whose real values tie but whose float values differ.
+_weights = st.one_of(st.just(0.0), st.just(1.0), st.sampled_from([0.1, 0.3, 0.6, 0.7]),
+                     st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
+_prices = st.one_of(st.just(0.0), st.just(1.0), st.just(-0.5), st.sampled_from([0.1, 0.2, -0.1]),
+                    st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))
+
+
+def _reference_sort(model, price):
+    """assortment_subproblem_sort's ranking and prefix scan as they were
+    before ``cdlp._best_prefix`` held them, kept as their reference."""
+    weight, nus, base = model.attraction()
+    ranked = []
+    for n in sorted(price):
+        p = price[n]
+        if p <= 0.0:
+            continue
+        gain = p * weight[n - 1]
+        if gain <= 0.0:
+            continue
+        nu = nus[n - 1]
+        rho = gain / nu if nu > 0.0 else math.inf
+        ranked.append((-rho, n, gain, nu))
+    ranked.sort()
+    best_value, best_set = 0.0, frozenset()
+    num, den = 0.0, base
+    prefix = []
+    for _, n, gain, nu in ranked:
+        num += gain
+        den += nu
+        prefix.append(n)
+        value = num / den
+        if value > best_value:
+            best_value, best_set = value, frozenset(prefix)
+    return best_set, best_value
+
+
+@st.composite
+def _attraction_cases(draw):
+    """(model, price, order): an MNL, independent-demand or general
+    attraction model over 0-10 products, with zero weights, mixed-sign and
+    duplicated prices, and the products in a random order."""
+    m = draw(st.integers(min_value=0, max_value=10))
+    kind = draw(st.sampled_from(["mnl", "independent", "general"]))
+    mu = (0.0,) * m if kind == "mnl" else draw(st.tuples(*[_weights] * m))
+    nu = (0.0,) * m if kind == "independent" else draw(st.tuples(*[_weights] * m))
+    prices = draw(st.lists(_prices, min_size=m, max_size=m))
+    order = draw(st.permutations(range(1, m + 1)))
+    return AttractionChoiceModel(mu, nu), {n: p for n, p in enumerate(prices, start=1)}, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_attraction_cases())
+def test_best_prefix_matches_sort_solver(case):
+    model, price, order = case
+    got = cdlp._best_prefix(model.attraction(), [(n, price[n]) for n in order])
+    res = assortment_subproblem_sort(model, price)
+    assert got == (res.assortment, res.value) == _reference_sort(model, price)
+
+
 # ------------------------------------------------- subproblem: brute force
 
 
@@ -269,13 +328,6 @@ def _scalar_bruteforce(model, price):
         if value > best_value:
             best_value, best_set = value, S
     return best_set, best_value
-
-
-# Decimal grids make sums whose real values tie but whose float values differ.
-_weights = st.one_of(st.just(0.0), st.just(1.0), st.sampled_from([0.1, 0.3, 0.6, 0.7]),
-                     st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
-_prices = st.one_of(st.just(0.0), st.just(1.0), st.just(-0.5), st.sampled_from([0.1, 0.2, -0.1]),
-                    st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))
 
 
 @st.composite

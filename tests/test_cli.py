@@ -227,6 +227,17 @@ def test_simulate_rejects_bad_theta(good_path, tmp_path, capsys):
     assert "theta" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "2,inf", "1,nan"])
+def test_simulate_rejects_non_finite_theta(good_path, tmp_path, capsys, theta):
+    code = main([
+        "simulate", "--instance", str(good_path), "--policies", "fcfs",
+        "--reps", "10", "--seed", "1", "--theta", theta, "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert "error: bad --theta value" in capsys.readouterr().out
+    assert not (tmp_path / "x").exists()
+
+
 def test_verify_inequality_suite(capsys):
     assert main(["verify", "--suite", "inequality"]) == 0
     out = capsys.readouterr().out

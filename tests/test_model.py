@@ -201,6 +201,12 @@ def test_scale_rejects_nonpositive_theta():
         scale_instance(unit_instance(), -1.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_scale_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="positive and finite"):
+        scale_instance(unit_instance(), theta)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     theta=st.floats(min_value=0.1, max_value=20.0, allow_nan=False),

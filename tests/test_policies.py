@@ -321,6 +321,43 @@ def _table_instance(seed):
     return replace(inst, types=types)
 
 
+def _corner_instance(kind):
+    """Two resources, the second expiring at 0.6, and two types whose
+    weights hold the ratio sort's corners: products with nu = 0 (ratio
+    infinity), zero-weight products, and products 3 and 5, which share a
+    resource and a reward and so tie in ratio at every price."""
+    gam = AttractionChoiceModel((0.5, 0.0, 0.0, 0.3, 0.0, 0.2),
+                                (0.0, 0.0, 1.0, 1.0, 2.0, 0.5))
+    mnl_ties = mnl(1.0, 0.0, 0.5, 0.4, 0.5, 0.0)
+    models = {
+        "attraction": (gam, mnl_ties),
+        "mixture": (MixtureChoiceModel(((0.5, gam), (0.5, mnl_ties))),
+                    MixtureChoiceModel(((0.3, mnl_ties), (0.7, gam)))),
+        "table": (_tabulated_mnl(gam, 6), _tabulated_mnl(mnl_ties, 6)),
+    }[kind]
+    return Instance(
+        (Resource(1, 3), Resource(2, 2, expiry=0.6)),
+        (Product(1, 1, 0.8), Product(2, 1, 1.0), Product(3, 2, 0.9),
+         Product(4, 1, 0.4), Product(5, 2, 0.9), Product(6, 2, 0.3)),
+        tuple(CustomerType(k, RateCurve.constant(3.0), m) for k, m in enumerate(models, 1)),
+    )
+
+
+class _Unreadable:
+    """Stands in for the marginal-value table of an empty resource: any
+    read of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError("the grid of an out-of-stock resource was read")
+
+
+def _assert_decisions_equal(tables, states, num_types):
+    for inventory, now in states:
+        for k in range(1, num_types + 1):
+            assert policies._opr_decision(tables, inventory, now, k) == \
+                _reference_opr_decision(tables, inventory, now, k)
+
+
 @pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
 def test_opr_offers_equal_class_dispatch(kind):
     rng = np.random.default_rng(5)
@@ -340,6 +377,36 @@ def test_opr_offers_equal_class_dispatch(kind):
             for k in range(1, inst.num_types + 1):
                 assert policies._opr_decision(tables, inventory, now, k) == \
                     _reference_opr_decision(tables, inventory, now, k)
+
+    # states the random draws rarely reach, on weights with the sort's corners
+    inst = _corner_instance(kind)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 800)
+    tables = policies._Tables(inst, sol, grids)
+    assert all(tables.prunable.values())
+    states = [(list(inventory), now)
+              for inventory in ((3, 2), (1, 1), (3, 0), (0, 2), (0, 0))
+              for now in (0.0, 0.25, 0.59, 0.6, 0.75, 1.0)]  # resource 2 expires at 0.6
+    _assert_decisions_equal(tables, states, inst.num_types)
+    for inventory in ([3, 2], [0, 0]):
+        for now in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                policies._opr_decision(tables, inventory, now, 1)
+            if any(inventory):
+                with pytest.raises(ValueError):
+                    _reference_opr_decision(tables, inventory, now, 1)
+
+    # every price nonpositive: each unit is worth more than any reward
+    tables.marginals = [np.full_like(m, 2.0) for m in tables.marginals]
+    _assert_decisions_equal(tables, states, inst.num_types)
+
+    # an empty resource's table is never read
+    for empty in range(inst.num_resources):
+        tables = policies._Tables(inst, sol, grids)
+        tables.marginals[empty] = _Unreadable()
+        _assert_decisions_equal(
+            tables, [(inventory, now) for inventory, now in states if inventory[empty] == 0],
+            inst.num_types)
 
 
 def _wide_mixture_tables(N):

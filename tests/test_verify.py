@@ -3,11 +3,15 @@ full-scale runs live in test_acceptance)."""
 
 import math
 
+import numpy as np
 import pytest
 
 from choicealloc import TabulatedChoiceModel, expected_revenue
+from choicealloc.sim import _replication, hindsight_bound
 from choicealloc.verify import (
+    DEFAULT_SEED,
     DegradedSolver,
+    _policy_batch,
     _poisson_partial_ratio,
     run_suite,
     suite_spike,
@@ -132,3 +136,14 @@ def test_scaling_suite_details_are_pinned():
         "theta=16: 0.9885±0.0278, theta=64: 1.0014±0.0143",
         "ratio 1.0014±0.0143 at theta=64 vs 0.95",
     ]
+
+
+def test_policy_batch_hindsight_equals_one_solve_per_path():
+    # the batch solves each distinct count vector once; every path's bound
+    # must equal its own solve
+    [entry] = _policy_batch(1, 60, DEFAULT_SEED)
+    inst, base = entry["inst"], entry["base"]
+    paths = [_replication(inst, base, r)[0] for r in range(60)]
+    assert len({p.counts for p in paths}) < len(paths)
+    want = np.array([hindsight_bound(inst, p) for p in paths])
+    assert entry["hindsight"].tobytes() == want.tobytes()
