@@ -126,11 +126,15 @@ class _Tables:
         self.models, self.rewards, self.products, self.offers = {}, {}, {}, {}
         self.prunable, self.attraction = {}, {}
         self._dists: dict[int, dict[frozenset[int], list[tuple[int, float]]]] = {}
-        for k in range(1, inst.num_types + 1):
-            model = inst.ctype(k).choice
+        base_rewards = [p.reward for p in inst.products]
+        for k, ctype in enumerate(inst.types, start=1):
+            model = ctype.choice
             self.models[k] = model
             self._dists[k] = {}
-            self.rewards[k] = [0.0] + [inst.reward(k, n) for n in range(1, inst.num_products + 1)]
+            # inst.reward(k, n) for every n, without a method call per product
+            override = ctype.reward_override or {}
+            self.rewards[k] = [0.0] + [override.get(n, r)
+                                       for n, r in enumerate(base_rewards, start=1)]
             if grids is not None:  # opr prices with grids only
                 self.products[k] = list(zip(range(1, inst.num_products + 1),
                                             self.resource_of[1:], self.rewards[k][1:]))

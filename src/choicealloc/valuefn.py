@@ -13,17 +13,19 @@ right-hand side is Lipschitz with kinks from the positive part, so the
 first-order monotone scheme is the appropriate tool and preserves the
 monotonicity/concavity structure of the surface in practice.
 
-One Euler step adds ``masses[:, g-1] @ max(rewards - delta, 0)`` to every
-level, and the surface is stepped by one of two kernels:
+One Euler step adds inc = sum_i m_i * max(r_i - (V(c) - V(c-1)), 0) to
+every level c, with m_i the mass of class i on the step's cell.  The terms
+are added left to right in ascending reward order, the order of
+``_demand_classes``, each product and each sum one rounded double
+operation; both kernels below follow that definition exactly, so they give
+the same bytes, and neither calls BLAS, so the bytes do not depend on the
+CPU or on which BLAS kernel the machine would pick:
 
-- a resource with one demand class and at most ``_FLOAT_LOOP_MAX_CAPACITY``
-  units steps on Python floats.  Its product has one term per level, so
-  it is a single rounded multiplication whichever BLAS kernel would run
-  it, and the float loop reproduces it bit for bit;
-- every other resource with demand steps by numpy, one matrix-vector
-  product per step with the shapes and strides of the reference loop.  A
-  sum of two or more terms can round differently in another gemv layout,
-  so resources are never stacked into one product.
+- a resource whose capacity times class count is at most
+  ``_FLOAT_LOOP_MAX_TERMS`` steps on Python floats, one level and one
+  class at a time;
+- every other resource with demand steps by numpy, a few ufunc calls per
+  step on whole rows of levels.
 
 A resource without capacity or demand keeps V = 0.  ``_step_surface``
 picks the kernel, for the full surfaces and for each single-unit interval
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -153,74 +156,119 @@ def _demand_classes(inst: Instance, s_star: Mapping[tuple[int, int], float],
     return rewards, masses
 
 
-# Single-class resources with at most this many units take the float loop,
-# every other resource the numpy step.  Per-step costs on one resource at
-# 10k steps (three passes, each the min of 5 CPU-time runs; 2-vCPU host, one
-# BLAS thread): the float loop costs 0.2-0.4 us at C = 1, 1.7-1.9 us at
-# C = 16, 3.6-5.8 us at C = 32 and 5.7-10.2 us at C = 48; the numpy step
-# costs 3.2-7.4 us at any size.  The crossover sits near C = 32; the cutoff
-# is half of it, so the float loop stays ahead where numpy calls are cheaper.
-_FLOAT_LOOP_MAX_CAPACITY = 16
+# Resources with C * K <= _FLOAT_LOOP_MAX_TERMS (C units, K demand classes)
+# take the float loop, every other resource the numpy step.  Per-step costs
+# at 10k steps (min of 7 alternating CPU-time runs; 2-vCPU host, one BLAS
+# thread): the float loop costs 0.17 us at C * K = 1, 1.4-1.5 us at 16,
+# 2.6-2.9 us at 32 and 4.7-5.7 us at 64 for K <= 2, less with more classes
+# (3.1 us at 64 for K = 4); the numpy step costs 1.8 us for K = 1 and
+# 2.4-2.8, 2.9-3.0 and 3.6-3.8 us for K = 2, 3 and 4, nearly flat in C up
+# to 128.  The crossover sits at C * K near 20 for K = 1, 30 for K = 2, 50
+# for K = 3 and above 64 for K = 4; the cutoff stays below all of them.
+_FLOAT_LOOP_MAX_TERMS = 16
+
+# Both kernels prepare the masses of this many steps at a time: the float
+# loop as Python lists, which for all 10k steps of a 4-class resource take
+# 4.5 MB, and the numpy step as full rows of K * C doubles, since a product
+# of contiguous rows costs about half of one that broadcasts the mass column.
+# Blocks of 64 steps ran within 6 % of blocks of 256 and of one 10k-step
+# block at C * K from 1 to 256, and faster for K >= 2.
+_STEP_BLOCK = 64
 
 
-def _single_class_steps(by_time: np.ndarray, reward: float, masses: np.ndarray) -> None:
-    """Fill rows G-1..0 of ``by_time`` for one demand class, on floats.
+def _float_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
+    """Fill rows G-1..0 of ``by_time`` on Python floats.
 
-    Level c steps to V(c) + m * max(reward - (V(c) - V(c-1)), 0.0), the
-    numpy step's arithmetic in its order.  A level whose gain is not
-    positive keeps its value, which is what adding m * 0.0 gives for the
-    finite, nonnegative masses here.
+    Level c steps to V(c) + inc, inc the classes' m * max(r - delta, 0.0)
+    added left to right in ascending reward order, delta = V(c) - V(c-1):
+    the numpy step's arithmetic in its order.  A class whose gain is not
+    positive adds m * 0.0 = 0.0, which leaves the sum as it is for the
+    finite, nonnegative masses here, so it is skipped.  Rewards ascend, so
+    the top class gains whenever any class does, and alone when the next
+    reward below it does not exceed delta.
     """
     width = by_time.shape[1]
     flat = by_time.reshape(-1).data
     v = [0.0] * width
     levels = range(1, width)
     base = by_time.size - width
-    for m in masses[::-1].data:  # Python floats, one at a time
-        base -= width
-        lo = 0.0
-        for c in levels:
-            hi = v[c]
-            gain = reward - (hi - lo)
-            lo = hi
-            if gain > 0.0:
-                hi += m * gain
-                v[c] = hi
-            flat[base + c] = hi
+    *low, top = rewards.tolist()
+    below = low[-1] if low else -math.inf
+    lower = np.empty((masses.shape[1], len(low), 2))  # per cell, (r, m) of each lower class
+    lower[:, :, 0] = low
+    lower[:, :, 1] = masses[:-1].T
+    for end in range(masses.shape[1], 0, -_STEP_BLOCK):  # Python lists for one block at a time
+        start = max(end - _STEP_BLOCK, 0)
+        steps = lower[start:end][::-1].tolist() if low else repeat(())
+        for classes, m_top in zip(steps, masses[-1, start:end][::-1].tolist()):
+            base -= width
+            lo = 0.0
+            for c in levels:
+                hi = v[c]
+                delta = hi - lo
+                lo = hi
+                gain = top - delta
+                if gain > 0.0:
+                    if below > delta:
+                        inc = 0.0
+                        for r, m in classes:
+                            if r > delta:
+                                inc += m * (r - delta)
+                        hi += inc + m_top * gain
+                    else:
+                        hi += m_top * gain
+                    v[c] = hi
+                flat[base + c] = hi
 
 
 def _numpy_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
-    """Fill rows G-1..0 of ``by_time`` with one matrix-vector product per step.
+    """Fill rows G-1..0 of ``by_time`` with 2K + 3 ufunc calls per step.
 
-    The row views come lazily from iterating reversed views of the arrays,
-    so the loop slices nothing and holds no list of views.  The mass vector
-    ``masses.T[g - 1]`` keeps the strided layout of ``masses[:, g - 1]``:
-    OpenBLAS can round a contiguous copy differently in the last ulp.
+    Class i's row of ``terms`` becomes m_i * max(r_i - delta, 0), and the
+    rows are added in ascending reward order before the sum is added to
+    V: the float loop's arithmetic, each operation one rounded double.  No
+    BLAS call is made, so the bytes do not depend on the CPU's kernel.
     """
+    K, G = masses.shape
     C = by_time.shape[1] - 1
     delta = np.empty(C)
-    gain = np.empty((rewards.size, C))
+    terms = np.empty((K, C))
+    first, *rest = terms
     inc = np.empty(C)
-    column = rewards[:, None]
-    subtract, maximum, matmul, add = np.subtract, np.maximum, np.matmul, np.add
-    hi = by_time[-1, 1:]
-    for lo, out, mass in zip(by_time[:0:-1, :-1], by_time[-2::-1, 1:], masses.T[::-1]):
-        subtract(hi, lo, out=delta)
-        subtract(column, delta, out=gain)
-        maximum(gain, 0.0, out=gain)
-        matmul(mass, gain, out=inc)
-        add(hi, inc, out=out)
-        hi = out
+    # 0-d operands: a Python float or a broadcast column costs more per call
+    classes = [(np.array(r), row) for r, row in zip(rewards.tolist(), terms)]
+    zero = np.zeros(())
+    spread = np.empty((_STEP_BLOCK, K, C))
+    cells = masses.T[:, :, None]
+    subtract, maximum, multiply, add = np.subtract, np.maximum, np.multiply, np.add
+    hi = by_time[G, 1:]
+    for end in range(G, 0, -_STEP_BLOCK):
+        start = max(end - _STEP_BLOCK, 0)
+        block = spread[:end - start]
+        np.copyto(block, cells[start:end])
+        for lo, out, mass in zip(by_time[start + 1:end + 1, :-1][::-1],
+                                 by_time[start:end, 1:][::-1], block[::-1]):
+            subtract(hi, lo, out=delta)
+            for reward, row in classes:
+                subtract(reward, delta, out=row)
+            maximum(terms, zero, out=terms)
+            multiply(terms, mass, out=terms)
+            acc = first
+            for row in rest:
+                add(acc, row, out=inc)
+                acc = inc
+            add(hi, acc, out=out)
+            hi = out
 
 
 def _step_surface(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
     """Step the time-major surface ``by_time`` back from its zero last row
     with the kernel for its capacity and demand classes; a surface without
     capacity or demand stays zero."""
-    C = by_time.shape[1] - 1
-    if C > 0 and rewards.size == 1 and C <= _FLOAT_LOOP_MAX_CAPACITY:
-        _single_class_steps(by_time, rewards.item(0), masses[0])
-    elif C > 0 and rewards.size > 0:
+    terms = (by_time.shape[1] - 1) * rewards.size
+    if 0 < terms <= _FLOAT_LOOP_MAX_TERMS:
+        _float_steps(by_time, rewards, masses)
+    elif terms > 0:
         _numpy_steps(by_time, rewards, masses)
 
 
@@ -233,9 +281,8 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
 
     The surface is integrated time-major, one contiguous row per grid time,
     into one preallocated array, and ``values`` is the transposed view of
-    it.  Single-class resources of capacity at most
-    ``_FLOAT_LOOP_MAX_CAPACITY`` step on Python floats, every other resource
-    by numpy (see the module docstring); both give the same bytes.
+    it.  ``_step_surface`` picks the float or the numpy kernel (see the
+    module docstring); both give the same bytes.
     """
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from choicealloc import (
     solve_resource_hjb,
     build_value_grids,
 )
-from choicealloc.valuefn import _FLOAT_LOOP_MAX_CAPACITY, MIN_GRID
+from choicealloc.valuefn import (_FLOAT_LOOP_MAX_TERMS, MIN_GRID, _demand_classes,
+                                 _float_steps, _numpy_steps)
 
 FULL = {(1, 1): 1.0}
 
@@ -189,10 +191,29 @@ def test_build_value_grids_covers_all_resources():
     assert set(grids) == set(range(1, inst.num_resources + 1))
 
 
-def _reference_hjb_values(inst, s_star, l, grid_size):
-    """The original level-major integration loop, kept as the byte oracle."""
-    from choicealloc.valuefn import _demand_classes
+def _ordered_sum(masses, gains):
+    """sum_i masses[i] * gains[i], added left to right, each product and sum
+    one rounded double operation: the Euler step's definition."""
+    total = masses[0] * gains[0]
+    for m, gain in zip(masses[1:], gains[1:]):
+        total = total + m * gain
+    return total
 
+
+def _blas_sum(masses, gains):
+    """The same sum as one BLAS product, whose rounding depends on the kernel
+    BLAS picks; the second, ulp-bounded oracle."""
+    return masses @ gains
+
+
+# The ordered sum and a BLAS product differed by at most 2 ulp on the
+# cases below, at 2000 and at 10k steps, under OpenBLAS's default kernel on
+# a Xeon host; the bound leaves room for other BLAS kernels.
+MAX_ULP_FROM_BLAS = 16
+
+
+def _reference_hjb_values(inst, s_star, l, grid_size, step_sum=_ordered_sum):
+    """The original level-major integration loop, kept as the byte oracle."""
     C = inst.resource(l).capacity
     times = np.linspace(0.0, 1.0, grid_size + 1)
     rewards, masses = _demand_classes(inst, s_star, l, times)
@@ -202,7 +223,7 @@ def _reference_hjb_values(inst, s_star, l, grid_size):
             col = values[:, g]
             delta = col[1:] - col[:-1]
             gain = np.clip(rewards[:, None] - delta[None, :], 0.0, None)
-            values[1:, g - 1] = col[1:] + masses[:, g - 1] @ gain
+            values[1:, g - 1] = col[1:] + step_sum(masses[:, g - 1], gain)
     return values
 
 
@@ -211,7 +232,7 @@ def _single_class_mixture_instance():
     resource with demand has a single class; capacities straddle the float
     loop's cutoff."""
     rng = np.random.default_rng(10)
-    caps = (1, 2, 3, _FLOAT_LOOP_MAX_CAPACITY, _FLOAT_LOOP_MAX_CAPACITY + 1, 40)
+    caps = (1, 2, 3, _FLOAT_LOOP_MAX_TERMS, _FLOAT_LOOP_MAX_TERMS + 1, 40)
     N = len(caps)
     resources = tuple(Resource(l, c) for l, c in enumerate(caps, start=1))
     products = tuple(Product(n, n, float(rng.uniform(0.2, 2.0))) for n in range(1, N + 1))
@@ -247,55 +268,78 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
         assert grid.values.shape == want.shape
         assert grid.values.tobytes() == want.tobytes()
         assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
+        np.testing.assert_array_max_ulp(
+            grid.values, _reference_hjb_values(inst, sol.s_star, l, 2000, _blas_sum),
+            maxulp=MAX_ULP_FROM_BLAS)
         if grid.class_rewards.size == 1:
             single_class.add(grid.capacity)
     if case == "mixture":  # both kernels ran on single-class resources
-        assert {1, 2, 3, _FLOAT_LOOP_MAX_CAPACITY, _FLOAT_LOOP_MAX_CAPACITY + 1} <= single_class
+        assert {1, 2, 3, _FLOAT_LOOP_MAX_TERMS, _FLOAT_LOOP_MAX_TERMS + 1} <= single_class
 
 
 @st.composite
-def single_class_resources(draw):
-    """One resource fed by one demand class: product 1 at ``reward``, and
-    optionally product 2, priced differently but overridden to ``reward``
-    for the one type, so its demand merges into the same class.  Per-cell
-    masses run from 1e-8 to 1, and a segment may carry no demand."""
-    C = draw(st.integers(0, _FLOAT_LOOP_MAX_CAPACITY + 1))
+def resource_demand(draw):
+    """One resource fed by 1-5 products, each bought by its own customer
+    type.  Rewards may tie (tied products merge into one class) or be zero;
+    a product may be priced differently but overridden to its reward for
+    its type.  Per-cell masses run from 1e-8 to 1, and a segment may carry
+    no demand."""
+    C = draw(st.integers(0, _FLOAT_LOOP_MAX_TERMS + 2))
     grid_size = draw(st.integers(MIN_GRID, 300))
-    reward = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0))
-    merged = draw(st.booleans())
-    share = draw(st.floats(0.05, 1.0))
-    cell_masses = draw(st.lists(st.just(0.0) | st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e),
-                                min_size=1, max_size=4))
-    rates = tuple(m * grid_size / share for m in cell_masses)
-    breakpoints = tuple(np.linspace(0.0, 1.0, len(rates) + 1))
-    products = (Product(1, 1, reward),)
-    s_star = {(1, 1): share}
-    if merged:
-        products += (Product(2, 1, reward + 1.0),)
-        s_star = {(1, 1): share / 2, (1, 2): share / 2}
-    ctype = CustomerType(1, RateCurve(breakpoints, rates),
-                         AttractionChoiceModel((0.0,) * len(products), (1.0,) * len(products)),
-                         reward_override={2: reward} if merged else None)
-    return Instance((Resource(1, C),), products, (ctype,)), s_star, grid_size
+    N = draw(st.integers(1, 5))
+    products, types, s_star = [], [], {}
+    for n in range(1, N + 1):
+        reward = draw(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 5.0))
+        override = draw(st.booleans())
+        share = draw(st.floats(0.05, 1.0))
+        cell_masses = draw(st.lists(st.just(0.0) | st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e),
+                                    min_size=1, max_size=4))
+        rates = tuple(m * grid_size / share for m in cell_masses)
+        breakpoints = tuple(np.linspace(0.0, 1.0, len(rates) + 1))
+        products.append(Product(n, 1, reward + 1.0 if override else reward))
+        types.append(CustomerType(n, RateCurve(breakpoints, rates),
+                                  AttractionChoiceModel((0.0,) * N, (1.0,) * N),
+                                  reward_override={n: reward} if override else None))
+        s_star[(n, n)] = share
+    return Instance((Resource(1, C),), tuple(products), tuple(types)), s_star, grid_size
+
+
+def two_class_instance(capacity):
+    return Instance(
+        (Resource(1, capacity),),
+        (Product(1, 1, 1.0), Product(2, 1, 2.0)),
+        tuple(CustomerType(k, RateCurve.constant(2.0),
+                           AttractionChoiceModel((0.0, 0.0), (1.0, 1.0)))
+              for k in (1, 2)),
+    )
+
+
+TWO = {(1, 1): 1.0, (2, 2): 1.0}
 
 
 @settings(max_examples=80, deadline=None)
-@given(single_class_resources())
-@example((unit_instance(2.0, capacity=_FLOAT_LOOP_MAX_CAPACITY), FULL, MIN_GRID))
-@example((unit_instance(2.0, capacity=_FLOAT_LOOP_MAX_CAPACITY + 1), FULL, MIN_GRID))
-def test_single_class_float_loop_is_byte_identical_to_reference_loop(case):
+@given(resource_demand())
+@example((unit_instance(2.0, capacity=_FLOAT_LOOP_MAX_TERMS), FULL, MIN_GRID))
+@example((unit_instance(2.0, capacity=_FLOAT_LOOP_MAX_TERMS + 1), FULL, MIN_GRID))
+@example((two_class_instance(_FLOAT_LOOP_MAX_TERMS // 2), TWO, MIN_GRID))
+@example((two_class_instance(_FLOAT_LOOP_MAX_TERMS // 2 + 1), TWO, MIN_GRID))
+def test_surface_kernels_are_byte_identical_to_reference_loop(case):
     inst, s_star, grid_size = case
-    grid = solve_resource_hjb(inst, s_star, 1, grid_size)
     want = _reference_hjb_values(inst, s_star, 1, grid_size)
-    assert grid.class_rewards.size == 1
+    grid = solve_resource_hjb(inst, s_star, 1, grid_size)
     assert grid.values.tobytes() == want.tobytes()
     assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
+    if grid.capacity > 0 and grid.class_rewards.size > 0:
+        for kernel in (_float_steps, _numpy_steps):  # both, whichever the cutoff picks
+            by_time = np.zeros((grid_size + 1, grid.capacity + 1))
+            kernel(by_time, grid.class_rewards, grid.class_masses)
+            assert by_time.T.tobytes() == want.tobytes(), kernel.__name__
 
 
-def _reference_interval_bound(inst, s_star, l, grid_size):
+def _reference_interval_bound(inst, s_star, l, grid_size, step_sum=_ordered_sum):
     """The interval bound's own Euler loop, kept as the byte oracle of the
     shared surface kernels: one unit, one float stepped per interval."""
-    from choicealloc.valuefn import MASS_BISECTION_TOL, _demand_classes
+    from choicealloc.valuefn import MASS_BISECTION_TOL
 
     C = inst.resource(l).capacity
     if C == 0:
@@ -336,7 +380,7 @@ def _reference_interval_bound(inst, s_star, l, grid_size):
         g = 0.0
         for j in range(steps, 0, -1):
             gains = np.clip(rewards - g, 0.0, None)
-            g += float(masses[:, j - 1] @ gains) if rewards.size else 0.0
+            g += float(step_sum(masses[:, j - 1], gains)) if rewards.size else 0.0
         value += g
     return value
 
@@ -367,6 +411,24 @@ def test_interval_bound_is_byte_identical_to_reference_loop():
         got = interval_decomposition_bound(inst, sol.s_star, 1, grid_size)
         assert type(got) is float
         assert got == _reference_interval_bound(inst, sol.s_star, 1, grid_size), name
+        np.testing.assert_array_max_ulp(
+            got, _reference_interval_bound(inst, sol.s_star, 1, grid_size, _blas_sum),
+            maxulp=MAX_ULP_FROM_BLAS)
         if solve_resource_hjb(inst, sol.s_star, 1, MIN_GRID).class_rewards.size >= 2:
             multi_class += 1
-    assert multi_class >= 40  # the numpy kernel, not only the float loop
+    assert multi_class >= 40  # multi-class surfaces, not only single-class ones
+
+
+def test_batch_grid_bytes_are_pinned():
+    """The acceptance batch's grids, hashed in resource order.  No BLAS call
+    makes them, so the hash holds whichever BLAS kernel the CPU selects
+    (CI reruns this file under OPENBLAS_CORETYPE=Prescott)."""
+    from choicealloc.verify import _batch_instance
+
+    digest = hashlib.sha256()
+    for i in range(20):
+        inst = _batch_instance(20240601 + i)
+        grids = build_value_grids(inst, solve_cdlp(inst).s_star, 2000)
+        for l in sorted(grids):
+            digest.update(grids[l].values.tobytes())
+    assert digest.hexdigest() == "fccaaa9d2ab14da19acfee6d89269df08604be3b75a8cdd11eb843c47a6aa123"
