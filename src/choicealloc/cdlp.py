@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .choice import ChoiceModel, _as_assortment, _subset_revenues, expected_revenue
+from .choice import (_ENUMERATION_CAP, ChoiceModel, _as_assortment, _subset_revenues,
+                     expected_revenue)
 from .lp import LinearProgram, LpSolution, solve_lp
 from .model import Instance, products_of_resource, validate_instance
 
@@ -50,7 +52,6 @@ __all__ = [
 REDUCED_COST_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 _BRUTEFORCE_CAP = 20  # priced products; opr searches locally above it
-_ENUMERATION_CAP = 12  # products of solve_cdlp_enumeration
 
 
 class CdlpError(RuntimeError):
@@ -136,7 +137,8 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
     ``columns``, when given, maps (k, S) to the objective and per-resource
     capacity coefficients of x_k(S) and gains the columns it lacks, so a
     caller that passes one dict to every master computes each column once.
-    Without it nothing is kept: an enumeration master has 2^N columns a type.
+    Without it nothing is kept.  ``_enumeration_master`` builds the same
+    coefficients a type at a time.
     """
     L, K = inst.num_resources, inst.num_types
     resource_of = {p.id: p.resource for p in inst.products}
@@ -224,26 +226,31 @@ def _lex_subsets(ids: Sequence[int]):
 
 def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
                       floor: float | None = None):
-    """Subsets of ``ids`` that may reach ``floor`` (default: the kernel
+    """Subsets of ``ids`` that may reach ``floor`` (default: the screen's
     maximum) in exact scoring, as sorted tuples in ``_lex_subsets`` order.
 
-    For models with a ``_segment_table`` (attraction models and their
-    mixtures) and m > 2 these are the subsets whose kernel value is at
-    least floor - tol, with tol = 1e-9 * max(1, max|price|); every subset
-    for other models, for m <= 2 and when the kernel overflows.
+    Models with a ``_subset_table`` P (attraction models and their
+    mixtures up to ``_ENUMERATION_CAP`` products) score the subsets of
+    ``ids`` as the rows of P @ p whose bitmask lies inside ``ids``, with p
+    zero outside ``ids``; other models with a ``_segment_table`` score them
+    with the kernel ``_subset_revenues``.  The subsets kept are those
+    scoring at least floor - tol, with tol = 1e-9 * max(1, max|price|).
+    Every subset is kept for models with neither array and when a score is
+    not finite.
     """
-    # At m <= 2 the kernel's fixed numpy cost exceeds a scalar scan of every
-    # subset.  Brute-force subproblem times (min of 7 runs of 200 calls,
-    # 2-vCPU host, one BLAS thread), kernel screen vs scalar scan: m = 2
-    # costs 35-51 vs 20-23 us (attraction) and 36-52 vs 31-35 us (3-segment
-    # mixture); m = 3 costs 33-47 vs 44-47 us and 40-52 vs 76-83 us; from
-    # m = 4 the kernel is at least twice as fast.
-    if len(ids) <= 2 or model._segment_table is None:
+    table = model._subset_table
+    if table is None and model._segment_table is None:
         return _lex_subsets(ids)
-    tol = 1e-9 * max(1.0, max(abs(price[n]) for n in ids))
+    tol = 1e-9 * max([1.0] + [abs(price[n]) for n in ids])
+    if table is not None:
+        p = np.zeros(model.num_products)
+        p[np.asarray(ids, dtype=np.intp) - 1] = [price[n] for n in ids]
+        blocks = [(0, (table @ p)[_subset_rows(tuple(ids))])]
+    else:
+        blocks = _subset_revenues(model, ids, price)
     top = -math.inf
     kept: list[tuple[int, float]] = []
-    for first, values in _subset_revenues(model, ids, price):
+    for first, values in blocks:
         block_top = values.max()  # nan if any value is nan
         if not math.isfinite(block_top):
             return _lex_subsets(ids)
@@ -256,6 +263,17 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
     )
 
 
+@lru_cache(maxsize=1024)
+def _subset_rows(ids: tuple[int, ...]) -> np.ndarray:
+    """Row of a ``_subset_table`` for each subset j of the ascending
+    ``ids``, where bit i of j stands for ids[i]."""
+    rows = np.zeros(1, dtype=np.intp)
+    for n in ids:
+        rows = np.concatenate((rows, rows + (1 << (n - 1))))
+    rows.flags.writeable = False  # shared by every caller through the cache
+    return rows
+
+
 def assortment_subproblem_bruteforce(model: ChoiceModel,
                                      price: Mapping[int, float]) -> SubproblemResult:
     """Exhaustive subproblem solver over all subsets of the priced products.
@@ -263,18 +281,20 @@ def assortment_subproblem_bruteforce(model: ChoiceModel,
     Ties resolve to the lexicographically smallest product set.  Intended as
     the exact oracle for any choice model at desk scale.
 
-    For attraction models and their mixtures, a vectorized kernel
-    (``choice._subset_revenues``) scores every subset first.  Only subsets
-    whose kernel value lies within tol = 1e-9 * max(1, max|price|) of the
-    kernel maximum are scored again with ``expected_revenue``, in the same
-    order and under the same strict ``>`` rule as a full scan.  This is
-    exact: each evaluation sums at most m + segments terms of magnitude at
-    most max|price|, so the two values of any subset differ by a few ulps
-    of max|price|, far below tol/2.  Every subset of largest exact value
-    therefore passes the screen, and the lexicographically first one is
-    returned with the same value a full scan returns.  Tabulated models
-    (whose missing entries must raise) and m <= 2 score every subset
-    directly; so does a kernel result that overflows.
+    For attraction models and their mixtures every subset is scored first
+    by ``_screened_subsets``: one product with the model's exact subset
+    probabilities up to ``choice._ENUMERATION_CAP`` products, the numpy
+    kernel ``choice._subset_revenues`` above it.  Only subsets whose score
+    lies within tol = 1e-9 * max(1, max|price|) of the maximum score are
+    scored again with ``expected_revenue``, in the same order and under the
+    same strict ``>`` rule as a full scan.  This is exact: each score sums
+    at most m + segments terms of magnitude at most max|price|, so the two
+    values of any subset differ by a few ulps of max|price|, far below
+    tol/2.  Every subset of largest exact value therefore passes the
+    screen, and the lexicographically first one is returned with the same
+    value a full scan returns.  Tabulated models (whose missing entries
+    must raise) score every subset directly; so does a screen whose scores
+    are not all finite.
     """
     ids = sorted(price)
     if len(ids) > _BRUTEFORCE_CAP:
@@ -519,6 +539,7 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
 
     Exponential in the product count, so capped at ``_ENUMERATION_CAP`` (12)
     products; used as the independent oracle for the column-generation path.
+    The master equals ``build_master`` over every subset.
     """
     _require_valid(inst)
     N = inst.num_products
@@ -526,10 +547,52 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
         raise ValueError(f"enumeration capped at {_ENUMERATION_CAP} products, got {N}")
     subsets = [frozenset(t) for t in _lex_subsets(range(1, N + 1))]
     cols = master_columns({k: subsets for k in range(1, inst.num_types + 1)})
-    lp_sol = solve_lp(_master_lp(inst, cols))
+    lp_sol = solve_lp(_enumeration_master(inst, subsets))
     if lp_sol.status != "optimal":
         raise CdlpError(f"enumeration LP solve failed with status {lp_sol.status!r}")
     return _extract_solution(inst, cols, lp_sol, 0.0, True, 1, (float(lp_sol.objective_value),))
+
+
+def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> LinearProgram:
+    """``_master_lp`` over ``subsets`` for every type, assembled a type at
+    a time from its selection probabilities P[S, n-1].
+
+    Rows of P come from the model's ``_subset_table``, or from one
+    ``distribution`` call per subset for models without one.  Coefficients
+    are the column loop's operations in its order: the objective adds
+    (Lambda_k * P[:, n]) * r_kn over n ascending, and capacity row j adds
+    Lambda_k * P[:, n] over j's products ascending.  A non-member's 0.0
+    adds +0.0 to a sum that starts at 0.0, which changes no value, so the
+    master is ``==`` to ``build_master``.
+    """
+    L, N, K = inst.num_resources, inst.num_products, inst.num_types
+    masks = [sum(1 << (n - 1) for n in S) for S in subsets]
+    members = [sorted(products_of_resource(inst, j)) for j in range(1, L + 1)]
+    objective, rows = [], [[] for _ in range(L + K)]
+    for k in range(1, K + 1):
+        model = inst.ctype(k).choice
+        P = model._subset_table
+        if P is None:
+            P = np.zeros((len(subsets), N))
+            for i, S in enumerate(subsets):
+                for n, p in model.distribution(S):
+                    P[i, n - 1] = p
+        else:
+            P = P[masks]
+        lam = inst.arrival_mass(k)
+        obj = np.zeros(len(subsets))
+        for n in range(1, N + 1):
+            obj += (lam * P[:, n - 1]) * inst.reward(k, n)
+        objective.extend(obj.tolist())
+        for j in range(L):
+            cap = np.zeros(len(subsets))
+            for n in members[j]:
+                cap += lam * P[:, n - 1]
+            rows[j].extend(cap.tolist())
+        for kk in range(K):
+            rows[L + kk].extend([1.0 if kk + 1 == k else 0.0] * len(subsets))
+    rhs = [float(r.capacity) for r in inst.resources] + [1.0] * K
+    return LinearProgram(tuple(objective), tuple(tuple(r) for r in rows), tuple(rhs))
 
 
 def dual_bound(sol: CdlpSolution, inst: Instance) -> float:

@@ -20,6 +20,9 @@ protocol, which every model class implements:
 - ``coverage_error(N)``: why the model does not fit N products (a wrong
   product count, or a NaN or infinite weight or probability), or None;
 - ``_segment_table``: the subset kernel's arrays, or None;
+- ``_subset_table``: the exact subset-probability table P[s, n-1] of a
+  model with a ``_segment_table`` and at most ``_ENUMERATION_CAP``
+  products, built on first use, or None;
 - ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
 """
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
@@ -89,6 +92,18 @@ class ChoiceModel(Protocol):
         except OverflowError:  # the base weight's exact sum of finite weights
             return False
         return table is None or all(np.isfinite(a).all() for a in table)
+
+    @cached_property
+    def _subset_table(self) -> Optional[np.ndarray]:
+        """Read-only array whose entry [s, n-1] is the probability of
+        product n from the subset with bitmask s (bit n-1 for product n),
+        0.0 for non-members: the bytes ``distribution`` returns.  None for
+        models without a ``_segment_table`` or with more than
+        ``_ENUMERATION_CAP`` products."""
+        segments = self._segment_table
+        if segments is None or self.num_products > _ENUMERATION_CAP:
+            return None
+        return _probability_table(segments, self.num_products)
 
     def to_doc(self) -> dict: ...
     @classmethod
@@ -296,6 +311,32 @@ class TabulatedChoiceModel(ChoiceModel):
                 {int(n): float(p) for n, p in entry["p"].items()}
             for entry in doc["entries"]
         })
+
+
+# Models of at most this many products get a ``_subset_table`` (2**12 rows
+# of 12 probabilities are 384 KB), and ``solve_cdlp_enumeration`` enumerates
+# at most this many.
+_ENUMERATION_CAP = 12
+
+
+def _probability_table(segments: tuple[np.ndarray, ...], num_products: int) -> np.ndarray:
+    """``_subset_table`` from a model's ``_segment_table``.  Each entry
+    repeats ``distribution``'s operations: a segment's denominator is its
+    base weight plus the exactly rounded ``math.fsum`` of nu over the
+    subset, its term is (w * (mu+nu)) / denominator, and the terms are added
+    in segment order to 0.0 (w = 1 for a plain attraction model, whose
+    weight / denominator this reproduces exactly)."""
+    w, base, weight, nu = segments
+    members = _subset_masks(num_products).T.astype(bool)
+    selectors = members.tolist()
+    acc = np.zeros(members.shape)
+    for g in range(len(w)):
+        nu_g, base_g = nu[g].tolist(), float(base[g])
+        den = np.array([base_g + math.fsum(compress(nu_g, sel)) for sel in selectors])
+        acc += (w[g] * weight[g]) / den[:, None]
+    table = np.where(members, acc, 0.0)
+    table.flags.writeable = False
+    return table
 
 
 # The kernel scores at most 2**_BLOCK_BITS subsets per block, so every

@@ -78,8 +78,9 @@ class DegradedSolver:
     Returns the *worst* assortment whose value still clears ``gamma`` times
     the true optimum, so the declared guarantee is exercised rather than
     vacuously satisfied.  Ties go to the lexicographically smallest set.
-    Only the subsets the brute force's kernel screen keeps against that
-    threshold are scored exactly; every other subset scores below it.
+    Only the subsets the brute force's screen (``cdlp._screened_subsets``)
+    keeps against that threshold are scored exactly; every other subset
+    scores below it.
     """
 
     def __init__(self, gamma: float):

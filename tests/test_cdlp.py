@@ -374,9 +374,15 @@ def test_kernel_values_match_expected_revenue(case):
     # both sum at most m + 4 terms bounded by max|price|; 1e-12 is far above their rounding
     scale = max([1.0] + [abs(p) for p in price.values()])
     np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12 * scale)
+    # with no subset table the brute force screens with the kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(choice, "_ENUMERATION_CAP", 0)
+        res = assortment_subproblem_bruteforce(model, price)
+    assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
 
 def test_bruteforce_screen_exact_across_blocks(monkeypatch):
+    monkeypatch.setattr(choice, "_ENUMERATION_CAP", 0)  # screen with the kernel
     monkeypatch.setattr(choice, "_MASK_BITS", 2)
     monkeypatch.setattr(choice, "_BLOCK_BITS", 3)
     rng = np.random.default_rng(17)
@@ -408,8 +414,9 @@ def test_bruteforce_screen_keeps_rounding_ties(mu, nu, prices):
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
 
-def test_bruteforce_screen_falls_back_when_kernel_overflows():
+def test_bruteforce_screen_falls_back_when_kernel_overflows(monkeypatch):
     # (mu+nu)*price overflows to inf in the kernel; the scalar values stay finite
+    monkeypatch.setattr(choice, "_ENUMERATION_CAP", 0)  # screen with the kernel
     model = mnl(1e200, 1.0, 1e200)
     price = {1: 1e200, 2: 1e150, 3: 2e200}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -418,6 +425,54 @@ def test_bruteforce_screen_falls_back_when_kernel_overflows():
         res = assortment_subproblem_bruteforce(model, price)
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
     assert res.value > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_bruteforce_table_screen_falls_back_on_nonfinite_scores(bad):
+    # P @ p holds 0 * inf or nan where product 2 is not offered; the full
+    # scan then scores every subset, as without a screen
+    model = MixtureChoiceModel(((0.4, mnl(1.0, 0.5, 2.0)),
+                                (0.6, AttractionChoiceModel((0.3, 0.0, 0.1), (0.2, 1.0, 0.0)))))
+    price = {1: 1.0, 2: bad, 3: 0.5}
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(model._subset_table @ [1.0, bad, 0.5]).all()
+        assert cdlp._screened_subsets(model, [1, 2, 3], price) == cdlp._lex_subsets([1, 2, 3])
+        res = assortment_subproblem_bruteforce(model, price)
+    assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_kernel_cases(), keep=st.lists(st.booleans(), min_size=12, max_size=12),
+       size=st.sampled_from(["empty", "one", "some"]))
+def test_bruteforce_over_a_subset_of_the_products_equals_scalar_enumeration(case, keep, size):
+    # opr prices only the products it can sell: the screen reads the rows of
+    # the table that lie inside them
+    model, price = case
+    ids = sorted(price)
+    ids = {"empty": [], "one": ids[:1], "some": [n for n, k in zip(ids, keep) if k]}[size]
+    sub = {n: price[n] for n in ids}
+    res = assortment_subproblem_bruteforce(model, sub)
+    assert (res.assortment, res.value) == _scalar_bruteforce(model, sub)
+
+
+def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
+    from choicealloc import build_value_grids, monte_carlo, policies
+
+    inst, calls = _MIXTURE10, []
+
+    def spy(model, price):
+        calls.append((model, dict(price)))
+        return assortment_subproblem_bruteforce(model, price)
+
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 200)
+    monkeypatch.setitem(policies.SOLVERS, "bruteforce", spy)
+    monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
+    monkeypatch.undo()
+    assert any(len(price) < inst.num_products for _, price in calls)
+    for model, price in calls:
+        res = assortment_subproblem_bruteforce(model, price)
+        assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
 
 def test_bruteforce_rejects_no_purchase_id():
@@ -503,6 +558,38 @@ def test_planners_reject_an_invalid_instance_alike():
         with pytest.raises(ValueError) as err:
             plan()
         assert str(err.value) == want
+
+
+@pytest.mark.parametrize("inst", [
+    _scaling_base_instance(),
+    random_instance(7, max_products=8, model_kinds=("attraction",)),
+    random_instance(4, max_products=8, model_kinds=("mixture",)),
+    random_instance(51, max_products=6, model_kinds=("attraction", "mixture", "table")),
+    random_instance(3, max_products=5, model_kinds=("table",)),
+    _batch_instance(20240601),
+    _MIXTURE10,
+], ids=["mnl", "attraction7", "mixture4", "mixed51", "table3", "batch0", "mixture10"])
+def test_enumeration_master_equals_build_master(inst, monkeypatch):
+    solved = []
+    real_solve = cdlp.solve_lp
+
+    def solve_spy(prog):
+        solved.append(prog)
+        return real_solve(prog)
+
+    monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
+    solve_cdlp_enumeration(inst)
+    subsets = _all_subsets(range(1, inst.num_products + 1))
+    [prog] = solved
+    assert prog == build_master(inst, {k: subsets for k in range(1, inst.num_types + 1)})
+
+
+def test_enumeration_raises_on_a_missing_table_entry():
+    model = TabulatedChoiceModel({frozenset({1}): {1: 0.5}, frozenset({2}): {2: 0.5}})
+    inst = Instance((Resource(1, 1),), (Product(1, 1, 1.0), Product(2, 1, 1.0)),
+                    (CustomerType(1, RateCurve.constant(1.0), model),))
+    with pytest.raises(ValueError, match=r"assortment \[1, 2\] not present"):
+        solve_cdlp_enumeration(inst)
 
 
 def test_enumeration_cap():

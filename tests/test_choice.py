@@ -228,3 +228,63 @@ def test_attraction_weights_only_for_plain_attraction_models():
     assert weight == (1.5, 2.0) and nu == (1.0, 2.0) and base == model.base_weight
     assert MixtureChoiceModel(((1.0, model),)).attraction() is None
     assert TabulatedChoiceModel({frozenset({1}): {1: 1.0}}).attraction() is None
+
+
+# ------------------------------------------------ subset-probability tables
+
+_table_weights = st.one_of(st.just(0.0), st.just(1.0), st.sampled_from([0.1, 0.3, 0.6, 0.7]),
+                           st.floats(min_value=0.0, max_value=3.0),
+                           st.floats(min_value=1e-3, max_value=1e3))
+
+
+@st.composite
+def _table_models(draw):
+    """MNL, independent-demand or general attraction models, or mixtures of
+    1-4 of them with zero segment weights allowed, over 0-12 products."""
+    N = draw(st.integers(min_value=0, max_value=12))
+
+    def attraction():
+        kind = draw(st.sampled_from(["mnl", "independent", "general"]))
+        mu = (0.0,) * N if kind == "mnl" else draw(st.tuples(*[_table_weights] * N))
+        nu = (0.0,) * N if kind == "independent" else draw(st.tuples(*[_table_weights] * N))
+        return AttractionChoiceModel(mu, nu)
+
+    if draw(st.booleans()):
+        return attraction()
+    raw = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=1, max_size=4)
+               .filter(lambda ws: sum(ws) > 0.0))
+    return MixtureChoiceModel(tuple((w / sum(raw), attraction()) for w in raw))
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=_table_models())
+def test_subset_table_rows_are_the_bytes_of_distribution(model):
+    N = model.num_products
+    table = model._subset_table
+    assert table.shape == (1 << N, N) and not table.flags.writeable
+    for s in range(1 << N):
+        row = [0.0] * N
+        for n, p in model.distribution(frozenset(n for n in range(1, N + 1) if s >> (n - 1) & 1)):
+            row[n - 1] = p
+        assert table[s].tobytes() == np.array(row).tobytes()
+
+
+def test_subset_table_only_for_attraction_models_up_to_the_cap():
+    from choicealloc import choice
+
+    cap = choice._ENUMERATION_CAP
+    assert mnl(*([1.0] * cap))._subset_table.shape == (1 << cap, cap)
+    wide = mnl(*([1.0] * (cap + 1)))
+    assert wide._subset_table is None
+    assert MixtureChoiceModel(((0.5, wide), (0.5, wide)))._subset_table is None
+    assert TabulatedChoiceModel({frozenset({1}): {1: 1.0}})._subset_table is None
+
+
+def test_validation_builds_no_subset_table():
+    from choicealloc import validate_instance
+
+    for seed in range(6):
+        inst = random_instance(seed, max_products=8, model_kinds=("attraction", "mixture", "table"))
+        assert validate_instance(inst).ok
+        for ct in inst.types:
+            assert "_subset_table" not in vars(ct.choice)

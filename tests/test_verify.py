@@ -107,6 +107,25 @@ def _degraded_models():
 
 
 def test_degraded_solver_screen_equals_full_scan():
+    _check_degraded_solver_against_full_scan()
+
+
+def test_degraded_solver_kernel_screen_equals_full_scan(monkeypatch):
+    from choicealloc import choice
+
+    monkeypatch.setattr(choice, "_ENUMERATION_CAP", 0)  # no subset tables
+    _check_degraded_solver_against_full_scan()
+
+
+def test_degraded_solver_on_a_subset_of_the_products_equals_full_scan():
+    for model, price in _degraded_models():
+        for sub in ({}, dict(list(price.items())[:1]), dict(list(price.items())[1::2])):
+            for gamma in (1.0, 0.7, 0.3):
+                res = DegradedSolver(gamma)(model, sub)
+                assert (res.assortment, res.value) == _reference_degraded(gamma, model, sub)
+
+
+def _check_degraded_solver_against_full_scan():
     from choicealloc.cdlp import _lex_subsets
 
     ties = 0
