@@ -55,7 +55,6 @@ from .policies import (
     OfferDecision,
     POLICY_NAMES,
     fcfs_offer,
-    fcfs_accept,
     pr_accept,
     opr_offer,
 )

@@ -370,7 +370,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     # a confidence interval needs two replications, a value surface MIN_GRID steps
-    for flag, low in (("reps", 2), ("grid", MIN_GRID), ("instances", 1)):
+    for flag, low in (("reps", 2), ("grid", MIN_GRID), ("instances", 1), ("workers", 1)):
         if (value := getattr(args, flag, None)) is not None and value < low:
             parser.error(f"argument --{flag}: must be at least {low}")
     if getattr(args, "instance", None) is not None:  # validate, cdlp, simulate

@@ -9,10 +9,10 @@ the offered assortment per arrival against marginal-value-adjusted prices
 and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
-opr decides an attraction-model type's offer inline, through the ratio
-ranking of ``cdlp._best_prefix`` over the model's cached ``attraction()``
-tuples; mixtures and probability tables go through
-``_bruteforce_or_search`` (see ``opr_offer``).
+opr offers its exact optimizer's answer (``cdlp._best_prefix`` for
+attraction models, brute force otherwise) and checks only local search,
+past ``cdlp._BRUTEFORCE_CAP``, against the plan's pruned assortments (see
+``opr_offer``).
 
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .cdlp import (_BRUTEFORCE_CAP, SOLVERS, CdlpSolution, _best_prefix,
                    assortment_subproblem_localsearch)
-from .choice import ChoiceModel, _revenue
+from .choice import _revenue
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
 
@@ -37,7 +37,6 @@ __all__ = [
     "OfferDecision",
     "POLICY_NAMES",
     "fcfs_offer",
-    "fcfs_accept",
     "pr_accept",
     "opr_offer",
 ]
@@ -62,14 +61,9 @@ class PolicyState:
 
 @dataclass(frozen=True)
 class OfferDecision:
-    """The assortment shown to one arriving customer.
-
-    ``marginal_reward`` is the expected marginal-value-adjusted revenue the
-    offer collects from this arrival (populated by opr for its floor check).
-    """
+    """The assortment shown to one arriving customer."""
 
     assortment: frozenset[int]
-    marginal_reward: float | None = None
 
 
 def _offer_cdf(sol: CdlpSolution, k: int) -> list[tuple[float, frozenset[int]]]:
@@ -156,14 +150,6 @@ class _Tables:
         return dist
 
 
-def _bruteforce_or_search(model: ChoiceModel, prices: Mapping[int, float]):
-    """Exact brute force up to ``cdlp._BRUTEFORCE_CAP`` priced products,
-    local search beyond."""
-    if len(prices) <= _BRUTEFORCE_CAP:
-        return SOLVERS["bruteforce"](model, prices)
-    return assortment_subproblem_localsearch(model, prices, restarts=_OPR_RESTARTS, seed=0)
-
-
 def _sellable(stock: int, expiry: float, now: float) -> bool:
     """Whether a product of a resource with this stock and expiry can be
     sold at time now: the resource is in stock and unexpired."""
@@ -187,9 +173,9 @@ def _pr_accepts(reward: float, stock: int, expiry: float, marginals, now: float)
 
 
 def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[int], float]:
-    """opr's offer to a type-k arrival and its expected marginal reward
-    (see ``opr_offer``).  A resource's marginal value is interpolated only
-    when one of its products can be sold, once per call."""
+    """opr's offer to a type-k arrival and its expected marginal reward, by
+    the rule of ``opr_offer``.  A resource's marginal value is interpolated
+    only when one of its products can be sold, once per call."""
     if not t.prunable[k]:
         raise ValueError(
             "opr requires choice models where pruning cannot hurt expected "
@@ -215,11 +201,15 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
 
     weights = t.attraction[k]
     if weights is not None:
-        offer, value = _best_prefix(weights, prices.items())
-    else:
-        best = _bruteforce_or_search(t.models[k], prices)
-        offer, value = best.assortment, best.value
+        return _best_prefix(weights, prices.items())
+    if len(prices) <= _BRUTEFORCE_CAP:
+        best = SOLVERS["bruteforce"](t.models[k], prices)
+        return best.assortment, best.value
 
+    best = assortment_subproblem_localsearch(t.models[k], prices,
+                                             restarts=_OPR_RESTARTS, seed=0)
+    offer, value = best.assortment, best.value
+    # the heuristic's only floor: no offer below the plan's pruned assortments
     for _, S in t.offers[k]:
         pruned = S & positive
         v = _revenue(t.dist(k, pruned), prices) if pruned else 0.0
@@ -236,15 +226,6 @@ def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> Offer
     on (k, u), never on inventory or time.
     """
     return OfferDecision(_static_offer(_offer_cdf(sol, k), u))
-
-
-def fcfs_accept(state: PolicyState, n: int, inst: Instance) -> bool:
-    """Greedy acceptance: sell whenever the product can be sold (its
-    resource is in stock and not expired)."""
-    if n <= 0:
-        raise ValueError("acceptance is decided only for actual products")
-    res = inst.resource(inst.product(n).resource)
-    return _sellable(state.level(res.id), res.expiry, state.now)
 
 
 def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid],
@@ -270,19 +251,22 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     arrival.
 
     Products are priced at reward minus the marginal value of their
-    resource; products that cannot be sold are excluded outright.  The
-    optimizer (for attraction models the exact best prefix of the ratio
-    ranking, ``cdlp._best_prefix``, run inline on the model's cached
-    ``attraction()`` tuples; for mixtures and tables ``_bruteforce_or_search``:
-    brute force up to ``cdlp._BRUTEFORCE_CAP`` products, local search
-    beyond) is compared against a
-    fallback built from the plan's own assortments with nonpositive-price
-    products pruned, and the better of the two is offered; the fallback
-    guarantees the offer collects at least the marginal reward the static
-    threshold policy would.  Every purchase from the offer is accepted.
-    ``grids`` must hold a grid for every resource, covering its capacity.
+    resource; products that cannot be sold are excluded outright.  For
+    attraction models the offer is the exact best prefix of the ratio
+    ranking (``cdlp._best_prefix``, on the model's cached ``attraction()``
+    tuples); for mixtures and tables it is the exact brute force up to
+    ``cdlp._BRUTEFORCE_CAP`` priced products.  Each plan assortment with
+    its nonpositive-price products pruned is one of the sets these
+    maximize over, so the offer collects at least the marginal reward the
+    static threshold policy would.  Past the cap, local search runs and
+    the pruned plan assortments are its floor: the better is offered.
+    Every purchase from the offer is accepted.  ``grids`` must hold a grid
+    for every resource, covering its capacity.
+
+    Each call compiles a ``_Tables`` for the whole instance (with a cold
+    distribution memo); the simulator compiles once per run instead.
     """
     tables = _Tables(inst, sol, grids)
-    offer, value = _opr_decision(tables, state.inventory, state.now, k)
-    return OfferDecision(offer, value)
+    offer, _ = _opr_decision(tables, state.inventory, state.now, k)
+    return OfferDecision(offer)
 

@@ -215,11 +215,15 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
     of ``_replication``; running several policies with the same base seed
     therefore pairs them path by path and draw by draw.
     ``sol`` is the plan to follow; pr and opr also need its value ``grids``.
+    ``workers`` > 1 splits the replications over at most ``reps`` processes.
     """
     if reps < 2:
         raise ValueError("at least two replications required")
+    if workers < 1:
+        raise ValueError("at least one worker required")
 
     indices = list(range(reps))
+    workers = min(workers, reps)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -21,7 +21,6 @@ from choicealloc import (
     build_value_grids,
     choice_probability,
     expected_revenue,
-    fcfs_accept,
     fcfs_offer,
     marginal_value,
     monte_carlo,
@@ -94,14 +93,6 @@ def test_fcfs_offer_empirical_frequencies():
     hits = sum(1 for u in draws if fcfs_offer(state, 1, sol, u).assortment == S1)
     se = math.sqrt(0.3 * 0.7 / len(draws))
     assert abs(hits / len(draws) - 0.3) <= 3 * se
-
-
-def test_fcfs_accept():
-    inst = two_product_instance()
-    assert fcfs_accept(PolicyState((3,), 0.5), 1, inst)
-    assert not fcfs_accept(PolicyState((0,), 0.5), 1, inst)
-    with pytest.raises(ValueError):
-        fcfs_accept(PolicyState((1,), 0.5), 0, inst)
 
 
 # ------------------------------------------------------------------- pr
@@ -181,11 +172,13 @@ def test_opr_never_offers_stocked_out_or_expired():
 
 def test_opr_floor_dominates_static_plan():
     # The offered assortment's marginal reward must cover both the pruned
-    # fallback and the expected marginal reward of the static plan.
+    # plan assortments and the expected marginal reward of the static plan;
+    # table offers rest on brute force alone.
     rng = np.random.default_rng(21)
-    for seed in range(10):
-        inst = random_instance(seed, max_resources=2, max_products=5, max_types=2,
-                               model_kinds=("attraction", "mixture"))
+    instances = [random_instance(seed, max_resources=2, max_products=5, max_types=2,
+                                 model_kinds=("attraction", "mixture"))
+                 for seed in range(10)]
+    for inst in instances + [_table_instance(seed) for seed in range(5)]:
         sol = solve_cdlp(inst)
         grids = build_value_grids(inst, sol.s_star, 1500)
         for _ in range(8):
@@ -239,15 +232,13 @@ def test_opr_rejects_non_monotone_table():
 
 def test_acceptance_refuses_expired_products():
     # Sellability (in stock and before expiry) is one decision shared by the
-    # simulator and the public acceptance functions.
+    # simulator and the public acceptance function.
     inst = Instance(
         (Resource(1, 2, expiry=0.5),),
         (Product(1, 1, 1.0),),
         (CustomerType(1, RateCurve.constant(1.0), mnl(1.0)),),
     )
     grids = build_value_grids(inst, {(1, 1): 1.0}, 500)
-    assert fcfs_accept(PolicyState((2,), 0.4), 1, inst)
-    assert not fcfs_accept(PolicyState((2,), 0.5), 1, inst)
     assert pr_accept(PolicyState((2,), 0.4), 1, grids, inst, 1)
     assert not pr_accept(PolicyState((2,), 0.5), 1, grids, inst, 1)
 
@@ -274,9 +265,11 @@ def test_decisions_reject_grids_that_do_not_cover_the_instance():
 # ------------------------------------------------- opr solver dispatch
 
 
-def _reference_opr_decision(t, inventory, now, k, restarts=4):
+def _reference_opr_decision(t, inventory, now, k, restarts=4, floor_exact=False):
     """policies._opr_decision as it was, picking its subproblem solver by
-    model class on every arrival."""
+    model class on every arrival.  The pruned plan assortments are a floor
+    for local search only; ``floor_exact`` scores them after the exact
+    solvers too, the earlier rule."""
     if not t.prunable[k]:
         raise ValueError("not removal-monotone")
     model = t.models[k]
@@ -295,7 +288,10 @@ def _reference_opr_decision(t, inventory, now, k, restarts=4):
         best = assortment_subproblem_bruteforce(model, prices)
     else:
         best = assortment_subproblem_localsearch(model, prices, restarts=restarts, seed=0)
+        floor_exact = True
     offer, value = best.assortment, best.value
+    if not floor_exact:
+        return offer, value
     for _, S in t.offers[k]:
         pruned = prune_nonpositive(S.intersection(prices), prices)
         v = expected_revenue(model, pruned, prices) if pruned else 0.0
@@ -358,8 +354,9 @@ def _assert_decisions_equal(tables, states, num_types):
                 _reference_opr_decision(tables, inventory, now, k)
 
 
-@pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
-def test_opr_offers_equal_class_dispatch(kind):
+def _random_cases(kind):
+    """Six random instances of one model kind, each with its compiled
+    tables and 20 random (inventory, now) states."""
     rng = np.random.default_rng(5)
     for seed in range(6):
         if kind == "table":
@@ -369,24 +366,34 @@ def test_opr_offers_equal_class_dispatch(kind):
                                    model_kinds=(kind,))
         sol = solve_cdlp(inst)
         grids = build_value_grids(inst, sol.s_star, 800)
-        tables = policies._Tables(inst, sol, grids)
-        assert all(tables.prunable.values())
-        for _ in range(20):
-            inventory = [int(rng.integers(0, r.capacity + 1)) for r in inst.resources]
-            now = float(rng.uniform(0.0, 1.0))
-            for k in range(1, inst.num_types + 1):
-                assert policies._opr_decision(tables, inventory, now, k) == \
-                    _reference_opr_decision(tables, inventory, now, k)
+        states = [([int(rng.integers(0, r.capacity + 1)) for r in inst.resources],
+                   float(rng.uniform(0.0, 1.0)))
+                  for _ in range(20)]
+        yield inst, policies._Tables(inst, sol, grids), states
 
-    # states the random draws rarely reach, on weights with the sort's corners
+
+def _corner_case(kind):
+    """``_corner_instance(kind)`` with its plan, its grids and the states
+    the random draws rarely reach."""
     inst = _corner_instance(kind)
     sol = solve_cdlp(inst)
     grids = build_value_grids(inst, sol.s_star, 800)
-    tables = policies._Tables(inst, sol, grids)
-    assert all(tables.prunable.values())
     states = [(list(inventory), now)
               for inventory in ((3, 2), (1, 1), (3, 0), (0, 2), (0, 0))
               for now in (0.0, 0.25, 0.59, 0.6, 0.75, 1.0)]  # resource 2 expires at 0.6
+    return inst, sol, grids, states
+
+
+@pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
+def test_opr_offers_equal_class_dispatch(kind):
+    for inst, tables, states in _random_cases(kind):
+        assert all(tables.prunable.values())
+        _assert_decisions_equal(tables, states, inst.num_types)
+
+    # states the random draws rarely reach, on weights with the sort's corners
+    inst, sol, grids, states = _corner_case(kind)
+    tables = policies._Tables(inst, sol, grids)
+    assert all(tables.prunable.values())
     _assert_decisions_equal(tables, states, inst.num_types)
     for inventory in ([3, 2], [0, 0]):
         for now in (-0.1, 1.5):
@@ -407,6 +414,25 @@ def test_opr_offers_equal_class_dispatch(kind):
         _assert_decisions_equal(
             tables, [(inventory, now) for inventory, now in states if inventory[empty] == 0],
             inst.num_types)
+
+
+@pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
+def test_opr_exact_offers_match_the_plan_floor_rule(kind):
+    # The pruned plan assortments are among the sets the exact solvers
+    # maximize over, so scoring them after those solvers, as opr once did,
+    # changes no offer; the values differ only in rounding (at most 3 ulp
+    # measured, from _best_prefix's running sums against fsum).
+    cases = [(tables, states, inst.num_types) for inst, tables, states in _random_cases(kind)]
+    inst, sol, grids, states = _corner_case(kind)
+    cases.append((policies._Tables(inst, sol, grids), states, inst.num_types))
+    for tables, states, num_types in cases:
+        for inventory, now in states:
+            for k in range(1, num_types + 1):
+                offer, value = policies._opr_decision(tables, inventory, now, k)
+                floored, floor_value = _reference_opr_decision(tables, inventory, now, k,
+                                                               floor_exact=True)
+                assert offer == floored
+                np.testing.assert_array_max_ulp(value, floor_value, maxulp=4)
 
 
 def _wide_mixture_tables(N):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -245,6 +246,27 @@ def test_monte_carlo_requires_two_reps():
     sol = solve_cdlp(inst)
     with pytest.raises(ValueError):
         monte_carlo(inst, "fcfs", 1, 0, sol=sol)
+
+
+def test_monte_carlo_workers_beyond_reps_give_the_serial_rewards(monkeypatch):
+    # the pool is sized at min(workers, reps): two processes here, no empty chunk
+    sizes = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def sized_pool(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sized_pool)
+    inst = unit_instance(1.0)
+    sol = solve_cdlp(inst)
+    serial = monte_carlo(inst, "fcfs", 2, 13, sol=sol)
+    pooled = monte_carlo(inst, "fcfs", 2, 13, sol=sol, workers=3)
+    assert pooled.rewards.tobytes() == serial.rewards.tobytes()
+    assert sizes == [2]
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="worker"):
+            monte_carlo(inst, "fcfs", 2, 13, sol=sol, workers=workers)
 
 
 def test_monte_carlo_needs_a_plan_and_grids_for_pr_and_opr():
