@@ -125,46 +125,38 @@ def _require_valid(inst: Instance) -> None:
 def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> LinearProgram:
     """Restricted master LP over the assortment collections ``H``."""
     _require_valid(inst)
-    return _master_lp(inst, master_columns(H))
+    return _master_lp(inst, master_columns(H), {})
 
 
 def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
-               columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]] | None = None
+               columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]]
                ) -> LinearProgram:
     """``build_master`` over the variables ``cols`` (``master_columns``
     order) of an instance the caller has validated.
 
-    ``columns``, when given, maps (k, S) to the objective and per-resource
-    capacity coefficients of x_k(S) and gains the columns it lacks, so a
-    caller that passes one dict to every master computes each column once.
-    Without it nothing is kept.  ``_enumeration_master`` builds the same
+    ``columns`` is the column cache: it maps (k, S) to the objective
+    coefficient of x_k(S) and its full constraint column, L capacity
+    entries then K convexity entries (1.0 at type k), and gains the
+    columns it lacks.  A caller that passes one dict to every master
+    computes each column once.  ``_enumeration_master`` builds the same
     coefficients a type at a time.
     """
     L, K = inst.num_resources, inst.num_types
     resource_of = {p.id: p.resource for p in inst.products}
-    objective = []
-    rows = [[] for _ in range(L + K)]
     for k, S in cols:
-        column = None if columns is None else columns.get((k, S))
-        if column is None:
+        if (k, S) not in columns:
             lam = inst.arrival_mass(k)
-            cap_coef = [0.0] * L
+            column = [0.0] * (L + K)
             obj = 0.0
             for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
                 obj += lam * p * inst.reward(k, n)
-                cap_coef[resource_of[n] - 1] += lam * p
-            column = (obj, cap_coef)
-            if columns is not None:
-                columns[(k, S)] = column
-        obj, cap_coef = column
-        objective.append(obj)
-        for j in range(L):
-            rows[j].append(cap_coef[j])
-        for kk in range(K):
-            rows[L + kk].append(1.0 if kk + 1 == k else 0.0)
-
+                column[resource_of[n] - 1] += lam * p
+            column[L + k - 1] = 1.0
+            columns[(k, S)] = (obj, column)
+    objective = [columns[col][0] for col in cols]
+    rows = np.array([columns[col][1] for col in cols]).reshape(len(cols), L + K).T
     rhs = [float(r.capacity) for r in inst.resources] + [1.0] * K
-    return LinearProgram(tuple(objective), tuple(tuple(r) for r in rows), tuple(rhs))
+    return LinearProgram(objective, rows, rhs)
 
 
 def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
@@ -470,8 +462,8 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     master equals ``build_master`` on the iteration's columns.
     """
     _require_valid(inst)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
     if isinstance(solver, str):
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}; choose from {', '.join(sorted(SOLVERS))}")
@@ -554,8 +546,8 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
 
 
 def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> LinearProgram:
-    """``_master_lp`` over ``subsets`` for every type, assembled a type at
-    a time from its selection probabilities P[S, n-1].
+    """``_master_lp`` over ``subsets`` for every type, one block of columns
+    a type, written from its selection probabilities P[S, n-1].
 
     Rows of P come from the model's ``_subset_table``, or from one
     ``distribution`` call per subset for models without one.  Coefficients
@@ -563,36 +555,36 @@ def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> Li
     (Lambda_k * P[:, n]) * r_kn over n ascending, and capacity row j adds
     Lambda_k * P[:, n] over j's products ascending.  A non-member's 0.0
     adds +0.0 to a sum that starts at 0.0, which changes no value, so the
-    master is ``==`` to ``build_master``.
+    master's arrays equal ``build_master``'s.
     """
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
     masks = [sum(1 << (n - 1) for n in S) for S in subsets]
     members = [sorted(products_of_resource(inst, j)) for j in range(1, L + 1)]
-    objective, rows = [], [[] for _ in range(L + K)]
+    width = len(subsets)
+    objective = np.zeros(K * width)
+    rows = np.zeros((L + K, K * width))
     for k in range(1, K + 1):
         model = inst.ctype(k).choice
         P = model._subset_table
         if P is None:
-            P = np.zeros((len(subsets), N))
+            P = np.zeros((width, N))
             for i, S in enumerate(subsets):
                 for n, p in model.distribution(S):
                     P[i, n - 1] = p
         else:
             P = P[masks]
         lam = inst.arrival_mass(k)
-        obj = np.zeros(len(subsets))
+        block = slice((k - 1) * width, k * width)
+        obj = objective[block]
         for n in range(1, N + 1):
             obj += (lam * P[:, n - 1]) * inst.reward(k, n)
-        objective.extend(obj.tolist())
         for j in range(L):
-            cap = np.zeros(len(subsets))
+            cap = rows[j, block]
             for n in members[j]:
                 cap += lam * P[:, n - 1]
-            rows[j].extend(cap.tolist())
-        for kk in range(K):
-            rows[L + kk].extend([1.0 if kk + 1 == k else 0.0] * len(subsets))
+        rows[L + k - 1, block] = 1.0
     rhs = [float(r.capacity) for r in inst.resources] + [1.0] * K
-    return LinearProgram(tuple(objective), tuple(tuple(r) for r in rows), tuple(rhs))
+    return LinearProgram(objective, rows, rhs)
 
 
 def dual_bound(sol: CdlpSolution, inst: Instance) -> float:

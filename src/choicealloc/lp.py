@@ -9,6 +9,10 @@ tableau, which keeps the certificates clean of accumulated roundoff.  The
 dual values are load-bearing downstream (column-generation reduced costs),
 hence the insistence on exact basis duals over speed.
 
+A ``LinearProgram`` copies its coefficients once into read-only,
+C-contiguous float64 arrays and checks them there, so ``solve_lp`` reads
+them as they are and no caller can change a checked program.
+
 Pivots run in place on one C-contiguous ``(m, ncols + 1)`` tableau: the
 pivot row is scaled, and every other row subtracts its multiple of it
 through one reused product buffer.  The O(m) steps run on Python floats:
@@ -39,28 +43,31 @@ OPTIMALITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """max objective @ x  s.t.  rows @ x <= rhs,  x >= 0."""
+    """max objective @ x  s.t.  rows @ x <= rhs,  x >= 0, held as read-only
+    float64 copies of shape (n,), (m, n) and (m,); no rows give (0, n).
+    Programs compare by identity: compare their arrays instead."""
 
-    objective: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
+    objective: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self):
-        obj = tuple(float(v) for v in self.objective)
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        rhs = tuple(float(v) for v in self.rhs)
-        if len(rows) != len(rhs):
-            raise ValueError("one right-hand side per constraint row required")
-        if any(len(row) != len(obj) for row in rows):
+        obj = np.array(self.objective, dtype=float)
+        rows = np.array(self.rows, dtype=float, order="C")
+        rhs = np.array(self.rhs, dtype=float)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, obj.size)
+        if obj.ndim != 1 or rows.ndim != 2 or rows.shape[1] != obj.size:
             raise ValueError("constraint row width must match the objective length")
-        flat = list(obj) + [v for row in rows for v in row] + list(rhs)
-        if any(not math.isfinite(v) for v in flat):
+        if rhs.shape != rows.shape[:1]:
+            raise ValueError("one right-hand side per constraint row required")
+        if not (np.isfinite(obj).all() and np.isfinite(rows).all() and np.isfinite(rhs).all()):
             raise ValueError("all coefficients must be finite")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
+        for name, array in (("objective", obj), ("rows", rows), ("rhs", rhs)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
@@ -123,16 +130,13 @@ def _run_simplex(T, buf, basis, cost, limit, max_iters):
 def solve_lp(program: LinearProgram) -> LpSolution:
     """Solve a small LP; never returns a silently wrong answer (numerical
     breakdown surfaces as status "failed")."""
-    m = len(program.rows)
-    n = len(program.objective)
-    c = np.asarray(program.objective, dtype=float)
+    c, A, b = program.objective, program.rows, program.rhs
+    m, n = A.shape
     if m == 0:
         if np.any(c > OPTIMALITY_TOL):
             return LpSolution("unbounded")
         return LpSolution("optimal", (0.0,) * n, (), 0.0)
 
-    A = np.asarray(program.rows, dtype=float)
-    b = np.asarray(program.rhs, dtype=float)
     sign = np.where(b < 0.0, -1.0, 1.0)
     art_rows = np.nonzero(sign < 0)[0]
     n_art = art_rows.size

@@ -337,6 +337,8 @@ def interval_decomposition_bound(inst: Instance, s_star: Mapping[tuple[int, int]
     value.  Interval boundaries are found by bisection on the cumulative
     demand-mass function to within ``MASS_BISECTION_TOL`` in mass.
     """
+    if grid_size < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
     res = inst.resource(l)
     C = res.capacity
     if C == 0:

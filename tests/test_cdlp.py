@@ -71,9 +71,9 @@ def test_build_master_hand_example():
     inst = unit_instance(2.0)
     H = {1: [frozenset({1})]}
     prog = build_master(inst, H)
-    assert prog.objective == (2.0,)
-    assert prog.rows == ((2.0,), (1.0,))
-    assert prog.rhs == (1.0, 1.0)
+    assert prog.objective.tolist() == [2.0]
+    assert prog.rows.tolist() == [[2.0], [1.0]]
+    assert prog.rhs.tolist() == [1.0, 1.0]
     assert master_columns(H) == [(1, frozenset({1}))]
 
 
@@ -85,7 +85,7 @@ def test_build_master_empty_assortment_only():
     )
     assert sol.objective == pytest.approx(0.0)
     prog = build_master(inst, {1: [frozenset()]})
-    assert prog.objective == (0.0,)
+    assert prog.objective.tolist() == [0.0]
 
 
 def test_build_master_capacity_row_sums_types():
@@ -100,9 +100,7 @@ def test_build_master_capacity_row_sums_types():
     S = frozenset({1})
     prog = build_master(inst, {1: [S], 2: [S]})
     # One capacity row collecting both types at P = 1/2.
-    assert prog.rows[0] == (1.0, 1.5)
-    assert prog.rows[1] == (1.0, 0.0)
-    assert prog.rows[2] == (0.0, 1.0)
+    assert prog.rows.tolist() == [[1.0, 1.5], [1.0, 0.0], [0.0, 1.0]]
 
 
 def _reference_master(inst, H):
@@ -129,6 +127,13 @@ def _reference_master(inst, H):
     return LinearProgram(tuple(objective), tuple(tuple(r) for r in rows), tuple(rhs))
 
 
+def _assert_same_program(prog, want):
+    for got, expected in ((prog.objective, want.objective), (prog.rows, want.rows),
+                          (prog.rhs, want.rhs)):
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
 def _all_subsets(ids):
     return [frozenset(t) for t in
             sorted(chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)))]
@@ -142,7 +147,7 @@ def _all_subsets(ids):
 def test_build_master_equals_per_member_reference(inst):
     subsets = _all_subsets(range(1, inst.num_products + 1))
     H = {k: subsets for k in range(1, inst.num_types + 1)}
-    assert build_master(inst, H) == _reference_master(inst, H)
+    _assert_same_program(build_master(inst, H), _reference_master(inst, H))
 
 
 @pytest.mark.parametrize("inst", [
@@ -170,7 +175,7 @@ def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
     monkeypatch.undo()
     assert len(solved) == sol.iterations > 1
     for H, prog in solved:
-        assert prog == build_master(inst, H)
+        _assert_same_program(prog, build_master(inst, H))
 
 
 def test_build_master_rejects_invalid_instance():
@@ -568,7 +573,8 @@ def test_planners_reject_an_invalid_instance_alike():
     random_instance(3, max_products=5, model_kinds=("table",)),
     _batch_instance(20240601),
     _MIXTURE10,
-], ids=["mnl", "attraction7", "mixture4", "mixed51", "table3", "batch0", "mixture10"])
+    Instance((Resource(1, 1),), (Product(1, 1, 1.0),), ()),
+], ids=["mnl", "attraction7", "mixture4", "mixed51", "table3", "batch0", "mixture10", "notypes"])
 def test_enumeration_master_equals_build_master(inst, monkeypatch):
     solved = []
     real_solve = cdlp.solve_lp
@@ -581,7 +587,8 @@ def test_enumeration_master_equals_build_master(inst, monkeypatch):
     solve_cdlp_enumeration(inst)
     subsets = _all_subsets(range(1, inst.num_products + 1))
     [prog] = solved
-    assert prog == build_master(inst, {k: subsets for k in range(1, inst.num_types + 1)})
+    H = {k: subsets for k in range(1, inst.num_types + 1)}
+    _assert_same_program(prog, build_master(inst, H))
 
 
 def test_enumeration_raises_on_a_missing_table_entry():
@@ -692,6 +699,13 @@ def test_eps_solver_guarantee_precondition():
         solve_cdlp(inst, 0.05, DegradedSolver(0.5))  # 0.5 < 1/1.05
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1])
+def test_solve_cdlp_rejects_eps_that_is_not_finite_and_nonnegative(eps):
+    # A NaN eps would pass every guarantee comparison and certify any solver.
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        solve_cdlp(unit_instance(2.0), eps, "localsearch")
+
+
 def test_eps_certificate_small_example():
     for seed in (1, 6, 13):
         inst = random_instance(seed, max_products=5)
@@ -731,8 +745,8 @@ def test_iteration_cap_plan_is_its_masters_solution(inst, cap):
     H = {k: list(sol.active[k]) for k in sol.active}
     prog = build_master(inst, H)
     x = np.array([sol.x[col] for col in master_columns(H)])
-    assert np.all(np.array(prog.rows) @ x <= np.array(prog.rhs) + 1e-9)
-    assert abs(float(np.array(prog.objective) @ x) - sol.objective) <= 1e-9
+    assert np.all(prog.rows @ x <= prog.rhs + 1e-9)
+    assert abs(float(prog.objective @ x) - sol.objective) <= 1e-9
 
 
 def test_reward_override_enters_objective():

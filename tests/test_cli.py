@@ -160,6 +160,13 @@ def test_cdlp_rejects_localsearch_at_eps_zero(good_path, capsys):
     assert "guarantee" in capsys.readouterr().out
 
 
+def test_cdlp_rejects_nan_eps(good_path, capsys):
+    code = main(["cdlp", "--instance", str(good_path), "--eps", "nan",
+                 "--solver", "localsearch"])
+    assert code == 1
+    assert "eps must be finite and nonnegative" in capsys.readouterr().out
+
+
 def test_simulate_report_structure(good_path, tmp_path):
     out = tmp_path / "run"
     code = main([
@@ -227,6 +234,15 @@ def test_simulate_rejects_bad_theta(good_path, tmp_path, capsys):
     ])
     assert code == 1
     assert "theta" in capsys.readouterr().out
+
+
+def test_simulate_rejects_infinite_eps(good_path, tmp_path, capsys):
+    code = main([
+        "simulate", "--instance", str(good_path), "--policies", "fcfs",
+        "--reps", "10", "--seed", "1", "--eps", "inf", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert "eps must be finite and nonnegative" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "2,inf", "1,nan"])

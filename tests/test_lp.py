@@ -53,6 +53,28 @@ def test_dimension_mismatch_rejected():
         LinearProgram((1.0,), ((1.0,),), (1.0, 2.0))
     with pytest.raises(ValueError):
         LinearProgram((float("nan"),), ((1.0,),), (1.0,))
+    with pytest.raises(ValueError):  # ragged rows
+        LinearProgram((1.0, 1.0), ((1.0, 1.0), (1.0,)), (1.0, 1.0))
+    with pytest.raises(ValueError, match="row width"):
+        LinearProgram(((1.0,),), ((1.0,),), (1.0,))
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram((1.0,), ((float("inf"),),), (1.0,))
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram((1.0,), ((1.0,),), (-float("inf"),))
+
+
+def test_program_holds_read_only_float_arrays():
+    rows = np.arange(6, dtype=np.int64).reshape(3, 2).T  # integer, not C-contiguous
+    prog = LinearProgram([1, 2, 3], rows, (4, 5))
+    for array in (prog.objective, prog.rows, prog.rhs):
+        assert array.dtype == np.float64
+        assert array.flags.c_contiguous
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert prog.rows.tolist() == [[0.0, 2.0, 4.0], [1.0, 3.0, 5.0]]
+    rows[0, 0] = 7  # the program keeps its own copy
+    assert prog.rows[0, 0] == 0.0
+    assert LinearProgram((1.0,), (), ()).rows.shape == (0, 1)
 
 
 def test_deterministic_resolve():

@@ -167,6 +167,12 @@ def test_interval_decomposition_zero_demand():
     assert interval_decomposition_bound(unit_instance(0.0, capacity=2), FULL, 1, 500) == 0.0
 
 
+@pytest.mark.parametrize("grid_size", [MIN_GRID - 1, 5, 0, -3])
+def test_interval_decomposition_rejects_a_grid_below_min_grid(grid_size):
+    with pytest.raises(ValueError, match=f"grid_size must be at least {MIN_GRID}"):
+        interval_decomposition_bound(unit_instance(1.0, capacity=2), FULL, 1, grid_size)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sandwich_on_random_single_resource_instances(seed):
     inst = random_instance(seed, max_resources=1, max_products=4, max_types=2)
