@@ -10,12 +10,13 @@ subproblem solver the procedure terminates at the LP optimum, and with a
 solver carrying a guarantee factor gamma >= 1/(1+eps) it terminates with an
 eps-optimal plan certified by the terminal duals.
 
-Subproblem solvers are chosen by name from ``SOLVERS``: ``sort`` (exact,
-plain attraction models only), ``bruteforce`` (exact, any model, at most
-20 priced products), ``localsearch`` (heuristic, declared guarantee 0.9)
-and ``auto`` (sort where the model has attraction weights, brute force
-otherwise).  Each entry is a plain function of (model, prices) carrying
-its declared ``guarantee``; ``solve_cdlp`` also takes any such callable.
+Subproblem solvers are chosen by name from ``SOLVERS``: ``auto`` (exact:
+``assortment_subproblem_sort`` where the model has attraction weights,
+brute force otherwise), ``bruteforce`` (exact, any model, at most 20
+priced products) and ``localsearch`` (heuristic, guarantee 0.9).  Each
+entry is a plain function of (model, prices); ``solve_cdlp`` also takes
+any such callable.  A solver states its guarantee on each
+``SubproblemResult`` it returns, and nowhere else.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ class SubproblemResult:
     ``value`` is the expected priced revenue per arriving customer (the
     arrival mass is applied by the caller); ``guarantee`` is a factor
     gamma in (0, 1] certifying value >= gamma * optimum (1 for exact
-    solvers).
+    solvers).  It has no default, so every solver states it on every
+    result.
     """
 
     assortment: frozenset[int]
     value: float
-    guarantee: float = 1.0
+    guarantee: float
 
 
 @dataclass(frozen=True)
@@ -216,17 +218,17 @@ def _lex_subsets(ids: Sequence[int]):
     return sorted(chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)))
 
 
-def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
-                      floor: float | None = None):
-    """Subsets of ``ids`` that may reach ``floor`` (default: the screen's
-    maximum) in exact scoring, as sorted tuples in ``_lex_subsets`` order.
+def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float]):
+    """The brute force's screen: subsets of ``ids`` that may reach the
+    maximum in exact scoring, as sorted tuples in ``_lex_subsets`` order.
 
     Models with a ``_subset_table`` P (attraction models and their
     mixtures up to ``_ENUMERATION_CAP`` products) score the subsets of
     ``ids`` as the rows of P @ p whose bitmask lies inside ``ids``, with p
     zero outside ``ids``; other models with a ``_segment_table`` score them
     with the kernel ``_subset_revenues``.  The subsets kept are those
-    scoring at least floor - tol, with tol = 1e-9 * max(1, max|price|).
+    scoring at least top - tol, with top the maximum score and
+    tol = 1e-9 * max(1, max|price|).
     Every subset is kept for models with neither array and when a score is
     not finite.
     """
@@ -247,7 +249,7 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float],
         if not math.isfinite(block_top):
             return _lex_subsets(ids)
         top = max(top, block_top)
-        bar = (top if floor is None else floor) - tol
+        bar = top - tol
         hits = np.flatnonzero(values >= bar)
         kept.extend(zip((hits + first).tolist(), values[hits].tolist()))
     return sorted(
@@ -307,9 +309,9 @@ def assortment_subproblem_localsearch(model: ChoiceModel, price: Mapping[int, fl
                                       restarts: int = 8, seed: int = 0) -> SubproblemResult:
     """Add/drop/swap local search with random restarts.
 
-    Results carry the function's declared ``guarantee`` (0.9), a pessimistic
-    factor validated empirically against the brute-force oracle rather than
-    proven; callers requiring certified optimality must use an exact solver.
+    Results carry guarantee 0.9, a pessimistic factor validated
+    empirically against the brute-force oracle rather than proven; callers
+    requiring certified optimality must use an exact solver.
     """
     ids = sorted(price)
     value_of = lambda S: expected_revenue(model, S, price) if S else 0.0
@@ -346,7 +348,7 @@ def assortment_subproblem_localsearch(model: ChoiceModel, price: Mapping[int, fl
         v, T = ascend(S)
         if v > best_value or (v == best_value and tuple(sorted(T)) < tuple(sorted(best_set))):
             best_value, best_set = v, T
-    return SubproblemResult(best_set, best_value, assortment_subproblem_localsearch.guarantee)
+    return SubproblemResult(best_set, best_value, 0.9)
 
 
 def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
@@ -357,14 +359,8 @@ def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
     return assortment_subproblem_bruteforce(model, price)
 
 
-# the guarantee factor each solver's results carry
-_auto.guarantee = 1.0
-assortment_subproblem_sort.guarantee = 1.0
-assortment_subproblem_bruteforce.guarantee = 1.0
-assortment_subproblem_localsearch.guarantee = 0.9
 SOLVERS: dict[str, Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult]] = {
     "auto": _auto,
-    "sort": assortment_subproblem_sort,
     "bruteforce": assortment_subproblem_bruteforce,
     "localsearch": assortment_subproblem_localsearch,
 }
@@ -374,7 +370,6 @@ class AutoExactSolver:
     """The ``"auto"`` solver as a class, kept for callers of the earlier
     class-based API (the benchmark workloads construct it)."""
 
-    guarantee = 1.0
     __call__ = staticmethod(_auto)
 
 
@@ -449,13 +444,13 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     """Column generation on the fluid LP.
 
     ``solver`` is a ``SOLVERS`` name or any callable of (model, prices)
-    returning a ``SubproblemResult``; a callable's ``guarantee`` attribute
-    is optional, and every result's guarantee is checked.
-    With ``eps == 0`` the solver must be exact (guarantee 1); with
-    ``eps > 0`` any solver whose guarantee is at least 1/(1+eps) may be
-    used, and the returned plan's objective is certified to be at least
-    (1-eps) times the true optimum.  Hitting the iteration cap returns the
-    best plan found so far flagged ``certified=False``.
+    returning a ``SubproblemResult``.  Every result's guarantee must be
+    at least 1/(1+eps) (1 at ``eps == 0``), and the returned plan's
+    objective is then certified to be at least (1-eps) times the true
+    optimum.  The first result below that, or NaN, raises ``ValueError``;
+    an instance with no customer types calls no solver, and its plan of
+    objective 0 is exact.  Hitting the iteration cap returns the best plan
+    found so far flagged ``certified=False``.
 
     The instance is validated once, and each (type, assortment) column's
     coefficients are computed once and reused by every later master; each
@@ -468,13 +463,7 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}; choose from {', '.join(sorted(SOLVERS))}")
         solver = SOLVERS[solver]
-    required = 1.0 if eps == 0.0 else 1.0 / (1.0 + eps)
-    declared = getattr(solver, "guarantee", None)
-    if declared is not None and declared < required - 1e-12:
-        raise ValueError(
-            f"subproblem solver guarantee {declared:g} is below the "
-            f"{required:g} required for eps={eps:g}"
-        )
+    required = 1.0 / (1.0 + eps)
 
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
     if max_iterations is None:
@@ -507,7 +496,7 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
             model = inst.ctype(k).choice
             price = {n: inst.reward(k, n) - pi[resource_of[n] - 1] for n in range(1, N + 1)}
             result = solver(model, price)
-            if result.guarantee < required - 1e-12:
+            if not result.guarantee >= required - 1e-12:  # NaN fails too
                 raise ValueError(
                     f"subproblem result guarantee {result.guarantee:g} is below "
                     f"the {required:g} required for eps={eps:g}"

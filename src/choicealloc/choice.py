@@ -189,6 +189,8 @@ class MixtureChoiceModel(ChoiceModel):
         segs = tuple((float(w), m) for w, m in self.segments)
         if not segs:
             raise ValueError("a mixture needs at least one segment")
+        if not all(isinstance(m, AttractionChoiceModel) for _, m in segs):
+            raise ValueError("mixture segments must be attraction models")
         if any(w < 0 for w, _ in segs):
             raise ValueError("segment weights must be nonnegative")
         if abs(math.fsum(w for w, _ in segs) - 1.0) > 1e-9:

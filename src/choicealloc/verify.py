@@ -21,7 +21,7 @@ import numpy as np
 
 from .cdlp import (
     SubproblemResult,
-    _screened_subsets,
+    _lex_subsets,
     assortment_subproblem_bruteforce,
     assortment_subproblem_sort,
     dual_bound,
@@ -76,30 +76,28 @@ class DegradedSolver:
     """Exact-by-enumeration solver deliberately weakened to a known factor.
 
     Returns the *worst* assortment whose value still clears ``gamma`` times
-    the true optimum, so the declared guarantee is exercised rather than
-    vacuously satisfied.  Ties go to the lexicographically smallest set.
-    Only the subsets the brute force's screen (``cdlp._screened_subsets``)
-    keeps against that threshold are scored exactly; every other subset
-    scores below it.
+    the true optimum, so the guarantee ``gamma`` its results carry is
+    exercised rather than vacuously satisfied.  Every subset is scored
+    exactly; ties go to the lexicographically smallest set.
     """
 
     def __init__(self, gamma: float):
-        self.guarantee = float(gamma)
+        self.gamma = float(gamma)
 
     def __call__(self, model, price):
         exact = assortment_subproblem_bruteforce(model, price)
         if exact.value <= 0.0:
-            return SubproblemResult(frozenset(), 0.0, self.guarantee)
-        threshold = self.guarantee * exact.value
+            return SubproblemResult(frozenset(), 0.0, self.gamma)
+        threshold = self.gamma * exact.value
         best_set, best_value = exact.assortment, exact.value
-        for tup in _screened_subsets(model, sorted(price), price, threshold):
+        for tup in _lex_subsets(sorted(price)):
             if not tup:
                 continue
             S = frozenset(tup)
             v = expected_revenue(model, S, price)
             if threshold <= v < best_value:
                 best_set, best_value = S, v
-        return SubproblemResult(best_set, best_value, self.guarantee)
+        return SubproblemResult(best_set, best_value, self.gamma)
 
 
 def _poisson_partial_ratio(x: float) -> float:

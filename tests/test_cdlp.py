@@ -16,6 +16,7 @@ from choicealloc import (
     Product,
     RateCurve,
     Resource,
+    SubproblemResult,
     TabulatedChoiceModel,
     assortment_subproblem_bruteforce,
     assortment_subproblem_localsearch,
@@ -699,6 +700,31 @@ def test_eps_solver_guarantee_precondition():
         solve_cdlp(inst, 0.05, DegradedSolver(0.5))  # 0.5 < 1/1.05
 
 
+def test_nan_guarantee_is_refused():
+    # NaN fails every comparison, so the check must refuse what fails it
+    inst = random_instance(2, max_products=5, model_kinds=("attraction", "mixture"))
+
+    def nan_localsearch(model, price):
+        r = assortment_subproblem_localsearch(model, price)
+        return SubproblemResult(r.assortment, r.value, math.nan)
+
+    for solver in (nan_localsearch, DegradedSolver(math.nan)):
+        with pytest.raises(ValueError, match="guarantee nan is below"):
+            solve_cdlp(inst, 0.0, solver)
+
+
+def test_instance_without_types_refuses_no_solver():
+    # no type calls the solver, so no result is checked; the plan is exact
+    inst = Instance((Resource(1, 1),), (Product(1, 1, 1.0),), ())
+    sol = solve_cdlp(inst, 0.0, "localsearch")
+    assert sol.certified and sol.objective == 0.0
+
+
+def test_subproblem_result_guarantee_is_required():
+    with pytest.raises(TypeError):
+        SubproblemResult(frozenset(), 0.0)
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1])
 def test_solve_cdlp_rejects_eps_that_is_not_finite_and_nonnegative(eps):
     # A NaN eps would pass every guarantee comparison and certify any solver.
@@ -786,13 +812,17 @@ def test_expected_demand_equals_reference(inst):
 
 
 def test_registry_names_and_guarantees():
-    assert sorted(SOLVERS) == ["auto", "bruteforce", "localsearch", "sort"]
-    assert {name: fn.guarantee for name, fn in SOLVERS.items()} == {
-        "auto": 1.0, "sort": 1.0, "bruteforce": 1.0, "localsearch": 0.9}
+    # a solver states its guarantee on its results, not as an attribute
+    model = mnl(1.0, 0.5, 0.2)
+    price = {1: 1.0, 2: 0.5, 3: -0.2}
+    assert sorted(SOLVERS) == ["auto", "bruteforce", "localsearch"]
+    assert {name: fn(model, price).guarantee for name, fn in SOLVERS.items()} == {
+        "auto": 1.0, "bruteforce": 1.0, "localsearch": 0.9}
+    assert not any(hasattr(fn, "guarantee") for fn in SOLVERS.values())
 
 
 def test_unknown_solver_name_lists_the_registry():
-    with pytest.raises(ValueError, match="auto, bruteforce, localsearch, sort"):
+    with pytest.raises(ValueError, match="choose from auto, bruteforce, localsearch$"):
         solve_cdlp(unit_instance(1.0), 0.0, "greedy")
 
 
@@ -800,13 +830,11 @@ def test_solvers_by_name_match_their_functions():
     inst = random_instance(2, max_products=5, model_kinds=("attraction",))
     price = {n: inst.reward(1, n) - 0.3 for n in range(1, inst.num_products + 1)}
     model = inst.ctype(1).choice
-    assert SOLVERS["sort"](model, price) == assortment_subproblem_sort(model, price)
     assert SOLVERS["auto"](model, price) == assortment_subproblem_sort(model, price)
     assert SOLVERS["bruteforce"](model, price) == assortment_subproblem_bruteforce(model, price)
     assert SOLVERS["localsearch"](model, price) == assortment_subproblem_localsearch(
         model, price, restarts=8, seed=0)
     assert AutoExactSolver()(model, price) == SOLVERS["auto"](model, price)
-    assert AutoExactSolver.guarantee == 1.0
 
 
 def test_auto_sends_mixtures_to_bruteforce():
@@ -816,7 +844,7 @@ def test_auto_sends_mixtures_to_bruteforce():
     price = {1: 1.0, 2: 1.0, 3: 1.0}
     assert SOLVERS["auto"](one, price) == assortment_subproblem_bruteforce(one, price)
     with pytest.raises(ValueError, match="attraction-form"):
-        SOLVERS["sort"](one, price)
+        assortment_subproblem_sort(one, price)
 
 
 def test_plain_callable_solver_without_guarantee():

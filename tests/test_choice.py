@@ -178,6 +178,16 @@ def test_constructor_rejects_bad_weights():
         MixtureChoiceModel(((0.5, mnl(1.0)),))
 
 
+@pytest.mark.parametrize("segment", [
+    MixtureChoiceModel(((1.0, mnl(1.0)),)),
+    TabulatedChoiceModel({frozenset({1}): {1: 0.5}}),
+], ids=["mixture", "table"])
+def test_mixture_segments_must_be_attraction_models(segment):
+    # the planner reads attraction weights from every segment
+    with pytest.raises(ValueError, match="mixture segments must be attraction models"):
+        MixtureChoiceModel(((1.0, segment),))
+
+
 # ------------------------------------------------------------ protocol
 
 

@@ -160,6 +160,14 @@ def test_cdlp_rejects_localsearch_at_eps_zero(good_path, capsys):
     assert "guarantee" in capsys.readouterr().out
 
 
+def test_cdlp_sort_solver_is_a_parse_error(good_path, capsys):
+    # auto already runs the sort solver on every model it accepts
+    with pytest.raises(SystemExit) as exit_:
+        main(["cdlp", "--instance", str(good_path), "--solver", "sort"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'sort'" in capsys.readouterr().err
+
+
 def test_cdlp_rejects_nan_eps(good_path, capsys):
     code = main(["cdlp", "--instance", str(good_path), "--eps", "nan",
                  "--solver", "localsearch"])
@@ -319,8 +327,7 @@ def test_spike_rejects_bad_sharpness(sharpness, capsys):
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_every_solver_on_every_model_kind_exits_cleanly(solver, kind, command,
                                                         tmp_path, capsys):
-    # a solver that cannot handle the model (sort on a mixture or table) is
-    # a domain error, and so is opr on a table that is not removal-monotone
+    # opr on a table that is not removal-monotone is a domain error
     path = tmp_path / f"{kind}.json"
     dump_instance(random_instance(4, max_products=4, model_kinds=(kind,)), path)
     argv = [command, "--instance", str(path), "--solver", solver]
@@ -334,8 +341,6 @@ def test_every_solver_on_every_model_kind_exits_cleanly(solver, kind, command,
     assert "Traceback" not in out + err
     if code == 1:
         assert "error: " in out
-    if solver == "sort" and kind != "attraction":
-        assert code == 1 and "sort solver requires an attraction-form model" in out
 
 
 def test_dump_and_load_roundtrip(tmp_path):

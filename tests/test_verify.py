@@ -110,13 +110,6 @@ def test_degraded_solver_screen_equals_full_scan():
     _check_degraded_solver_against_full_scan()
 
 
-def test_degraded_solver_kernel_screen_equals_full_scan(monkeypatch):
-    from choicealloc import choice
-
-    monkeypatch.setattr(choice, "_ENUMERATION_CAP", 0)  # no subset tables
-    _check_degraded_solver_against_full_scan()
-
-
 def test_degraded_solver_on_a_subset_of_the_products_equals_full_scan():
     for model, price in _degraded_models():
         for sub in ({}, dict(list(price.items())[:1]), dict(list(price.items())[1::2])):
