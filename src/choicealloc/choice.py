@@ -23,12 +23,15 @@ protocol, which every model class implements:
 - ``_subset_table``: the exact subset-probability table P[s, n-1] of a
   model with a ``_segment_table`` and at most ``_ENUMERATION_CAP``
   products, built on first use, or None;
+- ``_cdf(S)``: the inverse-transform row of ``distribution(S)`` that
+  ``_draw`` bisects, memoized per model (at most ``_CDF_MEMO`` sets);
 - ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
@@ -104,6 +107,21 @@ class ChoiceModel(Protocol):
         if segments is None or self.num_products > _ENUMERATION_CAP:
             return None
         return _probability_table(segments, self.num_products)
+
+    @cached_property
+    def _cdfs(self) -> dict:  # _cdf's memo
+        return {}
+
+    def _cdf(self, S: frozenset[int]) -> tuple[list[float], list[int]]:
+        """``_cdf_row`` of ``distribution(S)``, no purchase last, memoized outside
+        the dataclass fields and cleared at ``_CDF_MEMO`` sets (< 2 MB at N = 20)."""
+        memo = self._cdfs
+        row = memo.get(S)
+        if row is None:
+            if len(memo) >= _CDF_MEMO:
+                memo.clear()
+            row = memo[S] = _cdf_row(self.distribution(S), 0)
+        return row
 
     def to_doc(self) -> dict: ...
     @classmethod
@@ -408,17 +426,32 @@ def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> in
     The CDF runs over the assortment in ascending product id, with no
     purchase last, so the outcome is deterministic given ``u``.
     """
-    return _sample(model.distribution(_as_assortment(assortment)), u)
+    return _draw(model._cdf(_as_assortment(assortment)), u)
 
 
-def _sample(dist: list[tuple[int, float]], u: float) -> int:
-    """Inverse-transform draw from a ``distribution`` list."""
-    cum = 0.0
-    for n, p in dist:
+_CDF_MEMO = 1024
+
+
+def _cdf_row(pairs: Iterable[tuple[object, float]], last) -> tuple[list[float], list]:
+    """Inverse-transform row of (outcome, probability) pairs, ``last`` on the
+    residual mass: ``_draw(row, u)`` is the first outcome whose running sum
+    exceeds u.  Prefix maxima of the sums stay sorted even where a
+    probability is slightly negative, and exceed u first at that outcome."""
+    cums, outcomes, cum, top = [], [], 0.0, -math.inf
+    for outcome, p in pairs:
         cum += p
-        if u < cum:
-            return n
-    return 0
+        if cum > top:
+            top = cum
+        cums.append(top)
+        outcomes.append(outcome)
+    outcomes.append(last)
+    return cums, outcomes
+
+
+def _draw(row: tuple[list[float], list], u: float):
+    """The outcome of a ``_cdf_row`` that the uniform draw u selects."""
+    cums, outcomes = row
+    return outcomes[bisect_right(cums, u)]
 
 
 def expected_revenue(model: ChoiceModel, assortment: Iterable[int], price: Mapping[int, float]) -> float:

@@ -17,18 +17,20 @@ past ``cdlp._BRUTEFORCE_CAP``, against the plan's pruned assortments (see
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
 the public functions below are thin wrappers over the same functions, and
-only ``opr_offer`` compiles tables per call.  ``_sellable`` alone decides
-whether a product can be sold (its resource is in stock and not expired).
+only ``opr_offer`` compiles tables per call.  Offers and choices are both
+drawn by ``choice._draw``.  ``_sellable`` alone decides whether a product
+can be sold (its resource is in stock and not expired).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .cdlp import (_BRUTEFORCE_CAP, SOLVERS, CdlpSolution, _best_prefix,
                    assortment_subproblem_localsearch)
-from .choice import _revenue
+from .choice import _cdf_row, _draw, _revenue
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
 
@@ -44,7 +46,6 @@ __all__ = [
 POLICY_NAMES = ("fcfs", "pr", "opr")
 
 _EMPTY: frozenset[int] = frozenset()
-_DIST_MEMO = 1024
 _OPR_RESTARTS = 4
 
 
@@ -66,14 +67,10 @@ class OfferDecision:
     assortment: frozenset[int]
 
 
-def _offer_cdf(sol: CdlpSolution, k: int) -> list[tuple[float, frozenset[int]]]:
-    """Type k's active assortments in enumeration order, each with the
-    running sum of display probabilities up to and including it."""
-    cum, out = 0.0, []
-    for S in sol.active.get(k, ()):
-        cum += sol.x[(k, S)]
-        out.append((cum, S))
-    return out
+def _offer_cdf(sol: CdlpSolution, k: int) -> tuple[list[float], list[frozenset[int]]]:
+    """The ``_cdf_row`` of type k's active assortments in enumeration order,
+    weighted by display probability, with the empty offer last."""
+    return _cdf_row([(S, sol.x[(k, S)]) for S in sol.active.get(k, ())], _EMPTY)
 
 
 class _Tables:
@@ -93,15 +90,12 @@ class _Tables:
     mixtures and tables), and ``prunable[k]`` whether its model is
     removal-monotone.
 
-    ``dist`` memoizes the model's ``distribution`` per type and offered set.
-    The benchmark workloads hit it on 31-99 % of lookups and a call holding
-    a whole round of replications keeps at most 40 distinct sets per type
-    (10 products); ``_DIST_MEMO`` caps a type at 1024 sets, about 2.7 MB at
-    20 products, and is cleared when full.
+    ``sellable`` is ``_sellable_resources`` at time 0 with full capacity:
+    default-mode fcfs and pr offers are filtered by it.
     """
 
     __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models", "rewards",
-                 "products", "offers", "prunable", "attraction", "_dists")
+                 "products", "offers", "prunable", "attraction", "sellable")
 
     def __init__(self, inst: Instance, sol: CdlpSolution,
                  grids: Mapping[int, ResourceValueGrid] | None = None):
@@ -119,12 +113,10 @@ class _Tables:
             self.marginals = [grids[r.id]._marginals for r in inst.resources]
         self.models, self.rewards, self.products, self.offers = {}, {}, {}, {}
         self.prunable, self.attraction = {}, {}
-        self._dists: dict[int, dict[frozenset[int], list[tuple[int, float]]]] = {}
         base_rewards = [p.reward for p in inst.products]
         for k, ctype in enumerate(inst.types, start=1):
             model = ctype.choice
             self.models[k] = model
-            self._dists[k] = {}
             # inst.reward(k, n) for every n, without a method call per product
             override = ctype.reward_override or {}
             self.rewards[k] = [0.0] + [override.get(n, r)
@@ -137,17 +129,7 @@ class _Tables:
             # monotone choice models guarantee cannot lower the revenue
             self.prunable[k] = model.is_removal_monotone
             self.attraction[k] = model.attraction()
-
-    def dist(self, k: int, S: frozenset[int]) -> list[tuple[int, float]]:
-        """Type k's model's ``distribution`` over S, memoized (it depends on
-        the model and S only)."""
-        memo = self._dists[k]
-        dist = memo.get(S)
-        if dist is None:
-            if len(memo) >= _DIST_MEMO:
-                memo.clear()
-            dist = memo[S] = self.models[k].distribution(S)
-        return dist
+        self.sellable = _sellable_resources(self.capacity, self.expiry, 0.0)
 
 
 def _sellable(stock: int, expiry: float, now: float) -> bool:
@@ -156,13 +138,12 @@ def _sellable(stock: int, expiry: float, now: float) -> bool:
     return stock > 0 and now < expiry
 
 
-def _static_offer(offers: list[tuple[float, frozenset[int]]], u: float) -> frozenset[int]:
-    """The first assortment whose cumulative display probability exceeds u;
-    the empty offer on the residual mass."""
-    for cum, S in offers:
-        if u < cum:
-            return S
-    return _EMPTY
+def _sellable_resources(inventory, expiry, now: float) -> tuple[frozenset[int], float]:
+    """The positions of the resources whose products can be sold at time
+    now, and the earliest expiry among them (inf if none): the set holds
+    until then, or until one of them sells out."""
+    live = frozenset(l for l, stock in enumerate(inventory) if _sellable(stock, expiry[l], now))
+    return live, min([expiry[l] for l in live], default=math.inf)
 
 
 def _pr_accepts(reward: float, stock: int, expiry: float, marginals, now: float) -> bool:
@@ -210,9 +191,9 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
                                              restarts=_OPR_RESTARTS, seed=0)
     offer, value = best.assortment, best.value
     # the heuristic's only floor: no offer below the plan's pruned assortments
-    for _, S in t.offers[k]:
+    for S in t.offers[k][1][:-1]:
         pruned = S & positive
-        v = _revenue(t.dist(k, pruned), prices) if pruned else 0.0
+        v = _revenue(t.models[k].distribution(pruned), prices) if pruned else 0.0
         if v > value:
             offer, value = pruned, v
     return offer, value
@@ -225,7 +206,7 @@ def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> Offer
     residual probability mass yields the empty offer.  The draw depends only
     on (k, u), never on inventory or time.
     """
-    return OfferDecision(_static_offer(_offer_cdf(sol, k), u))
+    return OfferDecision(_draw(_offer_cdf(sol, k), u))
 
 
 def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid],
@@ -263,8 +244,8 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     Every purchase from the offer is accepted.  ``grids`` must hold a grid
     for every resource, covering its capacity.
 
-    Each call compiles a ``_Tables`` for the whole instance (with a cold
-    distribution memo); the simulator compiles once per run instead.
+    Each call compiles a ``_Tables`` for the whole instance; the simulator
+    compiles once per run instead.
     """
     tables = _Tables(inst, sol, grids)
     offer, _ = _opr_decision(tables, state.inventory, state.now, k)

@@ -5,16 +5,18 @@ constant envelope makes thinning acceptance-free), merged in time order.
 Choice randomness is a separate stream indexed by event ordinal, so every
 policy replayed on the same path with the same choice seed consumes
 identical draws per arrival; paired policy comparisons rely on this.
-``_replication`` alone lays out replication r's seeds, for ``monte_carlo``,
-the suites' hindsight paths and the CLI's ``--trace``.
+``_seeds`` alone lays out replication r's seeds, for ``monte_carlo``, and
+through ``_replication`` for the suites' hindsight paths and the CLI's
+``--trace``.
 
 A run is compiled once into ``policies._Tables`` (product-to-resource and
-expiry lists, per-type operative rewards, choice models and offer CDFs,
-and the grids' marginal-value tables), once per ``monte_carlo`` call and
-once per ``run_policy`` call.  One flat per-arrival loop then drives fcfs,
-pr and opr with a mutable inventory list and the private decision
-functions behind ``fcfs_offer``/``pr_accept``/``opr_offer``; whether a
-product can be sold is decided by ``policies._sellable`` alone.
+expiry lists, per-type operative rewards, choice models, offer CDF rows and
+the grids' marginal-value tables), once per ``monte_carlo`` call and once
+per ``run_policy`` call.  One flat per-arrival loop then drives fcfs, pr and
+opr on (time, type) pairs with the private decision functions behind
+``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
+``choice._draw`` bisection, and ``policies._sellable`` alone decides
+whether a product can be sold.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cdlp import CdlpSolution, solve_cdlp
-from .choice import _sample
+from .choice import _draw
 from .model import Instance, RateCurve
-from .policies import POLICY_NAMES, _opr_decision, _pr_accepts, _sellable, _static_offer, _Tables
+from .policies import (POLICY_NAMES, _opr_decision, _pr_accepts, _sellable,
+                       _sellable_resources, _Tables)
 from .valuefn import ResourceValueGrid
 
 __all__ = [
@@ -94,6 +97,13 @@ class MonteCarloReport:
 def generate_arrivals(inst: Instance, seed) -> SamplePath:
     """Sample one arrival path for every customer type, deterministic in
     ``seed`` (any seed accepted by numpy's default_rng)."""
+    events, counts = _arrivals(inst, seed)
+    return SamplePath(events=tuple(map(ArrivalEvent._make, events)), seed=seed, counts=counts)
+
+
+def _arrivals(inst: Instance, seed) -> tuple[list[tuple[float, int]], tuple[int, ...]]:
+    """``generate_arrivals``'s events as plain (time, type) pairs, and its
+    per-type counts."""
     rng = np.random.default_rng(seed)
     events: list[tuple[float, int]] = []
     counts = []
@@ -112,11 +122,7 @@ def generate_arrivals(inst: Instance, seed) -> SamplePath:
                 total += count
         counts.append(total)
     events.sort(key=itemgetter(0))
-    return SamplePath(
-        events=tuple(map(ArrivalEvent._make, events)),
-        seed=seed,
-        counts=tuple(counts),
-    )
+    return events, tuple(counts)
 
 
 def _compile(inst: Instance, policy: str, sol: CdlpSolution,
@@ -129,16 +135,22 @@ def _compile(inst: Instance, policy: str, sol: CdlpSolution,
     return _Tables(inst, sol, grids if policy != "fcfs" else None)
 
 
-def _run(tables: _Tables, policy: str, path: SamplePath, choice_seed, relaxed: bool,
-         collect_trace: bool) -> ReplicationReport:
-    draws = np.random.default_rng(choice_seed).random((len(path.events), 2)).tolist()
-    resource_of, expiry = tables.resource_of, tables.expiry
+def _run(tables: _Tables, policy: str, events: Sequence[tuple[float, int]], choice_seed,
+         relaxed: bool, collect_trace: bool) -> ReplicationReport:
+    draws = np.random.default_rng(choice_seed).random((len(events), 2)).tolist()
+    resource_of, expiry, models, offers = (tables.resource_of, tables.expiry,
+                                           tables.models, tables.offers)
     inventory = list(tables.capacity)
     sales = [0] * len(inventory)
     reward = 0.0
     trace: list[tuple] | None = [] if collect_trace else None
+    # default-mode fcfs and pr offer products of ``live`` resources only, until
+    # ``horizon`` or a sell-out; ``kept`` (None: all sellable) memoizes filtered offers
+    filtering = policy != "opr" and not relaxed
+    live, horizon = tables.sellable if filtering else (None, math.inf)
+    kept = {} if filtering and len(live) < len(inventory) else None
 
-    for (now, k), (u_offer, u_choice) in zip(path.events, draws):
+    for (now, k), (u_offer, u_choice) in zip(events, draws):
         if policy == "opr":
             offer = _opr_decision(tables, inventory, now, k)[0]
             bad = [n for n in offer
@@ -146,12 +158,16 @@ def _run(tables: _Tables, policy: str, path: SamplePath, choice_seed, relaxed: b
             if bad:
                 raise SimulationError(f"opr offered unavailable products {bad} at t={now:.6f}")
         else:
-            offer = _static_offer(tables.offers[k], u_offer)
-            if not relaxed:
-                offer = frozenset(n for n in offer if _sellable(
-                    inventory[resource_of[n]], expiry[resource_of[n]], now))
+            offer = _draw(offers[k], u_offer)
+            if now >= horizon:
+                live, horizon = _sellable_resources(inventory, expiry, now)
+                kept = {}
+            if kept is not None:
+                if offer not in kept:
+                    kept[offer] = frozenset(n for n in offer if resource_of[n] in live)
+                offer = kept[offer]
 
-        n = _sample(tables.dist(k, offer), u_choice)
+        n = _draw(models[k]._cdf(offer), u_choice)
         l = resource_of[n]
         if n <= 0:
             accepted = False
@@ -164,6 +180,9 @@ def _run(tables: _Tables, policy: str, path: SamplePath, choice_seed, relaxed: b
             reward += tables.rewards[k][n]
             sales[l] += 1
             inventory[l] -= 1
+            if filtering and not inventory[l]:
+                live, horizon = _sellable_resources(inventory, expiry, now)
+                kept = {}
 
         if trace is not None:
             trace.append((
@@ -187,22 +206,29 @@ def run_policy(inst: Instance, policy: str, sol: CdlpSolution,
     front, two uniforms per event ordinal (offer draw, choice draw), so runs
     with equal seeds are paired across policies.
     """
-    return _run(_compile(inst, policy, sol, grids), policy, path, choice_seed,
+    return _run(_compile(inst, policy, sol, grids), policy, path.events, choice_seed,
                 relaxed, collect_trace)
 
 
+def _seeds(base_seed: int, r: int) -> tuple[tuple, tuple]:
+    """Replication r's arrival seed (base_seed, r, 0) and choice seed (base_seed, r, 1)."""
+    return (base_seed, r, 0), (base_seed, r, 1)
+
+
 def _replication(inst: Instance, base_seed: int, r: int) -> tuple[SamplePath, tuple]:
-    """The arrival path and the choice seed of replication ``r``: arrivals
-    from seed (base_seed, r, 0), choices from (base_seed, r, 1)."""
-    return generate_arrivals(inst, (base_seed, r, 0)), (base_seed, r, 1)
+    """The arrival path and the choice seed of replication ``r``."""
+    arrival_seed, choice_seed = _seeds(base_seed, r)
+    return generate_arrivals(inst, arrival_seed), choice_seed
 
 
 def _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices):
     tables = _compile(inst, policy, sol, grids)
-    return [
-        _run(tables, policy, *_replication(inst, base_seed, r), relaxed, False).reward
-        for r in indices
-    ]
+    rewards = []
+    for r in indices:
+        arrival_seed, choice_seed = _seeds(base_seed, r)
+        rewards.append(_run(tables, policy, _arrivals(inst, arrival_seed)[0], choice_seed,
+                            relaxed, False).reward)
+    return rewards
 
 
 def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
@@ -212,7 +238,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
     """Independent replications with seed streams indexed by replication.
 
     Replication r draws its arrivals and its choice stream from the seeds
-    of ``_replication``; running several policies with the same base seed
+    of ``_seeds``; running several policies with the same base seed
     therefore pairs them path by path and draw by draw.
     ``sol`` is the plan to follow; pr and opr also need its value ``grids``.
     ``workers`` > 1 splits the replications over at most ``reps`` processes.

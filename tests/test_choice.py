@@ -298,3 +298,84 @@ def test_validation_builds_no_subset_table():
         assert validate_instance(inst).ok
         for ct in inst.types:
             assert "_subset_table" not in vars(ct.choice)
+
+
+def _reference_sample(dist, u):
+    """Inverse-transform draw by a linear scan of a ``distribution`` list:
+    the first product whose running sum exceeds u, else no purchase."""
+    cum = 0.0
+    for n, p in dist:
+        cum += p
+        if u < cum:
+            return n
+    return 0
+
+
+_table_probabilities = st.one_of(st.floats(min_value=-1e-12, max_value=0.0, exclude_max=True),
+                                 st.just(0.0), st.floats(min_value=0.0, max_value=0.6))
+
+
+@st.composite
+def _tabulated_models(draw):
+    """Probability tables over 1-5 products with entries down to -1e-12 and
+    running sums that may decrease; every subset has an entry."""
+    N = draw(st.integers(min_value=1, max_value=5))
+    table = {}
+    for s in range(1, 1 << N):
+        S = frozenset(n for n in range(1, N + 1) if s >> (n - 1) & 1)
+        probs = {n: draw(_table_probabilities) for n in sorted(S)}
+        total = math.fsum(p for p in probs.values() if p > 0.0)
+        if total > 1.0:
+            probs = {n: p / total if p > 0.0 else p for n, p in probs.items()}
+        table[S] = probs
+    return TabulatedChoiceModel(table, num_products=N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.one_of(_table_models(), _tabulated_models()), data=st.data())
+def test_draw_equals_a_linear_scan_of_distribution(model, data):
+    from choicealloc.choice import _draw
+
+    N = model.num_products
+    doc, text, key = model.to_doc(), repr(model), hash(model)
+    fresh = type(model).from_doc(doc) if not isinstance(model, TabulatedChoiceModel) else model
+    for _ in range(3):
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << N) - 1))
+        S = frozenset(n for n in range(1, N + 1) if mask >> (n - 1) & 1)
+        dist = model.distribution(S)
+        sums, cum = [], 0.0
+        for _, p in dist:
+            cum += p
+            sums.append(cum)
+        us = [0.0, math.nextafter(1.0, 0.0), data.draw(st.floats(min_value=0.0, max_value=1.0,
+                                                                 exclude_max=True))]
+        for s in sums:
+            us += [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
+        for u in us:
+            assert _draw(model._cdf(S), u) == _reference_sample(dist, u)
+            assert sample_choice(model, S, u) == _reference_sample(dist, u)
+    # the memo is no field: equality, hash, repr and the document stay put
+    assert model._cdfs
+    assert model == fresh and hash(model) == key == hash(fresh)
+    assert repr(model) == text and model.to_doc() == doc
+
+
+def test_draw_of_an_empty_offer_is_no_purchase():
+    from choicealloc.choice import _draw
+
+    model = TabulatedChoiceModel({frozenset({1}): {1: 1.0}})
+    for u in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+        assert _draw(model._cdf(frozenset()), u) == 0
+
+
+def test_draw_on_a_decreasing_running_sum():
+    from choicealloc.choice import _draw
+
+    # running sums 0.3, 0.3 - 1e-12, 0.5: between the first two the linear
+    # scan stops at product 1, and so must the bisection
+    model = TabulatedChoiceModel({frozenset({1, 2, 3}): {1: 0.3, 2: -1e-12, 3: 0.2}})
+    S = frozenset({1, 2, 3})
+    dist = model.distribution(S)
+    for u in (0.3 - 2e-12, 0.3 - 1e-12, 0.3 - 5e-13, 0.3, 0.4, 0.5):
+        assert _draw(model._cdf(S), u) == _reference_sample(dist, u)
+    assert _draw(model._cdf(S), 0.3 - 5e-13) == 1

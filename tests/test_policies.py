@@ -292,7 +292,7 @@ def _reference_opr_decision(t, inventory, now, k, restarts=4, floor_exact=False)
     offer, value = best.assortment, best.value
     if not floor_exact:
         return offer, value
-    for _, S in t.offers[k]:
+    for S in t.offers[k][1][:-1]:  # the plan's assortments, without the empty offer
         pruned = prune_nonpositive(S.intersection(prices), prices)
         v = expected_revenue(model, pruned, prices) if pruned else 0.0
         if v > value:

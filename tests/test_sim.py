@@ -516,13 +516,128 @@ def test_monte_carlo_compiles_the_run_once(monkeypatch):
 
 
 def test_distribution_memo_bound_keeps_rewards(monkeypatch):
-    from choicealloc import policies
+    from choicealloc import choice
 
     inst, _ = _golden_instance("mixture")
     sol = solve_cdlp(inst)
     grids = build_value_grids(inst, sol.s_star, 500)
     want = {p: monte_carlo(inst, p, 40, 9, sol=sol, grids=grids).rewards for p in ("fcfs", "opr")}
-    monkeypatch.setattr(policies, "_DIST_MEMO", 1)  # clear on nearly every offer
+    monkeypatch.setattr(choice, "_CDF_MEMO", 1)  # clear on nearly every offer
+    inst, _ = _golden_instance("mixture")  # equal models with empty memos
     for policy, rewards in want.items():
         got = monte_carlo(inst, policy, 40, 9, sol=sol, grids=grids).rewards
         assert got.tobytes() == rewards.tobytes()
+    assert all(len(ct.choice._cdfs) <= 1 for ct in inst.types)
+
+
+def test_choice_memo_outlives_a_monte_carlo_call(monkeypatch):
+    from choicealloc import AttractionChoiceModel, MixtureChoiceModel
+
+    calls = []
+    for cls in (AttractionChoiceModel, MixtureChoiceModel):
+        def counted(self, S, _distribution=cls.distribution):
+            calls.append(S)
+            return _distribution(self, S)
+        monkeypatch.setattr(cls, "distribution", counted)
+    inst, _ = _golden_instance("mixture")
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 500)
+    for policy in ("fcfs", "pr"):
+        for relaxed in (False, True):
+            first = monte_carlo(inst, policy, 20, 5, sol=sol, grids=grids, relaxed=relaxed)
+    assert calls
+    del calls[:]
+    for policy in ("fcfs", "pr"):
+        for relaxed in (False, True):
+            again = monte_carlo(inst, policy, 20, 5, sol=sol, grids=grids, relaxed=relaxed)
+    assert again.rewards.tobytes() == first.rewards.tobytes()
+    assert calls == []
+
+
+# ------------------------------------------- frozen per-arrival reference
+
+
+def _reference_run(inst, policy, sol, grids, path, choice_seed, relaxed):
+    """The simulator's loop as it was before offers and choices were drawn
+    by bisection: a linear scan of the plan's offer CDF, a per-arrival
+    ``_sellable`` filter of the offer in the default mode, and a linear
+    scan of the model's ``distribution``.  Returns the report and how many
+    arrivals the filter changed an offer for."""
+    from choicealloc.policies import _opr_decision, _pr_accepts, _sellable, _Tables
+    from choicealloc.sim import ReplicationReport
+
+    t = _Tables(inst, sol, grids if policy != "fcfs" else None)
+    draws = np.random.default_rng(choice_seed).random((len(path.events), 2)).tolist()
+    inventory = list(t.capacity)
+    sales = [0] * len(inventory)
+    reward, trace, filtered = 0.0, [], 0
+    for (now, k), (u_offer, u_choice) in zip(path.events, draws):
+        if policy == "opr":
+            offer = _opr_decision(t, inventory, now, k)[0]
+        else:
+            offer, cum = frozenset(), 0.0
+            for S in sol.active.get(k, ()):
+                cum += sol.x[(k, S)]
+                if u_offer < cum:
+                    offer = S
+                    break
+            if not relaxed:
+                kept = frozenset(n for n in offer if _sellable(
+                    inventory[t.resource_of[n]], t.expiry[t.resource_of[n]], now))
+                filtered += kept != offer
+                offer = kept
+        n, cum = 0, 0.0
+        for m, p in inst.ctype(k).choice.distribution(offer):
+            cum += p
+            if u_choice < cum:
+                n = m
+                break
+        l = t.resource_of[n]
+        if n <= 0:
+            accepted = False
+        elif policy == "pr":
+            accepted = _pr_accepts(t.rewards[k][n], inventory[l], t.expiry[l], t.marginals[l], now)
+        else:
+            accepted = _sellable(inventory[l], t.expiry[l], now)
+        if accepted:
+            reward += t.rewards[k][n]
+            sales[l] += 1
+            inventory[l] -= 1
+        trace.append((now, k, "|".join(str(m) for m in sorted(offer)), n,
+                      int(accepted), t.rewards[k][n] if accepted else 0.0))
+    return ReplicationReport(policy, reward, tuple(sales), trace), filtered
+
+
+def _expiring_instances():
+    """The golden expiry and theta64 cases, and ten random instances (four
+    times the demand) in which one resource expires in (0.2, 0.95)."""
+    from choicealloc import scale_instance
+
+    yield _golden_instance("expiry")[0]
+    yield _golden_instance("theta64")[0]
+    rng = np.random.default_rng(31)
+    for seed in range(10):
+        inst = scale_instance(random_instance(100 + seed), 4.0)
+        pos = int(rng.integers(len(inst.resources)))
+        res = inst.resources[pos]
+        resources = list(inst.resources)
+        resources[pos] = Resource(res.id, res.capacity, expiry=float(rng.uniform(0.2, 0.95)))
+        yield Instance(tuple(resources), inst.products, inst.types)
+
+
+def test_runs_equal_the_frozen_per_arrival_reference():
+    filtered = 0
+    for i, inst in enumerate(_expiring_instances()):
+        sol = solve_cdlp(inst)
+        grids = build_value_grids(inst, sol.s_star, 500)
+        for r in range(6):
+            path = generate_arrivals(inst, (i, r, 0))
+            for policy, relaxed in (("fcfs", False), ("fcfs", True), ("pr", False),
+                                    ("pr", True), ("opr", False)):
+                want, changed = _reference_run(inst, policy, sol, grids, path, (i, r, 1), relaxed)
+                got = run_policy(inst, policy, sol, grids, path, (i, r, 1),
+                                 relaxed=relaxed, collect_trace=True)
+                assert (got.reward, got.per_resource_sales, got.trace) == \
+                    (want.reward, want.per_resource_sales, want.trace)
+                filtered += changed
+    assert filtered > 0  # sell-outs and expiries did filter default-mode offers

@@ -107,25 +107,13 @@ def _degraded_models():
 
 
 def test_degraded_solver_screen_equals_full_scan():
-    _check_degraded_solver_against_full_scan()
-
-
-def test_degraded_solver_on_a_subset_of_the_products_equals_full_scan():
-    for model, price in _degraded_models():
-        for sub in ({}, dict(list(price.items())[:1]), dict(list(price.items())[1::2])):
-            for gamma in (1.0, 0.7, 0.3):
-                res = DegradedSolver(gamma)(model, sub)
-                assert (res.assortment, res.value) == _reference_degraded(gamma, model, sub)
-
-
-def _check_degraded_solver_against_full_scan():
     from choicealloc.cdlp import _lex_subsets
 
     ties = 0
     for model, price in _degraded_models():
+        # every product priced, with thresholds that equal some subset's exact value
         opt = _reference_degraded(1.0, model, price)[1]
         gammas = [1.0, 0.95, 0.7, 0.5, 0.1]
-        # thresholds that equal some subset's exact value
         for tup in _lex_subsets(sorted(price))[1:]:
             v = expected_revenue(model, frozenset(tup), price)
             if 0.0 < v < opt and (v / opt) * opt == v:
@@ -136,6 +124,14 @@ def _check_degraded_solver_against_full_scan():
             assert (res.assortment, res.value) == want
             ties += want[1] == gamma * opt and gamma < 1.0
     assert ties >= 5
+
+
+def test_degraded_solver_on_a_subset_of_the_products_equals_full_scan():
+    for model, price in _degraded_models():
+        for sub in ({}, dict(list(price.items())[:1]), dict(list(price.items())[1::2])):
+            for gamma in (1.0, 0.7, 0.3):
+                res = DegradedSolver(gamma)(model, sub)
+                assert (res.assortment, res.value) == _reference_degraded(gamma, model, sub)
 
 
 def test_scaling_suite_details_are_pinned():
