@@ -24,7 +24,6 @@ from .choice import (
     choice_probability,
     sample_choice,
     expected_revenue,
-    prune_nonpositive,
 )
 from .lp import LinearProgram, LpSolution, solve_lp
 from .cdlp import (
@@ -34,7 +33,7 @@ from .cdlp import (
     master_columns,
     assortment_subproblem_sort,
     assortment_subproblem_bruteforce,
-    assortment_subproblem_localsearch,
+    assortment_subproblem_branch_and_bound,
     SOLVERS,
     AutoExactSolver,
     solve_cdlp,

@@ -12,11 +12,13 @@ eps-optimal plan certified by the terminal duals.
 
 Subproblem solvers are chosen by name from ``SOLVERS``: ``auto`` (exact:
 ``assortment_subproblem_sort`` where the model has attraction weights,
-brute force otherwise), ``bruteforce`` (exact, any model, at most 20
-priced products) and ``localsearch`` (heuristic, guarantee 0.9).  Each
-entry is a plain function of (model, prices); ``solve_cdlp`` also takes
-any such callable.  A solver states its guarantee on each
-``SubproblemResult`` it returns, and nowhere else.
+brute force up to 20 priced products, and past them the branch and bound
+for mixtures) and ``bruteforce`` (exact, any model, at most 20 priced
+products).  Each entry is a plain function of (model, prices);
+``solve_cdlp`` also takes any such callable.  A solver states its
+guarantee on each ``SubproblemResult`` it returns, and nowhere else: it is
+1 on every exact result, and below 1 only on a branch and bound cut by its
+node budget.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ __all__ = [
     "build_master",
     "assortment_subproblem_sort",
     "assortment_subproblem_bruteforce",
-    "assortment_subproblem_localsearch",
+    "assortment_subproblem_branch_and_bound",
     "SOLVERS",
     "AutoExactSolver",
     "solve_cdlp",
@@ -52,7 +54,8 @@ __all__ = [
 
 REDUCED_COST_TOL = 1e-9
 SUPPORT_TOL = 1e-9
-_BRUTEFORCE_CAP = 20  # priced products; opr searches locally above it
+_BRUTEFORCE_CAP = 20  # priced products; auto runs the branch and bound above it
+_BRANCH_NODES = 20_000  # nodes a branch and bound explores before it settles
 
 
 class CdlpError(RuntimeError):
@@ -162,16 +165,18 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
 
 
 def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
-                 price_items) -> tuple[frozenset[int], float]:
+                 price_items, num: float = 0.0) -> tuple[frozenset[int], float]:
     """Best prefix of the ratio ranking of an attraction model's
     ``attraction()`` tuples at the given prices: the assortment and value
     of ``assortment_subproblem_sort``, and opr's per-arrival optimizer.
 
     ``price_items`` are (product, price) pairs.  The ranking breaks ties by
     product id, so their order matters only for NaN prices; callers pass
-    them in ascending product order.
+    them in ascending product order.  The scan starts from numerator ``num``
+    over the base weight, the empty prefix scoring num / base: the branch
+    and bound's segment bounds pass the sums of the products they include.
     """
-    weight, nus, base = attraction
+    weight, nus, den = attraction
     ranked = []
     for n, p in price_items:
         if p <= 0.0:
@@ -184,8 +189,7 @@ def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
         ranked.append((-rho, n, gain, nu))
     ranked.sort()
 
-    best_value, best_len, length = 0.0, 0, 0
-    num, den = 0.0, base
+    best_value, best_len, length = num / den, 0, 0
     for _, _, gain, nu in ranked:
         num += gain
         den += nu
@@ -305,64 +309,80 @@ def assortment_subproblem_bruteforce(model: ChoiceModel,
     return SubproblemResult(best_set, best_value, 1.0)
 
 
-def assortment_subproblem_localsearch(model: ChoiceModel, price: Mapping[int, float],
-                                      restarts: int = 8, seed: int = 0) -> SubproblemResult:
-    """Add/drop/swap local search with random restarts.
+def assortment_subproblem_branch_and_bound(model: ChoiceModel,
+                                           price: Mapping[int, float]) -> SubproblemResult:
+    """Branch and bound for models with a ``_segment_table`` (attraction
+    models and their mixtures), at any number of priced products.
 
-    Results carry guarantee 0.9, a pessimistic factor validated
-    empirically against the brute-force oracle rather than proven; callers
-    requiring certified optimality must use an exact solver.
+    It branches on the positive-price products only: dropping the others
+    never lowers a segment's revenue, as (N+ + N-)/(D+ + D-) <= N+/D+ for
+    N- <= 0 <= D-.  The bound of a node with the set I included and F free
+    is sum_g w_g * max over T in F of (A_g + sum_T a)/(B_g + sum_T nu), with
+    A_g, B_g segment g's numerator and denominator over I; each maximum is
+    a ``_best_prefix``.  The search is depth first, includes first, and
+    prunes a node whose bound is at or below the incumbent.  I with each
+    segment's maximizing set, and with their union, is scored by
+    ``expected_revenue``, so the value returned is exact for its set, and
+    the optimum up to the rounding of the bounds.  A search cut at
+    ``_BRANCH_NODES`` nodes returns guarantee incumbent / (largest bound of
+    an unexplored node), a proven factor below 1.
     """
-    ids = sorted(price)
-    value_of = lambda S: expected_revenue(model, S, price) if S else 0.0
-
-    def ascend(S: frozenset[int]) -> tuple[float, frozenset[int]]:
-        current, val = S, value_of(S)
-        while True:
-            best_move, best_val = None, val
-            for n in ids:
-                cand = current - {n} if n in current else current | {n}
-                v = value_of(cand)
-                if v > best_val + 1e-15:
-                    best_move, best_val = cand, v
-            for out in sorted(current):
-                for enter in ids:
-                    if enter in current:
-                        continue
-                    cand = (current - {out}) | {enter}
-                    v = value_of(cand)
-                    if v > best_val + 1e-15:
-                        best_move, best_val = cand, v
-            if best_move is None:
-                return val, current
-            current, val = best_move, best_val
-
-    starts = [frozenset()]
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, restarts)):
-        mask = rng.random(len(ids)) < 0.5
-        starts.append(frozenset(n for n, keep in zip(ids, mask) if keep))
-
-    best_value, best_set = 0.0, frozenset()
-    for S in starts:
-        v, T = ascend(S)
-        if v > best_value or (v == best_value and tuple(sorted(T)) < tuple(sorted(best_set))):
-            best_value, best_set = v, T
-    return SubproblemResult(best_set, best_value, 0.9)
+    if model._segment_table is None:
+        raise ValueError(f"branch and bound needs attraction segments, not a {model.kind!r} model")
+    _as_assortment(price)
+    # (w_g, base weight, mu+nu row, nu row) of each segment of positive weight
+    segments = [seg for seg in zip(*(a.tolist() for a in model._segment_table)) if seg[0] > 0.0]
+    # a node: the included set, A_g and B_g per segment, the free (product,
+    # price) pairs, and its parent's bound, which bounds every set below it
+    stack = [(frozenset(), [0.0] * len(segments), [seg[1] for seg in segments],
+              tuple((n, p) for n, p in sorted(price.items()) if p > 0.0), math.inf)]
+    best_set, best_value, nodes = frozenset(), 0.0, 0
+    while stack:
+        if nodes == _BRANCH_NODES:
+            guarantee = min(1.0, best_value / max(node[4] for node in stack))
+            return SubproblemResult(best_set, best_value, guarantee)
+        included, nums, dens, items, parent = stack.pop()
+        if parent <= best_value:
+            continue
+        nodes += 1
+        tops = [_best_prefix((weight, nu, den), items, num)
+                for (_, _, weight, nu), num, den in zip(segments, nums, dens)]
+        bound = sum(seg[0] * value for seg, (_, value) in zip(segments, tops))
+        if bound <= best_value:
+            continue
+        sets = [T for T, _ in tops]
+        union = frozenset().union(*sets)
+        for T in dict.fromkeys(sets + [union]):
+            value = expected_revenue(model, included | T, price)
+            if value > best_value:
+                best_set, best_value = included | T, value
+        # branch on a product that one segment's maximizing set takes and
+        # another leaves out; with none, the union attains the bound
+        split = next((n for n, _ in items if n in union and not all(n in T for T in sets)), None)
+        if split is None or bound <= best_value:
+            continue
+        rest = tuple(item for item in items if item[0] != split)
+        stack.append((included, nums, dens, rest, bound))
+        stack.append((included | {split},
+                      [num + price[split] * seg[2][split - 1] for num, seg in zip(nums, segments)],
+                      [den + seg[3][split - 1] for den, seg in zip(dens, segments)], rest, bound))
+    return SubproblemResult(best_set, best_value, 1.0)
 
 
 def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
-    """Sort for models with attraction weights, brute force otherwise;
-    always exact.  Mixtures, even of one segment, take the brute force."""
+    """Sort for models with attraction weights, brute force up to the cap
+    and for models without segments, the branch and bound otherwise; exact
+    unless the guarantee says the node budget cut the search."""
     if model.attraction() is not None:
         return assortment_subproblem_sort(model, price)
-    return assortment_subproblem_bruteforce(model, price)
+    if len(price) <= _BRUTEFORCE_CAP or model._segment_table is None:
+        return assortment_subproblem_bruteforce(model, price)
+    return assortment_subproblem_branch_and_bound(model, price)
 
 
 SOLVERS: dict[str, Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult]] = {
     "auto": _auto,
     "bruteforce": assortment_subproblem_bruteforce,
-    "localsearch": assortment_subproblem_localsearch,
 }
 
 

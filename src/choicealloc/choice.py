@@ -47,7 +47,6 @@ __all__ = [
     "choice_probability",
     "sample_choice",
     "expected_revenue",
-    "prune_nonpositive",
 ]
 
 
@@ -463,7 +462,3 @@ def _revenue(dist: list[tuple[int, float]], price: Mapping[int, float]) -> float
     """Expected revenue of a ``distribution`` list at the given prices."""
     return math.fsum([p * price[n] for n, p in dist])
 
-
-def prune_nonpositive(assortment: Iterable[int], price: Mapping[int, float]) -> frozenset[int]:
-    """Members of the assortment with strictly positive price."""
-    return frozenset(n for n in _as_assortment(assortment) if price[n] > 0.0)

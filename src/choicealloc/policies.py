@@ -9,10 +9,8 @@ the offered assortment per arrival against marginal-value-adjusted prices
 and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
-opr offers its exact optimizer's answer (``cdlp._best_prefix`` for
-attraction models, brute force otherwise) and checks only local search,
-past ``cdlp._BRUTEFORCE_CAP``, against the plan's pruned assortments (see
-``opr_offer``).
+opr offers its exact optimizer's answer: ``cdlp._best_prefix`` for
+attraction models, ``SOLVERS["auto"]`` otherwise (see ``opr_offer``).
 
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
@@ -28,9 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import (_BRUTEFORCE_CAP, SOLVERS, CdlpSolution, _best_prefix,
-                   assortment_subproblem_localsearch)
-from .choice import _cdf_row, _draw, _revenue
+from .cdlp import SOLVERS, CdlpSolution, _best_prefix
+from .choice import _cdf_row, _draw
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
 
@@ -46,7 +43,6 @@ __all__ = [
 POLICY_NAMES = ("fcfs", "pr", "opr")
 
 _EMPTY: frozenset[int] = frozenset()
-_OPR_RESTARTS = 4
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
         raise ValueError(f"time {now} outside [0, 1]")
     expiry, marginals = t.expiry, t.marginals
     value_of_unit: dict[int, float] = {}
-    prices, positive = {}, set()
+    prices, positive = {}, False
     for n, l, reward in t.products[k]:
         stock = inventory[l]
         if _sellable(stock, expiry[l], now):
@@ -175,28 +171,17 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
                 v = value_of_unit[l] = _interp(marginals[l], stock - 1, now)
             price = prices[n] = reward - v
             if price > 0.0:
-                positive.add(n)
+                positive = True
     if not positive:
-        # every solver and every pruned plan assortment is then worth 0
-        return _EMPTY, 0.0
+        return _EMPTY, 0.0  # every offer is then worth at most 0
 
     weights = t.attraction[k]
     if weights is not None:
         return _best_prefix(weights, prices.items())
-    if len(prices) <= _BRUTEFORCE_CAP:
-        best = SOLVERS["bruteforce"](t.models[k], prices)
-        return best.assortment, best.value
-
-    best = assortment_subproblem_localsearch(t.models[k], prices,
-                                             restarts=_OPR_RESTARTS, seed=0)
-    offer, value = best.assortment, best.value
-    # the heuristic's only floor: no offer below the plan's pruned assortments
-    for S in t.offers[k][1][:-1]:
-        pruned = S & positive
-        v = _revenue(t.models[k].distribution(pruned), prices) if pruned else 0.0
-        if v > value:
-            offer, value = pruned, v
-    return offer, value
+    best = SOLVERS["auto"](t.models[k], prices)
+    if best.guarantee < 1.0:
+        raise ValueError(f"opr needs an exact offer; the solver's guarantee is {best.guarantee:g}")
+    return best.assortment, best.value
 
 
 def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> OfferDecision:
@@ -235,14 +220,14 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     resource; products that cannot be sold are excluded outright.  For
     attraction models the offer is the exact best prefix of the ratio
     ranking (``cdlp._best_prefix``, on the model's cached ``attraction()``
-    tuples); for mixtures and tables it is the exact brute force up to
-    ``cdlp._BRUTEFORCE_CAP`` priced products.  Each plan assortment with
-    its nonpositive-price products pruned is one of the sets these
+    tuples); for mixtures and tables it is the answer of
+    ``SOLVERS["auto"]``, and a result short of exact (a branch and bound
+    cut by its node budget) raises ``ValueError``.  Each plan assortment
+    with its nonpositive-price products pruned is one of the sets these
     maximize over, so the offer collects at least the marginal reward the
-    static threshold policy would.  Past the cap, local search runs and
-    the pruned plan assortments are its floor: the better is offered.
-    Every purchase from the offer is accepted.  ``grids`` must hold a grid
-    for every resource, covering its capacity.
+    static threshold policy would.  Every purchase from the offer is
+    accepted.  ``grids`` must hold a grid for every resource, covering its
+    capacity.
 
     Each call compiles a ``_Tables`` for the whole instance; the simulator
     compiles once per run instead.

@@ -18,13 +18,15 @@ from choicealloc import (
     Resource,
     SubproblemResult,
     TabulatedChoiceModel,
+    assortment_subproblem_branch_and_bound,
     assortment_subproblem_bruteforce,
-    assortment_subproblem_localsearch,
     assortment_subproblem_sort,
     build_master,
     choice_probability,
     dual_bound,
     expected_revenue,
+    generate_arrivals,
+    hindsight_bound,
     master_columns,
     products_of_resource,
     random_instance,
@@ -337,11 +339,11 @@ def _scalar_bruteforce(model, price):
 
 
 @st.composite
-def _kernel_cases(draw):
+def _kernel_cases(draw, max_segments=4):
     """(model, price): MNL, independent-demand or general attraction models,
-    or mixtures of 1-4 of them, over 0-12 products with zero, negative and
-    duplicated prices, some products made never-selected as in
-    verify._extended_model."""
+    or mixtures of 1 to ``max_segments`` of them, over 0-12 products with
+    zero, negative and duplicated prices, some products made never-selected
+    as in verify._extended_model."""
     m = draw(st.integers(min_value=0, max_value=12))
     extra = draw(st.integers(min_value=0, max_value=min(2, m)))
 
@@ -354,7 +356,8 @@ def _kernel_cases(draw):
     if draw(st.booleans()):
         model = attraction(draw(kinds))
     else:
-        raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=4))
+        raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1,
+                            max_size=max_segments))
         model = MixtureChoiceModel(tuple((w / sum(raw), attraction(draw(kinds))) for w in raw))
     model = _extended_model(model, extra)
     prices = draw(st.lists(_prices, min_size=m, max_size=m))
@@ -462,7 +465,7 @@ def test_bruteforce_over_a_subset_of_the_products_equals_scalar_enumeration(case
 
 
 def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
-    from choicealloc import build_value_grids, monte_carlo, policies
+    from choicealloc import build_value_grids, monte_carlo
 
     inst, calls = _MIXTURE10, []
 
@@ -472,7 +475,7 @@ def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
 
     sol = solve_cdlp(inst)
     grids = build_value_grids(inst, sol.s_star, 200)
-    monkeypatch.setitem(policies.SOLVERS, "bruteforce", spy)
+    monkeypatch.setattr(cdlp, "assortment_subproblem_bruteforce", spy)
     monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
     monkeypatch.undo()
     assert any(len(price) < inst.num_products for _, price in calls)
@@ -486,37 +489,89 @@ def test_bruteforce_rejects_no_purchase_id():
         assortment_subproblem_bruteforce(mnl(1.0, 1.0), {0: 1.0, 1: 1.0})
 
 
-# ------------------------------------------------ subproblem: local search
+# ------------------------------------------------ subproblem: branch and bound
 
 
-def test_localsearch_single_product_exact():
-    res = assortment_subproblem_localsearch(mnl(1.0), {1: 2.0}, restarts=0)
-    assert res.assortment == {1}
-    assert res.value == pytest.approx(1.0)
+@settings(max_examples=300, deadline=None)
+@given(case=_kernel_cases(max_segments=5))
+def test_branch_and_bound_equals_bruteforce(case):
+    model, price = case
+    res = assortment_subproblem_branch_and_bound(model, price)
+    want = assortment_subproblem_bruteforce(model, price)
+    assert res.guarantee == 1.0
+    assert math.isclose(res.value, want.value, rel_tol=1e-12)
+    assert res.value == expected_revenue(model, res.assortment, price)
+    assert all(price[n] > 0.0 for n in res.assortment)
 
 
-def test_localsearch_empty_on_nonpositive_prices():
-    res = assortment_subproblem_localsearch(mnl(1.0, 1.0), {1: -1.0, 2: 0.0}, restarts=0)
-    assert res.assortment == frozenset()
+def _wide_mixture(rng, N, segments=3):
+    """A mixture of general attraction segments over N products."""
+    return MixtureChoiceModel(tuple(
+        (float(w), AttractionChoiceModel(tuple(rng.uniform(0.0, 1.0, N) * (rng.random(N) < 0.3)),
+                                         tuple(rng.exponential(1.0, N) * (rng.random(N) < 0.9))))
+        for w in rng.dirichlet(np.ones(segments))))
 
 
-def test_localsearch_near_bruteforce_on_mixtures():
-    rng = np.random.default_rng(9)
-    worst = 1.0
-    for _ in range(30):
-        n = int(rng.integers(2, 7))
-        segs = []
-        for w in rng.dirichlet(np.ones(2)):
-            segs.append((float(w), mnl(*rng.uniform(0.1, 2.0, n))))
-        model = MixtureChoiceModel(tuple(segs))
-        price = {i + 1: float(rng.uniform(-0.5, 2.0)) for i in range(n)}
-        ls = assortment_subproblem_localsearch(model, price, restarts=4, seed=1)
-        bf = assortment_subproblem_bruteforce(model, price)
-        if bf.value > 0:
-            worst = min(worst, ls.value / bf.value)
-        assert ls.value <= bf.value + 1e-12
-    # Measured quality of the heuristic on these cases; recorded, not proven.
-    assert worst >= 0.9
+def test_branch_and_bound_above_the_cap_equals_bruteforce_on_the_positive_prices():
+    # dropping nonpositive-price products never lowers a segment's revenue,
+    # so the brute force over the positive prices alone is the optimum
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        N = int(rng.integers(cdlp._BRUTEFORCE_CAP + 1, 27))
+        model = _wide_mixture(rng, N, int(rng.integers(1, 5)))
+        positive = set(rng.choice(np.arange(1, N + 1), int(rng.integers(12, 21)), replace=False))
+        price = {n: float(rng.uniform(0.1, 3.0)) if n in positive else float(rng.uniform(-1.0, 0.0))
+                 for n in range(1, N + 1)}
+        res = assortment_subproblem_branch_and_bound(model, price)
+        want = assortment_subproblem_bruteforce(model, {n: price[n] for n in positive})
+        assert res.guarantee == 1.0
+        assert math.isclose(res.value, want.value, rel_tol=1e-12)
+        assert SOLVERS["auto"](model, price) == res
+    # a table has no segments to bound, so past the cap auto still refuses it
+    N = cdlp._BRUTEFORCE_CAP + 1
+    table = TabulatedChoiceModel({frozenset({1}): {1: 1.0}}, num_products=N)
+    with pytest.raises(ValueError, match="brute force capped"):
+        SOLVERS["auto"](table, {n: 1.0 for n in range(1, N + 1)})
+    with pytest.raises(ValueError, match="attraction segments, not a 'table' model"):
+        assortment_subproblem_branch_and_bound(table, {1: 1.0})
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+def test_branch_and_bound_cut_by_its_budget_states_a_proven_guarantee(monkeypatch, budget):
+    monkeypatch.setattr(cdlp, "_BRANCH_NODES", budget)
+    rng = np.random.default_rng(budget)
+    cut = 0
+    for _ in range(8):
+        N = int(rng.integers(14, 21))
+        model = _wide_mixture(rng, N, int(rng.integers(2, 6)))
+        price = {n: float(rng.uniform(-0.5, 3.0)) for n in range(1, N + 1)}
+        res = assortment_subproblem_branch_and_bound(model, price)
+        optimum = assortment_subproblem_bruteforce(model, price).value
+        assert 0.0 <= res.guarantee <= 1.0
+        assert res.value >= res.guarantee * optimum * (1.0 - 1e-12)
+        assert res.value == expected_revenue(model, res.assortment, price)
+        cut += res.guarantee < 1.0
+    assert cut  # the budget binds on some draws
+
+
+# 23 products, three mixture types: above the brute force's cap
+_WIDE4 = random_instance(4, max_products=24, model_kinds=("mixture",))
+
+
+def test_wide_mixture_instance_plans_exactly_past_the_bruteforce_cap(monkeypatch):
+    assert _WIDE4.num_products > cdlp._BRUTEFORCE_CAP
+    sol = solve_cdlp(_WIDE4, 0.0)
+    assert sol.certified
+    assert hindsight_bound(_WIDE4, generate_arrivals(_WIDE4, 1)) > 0.0
+    monkeypatch.setattr(cdlp, "_BRUTEFORCE_CAP", _WIDE4.num_products)
+    want = solve_cdlp(_WIDE4, 0.0, "bruteforce")
+    assert (sol.objective, sol.active) == (want.objective, want.active)
+
+
+def test_solve_cdlp_refuses_a_branch_and_bound_cut_by_its_budget(monkeypatch):
+    monkeypatch.setattr(cdlp, "_BRANCH_NODES", 1)
+    with pytest.raises(ValueError, match="guarantee .* is below the 1 required for eps=0"):
+        solve_cdlp(_WIDE4, 0.0)
 
 
 # ----------------------------------------------------------- solve_cdlp
@@ -695,7 +750,7 @@ def test_dual_bound_equals_objective_on_exact_solve():
 def test_eps_solver_guarantee_precondition():
     inst = unit_instance(2.0)
     with pytest.raises(ValueError):
-        solve_cdlp(inst, 0.0, "localsearch")
+        solve_cdlp(inst, 0.0, DegradedSolver(0.9))
     with pytest.raises(ValueError):
         solve_cdlp(inst, 0.05, DegradedSolver(0.5))  # 0.5 < 1/1.05
 
@@ -704,11 +759,11 @@ def test_nan_guarantee_is_refused():
     # NaN fails every comparison, so the check must refuse what fails it
     inst = random_instance(2, max_products=5, model_kinds=("attraction", "mixture"))
 
-    def nan_localsearch(model, price):
-        r = assortment_subproblem_localsearch(model, price)
+    def nan_bruteforce(model, price):
+        r = assortment_subproblem_bruteforce(model, price)
         return SubproblemResult(r.assortment, r.value, math.nan)
 
-    for solver in (nan_localsearch, DegradedSolver(math.nan)):
+    for solver in (nan_bruteforce, DegradedSolver(math.nan)):
         with pytest.raises(ValueError, match="guarantee nan is below"):
             solve_cdlp(inst, 0.0, solver)
 
@@ -716,7 +771,7 @@ def test_nan_guarantee_is_refused():
 def test_instance_without_types_refuses_no_solver():
     # no type calls the solver, so no result is checked; the plan is exact
     inst = Instance((Resource(1, 1),), (Product(1, 1, 1.0),), ())
-    sol = solve_cdlp(inst, 0.0, "localsearch")
+    sol = solve_cdlp(inst, 0.0, DegradedSolver(0.5))
     assert sol.certified and sol.objective == 0.0
 
 
@@ -729,7 +784,7 @@ def test_subproblem_result_guarantee_is_required():
 def test_solve_cdlp_rejects_eps_that_is_not_finite_and_nonnegative(eps):
     # A NaN eps would pass every guarantee comparison and certify any solver.
     with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
-        solve_cdlp(unit_instance(2.0), eps, "localsearch")
+        solve_cdlp(unit_instance(2.0), eps, "bruteforce")
 
 
 def test_eps_certificate_small_example():
@@ -740,15 +795,6 @@ def test_eps_certificate_small_example():
             sol = solve_cdlp(inst, eps, DegradedSolver(1.0 / (1.0 + eps)))
             assert sol.objective >= (1 - eps) * enum.objective - 1e-9
             assert dual_bound(sol, inst) >= enum.objective / (1 + eps) - 1e-8
-
-
-def test_localsearch_solver_allowed_with_matching_eps():
-    # guarantee 0.9 certifies eps = (1 - 0.9)/0.9; anything looser works too.
-    inst = random_instance(2, max_products=5, model_kinds=("attraction", "mixture"))
-    enum = solve_cdlp_enumeration(inst)
-    sol = solve_cdlp(inst, 0.2, "localsearch")
-    assert sol.certified
-    assert sol.objective >= (1 - 0.2) * enum.objective - 1e-9
 
 
 def test_iteration_cap_flags_non_certified():
@@ -815,14 +861,14 @@ def test_registry_names_and_guarantees():
     # a solver states its guarantee on its results, not as an attribute
     model = mnl(1.0, 0.5, 0.2)
     price = {1: 1.0, 2: 0.5, 3: -0.2}
-    assert sorted(SOLVERS) == ["auto", "bruteforce", "localsearch"]
+    assert sorted(SOLVERS) == ["auto", "bruteforce"]
     assert {name: fn(model, price).guarantee for name, fn in SOLVERS.items()} == {
-        "auto": 1.0, "bruteforce": 1.0, "localsearch": 0.9}
+        "auto": 1.0, "bruteforce": 1.0}
     assert not any(hasattr(fn, "guarantee") for fn in SOLVERS.values())
 
 
 def test_unknown_solver_name_lists_the_registry():
-    with pytest.raises(ValueError, match="choose from auto, bruteforce, localsearch$"):
+    with pytest.raises(ValueError, match="choose from auto, bruteforce$"):
         solve_cdlp(unit_instance(1.0), 0.0, "greedy")
 
 
@@ -832,8 +878,6 @@ def test_solvers_by_name_match_their_functions():
     model = inst.ctype(1).choice
     assert SOLVERS["auto"](model, price) == assortment_subproblem_sort(model, price)
     assert SOLVERS["bruteforce"](model, price) == assortment_subproblem_bruteforce(model, price)
-    assert SOLVERS["localsearch"](model, price) == assortment_subproblem_localsearch(
-        model, price, restarts=8, seed=0)
     assert AutoExactSolver()(model, price) == SOLVERS["auto"](model, price)
 
 

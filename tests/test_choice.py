@@ -11,7 +11,6 @@ from choicealloc import (
     TabulatedChoiceModel,
     choice_probability,
     expected_revenue,
-    prune_nonpositive,
     random_instance,
     sample_choice,
 )
@@ -141,13 +140,6 @@ def test_expected_revenue():
     assert expected_revenue(mnl(1.0, 1.0), {1, 2}, {1: 2.0, 2: 1.0}) == pytest.approx(1.0)
 
 
-def test_prune_nonpositive():
-    price = {1: 2.0, 2: -1.0, 3: 0.0}
-    assert prune_nonpositive({1, 2, 3}, price) == {1}
-    assert prune_nonpositive({1}, {1: 0.5}) == {1}
-    assert prune_nonpositive({2, 3}, price) == frozenset()
-
-
 def test_pruning_never_hurts_attraction_or_mixture_revenue():
     # Positive-price pruning must not lower expected revenue for
     # random-utility models; checked on a thousand random cases.
@@ -165,7 +157,7 @@ def test_pruning_never_hurts_attraction_or_mixture_revenue():
         members = [i + 1 for i in range(n) if rng.random() < 0.7]
         S = frozenset(members)
         price = {m: float(rng.uniform(-1.0, 2.0)) for m in S}
-        pruned = prune_nonpositive(S, price)
+        pruned = frozenset(n for n in S if price[n] > 0.0)
         assert expected_revenue(model, pruned, price) >= expected_revenue(model, S, price) - 1e-12
 
 

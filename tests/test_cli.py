@@ -155,9 +155,11 @@ def test_cdlp_command_objective(good_path, capsys, tmp_path):
 
 
 def test_cdlp_rejects_localsearch_at_eps_zero(good_path, capsys):
-    code = main(["cdlp", "--instance", str(good_path), "--solver", "localsearch"])
-    assert code == 1
-    assert "guarantee" in capsys.readouterr().out
+    # localsearch is not a registry name, so it is a parse error
+    with pytest.raises(SystemExit) as exit_:
+        main(["cdlp", "--instance", str(good_path), "--solver", "localsearch"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'localsearch'" in capsys.readouterr().err
 
 
 def test_cdlp_sort_solver_is_a_parse_error(good_path, capsys):
@@ -170,7 +172,7 @@ def test_cdlp_sort_solver_is_a_parse_error(good_path, capsys):
 
 def test_cdlp_rejects_nan_eps(good_path, capsys):
     code = main(["cdlp", "--instance", str(good_path), "--eps", "nan",
-                 "--solver", "localsearch"])
+                 "--solver", "bruteforce"])
     assert code == 1
     assert "eps must be finite and nonnegative" in capsys.readouterr().out
 
@@ -331,8 +333,6 @@ def test_every_solver_on_every_model_kind_exits_cleanly(solver, kind, command,
     path = tmp_path / f"{kind}.json"
     dump_instance(random_instance(4, max_products=4, model_kinds=(kind,)), path)
     argv = [command, "--instance", str(path), "--solver", solver]
-    if solver == "localsearch":
-        argv += ["--eps", "0.2"]  # within its declared guarantee of 0.9
     if command == "simulate":
         argv += ["--reps", "20", "--seed", "1", "--grid", "200", "--out", str(tmp_path / "run")]
     code = main(argv)

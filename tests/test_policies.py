@@ -16,7 +16,6 @@ from choicealloc import (
     Resource,
     TabulatedChoiceModel,
     assortment_subproblem_bruteforce,
-    assortment_subproblem_localsearch,
     assortment_subproblem_sort,
     build_value_grids,
     choice_probability,
@@ -26,7 +25,6 @@ from choicealloc import (
     monte_carlo,
     opr_offer,
     pr_accept,
-    prune_nonpositive,
     random_instance,
     solve_cdlp,
 )
@@ -206,7 +204,7 @@ def test_opr_floor_dominates_static_plan():
                         choice_probability(model, n, S) * max(prices[n], 0.0)
                         for n in visible
                     )
-                    pruned = prune_nonpositive(visible, prices)
+                    pruned = frozenset(n for n in visible if prices[n] > 0.0)
                     if pruned:
                         fallback_best = max(fallback_best, expected_revenue(model, pruned, prices))
                 assert got >= fallback_best - 1e-9
@@ -265,11 +263,11 @@ def test_decisions_reject_grids_that_do_not_cover_the_instance():
 # ------------------------------------------------- opr solver dispatch
 
 
-def _reference_opr_decision(t, inventory, now, k, restarts=4, floor_exact=False):
+def _reference_opr_decision(t, inventory, now, k, floor_exact=False):
     """policies._opr_decision as it was, picking its subproblem solver by
-    model class on every arrival.  The pruned plan assortments are a floor
-    for local search only; ``floor_exact`` scores them after the exact
-    solvers too, the earlier rule."""
+    model class on every arrival, with the brute force's cap raised to the
+    priced products.  ``floor_exact`` scores the pruned plan assortments
+    after the solver, the earlier rule."""
     if not t.prunable[k]:
         raise ValueError("not removal-monotone")
     model = t.models[k]
@@ -284,16 +282,15 @@ def _reference_opr_decision(t, inventory, now, k, restarts=4, floor_exact=False)
         return frozenset(), 0.0
     if isinstance(model, AttractionChoiceModel):
         best = assortment_subproblem_sort(model, prices)
-    elif len(prices) <= 20:
-        best = assortment_subproblem_bruteforce(model, prices)
     else:
-        best = assortment_subproblem_localsearch(model, prices, restarts=restarts, seed=0)
-        floor_exact = True
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdlp, "_BRUTEFORCE_CAP", len(prices))
+            best = assortment_subproblem_bruteforce(model, prices)
     offer, value = best.assortment, best.value
     if not floor_exact:
         return offer, value
     for S in t.offers[k][1][:-1]:  # the plan's assortments, without the empty offer
-        pruned = prune_nonpositive(S.intersection(prices), prices)
+        pruned = frozenset(n for n in S if n in prices and prices[n] > 0.0)
         v = expected_revenue(model, pruned, prices) if pruned else 0.0
         if v > value:
             offer, value = pruned, v
@@ -453,28 +450,36 @@ def _wide_mixture_tables(N):
     return policies._Tables(inst, sol, grids)
 
 
-def test_opr_searches_locally_past_the_bruteforce_cap():
+def test_opr_is_exact_past_the_bruteforce_cap():
     tables = _wide_mixture_tables(cdlp._BRUTEFORCE_CAP + 1)
     got = policies._opr_decision(tables, [2], 0.3, 1)
     assert got == _reference_opr_decision(tables, [2], 0.3, 1)
     assert got[0]
 
 
-@pytest.mark.parametrize("extra, solver", [(0, "bruteforce"), (1, "localsearch")])
+def test_opr_refuses_a_branch_and_bound_cut_by_its_budget(monkeypatch):
+    # opr offers only exact answers
+    monkeypatch.setattr(cdlp, "_BRANCH_NODES", 1)
+    tables = _wide_mixture_tables(cdlp._BRUTEFORCE_CAP + 1)
+    with pytest.raises(ValueError, match="exact offer; the solver's guarantee is 0.99"):
+        policies._opr_decision(tables, [2], 0.3, 1)
+
+
+@pytest.mark.parametrize("extra, solver", [(0, "bruteforce"), (1, "branch_and_bound")])
 def test_opr_switches_solver_at_the_bruteforce_cap(monkeypatch, extra, solver):
-    # opr prices every product here, so it must call the brute force at
-    # exactly cdlp's cap and local search one product above it
+    # opr prices every product here, so auto must call the brute force at
+    # exactly cdlp's cap and the branch and bound one product above it
     calls = []
 
     def spy(name, inner):
-        def solve(model, prices, **kwargs):
+        def solve(model, prices):
             calls.append((name, len(prices)))
-            return inner(model, prices, **kwargs)
+            return inner(model, prices)
         return solve
 
-    monkeypatch.setitem(cdlp.SOLVERS, "bruteforce", spy("bruteforce", cdlp.SOLVERS["bruteforce"]))
-    monkeypatch.setattr(policies, "assortment_subproblem_localsearch",
-                        spy("localsearch", assortment_subproblem_localsearch))
+    for name in ("bruteforce", "branch_and_bound"):
+        attr = "assortment_subproblem_" + name
+        monkeypatch.setattr(cdlp, attr, spy(name, getattr(cdlp, attr)))
     N = cdlp._BRUTEFORCE_CAP + extra
     tables = _wide_mixture_tables(N)
     assert policies._opr_decision(tables, [2], 0.3, 1) == \
