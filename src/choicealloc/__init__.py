@@ -34,7 +34,6 @@ from .cdlp import (
     assortment_subproblem_sort,
     assortment_subproblem_bruteforce,
     assortment_subproblem_branch_and_bound,
-    SOLVERS,
     AutoExactSolver,
     solve_cdlp,
     solve_cdlp_enumeration,

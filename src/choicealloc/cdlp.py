@@ -10,15 +10,13 @@ subproblem solver the procedure terminates at the LP optimum, and with a
 solver carrying a guarantee factor gamma >= 1/(1+eps) it terminates with an
 eps-optimal plan certified by the terminal duals.
 
-Subproblem solvers are chosen by name from ``SOLVERS``: ``auto`` (exact:
+``solve_cdlp`` prices columns with one subproblem solver, ``_auto``:
 ``assortment_subproblem_sort`` where the model has attraction weights,
 brute force up to 20 priced products, and past them the branch and bound
-for mixtures) and ``bruteforce`` (exact, any model, at most 20 priced
-products).  Each entry is a plain function of (model, prices);
-``solve_cdlp`` also takes any such callable.  A solver states its
-guarantee on each ``SubproblemResult`` it returns, and nowhere else: it is
-1 on every exact result, and below 1 only on a branch and bound cut by its
-node budget.
+for mixtures.  A caller may pass any other function of (model, prices)
+instead, as the verification suite does with a degraded one.  A solver states its guarantee on each ``SubproblemResult``
+it returns, and nowhere else: it is 1 on every exact result, and below 1
+only on a branch and bound cut by its node budget.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ __all__ = [
     "assortment_subproblem_sort",
     "assortment_subproblem_bruteforce",
     "assortment_subproblem_branch_and_bound",
-    "SOLVERS",
     "AutoExactSolver",
     "solve_cdlp",
     "solve_cdlp_enumeration",
@@ -380,15 +377,9 @@ def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
     return assortment_subproblem_branch_and_bound(model, price)
 
 
-SOLVERS: dict[str, Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult]] = {
-    "auto": _auto,
-    "bruteforce": assortment_subproblem_bruteforce,
-}
-
-
 class AutoExactSolver:
-    """The ``"auto"`` solver as a class, kept for callers of the earlier
-    class-based API (the benchmark workloads construct it)."""
+    """``solve_cdlp``'s default subproblem solver as a class, kept for callers
+    of the earlier class-based API (the benchmark workloads construct it)."""
 
     __call__ = staticmethod(_auto)
 
@@ -459,18 +450,18 @@ def _extract_solution(inst: Instance, cols, lp_sol: LpSolution, eps: float,
 
 
 def solve_cdlp(inst: Instance, eps: float = 0.0,
-               solver: str | Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult] = "auto",
+               solver: Callable[[ChoiceModel, Mapping[int, float]], SubproblemResult] = _auto,
                max_iterations: int | None = None) -> CdlpSolution:
     """Column generation on the fluid LP.
 
-    ``solver`` is a ``SOLVERS`` name or any callable of (model, prices)
-    returning a ``SubproblemResult``.  Every result's guarantee must be
-    at least 1/(1+eps) (1 at ``eps == 0``), and the returned plan's
-    objective is then certified to be at least (1-eps) times the true
-    optimum.  The first result below that, or NaN, raises ``ValueError``;
-    an instance with no customer types calls no solver, and its plan of
-    objective 0 is exact.  Hitting the iteration cap returns the best plan
-    found so far flagged ``certified=False``.
+    ``solver`` is any callable of (model, prices) returning a
+    ``SubproblemResult``.  Every result's guarantee must be at least
+    1/(1+eps) (1 at ``eps == 0``), and the returned plan's objective is
+    then certified to be at least (1-eps) times the true optimum.  The
+    first result below that, or NaN, raises ``ValueError``; an instance
+    with no customer types calls no solver, and its plan of objective 0 is
+    exact.  Hitting the iteration cap returns the best plan found so far
+    flagged ``certified=False``.
 
     The instance is validated once, and each (type, assortment) column's
     coefficients are computed once and reused by every later master; each
@@ -479,10 +470,6 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     _require_valid(inst)
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
-    if isinstance(solver, str):
-        if solver not in SOLVERS:
-            raise ValueError(f"unknown solver {solver!r}; choose from {', '.join(sorted(SOLVERS))}")
-        solver = SOLVERS[solver]
     required = 1.0 / (1.0 + eps)
 
     L, N, K = inst.num_resources, inst.num_products, inst.num_types

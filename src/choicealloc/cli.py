@@ -34,7 +34,7 @@ import math
 import sys
 from pathlib import Path
 
-from .cdlp import SOLVERS, solve_cdlp
+from .cdlp import solve_cdlp
 from .choice import AttractionChoiceModel, ChoiceModel, MixtureChoiceModel, TabulatedChoiceModel
 from .model import (
     CustomerType,
@@ -175,7 +175,7 @@ def cmd_validate(args) -> int:
 def cmd_cdlp(args) -> int:
     inst = args.inst
     try:
-        sol = solve_cdlp(inst, args.eps, args.solver)
+        sol = solve_cdlp(inst, args.eps)
     except ValueError as exc:
         print(f"error: {exc}")
         return EXIT_INVARIANT
@@ -232,7 +232,7 @@ def cmd_simulate(args) -> int:
         tag = instance_id if len(thetas) == 1 and theta == 1.0 \
             else f"{instance_id}@theta{theta:g}"
         try:
-            sol = solve_cdlp(scaled, args.eps, args.solver)
+            sol = solve_cdlp(scaled, args.eps)
         except ValueError as exc:
             print(f"error: {exc}")
             return EXIT_INVARIANT
@@ -329,7 +329,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("cdlp", help="solve the fluid plan and dump it")
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--solver", default="auto", choices=sorted(SOLVERS))
     p.add_argument("--out", default=None, help="optional CSV dump path")
     p.set_defaults(func=cmd_cdlp)
 
@@ -343,7 +342,6 @@ def main(argv=None) -> int:
     p.add_argument("--theta", default="1")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--solver", default="auto", choices=sorted(SOLVERS))
     p.add_argument("--relaxed-mode", action="store_true",
                    help="static substitution for fcfs/pr (analysis mode)")
     p.add_argument("--trace", action="store_true",

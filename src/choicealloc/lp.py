@@ -1,13 +1,16 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense one-phase primal simplex for small linear programs.
 
 Problems are maximizations of ``c @ x`` subject to ``A x <= b`` and
-``x >= 0``.  The solver uses Bland's entering/leaving rule, so it cannot
-cycle and is fully deterministic; degenerate optima resolve toward the
-lowest variable index.  Primal and dual values are re-derived from the
-final basis by a direct linear solve rather than read off the pivoted
-tableau, which keeps the certificates clean of accumulated roundoff.  The
-dual values are load-bearing downstream (column-generation reduced costs),
-hence the insistence on exact basis duals over speed.
+``x >= 0`` with ``b >= 0``, so ``x = 0`` with every slack basic is a
+feasible start and no phase 1 is needed.  Every program the package builds
+is a packing LP of this form: offering nothing to anyone is feasible.  The
+solver uses Bland's entering/leaving rule, so it cannot cycle and is fully
+deterministic; degenerate optima resolve toward the lowest variable index.
+Primal and dual values are re-derived from the final basis by a direct
+linear solve rather than read off the pivoted tableau, which keeps the
+certificates clean of accumulated roundoff.  The dual values are
+load-bearing downstream (column-generation reduced costs), hence the
+insistence on exact basis duals over speed.
 
 A ``LinearProgram`` copies its coefficients once into read-only,
 C-contiguous float64 arrays and checks them there, so ``solve_lp`` reads
@@ -35,19 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpSolution", "solve_lp",
-           "FEASIBILITY_TOL", "OPTIMALITY_TOL", "PIVOT_TOL"]
+__all__ = ["LinearProgram", "LpSolution", "solve_lp", "OPTIMALITY_TOL", "PIVOT_TOL"]
 
-FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """max objective @ x  s.t.  rows @ x <= rhs,  x >= 0, held as read-only
-    float64 copies of shape (n,), (m, n) and (m,); no rows give (0, n).
-    Programs compare by identity: compare their arrays instead."""
+    """max objective @ x  s.t.  rows @ x <= rhs,  x >= 0, with rhs >= 0, held
+    as read-only float64 copies of shape (n,), (m, n) and (m,); no rows give
+    (0, n).  Programs compare by identity: compare their arrays instead."""
 
     objective: np.ndarray
     rows: np.ndarray
@@ -63,8 +64,10 @@ class LinearProgram:
             raise ValueError("constraint row width must match the objective length")
         if rhs.shape != rows.shape[:1]:
             raise ValueError("one right-hand side per constraint row required")
-        if not (np.isfinite(obj).all() and np.isfinite(rows).all() and np.isfinite(rhs).all()):
+        if not (np.isfinite(obj).all() and np.isfinite(rows).all()):
             raise ValueError("all coefficients must be finite")
+        if not ((0.0 <= rhs) & (rhs < math.inf)).all():
+            raise ValueError("every right-hand side must be finite and nonnegative")
         for name, array in (("objective", obj), ("rows", rows), ("rhs", rhs)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -74,7 +77,7 @@ class LinearProgram:
 class LpSolution:
     """Solver outcome; primal/duals are meaningful only when optimal."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded" | "failed"
+    status: str  # "optimal" | "unbounded" | "failed"
     primal: tuple[float, ...] = ()
     duals: tuple[float, ...] = ()
     objective_value: float = float("nan")
@@ -94,18 +97,17 @@ def _pivot(T, buf, i, j):
     T[i + 1:] -= buf[i + 1:]
 
 
-def _run_simplex(T, buf, basis, cost, limit, max_iters):
+def _run_simplex(T, buf, basis, cost, max_iters):
     """Primal simplex iterations on the dictionary ``T`` (rows = B^-1 [M | b]).
 
-    Only the first ``limit`` columns may enter the basis.  Returns
-    "optimal", "unbounded", or "failed" (iteration cap, or a ratio test
-    that reads NaN).
+    Returns "optimal", "unbounded", or "failed" (iteration cap, or a ratio
+    test that reads NaN).
     """
     ncols = T.shape[1] - 1
     lhs, rhs = T[:, :ncols], T[:, ncols]
     cb = cost[basis]
     for _ in range(max_iters):
-        eligible = (cost - cb @ lhs)[:limit] > OPTIMALITY_TOL
+        eligible = (cost - cb @ lhs) > OPTIMALITY_TOL
         j = int(eligible.argmax())  # Bland: lowest eligible index
         if not eligible[j]:
             return "optimal"
@@ -137,58 +139,25 @@ def solve_lp(program: LinearProgram) -> LpSolution:
             return LpSolution("unbounded")
         return LpSolution("optimal", (0.0,) * n, (), 0.0)
 
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    art_rows = np.nonzero(sign < 0)[0]
-    n_art = art_rows.size
-
-    # Columns of the equality system: structural, slack (coefficient = row
-    # sign), then one artificial per flipped row.
-    M = np.concatenate([A * sign[:, None], np.diag(sign), np.zeros((m, n_art))], axis=1)
-    for a, i in enumerate(art_rows):
-        M[i, n + m + a] = 1.0
-    ncols = n + m + n_art
-
-    T = np.concatenate([M, (sign * b)[:, None]], axis=1)
+    # Columns of the equality system: structural, then one slack per row.
+    M = np.concatenate([A, np.eye(m)], axis=1)
+    T = np.concatenate([M, b[:, None]], axis=1)
     buf = np.empty_like(T)
     basis = [n + i for i in range(m)]
-    for a, i in enumerate(art_rows.tolist()):
-        basis[i] = n + m + a
-    max_iters = 200 + 50 * (m + ncols)
-
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[n + m:] = -1.0
-        status = _run_simplex(T, buf, basis, cost1, ncols, max_iters)
-        if status == "failed":
-            return LpSolution("failed")
-        phase1 = cost1[basis] @ T[:, -1]
-        if phase1 < -FEASIBILITY_TOL * (1.0 + float(np.abs(b).max())):
-            return LpSolution("infeasible")
-        # Drive any zero-valued artificials out of the basis when possible.
-        for i in range(m):
-            if basis[i] >= n + m:
-                pivots = np.nonzero(np.abs(T[i, : n + m]) > PIVOT_TOL)[0]
-                if pivots.size:
-                    j = int(pivots[0])
-                    _pivot(T, buf, i, j)
-                    basis[i] = j
-
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c
-    status = _run_simplex(T, buf, basis, cost2, n + m, max_iters)
+    cost = np.concatenate([c, np.zeros(m)])
+    status = _run_simplex(T, buf, basis, cost, 200 + 50 * (2 * m + n))
     if status != "optimal":
         return LpSolution(status)
 
     # Refactor primal and duals from the final basis against the original data.
     B = M[:, basis]
     try:
-        xb = np.linalg.solve(B, sign * b)
-        w = np.linalg.solve(B.T, cost2[basis])
+        xb = np.linalg.solve(B, b)
+        w = np.linalg.solve(B.T, cost[basis])
     except np.linalg.LinAlgError:
         return LpSolution("failed")
-    x = np.zeros(ncols)
+    x = np.zeros(n + m)
     x[basis] = xb
     primal = x[:n]
-    duals = sign * w
-    return LpSolution("optimal", tuple(primal.tolist()), tuple(duals.tolist()),
+    return LpSolution("optimal", tuple(primal.tolist()), tuple(w.tolist()),
                       float(c @ primal))

@@ -10,7 +10,8 @@ and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
 opr offers its exact optimizer's answer: ``cdlp._best_prefix`` for
-attraction models, ``SOLVERS["auto"]`` otherwise (see ``opr_offer``).
+attraction models, the planner's subproblem solver ``cdlp._auto``
+otherwise (see ``opr_offer``).
 
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import SOLVERS, CdlpSolution, _best_prefix
+from .cdlp import CdlpSolution, _auto, _best_prefix
 from .choice import _cdf_row, _draw
 from .model import Instance
 from .valuefn import ResourceValueGrid, _interp
@@ -178,7 +179,7 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
     weights = t.attraction[k]
     if weights is not None:
         return _best_prefix(weights, prices.items())
-    best = SOLVERS["auto"](t.models[k], prices)
+    best = _auto(t.models[k], prices)
     if best.guarantee < 1.0:
         raise ValueError(f"opr needs an exact offer; the solver's guarantee is {best.guarantee:g}")
     return best.assortment, best.value
@@ -220,14 +221,13 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     resource; products that cannot be sold are excluded outright.  For
     attraction models the offer is the exact best prefix of the ratio
     ranking (``cdlp._best_prefix``, on the model's cached ``attraction()``
-    tuples); for mixtures and tables it is the answer of
-    ``SOLVERS["auto"]``, and a result short of exact (a branch and bound
-    cut by its node budget) raises ``ValueError``.  Each plan assortment
-    with its nonpositive-price products pruned is one of the sets these
-    maximize over, so the offer collects at least the marginal reward the
-    static threshold policy would.  Every purchase from the offer is
-    accepted.  ``grids`` must hold a grid for every resource, covering its
-    capacity.
+    tuples); for mixtures and tables it is the answer of ``cdlp._auto``, and
+    a result short of exact (a branch and bound cut by its node budget)
+    raises ``ValueError``.  Each plan assortment with its nonpositive-price
+    products pruned is one of the sets these maximize over, so the offer
+    collects at least the marginal reward the static threshold policy
+    would.  Every purchase from the offer is accepted.  ``grids`` must
+    hold a grid for every resource, covering its capacity.
 
     Each call compiles a ``_Tables`` for the whole instance; the simulator
     compiles once per run instead.

@@ -182,7 +182,7 @@ def suite_cdlp(instances: int = 50, seed: int = DEFAULT_SEED) -> list[CheckResul
 
     worst_gap, bad = 0.0, []
     for i, (inst, oracle) in enumerate(zip(insts, oracles)):
-        sol = solve_cdlp(inst, 0.0, "bruteforce")
+        sol = solve_cdlp(inst, 0.0, assortment_subproblem_bruteforce)
         gap = abs(sol.objective - oracle.objective) / (1.0 + abs(oracle.objective))
         worst_gap = max(worst_gap, gap)
         if gap > 1e-6:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicealloc import (
-    SOLVERS,
     AttractionChoiceModel,
     AutoExactSolver,
     CustomerType,
@@ -174,7 +173,7 @@ def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
 
     monkeypatch.setattr(cdlp, "master_columns", columns_spy)
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
-    sol = solve_cdlp(inst, 0.0, "bruteforce")
+    sol = solve_cdlp(inst, 0.0, assortment_subproblem_bruteforce)
     monkeypatch.undo()
     assert len(solved) == sol.iterations > 1
     for H, prog in solved:
@@ -526,12 +525,12 @@ def test_branch_and_bound_above_the_cap_equals_bruteforce_on_the_positive_prices
         want = assortment_subproblem_bruteforce(model, {n: price[n] for n in positive})
         assert res.guarantee == 1.0
         assert math.isclose(res.value, want.value, rel_tol=1e-12)
-        assert SOLVERS["auto"](model, price) == res
+        assert cdlp._auto(model, price) == res
     # a table has no segments to bound, so past the cap auto still refuses it
     N = cdlp._BRUTEFORCE_CAP + 1
     table = TabulatedChoiceModel({frozenset({1}): {1: 1.0}}, num_products=N)
     with pytest.raises(ValueError, match="brute force capped"):
-        SOLVERS["auto"](table, {n: 1.0 for n in range(1, N + 1)})
+        cdlp._auto(table, {n: 1.0 for n in range(1, N + 1)})
     with pytest.raises(ValueError, match="attraction segments, not a 'table' model"):
         assortment_subproblem_branch_and_bound(table, {1: 1.0})
 
@@ -564,7 +563,7 @@ def test_wide_mixture_instance_plans_exactly_past_the_bruteforce_cap(monkeypatch
     assert sol.certified
     assert hindsight_bound(_WIDE4, generate_arrivals(_WIDE4, 1)) > 0.0
     monkeypatch.setattr(cdlp, "_BRUTEFORCE_CAP", _WIDE4.num_products)
-    want = solve_cdlp(_WIDE4, 0.0, "bruteforce")
+    want = solve_cdlp(_WIDE4, 0.0, assortment_subproblem_bruteforce)
     assert (sol.objective, sol.active) == (want.objective, want.active)
 
 
@@ -603,7 +602,7 @@ def test_solve_cdlp_matches_enumeration_on_random_instances():
     for seed in range(12):
         inst = random_instance(seed, max_products=6, model_kinds=("attraction", "mixture", "table"))
         enum = solve_cdlp_enumeration(inst)
-        cg = solve_cdlp(inst, 0.0, "bruteforce")
+        cg = solve_cdlp(inst, 0.0, assortment_subproblem_bruteforce)
         assert cg.objective == pytest.approx(enum.objective, rel=1e-6, abs=1e-9)
         assert cg.certified
 
@@ -784,7 +783,7 @@ def test_subproblem_result_guarantee_is_required():
 def test_solve_cdlp_rejects_eps_that_is_not_finite_and_nonnegative(eps):
     # A NaN eps would pass every guarantee comparison and certify any solver.
     with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
-        solve_cdlp(unit_instance(2.0), eps, "bruteforce")
+        solve_cdlp(unit_instance(2.0), eps)
 
 
 def test_eps_certificate_small_example():
@@ -832,7 +831,7 @@ def test_reward_override_enters_objective():
     assert solve_cdlp(boosted).objective == pytest.approx(2.0 * solve_cdlp(base).objective)
 
 
-# ------------------------------------------------------------ registry
+# ------------------------------------------------------- default solver
 
 
 def _reference_expected_demand(sol, inst):
@@ -858,27 +857,24 @@ def test_expected_demand_equals_reference(inst):
 
 
 def test_registry_names_and_guarantees():
-    # a solver states its guarantee on its results, not as an attribute
+    # no name registry: the exact solvers are passed as functions, and each
+    # states its guarantee on its results, not as an attribute
     model = mnl(1.0, 0.5, 0.2)
     price = {1: 1.0, 2: 0.5, 3: -0.2}
-    assert sorted(SOLVERS) == ["auto", "bruteforce"]
-    assert {name: fn(model, price).guarantee for name, fn in SOLVERS.items()} == {
-        "auto": 1.0, "bruteforce": 1.0}
-    assert not any(hasattr(fn, "guarantee") for fn in SOLVERS.values())
-
-
-def test_unknown_solver_name_lists_the_registry():
-    with pytest.raises(ValueError, match="choose from auto, bruteforce$"):
-        solve_cdlp(unit_instance(1.0), 0.0, "greedy")
+    assert not hasattr(cdlp, "SOLVERS")
+    for fn in (cdlp._auto, assortment_subproblem_bruteforce):
+        assert fn(model, price).guarantee == 1.0
+        assert not hasattr(fn, "guarantee")
 
 
 def test_solvers_by_name_match_their_functions():
     inst = random_instance(2, max_products=5, model_kinds=("attraction",))
     price = {n: inst.reward(1, n) - 0.3 for n in range(1, inst.num_products + 1)}
     model = inst.ctype(1).choice
-    assert SOLVERS["auto"](model, price) == assortment_subproblem_sort(model, price)
-    assert SOLVERS["bruteforce"](model, price) == assortment_subproblem_bruteforce(model, price)
-    assert AutoExactSolver()(model, price) == SOLVERS["auto"](model, price)
+    assert cdlp._auto(model, price) == assortment_subproblem_sort(model, price)
+    assert AutoExactSolver()(model, price) == cdlp._auto(model, price)
+    assert math.isclose(assortment_subproblem_bruteforce(model, price).value,
+                        cdlp._auto(model, price).value, rel_tol=1e-12)
 
 
 def test_auto_sends_mixtures_to_bruteforce():
@@ -886,7 +882,7 @@ def test_auto_sends_mixtures_to_bruteforce():
     # could break its ties differently, so it stays on the brute force
     one = MixtureChoiceModel(((1.0, mnl(1.0, 1.0, 1.0)),))
     price = {1: 1.0, 2: 1.0, 3: 1.0}
-    assert SOLVERS["auto"](one, price) == assortment_subproblem_bruteforce(one, price)
+    assert cdlp._auto(one, price) == assortment_subproblem_bruteforce(one, price)
     with pytest.raises(ValueError, match="attraction-form"):
         assortment_subproblem_sort(one, price)
 
@@ -897,7 +893,7 @@ def test_plain_callable_solver_without_guarantee():
 
     def solver(model, price):
         calls.append(model)
-        return SOLVERS["auto"](model, price)
+        return cdlp._auto(model, price)
 
     assert solve_cdlp(inst, 0.0, solver) == solve_cdlp(inst)
     assert calls

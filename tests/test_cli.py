@@ -1,9 +1,17 @@
 import csv
+import functools
 import json
 
 import pytest
 
-from choicealloc import SOLVERS, TabulatedChoiceModel, random_instance, validate_instance
+from choicealloc import (
+    TabulatedChoiceModel,
+    assortment_subproblem_bruteforce,
+    random_instance,
+    solve_cdlp,
+    validate_instance,
+)
+from choicealloc import cdlp, cli
 from choicealloc.cli import dump_instance, load_instance, main
 from choicealloc.valuefn import DEFAULT_GRID_SIZE, MIN_GRID
 from choicealloc.verify import SUITES, _opr_sweep, _spike_cases, suite_spike
@@ -155,24 +163,30 @@ def test_cdlp_command_objective(good_path, capsys, tmp_path):
 
 
 def test_cdlp_rejects_localsearch_at_eps_zero(good_path, capsys):
-    # localsearch is not a registry name, so it is a parse error
+    # the planner has one exact subproblem solver, so there is nothing to pick
     with pytest.raises(SystemExit) as exit_:
         main(["cdlp", "--instance", str(good_path), "--solver", "localsearch"])
     assert exit_.value.code == 2
-    assert "invalid choice: 'localsearch'" in capsys.readouterr().err
+    assert "unrecognized arguments: --solver localsearch" in capsys.readouterr().err
 
 
 def test_cdlp_sort_solver_is_a_parse_error(good_path, capsys):
-    # auto already runs the sort solver on every model it accepts
     with pytest.raises(SystemExit) as exit_:
         main(["cdlp", "--instance", str(good_path), "--solver", "sort"])
     assert exit_.value.code == 2
-    assert "invalid choice: 'sort'" in capsys.readouterr().err
+    assert "unrecognized arguments: --solver sort" in capsys.readouterr().err
+
+
+def test_simulate_solver_option_is_a_parse_error(good_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--instance", str(good_path), "--seed", "1",
+              "--out", str(tmp_path), "--solver", "bruteforce"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --solver bruteforce" in capsys.readouterr().err
 
 
 def test_cdlp_rejects_nan_eps(good_path, capsys):
-    code = main(["cdlp", "--instance", str(good_path), "--eps", "nan",
-                 "--solver", "bruteforce"])
+    code = main(["cdlp", "--instance", str(good_path), "--eps", "nan"])
     assert code == 1
     assert "eps must be finite and nonnegative" in capsys.readouterr().out
 
@@ -326,13 +340,17 @@ def test_spike_rejects_bad_sharpness(sharpness, capsys):
 
 @pytest.mark.parametrize("command", ["cdlp", "simulate"])
 @pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
-@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("solver", ["auto", "bruteforce"])
 def test_every_solver_on_every_model_kind_exits_cleanly(solver, kind, command,
-                                                        tmp_path, capsys):
+                                                        tmp_path, capsys, monkeypatch):
+    # the CLI plans with cdlp._auto; the brute force is swapped in under it
+    # to run the same commands with the other exact subproblem solver.
     # opr on a table that is not removal-monotone is a domain error
+    fn = {"auto": cdlp._auto, "bruteforce": assortment_subproblem_bruteforce}[solver]
+    monkeypatch.setattr(cli, "solve_cdlp", functools.partial(solve_cdlp, solver=fn))
     path = tmp_path / f"{kind}.json"
     dump_instance(random_instance(4, max_products=4, model_kinds=(kind,)), path)
-    argv = [command, "--instance", str(path), "--solver", solver]
+    argv = [command, "--instance", str(path)]
     if command == "simulate":
         argv += ["--reps", "20", "--seed", "1", "--grid", "200", "--out", str(tmp_path / "run")]
     code = main(argv)

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,7 @@ from choicealloc import (
     solve_lp,
 )
 from choicealloc import cdlp
-from choicealloc.lp import FEASIBILITY_TOL, OPTIMALITY_TOL, PIVOT_TOL, LpSolution
+from choicealloc.lp import OPTIMALITY_TOL, PIVOT_TOL, LpSolution
 from choicealloc.verify import _batch_instance
 from test_cdlp import _MIXTURE10
 
@@ -37,8 +38,24 @@ def test_two_variable_example():
 
 
 def test_infeasible():
-    sol = solve_lp(LinearProgram((1.0,), ((1.0,),), (-1.0,)))
-    assert sol.status == "infeasible"
+    # Every program starts from the slack basis, so x = 0 must be feasible:
+    # a program that could be infeasible is refused at construction.
+    with pytest.raises(ValueError, match="nonnegative"):
+        LinearProgram((1.0,), ((1.0,),), (-1.0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        LinearProgram((1.0,), ((1.0,), (1.0,)), (1.0, -1e-300))
+
+
+def test_negative_rhs_feasible_case():
+    # -x1 <= -0.5 has feasible points, but not x = 0, so it is refused too.
+    with pytest.raises(ValueError, match="nonnegative"):
+        LinearProgram((-1.0,), ((-1.0,), (1.0,)), (-0.5, 2.0))
+    for bad in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            LinearProgram((1.0,), ((1.0,),), (bad,))
+    for zero in (0.0, -0.0):
+        sol = solve_lp(LinearProgram((1.0, -1.0), ((1.0, -1.0),), (zero,)))
+        assert sol == LpSolution("optimal", (0.0, 0.0), (1.0,), 0.0)
 
 
 def test_unbounded():
@@ -59,8 +76,6 @@ def test_dimension_mismatch_rejected():
         LinearProgram(((1.0,),), ((1.0,),), (1.0,))
     with pytest.raises(ValueError, match="finite"):
         LinearProgram((1.0,), ((float("inf"),),), (1.0,))
-    with pytest.raises(ValueError, match="finite"):
-        LinearProgram((1.0,), ((1.0,),), (-float("inf"),))
 
 
 def test_program_holds_read_only_float_arrays():
@@ -162,15 +177,6 @@ def test_certificates_and_scipy_agreement(case):
     assert abs(sol.objective_value - (-res.fun)) <= 1e-7
 
 
-def test_negative_rhs_feasible_case():
-    # -x1 <= -0.5 forces x1 >= 0.5; minimize via maximize of -x1.
-    prog = LinearProgram((-1.0,), ((-1.0,), (1.0,)), (-0.5, 2.0))
-    sol = solve_lp(prog)
-    assert sol.status == "optimal"
-    assert sol.primal[0] == pytest.approx(0.5)
-    assert sol.objective_value == pytest.approx(-0.5)
-
-
 def test_no_constraints_edge():
     assert solve_lp(LinearProgram((1.0,), (), ())).status == "unbounded"
     sol = solve_lp(LinearProgram((-1.0, 0.0), (), ()))
@@ -180,15 +186,16 @@ def test_no_constraints_edge():
 
 @pytest.mark.parametrize("batch", range(6))
 def test_status_stress_against_scipy(batch):
-    # Mixed feasible/infeasible/unbounded draws, degeneracy-prone; HiGHS
-    # runs with presolve off so unbounded problems are labeled as such.
+    # Mixed bounded/unbounded draws, degeneracy-prone (about a fifth of the
+    # right-hand sides are exactly 0); HiGHS runs with presolve off so
+    # unbounded problems are labeled as such.
     rng = np.random.default_rng(7000 + batch)
     for _ in range(50):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         c = rng.uniform(-1, 1, n)
         A = rng.uniform(-1, 1, (m, n))
-        b = rng.uniform(-0.5, 1.5, m)
+        b = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.0, 1.5, m))
         if rng.random() < 0.3:
             A[rng.integers(m)] = A[rng.integers(m)]
         if rng.random() < 0.3:
@@ -196,7 +203,7 @@ def test_status_stress_against_scipy(batch):
         mine = solve_lp(LinearProgram(tuple(c), tuple(map(tuple, A)), tuple(b)))
         ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None),
                                      method="highs", options={"presolve": False})
-        want = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status, "other")
+        want = {0: "optimal", 3: "unbounded"}.get(ref.status, "other")
         assert mine.status == want
         if want == "optimal":
             assert abs(mine.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
@@ -209,12 +216,12 @@ def test_status_stress_against_scipy(batch):
 # must make the same pivot decisions, so its LpSolution is == this one.
 
 
-def _reference_run_simplex(T, basis, cost, allowed, max_iters):
+def _reference_run_simplex(T, basis, cost, max_iters):
     ncols = T.shape[1] - 1
     for _ in range(max_iters):
         cb = cost[basis]
         reduced = cost[:ncols] - cb @ T[:, :ncols]
-        candidates = np.nonzero((reduced > OPTIMALITY_TOL) & allowed)[0]
+        candidates = np.nonzero(reduced > OPTIMALITY_TOL)[0]
         if candidates.size == 0:
             return "optimal"
         j = int(candidates[0])
@@ -244,62 +251,29 @@ def _reference_solve_lp(program):
 
     A = np.asarray(program.rows, dtype=float)
     b = np.asarray(program.rhs, dtype=float)
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    art_rows = np.nonzero(sign < 0)[0]
-    n_art = art_rows.size
-    M = np.hstack([A * sign[:, None], np.diag(sign), np.zeros((m, n_art))])
-    for a, i in enumerate(art_rows):
-        M[i, n + m + a] = 1.0
-    ncols = n + m + n_art
-
-    T = np.hstack([M, (sign * b)[:, None]])
-    basis = [n + i if sign[i] > 0 else n + m + int(np.nonzero(art_rows == i)[0][0])
-             for i in range(m)]
-    basis = np.array(basis, dtype=int)
-    max_iters = 200 + 50 * (m + ncols)
-
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[n + m:] = -1.0
-        status = _reference_run_simplex(T, basis, cost1, np.ones(ncols, dtype=bool), max_iters)
-        if status == "failed":
-            return LpSolution("failed")
-        phase1 = cost1[basis] @ T[:, -1]
-        if phase1 < -FEASIBILITY_TOL * (1.0 + float(np.abs(b).max())):
-            return LpSolution("infeasible")
-        for i in range(m):
-            if basis[i] >= n + m:
-                pivots = np.nonzero(np.abs(T[i, : n + m]) > PIVOT_TOL)[0]
-                if pivots.size:
-                    j = int(pivots[0])
-                    T[i] /= T[i, j]
-                    others = np.arange(m) != i
-                    T[others] -= np.outer(T[others, j], T[i])
-                    basis[i] = j
-
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c
-    allowed = np.ones(ncols, dtype=bool)
-    allowed[n + m:] = False
-    status = _reference_run_simplex(T, basis, cost2, allowed, max_iters)
+    M = np.hstack([A, np.eye(m)])
+    T = np.hstack([M, b[:, None]])
+    basis = np.arange(n, n + m)
+    cost = np.zeros(n + m)
+    cost[:n] = c
+    status = _reference_run_simplex(T, basis, cost, 200 + 50 * (2 * m + n))
     if status != "optimal":
-        return LpSolution(status if status == "unbounded" else "failed")
+        return LpSolution(status)
 
     B = M[:, basis]
     try:
-        xb = np.linalg.solve(B, sign * b)
-        w = np.linalg.solve(B.T, cost2[basis])
+        xb = np.linalg.solve(B, b)
+        w = np.linalg.solve(B.T, cost[basis])
     except np.linalg.LinAlgError:
         return LpSolution("failed")
-    x = np.zeros(ncols)
+    x = np.zeros(n + m)
     x[basis] = xb
     primal = x[:n]
-    duals = sign * w
     value = float(c @ primal)
     return LpSolution(
         "optimal",
         tuple(float(v) for v in primal),
-        tuple(float(v) for v in duals),
+        tuple(float(v) for v in w),
         value,
     )
 
@@ -307,14 +281,14 @@ def _reference_solve_lp(program):
 @st.composite
 def _integer_programs(draw):
     """LPs with m = 1-8 rows and n = 1-14 columns of small integers: ties and
-    degenerate vertices are common, negative right-hand sides start phase 1,
-    and zero or duplicated rows leave artificials in the basis."""
+    degenerate vertices are common, and zero right-hand sides and zero or
+    duplicated rows make degenerate starts."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 14))
     small = st.integers(-3, 3)
     objective = draw(st.lists(small, min_size=n, max_size=n))
     rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
-    rhs = draw(st.lists(st.integers(-3, 4), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
     for r in range(m):
         kind = draw(st.sampled_from(("as drawn", "as drawn", "zero", "duplicate")))
         if kind == "zero":
@@ -329,10 +303,9 @@ def _integer_programs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(prog=_integer_programs())
-@example(prog=LinearProgram((1.0,), ((1.0,),), (-1.0,)))  # infeasible
 @example(prog=LinearProgram((1.0, 0.0), ((0.0, 1.0),), (1.0,)))  # unbounded
-@example(prog=LinearProgram(  # phase 1, a duplicated row, a zero row
-    (1.0, 1.0), ((-1.0, -1.0), (-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)), (-1.0, -1.0, 0.0, 2.0)))
+@example(prog=LinearProgram(  # a duplicated row, a zero row, a zero rhs
+    (1.0, 1.0), ((-1.0, 1.0), (-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)), (0.0, 0.0, 0.0, 2.0)))
 @example(prog=LinearProgram(  # ratios 1 + 3e-14 and 1 fall in one tie band
     (1.0,), ((3.0,), (1.0,)), (3.0000000000001, 1.0)))
 def test_in_place_pivots_equal_reference_solver(prog):
@@ -342,7 +315,9 @@ def test_in_place_pivots_equal_reference_solver(prog):
 def test_overflowing_tableau_fails_instead_of_raising():
     # Pivoting overflows to inf - inf = NaN in the right-hand side; the
     # reference then raised from an empty tie set, the solver reports it.
-    prog = LinearProgram((3.0, 1e200), ((0.0, 3.0), (3.0, 1e308)), (-1e200, 1e308))
+    prog = LinearProgram((1e308, 1e-300, 1.0),
+                         ((-1e308, 3.0, 1e-300), (-1e308, -1e200, 1.0), (1.0, 1e-300, -0.0)),
+                         (1e200, 1.7e308, 3.0))
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError):
             _reference_solve_lp(prog)
@@ -384,7 +359,7 @@ def _assert_agrees_with_highs(prog):
     A, b, c = np.array(prog.rows), np.array(prog.rhs), np.array(prog.objective)
     sol = solve_lp(prog)
     ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
-    assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
+    assert sol.status == {0: "optimal", 3: "unbounded"}.get(ref.status)
     assert abs(sol.objective_value - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun))
     x, y = np.array(sol.primal), np.array(sol.duals)
     assert np.all(y >= -1e-9)

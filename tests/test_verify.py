@@ -68,24 +68,30 @@ def test_run_suite_dispatch():
         run_suite("nonesuch")
 
 
-def _reference_degraded(gamma, model, price):
-    """DegradedSolver's rule with every subset scored by expected_revenue
-    in lexicographic order, kept as the reference for the screened scan."""
-    from choicealloc import assortment_subproblem_bruteforce
+def _scores(model, price):
+    """Every nonempty subset of the priced products, scored once by
+    expected_revenue, in lexicographic order."""
     from choicealloc.cdlp import _lex_subsets
 
-    exact = assortment_subproblem_bruteforce(model, price)
-    if exact.value <= 0.0:
-        return frozenset(), 0.0
-    threshold = gamma * exact.value
-    best_set, best_value = exact.assortment, exact.value
-    for tup in _lex_subsets(sorted(price)):
-        if not tup:
-            continue
-        v = expected_revenue(model, frozenset(tup), price)
-        if threshold <= v < best_value:
-            best_set, best_value = frozenset(tup), v
-    return best_set, best_value
+    return {frozenset(tup): expected_revenue(model, frozenset(tup), price)
+            for tup in _lex_subsets(sorted(price))[1:]}
+
+
+def _check_degraded_contract(gamma, model, price, scores):
+    """Check DegradedSolver(gamma) on (model, price) against its contract;
+    returns the result's value."""
+    opt = max(scores.values(), default=0.0)
+    res = DegradedSolver(gamma)(model, price)
+    assert res.guarantee == gamma
+    if opt <= 0.0:
+        assert (res.assortment, res.value) == (frozenset(), 0.0)
+        return 0.0
+    assert res.value == scores[res.assortment]
+    assert res.value >= gamma * opt
+    assert not any(gamma * opt <= v < res.value for v in scores.values())
+    # the scores keep lexicographic order, so this is the first set with the value
+    assert res.assortment == next(S for S, v in scores.items() if v == res.value)
+    return res.value
 
 
 def _degraded_models():
@@ -107,31 +113,25 @@ def _degraded_models():
 
 
 def test_degraded_solver_screen_equals_full_scan():
-    from choicealloc.cdlp import _lex_subsets
-
     ties = 0
     for model, price in _degraded_models():
         # every product priced, with thresholds that equal some subset's exact value
-        opt = _reference_degraded(1.0, model, price)[1]
+        scores = _scores(model, price)
+        opt = max(scores.values())
         gammas = [1.0, 0.95, 0.7, 0.5, 0.1]
-        for tup in _lex_subsets(sorted(price))[1:]:
-            v = expected_revenue(model, frozenset(tup), price)
-            if 0.0 < v < opt and (v / opt) * opt == v:
-                gammas.append(v / opt)
+        gammas += [v / opt for v in scores.values() if 0.0 < v < opt and (v / opt) * opt == v]
         for gamma in gammas:
-            res = DegradedSolver(gamma)(model, price)
-            want = _reference_degraded(gamma, model, price)
-            assert (res.assortment, res.value) == want
-            ties += want[1] == gamma * opt and gamma < 1.0
+            value = _check_degraded_contract(gamma, model, price, scores)
+            ties += value == gamma * opt and gamma < 1.0
     assert ties >= 5
 
 
 def test_degraded_solver_on_a_subset_of_the_products_equals_full_scan():
     for model, price in _degraded_models():
         for sub in ({}, dict(list(price.items())[:1]), dict(list(price.items())[1::2])):
+            scores = _scores(model, sub)
             for gamma in (1.0, 0.7, 0.3):
-                res = DegradedSolver(gamma)(model, sub)
-                assert (res.assortment, res.value) == _reference_degraded(gamma, model, sub)
+                _check_degraded_contract(gamma, model, sub, scores)
 
 
 def test_scaling_suite_details_are_pinned():
