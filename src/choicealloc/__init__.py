@@ -21,7 +21,6 @@ from .choice import (
     AttractionChoiceModel,
     MixtureChoiceModel,
     TabulatedChoiceModel,
-    choice_probability,
     sample_choice,
     expected_revenue,
 )
@@ -45,7 +44,6 @@ from .valuefn import (
     solve_resource_hjb,
     build_value_grids,
     marginal_value,
-    pr_total_value,
     interval_decomposition_bound,
 )
 from .policies import (

@@ -97,19 +97,6 @@ class CdlpSolution:
     iterations: int
     objective_trace: tuple[float, ...] = ()
 
-    def expected_demand(self, inst: Instance) -> tuple[float, ...]:
-        """Per-resource expected demand the plan induces: resource j's is
-        sum_k Lambda_k sum_{n in N_j} s*_kn."""
-        demand = []
-        for j in range(1, inst.num_resources + 1):
-            members = products_of_resource(inst, j)
-            demand.append(math.fsum(
-                inst.arrival_mass(k) * self.s_star.get((k, n), 0.0)
-                for k in range(1, inst.num_types + 1)
-                for n in members
-            ))
-        return tuple(demand)
-
 
 def master_columns(H: Mapping[int, Sequence[frozenset[int]]]) -> list[tuple[int, frozenset[int]]]:
     """Variable order of the master built from ``H``: types ascending, then

@@ -44,7 +44,6 @@ __all__ = [
     "MixtureChoiceModel",
     "TabulatedChoiceModel",
     "ChoiceModel",
-    "choice_probability",
     "sample_choice",
     "expected_revenue",
 ]
@@ -402,21 +401,6 @@ def _subset_revenues(model: ChoiceModel, ids: Sequence[int],
     for h in range(0, high.shape[1], step):
         sums = (low[:, None, :] + high[:, h:h + step, None]).reshape(2 * segs, -1)
         yield h << bits, w @ (sums[segs:] / sums[:segs])
-
-
-def choice_probability(model: ChoiceModel, n: int, assortment: Iterable[int]) -> float:
-    """Probability that a customer offered ``assortment`` selects product
-    ``n`` (n = 0 for no purchase)."""
-    S = _as_assortment(assortment)
-    n = int(n)
-    if n == 0:
-        return 1.0 - math.fsum(p for _, p in model.distribution(S))
-    if n not in S:
-        raise ValueError(f"product {n} is not in the offered assortment")
-    for m, p in model.distribution(S):
-        if m == n:
-            return p
-    raise AssertionError("unreachable")
 
 
 def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> int:

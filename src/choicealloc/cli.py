@@ -34,6 +34,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .cdlp import solve_cdlp
 from .choice import AttractionChoiceModel, ChoiceModel, MixtureChoiceModel, TabulatedChoiceModel
 from .model import (
@@ -48,7 +50,7 @@ from .model import (
 from .policies import POLICY_NAMES
 from .sim import _replication, estimate_ratio, monte_carlo, run_policy
 from .valuefn import DEFAULT_GRID_SIZE, MIN_GRID, build_value_grids
-from .verify import SUITES, _opr_sweep, _spike_cases, run_suite
+from .verify import SUITES, _opr_sweep, _spike_cases
 
 __all__ = ["main", "load_instance", "dump_instance", "InstanceFormatError"]
 
@@ -244,10 +246,11 @@ def cmd_simulate(args) -> int:
             grids = build_value_grids(scaled, sol.s_star, args.grid)
         if args.dump_grids and grids:
             for l, grid in grids.items():
+                times = np.linspace(0.0, 1.0, grid.values.shape[1])
                 grid_rows = [
-                    (grid.times[g], c, grid.values[c, g])
+                    (times[g], c, grid.values[c, g])
                     for c in range(grid.capacity + 1)
-                    for g in range(len(grid.times))
+                    for g in range(len(times))
                 ]
                 _write_csv(out_dir / f"grid_{tag}_resource{l}.csv",
                            ("t", "c", "V"), grid_rows)
@@ -285,7 +288,7 @@ def cmd_verify(args) -> int:
     if rejected:
         print(f"error: suite {args.suite!r} does not accept --{', --'.join(rejected)}")
         return EXIT_INVARIANT
-    results = run_suite(args.suite, **overrides)
+    results = SUITES[args.suite](**overrides)
     failed = 0
     for check in results:
         mark = "PASS" if check.passed else "FAIL"

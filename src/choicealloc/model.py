@@ -69,13 +69,6 @@ class RateCurve:
     def constant(rate: float) -> "RateCurve":
         return RateCurve((0.0, 1.0), (float(rate),))
 
-    def total_mass(self) -> float:
-        """Exact integral of the curve over its breakpoint span."""
-        return sum(
-            r * (self.breakpoints[i + 1] - self.breakpoints[i])
-            for i, r in enumerate(self.rates)
-        )
-
     def cumulative(self, t: float) -> float:
         """Exact integral from the first breakpoint up to ``t``."""
         acc = 0.0
@@ -159,7 +152,7 @@ class Instance:
 
     def arrival_mass(self, k: int) -> float:
         """Expected number of type-``k`` arrivals over the horizon."""
-        return self.ctype(k).rate.total_mass()
+        return self.ctype(k).rate.cumulative(1.0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +221,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 continue
             affected = products_of_resource(inst, res.id)
             for ct in inst.types:
-                late_mass = ct.rate.total_mass() - ct.rate.cumulative(res.expiry)
+                late_mass = ct.rate.cumulative(1.0) - ct.rate.cumulative(res.expiry)
                 if late_mass <= 1e-12:
                     continue
                 if any(ct.choice.selectable(n) for n in affected):

@@ -199,14 +199,17 @@ def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid]
               inst: Instance, k: int) -> bool:
     """Threshold acceptance: sell iff the product can be sold and type k's
     operative reward for it is at least the marginal value of the unit
-    (ties accept).  Only the grid of the product's resource is read."""
+    (ties accept).  Only the grid of the product's resource is read, and
+    only when the product is in stock."""
     if n <= 0:
         raise ValueError("acceptance is decided only for actual products")
     res = inst.resource(inst.product(n).resource)
     c = state.level(res.id)
     if c <= 0:
         return False
-    grid = grids[res.id]
+    grid = grids.get(res.id)
+    if grid is None:
+        raise ValueError(f"no value grid for resources {[res.id]}")
     if c > grid.capacity:
         raise ValueError(f"inventory level {c} outside 0..{grid.capacity}")
     return _pr_accepts(inst.reward(k, n), c, res.expiry, grid._marginals, state.now)

@@ -73,7 +73,6 @@ class SamplePath:
     """One realized arrival stream, sorted by time, with per-type counts."""
 
     events: tuple[ArrivalEvent, ...]
-    seed: object
     counts: tuple[int, ...]
 
 
@@ -98,7 +97,7 @@ def generate_arrivals(inst: Instance, seed) -> SamplePath:
     """Sample one arrival path for every customer type, deterministic in
     ``seed`` (any seed accepted by numpy's default_rng)."""
     events, counts = _arrivals(inst, seed)
-    return SamplePath(events=tuple(map(ArrivalEvent._make, events)), seed=seed, counts=counts)
+    return SamplePath(events=tuple(map(ArrivalEvent._make, events)), counts=counts)
 
 
 def _arrivals(inst: Instance, seed) -> tuple[list[tuple[float, int]], tuple[int, ...]]:
@@ -123,6 +122,13 @@ def _arrivals(inst: Instance, seed) -> tuple[list[tuple[float, int]], tuple[int,
         counts.append(total)
     events.sort(key=itemgetter(0))
     return events, tuple(counts)
+
+
+def _require_path_of(inst: Instance, path: SamplePath) -> None:
+    """Refuse a path drawn for an instance with another number of types."""
+    if len(path.counts) != inst.num_types:
+        raise ValueError(f"the sample path has {len(path.counts)} customer types, "
+                         f"the instance {inst.num_types}")
 
 
 def _compile(inst: Instance, policy: str, sol: CdlpSolution,
@@ -204,8 +210,10 @@ def run_policy(inst: Instance, policy: str, sol: CdlpSolution,
     assortment is shown unfiltered and a customer choosing an unavailable
     product simply leaves without effect.  Choice randomness is drawn up
     front, two uniforms per event ordinal (offer draw, choice draw), so runs
-    with equal seeds are paired across policies.
+    with equal seeds are paired across policies.  The path must have one
+    count per customer type of ``inst``.
     """
+    _require_path_of(inst, path)
     return _run(_compile(inst, policy, sol, grids), policy, path.events, choice_seed,
                 relaxed, collect_trace)
 
@@ -276,7 +284,9 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
 
 def hindsight_bound(inst: Instance, path: SamplePath) -> float:
     """Exact fluid optimum with the path's realized arrival counts in place
-    of the expected counts; a per-path planning benchmark and upper bound."""
+    of the expected counts; a per-path planning benchmark and upper bound.
+    The path must have one count per customer type of ``inst``."""
+    _require_path_of(inst, path)
     types = tuple(
         dc_replace(ct, rate=RateCurve.constant(float(path.counts[i])))
         for i, ct in enumerate(inst.types)

@@ -49,7 +49,6 @@ __all__ = [
     "solve_resource_hjb",
     "build_value_grids",
     "marginal_value",
-    "pr_total_value",
     "interval_decomposition_bound",
 ]
 
@@ -78,18 +77,14 @@ class MarginalValue:
 class ResourceValueGrid:
     """Time-discretized value surface for one resource.
 
-    ``values[c, g]`` is V(c, times[g]) for c = 0..capacity; ``class_rewards``
-    and ``class_masses`` describe the effective demand classes feeding the
-    resource (classes are (product, operative reward) groups, so type-level
-    reward overrides stay distinct), with ``class_masses[i, g]`` the exact
-    arrival mass of class i on the grid cell [times[g], times[g+1]].
+    ``values[c, g]`` is V(c, g / G) for c = 0..capacity on the uniform axis
+    ``np.linspace(0, 1, G + 1)``, G = ``values.shape[1] - 1``; the axis is
+    implicit, as ``_interp`` reads it.  ``_marginals[c - 1, g]`` is
+    V(c, g / G) - V(c - 1, g / G).
     """
 
     resource: int
-    times: np.ndarray
     values: np.ndarray
-    class_rewards: np.ndarray
-    class_masses: np.ndarray
     _marginals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -98,12 +93,6 @@ class ResourceValueGrid:
     @property
     def capacity(self) -> int:
         return self.values.shape[0] - 1
-
-    def value_at(self, c: int, t: float) -> float:
-        """V(c, t) with piecewise-linear interpolation in t."""
-        if not 0 <= c <= self.capacity:
-            raise ValueError(f"inventory level {c} outside 0..{self.capacity}")
-        return _interp(self.values, c, t)
 
 
 def _interp(table: np.ndarray, r: int, t: float) -> float:
@@ -286,13 +275,10 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
     """
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
-    res = inst.resource(l)
-    C = res.capacity
     times = np.linspace(0.0, 1.0, grid_size + 1)
-    rewards, masses = _demand_classes(inst, s_star, l, times)
-    by_time = np.zeros((grid_size + 1, C + 1))
-    _step_surface(by_time, rewards, masses)
-    return ResourceValueGrid(l, times, by_time.T, rewards, masses)
+    by_time = np.zeros((grid_size + 1, inst.resource(l).capacity + 1))
+    _step_surface(by_time, *_demand_classes(inst, s_star, l, times))
+    return ResourceValueGrid(l, by_time.T)
 
 
 def build_value_grids(inst: Instance, s_star: Mapping[tuple[int, int], float],
@@ -312,19 +298,6 @@ def marginal_value(grid: ResourceValueGrid, c: int, t: float) -> MarginalValue:
     if c == 0:
         return MarginalValue.out_of_stock()
     return MarginalValue(_interp(grid._marginals, c - 1, t))
-
-
-def pr_total_value(grids: Mapping[int, ResourceValueGrid],
-                   inst: Instance | None = None) -> float:
-    """Total planned value: sum over resources of V_l(C_l, 0).
-
-    When ``inst`` is given, every one of its resources must have a grid.
-    """
-    if inst is not None:
-        missing = [l for l in range(1, inst.num_resources + 1) if l not in grids]
-        if missing:
-            raise ValueError(f"no value grid for resources {missing}")
-    return math.fsum(g.values[g.capacity, 0] for g in grids.values())
 
 
 def interval_decomposition_bound(inst: Instance, s_star: Mapping[tuple[int, int], float],

@@ -51,7 +51,6 @@ __all__ = [
     "CheckResult",
     "DegradedSolver",
     "SUITES",
-    "run_suite",
     "suite_inequality",
     "suite_hjb",
     "suite_cdlp",
@@ -476,9 +475,3 @@ SUITES = {
     "scaling": suite_scaling,
     "spike": suite_spike,
 }
-
-
-def run_suite(name: str, **overrides) -> list[CheckResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**overrides)

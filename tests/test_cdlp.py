@@ -21,7 +21,6 @@ from choicealloc import (
     assortment_subproblem_bruteforce,
     assortment_subproblem_sort,
     build_master,
-    choice_probability,
     dual_bound,
     expected_revenue,
     generate_arrivals,
@@ -107,7 +106,7 @@ def test_build_master_capacity_row_sums_types():
 
 def _reference_master(inst, H):
     """build_master as it was before it iterated each column's distribution
-    once: one choice_probability call per member of each assortment."""
+    once: one distribution lookup per member of each assortment."""
     L, K = inst.num_resources, inst.num_types
     resource_of = {p.id: p.resource for p in inst.products}
     objective, rows = [], [[] for _ in range(L + K)]
@@ -117,7 +116,7 @@ def _reference_master(inst, H):
         cap_coef = [0.0] * L
         obj = 0.0
         for n in sorted(S):
-            p = choice_probability(model, n, S)
+            p = dict(model.distribution(S))[n]
             obj += lam * p * inst.reward(k, n)
             cap_coef[resource_of[n] - 1] += lam * p
         objective.append(obj)
@@ -673,7 +672,7 @@ def test_solution_support_and_feasibility_bounds():
             assert v >= 0
             per_type[k] += v
         assert all(v <= 1 + 1e-8 for v in per_type.values())
-        s_star, demand = sol.s_star, sol.expected_demand(inst)
+        s_star, demand = sol.s_star, _reference_expected_demand(sol, inst)
         for j, r in enumerate(inst.resources):
             assert demand[j] <= r.capacity + 1e-8
         for k in range(1, K + 1):
@@ -689,7 +688,7 @@ def test_objective_trace_monotone():
 
 
 def _reference_initial_columns(inst):
-    """cdlp._initial_columns as it was: one choice_probability per product."""
+    """cdlp._initial_columns as it was: one distribution per product."""
     H = {}
     for k in range(1, inst.num_types + 1):
         model = inst.ctype(k).choice
@@ -697,7 +696,7 @@ def _reference_initial_columns(inst):
         best_n, best_v = None, 0.0
         for n in range(1, inst.num_products + 1):
             try:
-                v = choice_probability(model, n, frozenset({n})) * inst.reward(k, n)
+                v = dict(model.distribution(frozenset({n})))[n] * inst.reward(k, n)
             except ValueError:
                 continue
             if v > best_v:
@@ -709,14 +708,26 @@ def _reference_initial_columns(inst):
 
 
 def _reference_selection_probs(inst, active, x):
-    """cdlp._selection_probs as it was: one choice_probability per member."""
+    """cdlp._selection_probs as it was: one distribution lookup per member."""
     s_star = {}
     for k in range(1, inst.num_types + 1):
         model = inst.ctype(k).choice
         for S in active.get(k, ()):
             for n in S:
-                s_star[(k, n)] = s_star.get((k, n), 0.0) + x[(k, S)] * choice_probability(model, n, S)
+                s_star[(k, n)] = s_star.get((k, n), 0.0) + x[(k, S)] * dict(model.distribution(S))[n]
     return s_star
+
+
+def _reference_expected_demand(sol, inst):
+    """The demand half of the former static_selection_probs, from s_star
+    recomputed off the plan."""
+    s_star = _reference_selection_probs(inst, sol.active, sol.x)
+    return tuple(
+        math.fsum(inst.arrival_mass(k) * s_star.get((k, n), 0.0)
+                  for k in range(1, inst.num_types + 1)
+                  for n in products_of_resource(inst, j))
+        for j in range(1, inst.num_resources + 1)
+    )
 
 
 @pytest.mark.parametrize("inst", [
@@ -736,7 +747,7 @@ def test_expected_demand_hand_example():
     inst = unit_instance(2.0)
     sol = solve_cdlp(inst)
     assert sol.s_star[(1, 1)] == pytest.approx(0.5)
-    assert sol.expected_demand(inst)[0] == pytest.approx(1.0)
+    assert _reference_expected_demand(sol, inst)[0] == pytest.approx(1.0)
 
 
 def test_dual_bound_equals_objective_on_exact_solve():
@@ -832,28 +843,6 @@ def test_reward_override_enters_objective():
 
 
 # ------------------------------------------------------- default solver
-
-
-def _reference_expected_demand(sol, inst):
-    """The demand half of the former static_selection_probs, from s_star
-    recomputed off the plan."""
-    s_star = _reference_selection_probs(inst, sol.active, sol.x)
-    return tuple(
-        math.fsum(inst.arrival_mass(k) * s_star.get((k, n), 0.0)
-                  for k in range(1, inst.num_types + 1)
-                  for n in products_of_resource(inst, j))
-        for j in range(1, inst.num_resources + 1)
-    )
-
-
-@pytest.mark.parametrize("inst", [
-    _scaling_base_instance(),
-    random_instance(7),
-    random_instance(3, max_products=5, model_kinds=("table",)),
-], ids=["mnl", "random7", "table3"])
-def test_expected_demand_equals_reference(inst):
-    sol = solve_cdlp(inst)
-    assert sol.expected_demand(inst) == _reference_expected_demand(sol, inst)
 
 
 def test_registry_names_and_guarantees():

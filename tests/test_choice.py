@@ -9,7 +9,6 @@ from choicealloc import (
     AttractionChoiceModel,
     MixtureChoiceModel,
     TabulatedChoiceModel,
-    choice_probability,
     expected_revenue,
     random_instance,
     sample_choice,
@@ -22,29 +21,35 @@ def mnl(*nu):
     return AttractionChoiceModel((0.0,) * len(nu), nu)
 
 
+def probs(model, S):
+    """Selection probability of each product offered in S, and of no
+    purchase at 0."""
+    dist = model.distribution(frozenset(S))
+    return {0: 1.0 - math.fsum(p for _, p in dist), **dict(dist)}
+
+
 def test_mnl_probability_formula():
-    assert choice_probability(mnl(1.0), 1, {1}) == pytest.approx(0.5)
-    assert choice_probability(mnl(1.0, 3.0), 2, {1, 2}) == pytest.approx(3 / 5)
-    assert choice_probability(mnl(1.0, 3.0), 0, {1, 2}) == pytest.approx(1 / 5)
+    assert probs(mnl(1.0), {1})[1] == pytest.approx(0.5)
+    assert probs(mnl(1.0, 3.0), {1, 2})[2] == pytest.approx(3 / 5)
+    assert probs(mnl(1.0, 3.0), {1, 2})[0] == pytest.approx(1 / 5)
 
 
 def test_empty_assortment_forces_no_purchase():
-    assert choice_probability(mnl(1.0), 0, frozenset()) == 1.0
+    assert probs(mnl(1.0), frozenset()) == {0: 1.0}
     assert sample_choice(mnl(1.0), frozenset(), 0.9) == 0
 
 
 def test_gam_mu_counts_all_products_in_denominator():
     # mu enters the denominator for every product, offered or not.
     model = AttractionChoiceModel((0.5, 2.0), (1.0, 0.3))
-    got = choice_probability(model, 1, {1})
+    got = probs(model, {1})[1]
     assert got == pytest.approx((0.5 + 1.0) / (0.5 + 2.0 + 1.0 + 1.0))
 
 
 def test_probability_requires_membership():
-    with pytest.raises(ValueError):
-        choice_probability(mnl(1.0, 1.0), 2, {1})
-    with pytest.raises(ValueError):
-        choice_probability(mnl(1.0), 1, {0, 1})
+    # only products are members of an assortment; no purchase (0) is implicit
+    with pytest.raises(ValueError, match="no-purchase"):
+        expected_revenue(mnl(1.0), {0, 1}, {0: 0.0, 1: 1.0})
 
 
 @settings(max_examples=150, deadline=None)
@@ -53,9 +58,7 @@ def test_attraction_probabilities_normalize(nu, mu, mask):
     n = min(len(nu), len(mu), len(mask))
     model = AttractionChoiceModel(tuple(mu[:n]), tuple(nu[:n]))
     S = frozenset(i + 1 for i in range(n) if mask[i])
-    total = math.fsum(
-        choice_probability(model, m, S) for m in sorted(S | {0})
-    )
+    total = math.fsum(p for _, p in sorted(probs(model, S).items()))
     assert abs(total - 1.0) <= 1e-12
 
 
@@ -67,18 +70,16 @@ def test_mixture_normalizes_and_single_segment_collapses(nu, w):
     mix = MixtureChoiceModel(((w, seg_a), (1.0 - w, seg_b)))
     single = MixtureChoiceModel(((1.0, seg_a),))
     S = frozenset(range(1, len(nu) + 1))
-    total = math.fsum(choice_probability(mix, m, S) for m in sorted(S | {0}))
+    total = math.fsum(p for _, p in sorted(probs(mix, S).items()))
     assert abs(total - 1.0) <= 1e-12
     for n in S:
-        assert choice_probability(single, n, S) == pytest.approx(
-            choice_probability(seg_a, n, S), abs=1e-15
-        )
+        assert probs(single, S)[n] == pytest.approx(probs(seg_a, S)[n], abs=1e-15)
 
 
 def test_adding_zero_weight_product_leaves_mnl_unchanged():
     base = mnl(1.0, 2.0, 0.0)
-    with_it = choice_probability(base, 1, {1, 2, 3})
-    without = choice_probability(base, 1, {1, 2})
+    with_it = probs(base, {1, 2, 3})[1]
+    without = probs(base, {1, 2})[1]
     assert with_it == pytest.approx(without, abs=1e-15)
 
 
@@ -87,10 +88,10 @@ def test_tabulated_lookup_and_missing_assortment():
         frozenset({1}): {1: 0.7},
         frozenset({1, 2}): {1: 0.4, 2: 0.5},
     })
-    assert choice_probability(model, 1, {1, 2}) == 0.4
-    assert choice_probability(model, 0, {1, 2}) == pytest.approx(0.1)
+    assert probs(model, {1, 2})[1] == 0.4
+    assert probs(model, {1, 2})[0] == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        choice_probability(model, 2, {2})
+        model.distribution(frozenset({2}))
 
 
 def test_tabulated_validation():
@@ -128,7 +129,7 @@ def test_sample_choice_matches_probabilities_empirically():
     draws = rng.random(100_000)
     outcomes = np.array([sample_choice(model, S, u) for u in draws])
     for n in (0, 1, 2, 3):
-        p = choice_probability(model, n, S)
+        p = probs(model, S)[n]
         freq = float(np.mean(outcomes == n))
         se = math.sqrt(p * (1 - p) / len(draws))
         assert abs(freq - p) <= 3 * se + 1e-12

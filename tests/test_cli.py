@@ -1,7 +1,9 @@
 import csv
 import functools
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from choicealloc import (
@@ -395,3 +397,14 @@ def test_grid_dump(good_path, tmp_path):
     t, c, v = lines[1].split(",")
     assert float(t) == 0.0 and c == "0" and float(v) == 0.0
     assert "np.float64" not in lines[1]
+    # level-major rows on the uniform axis of the surface, t written as
+    # the repr of each axis double
+    G, C = 150, 1
+    axis = [repr(float(x)) for x in np.linspace(0.0, 1.0, G + 1)]
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == (C + 1) * (G + 1)
+    assert [r[1] for r in rows] == [str(c) for c in range(C + 1) for _ in axis]
+    assert [r[0] for r in rows] == axis * (C + 1)
+    # pinned bytes: the axis the CLI builds is the one the surface was solved on
+    assert hashlib.sha256(grid_file.read_bytes()).hexdigest() == (
+        "5cadd4a496fc10e47faed6c3965f8623bde76f670b80b621ae67ee2e3796c814")

@@ -133,9 +133,9 @@ def test_validate_reports_overflowing_choice_weights():
 
 
 def test_total_mass_rectangles():
-    assert RateCurve.constant(2.0).total_mass() == pytest.approx(2.0)
-    assert RateCurve((0.0, 0.25, 1.0), (4.0, 0.0)).total_mass() == pytest.approx(1.0)
-    assert RateCurve.constant(0.0).total_mass() == 0.0
+    assert RateCurve.constant(2.0).cumulative(1.0) == pytest.approx(2.0)
+    assert RateCurve((0.0, 0.25, 1.0), (4.0, 0.0)).cumulative(1.0) == pytest.approx(1.0)
+    assert RateCurve.constant(0.0).cumulative(1.0) == 0.0
 
 
 def test_rate_curve_cumulative():
@@ -216,8 +216,8 @@ def test_scaling_multiplies_arrival_mass_exactly(theta, seed):
     inst = random_instance(seed)
     scaled = scale_instance(inst, theta)
     for k in range(1, inst.num_types + 1):
-        got = scaled.ctype(k).rate.total_mass()
-        want = theta * inst.ctype(k).rate.total_mass()
+        got = scaled.ctype(k).rate.cumulative(1.0)
+        want = theta * inst.ctype(k).rate.cumulative(1.0)
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 

@@ -18,7 +18,6 @@ from choicealloc import (
     assortment_subproblem_bruteforce,
     assortment_subproblem_sort,
     build_value_grids,
-    choice_probability,
     expected_revenue,
     fcfs_offer,
     marginal_value,
@@ -200,9 +199,9 @@ def test_opr_floor_dominates_static_plan():
                 for S in sol.active.get(k, ()):
                     weight = sol.x[(k, S)]
                     visible = frozenset(n for n in S if n in prices)
+                    probs = dict(model.distribution(S))
                     static_expectation += weight * sum(
-                        choice_probability(model, n, S) * max(prices[n], 0.0)
-                        for n in visible
+                        probs[n] * max(prices[n], 0.0) for n in visible
                     )
                     pruned = frozenset(n for n in visible if prices[n] > 0.0)
                     if pruned:
@@ -260,6 +259,14 @@ def test_decisions_reject_grids_that_do_not_cover_the_instance():
     assert not pr_accept(PolicyState((0,), 0.0), 1, {}, inst, 1)
 
 
+def test_pr_accept_refuses_a_missing_grid():
+    # the ValueError every other reader of the grids raises
+    inst = two_product_instance(capacity=2)
+    grids = {2: build_value_grids(inst, {(1, 1): 1.0}, 500)[1]}
+    with pytest.raises(ValueError, match=r"^no value grid for resources \[1\]$"):
+        pr_accept(PolicyState((2,), 0.0), 1, grids, inst, 1)
+
+
 # ------------------------------------------------- opr solver dispatch
 
 
@@ -301,7 +308,7 @@ def _tabulated_mnl(model, N):
     """A probability table holding every assortment's MNL probabilities;
     removal-monotone like the MNL it copies."""
     return TabulatedChoiceModel({
-        frozenset(S): {n: choice_probability(model, n, S) for n in S}
+        frozenset(S): dict(model.distribution(frozenset(S)))
         for r in range(1, N + 1) for S in combinations(range(1, N + 1), r)
     }, num_products=N)
 

@@ -313,14 +313,14 @@ def test_pr_simulated_mean_matches_value_surfaces():
     # Under static offers, the threshold policy's expected reward equals the
     # sum of the per-resource surfaces it thresholds on; the event-driven
     # simulator and the backward integration must therefore agree.
-    from choicealloc import pr_total_value
     from choicealloc.verify import _batch_instance
 
     for seed in (20240601, 20240603, 20240606):
         inst = _batch_instance(seed)
         sol = solve_cdlp(inst)
         grids = build_value_grids(inst, sol.s_star, 10_000)
-        predicted = pr_total_value(grids, inst)
+        predicted = math.fsum(grids[l].values[grids[l].capacity, 0]
+                              for l in range(1, inst.num_resources + 1))
         run = monte_carlo(inst, "pr", 8000, seed, sol=sol, grids=grids, relaxed=True)
         assert abs(run.mean - predicted) <= 2 * run.half_width
 
@@ -332,6 +332,29 @@ def test_hindsight_zero_path():
     inst = unit_instance(1.0)
     path = generate_arrivals(unit_instance(0.0), 1)
     assert hindsight_bound(inst, path) == pytest.approx(0.0)
+
+
+def _types_instance(num_types):
+    """One unit of one product, which every one of ``num_types`` types buys."""
+    return Instance(
+        (Resource(1, 1),),
+        (Product(1, 1, 1.0),),
+        tuple(CustomerType(k, RateCurve.constant(1.0), always_buyer())
+              for k in range(1, num_types + 1)),
+    )
+
+
+@pytest.mark.parametrize("path_types", [3, 1], ids=["more-types", "fewer-types"])
+def test_path_of_another_instance_is_refused(path_types):
+    # a path counts arrivals of each of the instance's types, no more, no fewer
+    inst = _types_instance(2)
+    path = generate_arrivals(_types_instance(path_types), 5)
+    sol = solve_cdlp(inst)
+    message = f"the sample path has {path_types} customer types, the instance 2"
+    with pytest.raises(ValueError, match=message):
+        hindsight_bound(inst, path)
+    with pytest.raises(ValueError, match=message):
+        run_policy(inst, "fcfs", sol, None, path, 0)
 
 
 def test_hindsight_capacity_binds():

@@ -16,7 +16,6 @@ from choicealloc import (
     Resource,
     interval_decomposition_bound,
     marginal_value,
-    pr_total_value,
     products_of_resource,
     random_instance,
     solve_cdlp,
@@ -24,9 +23,15 @@ from choicealloc import (
     build_value_grids,
 )
 from choicealloc.valuefn import (_FLOAT_LOOP_MAX_TERMS, MIN_GRID, _demand_classes,
-                                 _float_steps, _numpy_steps)
+                                 _float_steps, _interp, _numpy_steps)
 
 FULL = {(1, 1): 1.0}
+
+
+def _classes(inst, s_star, l, grid_size):
+    """The (rewards, per-cell masses) demand classes that
+    ``solve_resource_hjb`` steps resource ``l``'s surface with."""
+    return _demand_classes(inst, s_star, l, np.linspace(0.0, 1.0, grid_size + 1))
 
 
 def unit_instance(lam=1.0, capacity=1, reward=1.0):
@@ -53,7 +58,7 @@ def test_single_unit_closed_form(lam):
     want = 1.0 - math.exp(-lam)
     assert abs(grid.values[1, 0] - want) <= 1e-3
     # Interior time points follow the same exponential.
-    assert grid.value_at(1, 0.5) == pytest.approx(1 - math.exp(-lam * 0.5), abs=1e-3)
+    assert _interp(grid.values, 1, 0.5) == pytest.approx(1 - math.exp(-lam * 0.5), abs=1e-3)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -121,7 +126,7 @@ def test_time_varying_rates_integrated_exactly():
     )
     grid = solve_resource_hjb(inst, FULL, 1, 10_000)
     assert grid.values[1, 0] == pytest.approx(1 - math.exp(-1), abs=1e-3)
-    assert grid.value_at(1, 0.75) == pytest.approx(0.0, abs=1e-9)
+    assert _interp(grid.values, 1, 0.75) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_reward_override_creates_distinct_class():
@@ -137,15 +142,7 @@ def test_reward_override_creates_distinct_class():
         ),
     )
     s_star = {(1, 1): 1.0, (2, 1): 1.0}
-    grid = solve_resource_hjb(inst, s_star, 1, 1000)
-    assert set(grid.class_rewards) == {1.0, 2.0}
-
-
-def test_pr_total_value_sums_resources():
-    g1 = solve_resource_hjb(unit_instance(1.0), FULL, 1, 2000)
-    assert pr_total_value({1: g1, 2: g1}) == pytest.approx(2 * (1 - math.exp(-1)), abs=2e-3)
-    assert pr_total_value({}) == 0.0
-    assert pr_total_value({1: g1}) >= 0.0
+    assert set(_classes(inst, s_star, 1, 1000)[0]) == {1.0, 2.0}
 
 
 def test_interval_decomposition_two_unit_example():
@@ -277,7 +274,7 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
         np.testing.assert_array_max_ulp(
             grid.values, _reference_hjb_values(inst, sol.s_star, l, 2000, _blas_sum),
             maxulp=MAX_ULP_FROM_BLAS)
-        if grid.class_rewards.size == 1:
+        if _classes(inst, sol.s_star, l, 2000)[0].size == 1:
             single_class.add(grid.capacity)
     if case == "mixture":  # both kernels ran on single-class resources
         assert {1, 2, 3, _FLOAT_LOOP_MAX_TERMS, _FLOAT_LOOP_MAX_TERMS + 1} <= single_class
@@ -335,10 +332,11 @@ def test_surface_kernels_are_byte_identical_to_reference_loop(case):
     grid = solve_resource_hjb(inst, s_star, 1, grid_size)
     assert grid.values.tobytes() == want.tobytes()
     assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
-    if grid.capacity > 0 and grid.class_rewards.size > 0:
+    rewards, masses = _classes(inst, s_star, 1, grid_size)
+    if grid.capacity > 0 and rewards.size > 0:
         for kernel in (_float_steps, _numpy_steps):  # both, whichever the cutoff picks
             by_time = np.zeros((grid_size + 1, grid.capacity + 1))
-            kernel(by_time, grid.class_rewards, grid.class_masses)
+            kernel(by_time, rewards, masses)
             assert by_time.T.tobytes() == want.tobytes(), kernel.__name__
 
 
@@ -420,7 +418,7 @@ def test_interval_bound_is_byte_identical_to_reference_loop():
         np.testing.assert_array_max_ulp(
             got, _reference_interval_bound(inst, sol.s_star, 1, grid_size, _blas_sum),
             maxulp=MAX_ULP_FROM_BLAS)
-        if solve_resource_hjb(inst, sol.s_star, 1, MIN_GRID).class_rewards.size >= 2:
+        if _classes(inst, sol.s_star, 1, MIN_GRID)[0].size >= 2:
             multi_class += 1
     assert multi_class >= 40  # multi-class surfaces, not only single-class ones
 

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from choicealloc import TabulatedChoiceModel, expected_revenue
+from choicealloc.cli import main
 from choicealloc.sim import _replication, hindsight_bound
 from choicealloc.verify import (
     DEFAULT_SEED,
+    SUITES,
     DegradedSolver,
     _policy_batch,
     _poisson_partial_ratio,
-    run_suite,
     suite_spike,
 )
 
@@ -62,10 +63,13 @@ def test_spike_suite_reduced_scale():
     assert [c.detail for c in checks] == ["s=1: 0.9820±0.0117, s=8: 0.5505±0.0291"]
 
 
-def test_run_suite_dispatch():
-    assert run_suite("inequality")[0].passed
-    with pytest.raises(ValueError):
-        run_suite("nonesuch")
+def test_run_suite_dispatch(capsys):
+    # suites run through SUITES, and argparse refuses any other name
+    assert SUITES["inequality"]()[0].passed
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--suite", "nonesuch"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def _scores(model, price):
@@ -137,7 +141,7 @@ def test_degraded_solver_on_a_subset_of_the_products_equals_full_scan():
 def test_scaling_suite_details_are_pinned():
     # recorded before the scaling and spike suites shared one sweep; its
     # seeds and monotonicity comparison must not move
-    checks = run_suite("scaling", reps=200)
+    checks = SUITES["scaling"](reps=200)
     assert all(c.passed for c in checks)
     assert [c.detail for c in checks] == [
         "theta=1: 0.8453±0.0763, theta=4: 0.9915±0.0474, "
