@@ -19,17 +19,19 @@ are added left to right in ascending reward order, the order of
 ``_demand_classes``, each product and each sum one rounded double
 operation; both kernels below follow that definition exactly, so they give
 the same bytes, and neither calls BLAS, so the bytes do not depend on the
-CPU or on which BLAS kernel the machine would pick:
+CPU or on which BLAS kernel the machine would pick.  The kernel is chosen
+per instance:
 
-- a resource whose capacity times class count is at most
-  ``_FLOAT_LOOP_MAX_TERMS`` steps on Python floats, one level and one
-  class at a time;
-- every other resource with demand steps by numpy, a few ufunc calls per
-  step on whole rows of levels.
+- if every resource's capacity times class count is at most
+  ``_FLOAT_LOOP_MAX_TERMS``, each resource steps on Python floats, one
+  level and one class at a time;
+- otherwise every resource with capacity and demand joins one numpy pass:
+  their levels sit side by side in one time-major array, and K + 4 ufunc
+  calls advance the whole row per step, K the largest class count.
 
-A resource without capacity or demand keeps V = 0.  ``_step_surface``
-picks the kernel, for the full surfaces and for each single-unit interval
-of ``interval_decomposition_bound`` alike.
+A resource without capacity or demand keeps V = 0.  Each single-unit
+interval of ``interval_decomposition_bound`` is a one-resource instance
+of the same rule (``_step_surface``).
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ def _demand_classes(inst: Instance, s_star: Mapping[tuple[int, int], float],
         cum = None
         for n in sorted(members):
             s = s_star.get((k, n), 0.0)
+            if not math.isfinite(s):
+                raise ValueError(f"share {s} of (type, product) {(k, n)} is not finite")
             if s <= 0.0:
                 continue
             if cum is None:
@@ -145,21 +149,28 @@ def _demand_classes(inst: Instance, s_star: Mapping[tuple[int, int], float],
     return rewards, masses
 
 
-# Resources with C * K <= _FLOAT_LOOP_MAX_TERMS (C units, K demand classes)
-# take the float loop, every other resource the numpy step.  Per-step costs
-# at 10k steps (min of 7 alternating CPU-time runs; 2-vCPU host, one BLAS
-# thread): the float loop costs 0.17 us at C * K = 1, 1.4-1.5 us at 16,
-# 2.6-2.9 us at 32 and 4.7-5.7 us at 64 for K <= 2, less with more classes
-# (3.1 us at 64 for K = 4); the numpy step costs 1.8 us for K = 1 and
-# 2.4-2.8, 2.9-3.0 and 3.6-3.8 us for K = 2, 3 and 4, nearly flat in C up
-# to 128.  The crossover sits at C * K near 20 for K = 1, 30 for K = 2, 50
-# for K = 3 and above 64 for K = 4; the cutoff stays below all of them.
+# Instances whose resources all have C * K <= _FLOAT_LOOP_MAX_TERMS (C units,
+# K demand classes) take the float loop, every other instance the one numpy
+# pass.  Per-step costs at 10k steps (min of 15 alternating CPU-time runs,
+# two runs; shared 2-vCPU host, one BLAS thread): the float loop costs
+# 0.25 us at C * K = 1, 2.0-2.6 us at 16, 3.7-4.7 us at 32 and 8.4-10.5 us
+# at 64; the numpy pass over one block of C levels costs 3.1-4.4 us for
+# K = 1, 3.7-5.7, 4.5-7.0 and 4.8-7.6 us for K = 2, 3 and 4, nearly flat in
+# C up to 128 and 10-30 % more at 256.  The crossover sits at C * K near 30
+# for K = 1 and 2 and above 32 for K = 3 and 4; the cutoff stays below all
+# of them.  Once one resource passes it, the others' columns ride along in
+# the same K + 4 calls per step: the scaling base instance's two surfaces
+# at theta = 64, 129 and 65 levels with K = 2 and 1, cost 5.6-6.1 us per
+# step together, against 7.8-9.8 us for two separate numpy loops of 2K + 3
+# calls each (min of 15, two runs).
 _FLOAT_LOOP_MAX_TERMS = 16
 
 # Both kernels prepare the masses of this many steps at a time: the float
 # loop as Python lists, which for all 10k steps of a 4-class resource take
-# 4.5 MB, and the numpy step as full rows of K * C doubles, since a product
-# of contiguous rows costs about half of one that broadcasts the mass column.
+# 4.5 MB, and the numpy pass as full (K, W) rows, W the stacked levels,
+# since a product of contiguous rows costs about half of one that
+# broadcasts the mass column.  A (G, K, W) array would take 31 MB at
+# theta = 64.
 # Blocks of 64 steps ran within 6 % of blocks of 256 and of one 10k-step
 # block at C * K from 1 to 256, and faster for K >= 2.
 _STEP_BLOCK = 64
@@ -210,36 +221,46 @@ def _float_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -
                 flat[base + c] = hi
 
 
-def _numpy_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
-    """Fill rows G-1..0 of ``by_time`` with 2K + 3 ufunc calls per step.
+def _stacked_steps(by_time: np.ndarray, blocks) -> None:
+    """Fill rows G-1..0 of ``by_time``, whose column blocks ``[a, b)`` hold
+    the surfaces of the ``(a, b, rewards, masses)`` in ``blocks``, levels
+    0..C side by side, with K + 4 ufunc calls per step for the whole row.
 
-    Class i's row of ``terms`` becomes m_i * max(r_i - delta, 0), and the
-    rows are added in ascending reward order before the sum is added to
-    V: the float loop's arithmetic, each operation one rounded double.  No
-    BLAS call is made, so the bytes do not depend on the CPU's kernel.
+    Row k of the (K, W) ``terms`` becomes m * max(r - delta, 0) of each
+    column's k-th class, and the rows are added in ascending reward order
+    before the sum is added to V: the float loop's arithmetic, each
+    operation one rounded double.  K is the largest class count; a block
+    with fewer classes, and every level-0 column, has leading rows of
+    reward 0 and mass 0.  Their terms are exactly +0.0, which leaves a
+    finite, nonnegative sum as it is, so each column gets its own kernel's
+    bytes and level-0 columns stay 0.0.  No BLAS call is made, so the
+    bytes do not depend on the CPU's kernel.
     """
-    K, G = masses.shape
-    C = by_time.shape[1] - 1
-    delta = np.empty(C)
-    terms = np.empty((K, C))
+    G, W = by_time.shape[0] - 1, by_time.shape[1] - 1  # hi column j is level column j + 1
+    K = max(rewards.size for _, _, rewards, _ in blocks)
+    # per block: its first class row, its hi columns, rewards, per-cell masses
+    spans = [(K - rewards.size, slice(a, b - 1), rewards, masses.T[:, :, None])
+             for a, b, rewards, masses in blocks]
+    R = np.zeros((K, W))
+    for k, cols, rewards, _ in spans:
+        R[k:, cols] = rewards[:, None]
+    delta = np.empty(W)
+    terms = np.empty((K, W))
     first, *rest = terms
-    inc = np.empty(C)
-    # 0-d operands: a Python float or a broadcast column costs more per call
-    classes = [(np.array(r), row) for r, row in zip(rewards.tolist(), terms)]
-    zero = np.zeros(())
-    spread = np.empty((_STEP_BLOCK, K, C))
-    cells = masses.T[:, :, None]
+    inc = np.empty(W)
+    zero = np.zeros(())  # a 0-d operand: a Python float costs more per call
+    spread = np.zeros((_STEP_BLOCK, K, W))
     subtract, maximum, multiply, add = np.subtract, np.maximum, np.multiply, np.add
     hi = by_time[G, 1:]
     for end in range(G, 0, -_STEP_BLOCK):
         start = max(end - _STEP_BLOCK, 0)
         block = spread[:end - start]
-        np.copyto(block, cells[start:end])
+        for k, cols, _, cells in spans:
+            block[:, k:, cols] = cells[start:end]
         for lo, out, mass in zip(by_time[start + 1:end + 1, :-1][::-1],
                                  by_time[start:end, 1:][::-1], block[::-1]):
             subtract(hi, lo, out=delta)
-            for reward, row in classes:
-                subtract(reward, delta, out=row)
+            subtract(R, delta, out=terms)
             maximum(terms, zero, out=terms)
             multiply(terms, mass, out=terms)
             acc = first
@@ -254,11 +275,44 @@ def _step_surface(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) 
     """Step the time-major surface ``by_time`` back from its zero last row
     with the kernel for its capacity and demand classes; a surface without
     capacity or demand stays zero."""
-    terms = (by_time.shape[1] - 1) * rewards.size
+    width = by_time.shape[1]
+    terms = (width - 1) * rewards.size
     if 0 < terms <= _FLOAT_LOOP_MAX_TERMS:
         _float_steps(by_time, rewards, masses)
     elif terms > 0:
-        _numpy_steps(by_time, rewards, masses)
+        _stacked_steps(by_time, [(0, width, rewards, masses)])
+
+
+def _value_grids(inst: Instance, s_star: Mapping[tuple[int, int], float],
+                 resources, grid_size: int) -> dict[int, ResourceValueGrid]:
+    """The value grids of ``resources``, in their order.
+
+    Each surface is integrated time-major, one contiguous row per grid
+    time, and ``values`` is a transposed view of it.  If any resource has
+    more than ``_FLOAT_LOOP_MAX_TERMS`` terms, every resource with capacity
+    and demand shares one array and one numpy pass; otherwise each steps
+    on Python floats in its own array.  Both give the same bytes.
+    """
+    if grid_size < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    times = np.linspace(0.0, 1.0, grid_size + 1)
+    classes = {l: _demand_classes(inst, s_star, l, times) for l in resources}
+    caps = {l: inst.resource(l).capacity for l in resources}
+    stepped = [l for l in resources if caps[l] > 0 and classes[l][0].size > 0]
+    values = {}
+    if any(caps[l] * classes[l][0].size > _FLOAT_LOOP_MAX_TERMS for l in stepped):
+        edges = np.cumsum([0] + [caps[l] + 1 for l in stepped]).tolist()
+        by_time = np.zeros((grid_size + 1, edges[-1]))
+        spans = list(zip(stepped, edges, edges[1:]))
+        _stacked_steps(by_time, [(a, b, *classes[l]) for l, a, b in spans])
+        values = {l: by_time[:, a:b].T for l, a, b in spans}
+    for l in resources:
+        if l not in values:
+            by_time = np.zeros((grid_size + 1, caps[l] + 1))
+            if l in stepped:
+                _float_steps(by_time, *classes[l])
+            values[l] = by_time.T
+    return {l: ResourceValueGrid(l, values[l]) for l in resources}
 
 
 def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
@@ -267,27 +321,16 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
 
     All inventory levels advance jointly within a step; level c reads only
     the previous column of itself and level c-1, so the update is explicit.
-
-    The surface is integrated time-major, one contiguous row per grid time,
-    into one preallocated array, and ``values`` is the transposed view of
-    it.  ``_step_surface`` picks the float or the numpy kernel (see the
-    module docstring); both give the same bytes.
+    The one-resource case of ``build_value_grids``.
     """
-    if grid_size < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}")
-    times = np.linspace(0.0, 1.0, grid_size + 1)
-    by_time = np.zeros((grid_size + 1, inst.resource(l).capacity + 1))
-    _step_surface(by_time, *_demand_classes(inst, s_star, l, times))
-    return ResourceValueGrid(l, by_time.T)
+    return _value_grids(inst, s_star, [l], grid_size)[l]
 
 
 def build_value_grids(inst: Instance, s_star: Mapping[tuple[int, int], float],
                       grid_size: int = DEFAULT_GRID_SIZE) -> dict[int, ResourceValueGrid]:
-    """One value grid per resource (grids are independent of one another)."""
-    return {
-        l: solve_resource_hjb(inst, s_star, l, grid_size)
-        for l in range(1, inst.num_resources + 1)
-    }
+    """One value grid per resource; the grids are independent of one
+    another, and one Euler pass steps them all (see ``_value_grids``)."""
+    return _value_grids(inst, s_star, range(1, inst.num_resources + 1), grid_size)
 
 
 def marginal_value(grid: ResourceValueGrid, c: int, t: float) -> MarginalValue:

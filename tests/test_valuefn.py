@@ -23,7 +23,7 @@ from choicealloc import (
     build_value_grids,
 )
 from choicealloc.valuefn import (_FLOAT_LOOP_MAX_TERMS, MIN_GRID, _demand_classes,
-                                 _float_steps, _interp, _numpy_steps)
+                                 _float_steps, _interp, _stacked_steps)
 
 FULL = {(1, 1): 1.0}
 
@@ -250,13 +250,38 @@ def _single_class_mixture_instance():
     return Instance(resources, products, tuple(types))
 
 
+def _scaled_base(theta):
+    from choicealloc import scale_instance
+    from choicealloc.verify import _scaling_base_instance
+
+    return scale_instance(_scaling_base_instance(), theta)
+
+
+def _assert_grids_match_reference(inst, s_star, grid_size):
+    """Every resource's grid from ``build_value_grids`` is the reference
+    loop's bytes, and every level-0 row is exactly 0.0."""
+    grids = build_value_grids(inst, s_star, grid_size)
+    assert list(grids) == list(range(1, inst.num_resources + 1))
+    for l, grid in grids.items():
+        want = _reference_hjb_values(inst, s_star, l, grid_size)
+        assert grid.values.tobytes() == want.tobytes(), l
+        assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes(), l
+        assert grid.values[0].tobytes() == np.zeros(grid_size + 1).tobytes(), l
+
+
+def _stacks(inst, s_star, grid_size):
+    """Whether ``build_value_grids`` takes the one numpy pass: some
+    resource has more terms than the float loop's cutoff."""
+    return any(inst.resource(l).capacity * _classes(inst, s_star, l, grid_size)[0].size
+               > _FLOAT_LOOP_MAX_TERMS for l in range(1, inst.num_resources + 1))
+
+
 @pytest.mark.parametrize("case", ["theta1", "theta16", "theta64", "batch", "random", "mixture"])
 def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
-    from choicealloc import scale_instance
-    from choicealloc.verify import _batch_instance, _scaling_base_instance
+    from choicealloc.verify import _batch_instance
 
     if case.startswith("theta"):
-        inst = scale_instance(_scaling_base_instance(), float(case[5:]))
+        inst = _scaled_base(float(case[5:]))
     elif case == "batch":
         inst = _batch_instance(20240608)
     elif case == "mixture":
@@ -264,6 +289,9 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
     else:
         inst = random_instance(7, capacity_range=(1, 20))
     sol = solve_cdlp(inst)
+    # theta 1 and the batch take the float loop, the others one numpy pass
+    assert _stacks(inst, sol.s_star, 2000) == (case in ("theta16", "theta64", "random", "mixture"))
+    _assert_grids_match_reference(inst, sol.s_star, 2000)
     single_class = set()
     for l in range(1, inst.num_resources + 1):
         grid = solve_resource_hjb(inst, sol.s_star, l, 2000)
@@ -276,7 +304,7 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
             maxulp=MAX_ULP_FROM_BLAS)
         if _classes(inst, sol.s_star, l, 2000)[0].size == 1:
             single_class.add(grid.capacity)
-    if case == "mixture":  # both kernels ran on single-class resources
+    if case == "mixture":  # one resource at a time, both kernels ran on single-class ones
         assert {1, 2, 3, _FLOAT_LOOP_MAX_TERMS, _FLOAT_LOOP_MAX_TERMS + 1} <= single_class
 
 
@@ -334,10 +362,97 @@ def test_surface_kernels_are_byte_identical_to_reference_loop(case):
     assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
     rewards, masses = _classes(inst, s_star, 1, grid_size)
     if grid.capacity > 0 and rewards.size > 0:
-        for kernel in (_float_steps, _numpy_steps):  # both, whichever the cutoff picks
-            by_time = np.zeros((grid_size + 1, grid.capacity + 1))
-            kernel(by_time, rewards, masses)
-            assert by_time.T.tobytes() == want.tobytes(), kernel.__name__
+        width = grid.capacity + 1
+        kernels = {"float": lambda by_time: _float_steps(by_time, rewards, masses),
+                   "stacked": lambda by_time: _stacked_steps(by_time, [(0, width, rewards, masses)])}
+        for name, kernel in kernels.items():  # both, whichever the cutoff picks
+            by_time = np.zeros((grid_size + 1, width))
+            kernel(by_time)
+            assert by_time.T.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def stacked_demand(draw):
+    """2-4 resources whose capacities fall on both sides of the float
+    loop's cutoff or are 0, each fed by 0-3 products, each product bought
+    by its own customer type; a resource without products has no demand."""
+    grid_size = draw(st.integers(MIN_GRID, 300))
+    L = draw(st.integers(2, 4))
+    caps = draw(st.lists(st.sampled_from([0, 1, _FLOAT_LOOP_MAX_TERMS + 1])
+                         | st.integers(0, 3 * _FLOAT_LOOP_MAX_TERMS), min_size=L, max_size=L))
+    offers = [(l, draw(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 5.0)),
+               draw(st.floats(0.05, 1.0)),
+               draw(st.lists(st.just(0.0) | st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e),
+                             min_size=1, max_size=3)))
+              for l in range(1, L + 1) for _ in range(draw(st.integers(0, 3)))]
+    if not offers:
+        offers = [(1, 1.0, 1.0, [0.5])]
+    N = len(offers)
+    products, types, s_star = [], [], {}
+    for n, (l, reward, share, cell_masses) in enumerate(offers, start=1):
+        rates = tuple(m * grid_size / share for m in cell_masses)
+        products.append(Product(n, l, reward))
+        types.append(CustomerType(n, RateCurve(tuple(np.linspace(0.0, 1.0, len(rates) + 1)), rates),
+                                  AttractionChoiceModel((0.0,) * N, (1.0,) * N)))
+        s_star[(n, n)] = share
+    inst = Instance(tuple(Resource(l, c) for l, c in enumerate(caps, start=1)),
+                    tuple(products), tuple(types))
+    return inst, s_star, grid_size
+
+
+def _stacked_example(caps, fed):
+    """Resources of ``caps``; each resource in ``fed`` sells two products of
+    rewards 1 and 2, each bought by its own customer type at rate 2."""
+    offers = [(l, r) for l in fed for r in (1.0, 2.0)]
+    N = len(offers)
+    inst = Instance(
+        tuple(Resource(l, c) for l, c in enumerate(caps, start=1)),
+        tuple(Product(n, l, r) for n, (l, r) in enumerate(offers, start=1)),
+        tuple(CustomerType(n, RateCurve.constant(2.0),
+                           AttractionChoiceModel((0.0,) * N, (1.0,) * N))
+              for n in range(1, N + 1)),
+    )
+    return inst, {(n, n): 1.0 for n in range(1, N + 1)}, MIN_GRID
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_demand())
+@example(_stacked_example((_FLOAT_LOOP_MAX_TERMS, 0, 3, 40), fed=(1, 2, 3, 4)))
+@example(_stacked_example((1, 40, 5, 2), fed=(1, 2, 4)))
+@example(_stacked_example((2, _FLOAT_LOOP_MAX_TERMS // 2 + 1), fed=(1, 2)))
+def test_stacked_pass_is_byte_identical_to_reference_loop(case):
+    inst, s_star, grid_size = case
+    _assert_grids_match_reference(inst, s_star, grid_size)
+    # the one numpy pass over every resource with capacity and demand,
+    # whichever kernel the cutoff picks for this instance
+    blocks, a = [], 0
+    for l in range(1, inst.num_resources + 1):
+        C = inst.resource(l).capacity
+        rewards, masses = _classes(inst, s_star, l, grid_size)
+        if C > 0 and rewards.size > 0:
+            blocks.append((l, a, a + C + 1, rewards, masses))
+            a += C + 1
+    if blocks:
+        by_time = np.zeros((grid_size + 1, a))
+        _stacked_steps(by_time, [block[1:] for block in blocks])
+        for l, a, b, _, _ in blocks:
+            want = _reference_hjb_values(inst, s_star, l, grid_size)
+            assert by_time[:, a:b].T.tobytes() == want.tobytes(), l
+
+
+@pytest.mark.parametrize("share", [math.nan, math.inf, -math.inf])
+def test_non_finite_share_is_refused(share):
+    inst = _scaled_base(1.0)
+    with pytest.raises(ValueError, match=r"\(type, product\) \(1, 1\) is not finite"):
+        build_value_grids(inst, {(1, 1): share}, MIN_GRID)
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        solve_resource_hjb(inst, {(1, 1): share}, inst.products[0].resource, MIN_GRID)
+
+
+def test_non_positive_shares_are_skipped():
+    inst = _scaled_base(16.0)
+    for l, grid in build_value_grids(inst, {(1, 1): 0.0, (1, 2): -1.0}, MIN_GRID).items():
+        assert np.all(grid.values == 0.0), l
 
 
 def _reference_interval_bound(inst, s_star, l, grid_size, step_sum=_ordered_sum):
@@ -436,3 +551,15 @@ def test_batch_grid_bytes_are_pinned():
         for l in sorted(grids):
             digest.update(grids[l].values.tobytes())
     assert digest.hexdigest() == "fccaaa9d2ab14da19acfee6d89269df08604be3b75a8cdd11eb843c47a6aa123"
+
+
+def test_theta_grid_bytes_are_pinned():
+    """The θ = 16 and θ = 64 grids of the scaling base instance, hashed in
+    resource order: the one numpy pass makes them, with no BLAS call."""
+    digest = hashlib.sha256()
+    for theta in (16.0, 64.0):
+        inst = _scaled_base(theta)
+        grids = build_value_grids(inst, solve_cdlp(inst).s_star, 2000)
+        for l in sorted(grids):
+            digest.update(grids[l].values.tobytes())
+    assert digest.hexdigest() == "31becec3277597f2436c9c1b60d53a584d0bf98ba85b577d8094cdf6ad5057f0"
