@@ -30,7 +30,7 @@ from typing import Mapping
 from .cdlp import CdlpSolution, _auto, _best_prefix
 from .choice import _cdf_row, _draw
 from .model import Instance
-from .valuefn import ResourceValueGrid, _interp
+from .valuefn import ResourceValueGrid, _marginal
 
 __all__ = [
     "PolicyState",
@@ -77,12 +77,16 @@ class _Tables:
     products and types at their id, slot 0 unused.  ``resource_of[n]`` is
     the position of product n's resource, ``rewards[k][n]`` type k's
     operative reward for n, ``offers[k]`` the ``_offer_cdf`` of type k, and
-    ``marginals[l-1]`` the marginal-value table of resource l's grid (the
-    grid's own array, not a copy).  With ``grids``, every resource needs a
-    grid covering its capacity.
+    ``views[l-1]`` the ``_view`` of resource l's grid, which
+    ``valuefn._marginal`` reads marginal values from (built with the grid,
+    not here).  With ``grids``, every resource needs a grid covering its
+    capacity.
 
     With ``grids``, ``products[k]`` lists type k's (product, resource
     position, operative reward) rows in product order, which opr prices.
+    For an attraction model only the products of positive weight mu + nu
+    are listed: the others are never bought, and ``_best_prefix`` would
+    drop them.  Mixtures and tables list every product.
     ``attraction[k]`` is type k's ``attraction()`` tuples (None for
     mixtures and tables), and ``prunable[k]`` whether its model is
     removal-monotone.
@@ -91,7 +95,7 @@ class _Tables:
     default-mode fcfs and pr offers are filtered by it.
     """
 
-    __slots__ = ("resource_of", "expiry", "capacity", "marginals", "models", "rewards",
+    __slots__ = ("resource_of", "expiry", "capacity", "views", "models", "rewards",
                  "products", "offers", "prunable", "attraction", "sellable")
 
     def __init__(self, inst: Instance, sol: CdlpSolution,
@@ -99,7 +103,7 @@ class _Tables:
         self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
         self.expiry = [r.expiry for r in inst.resources]
         self.capacity = [r.capacity for r in inst.resources]
-        self.marginals = None
+        self.views = None
         if grids is not None:
             missing = [r.id for r in inst.resources if r.id not in grids]
             if missing:
@@ -107,7 +111,7 @@ class _Tables:
             short = [r.id for r in inst.resources if grids[r.id].capacity < r.capacity]
             if short:
                 raise ValueError(f"value grids of resources {short} are below capacity")
-            self.marginals = [grids[r.id]._marginals for r in inst.resources]
+            self.views = [grids[r.id]._view for r in inst.resources]
         self.models, self.rewards, self.products, self.offers = {}, {}, {}, {}
         self.prunable, self.attraction = {}, {}
         base_rewards = [p.reward for p in inst.products]
@@ -118,14 +122,16 @@ class _Tables:
             override = ctype.reward_override or {}
             self.rewards[k] = [0.0] + [override.get(n, r)
                                        for n, r in enumerate(base_rewards, start=1)]
-            if grids is not None:  # opr prices with grids only
-                self.products[k] = list(zip(range(1, inst.num_products + 1),
-                                            self.resource_of[1:], self.rewards[k][1:]))
             self.offers[k] = _offer_cdf(sol, k)
             # opr prunes nonpositive-price products, which only removal-
             # monotone choice models guarantee cannot lower the revenue
             self.prunable[k] = model.is_removal_monotone
-            self.attraction[k] = model.attraction()
+            weights = self.attraction[k] = model.attraction()
+            if grids is not None:  # opr prices with grids only
+                rows = zip(range(1, inst.num_products + 1),
+                           self.resource_of[1:], self.rewards[k][1:])
+                self.products[k] = [(n, l, r) for n, l, r in rows
+                                    if weights is None or weights[0][n - 1] > 0.0]
         self.sellable = _sellable_resources(self.capacity, self.expiry, 0.0)
 
 
@@ -143,25 +149,25 @@ def _sellable_resources(inventory, expiry, now: float) -> tuple[frozenset[int], 
     return live, min([expiry[l] for l in live], default=math.inf)
 
 
-def _pr_accepts(reward: float, stock: int, expiry: float, marginals, now: float) -> bool:
+def _pr_accepts(reward: float, stock: int, expiry: float, view, now: float) -> bool:
     """Sell a product iff it can be sold and its operative reward is at
-    least the marginal value of the unit in its resource's ``marginals``
-    table (ties accept)."""
-    return _sellable(stock, expiry, now) and reward >= _interp(marginals, stock - 1, now)
+    least the marginal value of the unit, read through its resource grid's
+    ``_view`` (ties accept)."""
+    return _sellable(stock, expiry, now) and reward >= _marginal(view, stock, now)
 
 
 def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[int], float]:
     """opr's offer to a type-k arrival and its expected marginal reward, by
-    the rule of ``opr_offer``.  A resource's marginal value is interpolated
-    only when one of its products can be sold, once per call."""
+    the rule of ``opr_offer``.  A resource's marginal value is read only
+    when one of the products the type can buy is sellable, once per call."""
     if not t.prunable[k]:
         raise ValueError(
             "opr requires choice models where pruning cannot hurt expected "
             "revenue; this probability table violates that"
         )
-    if not 0.0 <= now <= 1.0:  # _interp checks too, but may not be called
+    if not 0.0 <= now <= 1.0:  # _marginal checks too, but may not be called
         raise ValueError(f"time {now} outside [0, 1]")
-    expiry, marginals = t.expiry, t.marginals
+    expiry, views = t.expiry, t.views
     value_of_unit: dict[int, float] = {}
     prices, positive = {}, False
     for n, l, reward in t.products[k]:
@@ -169,7 +175,7 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
         if _sellable(stock, expiry[l], now):
             v = value_of_unit.get(l)
             if v is None:
-                v = value_of_unit[l] = _interp(marginals[l], stock - 1, now)
+                v = value_of_unit[l] = _marginal(views[l], stock, now)
             price = prices[n] = reward - v
             if price > 0.0:
                 positive = True
@@ -212,7 +218,7 @@ def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid]
         raise ValueError(f"no value grid for resources {[res.id]}")
     if c > grid.capacity:
         raise ValueError(f"inventory level {c} outside 0..{grid.capacity}")
-    return _pr_accepts(inst.reward(k, n), c, res.expiry, grid._marginals, state.now)
+    return _pr_accepts(inst.reward(k, n), c, res.expiry, grid._view, state.now)
 
 
 def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid],

@@ -11,7 +11,7 @@ through ``_replication`` for the suites' hindsight paths and the CLI's
 
 A run is compiled once into ``policies._Tables`` (product-to-resource and
 expiry lists, per-type operative rewards, choice models, offer CDF rows and
-the grids' marginal-value tables), once per ``monte_carlo`` call and once
+the grids' lookup views), once per ``monte_carlo`` call and once
 per ``run_policy`` call.  One flat per-arrival loop then drives fcfs, pr and
 opr on (time, type) pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
@@ -179,7 +179,7 @@ def _run(tables: _Tables, policy: str, events: Sequence[tuple[float, int]], choi
             accepted = False
         elif policy == "pr":
             accepted = _pr_accepts(tables.rewards[k][n], inventory[l], expiry[l],
-                                   tables.marginals[l], now)
+                                   tables.views[l], now)
         else:
             accepted = _sellable(inventory[l], expiry[l], now)
         if accepted:

@@ -32,6 +32,11 @@ per instance:
 A resource without capacity or demand keeps V = 0.  Each single-unit
 interval of ``interval_decomposition_bound`` is a one-resource instance
 of the same rule (``_step_surface``).
+
+A grid holds its surface V and nothing else.  pr and opr price a unit at
+its marginal value V(c, t) - V(c-1, t), which ``_marginal`` reads off the
+surface, linear in t between grid times; ``marginal_value`` is its public
+face.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from itertools import repeat
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import Instance, products_of_resource
 
@@ -81,34 +87,53 @@ class ResourceValueGrid:
 
     ``values[c, g]`` is V(c, g / G) for c = 0..capacity on the uniform axis
     ``np.linspace(0, 1, G + 1)``, G = ``values.shape[1] - 1``; the axis is
-    implicit, as ``_interp`` reads it.  ``_marginals[c - 1, g]`` is
-    V(c, g / G) - V(c - 1, g / G).
+    implicit, as ``_marginal`` reads it.  ``values`` is the grid's one
+    array, in any layout with nonnegative strides: a view of the stacked
+    pass's array, the float loop's own array, or the C-ordered copy a
+    pickle makes.  ``_view`` reads it for ``_marginal``, in place; it is
+    built once per grid and rebuilt when a grid is unpickled.
     """
 
     resource: int
     values: np.ndarray
-    _marginals: np.ndarray = field(init=False, repr=False)
+    _view: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._marginals = self.values[1:] - self.values[:-1]
+        v = self.values
+        if v.dtype != np.float64 or any(s < 0 or s % 8 for s in v.strides):
+            v = self.values = np.ascontiguousarray(v, dtype=np.float64)
+        # one read-only run of doubles from V(0, 0) to V(C, G), V(c, g) its
+        # element c * sc + g * st: a memoryview reads a double in less time
+        # than ndarray.item, and it cannot be pickled, hence __reduce__
+        sc, st = (s // 8 for s in v.strides)
+        C, G = v.shape[0] - 1, v.shape[1] - 1
+        flat = as_strided(v, shape=(C * sc + G * st + 1,), strides=(8,), writeable=False)
+        self._view = (flat.data, sc, st, G)
+
+    def __reduce__(self):
+        return ResourceValueGrid, (self.resource, self.values)
 
     @property
     def capacity(self) -> int:
         return self.values.shape[0] - 1
 
 
-def _interp(table: np.ndarray, r: int, t: float) -> float:
-    """Row ``r`` of a (rows x grid times) table at time ``t``, linear between
-    grid times; the one interpolation formula for values and marginals."""
+def _marginal(view: tuple, c: int, t: float) -> float:
+    """V(c, t) - V(c - 1, t) of the grid whose ``_view`` is ``view``, for
+    1 <= c <= capacity (not checked), linear in t between grid times:
+    (V[c, i] - V[c-1, i]) * (1 - f) + (V[c, i+1] - V[c-1, i+1]) * f at
+    i = int(t * G), f = t * G - i, and the difference at G from t = 1 on."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
-    last = table.shape[1] - 1
+    flat, sc, st, last = view
     pos = t * last
     i = int(pos)
+    j = c * sc + i * st
     if i >= last:
-        return table.item(r, last)
+        return flat[j] - flat[j - sc]
     frac = pos - i
-    return table.item(r, i) * (1.0 - frac) + table.item(r, i + 1) * frac
+    k = j + st
+    return (flat[j] - flat[j - sc]) * (1.0 - frac) + (flat[k] - flat[k - sc]) * frac
 
 
 def _cumulative_on_grid(curve, times: np.ndarray) -> np.ndarray:
@@ -340,7 +365,7 @@ def marginal_value(grid: ResourceValueGrid, c: int, t: float) -> MarginalValue:
         raise ValueError(f"inventory level {c} outside 0..{grid.capacity}")
     if c == 0:
         return MarginalValue.out_of_stock()
-    return MarginalValue(_interp(grid._marginals, c - 1, t))
+    return MarginalValue(_marginal(grid._view, c, t))
 
 
 def interval_decomposition_bound(inst: Instance, s_star: Mapping[tuple[int, int], float],

@@ -29,7 +29,7 @@ from choicealloc import (
 )
 from choicealloc import cdlp, policies
 from choicealloc.cdlp import CdlpSolution
-from choicealloc.valuefn import _interp
+from choicealloc.valuefn import ResourceValueGrid, _marginal
 
 
 def mnl(*nu):
@@ -278,8 +278,8 @@ def _reference_opr_decision(t, inventory, now, k, floor_exact=False):
     if not t.prunable[k]:
         raise ValueError("not removal-monotone")
     model = t.models[k]
-    value_of_unit = [_interp(m, c - 1, now) if c > 0 else 0.0
-                     for m, c in zip(t.marginals, inventory)]
+    value_of_unit = [_marginal(v, c, now) if c > 0 else 0.0
+                     for v, c in zip(t.views, inventory)]
     prices = {}
     for n in range(1, len(t.rewards[k])):
         l = t.resource_of[n]
@@ -344,10 +344,13 @@ def _corner_instance(kind):
 
 
 class _Unreadable:
-    """Stands in for the marginal-value table of an empty resource: any
-    read of it fails the test."""
+    """Stands in for the grid view of an empty resource: any read of it
+    fails the test."""
 
     def __getattr__(self, name):
+        raise AssertionError("the grid of an out-of-stock resource was read")
+
+    def __iter__(self):
         raise AssertionError("the grid of an out-of-stock resource was read")
 
 
@@ -398,6 +401,11 @@ def test_opr_offers_equal_class_dispatch(kind):
     inst, sol, grids, states = _corner_case(kind)
     tables = policies._Tables(inst, sol, grids)
     assert all(tables.prunable.values())
+    # attraction types list only the products they can buy (product 2 has
+    # weight 0 for both, product 6 for the second); mixtures and tables all
+    listed = {k: [n for n, _, _ in rows] for k, rows in tables.products.items()}
+    assert listed == ({1: [1, 3, 4, 5, 6], 2: [1, 3, 4, 5]} if kind == "attraction"
+                      else {1: [1, 2, 3, 4, 5, 6], 2: [1, 2, 3, 4, 5, 6]})
     _assert_decisions_equal(tables, states, inst.num_types)
     for inventory in ([3, 2], [0, 0]):
         for now in (-0.1, 1.5):
@@ -408,13 +416,14 @@ def test_opr_offers_equal_class_dispatch(kind):
                     _reference_opr_decision(tables, inventory, now, 1)
 
     # every price nonpositive: each unit is worth more than any reward
-    tables.marginals = [np.full_like(m, 2.0) for m in tables.marginals]
+    tables.views = [ResourceValueGrid(l, 2.0 * np.indices(grid.values.shape)[0])._view
+                    for l, grid in grids.items()]
     _assert_decisions_equal(tables, states, inst.num_types)
 
-    # an empty resource's table is never read
+    # an empty resource's view is never read
     for empty in range(inst.num_resources):
         tables = policies._Tables(inst, sol, grids)
-        tables.marginals[empty] = _Unreadable()
+        tables.views[empty] = _Unreadable()
         _assert_decisions_equal(
             tables, [(inventory, now) for inventory, now in states if inventory[empty] == 0],
             inst.num_types)

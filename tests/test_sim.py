@@ -269,6 +269,22 @@ def test_monte_carlo_workers_beyond_reps_give_the_serial_rewards(monkeypatch):
             monte_carlo(inst, "fcfs", 2, 13, sol=sol, workers=workers)
 
 
+@pytest.mark.parametrize("policy", ["pr", "opr"])
+def test_monte_carlo_workers_read_the_grids_they_are_sent(policy):
+    # theta 16's grids are strided views of one stacked array; each worker
+    # gets a pickled copy of them and must decide exactly as the serial run
+    from choicealloc import scale_instance
+    from choicealloc.verify import _scaling_base_instance
+
+    inst = scale_instance(_scaling_base_instance(), 16.0)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 200)
+    assert grids[1].values.base is grids[2].values.base  # the stacked kernel's array
+    serial = monte_carlo(inst, policy, 6, 11, sol=sol, grids=grids)
+    pooled = monte_carlo(inst, policy, 6, 11, sol=sol, grids=grids, workers=2)
+    assert pooled.rewards.tobytes() == serial.rewards.tobytes()
+
+
 def test_monte_carlo_needs_a_plan_and_grids_for_pr_and_opr():
     inst = unit_instance(1.0)
     with pytest.raises(TypeError):
@@ -619,7 +635,7 @@ def _reference_run(inst, policy, sol, grids, path, choice_seed, relaxed):
         if n <= 0:
             accepted = False
         elif policy == "pr":
-            accepted = _pr_accepts(t.rewards[k][n], inventory[l], t.expiry[l], t.marginals[l], now)
+            accepted = _pr_accepts(t.rewards[k][n], inventory[l], t.expiry[l], t.views[l], now)
         else:
             accepted = _sellable(inventory[l], t.expiry[l], now)
         if accepted:

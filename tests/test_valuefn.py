@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from choicealloc import (
     Product,
     RateCurve,
     Resource,
+    ResourceValueGrid,
     interval_decomposition_bound,
     marginal_value,
     products_of_resource,
@@ -23,9 +27,33 @@ from choicealloc import (
     build_value_grids,
 )
 from choicealloc.valuefn import (_FLOAT_LOOP_MAX_TERMS, MIN_GRID, _demand_classes,
-                                 _float_steps, _interp, _stacked_steps)
+                                 _float_steps, _marginal, _stacked_steps)
 
 FULL = {(1, 1): 1.0}
+
+
+def _interp(table, r, t):
+    """Row ``r`` of a (rows x grid times) table at time ``t``, linear
+    between grid times, the value at the last grid time from t = 1 on."""
+    last = table.shape[1] - 1
+    pos = t * last
+    i = int(pos)
+    if i >= last:
+        return table.item(r, last)
+    frac = pos - i
+    return table.item(r, i) * (1.0 - frac) + table.item(r, i + 1) * frac
+
+
+def _assert_marginals_match(grid, want):
+    """``_marginal`` on the grid at every grid time g / G and level c >= 1
+    is, bytes equal, ``_interp`` of the reference surface's level
+    differences want[c] - want[c - 1] there."""
+    G = want.shape[1] - 1
+    diffs = want[1:] - want[:-1]
+    times = [g / G for g in range(G + 1)]
+    got = [_marginal(grid._view, c, t) for c in range(1, want.shape[0]) for t in times]
+    expected = [_interp(diffs, c - 1, t) for c in range(1, want.shape[0]) for t in times]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def _classes(inst, s_star, l, grid_size):
@@ -265,7 +293,7 @@ def _assert_grids_match_reference(inst, s_star, grid_size):
     for l, grid in grids.items():
         want = _reference_hjb_values(inst, s_star, l, grid_size)
         assert grid.values.tobytes() == want.tobytes(), l
-        assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes(), l
+        _assert_marginals_match(grid, want)
         assert grid.values[0].tobytes() == np.zeros(grid_size + 1).tobytes(), l
 
 
@@ -298,7 +326,7 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
         want = _reference_hjb_values(inst, sol.s_star, l, 2000)
         assert grid.values.shape == want.shape
         assert grid.values.tobytes() == want.tobytes()
-        assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
+        _assert_marginals_match(grid, want)
         np.testing.assert_array_max_ulp(
             grid.values, _reference_hjb_values(inst, sol.s_star, l, 2000, _blas_sum),
             maxulp=MAX_ULP_FROM_BLAS)
@@ -306,6 +334,64 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
             single_class.add(grid.capacity)
     if case == "mixture":  # one resource at a time, both kernels ran on single-class ones
         assert {1, 2, 3, _FLOAT_LOOP_MAX_TERMS, _FLOAT_LOOP_MAX_TERMS + 1} <= single_class
+
+
+@pytest.mark.parametrize("theta", [1.0, 16.0])
+def test_pickled_grid_keeps_its_bytes_and_marginal_values(theta):
+    # theta 1's grids are the float loop's own arrays, theta 16's strided
+    # views of one stacked array; unpickling gives a C-ordered copy
+    inst = _scaled_base(theta)
+    sol = solve_cdlp(inst)
+    rng = np.random.default_rng(4)
+    for l, grid in build_value_grids(inst, sol.s_star, 500).items():
+        again = pickle.loads(pickle.dumps(grid))
+        assert again.resource == l
+        assert again.values.shape == grid.values.shape
+        assert again.values.tobytes() == grid.values.tobytes()
+        if theta == 16.0:
+            assert again.values.flags.c_contiguous and not grid.values.flags.c_contiguous
+        samples = list(zip(rng.integers(0, grid.capacity + 1, 60).tolist(),
+                           rng.uniform(0.0, 1.0, 60).tolist()))
+        for c, t in samples + [(grid.capacity, 0.0), (grid.capacity, 1.0), (1, 0.5)]:
+            assert marginal_value(again, c, t) == marginal_value(grid, c, t)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "reversed", "int64"])
+def test_grid_reads_values_of_any_layout(layout):
+    # an array with negative strides or another dtype is copied to C-ordered
+    # doubles, so the view never reads outside the surface
+    V = np.arange(15.0).reshape(3, 5) ** 2
+    values = {"fortran": np.asfortranarray(V),
+              "reversed": np.ascontiguousarray(V[::-1, ::-1])[::-1, ::-1],
+              "int64": V.astype(np.int64)}[layout]
+    grid = ResourceValueGrid(1, values)
+    assert grid.values.tobytes() == V.tobytes()
+    for c in (1, 2):
+        for t in (0.0, 0.3, 0.5, 0.75, 0.99, 1.0):
+            assert marginal_value(grid, c, t).value == _interp(V[1:] - V[:-1], c - 1, t)
+
+
+# The surfaces' doubles plus this many bytes of Python objects (the grids,
+# their views, the dict) may stay allocated after ``build_value_grids``.
+HELD_SLACK_BYTES = 64 * 1024
+
+
+def test_value_grids_hold_only_their_surfaces():
+    inst = _scaled_base(64.0)
+    sol = solve_cdlp(inst)
+    G = 2000
+    surfaces = sum((r.capacity + 1) * (G + 1) * 8 for r in inst.resources)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grids = build_value_grids(inst, sol.s_star, G)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(grid.values.nbytes for grid in grids.values()) == surfaces
+    assert surfaces <= held <= surfaces + HELD_SLACK_BYTES, (held, surfaces)
 
 
 @st.composite
@@ -359,7 +445,7 @@ def test_surface_kernels_are_byte_identical_to_reference_loop(case):
     want = _reference_hjb_values(inst, s_star, 1, grid_size)
     grid = solve_resource_hjb(inst, s_star, 1, grid_size)
     assert grid.values.tobytes() == want.tobytes()
-    assert grid._marginals.tobytes() == (want[1:] - want[:-1]).tobytes()
+    _assert_marginals_match(grid, want)
     rewards, masses = _classes(inst, s_star, 1, grid_size)
     if grid.capacity > 0 and rewards.size > 0:
         width = grid.capacity + 1
