@@ -222,6 +222,8 @@ def cmd_simulate(args) -> int:
         thetas = [float(t) for t in args.theta.split(",")]
         if not all(math.isfinite(t) and t > 0 for t in thetas):
             raise ValueError("scaling factors must be positive and finite")
+        if len({f"{t:g}" for t in thetas}) < len(thetas):  # the tag of a run's outputs
+            raise ValueError("scaling factors that print alike would share one run tag")
     except ValueError as exc:
         print(f"error: bad --theta value: {exc}")
         return EXIT_INVARIANT

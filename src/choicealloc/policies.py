@@ -30,7 +30,7 @@ from typing import Mapping
 from .cdlp import CdlpSolution, _auto, _best_prefix
 from .choice import _cdf_row, _draw
 from .model import Instance
-from .valuefn import ResourceValueGrid, _marginal
+from .valuefn import ResourceValueGrid, _marginal, _require_integral_level
 
 __all__ = [
     "PolicyState",
@@ -123,8 +123,9 @@ class _Tables:
             self.rewards[k] = [0.0] + [override.get(n, r)
                                        for n, r in enumerate(base_rewards, start=1)]
             self.offers[k] = _offer_cdf(sol, k)
-            # opr prunes nonpositive-price products, which only removal-
-            # monotone choice models guarantee cannot lower the revenue
+            # opr_offer's dominance argument prunes nonpositive-price products,
+            # which only removal-monotone models guarantee cannot lower the
+            # revenue; opr's optimizers prune nothing (brute force scores all)
             self.prunable[k] = model.is_removal_monotone
             weights = self.attraction[k] = model.attraction()
             if grids is not None:  # opr prices with grids only
@@ -211,6 +212,7 @@ def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid]
         raise ValueError("acceptance is decided only for actual products")
     res = inst.resource(inst.product(n).resource)
     c = state.level(res.id)
+    _require_integral_level(c)
     if c <= 0:
         return False
     grid = grids.get(res.id)
@@ -241,6 +243,8 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     Each call compiles a ``_Tables`` for the whole instance; the simulator
     compiles once per run instead.
     """
+    for c in state.inventory:
+        _require_integral_level(c)
     tables = _Tables(inst, sol, grids)
     offer, _ = _opr_decision(tables, state.inventory, state.now, k)
     return OfferDecision(offer)

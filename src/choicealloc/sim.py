@@ -305,6 +305,8 @@ def estimate_ratio(report: MonteCarloReport, benchmark: float) -> tuple[float, f
 
 def paired_half_width(a: Sequence[float], b: Sequence[float]) -> float:
     """95% CI half-width of the mean difference of paired samples."""
+    if len(a) != len(b):
+        raise ValueError(f"paired samples differ in length: {len(a)} and {len(b)}")
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     if diff.size < 2:
         raise ValueError("need at least two paired samples")

@@ -19,19 +19,19 @@ are added left to right in ascending reward order, the order of
 ``_demand_classes``, each product and each sum one rounded double
 operation; both kernels below follow that definition exactly, so they give
 the same bytes, and neither calls BLAS, so the bytes do not depend on the
-CPU or on which BLAS kernel the machine would pick.  The kernel is chosen
-per instance:
+CPU or on which BLAS kernel the machine would pick.  ``_value_grids``
+alone allocates surfaces, one time-major array per call with the levels
+of every resource side by side, and picks the kernel:
 
 - if every resource's capacity times class count is at most
   ``_FLOAT_LOOP_MAX_TERMS``, each resource steps on Python floats, one
   level and one class at a time;
-- otherwise every resource with capacity and demand joins one numpy pass:
-  their levels sit side by side in one time-major array, and K + 4 ufunc
-  calls advance the whole row per step, K the largest class count.
+- otherwise every resource with capacity and demand joins one numpy pass,
+  K + 4 ufunc calls per step for the whole row, K the largest class count.
 
-A resource without capacity or demand keeps V = 0.  Each single-unit
-interval of ``interval_decomposition_bound`` is a one-resource instance
-of the same rule (``_step_surface``).
+A resource without capacity or demand keeps V = 0.  Plan grids,
+``solve_resource_hjb`` and the single-unit intervals of
+``interval_decomposition_bound`` all come from it.
 
 A grid holds its surface V and nothing else.  pr and opr price a unit at
 its marginal value V(c, t) - V(c-1, t), which ``_marginal`` reads off the
@@ -42,6 +42,7 @@ face.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Mapping
@@ -76,10 +77,6 @@ class MarginalValue:
     value: float
     infinite: bool = False
 
-    @staticmethod
-    def out_of_stock() -> "MarginalValue":
-        return MarginalValue(0.0, True)
-
 
 @dataclass
 class ResourceValueGrid:
@@ -88,10 +85,10 @@ class ResourceValueGrid:
     ``values[c, g]`` is V(c, g / G) for c = 0..capacity on the uniform axis
     ``np.linspace(0, 1, G + 1)``, G = ``values.shape[1] - 1``; the axis is
     implicit, as ``_marginal`` reads it.  ``values`` is the grid's one
-    array, in any layout with nonnegative strides: a view of the stacked
-    pass's array, the float loop's own array, or the C-ordered copy a
-    pickle makes.  ``_view`` reads it for ``_marginal``, in place; it is
-    built once per grid and rebuilt when a grid is unpickled.
+    array, in any layout with nonnegative strides: a view of the array
+    ``_value_grids`` fills, or the C-ordered copy a pickle makes.  ``_view``
+    reads it for ``_marginal``, in place; it is built once per grid and
+    rebuilt when a grid is unpickled.
     """
 
     resource: int
@@ -201,8 +198,9 @@ _FLOAT_LOOP_MAX_TERMS = 16
 _STEP_BLOCK = 64
 
 
-def _float_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
-    """Fill rows G-1..0 of ``by_time`` on Python floats.
+def _float_steps(by_time: np.ndarray, a: int, b: int, rewards: np.ndarray,
+                 masses: np.ndarray) -> None:
+    """Fill rows G-1..0 of columns ``[a, b)`` of ``by_time`` on Python floats.
 
     Level c steps to V(c) + inc, inc the classes' m * max(r - delta, 0.0)
     added left to right in ascending reward order, delta = V(c) - V(c-1):
@@ -212,11 +210,11 @@ def _float_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -
     the top class gains whenever any class does, and alone when the next
     reward below it does not exceed delta.
     """
-    width = by_time.shape[1]
+    row = by_time.shape[1]
     flat = by_time.reshape(-1).data
-    v = [0.0] * width
-    levels = range(1, width)
-    base = by_time.size - width
+    v = [0.0] * (b - a)
+    levels = range(1, b - a)
+    base = by_time.size - row + a
     *low, top = rewards.tolist()
     below = low[-1] if low else -math.inf
     lower = np.empty((masses.shape[1], len(low), 2))  # per cell, (r, m) of each lower class
@@ -226,7 +224,7 @@ def _float_steps(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -
         start = max(end - _STEP_BLOCK, 0)
         steps = lower[start:end][::-1].tolist() if low else repeat(())
         for classes, m_top in zip(steps, masses[-1, start:end][::-1].tolist()):
-            base -= width
+            base -= row
             lo = 0.0
             for c in levels:
                 hi = v[c]
@@ -255,11 +253,11 @@ def _stacked_steps(by_time: np.ndarray, blocks) -> None:
     column's k-th class, and the rows are added in ascending reward order
     before the sum is added to V: the float loop's arithmetic, each
     operation one rounded double.  K is the largest class count; a block
-    with fewer classes, and every level-0 column, has leading rows of
-    reward 0 and mass 0.  Their terms are exactly +0.0, which leaves a
-    finite, nonnegative sum as it is, so each column gets its own kernel's
-    bytes and level-0 columns stay 0.0.  No BLAS call is made, so the
-    bytes do not depend on the CPU's kernel.
+    with fewer classes has leading rows of reward 0 and mass 0, and level-0
+    columns and columns outside the blocks have only such rows.  Their
+    terms are exactly +0.0, which leaves a finite, nonnegative sum as it
+    is, so each column gets its own kernel's bytes and the others stay 0.0.
+    No BLAS call is made, so the bytes do not depend on the CPU's kernel.
     """
     G, W = by_time.shape[0] - 1, by_time.shape[1] - 1  # hi column j is level column j + 1
     K = max(rewards.size for _, _, rewards, _ in blocks)
@@ -296,48 +294,33 @@ def _stacked_steps(by_time: np.ndarray, blocks) -> None:
             hi = out
 
 
-def _step_surface(by_time: np.ndarray, rewards: np.ndarray, masses: np.ndarray) -> None:
-    """Step the time-major surface ``by_time`` back from its zero last row
-    with the kernel for its capacity and demand classes; a surface without
-    capacity or demand stays zero."""
-    width = by_time.shape[1]
-    terms = (width - 1) * rewards.size
-    if 0 < terms <= _FLOAT_LOOP_MAX_TERMS:
-        _float_steps(by_time, rewards, masses)
-    elif terms > 0:
-        _stacked_steps(by_time, [(0, width, rewards, masses)])
+def _plan_times(grid_size: int) -> np.ndarray:
+    """The time axis of a plan's grids: G + 1 uniform points on [0, 1]."""
+    if grid_size < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    return np.linspace(0.0, 1.0, grid_size + 1)
 
 
 def _value_grids(inst: Instance, s_star: Mapping[tuple[int, int], float],
-                 resources, grid_size: int) -> dict[int, ResourceValueGrid]:
-    """The value grids of ``resources``, in their order.
-
-    Each surface is integrated time-major, one contiguous row per grid
-    time, and ``values`` is a transposed view of it.  If any resource has
-    more than ``_FLOAT_LOOP_MAX_TERMS`` terms, every resource with capacity
-    and demand shares one array and one numpy pass; otherwise each steps
-    on Python floats in its own array.  Both give the same bytes.
-    """
-    if grid_size < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}")
-    times = np.linspace(0.0, 1.0, grid_size + 1)
-    classes = {l: _demand_classes(inst, s_star, l, times) for l in resources}
-    caps = {l: inst.resource(l).capacity for l in resources}
-    stepped = [l for l in resources if caps[l] > 0 and classes[l][0].size > 0]
-    values = {}
-    if any(caps[l] * classes[l][0].size > _FLOAT_LOOP_MAX_TERMS for l in stepped):
-        edges = np.cumsum([0] + [caps[l] + 1 for l in stepped]).tolist()
-        by_time = np.zeros((grid_size + 1, edges[-1]))
-        spans = list(zip(stepped, edges, edges[1:]))
-        _stacked_steps(by_time, [(a, b, *classes[l]) for l, a, b in spans])
-        values = {l: by_time[:, a:b].T for l, a, b in spans}
-    for l in resources:
-        if l not in values:
-            by_time = np.zeros((grid_size + 1, caps[l] + 1))
-            if l in stepped:
-                _float_steps(by_time, *classes[l])
-            values[l] = by_time.T
-    return {l: ResourceValueGrid(l, values[l]) for l in resources}
+                 caps: Mapping[int, int], times: np.ndarray) -> dict[int, np.ndarray]:
+    """The surfaces of the resources in ``caps`` (resource: capacity), in
+    its order, on the time axis ``times``: surface[c, g] is V(c, times[g]),
+    the transposed view of the resource's column block, levels 0..C, of one
+    time-major array.  If any block with capacity and demand has more than
+    ``_FLOAT_LOOP_MAX_TERMS`` terms, one numpy pass steps all of them,
+    otherwise the float loop steps each; both give the same bytes, and the
+    other blocks keep V = 0."""
+    edges = np.cumsum([0, *(C + 1 for C in caps.values())]).tolist()
+    spans = list(zip(caps, edges, edges[1:]))
+    by_time = np.zeros((len(times), edges[-1]))
+    classes = [(a, b, *_demand_classes(inst, s_star, l, times)) for l, a, b in spans]
+    blocks = [(a, b, r, m) for a, b, r, m in classes if b - a > 1 and r.size > 0]  # C, K > 0
+    if any((b - a - 1) * rewards.size > _FLOAT_LOOP_MAX_TERMS for a, b, rewards, _ in blocks):
+        _stacked_steps(by_time, blocks)
+    else:
+        for block in blocks:
+            _float_steps(by_time, *block)
+    return {l: by_time[:, a:b].T for l, a, b in spans}
 
 
 def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
@@ -348,23 +331,34 @@ def solve_resource_hjb(inst: Instance, s_star: Mapping[tuple[int, int], float],
     the previous column of itself and level c-1, so the update is explicit.
     The one-resource case of ``build_value_grids``.
     """
-    return _value_grids(inst, s_star, [l], grid_size)[l]
+    surfaces = _value_grids(inst, s_star, {l: inst.resource(l).capacity}, _plan_times(grid_size))
+    return ResourceValueGrid(l, surfaces[l])
 
 
 def build_value_grids(inst: Instance, s_star: Mapping[tuple[int, int], float],
                       grid_size: int = DEFAULT_GRID_SIZE) -> dict[int, ResourceValueGrid]:
     """One value grid per resource; the grids are independent of one
     another, and one Euler pass steps them all (see ``_value_grids``)."""
-    return _value_grids(inst, s_star, range(1, inst.num_resources + 1), grid_size)
+    caps = {l: r.capacity for l, r in enumerate(inst.resources, start=1)}
+    surfaces = _value_grids(inst, s_star, caps, _plan_times(grid_size))
+    return {l: ResourceValueGrid(l, surface) for l, surface in surfaces.items()}
+
+
+def _require_integral_level(c) -> None:
+    """Refuse an inventory level that is no ``numbers.Integral`` (numpy
+    integers are), the rule ``validate_instance`` applies to capacities."""
+    if not isinstance(c, numbers.Integral):
+        raise ValueError(f"inventory level {c!r} is not an integer")
 
 
 def marginal_value(grid: ResourceValueGrid, c: int, t: float) -> MarginalValue:
     """Marginal value V(c, t) - V(c-1, t), interpolated linearly in t; the
     out-of-stock sentinel at c = 0."""
+    _require_integral_level(c)
     if not 0 <= c <= grid.capacity:
         raise ValueError(f"inventory level {c} outside 0..{grid.capacity}")
     if c == 0:
-        return MarginalValue.out_of_stock()
+        return MarginalValue(0.0, infinite=True)
     return MarginalValue(_marginal(grid._view, c, t))
 
 
@@ -417,8 +411,5 @@ def interval_decomposition_bound(inst: Instance, s_star: Mapping[tuple[int, int]
     for i in range(C):
         a, b = bounds[i], bounds[i + 1]
         steps = max(MIN_GRID, int(round(grid_size * (b - a))))
-        times = np.linspace(a, b, steps + 1)
-        by_time = np.zeros((steps + 1, 2))
-        _step_surface(by_time, *_demand_classes(inst, s_star, l, times))
-        value += by_time.item(0, 1)
+        value += _value_grids(inst, s_star, {l: 1}, np.linspace(a, b, steps + 1))[l].item(1, 0)
     return value

@@ -282,6 +282,20 @@ def test_simulate_rejects_non_finite_theta(good_path, tmp_path, capsys, theta):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("theta", ["16,16", "1,1.0000001", "4,2,4.0"])
+def test_simulate_refuses_thetas_that_print_alike(good_path, tmp_path, capsys, theta):
+    # runs are tagged f"{theta:g}", so two such runs would write one report
+    # row tag, trace and grid dump each
+    code = main([
+        "simulate", "--instance", str(good_path), "--policies", "fcfs,pr",
+        "--reps", "10", "--seed", "1", "--theta", theta, "--dump-grids", "--trace",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert "print alike" in capsys.readouterr().out
+    assert not (tmp_path / "x").exists()
+
+
 def test_verify_inequality_suite(capsys):
     assert main(["verify", "--suite", "inequality"]) == 0
     out = capsys.readouterr().out

@@ -269,17 +269,20 @@ def test_monte_carlo_workers_beyond_reps_give_the_serial_rewards(monkeypatch):
             monte_carlo(inst, "fcfs", 2, 13, sol=sol, workers=workers)
 
 
-@pytest.mark.parametrize("policy", ["pr", "opr"])
-def test_monte_carlo_workers_read_the_grids_they_are_sent(policy):
-    # theta 16's grids are strided views of one stacked array; each worker
-    # gets a pickled copy of them and must decide exactly as the serial run
+@pytest.mark.parametrize("policy, theta", [
+    pytest.param(policy, theta, id=policy if theta == 16.0 else f"{policy}-theta1")
+    for policy in ("pr", "opr") for theta in (16.0, 1.0)])
+def test_monte_carlo_workers_read_the_grids_they_are_sent(policy, theta):
+    # a plan's grids are strided views of one array, which theta 1 fills
+    # by the float loop and theta 16 by the numpy pass; each worker gets a
+    # pickled copy of them and must decide exactly as the serial run
     from choicealloc import scale_instance
     from choicealloc.verify import _scaling_base_instance
 
-    inst = scale_instance(_scaling_base_instance(), 16.0)
+    inst = scale_instance(_scaling_base_instance(), theta)
     sol = solve_cdlp(inst)
     grids = build_value_grids(inst, sol.s_star, 200)
-    assert grids[1].values.base is grids[2].values.base  # the stacked kernel's array
+    assert grids[1].values.base is grids[2].values.base  # the one shared array
     serial = monte_carlo(inst, policy, 6, 11, sol=sol, grids=grids)
     pooled = monte_carlo(inst, policy, 6, 11, sol=sol, grids=grids, workers=2)
     assert pooled.rewards.tobytes() == serial.rewards.tobytes()
@@ -398,6 +401,14 @@ def test_hindsight_upper_bounds_policy_on_average():
 
 
 # ---------------------------------------------------------------- ratios
+
+
+def test_paired_half_width_refuses_samples_of_unequal_length():
+    assert paired_half_width([1.0, 2.0, 4.0], [1.0, 1.0, 1.0]) == pytest.approx(
+        1.959963984540054 * math.sqrt(7.0 / 3.0) / math.sqrt(3.0))
+    for a, b in (([1, 2, 3, 5], [1]), ([1, 2, 3], [1, 2]), ([1], [1, 2, 3])):
+        with pytest.raises(ValueError, match="differ in length"):
+            paired_half_width(a, b)
 
 
 def test_estimate_ratio():

@@ -14,12 +14,15 @@ from choicealloc import (
     CustomerType,
     Instance,
     MixtureChoiceModel,
+    PolicyState,
     Product,
     RateCurve,
     Resource,
     ResourceValueGrid,
     interval_decomposition_bound,
     marginal_value,
+    opr_offer,
+    pr_accept,
     products_of_resource,
     random_instance,
     solve_cdlp,
@@ -141,6 +144,25 @@ def test_marginal_value_sentinel_and_interp():
         marginal_value(grid, 2, 0.5)
     with pytest.raises(ValueError):
         marginal_value(grid, 1, 1.5)
+
+
+def test_non_integral_inventory_level_is_refused():
+    # a float level passes every range check, so it must be refused by type;
+    # numpy integers are integers
+    inst = unit_instance(1.0, capacity=2)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, FULL, MIN_GRID)
+    grid = grids[1]
+    assert marginal_value(grid, np.int64(1), 0.3) == marginal_value(grid, 1, 0.3)
+    assert pr_accept(PolicyState((np.int64(2),), 0.3), 1, grids, inst, 1) == \
+        pr_accept(PolicyState((2,), 0.3), 1, grids, inst, 1)
+    for level in (1.0, 0.5, np.float64(2.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            marginal_value(grid, level, 0.3)
+        with pytest.raises(ValueError, match="not an integer"):
+            pr_accept(PolicyState((level,), 0.3), 1, grids, inst, 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            opr_offer(PolicyState((level,), 0.3), 1, grids, sol, inst)
 
 
 def test_time_varying_rates_integrated_exactly():
@@ -338,8 +360,9 @@ def test_buffered_hjb_is_byte_identical_to_reference_loop(case):
 
 @pytest.mark.parametrize("theta", [1.0, 16.0])
 def test_pickled_grid_keeps_its_bytes_and_marginal_values(theta):
-    # theta 1's grids are the float loop's own arrays, theta 16's strided
-    # views of one stacked array; unpickling gives a C-ordered copy
+    # both plans' grids are strided views of one array, filled by the float
+    # loop at theta 1 and the numpy pass at theta 16; unpickling gives a
+    # C-ordered copy
     inst = _scaled_base(theta)
     sol = solve_cdlp(inst)
     rng = np.random.default_rng(4)
@@ -348,8 +371,7 @@ def test_pickled_grid_keeps_its_bytes_and_marginal_values(theta):
         assert again.resource == l
         assert again.values.shape == grid.values.shape
         assert again.values.tobytes() == grid.values.tobytes()
-        if theta == 16.0:
-            assert again.values.flags.c_contiguous and not grid.values.flags.c_contiguous
+        assert again.values.flags.c_contiguous and not grid.values.flags.c_contiguous
         samples = list(zip(rng.integers(0, grid.capacity + 1, 60).tolist(),
                            rng.uniform(0.0, 1.0, 60).tolist()))
         for c, t in samples + [(grid.capacity, 0.0), (grid.capacity, 1.0), (1, 0.5)]:
@@ -449,7 +471,7 @@ def test_surface_kernels_are_byte_identical_to_reference_loop(case):
     rewards, masses = _classes(inst, s_star, 1, grid_size)
     if grid.capacity > 0 and rewards.size > 0:
         width = grid.capacity + 1
-        kernels = {"float": lambda by_time: _float_steps(by_time, rewards, masses),
+        kernels = {"float": lambda by_time: _float_steps(by_time, 0, width, rewards, masses),
                    "stacked": lambda by_time: _stacked_steps(by_time, [(0, width, rewards, masses)])}
         for name, kernel in kernels.items():  # both, whichever the cutoff picks
             by_time = np.zeros((grid_size + 1, width))
@@ -590,38 +612,69 @@ def _reference_interval_bound(inst, s_star, l, grid_size, step_sum=_ordered_sum)
     return value
 
 
+def _wide_interval_instance():
+    """One resource of capacity 3 selling 18 products of distinct rewards
+    to one customer type, each product a share of 1/20 of its demand, so
+    every unit interval has 18 demand classes, more terms than the float
+    loop's cutoff.  A plan would put all the demand on one class, so the
+    case gives its own shares."""
+    N = 18
+    inst = Instance(
+        (Resource(1, 3),),
+        tuple(Product(n, 1, 0.5 + 0.25 * n) for n in range(1, N + 1)),
+        (CustomerType(1, RateCurve.constant(12.0),
+                      AttractionChoiceModel((0.0,) * N, (1.0,) * N)),),
+    )
+    return inst, {(1, n): 1.0 / 20 for n in range(1, N + 1)}
+
+
 def _interval_bound_cases():
-    """The bounds suite's sandwich instances at its grid size, the sandwich
-    test's above, and random ones with up to 4 units and 3 model kinds."""
+    """(name, instance, shares, grid size): the bounds suite's sandwich
+    instances at its grid size, the sandwich test's above, and random ones
+    with up to 4 units and 3 model kinds, each with its plan's shares, and
+    one case wide enough for the numpy pass with its own shares."""
     from choicealloc.valuefn import DEFAULT_GRID_SIZE
     from choicealloc.verify import DEFAULT_SEED
 
+    def planned(name, inst, grid_size):
+        return name, inst, solve_cdlp(inst).s_star, grid_size
+
     for i in range(20):
-        yield f"suite{i}", random_instance(
+        yield planned(f"suite{i}", random_instance(
             DEFAULT_SEED * 31 + i, max_resources=1, max_products=5, max_types=2,
-            model_kinds=("attraction", "mixture")), DEFAULT_GRID_SIZE
+            model_kinds=("attraction", "mixture")), DEFAULT_GRID_SIZE)
     for seed in range(6):
-        yield f"sandwich{seed}", random_instance(
-            seed, max_resources=1, max_products=4, max_types=2), 4000
+        yield planned(f"sandwich{seed}", random_instance(
+            seed, max_resources=1, max_products=4, max_types=2), 4000)
     for seed in range(40):
-        yield f"random{seed}", random_instance(
+        yield planned(f"random{seed}", random_instance(
             1000 + seed, max_resources=1, max_products=5, max_types=3,
-            model_kinds=("attraction", "mixture", "table"), capacity_range=(1, 4)), 2000
+            model_kinds=("attraction", "mixture", "table"), capacity_range=(1, 4)), 2000)
+    yield "wide", *_wide_interval_instance(), 2000
 
 
-def test_interval_bound_is_byte_identical_to_reference_loop():
+def test_interval_bound_is_byte_identical_to_reference_loop(monkeypatch):
+    from choicealloc import valuefn
+
+    stacked, case = set(), None
+
+    def spy(by_time, blocks):
+        stacked.add(case)
+        return _stacked_steps(by_time, blocks)
+
+    monkeypatch.setattr(valuefn, "_stacked_steps", spy)
     multi_class = 0
-    for name, inst, grid_size in _interval_bound_cases():
-        sol = solve_cdlp(inst)
-        got = interval_decomposition_bound(inst, sol.s_star, 1, grid_size)
+    for case, inst, s_star, grid_size in _interval_bound_cases():
+        got = interval_decomposition_bound(inst, s_star, 1, grid_size)
         assert type(got) is float
-        assert got == _reference_interval_bound(inst, sol.s_star, 1, grid_size), name
+        assert got == _reference_interval_bound(inst, s_star, 1, grid_size), case
         np.testing.assert_array_max_ulp(
-            got, _reference_interval_bound(inst, sol.s_star, 1, grid_size, _blas_sum),
+            got, _reference_interval_bound(inst, s_star, 1, grid_size, _blas_sum),
             maxulp=MAX_ULP_FROM_BLAS)
-        if _classes(inst, sol.s_star, 1, MIN_GRID)[0].size >= 2:
+        if _classes(inst, s_star, 1, MIN_GRID)[0].size >= 2:
             multi_class += 1
     assert multi_class >= 40  # multi-class surfaces, not only single-class ones
+    assert stacked == {"wide"}  # the one case whose unit intervals take the numpy pass
 
 
 def test_batch_grid_bytes_are_pinned():
