@@ -10,13 +10,15 @@ subproblem solver the procedure terminates at the LP optimum, and with a
 solver carrying a guarantee factor gamma >= 1/(1+eps) it terminates with an
 eps-optimal plan certified by the terminal duals.
 
-``solve_cdlp`` prices columns with one subproblem solver, ``_auto``:
-``assortment_subproblem_sort`` where the model has attraction weights,
-brute force up to 20 priced products, and past them the branch and bound
-for mixtures.  A caller may pass any other function of (model, prices)
-instead, as the verification suite does with a degraded one.  A solver states its guarantee on each ``SubproblemResult``
-it returns, and nowhere else: it is 1 on every exact result, and below 1
-only on a branch and bound cut by its node budget.
+``solve_cdlp`` prices columns with one subproblem solver, ``_auto``, which
+picks by the model alone: ``assortment_subproblem_sort`` where the model
+has attraction weights, the brute force where it has a subset table
+(mixtures of at most 12 products) or no attraction segments (probability
+tables), and the branch and bound for every other mixture.  A caller may
+pass any other function of (model, prices) instead, as the verification
+suite does with a degraded one.  A solver states its guarantee on each
+``SubproblemResult`` it returns, and nowhere else: it is 1 on every exact
+result, and below 1 only on a branch and bound cut by its node budget.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .choice import (_ENUMERATION_CAP, ChoiceModel, _as_assortment, _subset_revenues,
-                     expected_revenue)
+from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, expected_revenue
 from .lp import LinearProgram, LpSolution, solve_lp
 from .model import Instance, products_of_resource, validate_instance
 
@@ -51,7 +52,7 @@ __all__ = [
 
 REDUCED_COST_TOL = 1e-9
 SUPPORT_TOL = 1e-9
-_BRUTEFORCE_CAP = 20  # priced products; auto runs the branch and bound above it
+_BRUTEFORCE_CAP = 20  # priced products the brute force accepts; it refuses more
 _BRANCH_NODES = 20_000  # nodes a branch and bound explores before it settles
 
 
@@ -210,39 +211,26 @@ def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float]):
     """The brute force's screen: subsets of ``ids`` that may reach the
     maximum in exact scoring, as sorted tuples in ``_lex_subsets`` order.
 
-    Models with a ``_subset_table`` P (attraction models and their
-    mixtures up to ``_ENUMERATION_CAP`` products) score the subsets of
+    A model with a ``_subset_table`` P (attraction models and their
+    mixtures up to ``_ENUMERATION_CAP`` products) scores the subsets of
     ``ids`` as the rows of P @ p whose bitmask lies inside ``ids``, with p
-    zero outside ``ids``; other models with a ``_segment_table`` score them
-    with the kernel ``_subset_revenues``.  The subsets kept are those
-    scoring at least top - tol, with top the maximum score and
-    tol = 1e-9 * max(1, max|price|).
-    Every subset is kept for models with neither array and when a score is
-    not finite.
+    zero outside ``ids``, and keeps those scoring at least top - tol, with
+    top the maximum score and tol = 1e-9 * max(1, max|price|).  Every
+    subset is kept for a model without a table and when a score is not
+    finite.
     """
     table = model._subset_table
-    if table is None and model._segment_table is None:
+    if table is None:
+        return _lex_subsets(ids)
+    p = np.zeros(model.num_products)
+    p[np.asarray(ids, dtype=np.intp) - 1] = [price[n] for n in ids]
+    values = (table @ p)[_subset_rows(tuple(ids))]
+    top = values.max()  # nan if any value is nan
+    if not math.isfinite(top):
         return _lex_subsets(ids)
     tol = 1e-9 * max([1.0] + [abs(price[n]) for n in ids])
-    if table is not None:
-        p = np.zeros(model.num_products)
-        p[np.asarray(ids, dtype=np.intp) - 1] = [price[n] for n in ids]
-        blocks = [(0, (table @ p)[_subset_rows(tuple(ids))])]
-    else:
-        blocks = _subset_revenues(model, ids, price)
-    top = -math.inf
-    kept: list[tuple[int, float]] = []
-    for first, values in blocks:
-        block_top = values.max()  # nan if any value is nan
-        if not math.isfinite(block_top):
-            return _lex_subsets(ids)
-        top = max(top, block_top)
-        bar = top - tol
-        hits = np.flatnonzero(values >= bar)
-        kept.extend(zip((hits + first).tolist(), values[hits].tolist()))
-    return sorted(
-        tuple(n for i, n in enumerate(ids) if s >> i & 1) for s, v in kept if v >= bar
-    )
+    return sorted(tuple(n for i, n in enumerate(ids) if s >> i & 1)
+                  for s in np.flatnonzero(values >= top - tol).tolist())
 
 
 @lru_cache(maxsize=1024)
@@ -261,22 +249,23 @@ def assortment_subproblem_bruteforce(model: ChoiceModel,
     """Exhaustive subproblem solver over all subsets of the priced products.
 
     Ties resolve to the lexicographically smallest product set.  Intended as
-    the exact oracle for any choice model at desk scale.
+    the exact oracle for any choice model at desk scale; it refuses more
+    than ``_BRUTEFORCE_CAP`` priced products.
 
-    For attraction models and their mixtures every subset is scored first
-    by ``_screened_subsets``: one product with the model's exact subset
-    probabilities up to ``choice._ENUMERATION_CAP`` products, the numpy
-    kernel ``choice._subset_revenues`` above it.  Only subsets whose score
-    lies within tol = 1e-9 * max(1, max|price|) of the maximum score are
-    scored again with ``expected_revenue``, in the same order and under the
-    same strict ``>`` rule as a full scan.  This is exact: each score sums
-    at most m + segments terms of magnitude at most max|price|, so the two
-    values of any subset differ by a few ulps of max|price|, far below
-    tol/2.  Every subset of largest exact value therefore passes the
-    screen, and the lexicographically first one is returned with the same
-    value a full scan returns.  Tabulated models (whose missing entries
-    must raise) score every subset directly; so does a screen whose scores
-    are not all finite.
+    For models with a ``_subset_table`` (attraction models and their
+    mixtures up to ``choice._ENUMERATION_CAP`` products) every subset is
+    scored first by ``_screened_subsets``, one product of the table with
+    the prices.  Only subsets whose score lies within
+    tol = 1e-9 * max(1, max|price|) of the maximum score are scored again
+    with ``expected_revenue``, in the same order and under the same strict
+    ``>`` rule as a full scan.  This is exact: each score sums at most m
+    terms of magnitude at most max|price|, so the two values of any subset
+    differ by a few ulps of max|price|, far below tol/2.  Every subset of
+    largest exact value therefore passes the screen, and the
+    lexicographically first one is returned with the same value a full
+    scan returns.  Models without a table (tabulated models, whose missing
+    entries must raise, and wider mixtures) score every subset directly;
+    so does a screen whose scores are not all finite.
     """
     ids = sorted(price)
     if len(ids) > _BRUTEFORCE_CAP:
@@ -354,12 +343,13 @@ def assortment_subproblem_branch_and_bound(model: ChoiceModel,
 
 
 def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
-    """Sort for models with attraction weights, brute force up to the cap
-    and for models without segments, the branch and bound otherwise; exact
-    unless the guarantee says the node budget cut the search."""
+    """Sort for models with attraction weights, brute force for models with
+    a ``_subset_table`` or without segments, the branch and bound for every
+    other mixture: picked by the model, never by the prices.  Exact unless
+    the guarantee says the node budget cut the search."""
     if model.attraction() is not None:
         return assortment_subproblem_sort(model, price)
-    if len(price) <= _BRUTEFORCE_CAP or model._segment_table is None:
+    if model._subset_table is not None or model._segment_table is None:
         return assortment_subproblem_bruteforce(model, price)
     return assortment_subproblem_branch_and_bound(model, price)
 

@@ -19,7 +19,9 @@ protocol, which every model class implements:
   survivor's selection probability, so that pruning is safe;
 - ``coverage_error(N)``: why the model does not fit N products (a wrong
   product count, or a NaN or infinite weight or probability), or None;
-- ``_segment_table``: the subset kernel's arrays, or None;
+- ``_segment_table``: the (segment weights, base weights, mu+nu rows, nu
+  rows) arrays of an attraction model or a mixture, which the subset
+  table and the branch and bound read, or None;
 - ``_subset_table``: the exact subset-probability table P[s, n-1] of a
   model with a ``_segment_table`` and at most ``_ENUMERATION_CAP``
   products, built on first use, or None;
@@ -33,9 +35,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, compress
-from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Protocol, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional, Protocol
 
 import numpy as np
 
@@ -86,8 +88,9 @@ class ChoiceModel(Protocol):
 
     @cached_property
     def _finite_weights(self) -> bool:
-        """Whether the kernel's arrays, which hold every weight (segment
-        weights included), are finite; True for a model without them."""
+        """Whether the ``_segment_table`` arrays, which hold every weight
+        (segment weights included), are finite; True for a model without
+        them."""
         try:
             table = self._segment_table
         except OverflowError:  # the base weight's exact sum of finite weights
@@ -345,7 +348,9 @@ def _probability_table(segments: tuple[np.ndarray, ...], num_products: int) -> n
     in segment order to 0.0 (w = 1 for a plain attraction model, whose
     weight / denominator this reproduces exactly)."""
     w, base, weight, nu = segments
-    members = _subset_masks(num_products).T.astype(bool)
+    # row s, column i: whether bit i of s is set, i.e. product i+1 is in subset s
+    bits = np.arange(num_products)
+    members = ((np.arange(1 << num_products)[:, None] >> bits) & 1).astype(bool)
     selectors = members.tolist()
     acc = np.zeros(members.shape)
     for g in range(len(w)):
@@ -355,52 +360,6 @@ def _probability_table(segments: tuple[np.ndarray, ...], num_products: int) -> n
     table = np.where(members, acc, 0.0)
     table.flags.writeable = False
     return table
-
-
-# The kernel scores at most 2**_BLOCK_BITS subsets per block, so every
-# temporary stays below a few MB even at 20 products.  Its 0/1 mask matrices
-# have at most 2**_MASK_BITS columns: OpenBLAS threads larger matrix products,
-# and on a shared 2-vCPU host a threaded 14-bit product ran about 40x slower
-# than a single-threaded one.
-_BLOCK_BITS = 14
-_MASK_BITS = 10
-
-
-@lru_cache(maxsize=None)
-def _subset_masks(bits: int) -> np.ndarray:
-    """Read-only 0/1 matrix of shape (bits, 2**bits): column s has row i set
-    iff bit i of s is set (the transpose of the subsets-by-products mask,
-    stored so that the kernel's products run over contiguous rows)."""
-    masks = ((np.arange(1 << bits) >> np.arange(bits)[:, None]) & 1).astype(float)
-    masks.flags.writeable = False
-    return masks
-
-
-def _subset_revenues(model: ChoiceModel, ids: Sequence[int],
-                     price: Mapping[int, float]) -> Iterator[tuple[int, np.ndarray]]:
-    """Approximate expected revenue of every subset of ``ids`` at ``price``.
-
-    Subset ``s`` is the bitmask whose bit i stands for ``ids[i]``.  Yields
-    ``(first, values)`` blocks of at most 2**_BLOCK_BITS subsets, in
-    ascending mask order, where ``values[j]`` scores subset ``first + j`` as
-    sum over segments of w * sum_S((mu+nu)*price) / (base + sum_S(nu)).
-    The sums run through matrix products rather than ``math.fsum``, so a
-    value may differ from ``expected_revenue`` by a few ulps of max|price|.
-    The model must have a ``_segment_table``.
-    """
-    w, base, weight, nu = model._segment_table
-    idx = np.asarray(ids, dtype=np.intp) - 1
-    segs, m = len(w), len(ids)
-    # rows: nu of each segment, then (mu+nu)*price of each segment
-    table = np.concatenate((nu[:, idx], weight[:, idx] * [price[n] for n in ids]))
-    bits = min(m, _MASK_BITS)
-    low = table[:, :bits] @ _subset_masks(bits)
-    low[:segs] += base[:, None]
-    high = table[:, bits:] @ _subset_masks(m - bits)
-    step = 1 << max(0, _BLOCK_BITS - bits)
-    for h in range(0, high.shape[1], step):
-        sums = (low[:, None, :] + high[:, h:h + step, None]).reshape(2 * segs, -1)
-        yield h << bits, w @ (sums[segs:] / sums[:segs])
 
 
 def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> int:

@@ -136,6 +136,20 @@ class _Tables:
         self.sellable = _sellable_resources(self.capacity, self.expiry, 0.0)
 
 
+def _require_reachable(inst: Instance, state: PolicyState, k: int) -> None:
+    """Refuse a decision that no run of ``inst`` asks for: an arrival of a
+    type outside 1..K, or an inventory of another length or with a level
+    that is no integer or lies outside 0..capacity of its resource."""
+    inst.ctype(k)  # raises ValueError outside 1..K
+    if len(state.inventory) != inst.num_resources:
+        raise ValueError(f"the inventory lists {len(state.inventory)} resources, "
+                         f"the instance has {inst.num_resources}")
+    for r, c in zip(inst.resources, state.inventory):
+        _require_integral_level(c)
+        if not 0 <= c <= r.capacity:
+            raise ValueError(f"inventory level {c} of resource {r.id} outside 0..{r.capacity}")
+
+
 def _sellable(stock: int, expiry: float, now: float) -> bool:
     """Whether a product of a resource with this stock and expiry can be
     sold at time now: the resource is in stock and unexpired."""
@@ -197,8 +211,14 @@ def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> Offer
 
     The CDF runs over the active assortments in ascending enumeration order;
     residual probability mass yields the empty offer.  The draw depends only
-    on (k, u), never on inventory or time.
+    on (k, u), never on inventory or time.  A type outside 1..K (K the
+    plan's number of convexity duals) or a draw u outside [0, 1) raises
+    ``ValueError``.
     """
+    if not 1 <= k <= len(sol.sigma):
+        raise ValueError(f"type index {k} out of range 1..{len(sol.sigma)}")
+    if not 0.0 <= u < 1.0:  # NaN fails too
+        raise ValueError(f"uniform draw {u} outside [0, 1)")
     return OfferDecision(_draw(_offer_cdf(sol, k), u))
 
 
@@ -207,13 +227,14 @@ def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid]
     """Threshold acceptance: sell iff the product can be sold and type k's
     operative reward for it is at least the marginal value of the unit
     (ties accept).  Only the grid of the product's resource is read, and
-    only when the product is in stock."""
+    only when the product is in stock.  A state no run of ``inst`` reaches
+    or a type outside 1..K raises ``ValueError``."""
     if n <= 0:
         raise ValueError("acceptance is decided only for actual products")
+    _require_reachable(inst, state, k)
     res = inst.resource(inst.product(n).resource)
     c = state.level(res.id)
-    _require_integral_level(c)
-    if c <= 0:
+    if c == 0:
         return False
     grid = grids.get(res.id)
     if grid is None:
@@ -238,13 +259,13 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     products pruned is one of the sets these maximize over, so the offer
     collects at least the marginal reward the static threshold policy
     would.  Every purchase from the offer is accepted.  ``grids`` must
-    hold a grid for every resource, covering its capacity.
+    hold a grid for every resource, covering its capacity.  A state no run
+    of ``inst`` reaches or a type outside 1..K raises ``ValueError``.
 
     Each call compiles a ``_Tables`` for the whole instance; the simulator
     compiles once per run instead.
     """
-    for c in state.inventory:
-        _require_integral_level(c)
+    _require_reachable(inst, state, k)
     tables = _Tables(inst, sol, grids)
     offer, _ = _opr_decision(tables, state.inventory, state.now, k)
     return OfferDecision(offer)

@@ -22,6 +22,7 @@ whether a product can be sold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace as dc_replace
 from itertools import repeat
 from operator import itemgetter
@@ -70,10 +71,32 @@ class ArrivalEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realized arrival stream, sorted by time, with per-type counts."""
+    """One realized arrival stream, sorted by time, with per-type counts.
+
+    A path that ``generate_arrivals`` cannot draw raises ``ValueError``: an
+    event at a time outside [0, 1] or before the event ahead of it, an
+    event of a type outside 1..len(counts), or counts other than the
+    events' per-type counts.
+    """
 
     events: tuple[ArrivalEvent, ...]
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        K = len(self.counts)
+        seen = [0] * (K + 1)
+        last = 0.0
+        for time, k in self.events:
+            if not last <= time <= 1.0:  # NaN fails too
+                raise ValueError(f"arrival at t={time} is outside [0, 1] or out of time order")
+            # the int test first: an ABC isinstance costs ~1 us, doubling the cost of a path
+            if not (type(k) is int or isinstance(k, numbers.Integral)) or not 1 <= k <= K:
+                raise ValueError(f"arrival of type {k!r} outside 1..{K}")
+            seen[k] += 1
+            last = time
+        if tuple(seen[1:]) != tuple(self.counts):
+            raise ValueError(f"the sample path counts {tuple(self.counts)} arrivals per type, "
+                             f"its events {tuple(seen[1:])}")
 
 
 @dataclass

@@ -325,7 +325,7 @@ def test_bruteforce_cap():
 
 def _scalar_bruteforce(model, price):
     """Every subset scored one at a time with expected_revenue: the brute
-    force before the kernel screen, kept as its reference."""
+    force before its screen, kept as its reference."""
     best_value, best_set = 0.0, frozenset()
     for S in _all_subsets(sorted(price)):
         if not S:
@@ -337,7 +337,7 @@ def _scalar_bruteforce(model, price):
 
 
 @st.composite
-def _kernel_cases(draw, max_segments=4):
+def _segment_cases(draw, max_segments=4):
     """(model, price): MNL, independent-demand or general attraction models,
     or mixtures of 1 to ``max_segments`` of them, over 0-12 products with
     zero, negative and duplicated prices, some products made never-selected
@@ -363,7 +363,7 @@ def _kernel_cases(draw, max_segments=4):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_kernel_cases())
+@given(case=_segment_cases())
 def test_bruteforce_screen_equals_scalar_enumeration(case):
     model, price = case
     res = assortment_subproblem_bruteforce(model, price)
@@ -371,39 +371,14 @@ def test_bruteforce_screen_equals_scalar_enumeration(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=_kernel_cases())
-def test_kernel_values_match_expected_revenue(case):
+@given(case=_segment_cases())
+def test_bruteforce_without_a_table_equals_scalar_enumeration(case):
+    # with no subset table the brute force scores every subset
     model, price = case
-    ids = sorted(price)
-    values = np.concatenate([v for _, v in choice._subset_revenues(model, ids, price)])
-    want = [expected_revenue(model, [n for i, n in enumerate(ids) if s >> i & 1], price)
-            for s in range(1 << len(ids))]
-    # both sum at most m + 4 terms bounded by max|price|; 1e-12 is far above their rounding
-    scale = max([1.0] + [abs(p) for p in price.values()])
-    np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12 * scale)
-    # with no subset table the brute force screens with the kernel
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(choice, "_ENUMERATION_CAP", 0)
         res = assortment_subproblem_bruteforce(model, price)
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
-
-
-def test_bruteforce_screen_exact_across_blocks(monkeypatch):
-    monkeypatch.setattr(choice, "_ENUMERATION_CAP", 0)  # screen with the kernel
-    monkeypatch.setattr(choice, "_MASK_BITS", 2)
-    monkeypatch.setattr(choice, "_BLOCK_BITS", 3)
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        m = int(rng.integers(4, 11))
-        segs = tuple((float(w), AttractionChoiceModel(tuple(rng.uniform(0, 1, m) * (rng.random(m) < 0.5)),
-                                                      tuple(rng.choice([0.0, 0.5, 1.0], m))))
-                     for w in rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
-        model = MixtureChoiceModel(segs)
-        price = {n: float(rng.choice([-0.5, 0.0, 1.0, rng.uniform(-1, 2)])) for n in range(1, m + 1)}
-        blocks = list(choice._subset_revenues(model, sorted(price), price))
-        assert [first for first, _ in blocks] == list(range(0, 1 << m, 8))
-        res = assortment_subproblem_bruteforce(model, price)
-        assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
 
 @pytest.mark.parametrize("mu, nu, prices", [
@@ -421,15 +396,14 @@ def test_bruteforce_screen_keeps_rounding_ties(mu, nu, prices):
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
 
-def test_bruteforce_screen_falls_back_when_kernel_overflows(monkeypatch):
-    # (mu+nu)*price overflows to inf in the kernel; the scalar values stay finite
-    monkeypatch.setattr(choice, "_ENUMERATION_CAP", 0)  # screen with the kernel
+def test_bruteforce_table_screen_is_exact_at_huge_weights_and_prices():
+    # (mu+nu)*price would overflow to inf; the table's probabilities times
+    # the prices stay finite, so the screen keeps only the near-maximal subsets
     model = mnl(1e200, 1.0, 1e200)
     price = {1: 1e200, 2: 1e150, 3: 2e200}
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = next(choice._subset_revenues(model, sorted(price), price))[1]
-        assert not np.isfinite(values).all()
-        res = assortment_subproblem_bruteforce(model, price)
+    assert np.isfinite(model._subset_table @ [1e200, 1e150, 2e200]).all()
+    assert cdlp._screened_subsets(model, [1, 2, 3], price) == [(2, 3), (3,)]
+    res = assortment_subproblem_bruteforce(model, price)
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
     assert res.value > 0.0
 
@@ -449,7 +423,7 @@ def test_bruteforce_table_screen_falls_back_on_nonfinite_scores(bad):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_kernel_cases(), keep=st.lists(st.booleans(), min_size=12, max_size=12),
+@given(case=_segment_cases(), keep=st.lists(st.booleans(), min_size=12, max_size=12),
        size=st.sampled_from(["empty", "one", "some"]))
 def test_bruteforce_over_a_subset_of_the_products_equals_scalar_enumeration(case, keep, size):
     # opr prices only the products it can sell: the screen reads the rows of
@@ -491,7 +465,7 @@ def test_bruteforce_rejects_no_purchase_id():
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_kernel_cases(max_segments=5))
+@given(case=_segment_cases(max_segments=5))
 def test_branch_and_bound_equals_bruteforce(case):
     model, price = case
     res = assortment_subproblem_branch_and_bound(model, price)
@@ -502,6 +476,60 @@ def test_branch_and_bound_equals_bruteforce(case):
     assert all(price[n] > 0.0 for n in res.assortment)
 
 
+def _milp_subproblem(model, price):
+    """The subproblem of a model with a ``_segment_table``, solved by
+    ``scipy.optimize.milp`` (HiGHS): an oracle that shares no code with the
+    package's solvers, for sizes past the brute force.
+
+    It is the mixture linearization of Bront, Mendez-Diaz & Vulcano (2009,
+    Operations Research 57(3)) in attraction form.  With x_n binary and
+    b_g = 1 + sum(mu_g) segment g's base weight, y_g0 = 1/(b_g + sum_S nu_g)
+    and y_gn = x_n * y_g0 are the only solution of
+        b_g * y_g0 + sum_n nu_gn * y_gn = 1,
+        y_gn <= y_g0,  y_gn <= x_n / b_g,  y_gn >= y_g0 - (1 - x_n) / b_g,
+    and the objective is sum_g w_g sum_n p_n (mu_gn + nu_gn) y_gn.  The MIP
+    gap is 0, not HiGHS's default 1e-4.  The solution's set drops products
+    of price <= 0 or of zero weight in every segment, which cannot raise
+    the revenue, and is rescored with ``expected_revenue``.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    w, base, weight, nu = model._segment_table
+    ids = sorted(price)
+    m = len(ids)
+    cols = np.asarray(ids, dtype=np.intp) - 1
+    p = np.array([price[n] for n in ids], dtype=float)
+    size = m + len(w) * (m + 1)  # x, then y_g0 and y_g1..y_gm of each segment
+    objective = np.zeros(size)
+    rows, lower, upper = [], [], []
+    eye = np.eye(m)
+    for g, b in enumerate(base):
+        y0 = m + g * (m + 1)
+        y = slice(y0 + 1, y0 + 1 + m)
+        objective[y] = -w[g] * p * weight[g, cols]
+        # rows: the denominator, then y_gn - y_g0 <= 0, y_gn - x_n/b_g <= 0
+        # and y_gn - y_g0 - x_n/b_g >= -1/b_g for each n
+        A = np.zeros((1 + 3 * m, size))
+        A[0, y0], A[0, y] = b, nu[g, cols]
+        below_y0, below_x, above = (slice(1 + i * m, 1 + (i + 1) * m) for i in range(3))
+        A[below_y0, y], A[below_y0, y0] = eye, -1.0
+        A[below_x, y], A[below_x, :m] = eye, -eye / b
+        A[above, y], A[above, y0], A[above, :m] = eye, -1.0, -eye / b
+        rows.append(A)
+        lower += [1.0] + [-np.inf] * (2 * m) + [-1.0 / b] * m
+        upper += [1.0] + [0.0] * (2 * m) + [np.inf] * m
+    integrality = np.zeros(size)
+    integrality[:m] = 1
+    bounds = Bounds(np.zeros(size), np.concatenate((np.ones(m), np.full(size - m, np.inf))))
+    constraints = LinearConstraint(np.concatenate(rows), lower, upper) if m else ()
+    res = milp(objective, integrality=integrality, bounds=bounds, constraints=constraints,
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    S = frozenset(n for n, x, j in zip(ids, res.x[:m], cols)
+                  if x > 0.5 and price[n] > 0.0 and (weight[:, j] > 0.0).any())
+    return SubproblemResult(S, expected_revenue(model, S, price), 1.0)
+
+
 def _wide_mixture(rng, N, segments=3):
     """A mixture of general attraction segments over N products."""
     return MixtureChoiceModel(tuple(
@@ -510,9 +538,60 @@ def _wide_mixture(rng, N, segments=3):
         for w in rng.dirichlet(np.ones(segments))))
 
 
-def test_branch_and_bound_above_the_cap_equals_bruteforce_on_the_positive_prices():
+def _corner_mixture(rng, N, segments):
+    """A mixture over N products whose segments are, at random, general
+    attraction models, MNL models (mu = 0) or independent demands (nu = 0)."""
+    def segment(kind):
+        mu = rng.uniform(0.0, 1.0, N) * (rng.random(N) < 0.3) * (kind != "mnl")
+        nu = rng.exponential(1.0, N) * (rng.random(N) < 0.9) * (kind != "independent")
+        return AttractionChoiceModel(tuple(mu), tuple(nu))
+
+    return MixtureChoiceModel(tuple(
+        (float(w), segment(rng.choice(["general", "mnl", "independent"])))
+        for w in rng.dirichlet(np.ones(segments))))
+
+
+def test_branch_and_bound_equals_milp_past_the_subset_table():
+    # 40 draws at 13-40 products, 1-5 segments, mixed-sign prices
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        N = int(rng.integers(choice._ENUMERATION_CAP + 1, 41))
+        model = _corner_mixture(rng, N, int(rng.integers(1, 6)))
+        price = {n: float(rng.uniform(-0.5, 2.0)) for n in range(1, N + 1)}
+        res = assortment_subproblem_branch_and_bound(model, price)
+        want = _milp_subproblem(model, price)
+        assert res.guarantee == 1.0
+        assert math.isclose(res.value, want.value, rel_tol=1e-12)
+        assert res.value == expected_revenue(model, res.assortment, price)
+
+
+def test_milp_oracle_equals_bruteforce_within_the_subset_table():
+    # the oracle itself, against the exact brute force where both run
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        N = int(rng.integers(1, choice._ENUMERATION_CAP + 1))
+        model = _corner_mixture(rng, N, int(rng.integers(1, 6)))
+        price = {n: float(rng.uniform(-0.5, 2.0)) for n in range(1, N + 1)}
+        want = assortment_subproblem_bruteforce(model, price)
+        assert math.isclose(_milp_subproblem(model, price).value, want.value, rel_tol=1e-12)
+    assert _milp_subproblem(model, {n: -1.0 for n in price}) == SubproblemResult(
+        frozenset(), 0.0, 1.0)
+
+
+def test_branch_and_bound_has_headroom_in_its_node_budget(monkeypatch):
+    # a tenth of the budget cuts none of 300 draws at 13-20 products
+    monkeypatch.setattr(cdlp, "_BRANCH_NODES", cdlp._BRANCH_NODES // 10)
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        N = int(rng.integers(choice._ENUMERATION_CAP + 1, 21))
+        model = _wide_mixture(rng, N, int(rng.integers(1, 6)))
+        price = {n: float(rng.uniform(-0.5, 3.0)) for n in range(1, N + 1)}
+        assert assortment_subproblem_branch_and_bound(model, price).guarantee == 1.0
+
+
+def test_branch_and_bound_above_the_cap_equals_milp_on_the_positive_prices():
     # dropping nonpositive-price products never lowers a segment's revenue,
-    # so the brute force over the positive prices alone is the optimum
+    # so the optimum over the positive prices alone is the optimum
     rng = np.random.default_rng(23)
     for _ in range(6):
         N = int(rng.integers(cdlp._BRUTEFORCE_CAP + 1, 27))
@@ -521,7 +600,7 @@ def test_branch_and_bound_above_the_cap_equals_bruteforce_on_the_positive_prices
         price = {n: float(rng.uniform(0.1, 3.0)) if n in positive else float(rng.uniform(-1.0, 0.0))
                  for n in range(1, N + 1)}
         res = assortment_subproblem_branch_and_bound(model, price)
-        want = assortment_subproblem_bruteforce(model, {n: price[n] for n in positive})
+        want = _milp_subproblem(model, {n: price[n] for n in positive})
         assert res.guarantee == 1.0
         assert math.isclose(res.value, want.value, rel_tol=1e-12)
         assert cdlp._auto(model, price) == res
@@ -544,7 +623,7 @@ def test_branch_and_bound_cut_by_its_budget_states_a_proven_guarantee(monkeypatc
         model = _wide_mixture(rng, N, int(rng.integers(2, 6)))
         price = {n: float(rng.uniform(-0.5, 3.0)) for n in range(1, N + 1)}
         res = assortment_subproblem_branch_and_bound(model, price)
-        optimum = assortment_subproblem_bruteforce(model, price).value
+        optimum = _milp_subproblem(model, price).value
         assert 0.0 <= res.guarantee <= 1.0
         assert res.value >= res.guarantee * optimum * (1.0 - 1e-12)
         assert res.value == expected_revenue(model, res.assortment, price)
@@ -556,13 +635,12 @@ def test_branch_and_bound_cut_by_its_budget_states_a_proven_guarantee(monkeypatc
 _WIDE4 = random_instance(4, max_products=24, model_kinds=("mixture",))
 
 
-def test_wide_mixture_instance_plans_exactly_past_the_bruteforce_cap(monkeypatch):
+def test_wide_mixture_instance_plans_exactly_past_the_bruteforce_cap():
     assert _WIDE4.num_products > cdlp._BRUTEFORCE_CAP
     sol = solve_cdlp(_WIDE4, 0.0)
     assert sol.certified
     assert hindsight_bound(_WIDE4, generate_arrivals(_WIDE4, 1)) > 0.0
-    monkeypatch.setattr(cdlp, "_BRUTEFORCE_CAP", _WIDE4.num_products)
-    want = solve_cdlp(_WIDE4, 0.0, assortment_subproblem_bruteforce)
+    want = solve_cdlp(_WIDE4, 0.0, _milp_subproblem)
     assert (sol.objective, sol.active) == (want.objective, want.active)
 
 

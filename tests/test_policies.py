@@ -27,9 +27,11 @@ from choicealloc import (
     random_instance,
     solve_cdlp,
 )
-from choicealloc import cdlp, policies
+from choicealloc import cdlp, choice, policies
 from choicealloc.cdlp import CdlpSolution
 from choicealloc.valuefn import ResourceValueGrid, _marginal
+from choicealloc.verify import _scaling_base_instance
+from test_cdlp import _milp_subproblem
 
 
 def mnl(*nu):
@@ -39,7 +41,7 @@ def mnl(*nu):
 def plan_stub(active, x):
     """Hand-built plan carrying only the offer distribution."""
     return CdlpSolution(
-        active=active, x=x, pi=(), sigma=(), objective=0.0, epsilon=0.0,
+        active=active, x=x, pi=(), sigma=(0.0,) * len(active), objective=0.0, epsilon=0.0,
         s_star={}, certified=True, iterations=0,
     )
 
@@ -259,6 +261,55 @@ def test_decisions_reject_grids_that_do_not_cover_the_instance():
     assert not pr_accept(PolicyState((0,), 0.0), 1, {}, inst, 1)
 
 
+@pytest.fixture(scope="module")
+def base_plan():
+    """The scaling base instance (capacities 2 and 1, two types), its plan
+    and its grids at 200 steps."""
+    inst = _scaling_base_instance()
+    sol = solve_cdlp(inst)
+    return inst, sol, build_value_grids(inst, sol.s_star, 200)
+
+
+@pytest.mark.parametrize("inventory, message", [
+    ((3, 2), r"^inventory level 3 of resource 1 outside 0\.\.2$"),
+    ((2, 2), r"^inventory level 2 of resource 2 outside 0\.\.1$"),
+    ((-1, 1), r"^inventory level -1 of resource 1 outside 0\.\.2$"),
+    ((2,), r"^the inventory lists 1 resources, the instance has 2$"),
+    ((2, 1, 0), r"^the inventory lists 3 resources, the instance has 2$"),
+], ids=["above-capacity", "above-capacity-2", "negative", "too-short", "too-long"])
+def test_public_decisions_refuse_an_inventory_no_run_reaches(base_plan, inventory, message):
+    # above capacity opr would read outside the surface, and a short
+    # inventory has no level for resource 2
+    inst, sol, grids = base_plan
+    state = PolicyState(inventory, 0.3)
+    with pytest.raises(ValueError, match=message):
+        opr_offer(state, 1, grids, sol, inst)
+    for n in (1, 3):  # products of resources 1 and 2
+        with pytest.raises(ValueError, match=message):
+            pr_accept(state, n, grids, inst, 1)
+
+
+@pytest.mark.parametrize("k", [0, 3, 9])
+def test_public_decisions_refuse_a_type_outside_the_instance(base_plan, k):
+    inst, sol, grids = base_plan
+    state = PolicyState((2, 1), 0.3)
+    message = rf"^type index {k} out of range 1\.\.2$"
+    with pytest.raises(ValueError, match=message):
+        opr_offer(state, k, grids, sol, inst)
+    with pytest.raises(ValueError, match=message):
+        pr_accept(state, 1, grids, inst, k)
+    with pytest.raises(ValueError, match=message):
+        fcfs_offer(state, k, sol, 0.5)
+
+
+@pytest.mark.parametrize("u", [1.0, 1.5, -0.1, math.nan, math.inf])
+def test_fcfs_offer_refuses_a_draw_outside_the_unit_interval(base_plan, u):
+    _, sol, _ = base_plan
+    with pytest.raises(ValueError, match=r"^uniform draw .* outside \[0, 1\)$"):
+        fcfs_offer(PolicyState((2, 1), 0.3), 1, sol, u)
+    assert fcfs_offer(PolicyState((2, 1), 0.3), 1, sol, 0.0).assortment in sol.active[1]
+
+
 def test_pr_accept_refuses_a_missing_grid():
     # the ValueError every other reader of the grids raises
     inst = two_product_instance(capacity=2)
@@ -272,9 +323,10 @@ def test_pr_accept_refuses_a_missing_grid():
 
 def _reference_opr_decision(t, inventory, now, k, floor_exact=False):
     """policies._opr_decision as it was, picking its subproblem solver by
-    model class on every arrival, with the brute force's cap raised to the
-    priced products.  ``floor_exact`` scores the pruned plan assortments
-    after the solver, the earlier rule."""
+    model class on every arrival: the sort solver for attraction models,
+    the MILP oracle for mixtures past the subset table, and the brute force
+    otherwise.  ``floor_exact`` scores the pruned plan assortments after
+    the solver, the earlier rule."""
     if not t.prunable[k]:
         raise ValueError("not removal-monotone")
     model = t.models[k]
@@ -289,10 +341,10 @@ def _reference_opr_decision(t, inventory, now, k, floor_exact=False):
         return frozenset(), 0.0
     if isinstance(model, AttractionChoiceModel):
         best = assortment_subproblem_sort(model, prices)
+    elif isinstance(model, MixtureChoiceModel) and model.num_products > choice._ENUMERATION_CAP:
+        best = _milp_subproblem(model, prices)
     else:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cdlp, "_BRUTEFORCE_CAP", len(prices))
-            best = assortment_subproblem_bruteforce(model, prices)
+        best = assortment_subproblem_bruteforce(model, prices)
     offer, value = best.assortment, best.value
     if not floor_exact:
         return offer, value
@@ -483,8 +535,9 @@ def test_opr_refuses_a_branch_and_bound_cut_by_its_budget(monkeypatch):
 
 @pytest.mark.parametrize("extra, solver", [(0, "bruteforce"), (1, "branch_and_bound")])
 def test_opr_switches_solver_at_the_bruteforce_cap(monkeypatch, extra, solver):
-    # opr prices every product here, so auto must call the brute force at
-    # exactly cdlp's cap and the branch and bound one product above it
+    # a mixture reaches the brute force through its subset table, so auto
+    # must call the brute force at exactly the table's cap and the branch
+    # and bound one product above it
     calls = []
 
     def spy(name, inner):
@@ -496,7 +549,7 @@ def test_opr_switches_solver_at_the_bruteforce_cap(monkeypatch, extra, solver):
     for name in ("bruteforce", "branch_and_bound"):
         attr = "assortment_subproblem_" + name
         monkeypatch.setattr(cdlp, attr, spy(name, getattr(cdlp, attr)))
-    N = cdlp._BRUTEFORCE_CAP + extra
+    N = choice._ENUMERATION_CAP + extra
     tables = _wide_mixture_tables(N)
     assert policies._opr_decision(tables, [2], 0.3, 1) == \
         _reference_opr_decision(tables, [2], 0.3, 1)

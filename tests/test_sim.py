@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from choicealloc import (
     Product,
     RateCurve,
     Resource,
+    SamplePath,
     TabulatedChoiceModel,
     build_value_grids,
     estimate_ratio,
@@ -374,6 +376,31 @@ def test_path_of_another_instance_is_refused(path_types):
         hindsight_bound(inst, path)
     with pytest.raises(ValueError, match=message):
         run_policy(inst, "fcfs", sol, None, path, 0)
+
+
+@pytest.mark.parametrize("events, counts, message", [
+    (((0.1, 5),), (0, 0), r"^arrival of type 5 outside 1\.\.2$"),
+    (((0.1, 0),), (0, 0), r"^arrival of type 0 outside 1\.\.2$"),
+    (((0.1, 1.0),), (1, 0), r"^arrival of type 1\.0 outside 1\.\.2$"),
+    (((0.5, 1), (0.1, 1)), (2, 0), r"^arrival at t=0\.1 is outside \[0, 1\] or out of time order$"),
+    (((1.5, 1),), (1, 0), r"^arrival at t=1\.5 is outside \[0, 1\] or out of time order$"),
+    (((-0.1, 1),), (1, 0), r"^arrival at t=-0\.1 is outside"),
+    (((math.nan, 1),), (1, 0), r"^arrival at t=nan is outside"),
+    (((0.5, 1),), (0, 0), r"^the sample path counts \(0, 0\) arrivals per type, its events \(1, 0\)$"),
+    (((0.2, 1), (0.5, 2)), (1, 2), r"counts \(1, 2\) arrivals per type, its events \(1, 1\)$"),
+], ids=["type-above", "type-zero", "type-float", "unsorted", "after-horizon", "before-horizon",
+        "nan-time", "counts-short", "counts-long"])
+def test_path_that_contradicts_itself_is_refused(events, counts, message):
+    # generate_arrivals cannot draw such a path, so none is built, and
+    # run_policy and hindsight_bound never see one
+    with pytest.raises(ValueError, match=message):
+        SamplePath(tuple(ArrivalEvent(*e) for e in events), counts)
+    inst = _types_instance(2)
+    fine = SamplePath(((0.0, 1), (0.2, 1), (0.2, 2), (1.0, 2)), (2, 2))
+    with pytest.raises(ValueError, match=message):
+        dc_replace(fine, events=events, counts=counts)
+    assert run_policy(inst, "fcfs", solve_cdlp(inst), None, fine, 0).reward == 1.0
+    assert hindsight_bound(inst, fine) == 1.0
 
 
 def test_hindsight_capacity_binds():
