@@ -19,6 +19,14 @@ pass any other function of (model, prices) instead, as the verification
 suite does with a degraded one.  A solver states its guarantee on each
 ``SubproblemResult`` it returns, and nowhere else: it is 1 on every exact
 result, and below 1 only on a branch and bound cut by its node budget.
+
+One loop, ``_column_generation``, serves ``solve_cdlp`` and
+``sim.hindsight_bound``.  ``solve_cdlp`` solves every master from the
+slack basis, because a plan's bytes follow the pivot path: a degenerate
+master started elsewhere can end on another optimal basis, with other x
+and duals.  ``hindsight_bound`` reads only the optimal value, so it starts
+each master from the previous master's optimal basis, which the added
+columns leave feasible, and so makes fewer pivots.
 """
 
 from __future__ import annotations
@@ -442,7 +450,29 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
 
     The instance is validated once, and each (type, assortment) column's
     coefficients are computed once and reused by every later master; each
-    master equals ``build_master`` on the iteration's columns.
+    master equals ``build_master`` on the iteration's columns and is
+    solved from the slack basis.
+    """
+    cols, lp_sol, certified, iterations, trace = _column_generation(
+        inst, eps, solver, max_iterations, False)
+    return _extract_solution(inst, cols, lp_sol, eps, certified, iterations, trace)
+
+
+def _column_generation(inst: Instance, eps: float, solver, max_iterations: int | None,
+                       warm: bool):
+    """The loop behind ``solve_cdlp``, with its arguments and checks.
+
+    Returns (cols, lp_sol, certified, iterations, trace): the variables of
+    the last master solved and its ``LpSolution``, then ``solve_cdlp``'s
+    flags and objective trace.  The last iteration may have added columns
+    to H after its master was solved, so a plan is read against ``cols``.
+
+    With ``warm``, every master after the first starts the simplex from the
+    previous master's optimal basis.  The masters share their rows, so
+    that basis stays feasible: a structural column moves to where its
+    (k, S) sits in the new master, and a slack keeps its row, shifted by
+    the number of columns added.  A start the simplex refuses raises
+    ``CdlpError`` like any other failed master.
     """
     _require_valid(inst)
     if not (math.isfinite(eps) and eps >= 0):
@@ -460,14 +490,21 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     seen = {k: set(cols) for k, cols in H.items()}
     columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]] = {}
     trace: list[float] = []
+    cols: list[tuple[int, frozenset[int]]] = []
     lp_sol = None
     certified = False
     iterations = 0
 
     while iterations < max_iterations:
         iterations += 1
-        cols = master_columns(H)
-        lp_sol = solve_lp(_master_lp(inst, cols, columns))
+        previous, cols = cols, master_columns(H)
+        basis = None
+        if warm and lp_sol is not None:
+            index = {col: j for j, col in enumerate(cols)}
+            shift = len(cols) - len(previous)
+            basis = [index[previous[j]] if j < len(previous) else j + shift
+                     for j in lp_sol.basis]
+        lp_sol = solve_lp(_master_lp(inst, cols, columns), basis)
         if lp_sol.status != "optimal":
             raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
         trace.append(float(lp_sol.objective_value))
@@ -494,9 +531,7 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
             certified = True
             break
 
-    # The last iteration may have added columns to H after its master was
-    # solved, so the plan is read against the columns of that master.
-    return _extract_solution(inst, cols, lp_sol, eps, certified, iterations, tuple(trace))
+    return cols, lp_sol, certified, iterations, tuple(trace)
 
 
 def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:

@@ -4,7 +4,13 @@ Problems are maximizations of ``c @ x`` subject to ``A x <= b`` and
 ``x >= 0`` with ``b >= 0``, so ``x = 0`` with every slack basic is a
 feasible start and no phase 1 is needed.  Every program the package builds
 is a packing LP of this form: offering nothing to anyone is feasible.  The
-solver uses Bland's entering/leaving rule, so it cannot cycle and is fully
+simplex starts from that slack basis, or from a feasible basis the caller
+gives: its tableau is then B^-1 [A | I | b], built with one linear solve.
+A given start that is singular, or whose B^-1 b has an entry below
+``-FEASIBILITY_TOL``, returns status "failed"; the solver never falls back
+to the slack basis on its own.  Entries in [-FEASIBILITY_TOL, 0) are
+roundoff of a basis that was feasible, and are set to 0.  The solver uses
+Bland's entering/leaving rule, so it cannot cycle and is fully
 deterministic; degenerate optima resolve toward the lowest variable index.
 Primal and dual values are re-derived from the final basis by a direct
 linear solve rather than read off the pivoted tableau, which keeps the
@@ -12,9 +18,10 @@ certificates clean of accumulated roundoff.  The dual values are
 load-bearing downstream (column-generation reduced costs), hence the
 insistence on exact basis duals over speed.
 
-A ``LinearProgram`` copies its coefficients once into read-only,
-C-contiguous float64 arrays and checks them there, so ``solve_lp`` reads
-them as they are and no caller can change a checked program.
+A ``LinearProgram`` copies its coefficients once into one read-only
+float64 buffer and checks them there; its objective, rows and right-hand
+sides are C-contiguous views of that buffer, so ``solve_lp`` reads them as
+they are and no caller can change a checked program.
 
 Pivots run in place on one C-contiguous ``(m, ncols + 1)`` tableau: the
 pivot row is scaled, and every other row subtracts its multiple of it
@@ -25,23 +32,27 @@ from the same IEEE operations as in the copy-per-pivot reference solver
 that ``tests/test_lp.py`` keeps: reduced costs are ``cost - cb @ T[:, :ncols]``
 with the same operand shapes and strides, row updates are ``t - f * p`` on
 rows other than the pivot row, and ratios are ``b / a`` under the same
-tolerances and tie band.  So both make the same decisions and end on the
-same basis, and the final solves against the original columns return the
-same bytes.  The one difference: a ratio test that reads NaN (a tableau
-that overflowed) returns status "failed", where the reference raises.
+tolerances and tie band.  So from the slack basis both make the same
+decisions and end on the same basis, and the final solves against the
+original columns return the same bytes.  The one difference: a ratio test
+that reads NaN (a tableau that overflowed) returns status "failed", where
+the reference raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpSolution", "solve_lp", "OPTIMALITY_TOL", "PIVOT_TOL"]
+__all__ = ["LinearProgram", "LpSolution", "solve_lp", "OPTIMALITY_TOL", "PIVOT_TOL",
+           "FEASIBILITY_TOL"]
 
 OPTIMALITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
+FEASIBILITY_TOL = 1e-9  # a given start's B^-1 b may read this far below 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,32 +66,48 @@ class LinearProgram:
     rhs: np.ndarray
 
     def __post_init__(self):
-        obj = np.array(self.objective, dtype=float)
-        rows = np.array(self.rows, dtype=float, order="C")
-        rhs = np.array(self.rhs, dtype=float)
+        obj = np.asarray(self.objective, dtype=float)
+        rows = np.asarray(self.rows, dtype=float)
+        rhs = np.asarray(self.rhs, dtype=float)
         if rows.shape == (0,):
             rows = rows.reshape(0, obj.size)
         if obj.ndim != 1 or rows.ndim != 2 or rows.shape[1] != obj.size:
             raise ValueError("constraint row width must match the objective length")
         if rhs.shape != rows.shape[:1]:
             raise ValueError("one right-hand side per constraint row required")
-        if not (np.isfinite(obj).all() and np.isfinite(rows).all()):
-            raise ValueError("all coefficients must be finite")
-        if not ((0.0 <= rhs) & (rhs < math.inf)).all():
+        n, k = obj.size, obj.size + rows.size
+        data = np.empty(k + rhs.size)
+        data[:n] = obj
+        data[n:k].reshape(rows.shape)[...] = rows
+        data[k:] = rhs
+        # One pass over everything; only a program that fails it is
+        # checked again, to name what is wrong.  Python's ``min`` can miss
+        # a NaN, which ``isfinite`` has caught first.
+        if not (np.isfinite(data).all() and min(data[k:].tolist(), default=0.0) >= 0.0):
+            if not np.isfinite(data[:k]).all():
+                raise ValueError("all coefficients must be finite")
             raise ValueError("every right-hand side must be finite and nonnegative")
-        for name, array in (("objective", obj), ("rows", rows), ("rhs", rhs)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        data.flags.writeable = False
+        object.__setattr__(self, "objective", data[:n])
+        object.__setattr__(self, "rows", data[n:k].reshape(rows.shape))
+        object.__setattr__(self, "rhs", data[k:])
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver outcome; primal/duals are meaningful only when optimal."""
+    """Solver outcome; primal/duals are meaningful only when optimal.
+
+    ``basis`` is the final basis of an optimal solve, one column index of
+    ``[A | I]`` per row (the slack of row i is column n + i), the i-th the
+    basic variable of tableau row i.  Mapped onto the columns of a program
+    with the same rows, it can start that program's solve.
+    """
 
     status: str  # "optimal" | "unbounded" | "failed"
     primal: tuple[float, ...] = ()
     duals: tuple[float, ...] = ()
     objective_value: float = float("nan")
+    basis: tuple[int, ...] = ()
 
 
 def _pivot(T, buf, i, j):
@@ -129,11 +156,22 @@ def _run_simplex(T, buf, basis, cost, max_iters):
     return "failed"
 
 
-def solve_lp(program: LinearProgram) -> LpSolution:
+def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None) -> LpSolution:
     """Solve a small LP; never returns a silently wrong answer (numerical
-    breakdown surfaces as status "failed")."""
+    breakdown surfaces as status "failed").
+
+    The simplex starts from the slack basis, or from ``basis``: m distinct
+    column indices of ``[A | I]``, ordered as ``LpSolution.basis``.  A basis of the wrong shape raises
+    ``ValueError``; one that is singular or not feasible (see the module
+    docstring) returns status "failed".
+    """
     c, A, b = program.objective, program.rows, program.rhs
     m, n = A.shape
+    if basis is not None:
+        basis = [int(j) for j in basis]
+        if len(basis) != m or len(set(basis)) != m or not all(0 <= j < n + m for j in basis):
+            raise ValueError(f"a starting basis names {m} distinct columns of the {n + m} "
+                             f"of [A | I], got {basis}")
     if m == 0:
         if np.any(c > OPTIMALITY_TOL):
             return LpSolution("unbounded")
@@ -142,8 +180,19 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     # Columns of the equality system: structural, then one slack per row.
     M = np.concatenate([A, np.eye(m)], axis=1)
     T = np.concatenate([M, b[:, None]], axis=1)
+    if basis is None:
+        basis = [n + i for i in range(m)]
+    else:
+        try:
+            T = np.linalg.solve(M[:, basis], T)
+        except np.linalg.LinAlgError:
+            return LpSolution("failed")
+        T[:, basis] = np.eye(m)  # exact unit columns, as pivots leave them
+        start = T[:, -1]
+        if not (start >= -FEASIBILITY_TOL).all():  # NaN fails too
+            return LpSolution("failed")
+        start[start < 0.0] = 0.0
     buf = np.empty_like(T)
-    basis = [n + i for i in range(m)]
     cost = np.concatenate([c, np.zeros(m)])
     status = _run_simplex(T, buf, basis, cost, 200 + 50 * (2 * m + n))
     if status != "optimal":
@@ -160,4 +209,4 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     x[basis] = xb
     primal = x[:n]
     return LpSolution("optimal", tuple(primal.tolist()), tuple(w.tolist()),
-                      float(c @ primal))
+                      float(c @ primal), tuple(basis))

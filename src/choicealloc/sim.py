@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .cdlp import CdlpSolution, solve_cdlp
+from .cdlp import CdlpError, CdlpSolution, _auto, _column_generation
 from .choice import _draw
 from .model import Instance, RateCurve
 from .policies import (POLICY_NAMES, _opr_decision, _pr_accepts, _sellable,
@@ -308,14 +308,30 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
 def hindsight_bound(inst: Instance, path: SamplePath) -> float:
     """Exact fluid optimum with the path's realized arrival counts in place
     of the expected counts; a per-path planning benchmark and upper bound.
-    The path must have one count per customer type of ``inst``."""
+    The path must have one count per customer type of ``inst``.
+
+    It runs ``solve_cdlp``'s column generation with ``_auto``, except that
+    each master starts the simplex from the previous master's optimal
+    basis, and reads only the last master's objective; no plan is built.
+    A run stopped by its iteration cap proves no bound, since its value may
+    lie below the optimum, so it raises ``CdlpError``.
+    """
     _require_path_of(inst, path)
+    _, lp_sol, certified, iterations, _ = _column_generation(
+        _realized(inst, path), 0.0, _auto, None, True)
+    if not certified:
+        raise CdlpError(f"hindsight column generation stopped at its cap of {iterations} "
+                        "iterations, short of the fluid optimum")
+    return float(lp_sol.objective_value)
+
+
+def _realized(inst: Instance, path: SamplePath) -> Instance:
+    """``inst`` with each type's rate curve the constant of its count on the path."""
     types = tuple(
         dc_replace(ct, rate=RateCurve.constant(float(path.counts[i])))
         for i, ct in enumerate(inst.types)
     )
-    realized = dc_replace(inst, types=types)
-    return solve_cdlp(realized).objective
+    return dc_replace(inst, types=types)
 
 
 def estimate_ratio(report: MonteCarloReport, benchmark: float) -> tuple[float, float]:

@@ -158,7 +158,8 @@ def test_build_master_equals_per_member_reference(inst):
 ], ids=["mnl", "mixture4", "table3"])
 def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
     # solve_cdlp caches each column's coefficients across iterations; every
-    # master it solves must still be the one build_master gives for its H.
+    # master it solves must still be the one build_master gives for its H,
+    # solved from the slack basis.
     snapshots, solved = [], []
     real_columns, real_solve = cdlp.master_columns, cdlp.solve_lp
 
@@ -166,9 +167,10 @@ def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
         snapshots.append({k: list(v) for k, v in H.items()})
         return real_columns(H)
 
-    def solve_spy(prog):
+    def solve_spy(prog, basis=None):
+        assert basis is None
         solved.append((snapshots[-1], prog))
-        return real_solve(prog)
+        return real_solve(prog, basis)
 
     monkeypatch.setattr(cdlp, "master_columns", columns_spy)
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)

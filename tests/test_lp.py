@@ -17,6 +17,7 @@ from choicealloc import (
     solve_lp,
 )
 from choicealloc import cdlp
+from choicealloc import lp as lp_module
 from choicealloc.lp import OPTIMALITY_TOL, PIVOT_TOL, LpSolution
 from choicealloc.verify import _batch_instance
 from test_cdlp import _MIXTURE10
@@ -55,7 +56,7 @@ def test_negative_rhs_feasible_case():
             LinearProgram((1.0,), ((1.0,),), (bad,))
     for zero in (0.0, -0.0):
         sol = solve_lp(LinearProgram((1.0, -1.0), ((1.0, -1.0),), (zero,)))
-        assert sol == LpSolution("optimal", (0.0, 0.0), (1.0,), 0.0)
+        assert sol == LpSolution("optimal", (0.0, 0.0), (1.0,), 0.0, (0,))
 
 
 def test_unbounded():
@@ -275,6 +276,7 @@ def _reference_solve_lp(program):
         tuple(float(v) for v in primal),
         tuple(float(v) for v in w),
         value,
+        tuple(int(v) for v in basis),
     )
 
 
@@ -330,13 +332,14 @@ def test_overflowing_tableau_fails_instead_of_raising():
 
 def _recorded_masters(monkeypatch, instances):
     """Every LP that solve_cdlp, solve_cdlp_enumeration and hindsight_bound
-    solve on ``instances``."""
+    solve on ``instances``, as (program, starting basis) pairs; the basis
+    is None for a solve from the slack basis."""
     recorded = []
     real_solve = cdlp.solve_lp
 
-    def spy(prog):
-        recorded.append(prog)
-        return real_solve(prog)
+    def spy(prog, basis=None):
+        recorded.append((prog, basis))
+        return real_solve(prog, basis)
 
     monkeypatch.setattr(cdlp, "solve_lp", spy)
     for seed, inst in enumerate(instances):
@@ -350,14 +353,69 @@ def _recorded_masters(monkeypatch, instances):
 def test_in_place_pivots_equal_reference_on_recorded_masters(monkeypatch):
     instances = [random_instance(7), *(_batch_instance(20240601 + i) for i in range(3)), _MIXTURE10]
     recorded = _recorded_masters(monkeypatch, instances)
-    assert max(len(p.objective) for p in recorded) == 5 * 2 ** 10
-    for prog in recorded:
+    assert max(len(p.objective) for p, _ in recorded) == 5 * 2 ** 10
+    assert any(basis is not None for _, basis in recorded)
+    for prog, _ in recorded:
         assert solve_lp(prog) == _reference_solve_lp(prog)
 
 
-def _assert_agrees_with_highs(prog):
+def _count_pivots(monkeypatch):
+    """A list that gains one entry per pivot ``solve_lp`` makes."""
+    pivots = []
+    real_pivot = lp_module._pivot
+
+    def spy(T, buf, i, j):
+        pivots.append((i, j))
+        real_pivot(T, buf, i, j)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    return pivots
+
+
+def _assert_restart_is_idle(prog, monkeypatch):
+    """Started from its own optimal basis, a solve makes no pivot and
+    returns the cold ``LpSolution``, basis included."""
+    cold = solve_lp(prog)
+    if cold.status != "optimal":
+        return
+    pivots = _count_pivots(monkeypatch)
+    warm = solve_lp(prog, cold.basis)
+    monkeypatch.undo()
+    assert pivots == []
+    assert warm == cold
+
+
+@settings(max_examples=300, deadline=None)
+@given(prog=_integer_programs())
+@example(prog=LinearProgram(  # a duplicated row, a zero row, a zero rhs
+    (1.0, 1.0), ((-1.0, 1.0), (-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)), (0.0, 0.0, 0.0, 2.0)))
+def test_restart_from_optimal_basis_makes_no_pivot(prog):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_restart_is_idle(prog, monkeypatch)
+
+
+def test_restart_from_optimal_basis_on_recorded_masters(monkeypatch):
+    instances = [random_instance(7), _batch_instance(20240601), _MIXTURE10]
+    for prog, _ in _recorded_masters(monkeypatch, instances):
+        _assert_restart_is_idle(prog, monkeypatch)
+
+
+def test_refused_starting_bases():
+    prog = LinearProgram((1.0, 1.0), ((1.0, 1.0), (1.0, -1.0)), (2.0, 0.0))
+    for bad in ((0,), (0, 0), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match="starting basis"):
+            solve_lp(prog, bad)
+    # Columns x1, x2, slack 1, slack 2.  {x1, x2} is the vertex (1, 1);
+    # {x1, slack 2} sets x1 = 2 and leaves slack 2 at -2, infeasible.
+    assert solve_lp(prog, (0, 1)).status == "optimal"
+    assert solve_lp(prog, (0, 3)) == LpSolution("failed")
+    singular = LinearProgram((1.0, 1.0), ((1.0, 1.0), (2.0, 2.0)), (1.0, 2.0))
+    assert solve_lp(singular, (0, 1)) == LpSolution("failed")
+
+
+def _assert_agrees_with_highs(prog, basis=None):
     A, b, c = np.array(prog.rows), np.array(prog.rhs), np.array(prog.objective)
-    sol = solve_lp(prog)
+    sol = solve_lp(prog, basis)
     ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     assert sol.status == {0: "optimal", 3: "unbounded"}.get(ref.status)
     assert abs(sol.objective_value - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun))
@@ -369,9 +427,14 @@ def _assert_agrees_with_highs(prog):
 
 def test_column_generation_masters_agree_with_highs(monkeypatch):
     # Restricted and hindsight masters, and the 10 x 5120 enumeration master
-    # that vertex enumeration cannot reach.
+    # that vertex enumeration cannot reach.  Each is checked cold, and each
+    # hindsight master also from the basis it was started from.
     recorded = _recorded_masters(monkeypatch, [_MIXTURE10])
     assert len(recorded) > 9
-    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p in recorded}
-    for prog in recorded:
+    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p, _ in recorded}
+    warm = [(prog, basis) for prog, basis in recorded if basis is not None]
+    assert len(warm) > 3
+    for prog, basis in recorded:
         _assert_agrees_with_highs(prog)
+    for prog, basis in warm:
+        _assert_agrees_with_highs(prog, basis)

@@ -7,6 +7,7 @@ import pytest
 
 from choicealloc import (
     ArrivalEvent,
+    AttractionChoiceModel,
     CustomerType,
     Instance,
     Product,
@@ -22,8 +23,14 @@ from choicealloc import (
     paired_half_width,
     random_instance,
     run_policy,
+    scale_instance,
     solve_cdlp,
 )
+from choicealloc import cdlp, sim
+from choicealloc.cdlp import CdlpError, SubproblemResult
+from choicealloc.verify import _batch_instance, _scaling_base_instance
+from test_cdlp import _MIXTURE10, _WIDE4
+from test_lp import _count_pivots
 
 
 def always_buyer():
@@ -425,6 +432,53 @@ def test_hindsight_upper_bounds_policy_on_average():
         for r in range(400)
     ])
     assert run.mean <= bounds.mean() + paired_half_width(bounds, run.rewards)
+
+
+@pytest.mark.parametrize("inst", [
+    *(_batch_instance(20240601 + i) for i in range(20)),
+    scale_instance(_scaling_base_instance(), 16),
+    scale_instance(_scaling_base_instance(), 64),
+    _MIXTURE10,
+    _WIDE4,
+], ids=[*(f"batch{i}" for i in range(20)), "theta16", "theta64", "mixture10", "wide4"])
+def test_warm_hindsight_equals_cold(inst, monkeypatch):
+    # Warm-started masters may end on other optimal bases than cold ones,
+    # and so generate other columns, but the fluid optimum is one number:
+    # equal within 1e-12 relative, a tolerance fixed before any run.
+    warm_pivots = cold_pivots = 0
+    pivots = _count_pivots(monkeypatch)
+    for r in range(3):
+        path = generate_arrivals(inst, (7, r, 0))
+        warm = hindsight_bound(inst, path)
+        warm_pivots += len(pivots)
+        pivots.clear()
+        _, cold, certified, _, _ = cdlp._column_generation(
+            sim._realized(inst, path), 0.0, cdlp._auto, None, False)
+        cold_pivots += len(pivots)
+        pivots.clear()
+        assert certified
+        assert math.isclose(warm, cold.objective_value, rel_tol=1e-12), (path.counts, warm, cold)
+    if inst is _MIXTURE10:
+        assert warm_pivots < cold_pivots
+
+
+def test_hindsight_refuses_a_run_stopped_by_its_cap(monkeypatch):
+    # A column generation cut short holds a value below the fluid optimum,
+    # which is no upper bound.  This solver prices out a new assortment on
+    # every call: 1 + 1 + 8 products give a cap of 100 iterations, and 8
+    # products have 255 nonempty assortments.
+    inst = Instance(
+        (Resource(1, 2),),
+        tuple(Product(n, 1, float(n)) for n in range(1, 9)),
+        (CustomerType(1, RateCurve.constant(3.0),
+                      AttractionChoiceModel((0.0,) * 8, (1.0,) * 8)),),
+    )
+    fresh = (frozenset(n for n in range(1, 9) if mask >> (n - 1) & 1)
+             for mask in range(1, 256))
+    monkeypatch.setattr(sim, "_auto", lambda model, price: SubproblemResult(next(fresh), 1e6, 1.0))
+    path = SamplePath(((0.5, 1),), (1,))
+    with pytest.raises(CdlpError, match="cap of 100 iterations"):
+        hindsight_bound(inst, path)
 
 
 # ---------------------------------------------------------------- ratios
