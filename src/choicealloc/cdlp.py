@@ -14,11 +14,15 @@ eps-optimal plan certified by the terminal duals.
 picks by the model alone: ``assortment_subproblem_sort`` where the model
 has attraction weights, the brute force where it has a subset table
 (mixtures of at most 12 products) or no attraction segments (probability
-tables), and the branch and bound for every other mixture.  A caller may
-pass any other function of (model, prices) instead, as the verification
-suite does with a degraded one.  A solver states its guarantee on each
-``SubproblemResult`` it returns, and nowhere else: it is 1 on every exact
-result, and below 1 only on a branch and bound cut by its node budget.
+tables), and the branch and bound for every other mixture.  Every model
+with a subset table is solved by one kernel, ``_table_best``, which
+screens all subsets with one matrix-vector product and confirms the
+near-best ones from their table rows; opr calls it directly for
+mixtures.  A caller may pass any other function of (model, prices)
+instead, as the verification suite does with a degraded one.  A solver
+states its guarantee on each ``SubproblemResult`` it returns, and nowhere
+else: it is 1 on every exact result, and below 1 only on a branch and
+bound cut by its node budget.
 
 One loop, ``_column_generation``, serves ``solve_cdlp`` and
 ``sim.hindsight_bound``.  ``solve_cdlp`` solves every master from the
@@ -41,7 +45,7 @@ import numpy as np
 
 from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, expected_revenue
 from .lp import LinearProgram, LpSolution, solve_lp
-from .model import Instance, products_of_resource, validate_instance
+from .model import Instance, _reward_rows, products_of_resource, validate_instance
 
 __all__ = [
     "SubproblemResult",
@@ -123,12 +127,12 @@ def _require_valid(inst: Instance) -> None:
 def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> LinearProgram:
     """Restricted master LP over the assortment collections ``H``."""
     _require_valid(inst)
-    return _master_lp(inst, master_columns(H), {})
+    return _master_lp(inst, master_columns(H), {}, _reward_rows(inst))
 
 
 def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
-               columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]]
-               ) -> LinearProgram:
+               columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]],
+               rewards: Mapping[int, Sequence[float]]) -> LinearProgram:
     """``build_master`` over the variables ``cols`` (``master_columns``
     order) of an instance the caller has validated.
 
@@ -136,8 +140,9 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
     coefficient of x_k(S) and its full constraint column, L capacity
     entries then K convexity entries (1.0 at type k), and gains the
     columns it lacks.  A caller that passes one dict to every master
-    computes each column once.  ``_enumeration_master`` builds the same
-    coefficients a type at a time.
+    computes each column once.  ``rewards`` is the instance's
+    ``_reward_rows``.  ``_enumeration_master`` builds the same coefficients
+    a type at a time.
     """
     L, K = inst.num_resources, inst.num_types
     resource_of = {p.id: p.resource for p in inst.products}
@@ -147,7 +152,7 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
             column = [0.0] * (L + K)
             obj = 0.0
             for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
-                obj += lam * p * inst.reward(k, n)
+                obj += lam * p * rewards[k][n]
                 column[resource_of[n] - 1] += lam * p
             column[L + k - 1] = 1.0
             columns[(k, S)] = (obj, column)
@@ -215,41 +220,67 @@ def _lex_subsets(ids: Sequence[int]):
     return sorted(chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)))
 
 
-def _screened_subsets(model, ids: Sequence[int], price: Mapping[int, float]):
-    """The brute force's screen: subsets of ``ids`` that may reach the
-    maximum in exact scoring, as sorted tuples in ``_lex_subsets`` order.
-
-    A model with a ``_subset_table`` P (attraction models and their
-    mixtures up to ``_ENUMERATION_CAP`` products) scores the subsets of
-    ``ids`` as the rows of P @ p whose bitmask lies inside ``ids``, with p
-    zero outside ``ids``, and keeps those scoring at least top - tol, with
-    top the maximum score and tol = 1e-9 * max(1, max|price|).  Every
-    subset is kept for a model without a table and when a score is not
-    finite.
-    """
-    table = model._subset_table
-    if table is None:
-        return _lex_subsets(ids)
-    p = np.zeros(model.num_products)
-    p[np.asarray(ids, dtype=np.intp) - 1] = [price[n] for n in ids]
-    values = (table @ p)[_subset_rows(tuple(ids))]
-    top = values.max()  # nan if any value is nan
-    if not math.isfinite(top):
-        return _lex_subsets(ids)
-    tol = 1e-9 * max([1.0] + [abs(price[n]) for n in ids])
-    return sorted(tuple(n for i, n in enumerate(ids) if s >> i & 1)
-                  for s in np.flatnonzero(values >= top - tol).tolist())
-
-
 @lru_cache(maxsize=1024)
-def _subset_rows(ids: tuple[int, ...]) -> np.ndarray:
-    """Row of a ``_subset_table`` for each subset j of the ascending
-    ``ids``, where bit i of j stands for ids[i]."""
+def _subset_index(ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Column of a ``_subset_table`` for each of the ascending ``ids``, and
+    the row for each subset j of them, where bit i of j stands for ids[i]."""
     rows = np.zeros(1, dtype=np.intp)
     for n in ids:
         rows = np.concatenate((rows, rows + (1 << (n - 1))))
-    rows.flags.writeable = False  # shared by every caller through the cache
-    return rows
+    cols = np.array(ids, dtype=np.intp) - 1
+    cols.flags.writeable = rows.flags.writeable = False  # shared through the cache
+    return cols, rows
+
+
+def _table_screen(table: np.ndarray, ids: Sequence[int], prices: Sequence[float]):
+    """``_table_best``'s screen: the subsets it keeps, as (members, table
+    row) pairs in ``_lex_subsets`` order, members a tuple of product ids
+    and the row a list of floats.  A subset's score is its row of
+    table @ p, where p is zero outside ``ids``."""
+    cols, rows = _subset_index(tuple(ids))
+    p = np.zeros(table.shape[1])
+    p[cols] = prices
+    values = table @ p
+    if len(ids) < len(p):  # else subset j of ids is row j
+        values = values[rows]
+    top = values[values.argmax()]  # the first nan if there is one
+    if math.isfinite(top):
+        tol = 1e-9 * max(1.0, max(prices, default=0.0), -min(prices, default=0.0))
+        kept = (values >= top - tol).nonzero()[0].tolist()
+    else:
+        kept = range(len(values))
+    return sorted((tuple([n for i, n in enumerate(ids) if j >> i & 1]), table[rows[j]].tolist())
+                  for j in kept)
+
+
+def _table_best(table: np.ndarray, ids: Sequence[int],
+                prices: Sequence[float]) -> tuple[frozenset[int], float]:
+    """Best nonempty subset of the ascending ``ids`` at ``prices`` (one per
+    id) and its value, from a model's ``_subset_table``: the brute force
+    for such models, and opr's per-arrival optimizer for mixtures.  No
+    subset worth more than 0 gives the empty set and 0.0.
+
+    The screen scores every subset at once, with one product of the table
+    and the prices, and keeps those within tol = 1e-9 * max(1, max|price|)
+    of the top score, or every subset when a score is not finite.  Each
+    kept subset is confirmed in ``_lex_subsets`` order, under the strict
+    ``>`` rule of a full scan, by ``math.fsum`` of row[n-1] * price over
+    its members.  The rows hold the bytes ``distribution`` returns, so
+    that is the value ``expected_revenue`` gives the subset.  This is
+    exact: each score sums at most m terms of magnitude at most
+    max|price|, so the two values of any subset differ by a few ulps of
+    max|price|, far below tol/2.  Every subset of largest exact value
+    therefore passes the screen, and the lexicographically first one is
+    returned.
+    """
+    price_of = dict(zip(ids, prices))
+    best_value, best = 0.0, ()
+    for members, row in _table_screen(table, ids, prices):
+        if members:
+            value = math.fsum([row[n - 1] * price_of[n] for n in members])
+            if value > best_value:
+                best_value, best = value, members
+    return frozenset(best), best_value
 
 
 def assortment_subproblem_bruteforce(model: ChoiceModel,
@@ -260,29 +291,22 @@ def assortment_subproblem_bruteforce(model: ChoiceModel,
     the exact oracle for any choice model at desk scale; it refuses more
     than ``_BRUTEFORCE_CAP`` priced products.
 
-    For models with a ``_subset_table`` (attraction models and their
-    mixtures up to ``choice._ENUMERATION_CAP`` products) every subset is
-    scored first by ``_screened_subsets``, one product of the table with
-    the prices.  Only subsets whose score lies within
-    tol = 1e-9 * max(1, max|price|) of the maximum score are scored again
-    with ``expected_revenue``, in the same order and under the same strict
-    ``>`` rule as a full scan.  This is exact: each score sums at most m
-    terms of magnitude at most max|price|, so the two values of any subset
-    differ by a few ulps of max|price|, far below tol/2.  Every subset of
-    largest exact value therefore passes the screen, and the
-    lexicographically first one is returned with the same value a full
-    scan returns.  Models without a table (tabulated models, whose missing
-    entries must raise, and wider mixtures) score every subset directly;
-    so does a screen whose scores are not all finite.
+    Models with a ``_subset_table`` (attraction models and their mixtures
+    up to ``choice._ENUMERATION_CAP`` products) are solved by the exact
+    screen-then-confirm kernel ``_table_best``, which returns what scoring
+    every subset with ``expected_revenue`` returns.  Models without a table
+    (tabulated models, whose missing entries must raise) score every
+    subset with ``expected_revenue``.
     """
     ids = sorted(price)
     if len(ids) > _BRUTEFORCE_CAP:
         raise ValueError(f"brute force capped at {_BRUTEFORCE_CAP} products, got {len(ids)}")
     _as_assortment(ids)
+    table = model._subset_table
+    if table is not None:
+        return SubproblemResult(*_table_best(table, ids, [price[n] for n in ids]), 1.0)
     best_value, best_set = 0.0, frozenset()
-    for tup in _screened_subsets(model, ids, price):
-        if not tup:
-            continue
+    for tup in _lex_subsets(ids)[1:]:
         S = frozenset(tup)
         value = expected_revenue(model, S, price)
         if value > best_value:
@@ -369,10 +393,11 @@ class AutoExactSolver:
     __call__ = staticmethod(_auto)
 
 
-def _initial_columns(inst: Instance) -> dict[int, list[frozenset[int]]]:
+def _initial_columns(inst: Instance, rewards: Mapping[int, Sequence[float]]
+                     ) -> dict[int, list[frozenset[int]]]:
     """Empty assortment plus each type's best single-product offer at face
-    rewards; any nonempty start works, this one avoids degenerate first
-    masters."""
+    rewards (the instance's ``_reward_rows``); any nonempty start works,
+    this one avoids degenerate first masters."""
     H: dict[int, list[frozenset[int]]] = {}
     for k in range(1, inst.num_types + 1):
         model = inst.ctype(k).choice
@@ -384,7 +409,7 @@ def _initial_columns(inst: Instance) -> dict[int, list[frozenset[int]]]:
             except ValueError:
                 continue  # singleton not tabulated for this type
             [(_, p)] = dist
-            v = p * inst.reward(k, n)
+            v = p * rewards[k][n]
             if v > best_v:
                 best_n, best_v = n, v
         if best_n is not None:
@@ -466,6 +491,8 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
     the last master solved and its ``LpSolution``, then ``solve_cdlp``'s
     flags and objective trace.  The last iteration may have added columns
     to H after its master was solved, so a plan is read against ``cols``.
+    The operative rewards are read once, as ``_reward_rows``, by the first
+    columns, every master's new columns and every iteration's prices.
 
     With ``warm``, every master after the first starts the simplex from the
     previous master's optimal basis.  The masters share their rows, so
@@ -485,8 +512,9 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     resource_of = {p.id: p.resource for p in inst.products}
+    rewards = _reward_rows(inst)  # fixed for the run
 
-    H = _initial_columns(inst)
+    H = _initial_columns(inst, rewards)
     seen = {k: set(cols) for k, cols in H.items()}
     columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]] = {}
     trace: list[float] = []
@@ -504,7 +532,7 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
             shift = len(cols) - len(previous)
             basis = [index[previous[j]] if j < len(previous) else j + shift
                      for j in lp_sol.basis]
-        lp_sol = solve_lp(_master_lp(inst, cols, columns), basis)
+        lp_sol = solve_lp(_master_lp(inst, cols, columns, rewards), basis)
         if lp_sol.status != "optimal":
             raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
         trace.append(float(lp_sol.objective_value))
@@ -515,7 +543,8 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
         for k in range(1, K + 1):
             lam = inst.arrival_mass(k)
             model = inst.ctype(k).choice
-            price = {n: inst.reward(k, n) - pi[resource_of[n] - 1] for n in range(1, N + 1)}
+            reward = rewards[k]
+            price = {n: reward[n] - pi[resource_of[n] - 1] for n in range(1, N + 1)}
             result = solver(model, price)
             if not result.guarantee >= required - 1e-12:  # NaN fails too
                 raise ValueError(

@@ -155,6 +155,18 @@ class Instance:
         return self.ctype(k).rate.cumulative(1.0)
 
 
+def _reward_rows(inst: Instance) -> dict[int, list[float]]:
+    """``inst.reward(k, n)`` for every type k and product n, as row k with
+    slot 0 unused: the table a column generation or a run reads its
+    operative rewards from, without two range-checked lookups per read."""
+    base = [p.reward for p in inst.products]
+    rows = {}
+    for k, ctype in enumerate(inst.types, start=1):
+        override = ctype.reward_override or {}
+        rows[k] = [0.0] + [override.get(n, r) for n, r in enumerate(base, start=1)]
+    return rows
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool

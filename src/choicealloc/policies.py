@@ -9,9 +9,11 @@ the offered assortment per arrival against marginal-value-adjusted prices
 and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
-opr offers its exact optimizer's answer: ``cdlp._best_prefix`` for
-attraction models, the planner's subproblem solver ``cdlp._auto``
-otherwise (see ``opr_offer``).
+opr offers the answer of one exact kernel per model family (see
+``opr_offer``): ``cdlp._best_prefix`` for attraction models,
+``cdlp._table_best`` for models with a ``_subset_table`` (mixtures of at
+most 12 products), and the planner's subproblem solver ``cdlp._auto`` for
+wider mixtures and probability tables.
 
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
@@ -27,9 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import CdlpSolution, _auto, _best_prefix
+from .cdlp import CdlpSolution, _auto, _best_prefix, _table_best
 from .choice import _cdf_row, _draw
-from .model import Instance
+from .model import Instance, _reward_rows
 from .valuefn import ResourceValueGrid, _marginal, _require_integral_level
 
 __all__ = [
@@ -112,16 +114,12 @@ class _Tables:
             if short:
                 raise ValueError(f"value grids of resources {short} are below capacity")
             self.views = [grids[r.id]._view for r in inst.resources]
-        self.models, self.rewards, self.products, self.offers = {}, {}, {}, {}
+        self.models, self.products, self.offers = {}, {}, {}
         self.prunable, self.attraction = {}, {}
-        base_rewards = [p.reward for p in inst.products]
+        self.rewards = _reward_rows(inst)
         for k, ctype in enumerate(inst.types, start=1):
             model = ctype.choice
             self.models[k] = model
-            # inst.reward(k, n) for every n, without a method call per product
-            override = ctype.reward_override or {}
-            self.rewards[k] = [0.0] + [override.get(n, r)
-                                       for n, r in enumerate(base_rewards, start=1)]
             self.offers[k] = _offer_cdf(sol, k)
             # opr_offer's dominance argument prunes nonpositive-price products,
             # which only removal-monotone models guarantee cannot lower the
@@ -174,7 +172,9 @@ def _pr_accepts(reward: float, stock: int, expiry: float, view, now: float) -> b
 def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[int], float]:
     """opr's offer to a type-k arrival and its expected marginal reward, by
     the rule of ``opr_offer``.  A resource's marginal value is read only
-    when one of the products the type can buy is sellable, once per call."""
+    when one of the products the type can buy is sellable, once per call.
+    A mixture with a subset table goes to ``cdlp._table_best`` directly,
+    without the brute force's sort and validation per arrival."""
     if not t.prunable[k]:
         raise ValueError(
             "opr requires choice models where pruning cannot hurt expected "
@@ -184,7 +184,7 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
         raise ValueError(f"time {now} outside [0, 1]")
     expiry, views = t.expiry, t.views
     value_of_unit: dict[int, float] = {}
-    prices, positive = {}, False
+    prices, positive = {}, False  # the sellable products, in product order
     for n, l, reward in t.products[k]:
         stock = inventory[l]
         if _sellable(stock, expiry[l], now):
@@ -200,7 +200,11 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
     weights = t.attraction[k]
     if weights is not None:
         return _best_prefix(weights, prices.items())
-    best = _auto(t.models[k], prices)
+    model = t.models[k]
+    table = model._subset_table
+    if table is not None:
+        return _table_best(table, list(prices), list(prices.values()))
+    best = _auto(model, prices)
     if best.guarantee < 1.0:
         raise ValueError(f"opr needs an exact offer; the solver's guarantee is {best.guarantee:g}")
     return best.assortment, best.value
@@ -253,8 +257,10 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     resource; products that cannot be sold are excluded outright.  For
     attraction models the offer is the exact best prefix of the ratio
     ranking (``cdlp._best_prefix``, on the model's cached ``attraction()``
-    tuples); for mixtures and tables it is the answer of ``cdlp._auto``, and
-    a result short of exact (a branch and bound cut by its node budget)
+    tuples); for mixtures of at most 12 products it is the answer of the
+    subset-table kernel ``cdlp._table_best``, the brute force's own; for
+    wider mixtures and tables it is the answer of ``cdlp._auto``, and a
+    result short of exact (a branch and bound cut by its node budget)
     raises ``ValueError``.  Each plan assortment with its nonpositive-price
     products pruned is one of the sets these maximize over, so the offer
     collects at least the marginal reward the static threshold policy

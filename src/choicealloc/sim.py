@@ -335,10 +335,10 @@ def _realized(inst: Instance, path: SamplePath) -> Instance:
 
 
 def estimate_ratio(report: MonteCarloReport, benchmark: float) -> tuple[float, float]:
-    """Mean reward as a fraction of a positive benchmark, with its CI
-    half-width propagated."""
-    if benchmark <= 0:
-        raise ValueError("benchmark must be positive")
+    """Mean reward as a fraction of a finite positive benchmark, with its
+    CI half-width propagated."""
+    if not (math.isfinite(benchmark) and benchmark > 0):  # NaN fails too
+        raise ValueError(f"benchmark must be finite and positive, got {benchmark!r}")
     return report.mean / benchmark, report.half_width / benchmark
 
 

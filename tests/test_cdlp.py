@@ -33,6 +33,7 @@ from choicealloc import (
 )
 from choicealloc import cdlp, choice
 from choicealloc.lp import LinearProgram
+from choicealloc.model import _reward_rows
 from choicealloc.verify import (
     DegradedSolver,
     _batch_instance,
@@ -404,24 +405,30 @@ def test_bruteforce_table_screen_is_exact_at_huge_weights_and_prices():
     model = mnl(1e200, 1.0, 1e200)
     price = {1: 1e200, 2: 1e150, 3: 2e200}
     assert np.isfinite(model._subset_table @ [1e200, 1e150, 2e200]).all()
-    assert cdlp._screened_subsets(model, [1, 2, 3], price) == [(2, 3), (3,)]
+    kept = cdlp._table_screen(model._subset_table, [1, 2, 3], [1e200, 1e150, 2e200])
+    assert [members for members, _ in kept] == [(2, 3), (3,)]
     res = assortment_subproblem_bruteforce(model, price)
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
     assert res.value > 0.0
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_bruteforce_table_screen_falls_back_on_nonfinite_scores(bad):
     # P @ p holds 0 * inf or nan where product 2 is not offered; the full
-    # scan then scores every subset, as without a screen
+    # scan then scores every subset, as without a screen, through the brute
+    # force and through the kernel as opr calls it, on the whole table and
+    # on the rows of a subset of the products
     model = MixtureChoiceModel(((0.4, mnl(1.0, 0.5, 2.0)),
                                 (0.6, AttractionChoiceModel((0.3, 0.0, 0.1), (0.2, 1.0, 0.0)))))
-    price = {1: 1.0, 2: bad, 3: 0.5}
-    with np.errstate(invalid="ignore"):
-        assert not np.isfinite(model._subset_table @ [1.0, bad, 0.5]).all()
-        assert cdlp._screened_subsets(model, [1, 2, 3], price) == cdlp._lex_subsets([1, 2, 3])
-        res = assortment_subproblem_bruteforce(model, price)
-    assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
+    for ids in ([1, 2, 3], [1, 2], [2, 3]):
+        price = {n: {1: 1.0, 2: bad, 3: 0.5}[n] for n in ids}
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(model._subset_table @ [1.0, bad, 0.5]).all()
+            kept = cdlp._table_screen(model._subset_table, ids, list(price.values()))
+            got = cdlp._table_best(model._subset_table, ids, list(price.values()))
+            res = assortment_subproblem_bruteforce(model, price)
+        assert [members for members, _ in kept] == cdlp._lex_subsets(ids)
+        assert got == (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,23 +446,28 @@ def test_bruteforce_over_a_subset_of_the_products_equals_scalar_enumeration(case
 
 
 def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
-    from choicealloc import build_value_grids, monte_carlo
+    # opr solves a mixture of at most 12 products with the table kernel:
+    # each of its answers is the scalar scan's, on the whole table and on
+    # the rows of the products it can still sell
+    from choicealloc import build_value_grids, monte_carlo, policies
 
     inst, calls = _MIXTURE10, []
+    model_of = {id(ct.choice._subset_table): ct.choice for ct in inst.types}
 
-    def spy(model, price):
-        calls.append((model, dict(price)))
-        return assortment_subproblem_bruteforce(model, price)
+    def spy(table, ids, prices):
+        got = cdlp._table_best(table, ids, prices)
+        calls.append((model_of[id(table)], dict(zip(ids, prices)), got))
+        return got
 
     sol = solve_cdlp(inst)
     grids = build_value_grids(inst, sol.s_star, 200)
-    monkeypatch.setattr(cdlp, "assortment_subproblem_bruteforce", spy)
+    monkeypatch.setattr(policies, "_table_best", spy)
     monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
     monkeypatch.undo()
-    assert any(len(price) < inst.num_products for _, price in calls)
-    for model, price in calls:
-        res = assortment_subproblem_bruteforce(model, price)
-        assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
+    assert any(len(price) < inst.num_products for _, price, _ in calls)
+    assert any(len(price) == inst.num_products for _, price, _ in calls)
+    for model, price, got in calls:
+        assert got == _scalar_bruteforce(model, price)
 
 
 def test_bruteforce_rejects_no_purchase_id():
@@ -819,7 +831,7 @@ def test_selection_probs_and_initial_columns_equal_per_product_loop(inst):
     sol = solve_cdlp(inst)
     assert list(sol.s_star.items()) == list(
         _reference_selection_probs(inst, sol.active, sol.x).items())
-    assert list(cdlp._initial_columns(inst).items()) == list(
+    assert list(cdlp._initial_columns(inst, _reward_rows(inst)).items()) == list(
         _reference_initial_columns(inst).items())
 
 

@@ -31,7 +31,7 @@ from choicealloc import cdlp, choice, policies
 from choicealloc.cdlp import CdlpSolution
 from choicealloc.valuefn import ResourceValueGrid, _marginal
 from choicealloc.verify import _scaling_base_instance
-from test_cdlp import _milp_subproblem
+from test_cdlp import _MIXTURE10, _milp_subproblem
 
 
 def mnl(*nu):
@@ -481,6 +481,47 @@ def test_opr_offers_equal_class_dispatch(kind):
             inst.num_types)
 
 
+def test_opr_offers_equal_class_dispatch_on_a_ten_product_mixture(monkeypatch):
+    # opr's table kernel on a mixture of 10 products: with every product
+    # sellable it reads the whole table, with a resource sold out the rows
+    # of the products left
+    inst = _MIXTURE10
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 400)
+    tables = policies._Tables(inst, sol, grids)
+    rng = np.random.default_rng(7)
+    states = [([r.capacity for r in inst.resources], now) for now in (0.0, 0.3, 0.8)]
+    states += [([int(rng.integers(0, r.capacity + 1)) for r in inst.resources],
+                float(rng.uniform(0.0, 1.0)))
+               for _ in range(40)]
+    kernel_ids = []
+
+    def spy(table, ids, prices):
+        kernel_ids.append(len(ids))
+        return cdlp._table_best(table, ids, prices)
+
+    monkeypatch.setattr(policies, "_table_best", spy)
+    _assert_decisions_equal(tables, states, inst.num_types)
+    assert inst.num_products in kernel_ids
+    assert any(0 < m < inst.num_products for m in kernel_ids)
+
+    # zero and negative prices: resource l's marginal value is l/4 at every
+    # level, and the reward of every third product equals its resource's
+    tables.views = [ResourceValueGrid(l, 0.25 * l * np.indices(grid.values.shape)[0])._view
+                    for l, grid in grids.items()]
+    signs = set()
+    for k, rows in tables.products.items():
+        for i, (n, l, reward) in enumerate(rows):
+            if n % 3 == 0:
+                reward = tables.rewards[k][n] = 0.25 * (l + 1)
+                rows[i] = (n, l, reward)
+            signs.add(np.sign(reward - 0.25 * (l + 1)))
+    assert signs == {-1.0, 0.0, 1.0}
+    kernel_ids.clear()
+    _assert_decisions_equal(tables, states, inst.num_types)
+    assert inst.num_products in kernel_ids
+
+
 @pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
 def test_opr_exact_offers_match_the_plan_floor_rule(kind):
     # The pruned plan assortments are among the sets the exact solvers
@@ -533,22 +574,22 @@ def test_opr_refuses_a_branch_and_bound_cut_by_its_budget(monkeypatch):
         policies._opr_decision(tables, [2], 0.3, 1)
 
 
-@pytest.mark.parametrize("extra, solver", [(0, "bruteforce"), (1, "branch_and_bound")])
+@pytest.mark.parametrize("extra, solver", [(0, "table"), (1, "branch_and_bound")])
 def test_opr_switches_solver_at_the_bruteforce_cap(monkeypatch, extra, solver):
-    # a mixture reaches the brute force through its subset table, so auto
-    # must call the brute force at exactly the table's cap and the branch
-    # and bound one product above it
+    # a mixture has a subset table up to its cap, so opr must call the
+    # table kernel at exactly the table's cap and the branch and bound one
+    # product above it
     calls = []
 
     def spy(name, inner):
-        def solve(model, prices):
-            calls.append((name, len(prices)))
-            return inner(model, prices)
+        def solve(*args):
+            calls.append((name, len(args[-1])))  # the prices come last
+            return inner(*args)
         return solve
 
-    for name in ("bruteforce", "branch_and_bound"):
-        attr = "assortment_subproblem_" + name
-        monkeypatch.setattr(cdlp, attr, spy(name, getattr(cdlp, attr)))
+    monkeypatch.setattr(policies, "_table_best", spy("table", cdlp._table_best))
+    monkeypatch.setattr(cdlp, "assortment_subproblem_branch_and_bound",
+                        spy("branch_and_bound", cdlp.assortment_subproblem_branch_and_bound))
     N = choice._ENUMERATION_CAP + extra
     tables = _wide_mixture_tables(N)
     assert policies._opr_decision(tables, [2], 0.3, 1) == \

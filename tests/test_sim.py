@@ -497,8 +497,9 @@ def test_estimate_ratio():
 
     rep = MonteCarloReport("fcfs", 0.5, 0.05, 100, np.array([0.5]))
     assert estimate_ratio(rep, 1.0) == (0.5, 0.05)
-    with pytest.raises(ValueError):
-        estimate_ratio(rep, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_ratio(rep, bad)
 
 
 def test_ci_narrows_with_replications():
