@@ -13,12 +13,11 @@ eps-optimal plan certified by the terminal duals.
 ``solve_cdlp`` prices columns with one subproblem solver, ``_auto``, which
 picks by the model alone: ``assortment_subproblem_sort`` where the model
 has attraction weights, the brute force where it has a subset table
-(mixtures of at most 12 products) or no attraction segments (probability
-tables), and the branch and bound for every other mixture.  Every model
-with a subset table is solved by one kernel, ``_table_best``, which
-screens all subsets with one matrix-vector product and confirms the
-near-best ones from their table rows; opr calls it directly for
-mixtures.  A caller may pass any other function of (model, prices)
+(mixtures and probability tables of at most 12 products), and the branch
+and bound for every other mixture.  The brute force is one kernel,
+``_table_best``, which screens all subsets with one matrix-vector product
+and confirms the near-best ones from their table rows; opr calls it
+directly.  A caller may pass any other function of (model, prices)
 instead, as the verification suite does with a degraded one.  A solver
 states its guarantee on each ``SubproblemResult`` it returns, and nowhere
 else: it is 1 on every exact result, and below 1 only on a branch and
@@ -43,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, expected_revenue
+from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present, expected_revenue
 from .lp import LinearProgram, LpSolution, solve_lp
 from .model import Instance, _reward_rows, products_of_resource, validate_instance
 
@@ -64,7 +63,6 @@ __all__ = [
 
 REDUCED_COST_TOL = 1e-9
 SUPPORT_TOL = 1e-9
-_BRUTEFORCE_CAP = 20  # priced products the brute force accepts; it refuses more
 _BRANCH_NODES = 20_000  # nodes a branch and bound explores before it settles
 
 
@@ -162,6 +160,15 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
     return LinearProgram(objective, rows, rhs)
 
 
+def _require_known(model: ChoiceModel, last: int) -> None:
+    """Refuse a priced product id past the model's products.  ``last`` is
+    the largest id priced (0 for none), which each solver reads off the
+    sorted ids it builds anyway."""
+    if last > model.num_products:
+        raise ValueError(f"product {last} is priced, but the model covers "
+                         f"{model.num_products} products")
+
+
 def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
                  price_items, num: float = 0.0) -> tuple[frozenset[int], float]:
     """Best prefix of the ratio ranking of an attraction model's
@@ -207,13 +214,16 @@ def assortment_subproblem_sort(model: ChoiceModel,
     best prefix of that ranking.  For MNL (mu == 0) the ratio reduces to
     the price itself.  Ties between equal-value prefixes resolve to the
     shorter prefix; equal-rank products order by ascending id.  A model
-    without attraction weights raises ``ValueError``.
+    without attraction weights, or a product it does not cover, raises
+    ``ValueError``.
     """
     weights = model.attraction()
     if weights is None:
         raise ValueError(f"the sort solver requires an attraction-form model, "
                          f"not a {model.kind!r} model")
-    return SubproblemResult(*_best_prefix(weights, sorted(price.items())), 1.0)
+    items = sorted(price.items())
+    _require_known(model, items[-1][0] if items else 0)
+    return SubproblemResult(*_best_prefix(weights, items), 1.0)
 
 
 def _lex_subsets(ids: Sequence[int]):
@@ -256,9 +266,9 @@ def _table_screen(table: np.ndarray, ids: Sequence[int], prices: Sequence[float]
 def _table_best(table: np.ndarray, ids: Sequence[int],
                 prices: Sequence[float]) -> tuple[frozenset[int], float]:
     """Best nonempty subset of the ascending ``ids`` at ``prices`` (one per
-    id) and its value, from a model's ``_subset_table``: the brute force
-    for such models, and opr's per-arrival optimizer for mixtures.  No
-    subset worth more than 0 gives the empty set and 0.0.
+    id) and its value, from a model's ``_subset_table``: the brute force,
+    and opr's per-arrival optimizer for every model but attraction models.
+    No subset worth more than 0 gives the empty set and 0.0.
 
     The screen scores every subset at once, with one product of the table
     and the prices, and keeps those within tol = 1e-9 * max(1, max|price|)
@@ -266,12 +276,14 @@ def _table_best(table: np.ndarray, ids: Sequence[int],
     kept subset is confirmed in ``_lex_subsets`` order, under the strict
     ``>`` rule of a full scan, by ``math.fsum`` of row[n-1] * price over
     its members.  The rows hold the bytes ``distribution`` returns, so
-    that is the value ``expected_revenue`` gives the subset.  This is
-    exact: each score sums at most m terms of magnitude at most
-    max|price|, so the two values of any subset differ by a few ulps of
-    max|price|, far below tol/2.  Every subset of largest exact value
-    therefore passes the screen, and the lexicographically first one is
-    returned.
+    that is the value ``expected_revenue`` gives the subset; a row all NaN
+    (valid models hold no NaN) is a subset a probability table omits,
+    whose NaN score keeps every subset, and the first one confirmed raises
+    ``distribution``'s ``ValueError``.  This is exact: each score sums at
+    most m terms of magnitude at most max|price|, so the two values of any
+    subset differ by a few ulps of max|price|, far below tol/2.  Every
+    subset of largest exact value therefore passes the screen, and the
+    lexicographically first one is returned.
     """
     price_of = dict(zip(ids, prices))
     best_value, best = 0.0, ()
@@ -280,38 +292,28 @@ def _table_best(table: np.ndarray, ids: Sequence[int],
             value = math.fsum([row[n - 1] * price_of[n] for n in members])
             if value > best_value:
                 best_value, best = value, members
+            elif value != value and all(p != p for p in row):
+                raise _not_present(members)
     return frozenset(best), best_value
 
 
 def assortment_subproblem_bruteforce(model: ChoiceModel,
                                      price: Mapping[int, float]) -> SubproblemResult:
-    """Exhaustive subproblem solver over all subsets of the priced products.
-
-    Ties resolve to the lexicographically smallest product set.  Intended as
-    the exact oracle for any choice model at desk scale; it refuses more
-    than ``_BRUTEFORCE_CAP`` priced products.
-
-    Models with a ``_subset_table`` (attraction models and their mixtures
-    up to ``choice._ENUMERATION_CAP`` products) are solved by the exact
-    screen-then-confirm kernel ``_table_best``, which returns what scoring
-    every subset with ``expected_revenue`` returns.  Models without a table
-    (tabulated models, whose missing entries must raise) score every
-    subset with ``expected_revenue``.
+    """Exhaustive subproblem solver for models with a ``_subset_table``
+    (attraction models, mixtures and probability tables of at most
+    ``choice._ENUMERATION_CAP`` products): the kernel ``_table_best``, which
+    returns what scoring every subset with ``expected_revenue`` returns.
+    Ties resolve to the lexicographically smallest set.  A subset a table
+    omits, a model without a subset table and a product the model does not
+    cover raise ``ValueError``.
     """
     ids = sorted(price)
-    if len(ids) > _BRUTEFORCE_CAP:
-        raise ValueError(f"brute force capped at {_BRUTEFORCE_CAP} products, got {len(ids)}")
     _as_assortment(ids)
+    _require_known(model, ids[-1] if ids else 0)
     table = model._subset_table
-    if table is not None:
-        return SubproblemResult(*_table_best(table, ids, [price[n] for n in ids]), 1.0)
-    best_value, best_set = 0.0, frozenset()
-    for tup in _lex_subsets(ids)[1:]:
-        S = frozenset(tup)
-        value = expected_revenue(model, S, price)
-        if value > best_value:
-            best_value, best_set = value, S
-    return SubproblemResult(best_set, best_value, 1.0)
+    if table is None:
+        raise ValueError(f"{model.kind!r} model of {model.num_products} products: no subset table")
+    return SubproblemResult(*_table_best(table, ids, [price[n] for n in ids]), 1.0)
 
 
 def assortment_subproblem_branch_and_bound(model: ChoiceModel,
@@ -335,12 +337,14 @@ def assortment_subproblem_branch_and_bound(model: ChoiceModel,
     if model._segment_table is None:
         raise ValueError(f"branch and bound needs attraction segments, not a {model.kind!r} model")
     _as_assortment(price)
+    items = sorted(price.items())
+    _require_known(model, items[-1][0] if items else 0)
     # (w_g, base weight, mu+nu row, nu row) of each segment of positive weight
     segments = [seg for seg in zip(*(a.tolist() for a in model._segment_table)) if seg[0] > 0.0]
     # a node: the included set, A_g and B_g per segment, the free (product,
     # price) pairs, and its parent's bound, which bounds every set below it
     stack = [(frozenset(), [0.0] * len(segments), [seg[1] for seg in segments],
-              tuple((n, p) for n, p in sorted(price.items()) if p > 0.0), math.inf)]
+              tuple((n, p) for n, p in items if p > 0.0), math.inf)]
     best_set, best_value, nodes = frozenset(), 0.0, 0
     while stack:
         if nodes == _BRANCH_NODES:
@@ -375,13 +379,13 @@ def assortment_subproblem_branch_and_bound(model: ChoiceModel,
 
 
 def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
-    """Sort for models with attraction weights, brute force for models with
-    a ``_subset_table`` or without segments, the branch and bound for every
-    other mixture: picked by the model, never by the prices.  Exact unless
-    the guarantee says the node budget cut the search."""
+    """Sort for models with attraction weights, the brute force for models
+    with a ``_subset_table``, the branch and bound for every other model:
+    picked by the model, never by the prices.  Exact unless the guarantee
+    says the node budget cut the search."""
     if model.attraction() is not None:
         return assortment_subproblem_sort(model, price)
-    if model._subset_table is not None or model._segment_table is None:
+    if model._subset_table is not None:
         return assortment_subproblem_bruteforce(model, price)
     return assortment_subproblem_branch_and_bound(model, price)
 
@@ -586,13 +590,13 @@ def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> Li
     """``_master_lp`` over ``subsets`` for every type, one block of columns
     a type, written from its selection probabilities P[S, n-1].
 
-    Rows of P come from the model's ``_subset_table``, or from one
-    ``distribution`` call per subset for models without one.  Coefficients
-    are the column loop's operations in its order: the objective adds
-    (Lambda_k * P[:, n]) * r_kn over n ascending, and capacity row j adds
-    Lambda_k * P[:, n] over j's products ascending.  A non-member's 0.0
-    adds +0.0 to a sum that starts at 0.0, which changes no value, so the
-    master's arrays equal ``build_master``'s.
+    Rows of P come from the model's ``_subset_table``, where NaN marks a
+    subset a table omits; the first one raises ``distribution``'s error.
+    Coefficients are the column loop's operations in its order: the
+    objective adds (Lambda_k * P[:, n]) * r_kn over n ascending, and
+    capacity row j adds Lambda_k * P[:, n] over j's products ascending.  A
+    non-member's 0.0 adds +0.0 to a sum that starts at 0.0, which changes no
+    value, so the master's arrays equal ``build_master``'s.
     """
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
     masks = [sum(1 << (n - 1) for n in S) for S in subsets]
@@ -601,15 +605,10 @@ def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> Li
     objective = np.zeros(K * width)
     rows = np.zeros((L + K, K * width))
     for k in range(1, K + 1):
-        model = inst.ctype(k).choice
-        P = model._subset_table
-        if P is None:
-            P = np.zeros((width, N))
-            for i, S in enumerate(subsets):
-                for n, p in model.distribution(S):
-                    P[i, n - 1] = p
-        else:
-            P = P[masks]
+        P = inst.ctype(k).choice._subset_table[masks]
+        unlisted = np.isnan(P).any(axis=1)
+        if unlisted.any():
+            raise _not_present(subsets[unlisted.argmax()])
         lam = inst.arrival_mass(k)
         block = slice((k - 1) * width, k * width)
         obj = objective[block]

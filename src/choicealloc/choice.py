@@ -2,10 +2,10 @@
 
 Three families are supported: attraction-form models (independent demands,
 MNL, and general attraction, depending on which weights vanish), finite
-mixtures of attraction models, and explicit probability tables for
-adversarial test inputs.  Assortments are sets of product ids; the
-no-purchase option (id 0) is implicit in every assortment and absorbs the
-residual probability mass.
+mixtures of attraction models, and explicit probability tables of at most
+``_ENUMERATION_CAP`` products for adversarial test inputs.  Assortments are
+sets of product ids; the no-purchase option (id 0) is implicit in every
+assortment and absorbs the residual probability mass.
 
 The rest of the package reads a model only through the ``ChoiceModel``
 protocol, which every model class implements:
@@ -22,9 +22,9 @@ protocol, which every model class implements:
 - ``_segment_table``: the (segment weights, base weights, mu+nu rows, nu
   rows) arrays of an attraction model or a mixture, which the subset
   table and the branch and bound read, or None;
-- ``_subset_table``: the exact subset-probability table P[s, n-1] of a
-  model with a ``_segment_table`` and at most ``_ENUMERATION_CAP``
-  products, built on first use, or None;
+- ``_subset_table``: the exact subset-probability table P[s, n-1] of an
+  attraction model, mixture or probability table of at most
+  ``_ENUMERATION_CAP`` products, built on first use, or None;
 - ``_cdf(S)``: the inverse-transform row of ``distribution(S)`` that
   ``_draw`` bisects, memoized per model (at most ``_CDF_MEMO`` sets);
 - ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import compress
 from typing import ClassVar, Iterable, Mapping, Optional, Protocol
 
 import numpy as np
@@ -263,10 +263,9 @@ class TabulatedChoiceModel(ChoiceModel):
     ``table`` maps an assortment to a ``{product: probability}`` mapping over
     its members; the no-purchase option receives the residual mass.  Tables
     can encode behavior outside the random-utility class, so
-    ``is_removal_monotone`` records (by enumerating nested assortment pairs)
-    whether dropping products can ever lower a survivor's selection
-    probability; consumers that rely on positive-price pruning must reject
-    tables where this is False.
+    ``is_removal_monotone`` records whether dropping products can ever lower
+    a survivor's selection probability; consumers that rely on positive-price
+    pruning must reject tables where this is False.
     """
 
     kind = "table"
@@ -284,21 +283,38 @@ class TabulatedChoiceModel(ChoiceModel):
                 raise ValueError(f"probabilities for assortment {sorted(key)} exceed 1")
             normalized[key] = entry
         self.table = normalized
-        if num_products is None:
-            num_products = max((n for S in normalized for n in S), default=0)
-        self.num_products = int(num_products)
-        self.is_removal_monotone = self._check_removal_monotone()
+        top = max((n for S in normalized for n in S), default=0)
+        self.num_products = int(top if num_products is None else num_products)
+        if not top <= self.num_products <= _ENUMERATION_CAP:
+            raise ValueError(f"a probability table covers at most {_ENUMERATION_CAP} products and "
+                             f"each one it lists; got {self.num_products}, listing product {top}")
 
-    def _check_removal_monotone(self) -> bool:
-        keys = sorted(self.table, key=lambda S: (len(S), tuple(sorted(S))))
-        for small, large in combinations(keys, 2):
-            if not small <= large:
-                continue
-            p_small, p_large = self.table[small], self.table[large]
-            for n in small:
-                if p_small.get(n, 0.0) < p_large.get(n, 0.0) - 1e-9:
-                    return False
-        return True
+    @cached_property
+    def _subset_table(self) -> np.ndarray:
+        """The entries' bytes: row s holds ``entry.get(n, 0.0)`` in column
+        n-1 (0.0 outside s); a nonempty subset the table omits is all NaN."""
+        N = self.num_products
+        table = np.full((1 << N, N), np.nan)
+        table[0] = 0.0
+        for S, entry in self.table.items():
+            table[sum(1 << (n - 1) for n in S)] = [entry.get(n, 0.0) for n in range(1, N + 1)]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def is_removal_monotone(self) -> bool:
+        """False iff a listed subset s gives a member n a probability more
+        than 1e-9 below the one a listed superset of s gives it.  One pass
+        over the ``_subset_table``: each step of the loop lets every subset
+        without product i+1 take the NaN-ignoring maximum of its own row
+        and its superset's with i+1, so ``top[s]`` ends as the maximum over
+        the listed supersets of s."""
+        P, N = self._subset_table, self.num_products
+        top = P.copy()
+        for i in range(N):
+            pairs = top.reshape(-1, 2, 1 << i, N)  # [:, 0] lacks bit i, [:, 1] has it
+            np.fmax(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+        return not (_members(N) & (P < top - 1e-9)).any()
 
     def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
         if not S:
@@ -306,18 +322,16 @@ class TabulatedChoiceModel(ChoiceModel):
         try:
             entry = self.table[S]
         except KeyError:
-            raise ValueError(f"assortment {sorted(S)} not present in the probability table") from None
+            raise _not_present(S) from None
         return [(n, entry.get(n, 0.0)) for n in sorted(S)]
 
     def selectable(self, n: int) -> bool:
         return any(entry.get(n, 0.0) > 0.0 for entry in self.table.values())
 
     def coverage_error(self, num_products: int) -> Optional[str]:
-        if any(not 1 <= n <= num_products for S in self.table for n in S):
-            return "tabulated assortment references unknown product"
         if not all(math.isfinite(p) for entry in self.table.values() for p in entry.values()):
             return "non-finite selection probability"
-        return None
+        return super().coverage_error(num_products)
 
     def to_doc(self) -> dict:
         return {"kind": self.kind, "entries": [
@@ -340,6 +354,18 @@ class TabulatedChoiceModel(ChoiceModel):
 _ENUMERATION_CAP = 12
 
 
+def _not_present(S: Iterable[int]) -> ValueError:
+    """The error for an assortment a probability table does not list."""
+    return ValueError(f"assortment {sorted(S)} not present in the probability table")
+
+
+def _members(num_products: int) -> np.ndarray:
+    """Boolean array whose [s, i] says whether bit i of s is set, i.e.
+    whether product i+1 is in the subset with bitmask s."""
+    bits = np.arange(num_products)
+    return ((np.arange(1 << num_products)[:, None] >> bits) & 1).astype(bool)
+
+
 def _probability_table(segments: tuple[np.ndarray, ...], num_products: int) -> np.ndarray:
     """``_subset_table`` from a model's ``_segment_table``.  Each entry
     repeats ``distribution``'s operations: a segment's denominator is its
@@ -348,9 +374,7 @@ def _probability_table(segments: tuple[np.ndarray, ...], num_products: int) -> n
     in segment order to 0.0 (w = 1 for a plain attraction model, whose
     weight / denominator this reproduces exactly)."""
     w, base, weight, nu = segments
-    # row s, column i: whether bit i of s is set, i.e. product i+1 is in subset s
-    bits = np.arange(num_products)
-    members = ((np.arange(1 << num_products)[:, None] >> bits) & 1).astype(bool)
+    members = _members(num_products)
     selectors = members.tolist()
     acc = np.zeros(members.shape)
     for g in range(len(w)):

@@ -12,8 +12,8 @@ is accepted.
 opr offers the answer of one exact kernel per model family (see
 ``opr_offer``): ``cdlp._best_prefix`` for attraction models,
 ``cdlp._table_best`` for models with a ``_subset_table`` (mixtures of at
-most 12 products), and the planner's subproblem solver ``cdlp._auto`` for
-wider mixtures and probability tables.
+most 12 products and probability tables), and the planner's subproblem
+solver ``cdlp._auto`` for wider mixtures.
 
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
@@ -173,7 +173,7 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
     """opr's offer to a type-k arrival and its expected marginal reward, by
     the rule of ``opr_offer``.  A resource's marginal value is read only
     when one of the products the type can buy is sellable, once per call.
-    A mixture with a subset table goes to ``cdlp._table_best`` directly,
+    A model with a subset table goes to ``cdlp._table_best`` directly,
     without the brute force's sort and validation per arrival."""
     if not t.prunable[k]:
         raise ValueError(
@@ -257,11 +257,11 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     resource; products that cannot be sold are excluded outright.  For
     attraction models the offer is the exact best prefix of the ratio
     ranking (``cdlp._best_prefix``, on the model's cached ``attraction()``
-    tuples); for mixtures of at most 12 products it is the answer of the
-    subset-table kernel ``cdlp._table_best``, the brute force's own; for
-    wider mixtures and tables it is the answer of ``cdlp._auto``, and a
-    result short of exact (a branch and bound cut by its node budget)
-    raises ``ValueError``.  Each plan assortment with its nonpositive-price
+    tuples); for mixtures of at most 12 products and probability tables
+    it is the answer of the brute force's kernel ``cdlp._table_best``; for
+    wider mixtures it is the answer of ``cdlp._auto``.  A subset a table
+    omits, and a result short of exact (a branch and bound cut by its node
+    budget), raise ``ValueError``.  Each plan assortment with its nonpositive-price
     products pruned is one of the sets these maximize over, so the offer
     collects at least the marginal reward the static threshold policy
     would.  Every purchase from the offer is accepted.  ``grids`` must

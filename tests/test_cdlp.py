@@ -40,6 +40,7 @@ from choicealloc.verify import (
     _extended_model,
     _scaling_base_instance,
 )
+from test_choice import _listed_tables
 
 
 def mnl(*nu):
@@ -320,10 +321,39 @@ def test_bruteforce_adversarial_table():
 
 
 def test_bruteforce_cap():
-    N = cdlp._BRUTEFORCE_CAP + 1
-    model = mnl(*([1.0] * N))
-    with pytest.raises(ValueError, match=f"capped at {N - 1} products, got {N}"):
-        assortment_subproblem_bruteforce(model, {i + 1: 1.0 for i in range(N)})
+    # the brute force solves the models that have a subset table: 12
+    # products, not 13
+    cap = choice._ENUMERATION_CAP
+    price = {n: 1.0 for n in range(1, cap + 1)}
+    res = assortment_subproblem_bruteforce(mnl(*([1.0] * cap)), price)
+    assert res.assortment == frozenset(price)
+    with pytest.raises(ValueError, match=f"model of {cap + 1} products: no subset table"):
+        assortment_subproblem_bruteforce(mnl(*([1.0] * (cap + 1))), {**price, cap + 1: 1.0})
+
+
+def _outcome(solve, *args):
+    """What ``solve`` returns, as (assortment, value), or the message of the
+    ``ValueError`` it raises."""
+    try:
+        got = solve(*args)
+    except ValueError as exc:
+        return str(exc)
+    return (got.assortment, got.value) if isinstance(got, SubproblemResult) else got
+
+
+@pytest.mark.parametrize("solve, model", [
+    (assortment_subproblem_sort, mnl(1.0, 2.0, 0.5)),
+    (assortment_subproblem_bruteforce, mnl(1.0, 2.0, 0.5)),
+    (assortment_subproblem_bruteforce, TabulatedChoiceModel({(1, 2, 3): {1: 0.2}})),
+    (assortment_subproblem_branch_and_bound, mnl(1.0, 2.0, 0.5)),
+    (cdlp._auto, mnl(1.0, 2.0, 0.5)),
+    (cdlp._auto, MixtureChoiceModel(((0.5, mnl(1.0, 2.0, 0.5)), (0.5, mnl(0.5, 0.5, 0.5))))),
+    (cdlp._auto, TabulatedChoiceModel({(1, 2, 3): {1: 0.2}})),
+], ids=["sort", "bruteforce", "bruteforce-table", "branch_and_bound", "auto", "auto-mixture",
+        "auto-table"])
+@pytest.mark.parametrize("price", [{1: 1.0, 2: 0.5, 5: 1.0}, {1: 1.0, 5: -1.0}])
+def test_solvers_refuse_a_product_the_model_does_not_cover(solve, model, price):
+    assert _outcome(solve, model, price) == "product 5 is priced, but the model covers 3 products"
 
 
 def _scalar_bruteforce(model, price):
@@ -370,17 +400,6 @@ def _segment_cases(draw, max_segments=4):
 def test_bruteforce_screen_equals_scalar_enumeration(case):
     model, price = case
     res = assortment_subproblem_bruteforce(model, price)
-    assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=_segment_cases())
-def test_bruteforce_without_a_table_equals_scalar_enumeration(case):
-    # with no subset table the brute force scores every subset
-    model, price = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(choice, "_ENUMERATION_CAP", 0)
-        res = assortment_subproblem_bruteforce(model, price)
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
 
@@ -446,28 +465,66 @@ def test_bruteforce_over_a_subset_of_the_products_equals_scalar_enumeration(case
 
 
 def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
-    # opr solves a mixture of at most 12 products with the table kernel:
-    # each of its answers is the scalar scan's, on the whole table and on
-    # the rows of the products it can still sell
+    # opr solves mixtures of at most 12 products and probability tables
+    # with the table kernel: each of its answers is the scalar scan's, on
+    # the whole table and on the rows of the products it can still sell
     from choicealloc import build_value_grids, monte_carlo, policies
+    from test_policies import _table_instance
 
-    inst, calls = _MIXTURE10, []
-    model_of = {id(ct.choice._subset_table): ct.choice for ct in inst.types}
+    calls, model_of = [], {}
 
     def spy(table, ids, prices):
         got = cdlp._table_best(table, ids, prices)
         calls.append((model_of[id(table)], dict(zip(ids, prices)), got))
         return got
 
-    sol = solve_cdlp(inst)
-    grids = build_value_grids(inst, sol.s_star, 200)
-    monkeypatch.setattr(policies, "_table_best", spy)
-    monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
-    monkeypatch.undo()
-    assert any(len(price) < inst.num_products for _, price, _ in calls)
-    assert any(len(price) == inst.num_products for _, price, _ in calls)
+    for inst in [_MIXTURE10] + [_table_instance(seed) for seed in range(5)]:
+        model_of.update({id(ct.choice._subset_table): ct.choice for ct in inst.types})
+        sol = solve_cdlp(inst)
+        grids = build_value_grids(inst, sol.s_star, 200)
+        with monkeypatch.context() as mp:
+            mp.setattr(policies, "_table_best", spy)
+            monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
+    assert {(model.kind, len(price) < model.num_products) for model, price, _ in calls} == {
+        ("mixture", True), ("mixture", False), ("table", True), ("table", False)}
     for model, price, got in calls:
         assert got == _scalar_bruteforce(model, price)
+
+
+def _priced_tables(model, price):
+    """opr's compiled tables for one type of ``model`` whose products, all
+    on one resource in stock, have rewards ``price`` and marginal values
+    0, so that opr prices product n at price[n]."""
+    from choicealloc import CdlpSolution, build_value_grids, policies
+
+    inst = Instance((Resource(1, 1),),
+                    tuple(Product(n, 1, price[n]) for n in range(1, model.num_products + 1)),
+                    (CustomerType(1, RateCurve.constant(1.0), model),))
+    plan = CdlpSolution({1: ()}, {}, (), (0.0,), 0.0, 0.0, {}, True, 0)
+    return policies._Tables(inst, plan, build_value_grids(inst, {}, 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_listed_tables(), data=st.data())
+def test_table_subproblems_equal_scalar_enumeration(model, data):
+    # on full and partial tables the brute force, _auto and opr return the
+    # scan's set and value, or raise its ValueError: opr after its own
+    # refusal of a table that is not removal-monotone, and its empty offer
+    # when no price is positive
+    from choicealloc import policies
+
+    N = model.num_products
+    price = dict(enumerate(data.draw(st.lists(_prices, min_size=N, max_size=N)), start=1))
+    want = _outcome(_scalar_bruteforce, model, price)
+    assert _outcome(assortment_subproblem_bruteforce, model, price) == want
+    assert _outcome(cdlp._auto, model, price) == want
+    if not model.is_removal_monotone:
+        want = ("opr requires choice models where pruning cannot hurt expected revenue; "
+                "this probability table violates that")
+    elif max(price.values()) <= 0.0:
+        want = (frozenset(), 0.0)
+    tables = _priced_tables(model, price)
+    assert _outcome(policies._opr_decision, tables, [1], 0.5, 1) == want
 
 
 def test_bruteforce_rejects_no_purchase_id():
@@ -608,7 +665,7 @@ def test_branch_and_bound_above_the_cap_equals_milp_on_the_positive_prices():
     # so the optimum over the positive prices alone is the optimum
     rng = np.random.default_rng(23)
     for _ in range(6):
-        N = int(rng.integers(cdlp._BRUTEFORCE_CAP + 1, 27))
+        N = int(rng.integers(21, 27))
         model = _wide_mixture(rng, N, int(rng.integers(1, 5)))
         positive = set(rng.choice(np.arange(1, N + 1), int(rng.integers(12, 21)), replace=False))
         price = {n: float(rng.uniform(0.1, 3.0)) if n in positive else float(rng.uniform(-1.0, 0.0))
@@ -618,11 +675,10 @@ def test_branch_and_bound_above_the_cap_equals_milp_on_the_positive_prices():
         assert res.guarantee == 1.0
         assert math.isclose(res.value, want.value, rel_tol=1e-12)
         assert cdlp._auto(model, price) == res
-    # a table has no segments to bound, so past the cap auto still refuses it
-    N = cdlp._BRUTEFORCE_CAP + 1
-    table = TabulatedChoiceModel({frozenset({1}): {1: 1.0}}, num_products=N)
-    with pytest.raises(ValueError, match="brute force capped"):
-        cdlp._auto(table, {n: 1.0 for n in range(1, N + 1)})
+    # no table covers 21 products, and a table has no segments to bound
+    with pytest.raises(ValueError, match="at most 12 products and each one it lists; got 21,"):
+        TabulatedChoiceModel({frozenset({1}): {1: 1.0}}, num_products=21)
+    table = TabulatedChoiceModel({frozenset({1}): {1: 1.0}})
     with pytest.raises(ValueError, match="attraction segments, not a 'table' model"):
         assortment_subproblem_branch_and_bound(table, {1: 1.0})
 
@@ -645,12 +701,12 @@ def test_branch_and_bound_cut_by_its_budget_states_a_proven_guarantee(monkeypatc
     assert cut  # the budget binds on some draws
 
 
-# 23 products, three mixture types: above the brute force's cap
+# 23 products, three mixture types: past the subset table, so past the brute force
 _WIDE4 = random_instance(4, max_products=24, model_kinds=("mixture",))
 
 
 def test_wide_mixture_instance_plans_exactly_past_the_bruteforce_cap():
-    assert _WIDE4.num_products > cdlp._BRUTEFORCE_CAP
+    assert _WIDE4.num_products > choice._ENUMERATION_CAP
     sol = solve_cdlp(_WIDE4, 0.0)
     assert sol.certified
     assert hindsight_bound(_WIDE4, generate_arrivals(_WIDE4, 1)) > 0.0

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -235,6 +236,42 @@ def test_attraction_weights_only_for_plain_attraction_models():
 
 # ------------------------------------------------ subset-probability tables
 
+_table_probabilities = st.one_of(st.floats(min_value=-1e-12, max_value=0.0, exclude_max=True),
+                                 st.just(0.0), st.floats(min_value=0.0, max_value=0.6))
+_nudges = st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9])
+
+
+@st.composite
+def _listed_tables(draw, max_products=6):
+    """Probability tables over 1..``max_products`` products, full or with
+    subsets left out.  Each entry starts from a removal-monotone MNL's
+    probability, which it keeps, moves by a few 1e-9 either way, omits
+    (0.0), or replaces by a draw down to -1e-12; an entry whose positive
+    probabilities exceed 1 is scaled back."""
+    N = draw(st.integers(min_value=1, max_value=max_products))
+    full = draw(st.booleans())
+    base = mnl(*draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=N, max_size=N)))
+    table = {}
+    for s in range(1, 1 << N):
+        S = frozenset(n for n in range(1, N + 1) if s >> (n - 1) & 1)
+        if not full and draw(st.booleans()):
+            continue
+        probs = {}
+        for n, p in base.distribution(S):
+            how = draw(st.sampled_from(["keep", "nudge", "omit", "draw"]))
+            if how == "keep":
+                probs[n] = p
+            elif how == "nudge":
+                probs[n] = max(p + draw(_nudges), -1e-12)
+            elif how == "draw":
+                probs[n] = draw(_table_probabilities)
+        total = math.fsum(p for p in probs.values() if p > 0.0)
+        if total > 1.0:
+            probs = {n: p / total if p > 0.0 else p for n, p in probs.items()}
+        table[S] = probs
+    return TabulatedChoiceModel(table, num_products=N)
+
+
 _table_weights = st.one_of(st.just(0.0), st.just(1.0), st.sampled_from([0.1, 0.3, 0.6, 0.7]),
                            st.floats(min_value=0.0, max_value=3.0),
                            st.floats(min_value=1e-3, max_value=1e3))
@@ -260,16 +297,43 @@ def _table_models(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(model=_table_models())
+@given(model=st.one_of(_table_models(), _listed_tables()))
 def test_subset_table_rows_are_the_bytes_of_distribution(model):
     N = model.num_products
     table = model._subset_table
     assert table.shape == (1 << N, N) and not table.flags.writeable
     for s in range(1 << N):
         row = [0.0] * N
-        for n, p in model.distribution(frozenset(n for n in range(1, N + 1) if s >> (n - 1) & 1)):
+        try:
+            dist = model.distribution(frozenset(n for n in range(1, N + 1) if s >> (n - 1) & 1))
+        except ValueError:  # a subset the table does not list
+            row = [math.nan] * N
+            dist = []
+        for n, p in dist:
             row[n - 1] = p
         assert table[s].tobytes() == np.array(row).tobytes()
+
+
+def _pairwise_removal_monotone(model):
+    """A table's removal monotonicity by the pairwise walk over its keys
+    that the table ran before it read its subset table, kept as the
+    reference: False iff a listed subset gives a member a probability more
+    than 1e-9 below a listed superset's."""
+    keys = sorted(model.table, key=lambda S: (len(S), tuple(sorted(S))))
+    for small, large in combinations(keys, 2):
+        if not small <= large:
+            continue
+        p_small, p_large = model.table[small], model.table[large]
+        for n in small:
+            if p_small.get(n, 0.0) < p_large.get(n, 0.0) - 1e-9:
+                return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(model=_listed_tables())
+def test_removal_monotone_equals_the_pairwise_reference(model):
+    assert model.is_removal_monotone == _pairwise_removal_monotone(model)
 
 
 def test_subset_table_only_for_attraction_models_up_to_the_cap():
@@ -280,7 +344,16 @@ def test_subset_table_only_for_attraction_models_up_to_the_cap():
     wide = mnl(*([1.0] * (cap + 1)))
     assert wide._subset_table is None
     assert MixtureChoiceModel(((0.5, wide), (0.5, wide)))._subset_table is None
-    assert TabulatedChoiceModel({frozenset({1}): {1: 1.0}})._subset_table is None
+    # a table's rows are the bytes of its entries, NaN where it lists no entry
+    table = TabulatedChoiceModel({(1,): {1: 0.5}, (1, 3): {3: 0.25}}, num_products=3)
+    assert table._subset_table.tobytes() == np.array(
+        [[0.0] * 3, [0.5, 0.0, 0.0]] + [[math.nan] * 3] * 3
+        + [[0.0, 0.0, 0.25], [math.nan] * 3, [math.nan] * 3]).tobytes()
+    TabulatedChoiceModel({(n,): {n: 0.0} for n in range(1, cap + 1)})
+    with pytest.raises(ValueError, match=f"{cap} products and each one it lists; got {cap + 1},"):
+        TabulatedChoiceModel({(n,): {n: 0.0} for n in range(1, cap + 2)})
+    with pytest.raises(ValueError, match="each one it lists; got 2, listing product 3"):
+        TabulatedChoiceModel({(1, 3): {1: 0.5}}, num_products=2)
 
 
 def test_validation_builds_no_subset_table():
@@ -302,10 +375,6 @@ def _reference_sample(dist, u):
         if u < cum:
             return n
     return 0
-
-
-_table_probabilities = st.one_of(st.floats(min_value=-1e-12, max_value=0.0, exclude_max=True),
-                                 st.just(0.0), st.floats(min_value=0.0, max_value=0.6))
 
 
 @st.composite

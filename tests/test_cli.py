@@ -64,6 +64,15 @@ def test_validate_invariant_violation(tmp_path, capsys):
     assert "dangling resource" in capsys.readouterr().out
 
 
+def test_validate_a_table_past_twelve_products_is_a_parse_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOOD))
+    doc["types"][0]["choice"]["entries"].append({"S": [13], "p": {"13": 0.5}})
+    bad = tmp_path / "wide_table.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(bad)]) == 2
+    assert "at most 12 products and each one it lists; got 13," in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("path,value", [
     (("types", 0, "choice", "entries", 0, "p"), [1.0]),
     (("types", 0, "reward_override"), [0.8]),

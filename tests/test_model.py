@@ -121,6 +121,21 @@ def test_validate_reports_non_finite_choice_numbers(choice, message):
         solve_cdlp(inst)
 
 
+@pytest.mark.parametrize("table, num_products", [
+    (TabulatedChoiceModel({(1, 2): {1: 0.5}}), 3),
+    (TabulatedChoiceModel({(1, 2): {1: 0.5}}), 1),
+], ids=["fewer", "more"])
+def test_validate_reports_a_table_of_another_product_count(table, num_products):
+    # the planner reads a table's subset table by the instance's product ids
+    inst = Instance(
+        (Resource(1, 1),),
+        tuple(Product(n, 1, 1.0) for n in range(1, num_products + 1)),
+        (CustomerType(1, RateCurve.constant(1.0), table),),
+    )
+    assert validate_instance(inst).errors == (
+        f"type 1: choice model covers 2 products, instance has {num_products}",)
+
+
 def test_validate_reports_overflowing_choice_weights():
     # finite weights whose sum overflows are reported, not raised
     inst = Instance(

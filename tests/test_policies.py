@@ -560,7 +560,7 @@ def _wide_mixture_tables(N):
 
 
 def test_opr_is_exact_past_the_bruteforce_cap():
-    tables = _wide_mixture_tables(cdlp._BRUTEFORCE_CAP + 1)
+    tables = _wide_mixture_tables(21)
     got = policies._opr_decision(tables, [2], 0.3, 1)
     assert got == _reference_opr_decision(tables, [2], 0.3, 1)
     assert got[0]
@@ -569,7 +569,7 @@ def test_opr_is_exact_past_the_bruteforce_cap():
 def test_opr_refuses_a_branch_and_bound_cut_by_its_budget(monkeypatch):
     # opr offers only exact answers
     monkeypatch.setattr(cdlp, "_BRANCH_NODES", 1)
-    tables = _wide_mixture_tables(cdlp._BRUTEFORCE_CAP + 1)
+    tables = _wide_mixture_tables(21)
     with pytest.raises(ValueError, match="exact offer; the solver's guarantee is 0.99"):
         policies._opr_decision(tables, [2], 0.3, 1)
 
