@@ -10,18 +10,16 @@ subproblem solver the procedure terminates at the LP optimum, and with a
 solver carrying a guarantee factor gamma >= 1/(1+eps) it terminates with an
 eps-optimal plan certified by the terminal duals.
 
-``solve_cdlp`` prices columns with one subproblem solver, ``_auto``, which
-picks by the model alone: ``assortment_subproblem_sort`` where the model
-has attraction weights, the brute force where it has a subset table
-(mixtures and probability tables of at most 12 products), and the branch
-and bound for every other mixture.  The brute force is one kernel,
-``_table_best``, which screens all subsets with one matrix-vector product
-and confirms the near-best ones from their table rows; opr calls it
-directly.  A caller may pass any other function of (model, prices)
-instead, as the verification suite does with a degraded one.  A solver
-states its guarantee on each ``SubproblemResult`` it returns, and nowhere
-else: it is 1 on every exact result, and below 1 only on a branch and
-bound cut by its node budget.
+Three exact kernels take ascending (product, price) pairs: ``_best_prefix``
+(sort), ``_table_best`` (the brute force: one matrix-vector screen of all
+subsets, then the near-best confirmed from their table rows) and
+``_branch_and_bound``.  ``_kernel(model)`` alone picks one, by the model.
+``_auto``, ``solve_cdlp``'s default solver, runs it on the prices that
+``_priced`` checks, and opr runs it per arrival.  A caller may pass any
+other function of (model, prices), as the verification suite does with a
+degraded one.  A solver states its guarantee on each ``SubproblemResult``
+it returns, and nowhere else: it is 1 on every exact result, and below 1
+only on a branch and bound cut by its node budget.
 
 One loop, ``_column_generation``, serves ``solve_cdlp`` and
 ``sim.hindsight_bound``.  ``solve_cdlp`` solves every master from the
@@ -36,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present, expected_revenue
+from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present, _revenue
 from .lp import LinearProgram, LpSolution, solve_lp
 from .model import Instance, _reward_rows, products_of_resource, validate_instance
 
@@ -160,20 +158,36 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
     return LinearProgram(objective, rows, rhs)
 
 
-def _require_known(model: ChoiceModel, last: int) -> None:
-    """Refuse a priced product id past the model's products.  ``last`` is
-    the largest id priced (0 for none), which each solver reads off the
-    sorted ids it builds anyway."""
-    if last > model.num_products:
-        raise ValueError(f"product {last} is priced, but the model covers "
-                         f"{model.num_products} products")
+def _priced(model: ChoiceModel, price: Mapping[int, float]) -> list[tuple[int, float]]:
+    """The ascending (product, price) pairs of ``price``, after the check
+    of every solver entry: ids in 1..N (``choice._as_assortment``) and
+    finite weights."""
+    _as_assortment(price, model.num_products, "priced")
+    if not model._finite_weights:
+        raise ValueError("non-finite choice weight")
+    return sorted(price.items())
+
+
+def _kernel(model: ChoiceModel):
+    """The one exact kernel for ``model``, never picked by the prices: sort
+    for attraction weights, the brute force for a ``_subset_table``
+    (mixtures and tables of at most 12 products), else the branch and
+    bound.  It maps ascending (product, price) pairs to (assortment,
+    value, guarantee)."""
+    weights = model.attraction()
+    if weights is not None:
+        return partial(_best_prefix, weights)
+    table = model._subset_table
+    if table is not None:
+        return partial(_table_best, table)
+    return partial(_branch_and_bound, model)
 
 
 def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
-                 price_items, num: float = 0.0) -> tuple[frozenset[int], float]:
+                 price_items, num: float = 0.0) -> tuple[frozenset[int], float, float]:
     """Best prefix of the ratio ranking of an attraction model's
-    ``attraction()`` tuples at the given prices: the assortment and value
-    of ``assortment_subproblem_sort``, and opr's per-arrival optimizer.
+    ``attraction()`` tuples at the given prices, with guarantee 1.0: the
+    sort solver's kernel.
 
     ``price_items`` are (product, price) pairs.  The ranking breaks ties by
     product id, so their order matters only for NaN prices; callers pass
@@ -202,7 +216,7 @@ def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
         value = num / den
         if value > best_value:
             best_value, best_len = value, length
-    return frozenset([r[1] for r in ranked[:best_len]]), best_value
+    return frozenset([r[1] for r in ranked[:best_len]]), best_value, 1.0
 
 
 def assortment_subproblem_sort(model: ChoiceModel,
@@ -214,16 +228,15 @@ def assortment_subproblem_sort(model: ChoiceModel,
     best prefix of that ranking.  For MNL (mu == 0) the ratio reduces to
     the price itself.  Ties between equal-value prefixes resolve to the
     shorter prefix; equal-rank products order by ascending id.  A model
-    without attraction weights, or a product it does not cover, raises
+    without attraction weights, and a price ``_priced`` refuses, raise
     ``ValueError``.
     """
+    items = _priced(model, price)
     weights = model.attraction()
     if weights is None:
         raise ValueError(f"the sort solver requires an attraction-form model, "
                          f"not a {model.kind!r} model")
-    items = sorted(price.items())
-    _require_known(model, items[-1][0] if items else 0)
-    return SubproblemResult(*_best_prefix(weights, items), 1.0)
+    return SubproblemResult(*_best_prefix(weights, items))
 
 
 def _lex_subsets(ids: Sequence[int]):
@@ -263,12 +276,11 @@ def _table_screen(table: np.ndarray, ids: Sequence[int], prices: Sequence[float]
                   for j in kept)
 
 
-def _table_best(table: np.ndarray, ids: Sequence[int],
-                prices: Sequence[float]) -> tuple[frozenset[int], float]:
-    """Best nonempty subset of the ascending ``ids`` at ``prices`` (one per
-    id) and its value, from a model's ``_subset_table``: the brute force,
-    and opr's per-arrival optimizer for every model but attraction models.
-    No subset worth more than 0 gives the empty set and 0.0.
+def _table_best(table: np.ndarray, price_items) -> tuple[frozenset[int], float, float]:
+    """Best nonempty subset of the products of the ascending (product,
+    price) pairs ``price_items``, its value and guarantee 1.0, from a
+    model's ``_subset_table``: the brute force's kernel.  No subset worth
+    more than 0 gives the empty set and 0.0.
 
     The screen scores every subset at once, with one product of the table
     and the prices, and keeps those within tol = 1e-9 * max(1, max|price|)
@@ -285,16 +297,16 @@ def _table_best(table: np.ndarray, ids: Sequence[int],
     subset of largest exact value therefore passes the screen, and the
     lexicographically first one is returned.
     """
-    price_of = dict(zip(ids, prices))
+    price_of = dict(price_items)
     best_value, best = 0.0, ()
-    for members, row in _table_screen(table, ids, prices):
+    for members, row in _table_screen(table, list(price_of), list(price_of.values())):
         if members:
             value = math.fsum([row[n - 1] * price_of[n] for n in members])
             if value > best_value:
                 best_value, best = value, members
             elif value != value and all(p != p for p in row):
                 raise _not_present(members)
-    return frozenset(best), best_value
+    return frozenset(best), best_value, 1.0
 
 
 def assortment_subproblem_bruteforce(model: ChoiceModel,
@@ -303,23 +315,28 @@ def assortment_subproblem_bruteforce(model: ChoiceModel,
     (attraction models, mixtures and probability tables of at most
     ``choice._ENUMERATION_CAP`` products): the kernel ``_table_best``, which
     returns what scoring every subset with ``expected_revenue`` returns.
-    Ties resolve to the lexicographically smallest set.  A subset a table
-    omits, a model without a subset table and a product the model does not
-    cover raise ``ValueError``.
+    Ties resolve to the lexicographically smallest set.  A model without a
+    subset table, a price ``_priced`` refuses and a subset a table omits
+    raise ``ValueError``.
     """
-    ids = sorted(price)
-    _as_assortment(ids)
-    _require_known(model, ids[-1] if ids else 0)
+    items = _priced(model, price)
     table = model._subset_table
     if table is None:
         raise ValueError(f"{model.kind!r} model of {model.num_products} products: no subset table")
-    return SubproblemResult(*_table_best(table, ids, [price[n] for n in ids]), 1.0)
+    return SubproblemResult(*_table_best(table, items))
 
 
 def assortment_subproblem_branch_and_bound(model: ChoiceModel,
                                            price: Mapping[int, float]) -> SubproblemResult:
-    """Branch and bound for models with a ``_segment_table`` (attraction
-    models and their mixtures), at any number of priced products.
+    """``_branch_and_bound`` on the ``_priced`` pairs."""
+    return SubproblemResult(*_branch_and_bound(model, _priced(model, price)))
+
+
+def _branch_and_bound(model: ChoiceModel, price_items) -> tuple[frozenset[int], float, float]:
+    """Best subset, value and guarantee at the ascending (product, price)
+    pairs ``price_items``, for any number of products, for a model with a
+    ``_segment_table`` (attraction models and their mixtures; any other
+    model raises ``ValueError``).
 
     It branches on the positive-price products only: dropping the others
     never lowers a segment's revenue, as (N+ + N-)/(D+ + D-) <= N+/D+ for
@@ -328,41 +345,38 @@ def assortment_subproblem_branch_and_bound(model: ChoiceModel,
     A_g, B_g segment g's numerator and denominator over I; each maximum is
     a ``_best_prefix``.  The search is depth first, includes first, and
     prunes a node whose bound is at or below the incumbent.  I with each
-    segment's maximizing set, and with their union, is scored by
-    ``expected_revenue``, so the value returned is exact for its set, and
-    the optimum up to the rounding of the bounds.  A search cut at
+    segment's maximizing set, and with their union, is scored as
+    ``expected_revenue`` scores it, so the value returned is exact for its
+    set, and the optimum up to the rounding of the bounds.  A search cut at
     ``_BRANCH_NODES`` nodes returns guarantee incumbent / (largest bound of
     an unexplored node), a proven factor below 1.
     """
     if model._segment_table is None:
         raise ValueError(f"branch and bound needs attraction segments, not a {model.kind!r} model")
-    _as_assortment(price)
-    items = sorted(price.items())
-    _require_known(model, items[-1][0] if items else 0)
+    price = dict(price_items)
     # (w_g, base weight, mu+nu row, nu row) of each segment of positive weight
     segments = [seg for seg in zip(*(a.tolist() for a in model._segment_table)) if seg[0] > 0.0]
     # a node: the included set, A_g and B_g per segment, the free (product,
     # price) pairs, and its parent's bound, which bounds every set below it
     stack = [(frozenset(), [0.0] * len(segments), [seg[1] for seg in segments],
-              tuple((n, p) for n, p in items if p > 0.0), math.inf)]
+              tuple((n, p) for n, p in price.items() if p > 0.0), math.inf)]
     best_set, best_value, nodes = frozenset(), 0.0, 0
     while stack:
         if nodes == _BRANCH_NODES:
-            guarantee = min(1.0, best_value / max(node[4] for node in stack))
-            return SubproblemResult(best_set, best_value, guarantee)
+            return best_set, best_value, min(1.0, best_value / max(node[4] for node in stack))
         included, nums, dens, items, parent = stack.pop()
         if parent <= best_value:
             continue
         nodes += 1
         tops = [_best_prefix((weight, nu, den), items, num)
                 for (_, _, weight, nu), num, den in zip(segments, nums, dens)]
-        bound = sum(seg[0] * value for seg, (_, value) in zip(segments, tops))
+        bound = sum(seg[0] * value for seg, (_, value, _) in zip(segments, tops))
         if bound <= best_value:
             continue
-        sets = [T for T, _ in tops]
+        sets = [T for T, _, _ in tops]
         union = frozenset().union(*sets)
         for T in dict.fromkeys(sets + [union]):
-            value = expected_revenue(model, included | T, price)
+            value = _revenue(model.distribution(included | T), price)
             if value > best_value:
                 best_set, best_value = included | T, value
         # branch on a product that one segment's maximizing set takes and
@@ -375,19 +389,14 @@ def assortment_subproblem_branch_and_bound(model: ChoiceModel,
         stack.append((included | {split},
                       [num + price[split] * seg[2][split - 1] for num, seg in zip(nums, segments)],
                       [den + seg[3][split - 1] for den, seg in zip(dens, segments)], rest, bound))
-    return SubproblemResult(best_set, best_value, 1.0)
+    return best_set, best_value, 1.0
 
 
 def _auto(model: ChoiceModel, price: Mapping[int, float]) -> SubproblemResult:
-    """Sort for models with attraction weights, the brute force for models
-    with a ``_subset_table``, the branch and bound for every other model:
-    picked by the model, never by the prices.  Exact unless the guarantee
-    says the node budget cut the search."""
-    if model.attraction() is not None:
-        return assortment_subproblem_sort(model, price)
-    if model._subset_table is not None:
-        return assortment_subproblem_bruteforce(model, price)
-    return assortment_subproblem_branch_and_bound(model, price)
+    """``solve_cdlp``'s default solver: the model's ``_kernel`` on the
+    ``_priced`` pairs.  Exact unless the guarantee says otherwise."""
+    items = _priced(model, price)
+    return SubproblemResult(*_kernel(model)(items))
 
 
 class AutoExactSolver:

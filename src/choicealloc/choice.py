@@ -33,6 +33,7 @@ protocol, which every model class implements:
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,13 +52,26 @@ __all__ = [
 ]
 
 
-def _as_assortment(assortment: Iterable[int]) -> frozenset[int]:
-    s = frozenset(int(n) for n in assortment)
-    if 0 in s:
-        raise ValueError("the no-purchase option is implicit and never listed in an assortment")
-    if any(n < 1 for n in s):
-        raise ValueError("product ids are positive integers")
-    return s
+def _as_assortment(assortment: Iterable[int], num_products: float = math.inf,
+                   role: str = "offered") -> frozenset[int]:
+    """The ids as a frozenset of ints, each an integer in 1..num_products,
+    or ``ValueError``: 0 is the implicit no-purchase option, and a float
+    such as 1.0 or 1.5 is refused, never truncated.  ``role`` names what a
+    product past num_products is in the message.  The int test runs first:
+    an ABC isinstance costs ~1 us."""
+    s = frozenset(assortment)
+    if all(type(n) is int and 1 <= n <= num_products for n in s):
+        return s
+    for n in s:
+        if not (type(n) is int or isinstance(n, numbers.Integral)) or n < 1:
+            if n == 0:
+                raise ValueError("the no-purchase option is implicit and never listed "
+                                 "in an assortment")
+            raise ValueError(f"product ids are positive integers, not {n!r}")
+        if n > num_products:
+            raise ValueError(f"product {n} is {role}, but the model covers "
+                             f"{num_products} products")
+    return frozenset(map(int, s))  # numpy integers
 
 
 class ChoiceModel(Protocol):
@@ -392,7 +406,7 @@ def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> in
     The CDF runs over the assortment in ascending product id, with no
     purchase last, so the outcome is deterministic given ``u``.
     """
-    return _draw(model._cdf(_as_assortment(assortment)), u)
+    return _draw(model._cdf(_as_assortment(assortment, model.num_products)), u)
 
 
 _CDF_MEMO = 1024
@@ -422,7 +436,7 @@ def _draw(row: tuple[list[float], list], u: float):
 
 def expected_revenue(model: ChoiceModel, assortment: Iterable[int], price: Mapping[int, float]) -> float:
     """Expected revenue of showing ``assortment`` at the given prices."""
-    return _revenue(model.distribution(_as_assortment(assortment)), price)
+    return _revenue(model.distribution(_as_assortment(assortment, model.num_products)), price)
 
 
 def _revenue(dist: list[tuple[int, float]], price: Mapping[int, float]) -> float:

@@ -9,11 +9,9 @@ the offered assortment per arrival against marginal-value-adjusted prices
 and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
-opr offers the answer of one exact kernel per model family (see
-``opr_offer``): ``cdlp._best_prefix`` for attraction models,
-``cdlp._table_best`` for models with a ``_subset_table`` (mixtures of at
-most 12 products and probability tables), and the planner's subproblem
-solver ``cdlp._auto`` for wider mixtures.
+opr offers the answer of the exact kernel the planner prices columns
+with, ``cdlp._kernel(model)``, picked once per type when a run compiles
+its tables (see ``opr_offer``).
 
 The simulator compiles the instance, the plan and the value grids into a
 ``_Tables`` once per run and calls the private decision functions directly;
@@ -29,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import CdlpSolution, _auto, _best_prefix, _table_best
+from .cdlp import CdlpSolution, _kernel
 from .choice import _cdf_row, _draw
 from .model import Instance, _reward_rows
 from .valuefn import ResourceValueGrid, _marginal, _require_integral_level
@@ -88,17 +86,16 @@ class _Tables:
     position, operative reward) rows in product order, which opr prices.
     For an attraction model only the products of positive weight mu + nu
     are listed: the others are never bought, and ``_best_prefix`` would
-    drop them.  Mixtures and tables list every product.
-    ``attraction[k]`` is type k's ``attraction()`` tuples (None for
-    mixtures and tables), and ``prunable[k]`` whether its model is
-    removal-monotone.
+    drop them.  Mixtures and tables list every product.  ``kernels[k]``
+    is then type k's ``cdlp._kernel``, which opr calls on those prices.
+    ``prunable[k]`` says whether type k's model is removal-monotone.
 
     ``sellable`` is ``_sellable_resources`` at time 0 with full capacity:
     default-mode fcfs and pr offers are filtered by it.
     """
 
     __slots__ = ("resource_of", "expiry", "capacity", "views", "models", "rewards",
-                 "products", "offers", "prunable", "attraction", "sellable")
+                 "products", "offers", "prunable", "kernels", "sellable")
 
     def __init__(self, inst: Instance, sol: CdlpSolution,
                  grids: Mapping[int, ResourceValueGrid] | None = None):
@@ -115,7 +112,7 @@ class _Tables:
                 raise ValueError(f"value grids of resources {short} are below capacity")
             self.views = [grids[r.id]._view for r in inst.resources]
         self.models, self.products, self.offers = {}, {}, {}
-        self.prunable, self.attraction = {}, {}
+        self.prunable, self.kernels = {}, {}
         self.rewards = _reward_rows(inst)
         for k, ctype in enumerate(inst.types, start=1):
             model = ctype.choice
@@ -125,8 +122,9 @@ class _Tables:
             # which only removal-monotone models guarantee cannot lower the
             # revenue; opr's optimizers prune nothing (brute force scores all)
             self.prunable[k] = model.is_removal_monotone
-            weights = self.attraction[k] = model.attraction()
             if grids is not None:  # opr prices with grids only
+                self.kernels[k] = _kernel(model)
+                weights = model.attraction()
                 rows = zip(range(1, inst.num_products + 1),
                            self.resource_of[1:], self.rewards[k][1:])
                 self.products[k] = [(n, l, r) for n, l, r in rows
@@ -173,8 +171,8 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
     """opr's offer to a type-k arrival and its expected marginal reward, by
     the rule of ``opr_offer``.  A resource's marginal value is read only
     when one of the products the type can buy is sellable, once per call.
-    A model with a subset table goes to ``cdlp._table_best`` directly,
-    without the brute force's sort and validation per arrival."""
+    The prices go to the type's kernel as they are, already ascending and
+    of known products, without a solver entry's ``cdlp._priced`` check."""
     if not t.prunable[k]:
         raise ValueError(
             "opr requires choice models where pruning cannot hurt expected "
@@ -195,19 +193,14 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
             if price > 0.0:
                 positive = True
     if not positive:
-        return _EMPTY, 0.0  # every offer is then worth at most 0
+        # no offer is worth more than 0, reading a table's entries in
+        # [-1e-12, 0) as 0: such an entry can make one worth ~1e-12 * |price|
+        return _EMPTY, 0.0
 
-    weights = t.attraction[k]
-    if weights is not None:
-        return _best_prefix(weights, prices.items())
-    model = t.models[k]
-    table = model._subset_table
-    if table is not None:
-        return _table_best(table, list(prices), list(prices.values()))
-    best = _auto(model, prices)
-    if best.guarantee < 1.0:
-        raise ValueError(f"opr needs an exact offer; the solver's guarantee is {best.guarantee:g}")
-    return best.assortment, best.value
+    offer, value, guarantee = t.kernels[k](prices.items())
+    if guarantee < 1.0:
+        raise ValueError(f"opr needs an exact offer; the solver's guarantee is {guarantee:g}")
+    return offer, value
 
 
 def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> OfferDecision:
@@ -254,19 +247,19 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     arrival.
 
     Products are priced at reward minus the marginal value of their
-    resource; products that cannot be sold are excluded outright.  For
-    attraction models the offer is the exact best prefix of the ratio
-    ranking (``cdlp._best_prefix``, on the model's cached ``attraction()``
-    tuples); for mixtures of at most 12 products and probability tables
-    it is the answer of the brute force's kernel ``cdlp._table_best``; for
-    wider mixtures it is the answer of ``cdlp._auto``.  A subset a table
-    omits, and a result short of exact (a branch and bound cut by its node
-    budget), raise ``ValueError``.  Each plan assortment with its nonpositive-price
-    products pruned is one of the sets these maximize over, so the offer
-    collects at least the marginal reward the static threshold policy
-    would.  Every purchase from the offer is accepted.  ``grids`` must
-    hold a grid for every resource, covering its capacity.  A state no run
-    of ``inst`` reaches or a type outside 1..K raises ``ValueError``.
+    resource; products that cannot be sold are excluded outright.  The
+    offer is the answer of the exact kernel the planner's ``cdlp._auto``
+    uses for the model, ``cdlp._kernel``.  A subset a table omits, and a
+    result short of exact (a branch and bound cut by its node budget),
+    raise ``ValueError``.  When no sellable price is positive the offer is
+    empty without a kernel call: no offer is then worth more than 0,
+    reading a table's entries in [-1e-12, 0) as 0.  Each plan assortment
+    with its nonpositive-price products pruned is one of the sets the
+    kernels maximize over, so the offer collects at least the marginal
+    reward the static threshold policy would.  Every purchase from the
+    offer is accepted.  ``grids`` must hold a grid for every resource,
+    covering its capacity.  A state no run of ``inst`` reaches or a type
+    outside 1..K raises ``ValueError``.
 
     Each call compiles a ``_Tables`` for the whole instance; the simulator
     compiles once per run instead.

@@ -28,6 +28,7 @@ from choicealloc import (
     master_columns,
     products_of_resource,
     random_instance,
+    sample_choice,
     solve_cdlp,
     solve_cdlp_enumeration,
 )
@@ -295,7 +296,7 @@ def test_best_prefix_matches_sort_solver(case):
     model, price, order = case
     got = cdlp._best_prefix(model.attraction(), [(n, price[n]) for n in order])
     res = assortment_subproblem_sort(model, price)
-    assert got == (res.assortment, res.value) == _reference_sort(model, price)
+    assert got == (res.assortment, res.value, 1.0) == (*_reference_sort(model, price), 1.0)
 
 
 # ------------------------------------------------- subproblem: brute force
@@ -354,6 +355,57 @@ def _outcome(solve, *args):
 @pytest.mark.parametrize("price", [{1: 1.0, 2: 0.5, 5: 1.0}, {1: 1.0, 5: -1.0}])
 def test_solvers_refuse_a_product_the_model_does_not_cover(solve, model, price):
     assert _outcome(solve, model, price) == "product 5 is priced, but the model covers 3 products"
+
+
+def _offered(entry):
+    """``entry`` (a solver or ``expected_revenue``/``sample_choice``) as a
+    function of (model, price), for the ids of ``price``."""
+    if entry is expected_revenue:
+        return lambda model, price: expected_revenue(model, list(price), price)
+    if entry is sample_choice:
+        return lambda model, price: sample_choice(model, list(price), 0.5)
+    return entry
+
+
+@pytest.mark.parametrize("entry", [
+    assortment_subproblem_sort, assortment_subproblem_bruteforce,
+    assortment_subproblem_branch_and_bound, cdlp._auto, expected_revenue, sample_choice,
+], ids=["sort", "bruteforce", "branch_and_bound", "auto", "expected_revenue", "sample_choice"])
+@pytest.mark.parametrize("price, message", [
+    ({0: 5.0}, "the no-purchase option is implicit and never listed in an assortment"),
+    ({-1: 5.0, 1: 1.0}, "product ids are positive integers, not -1"),
+    ({1.0: 1.0}, "product ids are positive integers, not 1.0"),
+    ({1.5: 1.0, 2: 0.5}, "product ids are positive integers, not 1.5"),
+    ({2.9: 1.0}, "product ids are positive integers, not 2.9"),
+    ({"1": 1.0}, "product ids are positive integers, not '1'"),
+    ({1: 1.0, 4: 1.0}, "product 4 is {role}, but the model covers 3 products"),
+])
+def test_every_entry_refuses_an_id_outside_the_products(entry, price, message):
+    # the solvers once read product 0 or -1 through a negative index and
+    # offered it, and expected_revenue and sample_choice truncated 1.5 to 1
+    model = mnl(1.0, 2.0, 0.5)
+    role = "offered" if entry in (expected_revenue, sample_choice) else "priced"
+    assert _outcome(_offered(entry), model, price) == message.format(role=role)
+    # numpy integers are integers
+    wide = {np.int64(1): 1.0, np.int16(3): 0.5}
+    assert _outcome(_offered(entry), model, wide) == \
+        _outcome(_offered(entry), model, {1: 1.0, 3: 0.5})
+
+
+@pytest.mark.parametrize("solve", [
+    assortment_subproblem_sort, assortment_subproblem_bruteforce,
+    assortment_subproblem_branch_and_bound, cdlp._auto,
+], ids=["sort", "bruteforce", "branch_and_bound", "auto"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solvers_refuse_a_model_with_a_non_finite_weight(solve, bad):
+    # the brute force once raised "not present in the probability table"
+    # and the others returned the empty set at guarantee 1
+    models = [AttractionChoiceModel((0.0, 0.0), (bad, 1.0)),
+              AttractionChoiceModel((bad, 0.0), (0.0, 1.0))]
+    if solve is not assortment_subproblem_sort:
+        models.append(MixtureChoiceModel(((1.0, models[0]),)))
+    for model in models:
+        assert _outcome(solve, model, {1: 1.0, 2: 1.0}) == "non-finite choice weight"
 
 
 def _scalar_bruteforce(model, price):
@@ -444,10 +496,10 @@ def test_bruteforce_table_screen_falls_back_on_nonfinite_scores(bad):
         with np.errstate(invalid="ignore"):
             assert not np.isfinite(model._subset_table @ [1.0, bad, 0.5]).all()
             kept = cdlp._table_screen(model._subset_table, ids, list(price.values()))
-            got = cdlp._table_best(model._subset_table, ids, list(price.values()))
+            got = cdlp._table_best(model._subset_table, price.items())
             res = assortment_subproblem_bruteforce(model, price)
         assert [members for members, _ in kept] == cdlp._lex_subsets(ids)
-        assert got == (res.assortment, res.value) == _scalar_bruteforce(model, price)
+        assert got == (res.assortment, res.value, 1.0) == (*_scalar_bruteforce(model, price), 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -471,11 +523,11 @@ def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
     from choicealloc import build_value_grids, monte_carlo, policies
     from test_policies import _table_instance
 
-    calls, model_of = [], {}
+    calls, model_of, kernel = [], {}, cdlp._table_best
 
-    def spy(table, ids, prices):
-        got = cdlp._table_best(table, ids, prices)
-        calls.append((model_of[id(table)], dict(zip(ids, prices)), got))
+    def spy(table, price_items):
+        got = kernel(table, price_items)
+        calls.append((model_of[id(table)], dict(price_items), got))
         return got
 
     for inst in [_MIXTURE10] + [_table_instance(seed) for seed in range(5)]:
@@ -483,12 +535,13 @@ def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
         sol = solve_cdlp(inst)
         grids = build_value_grids(inst, sol.s_star, 200)
         with monkeypatch.context() as mp:
-            mp.setattr(policies, "_table_best", spy)
+            # the run's tables bind each type's kernel, cdlp._kernel, to the spy
+            mp.setattr(cdlp, "_table_best", spy)
             monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
     assert {(model.kind, len(price) < model.num_products) for model, price, _ in calls} == {
         ("mixture", True), ("mixture", False), ("table", True), ("table", False)}
     for model, price, got in calls:
-        assert got == _scalar_bruteforce(model, price)
+        assert got == (*_scalar_bruteforce(model, price), 1.0)
 
 
 def _priced_tables(model, price):
@@ -525,6 +578,52 @@ def test_table_subproblems_equal_scalar_enumeration(model, data):
         want = (frozenset(), 0.0)
     tables = _priced_tables(model, price)
     assert _outcome(policies._opr_decision, tables, [1], 0.5, 1) == want
+
+
+def test_opr_offers_nothing_when_no_price_is_positive():
+    # opr reads table entries in [-1e-12, 0) as 0: with every price
+    # negative it offers nothing, where the brute force finds {1} worth
+    # -1e-12 * -1 = 1e-12
+    from choicealloc import policies
+
+    model = TabulatedChoiceModel({(1,): {1: -1e-12}, (2,): {2: 0.3},
+                                  (1, 2): {1: -1e-12, 2: 0.3}})
+    price = {1: -1.0, 2: -1.0}
+    assert model.is_removal_monotone
+    assert _outcome(assortment_subproblem_bruteforce, model, price) == (frozenset({1}), 1e-12)
+    tables = _priced_tables(model, price)
+    assert policies._opr_decision(tables, [1], 0.5, 1) == (frozenset(), 0.0)
+
+
+_CAP = choice._ENUMERATION_CAP
+
+
+@pytest.mark.parametrize("kind, N", [("attraction", _CAP), ("attraction", _CAP + 1),
+                                     ("mixture", _CAP), ("mixture", _CAP + 1), ("table", _CAP)])
+def test_opr_and_auto_pick_one_kernel(monkeypatch, kind, N):
+    # the planner's _auto and opr's compiled tables get their kernel from
+    # cdlp._kernel, which picks by the model's family and size (a
+    # probability table covers at most 12 products)
+    rng = np.random.default_rng(N)
+    base = AttractionChoiceModel(tuple(rng.uniform(0.0, 0.5, N)), tuple(rng.uniform(0.2, 1.5, N)))
+    if kind == "mixture":
+        model = MixtureChoiceModel(((0.4, base), (0.6, mnl(*rng.uniform(0.2, 1.5, N)))))
+    elif kind == "table":
+        model = TabulatedChoiceModel({S: dict(mnl(*base.nu).distribution(S))
+                                      for S in _all_subsets(range(1, N + 1)) if S})
+    else:
+        model = base
+    want = {("attraction", N): cdlp._best_prefix, ("mixture", _CAP): cdlp._table_best,
+            ("mixture", _CAP + 1): cdlp._branch_and_bound, ("table", _CAP): cdlp._table_best}[kind, N]
+    price = {n: float(p) for n, p in enumerate(rng.uniform(-0.5, 2.0, N), start=1)}
+    opr = _priced_tables(model, price).kernels[1]
+    picked, kernel = [], cdlp._kernel
+    monkeypatch.setattr(cdlp, "_kernel", lambda m: picked.append(kernel(m)) or picked[-1])
+    got = cdlp._auto(model, price)
+    [auto] = picked
+    assert opr.func is auto.func is want
+    assert opr.args == auto.args
+    assert got == SubproblemResult(*opr(sorted(price.items())))
 
 
 def test_bruteforce_rejects_no_purchase_id():

@@ -201,13 +201,22 @@ def test_status_stress_against_scipy(batch):
             A[rng.integers(m)] = A[rng.integers(m)]
         if rng.random() < 0.3:
             A = np.round(A, 1)
-        mine = solve_lp(LinearProgram(tuple(c), tuple(map(tuple, A)), tuple(b)))
+        program = LinearProgram(tuple(c), tuple(map(tuple, A)), tuple(b))
+        mine = solve_lp(program)
         ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None),
                                      method="highs", options={"presolve": False})
         want = {0: "optimal", 3: "unbounded"}.get(ref.status, "other")
         assert mine.status == want
         if want == "optimal":
             assert abs(mine.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+            # restarted from its own optimal basis, the solve stays optimal
+            # with the same objective, and its duals are dual feasible
+            again = solve_lp(program, mine.basis)
+            assert again.status == "optimal"
+            assert abs(again.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+            y = np.array(again.duals)
+            assert (y >= -1e-8).all()
+            assert (A.T @ y >= c - 1e-8).all()
 
 
 # ------------------------------------------------- frozen reference solver

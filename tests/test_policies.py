@@ -481,7 +481,7 @@ def test_opr_offers_equal_class_dispatch(kind):
             inst.num_types)
 
 
-def test_opr_offers_equal_class_dispatch_on_a_ten_product_mixture(monkeypatch):
+def test_opr_offers_equal_class_dispatch_on_a_ten_product_mixture():
     # opr's table kernel on a mixture of 10 products: with every product
     # sellable it reads the whole table, with a resource sold out the rows
     # of the products left
@@ -496,11 +496,15 @@ def test_opr_offers_equal_class_dispatch_on_a_ten_product_mixture(monkeypatch):
                for _ in range(40)]
     kernel_ids = []
 
-    def spy(table, ids, prices):
-        kernel_ids.append(len(ids))
-        return cdlp._table_best(table, ids, prices)
+    def spy(kernel):
+        assert kernel.func is cdlp._table_best
 
-    monkeypatch.setattr(policies, "_table_best", spy)
+        def call(price_items):
+            kernel_ids.append(len(price_items))
+            return kernel(price_items)
+        return call
+
+    tables.kernels = {k: spy(kernel) for k, kernel in tables.kernels.items()}
     _assert_decisions_equal(tables, states, inst.num_types)
     assert inst.num_products in kernel_ids
     assert any(0 < m < inst.num_products for m in kernel_ids)
@@ -575,23 +579,23 @@ def test_opr_refuses_a_branch_and_bound_cut_by_its_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("extra, solver", [(0, "table"), (1, "branch_and_bound")])
-def test_opr_switches_solver_at_the_bruteforce_cap(monkeypatch, extra, solver):
+def test_opr_switches_solver_at_the_bruteforce_cap(extra, solver):
     # a mixture has a subset table up to its cap, so opr must call the
     # table kernel at exactly the table's cap and the branch and bound one
     # product above it
     calls = []
 
-    def spy(name, inner):
-        def solve(*args):
-            calls.append((name, len(args[-1])))  # the prices come last
-            return inner(*args)
-        return solve
+    def spy(kernel):
+        name = {cdlp._table_best: "table", cdlp._branch_and_bound: "branch_and_bound"}[kernel.func]
 
-    monkeypatch.setattr(policies, "_table_best", spy("table", cdlp._table_best))
-    monkeypatch.setattr(cdlp, "assortment_subproblem_branch_and_bound",
-                        spy("branch_and_bound", cdlp.assortment_subproblem_branch_and_bound))
+        def call(price_items):
+            calls.append((name, len(price_items)))
+            return kernel(price_items)
+        return call
+
     N = choice._ENUMERATION_CAP + extra
     tables = _wide_mixture_tables(N)
+    tables.kernels = {k: spy(kernel) for k, kernel in tables.kernels.items()}
     assert policies._opr_decision(tables, [2], 0.3, 1) == \
         _reference_opr_decision(tables, [2], 0.3, 1)
     assert calls == [(solver, N)]
