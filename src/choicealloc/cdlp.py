@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present, _revenue
-from .lp import LinearProgram, LpSolution, solve_lp
+from .lp import LinearProgram, LpSolution, _objective_tol, solve_lp
 from .model import Instance, _reward_rows, products_of_resource, validate_instance
 
 __all__ = [
@@ -526,6 +526,10 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
         raise ValueError("max_iterations must be at least 1")
     resource_of = {p.id: p.resource for p in inst.products}
     rewards = _reward_rows(inst)  # fixed for the run
+    masses = [inst.arrival_mass(k) for k in range(1, K + 1)]
+    # the reduced-cost tolerance on the scale of the largest reward mass
+    tol = _objective_tol(REDUCED_COST_TOL, max(
+        [lam * max(map(abs, row)) for lam, row in zip(masses, rewards.values())], default=0.0))
 
     H = _initial_columns(inst, rewards)
     seen = {k: set(cols) for k, cols in H.items()}
@@ -554,7 +558,7 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
 
         improved = False
         for k in range(1, K + 1):
-            lam = inst.arrival_mass(k)
+            lam = masses[k - 1]
             model = inst.ctype(k).choice
             reward = rewards[k]
             price = {n: reward[n] - pi[resource_of[n] - 1] for n in range(1, N + 1)}
@@ -564,7 +568,7 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
                     f"subproblem result guarantee {result.guarantee:g} is below "
                     f"the {required:g} required for eps={eps:g}"
                 )
-            if lam * result.value - sigma[k - 1] > REDUCED_COST_TOL:
+            if lam * result.value - sigma[k - 1] > tol:
                 if result.assortment not in seen[k]:
                     H[k].append(result.assortment)
                     seen[k].add(result.assortment)

@@ -372,8 +372,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_spike)
 
     args = parser.parse_args(argv)
-    # a confidence interval needs two replications, a value surface MIN_GRID steps
-    for flag, low in (("reps", 2), ("grid", MIN_GRID), ("instances", 1), ("workers", 1)):
+    # a confidence interval needs two replications, a value surface MIN_GRID steps,
+    # and a seed is a nonnegative integer
+    for flag, low in (("reps", 2), ("grid", MIN_GRID), ("instances", 1), ("workers", 1),
+                      ("seed", 0)):
         if (value := getattr(args, flag, None)) is not None and value < low:
             parser.error(f"argument --{flag}: must be at least {low}")
     if getattr(args, "instance", None) is not None:  # validate, cdlp, simulate

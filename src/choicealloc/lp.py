@@ -23,6 +23,15 @@ float64 buffer and checks them there; its objective, rows and right-hand
 sides are C-contiguous views of that buffer, so ``solve_lp`` reads them as
 they are and no caller can change a checked program.
 
+Tolerances on the objective's scale shrink with it: ``_objective_tol``
+multiplies one by min(1, 2^floor(log2 m)) for an objective of magnitude m.
+The factor is a power of two, so rewards scaled by 2^k < 1 meet tolerances
+scaled alike, and a small objective's optimum is not cut short by an
+absolute threshold.  A ``LinearProgram`` scales ``OPTIMALITY_TOL`` by its
+max|c| when it is built, and the column generation scales its reduced-cost
+tolerance by its largest reward mass.  ``PIVOT_TOL`` and ``FEASIBILITY_TOL`` are on the scale of the rows
+and right-hand sides, and keep their values.
+
 Pivots run in place on one C-contiguous ``(m, ncols + 1)`` tableau: the
 pivot row is scaled, and every other row subtracts its multiple of it
 through one reused product buffer.  The O(m) steps run on Python floats:
@@ -42,7 +51,7 @@ the reference raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,15 +64,26 @@ PIVOT_TOL = 1e-11
 FEASIBILITY_TOL = 1e-9  # a given start's B^-1 b may read this far below 0
 
 
+def _objective_tol(tol: float, m: float) -> float:
+    """``tol`` for an objective of magnitude ``m``: tol * min(1, 2^floor(log2 m)),
+    or tol itself when m is 0."""
+    if not m > 0.0:
+        return tol
+    return tol * min(1.0, math.ldexp(0.5, math.frexp(m)[1]))
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """max objective @ x  s.t.  rows @ x <= rhs,  x >= 0, with rhs >= 0, held
     as read-only float64 copies of shape (n,), (m, n) and (m,); no rows give
-    (0, n).  Programs compare by identity: compare their arrays instead."""
+    (0, n).  Programs compare by identity: compare their arrays instead.
+    ``optimality_tol`` is the entering threshold ``solve_lp`` applies to this
+    program: ``OPTIMALITY_TOL`` scaled by max|objective|."""
 
     objective: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
+    optimality_tol: float = field(init=False, repr=False)
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
@@ -88,6 +108,8 @@ class LinearProgram:
                 raise ValueError("all coefficients must be finite")
             raise ValueError("every right-hand side must be finite and nonnegative")
         data.flags.writeable = False
+        scale = float(np.maximum.reduce(np.abs(data[:n]), initial=0.0))  # max|objective|
+        object.__setattr__(self, "optimality_tol", _objective_tol(OPTIMALITY_TOL, scale))
         object.__setattr__(self, "objective", data[:n])
         object.__setattr__(self, "rows", data[n:k].reshape(rows.shape))
         object.__setattr__(self, "rhs", data[k:])
@@ -124,8 +146,9 @@ def _pivot(T, buf, i, j):
     T[i + 1:] -= buf[i + 1:]
 
 
-def _run_simplex(T, buf, basis, cost, max_iters):
-    """Primal simplex iterations on the dictionary ``T`` (rows = B^-1 [M | b]).
+def _run_simplex(T, buf, basis, cost, max_iters, tol):
+    """Primal simplex iterations on the dictionary ``T`` (rows = B^-1 [M | b]),
+    entering a column whose reduced cost exceeds ``tol``.
 
     Returns "optimal", "unbounded", or "failed" (iteration cap, or a ratio
     test that reads NaN).
@@ -134,7 +157,7 @@ def _run_simplex(T, buf, basis, cost, max_iters):
     lhs, rhs = T[:, :ncols], T[:, ncols]
     cb = cost[basis]
     for _ in range(max_iters):
-        eligible = (cost - cb @ lhs) > OPTIMALITY_TOL
+        eligible = (cost - cb @ lhs) > tol
         j = int(eligible.argmax())  # Bland: lowest eligible index
         if not eligible[j]:
             return "optimal"
@@ -165,7 +188,7 @@ def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None) -> LpSo
     ``ValueError``; one that is singular or not feasible (see the module
     docstring) returns status "failed".
     """
-    c, A, b = program.objective, program.rows, program.rhs
+    c, A, b, tol = program.objective, program.rows, program.rhs, program.optimality_tol
     m, n = A.shape
     if basis is not None:
         basis = [int(j) for j in basis]
@@ -173,7 +196,7 @@ def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None) -> LpSo
             raise ValueError(f"a starting basis names {m} distinct columns of the {n + m} "
                              f"of [A | I], got {basis}")
     if m == 0:
-        if np.any(c > OPTIMALITY_TOL):
+        if np.any(c > tol):
             return LpSolution("unbounded")
         return LpSolution("optimal", (0.0,) * n, (), 0.0)
 
@@ -194,7 +217,7 @@ def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None) -> LpSo
         start[start < 0.0] = 0.0
     buf = np.empty_like(T)
     cost = np.concatenate([c, np.zeros(m)])
-    status = _run_simplex(T, buf, basis, cost, 200 + 50 * (2 * m + n))
+    status = _run_simplex(T, buf, basis, cost, 200 + 50 * (2 * m + n), tol)
     if status != "optimal":
         return LpSolution(status)
 

@@ -1,13 +1,16 @@
 """Monte Carlo harness: Poisson sample paths, policy runs, and aggregation.
 
 Arrival paths are sampled per type segment by segment (the piecewise-
-constant envelope makes thinning acceptance-free), merged in time order.
+constant envelope makes thinning acceptance-free), merged in time order;
+``_segments`` lists the segments of positive mass once per run.
 Choice randomness is a separate stream indexed by event ordinal, so every
 policy replayed on the same path with the same choice seed consumes
 identical draws per arrival; paired policy comparisons rely on this.
 ``_seeds`` alone lays out replication r's seeds, for ``monte_carlo``, and
 through ``_replication`` for the suites' hindsight paths and the CLI's
-``--trace``.
+``--trace``: the streams of the tuples (base, r, 0) and (base, r, 1),
+seeded by the uint32 words ``SeedSequence`` reads those tuples as, which
+numpy turns into a generator faster than the tuples themselves.
 
 A run is compiled once into ``policies._Tables`` (product-to-resource and
 expiry lists, per-type operative rewards, choice models, offer CDF rows and
@@ -119,24 +122,36 @@ class MonteCarloReport:
 def generate_arrivals(inst: Instance, seed) -> SamplePath:
     """Sample one arrival path for every customer type, deterministic in
     ``seed`` (any seed accepted by numpy's default_rng)."""
-    events, counts = _arrivals(inst, seed)
+    events, counts = _arrivals(_segments(inst), seed)
     return SamplePath(events=tuple(map(ArrivalEvent._make, events)), counts=counts)
 
 
-def _arrivals(inst: Instance, seed) -> tuple[list[tuple[float, int]], tuple[int, ...]]:
-    """``generate_arrivals``'s events as plain (time, type) pairs, and its
-    per-type counts."""
-    rng = np.random.default_rng(seed)
-    events: list[tuple[float, int]] = []
-    counts = []
+def _segments(inst: Instance) -> list[tuple[int, list[tuple[float, float, float]]]]:
+    """Every type k with its rate curve's segments (a, b, mass) that ``_arrivals``
+    draws from, in time order: all but those of mass <= 0."""
+    out = []
     for k in range(1, inst.num_types + 1):
         curve = inst.ctype(k).rate
-        total = 0
+        segments = []
         for i, rate in enumerate(curve.rates):
             a, b = curve.breakpoints[i], curve.breakpoints[i + 1]
             mass = rate * (b - a)
-            if mass <= 0.0:
-                continue
+            if not mass <= 0.0:  # a NaN mass stays, for poisson to refuse
+                segments.append((a, b, mass))
+        out.append((k, segments))
+    return out
+
+
+def _arrivals(segments, seed) -> tuple[list[tuple[float, int]], tuple[int, ...]]:
+    """``generate_arrivals``'s events as plain (time, type) pairs, and its
+    per-type counts, drawn over ``_segments``: a Poisson count a segment,
+    then that many uniform times on it."""
+    rng = np.random.default_rng(seed)
+    events: list[tuple[float, int]] = []
+    counts = []
+    for k, spans in segments:
+        total = 0
+        for a, b, mass in spans:
             count = int(rng.poisson(mass))
             if count:
                 times = rng.uniform(a, b, count)
@@ -241,23 +256,47 @@ def run_policy(inst: Instance, policy: str, sol: CdlpSolution,
                 relaxed, collect_trace)
 
 
-def _seeds(base_seed: int, r: int) -> tuple[tuple, tuple]:
-    """Replication r's arrival seed (base_seed, r, 0) and choice seed (base_seed, r, 1)."""
-    return (base_seed, r, 0), (base_seed, r, 1)
+def _words(n: int) -> list[int]:
+    """A nonnegative int's little-endian 32-bit words, split as numpy's
+    ``SeedSequence`` splits it: 0 is the single word 0."""
+    words = [n & 0xFFFF_FFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFF_FFFF)
+        n >>= 32
+    return words
 
 
-def _replication(inst: Instance, base_seed: int, r: int) -> tuple[SamplePath, tuple]:
+def _base_words(base_seed) -> list[int]:
+    """``_words`` of a base seed, which must be a nonnegative integer: the word
+    split of a negative int never ends, so it raises ``ValueError`` here."""
+    if not isinstance(base_seed, numbers.Integral) or base_seed < 0:
+        raise ValueError(f"the base seed must be a nonnegative integer, got {base_seed!r}")
+    return _words(int(base_seed))
+
+
+def _seeds(base_words: list[int], r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replication r's arrival seed and choice seed: the uint32 words of
+    base, then of r, then 0 (arrivals) or 1 (choices).  ``SeedSequence``
+    reads the tuple seeds (base, r, 0) and (base, r, 1) as these same words,
+    so each array seeds the tuple's stream, at less cost."""
+    head = base_words + _words(r)
+    return np.array(head + [0], dtype=np.uint32), np.array(head + [1], dtype=np.uint32)
+
+
+def _replication(inst: Instance, base_seed: int, r: int) -> tuple[SamplePath, np.ndarray]:
     """The arrival path and the choice seed of replication ``r``."""
-    arrival_seed, choice_seed = _seeds(base_seed, r)
+    arrival_seed, choice_seed = _seeds(_base_words(base_seed), r)
     return generate_arrivals(inst, arrival_seed), choice_seed
 
 
-def _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices):
+def _replication_rewards(inst, policy, sol, grids, base_words, relaxed, indices):
     tables = _compile(inst, policy, sol, grids)
+    segments = _segments(inst)
     rewards = []
     for r in indices:
-        arrival_seed, choice_seed = _seeds(base_seed, r)
-        rewards.append(_run(tables, policy, _arrivals(inst, arrival_seed)[0], choice_seed,
+        arrival_seed, choice_seed = _seeds(base_words, r)
+        rewards.append(_run(tables, policy, _arrivals(segments, arrival_seed)[0], choice_seed,
                             relaxed, False).reward)
     return rewards
 
@@ -270,7 +309,8 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
 
     Replication r draws its arrivals and its choice stream from the seeds
     of ``_seeds``; running several policies with the same base seed
-    therefore pairs them path by path and draw by draw.
+    therefore pairs them path by path and draw by draw.  A base seed that
+    is not a nonnegative integer raises ``ValueError`` before any sampling.
     ``sol`` is the plan to follow; pr and opr also need its value ``grids``.
     ``workers`` > 1 splits the replications over at most ``reps`` processes.
     """
@@ -278,6 +318,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
         raise ValueError("at least two replications required")
     if workers < 1:
         raise ValueError("at least one worker required")
+    base_words = _base_words(base_seed)
 
     indices = list(range(reps))
     workers = min(workers, reps)
@@ -289,7 +330,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_replication_rewards, inst, policy, sol, grids,
-                            base_seed, relaxed, chunk)
+                            base_words, relaxed, chunk)
                 for chunk in chunks
             ]
             for chunk, fut in zip(chunks, futures):
@@ -297,7 +338,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
                     rewards[r] = value
     else:
         rewards = np.array(
-            _replication_rewards(inst, policy, sol, grids, base_seed, relaxed, indices)
+            _replication_rewards(inst, policy, sol, grids, base_words, relaxed, indices)
         )
 
     mean = float(rewards.mean())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace as dc_replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -1133,3 +1134,33 @@ def test_plain_callable_solver_without_guarantee():
 
     assert solve_cdlp(inst, 0.0, solver) == solve_cdlp(inst)
     assert calls
+
+
+# ------------------------------------------------------ reward scaling
+
+
+def _rewards_times(inst, factor):
+    products = tuple(dc_replace(p, reward=p.reward * factor) for p in inst.products)
+    types = tuple(
+        dc_replace(t, reward_override=t.reward_override and
+                   {n: r * factor for n, r in t.reward_override.items()})
+        for t in inst.types
+    )
+    return dc_replace(inst, products=products, types=types)
+
+
+# the plans whose scaled copies an absolute 1e-9 tolerance left short of
+# optimal yet certified, by up to 1.3 % at 2^-24 and to objective 0 at 2^-40
+@pytest.mark.parametrize("kind, seed", [("attraction", 16), ("mixture", 16), ("mixture", 9),
+                                        ("table", 3), ("table", 27)])
+def test_plan_scales_exactly_with_its_rewards(kind, seed):
+    # rewards x 2^k are exact in floating point, and the objective-scale
+    # tolerances scale alike, so the plan scales exactly too
+    inst = random_instance(seed, model_kinds=(kind,))
+    want = solve_cdlp(inst)
+    assert want.objective > 0.0
+    for k in (-40, -30, -24, -17):
+        sol = solve_cdlp(_rewards_times(inst, math.ldexp(1.0, k)))
+        assert sol.certified
+        assert sol.objective == math.ldexp(want.objective, k), k
+        assert sol.x == want.x, k

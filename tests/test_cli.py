@@ -152,6 +152,9 @@ def test_integral_float_capacity_in_a_file_is_an_integer(tmp_path, capsys):
     ["verify", "--suite", "dominance", "--instances", "many"],
     ["simulate", "--instance", "x.json", "--seed", "1", "--out", "x", "--workers", "0"],
     ["spike", "--seed", "1", "--workers", "-1"],
+    ["simulate", "--instance", "x.json", "--seed", "-1", "--out", "x"],
+    ["verify", "--suite", "scaling", "--seed", "-1"],
+    ["spike", "--seed", "-1"],
 ])
 def test_out_of_range_counts_are_parse_errors(argv, capsys):
     with pytest.raises(SystemExit) as exit_:

@@ -4,6 +4,8 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from choicealloc import (
     ArrivalEvent,
@@ -237,17 +239,65 @@ def test_monte_carlo_reproducible():
     assert a.mean == b.mean and a.half_width == b.half_width
 
 
+def _state(seed):
+    return np.random.default_rng(seed).bit_generator.state
+
+
 def test_replication_seed_layout():
-    # replication r: arrivals from (base, r, 0), choices from (base, r, 1)
+    # replication r: arrivals from (base, r, 0)'s stream, choices from (base, r, 1)'s
     from choicealloc.sim import _replication
 
     inst = random_instance(3, model_kinds=("attraction",))
     sol = solve_cdlp(inst)
     path, choice_seed = _replication(inst, 17, 5)
     assert path == generate_arrivals(inst, (17, 5, 0))
-    assert choice_seed == (17, 5, 1)
+    assert _state(choice_seed) == _state((17, 5, 1))
     report = monte_carlo(inst, "fcfs", 6, 17, sol=sol)
     assert report.rewards[5] == run_policy(inst, "fcfs", sol, None, path, choice_seed).reward
+    assert report.rewards[5] == run_policy(inst, "fcfs", sol, None, path, (17, 5, 1)).reward
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.integers(min_value=0, max_value=2**96)
+       | st.integers(min_value=0, max_value=2**63 - 1).map(np.int64))
+@example(base=0)
+@example(base=1)
+@example(base=2**32 - 1)
+@example(base=2**32)
+@example(base=2**64 + 5)
+@example(base=np.int64(2**40 + 3))
+def test_word_seeds_give_the_tuple_streams(base):
+    words = sim._base_words(base)
+    for r in (0, 1, 2**32):
+        for index, seed in enumerate(sim._seeds(words, r)):
+            assert seed.dtype == np.uint32
+            assert _state(seed) == _state((base, r, index))
+            a, b = np.random.default_rng(seed), np.random.default_rng((base, r, index))
+            assert a.random(4).tobytes() == b.random(4).tobytes()
+            assert a.poisson(2.5, 4).tobytes() == b.poisson(2.5, 4).tobytes()
+
+
+@pytest.mark.parametrize("base", [-1, -(2**40), 1.5, "7", None])
+def test_monte_carlo_refuses_a_base_seed_that_is_not_a_nonnegative_integer(base, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the seed was checked")
+
+    monkeypatch.setattr(sim, "_replication_rewards", no_sampling)
+    inst = unit_instance(1.0)
+    sol = solve_cdlp(inst)
+    with pytest.raises(ValueError, match="base seed") as err:
+        monte_carlo(inst, "fcfs", 4, base, sol=sol)
+    assert repr(base) in str(err.value)
+    with pytest.raises(ValueError, match="base seed"):
+        sim._replication(inst, base, 0)
+
+
+def test_monte_carlo_accepts_a_numpy_integer_base_seed():
+    inst = random_instance(3, model_kinds=("attraction",))
+    sol = solve_cdlp(inst)
+    want = monte_carlo(inst, "fcfs", 20, 17, sol=sol).rewards
+    for base in (np.int64(17), np.uint32(17), np.uint64(17)):
+        assert monte_carlo(inst, "fcfs", 20, base, sol=sol).rewards.tobytes() == want.tobytes()
 
 
 def test_monte_carlo_requires_two_reps():
