@@ -298,6 +298,9 @@ class TabulatedChoiceModel(ChoiceModel):
             normalized[key] = entry
         self.table = normalized
         top = max((n for S in normalized for n in S), default=0)
+        if not (num_products is None or isinstance(num_products, numbers.Integral)):
+            raise ValueError(f"a probability table's product count is an integer, "
+                             f"not {num_products!r}")
         self.num_products = int(top if num_products is None else num_products)
         if not top <= self.num_products <= _ENUMERATION_CAP:
             raise ValueError(f"a probability table covers at most {_ENUMERATION_CAP} products and "

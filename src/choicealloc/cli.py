@@ -243,10 +243,9 @@ def cmd_simulate(args) -> int:
         if not sol.certified:
             print(f"error: plan for {tag} is not certified; aborting")
             return EXIT_NOT_CERTIFIED
-        grids = None
-        if any(p in ("pr", "opr") for p in policies):
-            grids = build_value_grids(scaled, sol.s_star, args.grid)
-        if args.dump_grids and grids:
+        grids = build_value_grids(scaled, sol.s_star, args.grid) \
+            if args.dump_grids or "pr" in policies or "opr" in policies else None
+        if args.dump_grids:
             for l, grid in grids.items():
                 times = np.linspace(0.0, 1.0, grid.values.shape[1])
                 grid_rows = [

@@ -61,8 +61,14 @@ def random_instance(seed: int, *, max_resources: int = 3, max_products: int = 6,
     ("attraction" = MNL or general attraction, "mixture" = 2-3 MNL
     segments, "table" = fully enumerated random probability table).  With
     probability 1/4 a type carries a reward override for one product
-    (uniform factor in [0.5, 1.5] of the base reward).
+    (uniform factor in [0.5, 1.5] of the base reward).  Limits below 1, or
+    ``max_products`` below ``max_resources`` - 1, raise ``ValueError``.
     """
+    if not (all(m >= 1 for m in (max_resources, max_products, max_types))  # NaN fails too
+            and max_products >= max_resources - 1):
+        raise ValueError("random_instance needs limits of at least 1 and max_products >= "
+                         f"max_resources - 1, got max_resources={max_resources!r}, "
+                         f"max_products={max_products!r}, max_types={max_types!r}")
     rng = np.random.default_rng(seed)
     L = int(rng.integers(1, max_resources + 1))
     N = int(rng.integers(max(1, L - 1), max_products + 1))

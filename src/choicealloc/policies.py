@@ -14,11 +14,13 @@ with, ``cdlp._kernel(model)``, picked once per type when a run compiles
 its tables (see ``opr_offer``).
 
 The simulator compiles the instance, the plan and the value grids into a
-``_Tables`` once per run and calls the private decision functions directly;
-the public functions below are thin wrappers over the same functions, and
-only ``opr_offer`` compiles tables per call.  Offers and choices are both
-drawn by ``choice._draw``.  ``_sellable`` alone decides whether a product
-can be sold (its resource is in stock and not expired).
+``_Tables`` once per run, with only what its policy reads, and calls the
+private decision functions directly; opr's compile refuses a model that
+is not removal-monotone before any arrival.  The public functions below
+are thin wrappers over the same functions, and only ``opr_offer``
+compiles tables per call.  Offers and choices are both drawn by
+``choice._draw``.  ``_sellable`` alone decides whether a product can be
+sold (its resource is in stock and not expired).
 """
 
 from __future__ import annotations
@@ -71,39 +73,43 @@ def _offer_cdf(sol: CdlpSolution, k: int) -> tuple[list[float], list[frozenset[i
 
 
 class _Tables:
-    """Everything the decisions of a run read that stays fixed for the run.
+    """The one compile of a run of ``policy``: what its decisions read that
+    stays fixed for the run.  An unknown policy, and pr or opr without
+    ``grids``, raise ``ValueError``.
 
     Resources sit at position l-1 (as in ``PolicyState.inventory``);
-    products and types at their id, slot 0 unused.  ``resource_of[n]`` is
-    the position of product n's resource, ``rewards[k][n]`` type k's
-    operative reward for n, ``offers[k]`` the ``_offer_cdf`` of type k, and
-    ``views[l-1]`` the ``_view`` of resource l's grid, which
-    ``valuefn._marginal`` reads marginal values from (built with the grid,
-    not here).  With ``grids``, every resource needs a grid covering its
-    capacity.
-
-    With ``grids``, ``products[k]`` lists type k's (product, resource
-    position, operative reward) rows in product order, which opr prices.
-    For an attraction model only the products of positive weight mu + nu
-    are listed: the others are never bought, and ``_best_prefix`` would
-    drop them.  Mixtures and tables list every product.  ``kernels[k]``
-    is then type k's ``cdlp._kernel``, which opr calls on those prices.
-    ``prunable[k]`` says whether type k's model is removal-monotone.
-
-    ``sellable`` is ``_sellable_resources`` at time 0 with full capacity:
-    default-mode fcfs and pr offers are filtered by it.
+    products and types at their id, slot 0 unused.  Every policy reads
+    ``resource_of[n]`` (the position of n's resource), ``expiry``,
+    ``capacity``, ``models`` and ``rewards[k][n]`` (type k's operative
+    reward for n).  The rest is None unless the policy reads it.  pr and
+    opr: ``views[l-1]``, the ``_view`` of resource l's grid, which must
+    cover its capacity.  fcfs and pr: ``offers[k]``, the ``_offer_cdf`` of
+    type k, and unless ``relaxed``, ``sellable``, ``_sellable_resources``
+    at time 0, which filters their offers.  opr: ``products[k]``, type k's
+    (product, resource position, operative reward) rows, which opr prices
+    (for an attraction model only those of positive weight mu + nu, which
+    alone are bought), and ``kernels[k]``, type k's ``cdlp._kernel``.  opr
+    ignores ``relaxed`` and refuses a model that is not removal-monotone:
+    its dominance argument prunes nonpositive prices.
     """
 
-    __slots__ = ("resource_of", "expiry", "capacity", "views", "models", "rewards",
-                 "products", "offers", "prunable", "kernels", "sellable")
+    __slots__ = ("policy", "resource_of", "expiry", "capacity", "models", "rewards",
+                 "views", "offers", "sellable", "products", "kernels")
 
-    def __init__(self, inst: Instance, sol: CdlpSolution,
-                 grids: Mapping[int, ResourceValueGrid] | None = None):
+    def __init__(self, inst: Instance, policy: str, sol: CdlpSolution,
+                 grids: Mapping[int, ResourceValueGrid] | None = None, relaxed: bool = False):
+        if policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {policy!r}")
+        if policy != "fcfs" and grids is None:
+            raise ValueError(f"policy {policy!r} needs value grids")
+        self.policy = policy
         self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
         self.expiry = [r.expiry for r in inst.resources]
         self.capacity = [r.capacity for r in inst.resources]
-        self.views = None
-        if grids is not None:
+        self.models = {k: ctype.choice for k, ctype in enumerate(inst.types, start=1)}
+        self.rewards = _reward_rows(inst)
+        self.views = self.offers = self.sellable = self.products = self.kernels = None
+        if policy != "fcfs":
             missing = [r.id for r in inst.resources if r.id not in grids]
             if missing:
                 raise ValueError(f"no value grid for resources {missing}")
@@ -111,25 +117,21 @@ class _Tables:
             if short:
                 raise ValueError(f"value grids of resources {short} are below capacity")
             self.views = [grids[r.id]._view for r in inst.resources]
-        self.models, self.products, self.offers = {}, {}, {}
-        self.prunable, self.kernels = {}, {}
-        self.rewards = _reward_rows(inst)
-        for k, ctype in enumerate(inst.types, start=1):
-            model = ctype.choice
-            self.models[k] = model
-            self.offers[k] = _offer_cdf(sol, k)
-            # opr_offer's dominance argument prunes nonpositive-price products,
-            # which only removal-monotone models guarantee cannot lower the
-            # revenue; opr's optimizers prune nothing (brute force scores all)
-            self.prunable[k] = model.is_removal_monotone
-            if grids is not None:  # opr prices with grids only
-                self.kernels[k] = _kernel(model)
-                weights = model.attraction()
-                rows = zip(range(1, inst.num_products + 1),
-                           self.resource_of[1:], self.rewards[k][1:])
-                self.products[k] = [(n, l, r) for n, l, r in rows
-                                    if weights is None or weights[0][n - 1] > 0.0]
-        self.sellable = _sellable_resources(self.capacity, self.expiry, 0.0)
+        if policy != "opr":
+            self.offers = {k: _offer_cdf(sol, k) for k in self.models}
+            if not relaxed:
+                self.sellable = _sellable_resources(self.capacity, self.expiry, 0.0)
+            return
+        if not all(model.is_removal_monotone for model in self.models.values()):
+            raise ValueError("opr requires choice models where pruning cannot hurt expected "
+                             "revenue; this probability table violates that")
+        self.products, self.kernels = {}, {}
+        for k, model in self.models.items():
+            self.kernels[k] = _kernel(model)
+            weights = model.attraction()
+            rows = zip(range(1, inst.num_products + 1), self.resource_of[1:], self.rewards[k][1:])
+            self.products[k] = [(n, l, r) for n, l, r in rows
+                                if weights is None or weights[0][n - 1] > 0.0]
 
 
 def _require_reachable(inst: Instance, state: PolicyState, k: int) -> None:
@@ -173,11 +175,6 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
     when one of the products the type can buy is sellable, once per call.
     The prices go to the type's kernel as they are, already ascending and
     of known products, without a solver entry's ``cdlp._priced`` check."""
-    if not t.prunable[k]:
-        raise ValueError(
-            "opr requires choice models where pruning cannot hurt expected "
-            "revenue; this probability table violates that"
-        )
     if not 0.0 <= now <= 1.0:  # _marginal checks too, but may not be called
         raise ValueError(f"time {now} outside [0, 1]")
     expiry, views = t.expiry, t.views
@@ -261,11 +258,12 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     covering its capacity.  A state no run of ``inst`` reaches or a type
     outside 1..K raises ``ValueError``.
 
-    Each call compiles a ``_Tables`` for the whole instance; the simulator
-    compiles once per run instead.
+    Each call compiles opr's ``_Tables`` for the whole instance (a run
+    compiles once), so any type, not only k, whose model is not
+    removal-monotone raises ``ValueError``.
     """
     _require_reachable(inst, state, k)
-    tables = _Tables(inst, sol, grids)
+    tables = _Tables(inst, "opr", sol, grids)
     offer, _ = _opr_decision(tables, state.inventory, state.now, k)
     return OfferDecision(offer)
 

@@ -12,11 +12,13 @@ through ``_replication`` for the suites' hindsight paths and the CLI's
 seeded by the uint32 words ``SeedSequence`` reads those tuples as, which
 numpy turns into a generator faster than the tuples themselves.
 
-A run is compiled once into ``policies._Tables`` (product-to-resource and
-expiry lists, per-type operative rewards, choice models, offer CDF rows and
-the grids' lookup views), once per ``monte_carlo`` call and once
-per ``run_policy`` call.  One flat per-arrival loop then drives fcfs, pr and
-opr on (time, type) pairs with the private decision functions behind
+A run is compiled once per ``monte_carlo`` call (per worker) and once per
+``run_policy`` call into ``policies._Tables``, with what its policy and
+mode read: fcfs and pr get the offer CDF rows, pr and opr the grids'
+views, opr its priced rows and kernels.  opr's compile refuses a model
+that is not removal-monotone, before any replication, whatever the seed.
+One flat per-arrival loop then drives fcfs, pr and opr on (time, type)
+pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
 ``choice._draw`` bisection, and ``policies._sellable`` alone decides
 whether a product can be sold.
@@ -36,8 +38,7 @@ import numpy as np
 from .cdlp import CdlpError, CdlpSolution, _auto, _column_generation
 from .choice import _draw
 from .model import Instance, RateCurve
-from .policies import (POLICY_NAMES, _opr_decision, _pr_accepts, _sellable,
-                       _sellable_resources, _Tables)
+from .policies import _opr_decision, _pr_accepts, _sellable, _sellable_resources, _Tables
 from .valuefn import ResourceValueGrid
 
 __all__ = [
@@ -169,28 +170,19 @@ def _require_path_of(inst: Instance, path: SamplePath) -> None:
                          f"the instance {inst.num_types}")
 
 
-def _compile(inst: Instance, policy: str, sol: CdlpSolution,
-             grids: Mapping[int, ResourceValueGrid] | None) -> _Tables:
-    """The run tables for one policy; value grids are read by pr and opr only."""
-    if policy not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy!r}")
-    if policy != "fcfs" and grids is None:
-        raise ValueError(f"policy {policy!r} needs value grids")
-    return _Tables(inst, sol, grids if policy != "fcfs" else None)
-
-
-def _run(tables: _Tables, policy: str, events: Sequence[tuple[float, int]], choice_seed,
-         relaxed: bool, collect_trace: bool) -> ReplicationReport:
+def _run(tables: _Tables, events: Sequence[tuple[float, int]], choice_seed,
+         collect_trace: bool) -> ReplicationReport:
     draws = np.random.default_rng(choice_seed).random((len(events), 2)).tolist()
-    resource_of, expiry, models, offers = (tables.resource_of, tables.expiry,
-                                           tables.models, tables.offers)
+    policy, resource_of, expiry, models, offers = (tables.policy, tables.resource_of,
+                                                   tables.expiry, tables.models, tables.offers)
     inventory = list(tables.capacity)
     sales = [0] * len(inventory)
     reward = 0.0
     trace: list[tuple] | None = [] if collect_trace else None
-    # default-mode fcfs and pr offer products of ``live`` resources only, until
-    # ``horizon`` or a sell-out; ``kept`` (None: all sellable) memoizes filtered offers
-    filtering = policy != "opr" and not relaxed
+    # default-mode fcfs and pr (compiled with ``sellable``) offer products of ``live``
+    # resources only, until ``horizon`` or a sell-out; ``kept`` (None: all sellable)
+    # memoizes filtered offers
+    filtering = tables.sellable is not None
     live, horizon = tables.sellable if filtering else (None, math.inf)
     kept = {} if filtering and len(live) < len(inventory) else None
 
@@ -252,8 +244,8 @@ def run_policy(inst: Instance, policy: str, sol: CdlpSolution,
     count per customer type of ``inst``.
     """
     _require_path_of(inst, path)
-    return _run(_compile(inst, policy, sol, grids), policy, path.events, choice_seed,
-                relaxed, collect_trace)
+    return _run(_Tables(inst, policy, sol, grids, relaxed), path.events, choice_seed,
+                collect_trace)
 
 
 def _words(n: int) -> list[int]:
@@ -291,13 +283,13 @@ def _replication(inst: Instance, base_seed: int, r: int) -> tuple[SamplePath, np
 
 
 def _replication_rewards(inst, policy, sol, grids, base_words, relaxed, indices):
-    tables = _compile(inst, policy, sol, grids)
+    tables = _Tables(inst, policy, sol, grids, relaxed)
     segments = _segments(inst)
     rewards = []
     for r in indices:
         arrival_seed, choice_seed = _seeds(base_words, r)
-        rewards.append(_run(tables, policy, _arrivals(segments, arrival_seed)[0], choice_seed,
-                            relaxed, False).reward)
+        events = _arrivals(segments, arrival_seed)[0]
+        rewards.append(_run(tables, events, choice_seed, False).reward)
     return rewards
 
 

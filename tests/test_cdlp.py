@@ -548,25 +548,31 @@ def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
 def _priced_tables(model, price):
     """opr's compiled tables for one type of ``model`` whose products, all
     on one resource in stock, have rewards ``price`` and marginal values
-    0, so that opr prices product n at price[n]."""
+    0, so that opr prices product n at price[n].  The compile refuses a
+    model that is not removal-monotone."""
     from choicealloc import CdlpSolution, build_value_grids, policies
 
     inst = Instance((Resource(1, 1),),
                     tuple(Product(n, 1, price[n]) for n in range(1, model.num_products + 1)),
                     (CustomerType(1, RateCurve.constant(1.0), model),))
     plan = CdlpSolution({1: ()}, {}, (), (0.0,), 0.0, 0.0, {}, True, 0)
-    return policies._Tables(inst, plan, build_value_grids(inst, {}, 100))
+    return policies._Tables(inst, "opr", plan, build_value_grids(inst, {}, 100))
+
+
+def _opr(model, price):
+    """opr's offer and value on ``_priced_tables(model, price)``."""
+    from choicealloc import policies
+
+    return policies._opr_decision(_priced_tables(model, price), [1], 0.5, 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(model=_listed_tables(), data=st.data())
 def test_table_subproblems_equal_scalar_enumeration(model, data):
     # on full and partial tables the brute force, _auto and opr return the
-    # scan's set and value, or raise its ValueError: opr after its own
+    # scan's set and value, or raise its ValueError: opr after its compile's
     # refusal of a table that is not removal-monotone, and its empty offer
     # when no price is positive
-    from choicealloc import policies
-
     N = model.num_products
     price = dict(enumerate(data.draw(st.lists(_prices, min_size=N, max_size=N)), start=1))
     want = _outcome(_scalar_bruteforce, model, price)
@@ -577,23 +583,19 @@ def test_table_subproblems_equal_scalar_enumeration(model, data):
                 "this probability table violates that")
     elif max(price.values()) <= 0.0:
         want = (frozenset(), 0.0)
-    tables = _priced_tables(model, price)
-    assert _outcome(policies._opr_decision, tables, [1], 0.5, 1) == want
+    assert _outcome(_opr, model, price) == want
 
 
 def test_opr_offers_nothing_when_no_price_is_positive():
     # opr reads table entries in [-1e-12, 0) as 0: with every price
     # negative it offers nothing, where the brute force finds {1} worth
     # -1e-12 * -1 = 1e-12
-    from choicealloc import policies
-
     model = TabulatedChoiceModel({(1,): {1: -1e-12}, (2,): {2: 0.3},
                                   (1, 2): {1: -1e-12, 2: 0.3}})
     price = {1: -1.0, 2: -1.0}
     assert model.is_removal_monotone
     assert _outcome(assortment_subproblem_bruteforce, model, price) == (frozenset({1}), 1e-12)
-    tables = _priced_tables(model, price)
-    assert policies._opr_decision(tables, [1], 0.5, 1) == (frozenset(), 0.0)
+    assert _opr(model, price) == (frozenset(), 0.0)
 
 
 _CAP = choice._ENUMERATION_CAP

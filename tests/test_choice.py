@@ -102,6 +102,19 @@ def test_tabulated_validation():
         TabulatedChoiceModel({frozenset({1}): {2: 0.2}})
 
 
+@pytest.mark.parametrize("count", [2.7, 3.0, "3", np.float64(3.0)])
+def test_tabulated_product_count_must_be_an_integer(count):
+    # a float is refused, never truncated, as product ids are
+    with pytest.raises(ValueError, match="product count is an integer"):
+        TabulatedChoiceModel({frozenset({1, 2}): {1: 0.4, 2: 0.3}}, num_products=count)
+
+
+@pytest.mark.parametrize("count", [3, np.int64(3), np.uint8(3)])
+def test_tabulated_product_count_accepts_numpy_integers(count):
+    model = TabulatedChoiceModel({frozenset({1, 2}): {1: 0.4, 2: 0.3}}, num_products=count)
+    assert model.num_products == 3 and type(model.num_products) is int
+
+
 def test_removal_monotonicity_flag():
     ok = TabulatedChoiceModel({
         frozenset({1}): {1: 0.7},

@@ -408,10 +408,12 @@ def test_dump_and_load_roundtrip(tmp_path):
                 assert a.choice == b.choice
 
 
-def test_grid_dump(good_path, tmp_path):
+@pytest.mark.parametrize("policies", ["pr", "fcfs"])
+def test_grid_dump(policies, good_path, tmp_path):
+    # fcfs reads no grid, but --dump-grids builds and writes them anyway
     out = tmp_path / "grids"
     code = main([
-        "simulate", "--instance", str(good_path), "--policies", "pr",
+        "simulate", "--instance", str(good_path), "--policies", policies,
         "--reps", "10", "--seed", "1", "--grid", "150",
         "--out", str(out), "--dump-grids",
     ])

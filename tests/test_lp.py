@@ -202,9 +202,11 @@ def test_no_constraints_edge():
 def test_status_stress_against_scipy(batch):
     # Mixed bounded/unbounded draws, degeneracy-prone (about a fifth of the
     # right-hand sides are exactly 0); HiGHS runs with presolve off so
-    # unbounded problems are labeled as such.
+    # unbounded problems are labeled as such.  Every draw is also restarted
+    # from the optimal basis of its rows and right-hand sides under another
+    # objective, which is feasible by construction.
     rng = np.random.default_rng(7000 + batch)
-    for _ in range(50):
+    for i in range(50):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         c = rng.uniform(-1, 1, n)
@@ -230,6 +232,29 @@ def test_status_stress_against_scipy(batch):
             y = np.array(again.duals)
             assert (y >= -1e-8).all()
             assert (A.T @ y >= c - 1e-8).all()
+        restarted = solve_lp(program, _other_optimal_basis(A, b, (7000 + batch, i)))
+        assert restarted.status == want
+        if want == "optimal":
+            assert abs(restarted.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+            y = np.array(restarted.duals)
+            assert (y >= -1e-8).all()
+            assert (A.T @ y >= c - 1e-8).all()
+
+
+def _other_optimal_basis(A, b, seed):
+    """The optimal basis of rows A and right-hand sides b (b >= 0, so x = 0
+    is feasible) under the first of 20 random objectives drawn from
+    ``seed`` that is bounded on them, or else under the last one's negated
+    magnitudes, which x = 0 maximizes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        c = rng.uniform(-1, 1, A.shape[1])
+        other = solve_lp(LinearProgram(tuple(c), tuple(map(tuple, A)), tuple(b)))
+        if other.status == "optimal":
+            return other.basis
+    other = solve_lp(LinearProgram(tuple(-np.abs(c)), tuple(map(tuple, A)), tuple(b)))
+    assert other.status == "optimal"
+    return other.basis
 
 
 # ------------------------------------------------- frozen reference solver

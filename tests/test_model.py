@@ -191,6 +191,33 @@ def test_products_of_resource_partitions_products(seed):
     assert sorted(seen) == list(range(1, inst.num_products + 1))
 
 
+@pytest.mark.parametrize("limits", [
+    {"max_resources": 3, "max_products": 1},
+    {"max_resources": 5, "max_products": 3},
+    {"max_resources": 0},
+    {"max_products": 0},
+    {"max_types": 0},
+    {"max_types": -2, "max_resources": 0.5},
+    {"max_types": math.nan},
+    {"max_products": math.nan},
+])
+def test_random_instance_refuses_limits_it_cannot_draw_from(limits):
+    # refused on every seed, not only on those that draw too many resources,
+    # with the limits named
+    for seed in range(4):
+        with pytest.raises(ValueError, match="random_instance needs limits") as err:
+            random_instance(seed, **limits)
+        assert all(f"{name}={value!r}" in str(err.value) for name, value in limits.items())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_instance_draws_at_the_product_floor(seed):
+    # max_products = max_resources - 1 is the smallest limit it can draw from
+    inst = random_instance(seed, max_resources=4, max_products=3)
+    assert inst.num_products <= 3 and inst.num_resources - 1 <= inst.num_products
+    assert validate_instance(inst).ok
+
+
 def test_scale_identity_and_example():
     inst = unit_instance()
     assert scale_instance(inst, 1.0) == inst

@@ -321,13 +321,13 @@ def test_pr_accept_refuses_a_missing_grid():
 # ------------------------------------------------- opr solver dispatch
 
 
-def _reference_opr_decision(t, inventory, now, k, floor_exact=False):
+def _reference_opr_decision(t, inventory, now, k, floor_plan=None):
     """policies._opr_decision as it was, picking its subproblem solver by
     model class on every arrival: the sort solver for attraction models,
     the MILP oracle for mixtures past the subset table, and the brute force
-    otherwise.  ``floor_exact`` scores the pruned plan assortments after
-    the solver, the earlier rule."""
-    if not t.prunable[k]:
+    otherwise.  With a ``floor_plan`` it scores that plan's assortments,
+    pruned, after the solver, the earlier rule."""
+    if not t.models[k].is_removal_monotone:
         raise ValueError("not removal-monotone")
     model = t.models[k]
     value_of_unit = [_marginal(v, c, now) if c > 0 else 0.0
@@ -346,9 +346,9 @@ def _reference_opr_decision(t, inventory, now, k, floor_exact=False):
     else:
         best = assortment_subproblem_bruteforce(model, prices)
     offer, value = best.assortment, best.value
-    if not floor_exact:
+    if floor_plan is None:
         return offer, value
-    for S in t.offers[k][1][:-1]:  # the plan's assortments, without the empty offer
+    for S in floor_plan.active.get(k, ()):
         pruned = frozenset(n for n in S if n in prices and prices[n] > 0.0)
         v = expected_revenue(model, pruned, prices) if pruned else 0.0
         if v > value:
@@ -414,8 +414,8 @@ def _assert_decisions_equal(tables, states, num_types):
 
 
 def _random_cases(kind):
-    """Six random instances of one model kind, each with its compiled
-    tables and 20 random (inventory, now) states."""
+    """Six random instances of one model kind, each with its plan, opr's
+    compiled tables and 20 random (inventory, now) states."""
     rng = np.random.default_rng(5)
     for seed in range(6):
         if kind == "table":
@@ -428,7 +428,7 @@ def _random_cases(kind):
         states = [([int(rng.integers(0, r.capacity + 1)) for r in inst.resources],
                    float(rng.uniform(0.0, 1.0)))
                   for _ in range(20)]
-        yield inst, policies._Tables(inst, sol, grids), states
+        yield inst, sol, policies._Tables(inst, "opr", sol, grids), states
 
 
 def _corner_case(kind):
@@ -445,14 +445,12 @@ def _corner_case(kind):
 
 @pytest.mark.parametrize("kind", ["attraction", "mixture", "table"])
 def test_opr_offers_equal_class_dispatch(kind):
-    for inst, tables, states in _random_cases(kind):
-        assert all(tables.prunable.values())
+    for inst, _, tables, states in _random_cases(kind):
         _assert_decisions_equal(tables, states, inst.num_types)
 
     # states the random draws rarely reach, on weights with the sort's corners
     inst, sol, grids, states = _corner_case(kind)
-    tables = policies._Tables(inst, sol, grids)
-    assert all(tables.prunable.values())
+    tables = policies._Tables(inst, "opr", sol, grids)
     # attraction types list only the products they can buy (product 2 has
     # weight 0 for both, product 6 for the second); mixtures and tables all
     listed = {k: [n for n, _, _ in rows] for k, rows in tables.products.items()}
@@ -474,7 +472,7 @@ def test_opr_offers_equal_class_dispatch(kind):
 
     # an empty resource's view is never read
     for empty in range(inst.num_resources):
-        tables = policies._Tables(inst, sol, grids)
+        tables = policies._Tables(inst, "opr", sol, grids)
         tables.views[empty] = _Unreadable()
         _assert_decisions_equal(
             tables, [(inventory, now) for inventory, now in states if inventory[empty] == 0],
@@ -488,7 +486,7 @@ def test_opr_offers_equal_class_dispatch_on_a_ten_product_mixture():
     inst = _MIXTURE10
     sol = solve_cdlp(inst)
     grids = build_value_grids(inst, sol.s_star, 400)
-    tables = policies._Tables(inst, sol, grids)
+    tables = policies._Tables(inst, "opr", sol, grids)
     rng = np.random.default_rng(7)
     states = [([r.capacity for r in inst.resources], now) for now in (0.0, 0.3, 0.8)]
     states += [([int(rng.integers(0, r.capacity + 1)) for r in inst.resources],
@@ -532,15 +530,16 @@ def test_opr_exact_offers_match_the_plan_floor_rule(kind):
     # maximize over, so scoring them after those solvers, as opr once did,
     # changes no offer; the values differ only in rounding (at most 3 ulp
     # measured, from _best_prefix's running sums against fsum).
-    cases = [(tables, states, inst.num_types) for inst, tables, states in _random_cases(kind)]
+    cases = [(sol, tables, states, inst.num_types)
+             for inst, sol, tables, states in _random_cases(kind)]
     inst, sol, grids, states = _corner_case(kind)
-    cases.append((policies._Tables(inst, sol, grids), states, inst.num_types))
-    for tables, states, num_types in cases:
+    cases.append((sol, policies._Tables(inst, "opr", sol, grids), states, inst.num_types))
+    for sol, tables, states, num_types in cases:
         for inventory, now in states:
             for k in range(1, num_types + 1):
                 offer, value = policies._opr_decision(tables, inventory, now, k)
                 floored, floor_value = _reference_opr_decision(tables, inventory, now, k,
-                                                               floor_exact=True)
+                                                               floor_plan=sol)
                 assert offer == floored
                 np.testing.assert_array_max_ulp(value, floor_value, maxulp=4)
 
@@ -560,7 +559,7 @@ def _wide_mixture_tables(N):
     )
     sol = plan_stub({1: ()}, {})
     grids = build_value_grids(inst, {}, 200)
-    return policies._Tables(inst, sol, grids)
+    return policies._Tables(inst, "opr", sol, grids)
 
 
 def test_opr_is_exact_past_the_bruteforce_cap():

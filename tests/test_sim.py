@@ -697,6 +697,80 @@ def test_monte_carlo_compiles_the_run_once(monkeypatch):
     assert len(built) == 3
 
 
+_NOT_PRUNABLE = ("opr requires choice models where pruning cannot hurt expected revenue; "
+                 "this probability table violates that")
+
+
+def _rare_table_instance():
+    """The 5-product table of ``random_instance(0)``, which is not
+    removal-monotone, as a type of rate 0.02, beside an MNL type of weight
+    1 on each product at rate 1, with its plan and 200-step grids."""
+    inst = random_instance(0, model_kinds=("table",), max_types=1)
+    N = inst.num_products
+    types = (dc_replace(inst.types[0], rate=RateCurve.constant(0.02)),
+             CustomerType(2, RateCurve.constant(1.0),
+                          AttractionChoiceModel((0.0,) * N, (1.0,) * N)))
+    inst = dc_replace(inst, types=types)
+    sol = solve_cdlp(inst)
+    return inst, sol, build_value_grids(inst, sol.s_star, 200)
+
+
+def test_opr_refuses_a_table_that_is_not_removal_monotone_before_any_arrival():
+    # the table's type arrives on few paths (none in the first five seeds'
+    # 20 replications), yet every run refuses it, whatever the seed and
+    # even on an empty path; fcfs and pr run
+    from choicealloc import PolicyState, opr_offer
+
+    inst, sol, grids = _rare_table_instance()
+    assert not inst.types[0].choice.is_removal_monotone
+    for seed in range(6):
+        with pytest.raises(ValueError) as err:
+            monte_carlo(inst, "opr", 20, seed, sol=sol, grids=grids)
+        assert str(err.value) == _NOT_PRUNABLE
+    empty = SamplePath((), (0, 0))
+    with pytest.raises(ValueError) as err:
+        run_policy(inst, "opr", sol, grids, empty, 1)
+    assert str(err.value) == _NOT_PRUNABLE
+    # opr_offer refuses for the MNL type too: the refusal is of the instance
+    with pytest.raises(ValueError) as err:
+        opr_offer(PolicyState(tuple(r.capacity for r in inst.resources), 0.0), 2, grids, sol, inst)
+    assert str(err.value) == _NOT_PRUNABLE
+    for policy in ("fcfs", "pr"):
+        for relaxed in (False, True):
+            monte_carlo(inst, policy, 20, 5, sol=sol, grids=grids, relaxed=relaxed)
+            assert run_policy(inst, policy, sol, grids, empty, 1, relaxed=relaxed).reward == 0.0
+
+
+def test_each_policy_compiles_only_what_it_reads():
+    from choicealloc.policies import _Tables
+
+    inst = random_instance(7)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 200)
+    built = {}
+    for policy in ("fcfs", "pr", "opr"):
+        for relaxed in (False, True):
+            t = _Tables(inst, policy, sol, grids, relaxed)
+            built[policy, relaxed] = {name for name in ("views", "offers", "sellable",
+                                                        "products", "kernels")
+                                      if getattr(t, name) is not None}
+            assert t.policy == policy
+    assert built == {
+        ("fcfs", False): {"offers", "sellable"}, ("fcfs", True): {"offers"},
+        ("pr", False): {"views", "offers", "sellable"}, ("pr", True): {"views", "offers"},
+        ("opr", False): {"views", "products", "kernels"},
+        ("opr", True): {"views", "products", "kernels"},
+    }
+    # fcfs needs no grids; the others refuse to compile without them, and
+    # every policy refuses an unknown name
+    assert _Tables(inst, "fcfs", sol).views is None
+    for policy in ("pr", "opr"):
+        with pytest.raises(ValueError, match=f"policy '{policy}' needs value grids"):
+            _Tables(inst, policy, sol)
+    with pytest.raises(ValueError, match="unknown policy 'lifo'"):
+        _Tables(inst, "lifo", sol, grids)
+
+
 def test_distribution_memo_bound_keeps_rewards(monkeypatch):
     from choicealloc import choice
 
@@ -748,7 +822,7 @@ def _reference_run(inst, policy, sol, grids, path, choice_seed, relaxed):
     from choicealloc.policies import _opr_decision, _pr_accepts, _sellable, _Tables
     from choicealloc.sim import ReplicationReport
 
-    t = _Tables(inst, sol, grids if policy != "fcfs" else None)
+    t = _Tables(inst, policy, sol, grids)
     draws = np.random.default_rng(choice_seed).random((len(path.events), 2)).tolist()
     inventory = list(t.capacity)
     sales = [0] * len(inventory)
