@@ -27,7 +27,9 @@ slack basis, because a plan's bytes follow the pivot path: a degenerate
 master started elsewhere can end on another optimal basis, with other x
 and duals.  ``hindsight_bound`` reads only the optimal value, so it starts
 each master from the previous master's optimal basis, which the added
-columns leave feasible, and so makes fewer pivots.
+columns leave feasible, and so makes fewer pivots.  It keeps Bland's rule,
+as ``solve_cdlp`` does; only ``solve_cdlp_enumeration``, the oracle, enters
+the largest reduced cost.
 """
 
 from __future__ import annotations
@@ -585,7 +587,12 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
 
     Exponential in the product count, so capped at ``_ENUMERATION_CAP`` (12)
     products; used as the independent oracle for the column-generation path.
-    The master equals ``build_master`` over every subset.
+    The master equals ``build_master`` over every subset.  It is solved with
+    ``canonical=False`` (largest reduced cost, Bland's rule after degenerate
+    steps), which pivots far less on its many columns; so on a degenerate
+    LP its ``x`` and duals are one optimal solution, not necessarily the
+    canonical one ``solve_cdlp``'s Bland pivots end on.  Its objective is
+    the optimum either way.
     """
     _require_valid(inst)
     N = inst.num_products
@@ -593,7 +600,7 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
         raise ValueError(f"enumeration capped at {_ENUMERATION_CAP} products, got {N}")
     subsets = [frozenset(t) for t in _lex_subsets(range(1, N + 1))]
     cols = master_columns({k: subsets for k in range(1, inst.num_types + 1)})
-    lp_sol = solve_lp(_enumeration_master(inst, subsets))
+    lp_sol = solve_lp(_enumeration_master(inst, subsets), canonical=False)
     if lp_sol.status != "optimal":
         raise CdlpError(f"enumeration LP solve failed with status {lp_sol.status!r}")
     return _extract_solution(inst, cols, lp_sol, 0.0, True, 1, (float(lp_sol.objective_value),))

@@ -9,9 +9,17 @@ gives: its tableau is then B^-1 [A | I | b], built with one linear solve.
 A given start that is singular, or whose B^-1 b has an entry below
 ``-FEASIBILITY_TOL``, returns status "failed"; the solver never falls back
 to the slack basis on its own.  Entries in [-FEASIBILITY_TOL, 0) are
-roundoff of a basis that was feasible, and are set to 0.  The solver uses
-Bland's entering/leaving rule, so it cannot cycle and is fully
-deterministic; degenerate optima resolve toward the lowest variable index.
+roundoff of a basis that was feasible, and are set to 0.  By default the
+solver uses Bland's entering/leaving rule, so it cannot cycle and is fully
+deterministic; degenerate optima resolve toward the lowest variable index,
+and every plan reads its duals, columns and grids off that basis.  With
+``canonical=False`` it enters the largest reduced cost (the lowest index
+among equals; a NaN never enters), which reaches the optimum in far fewer
+pivots on wide masters: the enumeration oracle, whose callers read only
+its objective, solves this way.  After a degenerate pivot, a step within
+the ratio test's 1e-12 tie band, it enters by Bland's rule until a step
+leaves that band, so it cannot cycle either; the iteration cap stays the
+backstop.  Both rules leave by the lowest basic index in the tie band.
 Primal and dual values are re-derived from the final basis by a direct
 linear solve rather than read off the pivoted tableau, which keeps the
 certificates clean of accumulated roundoff.  The dual values are
@@ -41,11 +49,12 @@ from the same IEEE operations as in the copy-per-pivot reference solver
 that ``tests/test_lp.py`` keeps: reduced costs are ``cost - cb @ T[:, :ncols]``
 with the same operand shapes and strides, row updates are ``t - f * p`` on
 rows other than the pivot row, and ratios are ``b / a`` under the same
-tolerances and tie band.  So from the slack basis both make the same
-decisions and end on the same basis, and the final solves against the
-original columns return the same bytes.  The one difference: a ratio test
-that reads NaN (a tableau that overflowed) returns status "failed", where
-the reference raises.
+tolerances and tie band.  So under either entering rule, from the slack
+basis or from a given one (whose tableau both build by the same linear
+solve), both make the same decisions and end on the same basis, and the
+final solves against the original columns return the same bytes.  The one
+difference: a ratio test that reads NaN (a tableau that overflowed)
+returns status "failed", where the reference raises.
 """
 
 from __future__ import annotations
@@ -146,9 +155,12 @@ def _pivot(T, buf, i, j):
     T[i + 1:] -= buf[i + 1:]
 
 
-def _run_simplex(T, buf, basis, cost, max_iters, tol):
+def _run_simplex(T, buf, basis, cost, max_iters, tol, canonical):
     """Primal simplex iterations on the dictionary ``T`` (rows = B^-1 [M | b]),
-    entering a column whose reduced cost exceeds ``tol``.
+    entering a column whose reduced cost exceeds ``tol``: the lowest such
+    index (Bland) if ``canonical``, else the largest reduced cost, and by
+    Bland's rule again after each degenerate step, one within the ratio
+    test's 1e-12 tie band, until a step leaves that band.
 
     Returns "optimal", "unbounded", or "failed" (iteration cap, or a ratio
     test that reads NaN).
@@ -156,11 +168,20 @@ def _run_simplex(T, buf, basis, cost, max_iters, tol):
     ncols = T.shape[1] - 1
     lhs, rhs = T[:, :ncols], T[:, ncols]
     cb = cost[basis]
+    bland = canonical
     for _ in range(max_iters):
-        eligible = (cost - cb @ lhs) > tol
-        j = int(eligible.argmax())  # Bland: lowest eligible index
-        if not eligible[j]:
-            return "optimal"
+        reduced = cost - cb @ lhs
+        if bland:
+            eligible = reduced > tol
+            j = int(eligible.argmax())  # Bland: lowest eligible index
+            if not eligible[j]:
+                return "optimal"
+        else:
+            j = int(reduced.argmax())  # largest, lowest index among equals
+            if reduced[j] != reduced[j]:  # argmax stops at a NaN, which never enters
+                j = int(np.where(reduced > tol, reduced, -np.inf).argmax())
+            if not reduced[j] > tol:
+                return "optimal"
         col, b = lhs[:, j].tolist(), rhs.tolist()
         rows = [r for r, a in enumerate(col) if a > PIVOT_TOL]
         if not rows:
@@ -168,7 +189,8 @@ def _run_simplex(T, buf, basis, cost, max_iters, tol):
         ratios = [b[r] / col[r] for r in rows]
         if any(map(math.isnan, ratios)):
             return "failed"
-        bar = min(ratios) + 1e-12
+        step = min(ratios)
+        bar = step + 1e-12
         i = -1
         for r, q in zip(rows, ratios):  # Bland: lowest basic var in the tie band
             if q <= bar and (i < 0 or basis[r] < basis[i]):
@@ -176,10 +198,13 @@ def _run_simplex(T, buf, basis, cost, max_iters, tol):
         _pivot(T, buf, i, j)
         basis[i] = j
         cb[i] = cost[j]
+        if not canonical:
+            bland = step <= 1e-12  # degenerate: Bland's rule cannot cycle
     return "failed"
 
 
-def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None) -> LpSolution:
+def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None, *,
+             canonical: bool = True) -> LpSolution:
     """Solve a small LP; never returns a silently wrong answer (numerical
     breakdown surfaces as status "failed").
 
@@ -187,6 +212,13 @@ def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None) -> LpSo
     column indices of ``[A | I]``, ordered as ``LpSolution.basis``.  A basis of the wrong shape raises
     ``ValueError``; one that is singular or not feasible (see the module
     docstring) returns status "failed".
+
+    ``canonical`` (the default) pivots by Bland's rule, the path every plan's
+    primal, duals and ``basis`` follow.  ``canonical=False`` enters the
+    largest reduced cost instead, usually in far fewer pivots, and by
+    Bland's rule after each degenerate step (see the module docstring); its
+    objective is the same optimum, but on a degenerate LP its basis, primal
+    and duals may be another optimal one.
     """
     c, A, b, tol = program.objective, program.rows, program.rhs, program.optimality_tol
     m, n = A.shape
@@ -217,7 +249,7 @@ def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None) -> LpSo
         start[start < 0.0] = 0.0
     buf = np.empty_like(T)
     cost = np.concatenate([c, np.zeros(m)])
-    status = _run_simplex(T, buf, basis, cost, 200 + 50 * (2 * m + n), tol)
+    status = _run_simplex(T, buf, basis, cost, 200 + 50 * (2 * m + n), tol, canonical)
     if status != "optimal":
         return LpSolution(status)
 

@@ -12,11 +12,14 @@ through ``_replication`` for the suites' hindsight paths and the CLI's
 seeded by the uint32 words ``SeedSequence`` reads those tuples as, which
 numpy turns into a generator faster than the tuples themselves.
 
-A run is compiled once per ``monte_carlo`` call (per worker) and once per
-``run_policy`` call into ``policies._Tables``, with what its policy and
-mode read: fcfs and pr get the offer CDF rows, pr and opr the grids'
-views, opr its priced rows and kernels.  opr's compile refuses a model
-that is not removal-monotone, before any replication, whatever the seed.
+A run is compiled into ``policies._Tables`` once per ``run_policy`` call
+and once per ``monte_carlo`` call, in the calling process before any
+worker starts (each worker compiles it again, since the grids' views do
+not pickle), with what its policy and mode read: fcfs and pr get the offer
+CDF rows, pr and opr the grids' views, opr its priced rows and kernels.
+So a run the compile refuses (opr on a model that is not removal-monotone,
+pr or opr without grids) raises before any replication and before any
+worker process starts, whatever the seed.
 One flat per-arrival loop then drives fcfs, pr and opr on (time, type)
 pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
@@ -282,8 +285,14 @@ def _replication(inst: Instance, base_seed: int, r: int) -> tuple[SamplePath, np
     return generate_arrivals(inst, arrival_seed), choice_seed
 
 
-def _replication_rewards(inst, policy, sol, grids, base_words, relaxed, indices):
-    tables = _Tables(inst, policy, sol, grids, relaxed)
+def _worker_rewards(inst, policy, sol, grids, base_words, relaxed, indices):
+    """``_replication_rewards`` in a worker process, which compiles the run
+    again: the grids' views are memoryviews, which do not pickle."""
+    return _replication_rewards(_Tables(inst, policy, sol, grids, relaxed), inst, base_words,
+                                indices)
+
+
+def _replication_rewards(tables, inst, base_words, indices):
     segments = _segments(inst)
     rewards = []
     for r in indices:
@@ -305,12 +314,15 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
     is not a nonnegative integer raises ``ValueError`` before any sampling.
     ``sol`` is the plan to follow; pr and opr also need its value ``grids``.
     ``workers`` > 1 splits the replications over at most ``reps`` processes.
+    The run is compiled here first, so a run its compile refuses raises
+    before any process starts.
     """
     if reps < 2:
         raise ValueError("at least two replications required")
     if workers < 1:
         raise ValueError("at least one worker required")
     base_words = _base_words(base_seed)
+    tables = _Tables(inst, policy, sol, grids, relaxed)
 
     indices = list(range(reps))
     workers = min(workers, reps)
@@ -321,7 +333,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
         rewards = np.empty(reps)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_replication_rewards, inst, policy, sol, grids,
+                pool.submit(_worker_rewards, inst, policy, sol, grids,
                             base_words, relaxed, chunk)
                 for chunk in chunks
             ]
@@ -329,9 +341,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
                 for r, value in zip(chunk, fut.result()):
                     rewards[r] = value
     else:
-        rewards = np.array(
-            _replication_rewards(inst, policy, sol, grids, base_words, relaxed, indices)
-        )
+        rewards = np.array(_replication_rewards(tables, inst, base_words, indices))
 
     mean = float(rewards.mean())
     half = float(Z_95 * rewards.std(ddof=1) / math.sqrt(reps))

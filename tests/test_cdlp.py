@@ -163,7 +163,7 @@ def test_build_master_equals_per_member_reference(inst):
 def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
     # solve_cdlp caches each column's coefficients across iterations; every
     # master it solves must still be the one build_master gives for its H,
-    # solved from the slack basis.
+    # solved from the slack basis by Bland's rule.
     snapshots, solved = [], []
     real_columns, real_solve = cdlp.master_columns, cdlp.solve_lp
 
@@ -171,10 +171,10 @@ def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
         snapshots.append({k: list(v) for k, v in H.items()})
         return real_columns(H)
 
-    def solve_spy(prog, basis=None):
-        assert basis is None
+    def solve_spy(prog, basis=None, *, canonical=True):
+        assert basis is None and canonical
         solved.append((snapshots[-1], prog))
-        return real_solve(prog, basis)
+        return real_solve(prog, basis, canonical=canonical)
 
     monkeypatch.setattr(cdlp, "master_columns", columns_spy)
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
@@ -883,9 +883,10 @@ def test_enumeration_master_equals_build_master(inst, monkeypatch):
     solved = []
     real_solve = cdlp.solve_lp
 
-    def solve_spy(prog):
+    def solve_spy(prog, basis=None, *, canonical=True):
+        assert basis is None and not canonical  # the oracle's objective-only rule
         solved.append(prog)
-        return real_solve(prog)
+        return real_solve(prog, basis, canonical=canonical)
 
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
     solve_cdlp_enumeration(inst)
@@ -909,6 +910,18 @@ def test_enumeration_cap():
                     (CustomerType(1, RateCurve.constant(1.0), mnl(*([1.0] * N))),))
     with pytest.raises(ValueError, match=f"enumeration capped at {N - 1} products, got {N}"):
         solve_cdlp_enumeration(inst)
+
+
+def test_enumeration_at_its_cap_equals_column_generation():
+    # the largest instance the oracle accepts: 12 products, 5 types, so a
+    # 10 x 20480 master solved by the largest-reduced-cost rule
+    inst = random_instance(183, max_resources=5, max_products=12, max_types=5,
+                           model_kinds=("mixture",))
+    assert inst.num_products == cdlp._ENUMERATION_CAP
+    assert (inst.num_resources, inst.num_types) == (5, 5)
+    enum, cg = solve_cdlp_enumeration(inst), solve_cdlp(inst)
+    assert cg.certified
+    assert enum.objective == pytest.approx(cg.objective, rel=1e-9, abs=0.0)
 
 
 def test_solution_support_and_feasibility_bounds():

@@ -204,7 +204,8 @@ def test_status_stress_against_scipy(batch):
     # right-hand sides are exactly 0); HiGHS runs with presolve off so
     # unbounded problems are labeled as such.  Every draw is also restarted
     # from the optimal basis of its rows and right-hand sides under another
-    # objective, which is feasible by construction.
+    # objective, which is feasible by construction.  Each solve runs under
+    # both entering rules.
     rng = np.random.default_rng(7000 + batch)
     for i in range(50):
         n = int(rng.integers(1, 7))
@@ -217,28 +218,30 @@ def test_status_stress_against_scipy(batch):
         if rng.random() < 0.3:
             A = np.round(A, 1)
         program = LinearProgram(tuple(c), tuple(map(tuple, A)), tuple(b))
-        mine = solve_lp(program)
         ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None),
                                      method="highs", options={"presolve": False})
         want = {0: "optimal", 3: "unbounded"}.get(ref.status, "other")
-        assert mine.status == want
-        if want == "optimal":
-            assert abs(mine.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
-            # restarted from its own optimal basis, the solve stays optimal
-            # with the same objective, and its duals are dual feasible
-            again = solve_lp(program, mine.basis)
-            assert again.status == "optimal"
-            assert abs(again.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
-            y = np.array(again.duals)
-            assert (y >= -1e-8).all()
-            assert (A.T @ y >= c - 1e-8).all()
-        restarted = solve_lp(program, _other_optimal_basis(A, b, (7000 + batch, i)))
-        assert restarted.status == want
-        if want == "optimal":
-            assert abs(restarted.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
-            y = np.array(restarted.duals)
-            assert (y >= -1e-8).all()
-            assert (A.T @ y >= c - 1e-8).all()
+        other = _other_optimal_basis(A, b, (7000 + batch, i))
+        for canonical in (True, False):
+            mine = solve_lp(program, canonical=canonical)
+            assert mine.status == want
+            if want == "optimal":
+                assert abs(mine.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+                # restarted from its own optimal basis, the solve stays optimal
+                # with the same objective, and its duals are dual feasible
+                again = solve_lp(program, mine.basis, canonical=canonical)
+                assert again.status == "optimal"
+                assert abs(again.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+                y = np.array(again.duals)
+                assert (y >= -1e-8).all()
+                assert (A.T @ y >= c - 1e-8).all()
+            restarted = solve_lp(program, other, canonical=canonical)
+            assert restarted.status == want
+            if want == "optimal":
+                assert abs(restarted.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+                y = np.array(restarted.duals)
+                assert (y >= -1e-8).all()
+                assert (A.T @ y >= c - 1e-8).all()
 
 
 def _other_optimal_basis(A, b, seed):
@@ -259,21 +262,28 @@ def _other_optimal_basis(A, b, seed):
 
 # ------------------------------------------------- frozen reference solver
 #
-# solve_lp as it was before its pivots ran in place: Bland's rule on a
-# tableau copied by fancy indexing at every pivot.  The in-place solver
-# must make the same pivot decisions, so its LpSolution is == this one.
-# Both enter a column above the program's ``optimality_tol``.
+# solve_lp as it was before its pivots ran in place: a tableau copied by
+# fancy indexing at every pivot, entering by Bland's rule or, with
+# ``canonical=False``, by the largest reduced cost and by Bland's rule after
+# a degenerate step.  The in-place solver must make the same pivot
+# decisions, so its LpSolution is == this one.  Both enter a column above
+# the program's ``optimality_tol``.  ``fallback=False`` drops the degenerate
+# fallback, which no solve_lp rule does: it shows an LP that cycles without it.
 
 
-def _reference_run_simplex(T, basis, cost, max_iters, tol):
+def _reference_run_simplex(T, basis, cost, max_iters, tol, canonical, fallback):
     ncols = T.shape[1] - 1
+    bland = canonical
     for _ in range(max_iters):
         cb = cost[basis]
         reduced = cost[:ncols] - cb @ T[:, :ncols]
         candidates = np.nonzero(reduced > tol)[0]
         if candidates.size == 0:
             return "optimal"
-        j = int(candidates[0])
+        if bland:
+            j = int(candidates[0])
+        else:
+            j = int(candidates[np.argmax(reduced[candidates])])
         col = T[:, j]
         rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
@@ -286,10 +296,12 @@ def _reference_run_simplex(T, basis, cost, max_iters, tol):
         others = np.arange(T.shape[0]) != i
         T[others] -= np.outer(T[others, j], T[i])
         basis[i] = j
+        if not canonical and fallback:
+            bland = best <= 1e-12
     return "failed"
 
 
-def _reference_solve_lp(program):
+def _reference_solve_lp(program, basis=None, *, canonical=True, fallback=True):
     m = len(program.rows)
     n = len(program.objective)
     c = np.asarray(program.objective, dtype=float)
@@ -303,10 +315,22 @@ def _reference_solve_lp(program):
     b = np.asarray(program.rhs, dtype=float)
     M = np.hstack([A, np.eye(m)])
     T = np.hstack([M, b[:, None]])
-    basis = np.arange(n, n + m)
+    if basis is None:
+        basis = np.arange(n, n + m)
+    else:
+        basis = np.array(basis)
+        try:
+            T = np.linalg.solve(M[:, basis], T)
+        except np.linalg.LinAlgError:
+            return LpSolution("failed")
+        T[:, basis] = np.eye(m)
+        if not np.all(T[:, -1] >= -lp_module.FEASIBILITY_TOL):
+            return LpSolution("failed")
+        T[T[:, -1] < 0.0, -1] = 0.0
     cost = np.zeros(n + m)
     cost[:n] = c
-    status = _reference_run_simplex(T, basis, cost, 200 + 50 * (2 * m + n), tol)
+    status = _reference_run_simplex(T, basis, cost, 200 + 50 * (2 * m + n), tol,
+                                    canonical, fallback)
     if status != "optimal":
         return LpSolution(status)
 
@@ -360,7 +384,28 @@ def _integer_programs(draw):
 @example(prog=LinearProgram(  # ratios 1 + 3e-14 and 1 fall in one tie band
     (1.0,), ((3.0,), (1.0,)), (3.0000000000001, 1.0)))
 def test_in_place_pivots_equal_reference_solver(prog):
-    assert solve_lp(prog) == _reference_solve_lp(prog)
+    for canonical in (True, False):
+        assert (solve_lp(prog, canonical=canonical)
+                == _reference_solve_lp(prog, canonical=canonical))
+
+
+# Chvatal (1983), Linear Programming, ch. 3: entering the largest reduced
+# cost and leaving by the lowest index in the tie band, the simplex cycles
+# through six degenerate bases at x = 0.  The optimum is x = (1, 0, 1, 0).
+_CHVATAL = LinearProgram((10.0, -57.0, -9.0, -24.0),
+                         ((0.5, -5.5, -2.5, 9.0), (0.5, -1.5, -0.5, 1.0), (1.0, 0.0, 0.0, 0.0)),
+                         (0.0, 0.0, 1.0))
+
+
+def test_largest_reduced_cost_leaves_the_chvatal_cycle(monkeypatch):
+    assert _reference_solve_lp(_CHVATAL, canonical=False, fallback=False) == LpSolution("failed")
+    pivots = _count_pivots(monkeypatch)
+    sol = solve_lp(_CHVATAL, canonical=False)
+    assert sol.status == "optimal" and sol.objective_value == 1.0
+    assert sol.primal == (1.0, 0.0, 1.0, 0.0)
+    assert sol == _reference_solve_lp(_CHVATAL, canonical=False)
+    assert 0 < len(pivots) < 10
+    assert solve_lp(_CHVATAL).objective_value == 1.0
 
 
 def test_overflowing_tableau_fails_instead_of_raising():
@@ -370,9 +415,10 @@ def test_overflowing_tableau_fails_instead_of_raising():
                          ((-1e308, 3.0, 1e-300), (-1e308, -1e200, 1.0), (1.0, 1e-300, -0.0)),
                          (1e200, 1.7e308, 3.0))
     with np.errstate(all="ignore"):
-        with pytest.raises(ValueError):
-            _reference_solve_lp(prog)
-        assert solve_lp(prog) == LpSolution("failed")
+        for canonical in (True, False):
+            with pytest.raises(ValueError):
+                _reference_solve_lp(prog, canonical=canonical)
+            assert solve_lp(prog, canonical=canonical) == LpSolution("failed")
 
 
 # ----------------------------------------- column-generation-shaped LPs
@@ -381,14 +427,14 @@ def test_overflowing_tableau_fails_instead_of_raising():
 
 def _recorded_masters(monkeypatch, instances):
     """Every LP that solve_cdlp, solve_cdlp_enumeration and hindsight_bound
-    solve on ``instances``, as (program, starting basis) pairs; the basis
-    is None for a solve from the slack basis."""
+    solve on ``instances``, as (program, starting basis, canonical)
+    triples; the basis is None for a solve from the slack basis."""
     recorded = []
     real_solve = cdlp.solve_lp
 
-    def spy(prog, basis=None):
-        recorded.append((prog, basis))
-        return real_solve(prog, basis)
+    def spy(prog, basis=None, *, canonical=True):
+        recorded.append((prog, basis, canonical))
+        return real_solve(prog, basis, canonical=canonical)
 
     monkeypatch.setattr(cdlp, "solve_lp", spy)
     for seed, inst in enumerate(instances):
@@ -402,11 +448,20 @@ def _recorded_masters(monkeypatch, instances):
 def test_in_place_pivots_equal_reference_on_recorded_masters(monkeypatch):
     # batch 20240604's largest reward mass is below 1, so its tolerances are scaled
     instances = [random_instance(7), *(_batch_instance(20240601 + i) for i in range(4)), _MIXTURE10]
+    # Each master is replayed as it was solved, from its recorded basis
+    # under its recorded rule, and also cold under both rules.
     recorded = _recorded_masters(monkeypatch, instances)
-    assert max(len(p.objective) for p, _ in recorded) == 5 * 2 ** 10
-    assert any(basis is not None for _, basis in recorded)
-    for prog, _ in recorded:
-        assert solve_lp(prog) == _reference_solve_lp(prog)
+    assert max(len(p.objective) for p, _, _ in recorded) == 5 * 2 ** 10
+    assert any(basis is not None for _, basis, _ in recorded)
+    assert {canonical for _, _, canonical in recorded} == {True, False}
+    for prog, basis, canonical in recorded:
+        assert (solve_lp(prog, basis, canonical=canonical)
+                == _reference_solve_lp(prog, basis, canonical=canonical))
+        if basis is not None:
+            assert solve_lp(prog, canonical=canonical) == _reference_solve_lp(
+                prog, canonical=canonical)
+        assert solve_lp(prog, canonical=not canonical) == _reference_solve_lp(
+            prog, canonical=not canonical)
 
 
 def _count_pivots(monkeypatch):
@@ -446,7 +501,7 @@ def test_restart_from_optimal_basis_makes_no_pivot(prog):
 
 def test_restart_from_optimal_basis_on_recorded_masters(monkeypatch):
     instances = [random_instance(7), _batch_instance(20240601), _MIXTURE10]
-    for prog, _ in _recorded_masters(monkeypatch, instances):
+    for prog, _, _ in _recorded_masters(monkeypatch, instances):
         _assert_restart_is_idle(prog, monkeypatch)
 
 
@@ -463,9 +518,9 @@ def test_refused_starting_bases():
     assert solve_lp(singular, (0, 1)) == LpSolution("failed")
 
 
-def _assert_agrees_with_highs(prog, basis=None):
+def _assert_agrees_with_highs(prog, basis=None, canonical=True):
     A, b, c = np.array(prog.rows), np.array(prog.rhs), np.array(prog.objective)
-    sol = solve_lp(prog, basis)
+    sol = solve_lp(prog, basis, canonical=canonical)
     ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     assert sol.status == {0: "optimal", 3: "unbounded"}.get(ref.status)
     assert abs(sol.objective_value - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun))
@@ -477,14 +532,14 @@ def _assert_agrees_with_highs(prog, basis=None):
 
 def test_column_generation_masters_agree_with_highs(monkeypatch):
     # Restricted and hindsight masters, and the 10 x 5120 enumeration master
-    # that vertex enumeration cannot reach.  Each is checked cold, and each
-    # hindsight master also from the basis it was started from.
+    # that vertex enumeration cannot reach.  Each is checked cold under its
+    # rule, and each hindsight master also from the basis it was started from.
     recorded = _recorded_masters(monkeypatch, [_MIXTURE10])
     assert len(recorded) > 9
-    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p, _ in recorded}
-    warm = [(prog, basis) for prog, basis in recorded if basis is not None]
+    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p, _, _ in recorded}
+    warm = [(prog, basis, canonical) for prog, basis, canonical in recorded if basis is not None]
     assert len(warm) > 3
-    for prog, basis in recorded:
-        _assert_agrees_with_highs(prog)
-    for prog, basis in warm:
-        _assert_agrees_with_highs(prog, basis)
+    for prog, _, canonical in recorded:
+        _assert_agrees_with_highs(prog, canonical=canonical)
+    for prog, basis, canonical in warm:
+        _assert_agrees_with_highs(prog, basis, canonical)

@@ -741,6 +741,25 @@ def test_opr_refuses_a_table_that_is_not_removal_monotone_before_any_arrival():
             assert run_policy(inst, policy, sol, grids, empty, 1, relaxed=relaxed).reward == 0.0
 
 
+def test_monte_carlo_refuses_a_run_before_its_worker_pool_starts(monkeypatch):
+    # the parent compiles the run first, so a refused run never builds a pool
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    inst, sol, grids = _rare_table_instance()
+    with pytest.raises(ValueError) as err:
+        monte_carlo(inst, "opr", 20, 1, sol=sol, grids=grids, workers=2)
+    assert str(err.value) == _NOT_PRUNABLE
+    with pytest.raises(ValueError, match="policy 'pr' needs value grids"):
+        monte_carlo(inst, "pr", 20, 1, sol=sol, workers=2)
+    with pytest.raises(AssertionError, match="a worker pool was started"):
+        monte_carlo(inst, "fcfs", 20, 1, sol=sol, workers=2)
+
+
 def test_each_policy_compiles_only_what_it_reads():
     from choicealloc.policies import _Tables
 
