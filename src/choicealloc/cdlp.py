@@ -125,14 +125,20 @@ def _require_valid(inst: Instance) -> None:
 def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> LinearProgram:
     """Restricted master LP over the assortment collections ``H``."""
     _require_valid(inst)
-    return _master_lp(inst, master_columns(H), {}, _reward_rows(inst))
+    return _master_lp(inst, master_columns(H), {}, _reward_rows(inst), _masses(inst))
+
+
+def _masses(inst: Instance) -> list[float]:
+    """The expected arrival mass of each type, in type order."""
+    return [inst.arrival_mass(k) for k in range(1, inst.num_types + 1)]
 
 
 def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
                columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]],
-               rewards: Mapping[int, Sequence[float]]) -> LinearProgram:
+               rewards: Mapping[int, Sequence[float]], masses: Sequence[float]) -> LinearProgram:
     """``build_master`` over the variables ``cols`` (``master_columns``
-    order) of an instance the caller has validated.
+    order) of an instance the caller has validated, at arrival masses
+    ``masses``.
 
     ``columns`` is the column cache: it maps (k, S) to the objective
     coefficient of x_k(S) and its full constraint column, L capacity
@@ -146,7 +152,7 @@ def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
     resource_of = {p.id: p.resource for p in inst.products}
     for k, S in cols:
         if (k, S) not in columns:
-            lam = inst.arrival_mass(k)
+            lam = masses[k - 1]
             column = [0.0] * (L + K)
             obj = 0.0
             for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
@@ -336,9 +342,9 @@ def assortment_subproblem_branch_and_bound(model: ChoiceModel,
 
 def _branch_and_bound(model: ChoiceModel, price_items) -> tuple[frozenset[int], float, float]:
     """Best subset, value and guarantee at the ascending (product, price)
-    pairs ``price_items``, for any number of products, for a model with a
-    ``_segment_table`` (attraction models and their mixtures; any other
-    model raises ``ValueError``).
+    pairs ``price_items``, for any number of products, for a model with
+    ``_segments`` (attraction models and their mixtures; any other model
+    raises ``ValueError``).
 
     It branches on the positive-price products only: dropping the others
     never lowers a segment's revenue, as (N+ + N-)/(D+ + D-) <= N+/D+ for
@@ -353,14 +359,14 @@ def _branch_and_bound(model: ChoiceModel, price_items) -> tuple[frozenset[int], 
     ``_BRANCH_NODES`` nodes returns guarantee incumbent / (largest bound of
     an unexplored node), a proven factor below 1.
     """
-    if model._segment_table is None:
+    if model._segments is None:
         raise ValueError(f"branch and bound needs attraction segments, not a {model.kind!r} model")
     price = dict(price_items)
-    # (w_g, base weight, mu+nu row, nu row) of each segment of positive weight
-    segments = [seg for seg in zip(*(a.tolist() for a in model._segment_table)) if seg[0] > 0.0]
+    # (w_g, mu+nu row, nu row, base weight) of each segment of positive weight
+    segments = [seg for seg in model._segments if seg[0] > 0.0]
     # a node: the included set, A_g and B_g per segment, the free (product,
     # price) pairs, and its parent's bound, which bounds every set below it
-    stack = [(frozenset(), [0.0] * len(segments), [seg[1] for seg in segments],
+    stack = [(frozenset(), [0.0] * len(segments), [seg[3] for seg in segments],
               tuple((n, p) for n, p in price.items() if p > 0.0), math.inf)]
     best_set, best_value, nodes = frozenset(), 0.0, 0
     while stack:
@@ -371,7 +377,7 @@ def _branch_and_bound(model: ChoiceModel, price_items) -> tuple[frozenset[int], 
             continue
         nodes += 1
         tops = [_best_prefix((weight, nu, den), items, num)
-                for (_, _, weight, nu), num, den in zip(segments, nums, dens)]
+                for (_, weight, nu, _), num, den in zip(segments, nums, dens)]
         bound = sum(seg[0] * value for seg, (_, value, _) in zip(segments, tops))
         if bound <= best_value:
             continue
@@ -389,8 +395,8 @@ def _branch_and_bound(model: ChoiceModel, price_items) -> tuple[frozenset[int], 
         rest = tuple(item for item in items if item[0] != split)
         stack.append((included, nums, dens, rest, bound))
         stack.append((included | {split},
-                      [num + price[split] * seg[2][split - 1] for num, seg in zip(nums, segments)],
-                      [den + seg[3][split - 1] for den, seg in zip(dens, segments)], rest, bound))
+                      [num + price[split] * seg[1][split - 1] for num, seg in zip(nums, segments)],
+                      [den + seg[2][split - 1] for den, seg in zip(dens, segments)], rest, bound))
     return best_set, best_value, 1.0
 
 
@@ -494,13 +500,14 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     solved from the slack basis.
     """
     cols, lp_sol, certified, iterations, trace = _column_generation(
-        inst, eps, solver, max_iterations, False)
+        inst, _masses(inst), eps, solver, max_iterations, False)
     return _extract_solution(inst, cols, lp_sol, eps, certified, iterations, trace)
 
 
-def _column_generation(inst: Instance, eps: float, solver, max_iterations: int | None,
-                       warm: bool):
-    """The loop behind ``solve_cdlp``, with its arguments and checks.
+def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solver,
+                       max_iterations: int | None, warm: bool):
+    """The loop behind ``solve_cdlp``, with its arguments and checks, at
+    arrival masses ``masses``: ``_masses`` or a path's counts.
 
     Returns (cols, lp_sol, certified, iterations, trace): the variables of
     the last master solved and its ``LpSolution``, then ``solve_cdlp``'s
@@ -528,7 +535,6 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
         raise ValueError("max_iterations must be at least 1")
     resource_of = {p.id: p.resource for p in inst.products}
     rewards = _reward_rows(inst)  # fixed for the run
-    masses = [inst.arrival_mass(k) for k in range(1, K + 1)]
     # the reduced-cost tolerance on the scale of the largest reward mass
     tol = _objective_tol(REDUCED_COST_TOL, max(
         [lam * max(map(abs, row)) for lam, row in zip(masses, rewards.values())], default=0.0))
@@ -551,7 +557,7 @@ def _column_generation(inst: Instance, eps: float, solver, max_iterations: int |
             shift = len(cols) - len(previous)
             basis = [index[previous[j]] if j < len(previous) else j + shift
                      for j in lp_sol.basis]
-        lp_sol = solve_lp(_master_lp(inst, cols, columns, rewards), basis)
+        lp_sol = solve_lp(_master_lp(inst, cols, columns, rewards, masses), basis)
         if lp_sol.status != "optimal":
             raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
         trace.append(float(lp_sol.objective_value))

@@ -14,14 +14,15 @@ protocol, which every model class implements:
   valid assortment, ascending id; empty for the empty offer;
 - ``selectable(n)``: whether some assortment leads to a purchase of n;
 - ``attraction()``: (mu+nu, nu, base weight) of a plain attraction model,
-  which the sort solver needs, and None for every other model;
+  which the sort solver needs, else None (a one-segment mixture too);
 - ``is_removal_monotone``: whether dropping products never lowers a
   survivor's selection probability, so that pruning is safe;
 - ``coverage_error(N)``: why the model does not fit N products (a wrong
   product count, or a NaN or infinite weight or probability), or None;
-- ``_segment_table``: the (segment weights, base weights, mu+nu rows, nu
-  rows) arrays of an attraction model or a mixture, which the subset
-  table and the branch and bound read, or None;
+- ``_segments``: a (w, mu+nu, nu, base weight) tuple of floats per
+  segment, an attraction model being the one segment of weight 1, or None
+  for a table; ``distribution``, ``selectable``, ``attraction()``, the
+  subset table and the branch and bound read it;
 - ``_subset_table``: the exact subset-probability table P[s, n-1] of an
   attraction model, mixture or probability table of at most
   ``_ENUMERATION_CAP`` products, built on first use, or None;
@@ -84,10 +85,21 @@ class ChoiceModel(Protocol):
     # that remain in attraction models and their mixtures, so positive-price
     # pruning cannot hurt expected revenue; tables check it themselves.
     is_removal_monotone: bool = True
-    _segment_table: Optional[tuple[np.ndarray, ...]] = None
+    _segments: Optional[tuple[tuple, ...]] = None  # (w, mu+nu, nu, base weight) each
 
-    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]: ...
-    def selectable(self, n: int) -> bool: ...
+    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
+        """Each segment adds w * (mu+nu)_n / (base weight + fsum of nu over
+        S) to 0.0, in order; exactly (mu+nu)_n / denominator at w = 1."""
+        members = sorted(S)
+        acc = [0.0] * len(members)
+        for w, weight, nu, base in self._segments:
+            den = base + math.fsum([nu[n - 1] for n in members])
+            for i, n in enumerate(members):
+                acc[i] += w * weight[n - 1] / den
+        return list(zip(members, acc))
+
+    def selectable(self, n: int) -> bool:
+        return n <= self.num_products and any(seg[1][n - 1] > 0.0 for seg in self._segments)
 
     def attraction(self) -> Optional[tuple[tuple[float, ...], tuple[float, ...], float]]:
         return None
@@ -102,23 +114,23 @@ class ChoiceModel(Protocol):
 
     @cached_property
     def _finite_weights(self) -> bool:
-        """Whether the ``_segment_table`` arrays, which hold every weight
-        (segment weights included), are finite; True for a model without
-        them."""
+        """Whether every weight of the ``_segments`` (segment weights and
+        base weights included) is finite; True for a model without them."""
         try:
-            table = self._segment_table
+            segments = self._segments
         except OverflowError:  # the base weight's exact sum of finite weights
             return False
-        return table is None or all(np.isfinite(a).all() for a in table)
+        return segments is None or all(math.isfinite(x) for w, weight, nu, base in segments
+                                       for x in (w, base, *weight, *nu))
 
     @cached_property
     def _subset_table(self) -> Optional[np.ndarray]:
         """Read-only array whose entry [s, n-1] is the probability of
         product n from the subset with bitmask s (bit n-1 for product n),
         0.0 for non-members: the bytes ``distribution`` returns.  None for
-        models without a ``_segment_table`` or with more than
-        ``_ENUMERATION_CAP`` products."""
-        segments = self._segment_table
+        models without ``_segments`` or with more than ``_ENUMERATION_CAP``
+        products."""
+        segments = self._segments
         if segments is None or self.num_products > _ENUMERATION_CAP:
             return None
         return _probability_table(segments, self.num_products)
@@ -180,27 +192,12 @@ class AttractionChoiceModel(ChoiceModel):
         return 1.0 + math.fsum(self.mu)
 
     @cached_property
-    def _weights(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-        return tuple(m + v for m, v in zip(self.mu, self.nu)), self.nu, self.base_weight
+    def _segments(self):
+        """This model as the one segment, of weight 1, of a mixture."""
+        return ((1.0, tuple(m + v for m, v in zip(self.mu, self.nu)), self.nu, self.base_weight),)
 
     def attraction(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-        return self._weights
-
-    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
-        weight, nu, base = self._weights
-        members = sorted(S)
-        den = base + math.fsum(nu[n - 1] for n in members)
-        return [(n, weight[n - 1] / den) for n in members]
-
-    def selectable(self, n: int) -> bool:
-        return n <= self.num_products and self._weights[0][n - 1] > 0.0
-
-    @cached_property
-    def _segment_table(self):
-        """(segment weights, base weights, mu+nu rows, nu rows) as arrays,
-        this model being its own single segment."""
-        weight = np.add(self.mu, self.nu)
-        return np.ones(1), np.array([self.base_weight]), weight[None, :], np.array([self.nu])
+        return self._segments[0][1:]
 
     def to_doc(self) -> dict:
         return {"kind": self.kind, "mu": list(self.mu), "nu": list(self.nu)}
@@ -237,28 +234,10 @@ class MixtureChoiceModel(ChoiceModel):
     def num_products(self) -> int:
         return self.segments[0][1].num_products
 
-    def distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
-        members = sorted(S)
-        acc = [0.0] * len(members)
-        for w, seg in self.segments:
-            weight, nu, base = seg._weights
-            den = base + math.fsum(nu[n - 1] for n in members)
-            for i, n in enumerate(members):
-                acc[i] += w * weight[n - 1] / den
-        return list(zip(members, acc))
-
-    def selectable(self, n: int) -> bool:
-        return any(seg.selectable(n) for _, seg in self.segments)
-
     @cached_property
-    def _segment_table(self):
-        """(segment weights, base weights, mu+nu rows, nu rows) as arrays,
-        one entry or row per segment."""
-        tables = [seg._segment_table for _, seg in self.segments]
-        return (np.array([w for w, _ in self.segments]),
-                np.concatenate([t[1] for t in tables]),
-                np.concatenate([t[2] for t in tables]),
-                np.concatenate([t[3] for t in tables]))
+    def _segments(self):
+        """Each segment's ``attraction()``, its weight in front."""
+        return tuple((w,) + seg.attraction() for w, seg in self.segments)
 
     def to_doc(self) -> dict:
         return {"kind": self.kind, "segments": [
@@ -288,7 +267,7 @@ class TabulatedChoiceModel(ChoiceModel):
         normalized: dict[frozenset[int], dict[int, float]] = {}
         for S, probs in table.items():
             key = _as_assortment(S)
-            entry = {int(n): float(p) for n, p in probs.items()}
+            entry = {_integral(n): float(p) for n, p in probs.items()}
             if any(n not in key for n in entry):
                 raise ValueError(f"probabilities listed for products outside assortment {sorted(key)}")
             if any(p < -1e-12 for p in entry.values()):
@@ -358,8 +337,9 @@ class TabulatedChoiceModel(ChoiceModel):
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "TabulatedChoiceModel":
+        """A member of "S" such as 1.0 loads as 1; 1.7 raises ``ValueError``."""
         return cls({
-            frozenset(int(n) for n in entry["S"]):
+            frozenset(map(_integral, entry["S"])):
                 {int(n): float(p) for n, p in entry["p"].items()}
             for entry in doc["entries"]
         })
@@ -369,6 +349,12 @@ class TabulatedChoiceModel(ChoiceModel):
 # of 12 probabilities are 384 KB), and ``solve_cdlp_enumeration`` enumerates
 # at most this many.
 _ENUMERATION_CAP = 12
+
+
+def _integral(value):
+    """``int(value)``, except a float that is no integer (NaN, infinite or
+    fractional): never truncated, it is kept for the validation to refuse."""
+    return value if isinstance(value, float) and not value.is_integer() else int(value)
 
 
 def _not_present(S: Iterable[int]) -> ValueError:
@@ -383,21 +369,18 @@ def _members(num_products: int) -> np.ndarray:
     return ((np.arange(1 << num_products)[:, None] >> bits) & 1).astype(bool)
 
 
-def _probability_table(segments: tuple[np.ndarray, ...], num_products: int) -> np.ndarray:
-    """``_subset_table`` from a model's ``_segment_table``.  Each entry
-    repeats ``distribution``'s operations: a segment's denominator is its
-    base weight plus the exactly rounded ``math.fsum`` of nu over the
-    subset, its term is (w * (mu+nu)) / denominator, and the terms are added
-    in segment order to 0.0 (w = 1 for a plain attraction model, whose
-    weight / denominator this reproduces exactly)."""
-    w, base, weight, nu = segments
+def _probability_table(segments, num_products: int) -> np.ndarray:
+    """``_subset_table`` from a model's ``_segments``.  Each entry repeats
+    ``distribution``'s operations: a segment's denominator is its base
+    weight plus the exactly rounded ``math.fsum`` of nu over the subset, its
+    term is (w * (mu+nu)) / denominator, and the terms are added in segment
+    order to 0.0."""
     members = _members(num_products)
     selectors = members.tolist()
     acc = np.zeros(members.shape)
-    for g in range(len(w)):
-        nu_g, base_g = nu[g].tolist(), float(base[g])
-        den = np.array([base_g + math.fsum(compress(nu_g, sel)) for sel in selectors])
-        acc += (w[g] * weight[g]) / den[:, None]
+    for w, weight, nu, base in segments:
+        den = np.array([base + math.fsum(compress(nu, sel)) for sel in selectors])
+        acc += (w * np.array(weight)) / den[:, None]
     table = np.where(members, acc, 0.0)
     table.flags.writeable = False
     return table

@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .cdlp import solve_cdlp
-from .choice import AttractionChoiceModel, ChoiceModel, MixtureChoiceModel, TabulatedChoiceModel
+from .choice import (AttractionChoiceModel, ChoiceModel, MixtureChoiceModel,
+                     TabulatedChoiceModel, _integral)
 from .model import (
     CustomerType,
     Instance,
@@ -81,12 +82,6 @@ def _parse_choice(doc) -> ChoiceModel:
         raise InstanceFormatError(f"bad {kind!r} choice document: {exc}") from exc
 
 
-def _capacity(value):
-    """``int(value)``, except a float that is no integer (NaN, infinite or
-    fractional), which is left for ``validate_instance`` to report."""
-    return value if isinstance(value, float) and not value.is_integer() else int(value)
-
-
 def load_instance(path) -> Instance:
     """Parse an instance file; raises InstanceFormatError on anything that
     prevents construction (semantic checks are validate_instance's job)."""
@@ -103,11 +98,11 @@ def load_instance(path) -> Instance:
             raise InstanceFormatError(f"missing or non-array field {key!r}")
     try:
         resources = tuple(
-            Resource(i, _capacity(r["capacity"]), float(r.get("expiry", 1.0)))
+            Resource(i, _integral(r["capacity"]), float(r.get("expiry", 1.0)))
             for i, r in enumerate(doc["resources"], start=1)
         )
         products = tuple(
-            Product(i, int(p["resource"]), float(p["reward"]))
+            Product(i, _integral(p["resource"]), float(p["reward"]))
             for i, p in enumerate(doc["products"], start=1)
         )
         types = []

@@ -87,7 +87,8 @@ class RateCurve:
 class CustomerType:
     """A customer segment: arrival curve, choice model, optional per-product
     reward overrides (the override is the operative reward for this type
-    everywhere it is used)."""
+    everywhere it is used).  A key that is no ``numbers.Integral``, such as
+    1.7, is kept for ``validate_instance`` to report, never truncated."""
 
     id: int
     rate: RateCurve
@@ -99,7 +100,8 @@ class CustomerType:
             object.__setattr__(
                 self,
                 "reward_override",
-                {int(n): float(r) for n, r in self.reward_override.items()},
+                {int(n) if isinstance(n, numbers.Integral) else n: float(r)
+                 for n, r in self.reward_override.items()},
             )
 
 
@@ -183,8 +185,9 @@ def products_of_resource(inst: Instance, l: int) -> frozenset[int]:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check structural invariants; failures are reported, never raised.
     A NaN or infinite number (choice weights included) is a violation, and
-    so is a capacity that is no ``numbers.Integral``, such as ``2.0``.  An
-    object without a ``coverage_error`` is no recognized choice model."""
+    so is a capacity, a product's resource reference or a reward override's
+    product id that is no ``numbers.Integral``, such as ``2.0``.  An object
+    without a ``coverage_error`` is no recognized choice model."""
     errors: list[str] = []
     warnings: list[str] = []
 
@@ -199,7 +202,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for pos, prod in enumerate(inst.products, start=1):
         if prod.id != pos:
             errors.append(f"product ids not dense: expected {pos}, found {prod.id}")
-        if not 1 <= prod.resource <= inst.num_resources:
+        if not isinstance(prod.resource, numbers.Integral):
+            errors.append(f"product {pos}: resource reference {prod.resource!r} is no integer")
+        elif not 1 <= prod.resource <= inst.num_resources:
             errors.append(f"product {pos}: dangling resource reference {prod.resource}")
         if not 0.0 <= prod.reward < math.inf:
             errors.append(f"product {pos}: non-finite or negative reward")
@@ -216,7 +221,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
             errors.append(f"type {pos}: non-finite or negative rate")
         if ct.reward_override:
             for n, r in ct.reward_override.items():
-                if not 1 <= n <= inst.num_products:
+                if not isinstance(n, numbers.Integral):
+                    errors.append(f"type {pos}: reward override for product {n!r}, no integer")
+                elif not 1 <= n <= inst.num_products:
                     errors.append(f"type {pos}: reward override for unknown product {n}")
                 elif not 0.0 <= r < math.inf:
                     errors.append(f"type {pos}: non-finite or negative override for product {n}")

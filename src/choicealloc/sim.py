@@ -2,7 +2,7 @@
 
 Arrival paths are sampled per type segment by segment (the piecewise-
 constant envelope makes thinning acceptance-free), merged in time order;
-``_segments`` lists the segments of positive mass once per run.
+``_segments`` lists the rate segments of positive mass once per run.
 Choice randomness is a separate stream indexed by event ordinal, so every
 policy replayed on the same path with the same choice seed consumes
 identical draws per arrival; paired policy comparisons rely on this.
@@ -24,14 +24,15 @@ One flat per-arrival loop then drives fcfs, pr and opr on (time, type)
 pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
 ``choice._draw`` bisection, and ``policies._sellable`` alone decides
-whether a product can be sold.
+whether a product can be sold.  ``hindsight_bound`` plans on the
+instance itself, a path's counts its arrival masses.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -40,7 +41,7 @@ import numpy as np
 
 from .cdlp import CdlpError, CdlpSolution, _auto, _column_generation
 from .choice import _draw
-from .model import Instance, RateCurve
+from .model import Instance
 from .policies import _opr_decision, _pr_accepts, _sellable, _sellable_resources, _Tables
 from .valuefn import ResourceValueGrid
 
@@ -353,28 +354,20 @@ def hindsight_bound(inst: Instance, path: SamplePath) -> float:
     of the expected counts; a per-path planning benchmark and upper bound.
     The path must have one count per customer type of ``inst``.
 
-    It runs ``solve_cdlp``'s column generation with ``_auto``, except that
-    each master starts the simplex from the previous master's optimal
-    basis, and reads only the last master's objective; no plan is built.
-    A run stopped by its iteration cap proves no bound, since its value may
-    lie below the optimum, so it raises ``CdlpError``.
+    It runs ``solve_cdlp``'s column generation with ``_auto`` on ``inst``,
+    which it validates, the counts as the masses, except that each master
+    starts the simplex from the previous master's optimal basis, and reads
+    only the last master's objective; no plan is built.  A run stopped by
+    its iteration cap proves no bound, since its value may lie below the
+    optimum, so it raises ``CdlpError``.
     """
     _require_path_of(inst, path)
     _, lp_sol, certified, iterations, _ = _column_generation(
-        _realized(inst, path), 0.0, _auto, None, True)
+        inst, [float(c) for c in path.counts], 0.0, _auto, None, True)
     if not certified:
         raise CdlpError(f"hindsight column generation stopped at its cap of {iterations} "
                         "iterations, short of the fluid optimum")
     return float(lp_sol.objective_value)
-
-
-def _realized(inst: Instance, path: SamplePath) -> Instance:
-    """``inst`` with each type's rate curve the constant of its count on the path."""
-    types = tuple(
-        dc_replace(ct, rate=RateCurve.constant(float(path.counts[i])))
-        for i, ct in enumerate(inst.types)
-    )
-    return dc_replace(inst, types=types)
 
 
 def estimate_ratio(report: MonteCarloReport, benchmark: float) -> tuple[float, float]:

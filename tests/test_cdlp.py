@@ -650,7 +650,7 @@ def test_branch_and_bound_equals_bruteforce(case):
 
 
 def _milp_subproblem(model, price):
-    """The subproblem of a model with a ``_segment_table``, solved by
+    """The subproblem of a model with ``_segments``, solved by
     ``scipy.optimize.milp`` (HiGHS): an oracle that shares no code with the
     package's solvers, for sizes past the brute force.
 
@@ -667,7 +667,7 @@ def _milp_subproblem(model, price):
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    w, base, weight, nu = model._segment_table
+    w, weight, nu, base = map(np.array, zip(*model._segments))
     ids = sorted(price)
     m = len(ids)
     cols = np.asarray(ids, dtype=np.intp) - 1

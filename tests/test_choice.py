@@ -102,6 +102,13 @@ def test_tabulated_validation():
         TabulatedChoiceModel({frozenset({1}): {2: 0.2}})
 
 
+def test_tabulated_probability_of_a_fractional_id_is_refused():
+    # 1.7 is no member of {1}; it must not be truncated into one
+    with pytest.raises(ValueError, match="outside assortment"):
+        TabulatedChoiceModel({frozenset({1}): {1.7: 0.5}})
+    assert TabulatedChoiceModel({frozenset({1}): {1.0: 0.5}}).table == {frozenset({1}): {1: 0.5}}
+
+
 @pytest.mark.parametrize("count", [2.7, 3.0, "3", np.float64(3.0)])
 def test_tabulated_product_count_must_be_an_integer(count):
     # a float is refused, never truncated, as product ids are
@@ -325,6 +332,41 @@ def test_subset_table_rows_are_the_bytes_of_distribution(model):
         for n, p in dist:
             row[n - 1] = p
         assert table[s].tobytes() == np.array(row).tobytes()
+
+
+@st.composite
+def _attraction_models(draw):
+    """General attraction models over 0-8 products, zero weights (-0.0
+    too) and mu > 0 allowed, then 0-2 extra products of zero weight, which
+    no assortment ever sells."""
+    N, extra = draw(st.integers(min_value=0, max_value=8)), draw(st.integers(0, 2))
+    weight = st.one_of(st.just(-0.0), _table_weights)
+    mu = draw(st.tuples(*[weight] * N)) + (0.0,) * extra
+    nu = draw(st.tuples(*[weight] * N)) + (0.0,) * extra
+    return AttractionChoiceModel(mu, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_attraction_models())
+def test_attraction_model_is_its_own_one_segment_mixture(model):
+    one = MixtureChoiceModel(((1.0, model),))
+    N = model.num_products
+    for s in range(1 << N):
+        S = frozenset(n for n in range(1, N + 1) if s >> (n - 1) & 1)
+        got, want = one.distribution(S), model.distribution(S)
+        assert [n for n, _ in got] == [n for n, _ in want] == sorted(S)
+        assert np.array([p for _, p in got]).tobytes() == np.array([p for _, p in want]).tobytes()
+    assert one._subset_table.tobytes() == model._subset_table.tobytes()
+    assert [one.selectable(n) for n in range(1, N + 2)] == \
+        [model.selectable(n) for n in range(1, N + 2)]
+    assert one._finite_weights and model._finite_weights
+
+
+@pytest.mark.parametrize("mu,nu", [((math.inf, 0.0), (1.0, 1.0)), ((0.0, 1.0), (math.nan, 0.0)),
+                                   ((1e308, 1e308), (1.0, 1.0))])  # the last base weight overflows
+def test_one_segment_mixture_has_the_finite_weights_of_its_model(mu, nu):
+    model = AttractionChoiceModel(mu, nu)
+    assert model._finite_weights is MixtureChoiceModel(((1.0, model),))._finite_weights is False
 
 
 def _pairwise_removal_monotone(model):

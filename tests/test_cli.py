@@ -141,6 +141,34 @@ def test_integral_float_capacity_in_a_file_is_an_integer(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_fractional_resource_reference_in_a_file_is_left_for_validation(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOOD))
+    doc["products"][0]["resource"] = 1.9
+    path = tmp_path / "fractional_resource.json"
+    path.write_text(json.dumps(doc))
+    assert load_instance(path).products[0].resource == 1.9  # not truncated to 1
+    assert main(["validate", "--instance", str(path)]) == 1
+    assert "resource reference 1.9 is no integer" in capsys.readouterr().out
+    doc["products"][0]["resource"] = 1.0
+    path.write_text(json.dumps(doc))
+    resource = load_instance(path).products[0].resource
+    assert resource == 1 and type(resource) is int
+
+
+def test_fractional_table_member_in_a_file_is_a_format_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOOD))
+    doc["types"][0]["choice"]["entries"][0]["S"] = [1.7]
+    path = tmp_path / "fractional_member.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cli.InstanceFormatError, match="not 1.7"):
+        load_instance(path)
+    assert main(["validate", "--instance", str(path)]) == 2
+    capsys.readouterr()
+    doc["types"][0]["choice"]["entries"][0]["S"] = [1.0]
+    path.write_text(json.dumps(doc))
+    assert load_instance(path).types[0].choice.table == {frozenset({1}): {1: 1.0}}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--instance", "x.json", "--seed", "1", "--out", "x", "--reps", "1"],
     ["simulate", "--instance", "x.json", "--seed", "1", "--out", "x", "--grid", str(MIN_GRID - 1)],

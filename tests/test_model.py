@@ -94,6 +94,30 @@ def test_validate_reports_integral_float_capacity():
     assert validate_instance(unit_instance(capacity=np.int64(2))).ok
 
 
+def test_validate_reports_fractional_resource_reference():
+    # at 1.5 the range check passes, and the planner would index a list by it
+    inst = Instance(
+        (Resource(1, 2), Resource(2, 2)),
+        (Product(1, 1.5, 1.0), Product(2, 2, 1.0)),
+        (CustomerType(1, RateCurve.constant(1.0), AttractionChoiceModel((0.0,) * 2, (1.0,) * 2)),),
+    )
+    report = validate_instance(inst)
+    assert report.errors == ("product 1: resource reference 1.5 is no integer",)
+    with pytest.raises(ValueError, match="resource reference 1.5"):
+        solve_cdlp(inst)
+
+
+def test_fractional_override_key_is_kept_for_validation():
+    model = AttractionChoiceModel((0.0,) * 2, (1.0,) * 2)
+    ct = CustomerType(1, RateCurve.constant(1.0), model, reward_override={1.7: 2.0})
+    assert ct.reward_override == {1.7: 2.0}  # not {1: 2.0}
+    inst = Instance((Resource(1, 2),), (Product(1, 1, 1.0), Product(2, 1, 1.0)), (ct,))
+    assert validate_instance(inst).errors == (
+        "type 1: reward override for product 1.7, no integer",)
+    kept = CustomerType(1, RateCurve.constant(1.0), model, reward_override={np.int64(2): 2.0})
+    assert type(next(iter(kept.reward_override))) is int
+
+
 NAN, INF = float("nan"), float("inf")
 
 

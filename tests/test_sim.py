@@ -412,6 +412,19 @@ def test_hindsight_zero_path():
     assert hindsight_bound(inst, path) == pytest.approx(0.0)
 
 
+def test_hindsight_refuses_the_instance_solve_cdlp_refuses():
+    # the counts replace the rate curve's mass, but the instance must still
+    # be valid: a curve over [0, 0.5] is no plan's input, and no bound's
+    inst = dc_replace(unit_instance(1.0), types=(
+        CustomerType(1, RateCurve((0.0, 0.5), (2.0,)), AttractionChoiceModel((0.0,), (1.0,))),))
+    path = generate_arrivals(unit_instance(1.0), 3)
+    message = "rate curve must span"
+    with pytest.raises(ValueError, match=message):
+        solve_cdlp(inst)
+    with pytest.raises(ValueError, match=message):
+        hindsight_bound(inst, path)
+
+
 def _types_instance(num_types):
     """One unit of one product, which every one of ``num_types`` types buys."""
     return Instance(
@@ -503,7 +516,7 @@ def test_warm_hindsight_equals_cold(inst, monkeypatch):
         warm_pivots += len(pivots)
         pivots.clear()
         _, cold, certified, _, _ = cdlp._column_generation(
-            sim._realized(inst, path), 0.0, cdlp._auto, None, False)
+            inst, [float(c) for c in path.counts], 0.0, cdlp._auto, None, False)
         cold_pivots += len(pivots)
         pivots.clear()
         assert certified
