@@ -29,7 +29,8 @@ and duals.  ``hindsight_bound`` reads only the optimal value, so it starts
 each master from the previous master's optimal basis, which the added
 columns leave feasible, and so makes fewer pivots.  It keeps Bland's rule,
 as ``solve_cdlp`` does; only ``solve_cdlp_enumeration``, the oracle, enters
-the largest reduced cost.
+the largest reduced cost.  The loop keeps one column table a type, ``H[k]``
+(see ``_master_lp``); the oracle reads each ``_subset_table`` as stored.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class CdlpSolution:
 
 def master_columns(H: Mapping[int, Sequence[frozenset[int]]]) -> list[tuple[int, frozenset[int]]]:
     """Variable order of the master built from ``H``: types ascending, then
-    assortments in their listed order."""
-    return [(k, S) for k in sorted(H) for S in H[k]]
+    each type's distinct assortments in the order they are first listed."""
+    return [(k, S) for k in sorted(H) for S in dict.fromkeys(H[k])]
 
 
 def _require_valid(inst: Instance) -> None:
@@ -123,9 +124,10 @@ def _require_valid(inst: Instance) -> None:
 
 
 def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> LinearProgram:
-    """Restricted master LP over the assortment collections ``H``."""
+    """Restricted master LP over the assortments ``H[k]``, one column each."""
     _require_valid(inst)
-    return _master_lp(inst, master_columns(H), {}, _reward_rows(inst), _masses(inst))
+    tables = {k: dict.fromkeys(H[k]) for k in H}
+    return _master_lp(inst, tables, _reward_rows(inst), _masses(inst))
 
 
 def _masses(inst: Instance) -> list[float]:
@@ -133,37 +135,36 @@ def _masses(inst: Instance) -> list[float]:
     return [inst.arrival_mass(k) for k in range(1, inst.num_types + 1)]
 
 
-def _master_lp(inst: Instance, cols: Sequence[tuple[int, frozenset[int]]],
-               columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]],
+def _master_lp(inst: Instance, H: Mapping[int, dict[frozenset[int], tuple | None]],
                rewards: Mapping[int, Sequence[float]], masses: Sequence[float]) -> LinearProgram:
-    """``build_master`` over the variables ``cols`` (``master_columns``
-    order) of an instance the caller has validated, at arrival masses
-    ``masses``.
+    """``build_master`` over the column tables ``H`` of an instance the
+    caller has validated, at arrival masses ``masses``.
 
-    ``columns`` is the column cache: it maps (k, S) to the objective
-    coefficient of x_k(S) and its full constraint column, L capacity
-    entries then K convexity entries (1.0 at type k), and gains the
-    columns it lacks.  A caller that passes one dict to every master
-    computes each column once.  ``rewards`` is the instance's
-    ``_reward_rows``.  ``_enumeration_master`` builds the same coefficients
-    a type at a time.
+    ``H[k]`` maps type k's assortments, in ``master_columns`` order, to the
+    objective coefficient of x_k(S) and its full constraint column, L
+    capacity entries then K convexity entries (1.0 at type k), or to None,
+    which is filled in here: tables passed to every master build each
+    column once.  ``rewards`` is the instance's ``_reward_rows``.
+    ``_enumeration_master`` builds the same coefficients a type at a time.
     """
     L, K = inst.num_resources, inst.num_types
     resource_of = {p.id: p.resource for p in inst.products}
-    for k, S in cols:
-        if (k, S) not in columns:
-            lam = masses[k - 1]
-            column = [0.0] * (L + K)
-            obj = 0.0
-            for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
-                obj += lam * p * rewards[k][n]
-                column[resource_of[n] - 1] += lam * p
-            column[L + k - 1] = 1.0
-            columns[(k, S)] = (obj, column)
-    objective = [columns[col][0] for col in cols]
-    rows = np.array([columns[col][1] for col in cols]).reshape(len(cols), L + K).T
+    coefs = []
+    for k, table in sorted(H.items()):
+        for S, coef in table.items():
+            if coef is None:
+                lam = masses[k - 1]
+                column = [0.0] * (L + K)
+                obj = 0.0
+                for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
+                    obj += lam * p * rewards[k][n]
+                    column[resource_of[n] - 1] += lam * p
+                column[L + k - 1] = 1.0
+                coef = table[S] = (obj, column)
+            coefs.append(coef)
+    rows = np.array([column for _, column in coefs]).reshape(len(coefs), L + K).T
     rhs = [float(r.capacity) for r in inst.resources] + [1.0] * K
-    return LinearProgram(objective, rows, rhs)
+    return LinearProgram([obj for obj, _ in coefs], rows, rhs)
 
 
 def _priced(model: ChoiceModel, price: Mapping[int, float]) -> list[tuple[int, float]]:
@@ -415,14 +416,14 @@ class AutoExactSolver:
 
 
 def _initial_columns(inst: Instance, rewards: Mapping[int, Sequence[float]]
-                     ) -> dict[int, list[frozenset[int]]]:
-    """Empty assortment plus each type's best single-product offer at face
-    rewards (the instance's ``_reward_rows``); any nonempty start works,
-    this one avoids degenerate first masters."""
-    H: dict[int, list[frozenset[int]]] = {}
+                     ) -> dict[int, dict[frozenset[int], None]]:
+    """Each type's column table, no coefficient built: the empty assortment
+    and its best single-product offer at face rewards (``_reward_rows``);
+    any nonempty start works, this one avoids degenerate first masters."""
+    H: dict[int, dict[frozenset[int], None]] = {}
     for k in range(1, inst.num_types + 1):
         model = inst.ctype(k).choice
-        cols = [frozenset()]
+        table = H[k] = {frozenset(): None}
         best_n, best_v = None, 0.0
         for n in range(1, inst.num_products + 1):
             try:
@@ -434,8 +435,7 @@ def _initial_columns(inst: Instance, rewards: Mapping[int, Sequence[float]]
             if v > best_v:
                 best_n, best_v = n, v
         if best_n is not None:
-            cols.append(frozenset({best_n}))
-        H[k] = cols
+            table[frozenset({best_n})] = None
     return H
 
 
@@ -540,8 +540,6 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
         [lam * max(map(abs, row)) for lam, row in zip(masses, rewards.values())], default=0.0))
 
     H = _initial_columns(inst, rewards)
-    seen = {k: set(cols) for k, cols in H.items()}
-    columns: dict[tuple[int, frozenset[int]], tuple[float, list[float]]] = {}
     trace: list[float] = []
     cols: list[tuple[int, frozenset[int]]] = []
     lp_sol = None
@@ -557,7 +555,7 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
             shift = len(cols) - len(previous)
             basis = [index[previous[j]] if j < len(previous) else j + shift
                      for j in lp_sol.basis]
-        lp_sol = solve_lp(_master_lp(inst, cols, columns, rewards, masses), basis)
+        lp_sol = solve_lp(_master_lp(inst, H, rewards, masses), basis)
         if lp_sol.status != "optimal":
             raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
         trace.append(float(lp_sol.objective_value))
@@ -576,11 +574,9 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
                     f"subproblem result guarantee {result.guarantee:g} is below "
                     f"the {required:g} required for eps={eps:g}"
                 )
-            if lam * result.value - sigma[k - 1] > tol:
-                if result.assortment not in seen[k]:
-                    H[k].append(result.assortment)
-                    seen[k].add(result.assortment)
-                    improved = True
+            if lam * result.value - sigma[k - 1] > tol and result.assortment not in H[k]:
+                H[k][result.assortment] = None
+                improved = True
         if not improved:
             certified = True
             break
@@ -593,19 +589,22 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
 
     Exponential in the product count, so capped at ``_ENUMERATION_CAP`` (12)
     products; used as the independent oracle for the column-generation path.
-    The master equals ``build_master`` over every subset.  It is solved with
-    ``canonical=False`` (largest reduced cost, Bland's rule after degenerate
-    steps), which pivots far less on its many columns; so on a degenerate
-    LP its ``x`` and duals are one optimal solution, not necessarily the
-    canonical one ``solve_cdlp``'s Bland pivots end on.  Its objective is
-    the optimum either way.
+    The master equals ``build_master`` over every subset, in the row order
+    of the ``_subset_table``.  It is solved with ``canonical=False``
+    (largest reduced cost, Bland's rule after degenerate steps), which
+    pivots far less on its many columns; so on a degenerate LP its ``x``
+    and duals are one optimal solution, not necessarily the canonical one
+    ``solve_cdlp``'s Bland pivots end on.  Its objective is the optimum
+    either way, to an ulp: another column order may round it otherwise.
     """
     _require_valid(inst)
     N = inst.num_products
     if N > _ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at {_ENUMERATION_CAP} products, got {N}")
-    subsets = [frozenset(t) for t in _lex_subsets(range(1, N + 1))]
-    cols = master_columns({k: subsets for k in range(1, inst.num_types + 1)})
+    subsets = [frozenset()]
+    for n in range(1, N + 1):  # row s + 2**(n-1) adds product n to row s
+        subsets += [S | {n} for S in subsets]
+    cols = [(k, S) for k in range(1, inst.num_types + 1) for S in subsets]
     lp_sol = solve_lp(_enumeration_master(inst, subsets), canonical=False)
     if lp_sol.status != "optimal":
         raise CdlpError(f"enumeration LP solve failed with status {lp_sol.status!r}")
@@ -613,33 +612,33 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
 
 
 def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> LinearProgram:
-    """``_master_lp`` over ``subsets`` for every type, one block of columns
-    a type, written from its selection probabilities P[S, n-1].
+    """``_master_lp`` over every subset for every type, one block of
+    columns a type, written from its selection probabilities P[s, n-1]:
+    the model's ``_subset_table`` as stored, whose row s is ``subsets[s]``.
 
-    Rows of P come from the model's ``_subset_table``, where NaN marks a
-    subset a table omits; the first one raises ``distribution``'s error.
-    Coefficients are the column loop's operations in its order: the
-    objective adds (Lambda_k * P[:, n]) * r_kn over n ascending, and
+    NaN marks a subset a table omits; the first in row order raises
+    ``distribution``'s error.  Coefficients are the column loop's
+    operations in its order, on the same ``_reward_rows`` and ``_masses``:
+    the objective adds (Lambda_k * P[:, n]) * r_kn over n ascending, and
     capacity row j adds Lambda_k * P[:, n] over j's products ascending.  A
     non-member's 0.0 adds +0.0 to a sum that starts at 0.0, which changes no
     value, so the master's arrays equal ``build_master``'s.
     """
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
-    masks = [sum(1 << (n - 1) for n in S) for S in subsets]
+    rewards = _reward_rows(inst)
     members = [sorted(products_of_resource(inst, j)) for j in range(1, L + 1)]
     width = len(subsets)
     objective = np.zeros(K * width)
     rows = np.zeros((L + K, K * width))
-    for k in range(1, K + 1):
-        P = inst.ctype(k).choice._subset_table[masks]
+    for k, lam in enumerate(_masses(inst), start=1):
+        P = inst.ctype(k).choice._subset_table
         unlisted = np.isnan(P).any(axis=1)
         if unlisted.any():
             raise _not_present(subsets[unlisted.argmax()])
-        lam = inst.arrival_mass(k)
         block = slice((k - 1) * width, k * width)
         obj = objective[block]
         for n in range(1, N + 1):
-            obj += (lam * P[:, n - 1]) * inst.reward(k, n)
+            obj += (lam * P[:, n - 1]) * rewards[k][n]
         for j in range(L):
             cap = rows[j, block]
             for n in members[j]:
@@ -653,7 +652,12 @@ def dual_bound(sol: CdlpSolution, inst: Instance) -> float:
     """Value of the terminal duals: sum_j C_j pi(j) + sum_k sigma(k).
 
     Equals the objective on an exact solve; on an eps run it is certified
-    to be at least optimum/(1+eps).
+    to be at least optimum/(1+eps).  A plan whose ``pi`` and ``sigma`` do
+    not number the instance's resources and types (a plan of another
+    instance) raises ``ValueError``.
     """
+    if (len(sol.pi), len(sol.sigma)) != (inst.num_resources, inst.num_types):
+        raise ValueError(f"the plan has {len(sol.pi)} capacity and {len(sol.sigma)} convexity "
+                         f"duals for {inst.num_resources} resources and {inst.num_types} types")
     caps = math.fsum(r.capacity * p for r, p in zip(inst.resources, sol.pi))
     return caps + math.fsum(sol.sigma)

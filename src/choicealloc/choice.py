@@ -204,7 +204,7 @@ class AttractionChoiceModel(ChoiceModel):
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "AttractionChoiceModel":
-        return cls(tuple(doc["mu"]), tuple(doc["nu"]))
+        return cls(tuple(map(_number, doc["mu"])), tuple(map(_number, doc["nu"])))
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ class MixtureChoiceModel(ChoiceModel):
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "MixtureChoiceModel":
-        return cls(tuple((seg["weight"], AttractionChoiceModel.from_doc(seg))
+        return cls(tuple((_number(seg["weight"]), AttractionChoiceModel.from_doc(seg))
                          for seg in doc["segments"]))
 
 
@@ -339,8 +339,8 @@ class TabulatedChoiceModel(ChoiceModel):
     def from_doc(cls, doc: Mapping) -> "TabulatedChoiceModel":
         """A member of "S" such as 1.0 loads as 1; 1.7 raises ``ValueError``."""
         return cls({
-            frozenset(map(_integral, entry["S"])):
-                {int(n): float(p) for n, p in entry["p"].items()}
+            frozenset(_integral(_number(n)) for n in entry["S"]):
+                {int(n): float(_number(p)) for n, p in entry["p"].items()}
             for entry in doc["entries"]
         })
 
@@ -349,6 +349,14 @@ class TabulatedChoiceModel(ChoiceModel):
 # of 12 probabilities are 384 KB), and ``solve_cdlp_enumeration`` enumerates
 # at most this many.
 _ENUMERATION_CAP = 12
+
+
+def _number(value):
+    """``value`` of an instance document where a number goes: a string or a
+    boolean, which ``float`` and ``int`` would take, raises ``TypeError``."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
 
 
 def _integral(value):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .cdlp import solve_cdlp
 from .choice import (AttractionChoiceModel, ChoiceModel, MixtureChoiceModel,
-                     TabulatedChoiceModel, _integral)
+                     TabulatedChoiceModel, _integral, _number)
 from .model import (
     CustomerType,
     Instance,
@@ -84,7 +84,9 @@ def _parse_choice(doc) -> ChoiceModel:
 
 def load_instance(path) -> Instance:
     """Parse an instance file; raises InstanceFormatError on anything that
-    prevents construction (semantic checks are validate_instance's job)."""
+    prevents construction, and on a string or a boolean where a number goes
+    (semantic checks are validate_instance's job).  Object keys, which JSON
+    writes as strings, are read as ids."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -98,19 +100,20 @@ def load_instance(path) -> Instance:
             raise InstanceFormatError(f"missing or non-array field {key!r}")
     try:
         resources = tuple(
-            Resource(i, _integral(r["capacity"]), float(r.get("expiry", 1.0)))
+            Resource(i, _integral(_number(r["capacity"])), float(_number(r.get("expiry", 1.0))))
             for i, r in enumerate(doc["resources"], start=1)
         )
         products = tuple(
-            Product(i, _integral(p["resource"]), float(p["reward"]))
+            Product(i, _integral(_number(p["resource"])), float(_number(p["reward"])))
             for i, p in enumerate(doc["products"], start=1)
         )
         types = []
         for i, t in enumerate(doc["types"], start=1):
-            rate = RateCurve(tuple(t["rate"]["breakpoints"]), tuple(t["rate"]["rates"]))
+            rate = RateCurve(tuple(map(_number, t["rate"]["breakpoints"])),
+                             tuple(map(_number, t["rate"]["rates"])))
             override = t.get("reward_override")
             if override is not None:
-                override = {int(n): float(r) for n, r in override.items()}
+                override = {int(n): float(_number(r)) for n, r in override.items()}
             types.append(CustomerType(i, rate, _parse_choice(t["choice"]), override))
     except InstanceFormatError:
         raise

@@ -12,10 +12,13 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .choice import AttractionChoiceModel, MixtureChoiceModel, TabulatedChoiceModel
+from .choice import (_ENUMERATION_CAP, AttractionChoiceModel, MixtureChoiceModel,
+                     TabulatedChoiceModel)
 from .model import CustomerType, Instance, Product, RateCurve, Resource
 
 __all__ = ["random_instance", "spike_instance"]
+
+_MODEL_KINDS = ("attraction", "mixture", "table")
 
 
 def _random_rate_curve(rng: np.random.Generator, mass: float) -> RateCurve:
@@ -62,13 +65,22 @@ def random_instance(seed: int, *, max_resources: int = 3, max_products: int = 6,
     segments, "table" = fully enumerated random probability table).  With
     probability 1/4 a type carries a reward override for one product
     (uniform factor in [0.5, 1.5] of the base reward).  Limits below 1, or
-    ``max_products`` below ``max_resources`` - 1, raise ``ValueError``.
+    ``max_products`` below ``max_resources`` - 1, raise ``ValueError``
+    before any draw; so do no kinds, a kind other than those three, and
+    "table" with ``max_products`` above ``choice._ENUMERATION_CAP`` (12).
     """
     if not (all(m >= 1 for m in (max_resources, max_products, max_types))  # NaN fails too
             and max_products >= max_resources - 1):
         raise ValueError("random_instance needs limits of at least 1 and max_products >= "
                          f"max_resources - 1, got max_resources={max_resources!r}, "
                          f"max_products={max_products!r}, max_types={max_types!r}")
+    if not model_kinds or any(kind not in _MODEL_KINDS for kind in model_kinds):
+        raise ValueError(f"model_kinds must be a nonempty selection of {_MODEL_KINDS}, "
+                         f"got {tuple(model_kinds)!r}")
+    if "table" in model_kinds and max_products > _ENUMERATION_CAP:
+        raise ValueError(f"a probability table covers at most {_ENUMERATION_CAP} products; "
+                         f"\"table\" needs max_products <= {_ENUMERATION_CAP}, "
+                         f"got {max_products!r}")
     rng = np.random.default_rng(seed)
     L = int(rng.integers(1, max_resources + 1))
     N = int(rng.integers(max(1, L - 1), max_products + 1))
@@ -95,10 +107,8 @@ def random_instance(seed: int, *, max_resources: int = 3, max_products: int = 6,
                 (float(w), _random_attraction(rng, N)) for w in weights
             )
             model = MixtureChoiceModel(segments)
-        elif kind == "table":
-            model = _random_table(rng, N)
         else:
-            raise ValueError(f"unknown model kind {kind!r}")
+            model = _random_table(rng, N)
         override = None
         if rng.random() < 0.25:
             n = int(rng.integers(1, N + 1))

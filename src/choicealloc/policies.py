@@ -74,8 +74,9 @@ def _offer_cdf(sol: CdlpSolution, k: int) -> tuple[list[float], list[frozenset[i
 
 class _Tables:
     """The one compile of a run of ``policy``: what its decisions read that
-    stays fixed for the run.  An unknown policy, and pr or opr without
-    ``grids``, raise ``ValueError``.
+    stays fixed for the run.  An unknown policy, a plan ``sol`` whose
+    convexity duals do not number the instance's types (a plan of another
+    instance), and pr or opr without ``grids``, raise ``ValueError``.
 
     Resources sit at position l-1 (as in ``PolicyState.inventory``);
     products and types at their id, slot 0 unused.  Every policy reads
@@ -100,6 +101,9 @@ class _Tables:
                  grids: Mapping[int, ResourceValueGrid] | None = None, relaxed: bool = False):
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy!r}")
+        if len(sol.sigma) != inst.num_types:
+            raise ValueError(f"the plan has {len(sol.sigma)} convexity duals "
+                             f"for {inst.num_types} types")
         if policy != "fcfs" and grids is None:
             raise ValueError(f"policy {policy!r} needs value grids")
         self.policy = policy
@@ -136,9 +140,12 @@ class _Tables:
 
 def _require_reachable(inst: Instance, state: PolicyState, k: int) -> None:
     """Refuse a decision that no run of ``inst`` asks for: an arrival of a
-    type outside 1..K, or an inventory of another length or with a level
-    that is no integer or lies outside 0..capacity of its resource."""
+    type outside 1..K, at a time outside [0, 1] (NaN too), or with an
+    inventory of another length or with a level that is no integer or lies
+    outside 0..capacity of its resource."""
     inst.ctype(k)  # raises ValueError outside 1..K
+    if not 0.0 <= state.now <= 1.0:
+        raise ValueError(f"time {state.now} outside [0, 1]")
     if len(state.inventory) != inst.num_resources:
         raise ValueError(f"the inventory lists {len(state.inventory)} resources, "
                          f"the instance has {inst.num_resources}")
@@ -222,7 +229,9 @@ def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid]
     operative reward for it is at least the marginal value of the unit
     (ties accept).  Only the grid of the product's resource is read, and
     only when the product is in stock.  A state no run of ``inst`` reaches
-    or a type outside 1..K raises ``ValueError``."""
+    (see ``_require_reachable``: a time outside [0, 1] or NaN, or an
+    inventory that does not fit the resources) or a type outside 1..K
+    raises ``ValueError`` before any grid is read."""
     if n <= 0:
         raise ValueError("acceptance is decided only for actual products")
     _require_reachable(inst, state, k)
@@ -255,8 +264,10 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     kernels maximize over, so the offer collects at least the marginal
     reward the static threshold policy would.  Every purchase from the
     offer is accepted.  ``grids`` must hold a grid for every resource,
-    covering its capacity.  A state no run of ``inst`` reaches or a type
-    outside 1..K raises ``ValueError``.
+    covering its capacity.  A state no run of ``inst`` reaches (see
+    ``_require_reachable``: a time outside [0, 1] or NaN, or an inventory
+    that does not fit the resources) or a type outside 1..K raises
+    ``ValueError`` before the tables are compiled.
 
     Each call compiles opr's ``_Tables`` for the whole instance (a run
     compiles once), so any type, not only k, whose model is not

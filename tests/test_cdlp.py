@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace as dc_replace
 from itertools import chain, combinations
@@ -80,6 +81,11 @@ def test_build_master_hand_example():
     assert prog.rows.tolist() == [[2.0], [1.0]]
     assert prog.rhs.tolist() == [1.0, 1.0]
     assert master_columns(H) == [(1, frozenset({1}))]
+    # an assortment listed twice is one column, in the master and its order
+    twice = {1: [frozenset({1}), frozenset(), frozenset({1})]}
+    assert master_columns(twice) == [(1, frozenset({1})), (1, frozenset())]
+    _assert_same_program(build_master(inst, twice),
+                         build_master(inst, {1: [frozenset({1}), frozenset()]}))
 
 
 def test_build_master_empty_assortment_only():
@@ -890,10 +896,28 @@ def test_enumeration_master_equals_build_master(inst, monkeypatch):
 
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
     solve_cdlp_enumeration(inst)
-    subsets = _all_subsets(range(1, inst.num_products + 1))
+    # the subset table's row order: row s holds product n iff bit n-1 of s is set
+    subsets = [frozenset(n for n in range(1, inst.num_products + 1) if s >> (n - 1) & 1)
+               for s in range(1 << inst.num_products)]
     [prog] = solved
     H = {k: subsets for k in range(1, inst.num_types + 1)}
     _assert_same_program(prog, build_master(inst, H))
+
+
+def test_planner_pivot_paths_are_pinned():
+    # Each plan's active sets, iteration count, certified flag and trace
+    # length over 300 random instances, as SHA-256.  These follow the
+    # column generation's pivot path, which changes if its column order or
+    # coefficient arithmetic does; they hold under every BLAS kernel,
+    # unlike the bytes of x and the duals.  Budget: 2 s.
+    digest = hashlib.sha256()
+    for kinds in (("attraction", "mixture"), ("table",), ("attraction", "mixture", "table")):
+        for seed in range(100):
+            sol = solve_cdlp(random_instance(seed, model_kinds=kinds))
+            active = [(k, [sorted(S) for S in sol.active[k]]) for k in sorted(sol.active)]
+            digest.update(repr((active, sol.iterations, sol.certified,
+                                len(sol.objective_trace))).encode())
+    assert digest.hexdigest() == "f25460f623c1c04cf76ee55ee7fa9ea69b7f7656fb1790b79668f63e70a8c8a1"
 
 
 def test_enumeration_raises_on_a_missing_table_entry():
@@ -1002,7 +1026,9 @@ def test_selection_probs_and_initial_columns_equal_per_product_loop(inst):
     sol = solve_cdlp(inst)
     assert list(sol.s_star.items()) == list(
         _reference_selection_probs(inst, sol.active, sol.x).items())
-    assert list(cdlp._initial_columns(inst, _reward_rows(inst)).items()) == list(
+    tables = cdlp._initial_columns(inst, _reward_rows(inst))
+    assert all(coef is None for table in tables.values() for coef in table.values())
+    assert [(k, list(table)) for k, table in tables.items()] == list(
         _reference_initial_columns(inst).items())
 
 
@@ -1011,6 +1037,17 @@ def test_expected_demand_hand_example():
     sol = solve_cdlp(inst)
     assert sol.s_star[(1, 1)] == pytest.approx(0.5)
     assert _reference_expected_demand(sol, inst)[0] == pytest.approx(1.0)
+
+
+def test_dual_bound_refuses_a_plan_of_another_instance():
+    # it summed the duals zip kept, 1.92 for a two-type plan on a one-type
+    # instance
+    sol = solve_cdlp(_scaling_base_instance())
+    with pytest.raises(ValueError, match=r"^the plan has 2 capacity and 2 convexity duals "
+                                         r"for 1 resources and 1 types$"):
+        dual_bound(sol, _batch_instance(20240601))
+    with pytest.raises(ValueError, match="the plan has 1 capacity and 2 convexity duals"):
+        dual_bound(dc_replace(sol, pi=sol.pi[:1]), _scaling_base_instance())
 
 
 def test_dual_bound_equals_objective_on_exact_solve():

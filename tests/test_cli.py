@@ -169,6 +169,53 @@ def test_fractional_table_member_in_a_file_is_a_format_error(tmp_path, capsys):
     assert load_instance(path).types[0].choice.table == {frozenset({1}): {1: 1.0}}
 
 
+_NUMBERS = {
+    "resources": [{"capacity": 2, "expiry": 1.0}],
+    "products": [{"resource": 1, "reward": 1.0}, {"resource": 1, "reward": 1.0}],
+    "types": [
+        {"rate": {"breakpoints": [0.0, 1.0], "rates": [2.0]},
+         "choice": {"kind": "attraction", "mu": [0.0, 0.0], "nu": [1.0, 1.0]},
+         "reward_override": {"1": 0.8}},
+        {"rate": {"breakpoints": [0.0, 1.0], "rates": [1.0]},
+         "choice": {"kind": "mixture", "segments": [
+             {"weight": 0.5, "mu": [0.0, 0.0], "nu": [1.0, 2.0]},
+             {"weight": 0.5, "mu": [0.0, 0.0], "nu": [2.0, 1.0]}]}},
+        {"rate": {"breakpoints": [0.0, 1.0], "rates": [1.0]},
+         "choice": {"kind": "table", "entries": [{"S": [1], "p": {"1": 0.5}},
+                                                 {"S": [2], "p": {"2": 0.5}},
+                                                 {"S": [1, 2], "p": {"1": 0.3, "2": 0.3}}]}},
+    ],
+}
+
+
+@pytest.mark.parametrize("where", [
+    ("resources", 0, "capacity"), ("resources", 0, "expiry"),
+    ("products", 0, "resource"), ("products", 1, "reward"),
+    ("types", 0, "rate", "breakpoints", 0), ("types", 0, "rate", "rates", 0),
+    ("types", 0, "reward_override", "1"),
+    ("types", 0, "choice", "mu", 1), ("types", 0, "choice", "nu", 1),
+    ("types", 1, "choice", "segments", 0, "weight"),
+    ("types", 1, "choice", "segments", 1, "nu", 0),
+    ("types", 2, "choice", "entries", 0, "S", 0), ("types", 2, "choice", "entries", 0, "p", "1"),
+], ids=lambda where: "-".join(map(str, where)))
+@pytest.mark.parametrize("value", ["string", "bool"])
+def test_a_string_or_a_boolean_where_a_number_goes_is_a_format_error(tmp_path, capsys,
+                                                                     where, value):
+    # float() and int() took "2" and true, so such a file validated as ok
+    doc = json.loads(json.dumps(_NUMBERS))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(path)]) == 0
+    *parents, key = where
+    node = functools.reduce(lambda node, step: node[step], parents, doc)
+    node[key] = True if value == "bool" else str(node[key])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cli.InstanceFormatError, match="expected a number, got"):
+        load_instance(path)
+    assert main(["validate", "--instance", str(path)]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--instance", "x.json", "--seed", "1", "--out", "x", "--reps", "1"],
     ["simulate", "--instance", "x.json", "--seed", "1", "--out", "x", "--grid", str(MIN_GRID - 1)],

@@ -234,6 +234,21 @@ def test_random_instance_refuses_limits_it_cannot_draw_from(limits):
         assert all(f"{name}={value!r}" in str(err.value) for name, value in limits.items())
 
 
+@pytest.mark.parametrize("limits, message", [
+    ({"model_kinds": ("attraction", "mnl")}, "model_kinds must be a nonempty selection"),
+    ({"model_kinds": ()}, "model_kinds must be a nonempty selection"),
+    ({"model_kinds": ("table",), "max_products": 13}, '"table" needs max_products <= 12'),
+    ({"model_kinds": ("attraction", "table"), "max_products": 20},
+     '"table" needs max_products <= 12'),
+])
+def test_random_instance_refuses_model_kinds_it_cannot_draw(limits, message):
+    # refused on every seed, before any draw, not only on the seeds that
+    # happen to draw the kind or the products it cannot make
+    for seed in range(20):
+        with pytest.raises(ValueError, match=message):
+            random_instance(seed, **limits)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_instance_draws_at_the_product_floor(seed):
     # max_products = max_resources - 1 is the smallest limit it can draw from

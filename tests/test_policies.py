@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -285,6 +286,19 @@ def test_public_decisions_refuse_an_inventory_no_run_reaches(base_plan, inventor
     with pytest.raises(ValueError, match=message):
         opr_offer(state, 1, grids, sol, inst)
     for n in (1, 3):  # products of resources 1 and 2
+        with pytest.raises(ValueError, match=message):
+            pr_accept(state, n, grids, inst, 1)
+
+
+@pytest.mark.parametrize("now", [1.5, -0.5, math.nan, math.inf, -math.inf])
+def test_public_decisions_refuse_a_time_no_run_reaches(base_plan, now):
+    # pr accepted nothing after t = 1 and at NaN, where opr raised
+    inst, sol, grids = base_plan
+    state = PolicyState((2, 1), now)
+    message = "^" + re.escape(f"time {now} outside [0, 1]") + "$"
+    with pytest.raises(ValueError, match=message):
+        opr_offer(state, 1, grids, sol, inst)
+    for n in (1, 3):
         with pytest.raises(ValueError, match=message):
             pr_accept(state, n, grids, inst, 1)
 

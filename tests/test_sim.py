@@ -773,6 +773,27 @@ def test_monte_carlo_refuses_a_run_before_its_worker_pool_starts(monkeypatch):
         monte_carlo(inst, "fcfs", 20, 1, sol=sol, workers=2)
 
 
+def test_runs_refuse_a_plan_of_another_instance(monkeypatch):
+    # fcfs drew from a two-type plan on a one-type instance and returned a
+    # mean; the refusal comes before any replication and any worker pool
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    plan = solve_cdlp(_scaling_base_instance())
+    inst = _batch_instance(20240601)
+    grids = build_value_grids(inst, solve_cdlp(inst).s_star, 200)
+    message = r"^the plan has 2 convexity duals for 1 types$"
+    for policy in ("fcfs", "pr", "opr"):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(inst, policy, 4, 1, sol=plan, grids=grids, workers=2)
+        with pytest.raises(ValueError, match=message):
+            run_policy(inst, policy, plan, grids, generate_arrivals(inst, 1), 1)
+
+
 def test_each_policy_compiles_only_what_it_reads():
     from choicealloc.policies import _Tables
 
