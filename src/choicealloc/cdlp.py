@@ -43,7 +43,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .choice import _ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present, _revenue
+from .choice import (_ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present, _NotListed,
+                     _revenue, _subsets)
 from .lp import LinearProgram, LpSolution, _objective_tol, solve_lp
 from .model import Instance, _reward_rows, products_of_resource, validate_instance
 
@@ -179,10 +180,10 @@ def _priced(model: ChoiceModel, price: Mapping[int, float]) -> list[tuple[int, f
 
 def _kernel(model: ChoiceModel):
     """The one exact kernel for ``model``, never picked by the prices: sort
-    for attraction weights, the brute force for a ``_subset_table``
-    (mixtures and tables of at most 12 products), else the branch and
-    bound.  It maps ascending (product, price) pairs to (assortment,
-    value, guarantee)."""
+    for attraction weights, the brute force for a ``_subset_table`` (any
+    other model of at most 12 products, from its ``distribution`` alone),
+    else the branch and bound.  It maps ascending (product, price) pairs
+    to (assortment, value, guarantee)."""
     weights = model.attraction()
     if weights is not None:
         return partial(_best_prefix, weights)
@@ -296,14 +297,14 @@ def _table_best(table: np.ndarray, price_items) -> tuple[frozenset[int], float, 
     of the top score, or every subset when a score is not finite.  Each
     kept subset is confirmed in ``_lex_subsets`` order, under the strict
     ``>`` rule of a full scan, by ``math.fsum`` of row[n-1] * price over
-    its members.  The rows hold the bytes ``distribution`` returns, so
-    that is the value ``expected_revenue`` gives the subset; a row all NaN
-    (valid models hold no NaN) is a subset a probability table omits,
-    whose NaN score keeps every subset, and the first one confirmed raises
-    ``distribution``'s ``ValueError``.  This is exact: each score sums at
-    most m terms of magnitude at most max|price|, so the two values of any
-    subset differ by a few ulps of max|price|, far below tol/2.  Every
-    subset of largest exact value therefore passes the screen, and the
+    its members.  The table is filled from ``distribution``, so that is
+    the value ``expected_revenue`` gives the subset; a row all NaN (valid
+    models hold no NaN) is a subset a probability table omits, whose NaN
+    score keeps every subset, and the first one confirmed raises its
+    ``choice._not_present``.  This is exact: each score sums at most m
+    terms of magnitude at most max|price|, so the two values of any subset
+    differ by a few ulps of max|price|, far below tol/2.  Every subset of
+    largest exact value therefore passes the screen, and the
     lexicographically first one is returned.
     """
     price_of = dict(price_items)
@@ -321,9 +322,9 @@ def _table_best(table: np.ndarray, price_items) -> tuple[frozenset[int], float, 
 def assortment_subproblem_bruteforce(model: ChoiceModel,
                                      price: Mapping[int, float]) -> SubproblemResult:
     """Exhaustive subproblem solver for models with a ``_subset_table``
-    (attraction models, mixtures and probability tables of at most
-    ``choice._ENUMERATION_CAP`` products): the kernel ``_table_best``, which
-    returns what scoring every subset with ``expected_revenue`` returns.
+    (every model of at most ``choice._ENUMERATION_CAP`` products): the
+    kernel ``_table_best``, which returns what scoring every subset with
+    ``expected_revenue`` returns.
     Ties resolve to the lexicographically smallest set.  A model without a
     subset table, a price ``_priced`` refuses and a subset a table omits
     raise ``ValueError``.
@@ -419,7 +420,8 @@ def _initial_columns(inst: Instance, rewards: Mapping[int, Sequence[float]]
                      ) -> dict[int, dict[frozenset[int], None]]:
     """Each type's column table, no coefficient built: the empty assortment
     and its best single-product offer at face rewards (``_reward_rows``);
-    any nonempty start works, this one avoids degenerate first masters."""
+    any nonempty start works, this one avoids degenerate first masters.
+    Only a singleton a table omits (``choice._not_present``) is skipped."""
     H: dict[int, dict[frozenset[int], None]] = {}
     for k in range(1, inst.num_types + 1):
         model = inst.ctype(k).choice
@@ -428,7 +430,7 @@ def _initial_columns(inst: Instance, rewards: Mapping[int, Sequence[float]]
         for n in range(1, inst.num_products + 1):
             try:
                 dist = model.distribution(frozenset({n}))
-            except ValueError:
+            except _NotListed:
                 continue  # singleton not tabulated for this type
             [(_, p)] = dist
             v = p * rewards[k][n]
@@ -589,8 +591,8 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
 
     Exponential in the product count, so capped at ``_ENUMERATION_CAP`` (12)
     products; used as the independent oracle for the column-generation path.
-    The master equals ``build_master`` over every subset, in the row order
-    of the ``_subset_table``.  It is solved with ``canonical=False``
+    The master equals ``build_master`` over every subset, in the tables'
+    row order ``choice._subsets(N)``.  It is solved with ``canonical=False``
     (largest reduced cost, Bland's rule after degenerate steps), which
     pivots far less on its many columns; so on a degenerate LP its ``x``
     and duals are one optimal solution, not necessarily the canonical one
@@ -601,23 +603,20 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
     N = inst.num_products
     if N > _ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at {_ENUMERATION_CAP} products, got {N}")
-    subsets = [frozenset()]
-    for n in range(1, N + 1):  # row s + 2**(n-1) adds product n to row s
-        subsets += [S | {n} for S in subsets]
-    cols = [(k, S) for k in range(1, inst.num_types + 1) for S in subsets]
-    lp_sol = solve_lp(_enumeration_master(inst, subsets), canonical=False)
+    cols = [(k, S) for k in range(1, inst.num_types + 1) for S in _subsets(N)]
+    lp_sol = solve_lp(_enumeration_master(inst), canonical=False)
     if lp_sol.status != "optimal":
         raise CdlpError(f"enumeration LP solve failed with status {lp_sol.status!r}")
     return _extract_solution(inst, cols, lp_sol, 0.0, True, 1, (float(lp_sol.objective_value),))
 
 
-def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> LinearProgram:
+def _enumeration_master(inst: Instance) -> LinearProgram:
     """``_master_lp`` over every subset for every type, one block of
     columns a type, written from its selection probabilities P[s, n-1]:
-    the model's ``_subset_table`` as stored, whose row s is ``subsets[s]``.
+    the model's ``_subset_table`` as stored, row s ``choice._subsets(N)[s]``.
 
     NaN marks a subset a table omits; the first in row order raises
-    ``distribution``'s error.  Coefficients are the column loop's
+    ``choice._not_present``.  Coefficients are the column loop's
     operations in its order, on the same ``_reward_rows`` and ``_masses``:
     the objective adds (Lambda_k * P[:, n]) * r_kn over n ascending, and
     capacity row j adds Lambda_k * P[:, n] over j's products ascending.  A
@@ -627,14 +626,14 @@ def _enumeration_master(inst: Instance, subsets: Sequence[frozenset[int]]) -> Li
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
     rewards = _reward_rows(inst)
     members = [sorted(products_of_resource(inst, j)) for j in range(1, L + 1)]
-    width = len(subsets)
+    width = 1 << N
     objective = np.zeros(K * width)
     rows = np.zeros((L + K, K * width))
     for k, lam in enumerate(_masses(inst), start=1):
         P = inst.ctype(k).choice._subset_table
         unlisted = np.isnan(P).any(axis=1)
         if unlisted.any():
-            raise _not_present(subsets[unlisted.argmax()])
+            raise _not_present(_subsets(N)[unlisted.argmax()])
         block = slice((k - 1) * width, k * width)
         obj = objective[block]
         for n in range(1, N + 1):
@@ -652,12 +651,29 @@ def dual_bound(sol: CdlpSolution, inst: Instance) -> float:
     """Value of the terminal duals: sum_j C_j pi(j) + sum_k sigma(k).
 
     Equals the objective on an exact solve; on an eps run it is certified
-    to be at least optimum/(1+eps).  A plan whose ``pi`` and ``sigma`` do
-    not number the instance's resources and types (a plan of another
-    instance) raises ``ValueError``.
+    to be at least optimum/(1+eps).  A plan ``_require_plan_of`` refuses
+    raises ``ValueError``.
     """
-    if (len(sol.pi), len(sol.sigma)) != (inst.num_resources, inst.num_types):
-        raise ValueError(f"the plan has {len(sol.pi)} capacity and {len(sol.sigma)} convexity "
-                         f"duals for {inst.num_resources} resources and {inst.num_types} types")
+    _require_plan_of(sol, inst)
     caps = math.fsum(r.capacity * p for r, p in zip(inst.resources, sol.pi))
     return caps + math.fsum(sol.sigma)
+
+
+def _require_plan_of(sol: CdlpSolution, inst: Instance) -> None:
+    """Raise ``ValueError`` unless ``sol`` could be a plan of ``inst``: its
+    ``pi`` and ``sigma`` number the resources and types, and every type of
+    ``active`` is in 1..K and offers only products in 1..N.  Runs and
+    ``dual_bound`` call it, so a plan of another instance is refused before
+    any replication reads it."""
+    L, N, K = inst.num_resources, inst.num_products, inst.num_types
+    if (len(sol.pi), len(sol.sigma)) != (L, K):
+        raise ValueError(f"the plan has {len(sol.pi)} capacity and {len(sol.sigma)} convexity "
+                         f"duals for {L} resources and {K} types")
+    products = set(range(1, N + 1))
+    for k, offers in sol.active.items():
+        if not 1 <= k <= K:
+            raise ValueError(f"the plan offers to type {k!r}, outside 1..{K}")
+        for S in offers:
+            if not S <= products:
+                raise ValueError(f"the plan offers {sorted(S)} to type {k}, "
+                                 f"outside products 1..{N}")

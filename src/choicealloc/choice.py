@@ -21,11 +21,11 @@ protocol, which every model class implements:
   product count, or a NaN or infinite weight or probability), or None;
 - ``_segments``: a (w, mu+nu, nu, base weight) tuple of floats per
   segment, an attraction model being the one segment of weight 1, or None
-  for a table; ``distribution``, ``selectable``, ``attraction()``, the
-  subset table and the branch and bound read it;
-- ``_subset_table``: the exact subset-probability table P[s, n-1] of an
-  attraction model, mixture or probability table of at most
-  ``_ENUMERATION_CAP`` products, built on first use, or None;
+  for a table; ``distribution``, ``selectable``, ``attraction()`` and the
+  branch and bound read it;
+- ``_subset_table``: the subset-probability table P[s, n-1] of any model
+  of at most ``_ENUMERATION_CAP`` products, filled on first use from
+  ``distribution`` over ``_subsets(N)``, or None;
 - ``_cdf(S)``: the inverse-transform row of ``distribution(S)`` that
   ``_draw`` bisects, memoized per model (at most ``_CDF_MEMO`` sets);
 - ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
@@ -37,8 +37,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, lru_cache
 from typing import ClassVar, Iterable, Mapping, Optional, Protocol
 
 import numpy as np
@@ -125,15 +124,24 @@ class ChoiceModel(Protocol):
 
     @cached_property
     def _subset_table(self) -> Optional[np.ndarray]:
-        """Read-only array whose entry [s, n-1] is the probability of
-        product n from the subset with bitmask s (bit n-1 for product n),
-        0.0 for non-members: the bytes ``distribution`` returns.  None for
-        models without ``_segments`` or with more than ``_ENUMERATION_CAP``
-        products."""
-        segments = self._segments
-        if segments is None or self.num_products > _ENUMERATION_CAP:
+        """Read-only array whose row s holds, in column n-1, the
+        probability ``distribution`` returns for product n from
+        ``_subsets(N)[s]`` (bit n-1 of s for product n), and 0.0 for a
+        non-member.  A subset a probability table omits (``_not_present``)
+        is a row all NaN; any other error of ``distribution`` propagates.
+        None above ``_ENUMERATION_CAP`` products."""
+        N = self.num_products
+        if N > _ENUMERATION_CAP:
             return None
-        return _probability_table(segments, self.num_products)
+        table = np.zeros((1 << N, N))
+        for s, S in enumerate(_subsets(N)):
+            try:
+                for n, p in self.distribution(S):
+                    table[s, n - 1] = p
+            except _NotListed:
+                table[s] = math.nan
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def _cdfs(self) -> dict:  # _cdf's memo
@@ -286,18 +294,6 @@ class TabulatedChoiceModel(ChoiceModel):
                              f"each one it lists; got {self.num_products}, listing product {top}")
 
     @cached_property
-    def _subset_table(self) -> np.ndarray:
-        """The entries' bytes: row s holds ``entry.get(n, 0.0)`` in column
-        n-1 (0.0 outside s); a nonempty subset the table omits is all NaN."""
-        N = self.num_products
-        table = np.full((1 << N, N), np.nan)
-        table[0] = 0.0
-        for S, entry in self.table.items():
-            table[sum(1 << (n - 1) for n in S)] = [entry.get(n, 0.0) for n in range(1, N + 1)]
-        table.flags.writeable = False
-        return table
-
-    @cached_property
     def is_removal_monotone(self) -> bool:
         """False iff a listed subset s gives a member n a probability more
         than 1e-9 below the one a listed superset of s gives it.  One pass
@@ -365,9 +361,25 @@ def _integral(value):
     return value if isinstance(value, float) and not value.is_integer() else int(value)
 
 
-def _not_present(S: Iterable[int]) -> ValueError:
+class _NotListed(ValueError):
+    """The refusal of an assortment a probability table does not list: the
+    one error the subset table and the planner's first columns skip."""
+
+
+def _not_present(S: Iterable[int]) -> _NotListed:
     """The error for an assortment a probability table does not list."""
-    return ValueError(f"assortment {sorted(S)} not present in the probability table")
+    return _NotListed(f"assortment {sorted(S)} not present in the probability table")
+
+
+@lru_cache(maxsize=None)
+def _subsets(num_products: int) -> tuple[frozenset[int], ...]:
+    """Every subset of products 1..num_products in ``_subset_table`` row
+    order: row s + 2**(n-1) adds product n to row s, so bit n-1 of s says
+    whether n is in row s."""
+    subsets = [frozenset()]
+    for n in range(1, num_products + 1):
+        subsets += [S | {n} for S in subsets]
+    return tuple(subsets)
 
 
 def _members(num_products: int) -> np.ndarray:
@@ -375,23 +387,6 @@ def _members(num_products: int) -> np.ndarray:
     whether product i+1 is in the subset with bitmask s."""
     bits = np.arange(num_products)
     return ((np.arange(1 << num_products)[:, None] >> bits) & 1).astype(bool)
-
-
-def _probability_table(segments, num_products: int) -> np.ndarray:
-    """``_subset_table`` from a model's ``_segments``.  Each entry repeats
-    ``distribution``'s operations: a segment's denominator is its base
-    weight plus the exactly rounded ``math.fsum`` of nu over the subset, its
-    term is (w * (mu+nu)) / denominator, and the terms are added in segment
-    order to 0.0."""
-    members = _members(num_products)
-    selectors = members.tolist()
-    acc = np.zeros(members.shape)
-    for w, weight, nu, base in segments:
-        den = np.array([base + math.fsum(compress(nu, sel)) for sel in selectors])
-        acc += (w * np.array(weight)) / den[:, None]
-    table = np.where(members, acc, 0.0)
-    table.flags.writeable = False
-    return table
 
 
 def sample_choice(model: ChoiceModel, assortment: Iterable[int], u: float) -> int:

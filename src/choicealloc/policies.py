@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import CdlpSolution, _kernel
+from .cdlp import CdlpSolution, _kernel, _require_plan_of
 from .choice import _cdf_row, _draw
 from .model import Instance, _reward_rows
 from .valuefn import ResourceValueGrid, _marginal, _require_integral_level
@@ -74,9 +74,9 @@ def _offer_cdf(sol: CdlpSolution, k: int) -> tuple[list[float], list[frozenset[i
 
 class _Tables:
     """The one compile of a run of ``policy``: what its decisions read that
-    stays fixed for the run.  An unknown policy, a plan ``sol`` whose
-    convexity duals do not number the instance's types (a plan of another
-    instance), and pr or opr without ``grids``, raise ``ValueError``.
+    stays fixed for the run.  An unknown policy, a plan ``sol`` that
+    ``cdlp._require_plan_of`` refuses (a plan of another instance), and pr
+    or opr without ``grids``, raise ``ValueError``.
 
     Resources sit at position l-1 (as in ``PolicyState.inventory``);
     products and types at their id, slot 0 unused.  Every policy reads
@@ -101,9 +101,7 @@ class _Tables:
                  grids: Mapping[int, ResourceValueGrid] | None = None, relaxed: bool = False):
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy!r}")
-        if len(sol.sigma) != inst.num_types:
-            raise ValueError(f"the plan has {len(sol.sigma)} convexity duals "
-                             f"for {inst.num_types} types")
+        _require_plan_of(sol, inst)
         if policy != "fcfs" and grids is None:
             raise ValueError(f"policy {policy!r} needs value grids")
         self.policy = policy

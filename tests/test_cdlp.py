@@ -561,7 +561,7 @@ def _priced_tables(model, price):
     inst = Instance((Resource(1, 1),),
                     tuple(Product(n, 1, price[n]) for n in range(1, model.num_products + 1)),
                     (CustomerType(1, RateCurve.constant(1.0), model),))
-    plan = CdlpSolution({1: ()}, {}, (), (0.0,), 0.0, 0.0, {}, True, 0)
+    plan = CdlpSolution({1: ()}, {}, (0.0,), (0.0,), 0.0, 0.0, {}, True, 0)
     return policies._Tables(inst, "opr", plan, build_value_grids(inst, {}, 100))
 
 
@@ -1048,6 +1048,20 @@ def test_dual_bound_refuses_a_plan_of_another_instance():
         dual_bound(sol, _batch_instance(20240601))
     with pytest.raises(ValueError, match="the plan has 1 capacity and 2 convexity duals"):
         dual_bound(dc_replace(sol, pi=sol.pi[:1]), _scaling_base_instance())
+    # the counts agree, 3 resources and 1 type, but the plan offers products
+    # 2 and 4 on 2 products: it returned 0.718
+    inst = random_instance(3, max_types=1, max_products=2)
+    other = solve_cdlp(random_instance(7, max_types=1, max_products=8))
+    with pytest.raises(ValueError, match=r"^the plan offers \[2, 4\] to type 1, "
+                                         r"outside products 1\.\.2$"):
+        dual_bound(other, inst)
+    own = solve_cdlp(inst)
+    assert dual_bound(own, inst) == pytest.approx(own.objective, abs=1e-8)
+    for active, message in [({2: ()}, r"^the plan offers to type 2, outside 1\.\.1$"),
+                            ({0: ()}, r"^the plan offers to type 0, outside 1\.\.1$"),
+                            ({1: (frozenset({0}),)}, r"offers \[0\] to type 1, outside")]:
+        with pytest.raises(ValueError, match=message):
+            dual_bound(dc_replace(own, active=active), inst)
 
 
 def test_dual_bound_equals_objective_on_exact_solve():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicealloc import (
@@ -14,6 +14,7 @@ from choicealloc import (
     random_instance,
     sample_choice,
 )
+from choicealloc.choice import ChoiceModel
 
 weights = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=6)
 
@@ -316,9 +317,31 @@ def _table_models(draw):
     return MixtureChoiceModel(tuple((w / sum(raw), attraction()) for w in raw))
 
 
+def _cap_mixture():
+    """A three-segment mixture at the 12-product cap, -0.0 and zero weights
+    included."""
+    rng = np.random.default_rng(12)
+    weights = [tuple(rng.choice([-0.0, 0.0, 0.3, 1.0, 2.5], 12)) for _ in range(6)]
+    return MixtureChoiceModel(((0.2, AttractionChoiceModel(weights[0], weights[1])),
+                               (0.5, AttractionChoiceModel(weights[2], weights[3])),
+                               (0.3, AttractionChoiceModel(weights[4], weights[5]))))
+
+
 @settings(max_examples=80, deadline=None)
 @given(model=st.one_of(_table_models(), _listed_tables()))
+@example(model=TabulatedChoiceModel({(1,): {1: 0.5}, (1, 3): {3: 0.25}, (2, 3): {2: -0.0}},
+                                    num_products=3))
+@example(model=TabulatedChoiceModel({(n,): {n: 0.05} for n in range(1, 13)}))
+@example(model=_cap_mixture())
 def test_subset_table_rows_are_the_bytes_of_distribution(model):
+    # probability tables that omit subsets, whose rows are NaN, and a model
+    # at the 12-product cap
+    _assert_rows_are_distribution(model)
+
+
+def _assert_rows_are_distribution(model):
+    """Row s of the model's subset table holds the bytes ``distribution``
+    returns on the subset with bitmask s, NaN for one a table omits."""
     N = model.num_products
     table = model._subset_table
     assert table.shape == (1 << N, N) and not table.flags.writeable
@@ -332,6 +355,54 @@ def test_subset_table_rows_are_the_bytes_of_distribution(model):
         for n, p in dist:
             row[n - 1] = p
         assert table[s].tobytes() == np.array(row).tobytes()
+
+
+class _OnlyDistribution(ChoiceModel):
+    """A model class that defines only ``num_products`` and
+    ``distribution``: an attraction form of its own."""
+
+    num_products = 4
+
+    def distribution(self, S):
+        weight = {1: 1.0, 2: 2.5, 3: 0.0, 4: 0.75}
+        den = 1.5 + math.fsum(weight[n] for n in S)
+        return [(n, weight[n] / den) for n in sorted(S)]
+
+
+def test_a_model_with_only_a_distribution_gets_the_subset_table_and_its_kernel():
+    from choicealloc import cdlp
+
+    model = _OnlyDistribution()
+    _assert_rows_are_distribution(model)
+    assert cdlp._kernel(model).func is cdlp._table_best
+    price = {1: 1.0, 2: 0.4, 3: 5.0, 4: 2.0}
+    best, best_value = frozenset(), 0.0  # the first of largest value in lexicographic order
+    for members in cdlp._lex_subsets(range(1, 5)):
+        value = expected_revenue(model, members, price)
+        if value > best_value:
+            best, best_value = frozenset(members), value
+    got = cdlp._auto(model, price)
+    assert (got.assortment, got.value, got.guarantee) == (best, best_value, 1.0)
+
+
+class _RefusesPairs(ChoiceModel):
+    """A model whose ``distribution`` raises a plain ``ValueError`` on
+    every pair, which is no subset a probability table omits."""
+
+    num_products = 3
+
+    def distribution(self, S):
+        if len(S) == 2:
+            raise ValueError(f"no pair {sorted(S)}")
+        return [(n, 1.0 / (1 + len(S))) for n in sorted(S)]
+
+
+def test_subset_table_propagates_an_error_that_is_not_an_omitted_subset():
+    model = _RefusesPairs()
+    with pytest.raises(ValueError, match=r"^no pair \[1, 2\]$") as raised:
+        model._subset_table
+    assert type(raised.value) is ValueError
+    assert "_subset_table" not in vars(model)  # no table, so no NaN row
 
 
 @st.composite

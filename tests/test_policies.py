@@ -40,9 +40,10 @@ def mnl(*nu):
 
 
 def plan_stub(active, x):
-    """Hand-built plan carrying only the offer distribution."""
+    """Hand-built plan carrying only the offer distribution, for an
+    instance of one resource."""
     return CdlpSolution(
-        active=active, x=x, pi=(), sigma=(0.0,) * len(active), objective=0.0, epsilon=0.0,
+        active=active, x=x, pi=(0.0,), sigma=(0.0,) * len(active), objective=0.0, epsilon=0.0,
         s_star={}, certified=True, iterations=0,
     )
 

@@ -775,7 +775,10 @@ def test_monte_carlo_refuses_a_run_before_its_worker_pool_starts(monkeypatch):
 
 def test_runs_refuse_a_plan_of_another_instance(monkeypatch):
     # fcfs drew from a two-type plan on a one-type instance and returned a
-    # mean; the refusal comes before any replication and any worker pool
+    # mean; on a plan offering {2, 4} to an instance of 2 products, with 3
+    # resources and 1 type on both sides, fcfs and pr ended mid-replication
+    # in an IndexError and opr returned a mean.  The refusal comes before
+    # any replication and any worker pool.
     import concurrent.futures
 
     class NoPool:
@@ -783,15 +786,21 @@ def test_runs_refuse_a_plan_of_another_instance(monkeypatch):
             raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    plan = solve_cdlp(_scaling_base_instance())
-    inst = _batch_instance(20240601)
-    grids = build_value_grids(inst, solve_cdlp(inst).s_star, 200)
-    message = r"^the plan has 2 convexity duals for 1 types$"
-    for policy in ("fcfs", "pr", "opr"):
-        with pytest.raises(ValueError, match=message):
-            monte_carlo(inst, policy, 4, 1, sol=plan, grids=grids, workers=2)
-        with pytest.raises(ValueError, match=message):
-            run_policy(inst, policy, plan, grids, generate_arrivals(inst, 1), 1)
+    cases = [
+        (solve_cdlp(_scaling_base_instance()), _batch_instance(20240601),
+         r"^the plan has 2 capacity and 2 convexity duals for 1 resources and 1 types$"),
+        (solve_cdlp(random_instance(7, max_types=1, max_products=8)),
+         random_instance(3, max_types=1, max_products=2),
+         r"^the plan offers \[2, 4\] to type 1, outside products 1\.\.2$"),
+    ]
+    for plan, inst, message in cases:
+        grids = build_value_grids(inst, solve_cdlp(inst).s_star, 200)
+        for policy in ("fcfs", "pr", "opr"):
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match=message):
+                    monte_carlo(inst, policy, 4, 1, sol=plan, grids=grids, workers=workers)
+            with pytest.raises(ValueError, match=message):
+                run_policy(inst, policy, plan, grids, generate_arrivals(inst, 1), 1)
 
 
 def test_each_policy_compiles_only_what_it_reads():
