@@ -25,12 +25,14 @@ One loop, ``_column_generation``, serves ``solve_cdlp`` and
 ``sim.hindsight_bound``.  ``solve_cdlp`` solves every master from the
 slack basis, because a plan's bytes follow the pivot path: a degenerate
 master started elsewhere can end on another optimal basis, with other x
-and duals.  ``hindsight_bound`` reads only the optimal value, so it starts
-each master from the previous master's optimal basis, which the added
-columns leave feasible, and so makes fewer pivots.  It keeps Bland's rule,
-as ``solve_cdlp`` does; only ``solve_cdlp_enumeration``, the oracle, enters
-the largest reduced cost.  The loop keeps one column table a type, ``H[k]``
-(see ``_master_lp``); the oracle reads each ``_subset_table`` as stored.
+and duals.  ``hindsight_bound`` reads only the optimal value, so its
+masters share one ``_GrownMaster``: one simplex tableau for the whole run,
+which takes each new column as B^-1 a and pivots on from the basis the
+last master ended on, so it makes fewer pivots and no refactor but the
+last.  It keeps Bland's rule, as ``solve_cdlp`` does; only
+``solve_cdlp_enumeration``, the oracle, enters the largest reduced cost.
+The loop keeps one column table a type, ``H[k]`` (see ``_master_lp``); the
+oracle reads each ``_subset_table`` as stored.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ import numpy as np
 
 from .choice import (_ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present, _NotListed,
                      _revenue, _subsets)
-from .lp import LinearProgram, LpSolution, _objective_tol, solve_lp
+from .lp import (LinearProgram, LpSolution, _basic_solution, _entering_tol, _objective_tol,
+                 _Tableau, solve_lp)
 from .model import Instance, _reward_rows, products_of_resource, validate_instance
 
 __all__ = [
@@ -142,30 +145,49 @@ def _master_lp(inst: Instance, H: Mapping[int, dict[frozenset[int], tuple | None
     caller has validated, at arrival masses ``masses``.
 
     ``H[k]`` maps type k's assortments, in ``master_columns`` order, to the
-    objective coefficient of x_k(S) and its full constraint column, L
-    capacity entries then K convexity entries (1.0 at type k), or to None,
-    which is filled in here: tables passed to every master build each
-    column once.  ``rewards`` is the instance's ``_reward_rows``.
-    ``_enumeration_master`` builds the same coefficients a type at a time.
+    coefficients ``_columns`` fills in, or to None: tables passed to every
+    master build each column once.  ``rewards`` is the instance's
+    ``_reward_rows``.  ``_enumeration_master`` builds the same coefficients
+    a type at a time.
     """
+    keys = [(k, S) for k, table in sorted(H.items()) for S in table]
+    return LinearProgram(*_columns(inst, H, rewards, masses, keys), _rhs(inst))
+
+
+def _rhs(inst: Instance) -> np.ndarray:
+    """The master's right-hand sides: the capacities, then 1.0 per type."""
+    return np.array([float(r.capacity) for r in inst.resources] + [1.0] * inst.num_types)
+
+
+def _columns(inst: Instance, H: Mapping[int, dict[frozenset[int], tuple | None]],
+             rewards: Mapping[int, Sequence[float]], masses: Sequence[float],
+             keys: Sequence[tuple[int, frozenset[int]]]) -> tuple[np.ndarray, np.ndarray]:
+    """The objective (n,) and constraint rows (L + K, n) of the variables
+    x_k(S), (k, S) in ``keys``, in that order.  Column (k, S) holds L
+    capacity entries then K convexity entries (1.0 at type k); it and its
+    objective coefficient are read from ``H[k][S]``, or built there when
+    that is None.  An objective coefficient that overflows raises
+    ``ValueError``, as a ``LinearProgram`` of it would; a column's entries
+    sum at most the arrival mass."""
     L, K = inst.num_resources, inst.num_types
     resource_of = {p.id: p.resource for p in inst.products}
     coefs = []
-    for k, table in sorted(H.items()):
-        for S, coef in table.items():
-            if coef is None:
-                lam = masses[k - 1]
-                column = [0.0] * (L + K)
-                obj = 0.0
-                for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
-                    obj += lam * p * rewards[k][n]
-                    column[resource_of[n] - 1] += lam * p
-                column[L + k - 1] = 1.0
-                coef = table[S] = (obj, column)
-            coefs.append(coef)
+    for k, S in keys:
+        coef = H[k][S]
+        if coef is None:
+            lam = masses[k - 1]
+            column = [0.0] * (L + K)
+            obj = 0.0
+            for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
+                obj += lam * p * rewards[k][n]
+                column[resource_of[n] - 1] += lam * p
+            if not math.isfinite(obj):
+                raise ValueError("all coefficients must be finite")
+            column[L + k - 1] = 1.0
+            coef = H[k][S] = (obj, column)
+        coefs.append(coef)
     rows = np.array([column for _, column in coefs]).reshape(len(coefs), L + K).T
-    rhs = [float(r.capacity) for r in inst.resources] + [1.0] * K
-    return LinearProgram([obj for obj, _ in coefs], rows, rhs)
+    return np.array([obj for obj, _ in coefs], dtype=float), rows
 
 
 def _priced(model: ChoiceModel, price: Mapping[int, float]) -> list[tuple[int, float]]:
@@ -176,6 +198,12 @@ def _priced(model: ChoiceModel, price: Mapping[int, float]) -> list[tuple[int, f
     if not model._finite_weights:
         raise ValueError("non-finite choice weight")
     return sorted(price.items())
+
+
+def _kind(model: ChoiceModel) -> str:
+    """The ``kind`` that names ``model`` in a refusal, or its class name: the
+    protocol declares ``kind`` but sets none."""
+    return getattr(model, "kind", type(model).__name__)
 
 
 def _kernel(model: ChoiceModel):
@@ -245,7 +273,7 @@ def assortment_subproblem_sort(model: ChoiceModel,
     weights = model.attraction()
     if weights is None:
         raise ValueError(f"the sort solver requires an attraction-form model, "
-                         f"not a {model.kind!r} model")
+                         f"not a {_kind(model)!r} model")
     return SubproblemResult(*_best_prefix(weights, items))
 
 
@@ -332,7 +360,8 @@ def assortment_subproblem_bruteforce(model: ChoiceModel,
     items = _priced(model, price)
     table = model._subset_table
     if table is None:
-        raise ValueError(f"{model.kind!r} model of {model.num_products} products: no subset table")
+        raise ValueError(f"{_kind(model)!r} model of {model.num_products} products: "
+                         "no subset table")
     return SubproblemResult(*_table_best(table, items))
 
 
@@ -362,7 +391,8 @@ def _branch_and_bound(model: ChoiceModel, price_items) -> tuple[frozenset[int], 
     an unexplored node), a proven factor below 1.
     """
     if model._segments is None:
-        raise ValueError(f"branch and bound needs attraction segments, not a {model.kind!r} model")
+        raise ValueError(f"branch and bound needs attraction segments, "
+                         f"not a {_kind(model)!r} model")
     price = dict(price_items)
     # (w_g, mu+nu row, nu row, base weight) of each segment of positive weight
     segments = [seg for seg in model._segments if seg[0] > 0.0]
@@ -518,12 +548,12 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
     The operative rewards are read once, as ``_reward_rows``, by the first
     columns, every master's new columns and every iteration's prices.
 
-    With ``warm``, every master after the first starts the simplex from the
-    previous master's optimal basis.  The masters share their rows, so
-    that basis stays feasible: a structural column moves to where its
-    (k, S) sits in the new master, and a slack keeps its row, shifted by
-    the number of columns added.  A start the simplex refuses raises
-    ``CdlpError`` like any other failed master.
+    With ``warm``, the masters are one ``_GrownMaster``: each iteration's
+    new columns join the last master's tableau, the simplex pivots on from
+    the basis it ended on, and the duals are read off that tableau.  Only
+    the last master is refactored, into ``lp_sol``; the trace is empty.  A
+    master that ends "unbounded" or "failed" raises ``CdlpError`` either
+    way.
     """
     _require_valid(inst)
     if not (math.isfinite(eps) and eps >= 0):
@@ -542,29 +572,29 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
         [lam * max(map(abs, row)) for lam, row in zip(masses, rewards.values())], default=0.0))
 
     H = _initial_columns(inst, rewards)
+    grown = _GrownMaster(inst, H, rewards, masses) if warm else None
     trace: list[float] = []
     cols: list[tuple[int, frozenset[int]]] = []
     lp_sol = None
     certified = False
     iterations = 0
+    new: list[tuple[int, frozenset[int]]] = []  # the columns the last iteration added
 
     while iterations < max_iterations:
         iterations += 1
-        previous, cols = cols, master_columns(H)
-        basis = None
-        if warm and lp_sol is not None:
-            index = {col: j for j, col in enumerate(cols)}
-            shift = len(cols) - len(previous)
-            basis = [index[previous[j]] if j < len(previous) else j + shift
-                     for j in lp_sol.basis]
-        lp_sol = solve_lp(_master_lp(inst, H, rewards, masses), basis)
-        if lp_sol.status != "optimal":
-            raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
-        trace.append(float(lp_sol.objective_value))
-        pi = lp_sol.duals[:L]
-        sigma = lp_sol.duals[L:L + K]
+        if grown is not None:
+            duals = grown.solve(new)
+        else:
+            cols = master_columns(H)
+            lp_sol = solve_lp(_master_lp(inst, H, rewards, masses))
+            if lp_sol.status != "optimal":
+                raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
+            trace.append(float(lp_sol.objective_value))
+            duals = lp_sol.duals
+        pi = duals[:L]
+        sigma = duals[L:L + K]
 
-        improved = False
+        new = []
         for k in range(1, K + 1):
             lam = masses[k - 1]
             model = inst.ctype(k).choice
@@ -578,12 +608,59 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
                 )
             if lam * result.value - sigma[k - 1] > tol and result.assortment not in H[k]:
                 H[k][result.assortment] = None
-                improved = True
-        if not improved:
+                new.append((k, result.assortment))
+        if not new:
             certified = True
             break
 
+    if grown is not None:
+        cols, lp_sol = grown.solution()
     return cols, lp_sol, certified, iterations, tuple(trace)
+
+
+class _GrownMaster:
+    """The restricted masters of one warm column generation on one
+    ``lp._Tableau``, over the loop's column tables ``H``.
+
+    The first master holds the first columns, in ``master_columns`` order,
+    and is solved from the slack basis.  Each ``solve`` appends the columns
+    the loop added since the last one, in that order, as B^-1 a, pivots on
+    by Bland's rule from the basis the last master ended on, and returns
+    the duals c_B B^-1 read off the tableau.  ``solution`` alone refactors,
+    against the original columns laid out in ``master_columns`` order, so
+    that c @ x sums as ``solve_lp`` of ``_master_lp`` sums it.
+    """
+
+    def __init__(self, inst: Instance, H, rewards, masses):
+        self.inst, self.H, self.rewards, self.masses = inst, H, rewards, masses
+        self.columns = master_columns(H)  # the tableau's, in the order they entered
+        c, A = _columns(inst, H, rewards, masses, self.columns)
+        self.tableau = _Tableau(c, A, _rhs(inst), _entering_tol(c))
+
+    def solve(self, new: Sequence[tuple[int, frozenset[int]]]) -> list[float]:
+        if new:
+            self.tableau.add(*_columns(self.inst, self.H, self.rewards, self.masses, new))
+            self.columns += new
+        status = self.tableau.run()
+        if status != "optimal":
+            raise CdlpError(f"master LP solve failed with status {status!r}")
+        return self.tableau.duals().tolist()
+
+    def solution(self) -> tuple[list[tuple[int, frozenset[int]]], LpSolution]:
+        """The last master's columns, in ``master_columns`` order, and its
+        ``LpSolution`` at the basis the tableau ended on, without duals:
+        nothing is priced after it."""
+        tableau, n = self.tableau, len(self.columns)
+        # a stable sort by type, since each type's columns entered in H's order;
+        # the slacks keep their places after them
+        order = sorted(range(n), key=lambda j: self.columns[j][0])
+        order += range(n, n + len(tableau.basis))
+        at = {j: i for i, j in enumerate(order)}
+        lp_sol = _basic_solution(tableau.M[:, order], tableau.b, tableau.cost[order],
+                                 [at[j] for j in tableau.basis], duals=False)
+        if lp_sol.status != "optimal":
+            raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
+        return [self.columns[j] for j in order[:n]], lp_sol
 
 
 def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:

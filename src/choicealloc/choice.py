@@ -12,7 +12,9 @@ protocol, which every model class implements:
 
 - ``distribution(S)``: (product, probability) pairs over the members of a
   valid assortment, ascending id; empty for the empty offer;
-- ``selectable(n)``: whether some assortment leads to a purchase of n;
+- ``selectable(n)``: whether some assortment leads to a purchase of n,
+  read off the ``_segments`` or the ``_subset_table``; True for a model
+  with neither, since nothing rules it out;
 - ``attraction()``: (mu+nu, nu, base weight) of a plain attraction model,
   which the sort solver needs, else None (a one-segment mixture too);
 - ``is_removal_monotone``: whether dropping products never lowers a
@@ -98,7 +100,16 @@ class ChoiceModel(Protocol):
         return list(zip(members, acc))
 
     def selectable(self, n: int) -> bool:
-        return n <= self.num_products and any(seg[1][n - 1] > 0.0 for seg in self._segments)
+        """From the ``_segments``, else from the ``_subset_table``, where n
+        is selectable when some row gives it a positive probability; a
+        model with neither (past ``_ENUMERATION_CAP`` products) rules out
+        nothing."""
+        if n > self.num_products:
+            return False
+        if self._segments is not None:
+            return any(seg[1][n - 1] > 0.0 for seg in self._segments)
+        table = self._subset_table
+        return table is None or bool((table[:, n - 1] > 0.0).any())
 
     def attraction(self) -> Optional[tuple[tuple[float, ...], tuple[float, ...], float]]:
         return None

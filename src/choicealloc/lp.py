@@ -4,15 +4,16 @@ Problems are maximizations of ``c @ x`` subject to ``A x <= b`` and
 ``x >= 0`` with ``b >= 0``, so ``x = 0`` with every slack basic is a
 feasible start and no phase 1 is needed.  Every program the package builds
 is a packing LP of this form: offering nothing to anyone is feasible.  The
-simplex starts from that slack basis, or from a feasible basis the caller
-gives: its tableau is then B^-1 [A | I | b], built with one linear solve.
-A given start that is singular, or whose B^-1 b has an entry below
-``-FEASIBILITY_TOL``, returns status "failed"; the solver never falls back
-to the slack basis on its own.  Entries in [-FEASIBILITY_TOL, 0) are
-roundoff of a basis that was feasible, and are set to 0.  By default the
-solver uses Bland's entering/leaving rule, so it cannot cycle and is fully
-deterministic; degenerate optima resolve toward the lowest variable index,
-and every plan reads its duals, columns and grids off that basis.  With
+simplex runs on a ``_Tableau``, the dictionary B^-1 [A | I | b] built at
+that slack basis.  Its slack block is B^-1 itself, so a tableau can grow:
+``_Tableau.add`` appends structural columns as B^-1 a, keeping the basis
+(and so its feasibility, since b does not change), and ``_Tableau.duals``
+reads c_B B^-1 off the same block.  ``solve_lp`` builds one tableau per
+program; the column generation behind ``sim.hindsight_bound`` keeps one
+for its whole run.  By default the solver uses Bland's entering/leaving
+rule, so it cannot cycle and is fully deterministic; degenerate optima
+resolve toward the lowest variable index, and every plan reads its duals,
+columns and grids off that basis.  With
 ``canonical=False`` it enters the largest reduced cost (the lowest index
 among equals; a NaN never enters), which reaches the optimum in far fewer
 pivots on wide masters: the enumeration oracle, whose callers read only
@@ -21,10 +22,13 @@ the ratio test's 1e-12 tie band, it enters by Bland's rule until a step
 leaves that band, so it cannot cycle either; the iteration cap stays the
 backstop.  Both rules leave by the lowest basic index in the tie band.
 Primal and dual values are re-derived from the final basis by a direct
-linear solve rather than read off the pivoted tableau, which keeps the
-certificates clean of accumulated roundoff.  The dual values are
-load-bearing downstream (column-generation reduced costs), hence the
-insistence on exact basis duals over speed.
+linear solve against the original columns (``_basic_solution``) rather
+than read off the pivoted tableau, which keeps the certificates clean of
+accumulated roundoff.  The dual values are load-bearing downstream
+(column-generation reduced costs), hence the insistence on exact basis
+duals over speed; only a grown tableau prices its next columns with the
+duals it holds, since ``hindsight_bound`` reads nothing of its masters but
+the last one's objective.
 
 A ``LinearProgram`` copies its coefficients once into one read-only
 float64 buffer and checks them there; its objective, rows and right-hand
@@ -36,9 +40,11 @@ multiplies one by min(1, 2^floor(log2 m)) for an objective of magnitude m.
 The factor is a power of two, so rewards scaled by 2^k < 1 meet tolerances
 scaled alike, and a small objective's optimum is not cut short by an
 absolute threshold.  A ``LinearProgram`` scales ``OPTIMALITY_TOL`` by its
-max|c| when it is built, and the column generation scales its reduced-cost
-tolerance by its largest reward mass.  ``PIVOT_TOL`` and ``FEASIBILITY_TOL`` are on the scale of the rows
-and right-hand sides, and keep their values.
+max|c| when it is built (``_entering_tol``), a grown tableau rescales it
+by the max|c| of all the columns it holds (so it enters as a program of
+them would), and the column generation scales its reduced-cost tolerance
+by its largest reward mass.  ``PIVOT_TOL`` is on the scale of the rows and
+right-hand sides, and keeps its value.
 
 Pivots run in place on one C-contiguous ``(m, ncols + 1)`` tableau: the
 pivot row is scaled, and every other row subtracts its multiple of it
@@ -49,12 +55,11 @@ from the same IEEE operations as in the copy-per-pivot reference solver
 that ``tests/test_lp.py`` keeps: reduced costs are ``cost - cb @ T[:, :ncols]``
 with the same operand shapes and strides, row updates are ``t - f * p`` on
 rows other than the pivot row, and ratios are ``b / a`` under the same
-tolerances and tie band.  So under either entering rule, from the slack
-basis or from a given one (whose tableau both build by the same linear
-solve), both make the same decisions and end on the same basis, and the
-final solves against the original columns return the same bytes.  The one
-difference: a ratio test that reads NaN (a tableau that overflowed)
-returns status "failed", where the reference raises.
+tolerances and tie band.  So under either entering rule, on a fresh
+tableau or a grown one, both make the same decisions and end on the same
+basis, and the final solves against the original columns return the same
+bytes.  The one difference: a ratio test that reads NaN (a tableau that
+overflowed) returns status "failed", where the reference raises.
 """
 
 from __future__ import annotations
@@ -65,12 +70,10 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpSolution", "solve_lp", "OPTIMALITY_TOL", "PIVOT_TOL",
-           "FEASIBILITY_TOL"]
+__all__ = ["LinearProgram", "LpSolution", "solve_lp", "OPTIMALITY_TOL", "PIVOT_TOL"]
 
 OPTIMALITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
-FEASIBILITY_TOL = 1e-9  # a given start's B^-1 b may read this far below 0
 
 
 def _objective_tol(tol: float, m: float) -> float:
@@ -79,6 +82,12 @@ def _objective_tol(tol: float, m: float) -> float:
     if not m > 0.0:
         return tol
     return tol * min(1.0, math.ldexp(0.5, math.frexp(m)[1]))
+
+
+def _entering_tol(objective: np.ndarray) -> float:
+    """The simplex's entering threshold for an objective: ``OPTIMALITY_TOL``
+    scaled by its max|c|."""
+    return _objective_tol(OPTIMALITY_TOL, float(np.maximum.reduce(np.abs(objective), initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +126,7 @@ class LinearProgram:
                 raise ValueError("all coefficients must be finite")
             raise ValueError("every right-hand side must be finite and nonnegative")
         data.flags.writeable = False
-        scale = float(np.maximum.reduce(np.abs(data[:n]), initial=0.0))  # max|objective|
-        object.__setattr__(self, "optimality_tol", _objective_tol(OPTIMALITY_TOL, scale))
+        object.__setattr__(self, "optimality_tol", _entering_tol(data[:n]))
         object.__setattr__(self, "objective", data[:n])
         object.__setattr__(self, "rows", data[n:k].reshape(rows.shape))
         object.__setattr__(self, "rhs", data[k:])
@@ -130,8 +138,7 @@ class LpSolution:
 
     ``basis`` is the final basis of an optimal solve, one column index of
     ``[A | I]`` per row (the slack of row i is column n + i), the i-th the
-    basic variable of tableau row i.  Mapped onto the columns of a program
-    with the same rows, it can start that program's solve.
+    basic variable of tableau row i.
     """
 
     status: str  # "optimal" | "unbounded" | "failed"
@@ -203,15 +210,86 @@ def _run_simplex(T, buf, basis, cost, max_iters, tol, canonical):
     return "failed"
 
 
-def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None, *,
-             canonical: bool = True) -> LpSolution:
-    """Solve a small LP; never returns a silently wrong answer (numerical
-    breakdown surfaces as status "failed").
+class _Tableau:
+    """The simplex dictionary of a packing LP max c @ x, A x <= b, x >= 0,
+    built at its slack basis and grown by ``add``.
 
-    The simplex starts from the slack basis, or from ``basis``: m distinct
-    column indices of ``[A | I]``, ordered as ``LpSolution.basis``.  A basis of the wrong shape raises
-    ``ValueError``; one that is singular or not feasible (see the module
-    docstring) returns status "failed".
+    ``M`` = [A | I] and ``cost`` = (c, 0) hold the original columns and
+    costs, the structural ones in the order they came, then one slack per
+    row; ``b`` is the right-hand side.  ``T`` = B^-1 [M | b] is pivoted in
+    place, and ``basis`` names the basic column of each of its rows.  Each
+    ``run`` pivots on from the basis the last one ended on, entering a
+    column above ``tol``: the ``_entering_tol`` of all the columns, the one
+    a ``LinearProgram`` of them has.  The caller passes that tol, finite
+    coefficients and b >= 0, as a ``LinearProgram`` holds them.
+    """
+
+    __slots__ = ("M", "b", "cost", "T", "buf", "basis", "tol")
+
+    def __init__(self, objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray, tol: float):
+        m, n = rows.shape
+        self.M = np.concatenate([rows, np.eye(m)], axis=1)
+        self.b = rhs
+        self.cost = np.concatenate([objective, np.zeros(m)])
+        self.T = np.concatenate([self.M, rhs[:, None]], axis=1)
+        self.buf = np.empty_like(self.T)
+        self.basis = [n + i for i in range(m)]
+        self.tol = tol
+
+    def add(self, objective: np.ndarray, columns: np.ndarray) -> None:
+        """Append structural columns after the last one: ``objective`` (p,)
+        and their constraint ``columns`` (m, p), which enter the dictionary
+        as B^-1 a off its slack block.  The basis keeps its columns, slacks
+        shifted by p, so it stays feasible."""
+        m, p = len(self.basis), objective.size
+        n = self.M.shape[1] - m
+        T = self.T
+        self.T = np.concatenate([T[:, :n], T[:, n:n + m] @ columns, T[:, n:]], axis=1)
+        self.buf = np.empty_like(self.T)
+        self.M = np.concatenate([self.M[:, :n], columns, self.M[:, n:]], axis=1)
+        self.cost = np.concatenate([self.cost[:n], objective, self.cost[n:]])
+        self.basis = [j + p if j >= n else j for j in self.basis]
+        self.tol = _entering_tol(self.cost)
+
+    def run(self, canonical: bool = True) -> str:
+        """``_run_simplex`` from the current basis, under ``solve_lp``'s
+        iteration cap for the current width."""
+        m, width = self.T.shape
+        return _run_simplex(self.T, self.buf, self.basis, self.cost,
+                            200 + 50 * (m + width - 1), self.tol, canonical)
+
+    def duals(self) -> np.ndarray:
+        """c_B B^-1: the basic costs times the slack block."""
+        m = len(self.basis)
+        n = self.M.shape[1] - m
+        return self.cost[self.basis] @ self.T[:, n:n + m]
+
+
+def _basic_solution(M: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: Sequence[int],
+                    duals: bool = True) -> LpSolution:
+    """The optimal ``LpSolution`` at ``basis`` of the LP with columns
+    M = [A | I], right-hand side b and costs (c, 0): x_B and the duals y
+    from B x_B = b and B^T y = c_B, solved by LAPACK against these original
+    columns, and the objective c @ x in column order.  Without ``duals``
+    its duals are ().  A singular basis gives status "failed"."""
+    n = M.shape[1] - b.size
+    basis = list(basis)
+    B = M[:, basis]
+    try:
+        xb = np.linalg.solve(B, b)
+        w = np.linalg.solve(B.T, cost[basis]).tolist() if duals else []
+    except np.linalg.LinAlgError:
+        return LpSolution("failed")
+    x = np.zeros(M.shape[1])
+    x[basis] = xb
+    primal = x[:n]
+    return LpSolution("optimal", tuple(primal.tolist()), tuple(w), float(cost[:n] @ primal),
+                      tuple(basis))
+
+
+def solve_lp(program: LinearProgram, *, canonical: bool = True) -> LpSolution:
+    """Solve a small LP from the slack basis; never returns a silently wrong
+    answer (numerical breakdown surfaces as status "failed").
 
     ``canonical`` (the default) pivots by Bland's rule, the path every plan's
     primal, duals and ``basis`` follow.  ``canonical=False`` enters the
@@ -220,48 +298,12 @@ def solve_lp(program: LinearProgram, basis: Sequence[int] | None = None, *,
     objective is the same optimum, but on a degenerate LP its basis, primal
     and duals may be another optimal one.
     """
-    c, A, b, tol = program.objective, program.rows, program.rhs, program.optimality_tol
-    m, n = A.shape
-    if basis is not None:
-        basis = [int(j) for j in basis]
-        if len(basis) != m or len(set(basis)) != m or not all(0 <= j < n + m for j in basis):
-            raise ValueError(f"a starting basis names {m} distinct columns of the {n + m} "
-                             f"of [A | I], got {basis}")
-    if m == 0:
-        if np.any(c > tol):
+    if program.rows.shape[0] == 0:
+        if np.any(program.objective > program.optimality_tol):
             return LpSolution("unbounded")
-        return LpSolution("optimal", (0.0,) * n, (), 0.0)
-
-    # Columns of the equality system: structural, then one slack per row.
-    M = np.concatenate([A, np.eye(m)], axis=1)
-    T = np.concatenate([M, b[:, None]], axis=1)
-    if basis is None:
-        basis = [n + i for i in range(m)]
-    else:
-        try:
-            T = np.linalg.solve(M[:, basis], T)
-        except np.linalg.LinAlgError:
-            return LpSolution("failed")
-        T[:, basis] = np.eye(m)  # exact unit columns, as pivots leave them
-        start = T[:, -1]
-        if not (start >= -FEASIBILITY_TOL).all():  # NaN fails too
-            return LpSolution("failed")
-        start[start < 0.0] = 0.0
-    buf = np.empty_like(T)
-    cost = np.concatenate([c, np.zeros(m)])
-    status = _run_simplex(T, buf, basis, cost, 200 + 50 * (2 * m + n), tol, canonical)
+        return LpSolution("optimal", (0.0,) * program.objective.size, (), 0.0)
+    tableau = _Tableau(program.objective, program.rows, program.rhs, program.optimality_tol)
+    status = tableau.run(canonical)
     if status != "optimal":
         return LpSolution(status)
-
-    # Refactor primal and duals from the final basis against the original data.
-    B = M[:, basis]
-    try:
-        xb = np.linalg.solve(B, b)
-        w = np.linalg.solve(B.T, cost[basis])
-    except np.linalg.LinAlgError:
-        return LpSolution("failed")
-    x = np.zeros(n + m)
-    x[basis] = xb
-    primal = x[:n]
-    return LpSolution("optimal", tuple(primal.tolist()), tuple(w.tolist()),
-                      float(c @ primal), tuple(basis))
+    return _basic_solution(tableau.M, tableau.b, tableau.cost, tableau.basis)

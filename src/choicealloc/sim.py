@@ -25,7 +25,8 @@ pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
 ``choice._draw`` bisection, and ``policies._sellable`` alone decides
 whether a product can be sold.  ``hindsight_bound`` plans on the
-instance itself, a path's counts its arrival masses.
+instance itself, a path's counts its arrival masses, with all its masters
+on one growing simplex tableau (``cdlp._GrownMaster``).
 """
 
 from __future__ import annotations
@@ -355,11 +356,14 @@ def hindsight_bound(inst: Instance, path: SamplePath) -> float:
     The path must have one count per customer type of ``inst``.
 
     It runs ``solve_cdlp``'s column generation with ``_auto`` on ``inst``,
-    which it validates, the counts as the masses, except that each master
-    starts the simplex from the previous master's optimal basis, and reads
-    only the last master's objective; no plan is built.  A run stopped by
-    its iteration cap proves no bound, since its value may lie below the
-    optimum, so it raises ``CdlpError``.
+    which it validates, the counts as the masses, except that every master
+    lives on one simplex tableau: each new column enters it as B^-1 a, the
+    simplex pivots on from the basis the last master ended on, and the
+    duals are read off the tableau.  Only the last master is refactored
+    against its original columns, in ``master_columns`` order, and its c @ x
+    is the bound; no plan is built.  A run stopped by its iteration cap
+    proves no bound, since its value may lie below the optimum, so it
+    raises ``CdlpError``.
     """
     _require_path_of(inst, path)
     _, lp_sol, certified, iterations, _ = _column_generation(

@@ -177,10 +177,10 @@ def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
         snapshots.append({k: list(v) for k, v in H.items()})
         return real_columns(H)
 
-    def solve_spy(prog, basis=None, *, canonical=True):
-        assert basis is None and canonical
+    def solve_spy(prog, *, canonical=True):  # solve_lp starts every solve from the slack basis
+        assert canonical
         solved.append((snapshots[-1], prog))
-        return real_solve(prog, basis, canonical=canonical)
+        return real_solve(prog, canonical=canonical)
 
     monkeypatch.setattr(cdlp, "master_columns", columns_spy)
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
@@ -889,10 +889,10 @@ def test_enumeration_master_equals_build_master(inst, monkeypatch):
     solved = []
     real_solve = cdlp.solve_lp
 
-    def solve_spy(prog, basis=None, *, canonical=True):
-        assert basis is None and not canonical  # the oracle's objective-only rule
+    def solve_spy(prog, *, canonical=True):
+        assert not canonical  # the oracle's objective-only rule
         solved.append(prog)
-        return real_solve(prog, basis, canonical=canonical)
+        return real_solve(prog, canonical=canonical)
 
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
     solve_cdlp_enumeration(inst)

@@ -385,6 +385,47 @@ def test_a_model_with_only_a_distribution_gets_the_subset_table_and_its_kernel()
     assert (got.assortment, got.value, got.guarantee) == (best, best_value, 1.0)
 
 
+class _OnlyDistribution13(ChoiceModel):
+    """A model class that defines only ``num_products`` and
+    ``distribution``, over 13 products: past the subset table."""
+
+    num_products = 13
+
+    def distribution(self, S):
+        return [(n, 1.0 / (1 + len(S))) for n in sorted(S)]
+
+
+def test_refusals_name_a_model_without_a_kind_by_its_class():
+    from choicealloc import cdlp
+
+    model = _OnlyDistribution13()
+    price = {n: 1.0 for n in range(1, 14)}
+    for solver in (cdlp._auto, cdlp.assortment_subproblem_sort,
+                   cdlp.assortment_subproblem_bruteforce,
+                   cdlp.assortment_subproblem_branch_and_bound):
+        with pytest.raises(ValueError, match="'_OnlyDistribution13' model"):
+            solver(model, price)
+
+
+def test_selectable_without_segments_on_both_sides_of_the_subset_table_cap():
+    from choicealloc import CustomerType, Instance, Product, RateCurve, Resource, validate_instance
+
+    small, wide = _OnlyDistribution(), _OnlyDistribution13()
+    # up to the cap, read off the subset table: product 3 has weight 0.0
+    assert [small.selectable(n) for n in range(1, 6)] == [True, True, False, True, False]
+    # past it nothing rules a product out
+    assert all(wide.selectable(n) for n in range(1, 14)) and not wide.selectable(14)
+    # so a resource that expires before t = 1 warns, and only for sellable products
+    expiring = (Resource(1, 1, expiry=0.5), Resource(2, 1, expiry=0.5))
+    for model, resource_of, warned in ((small, {1: 2, 2: 2, 3: 1, 4: 2}, [2]),
+                                       (wide, {n: 1 + (n == 13) for n in range(1, 14)}, [1, 2])):
+        inst = Instance(expiring, tuple(Product(n, resource_of[n], 1.0) for n in resource_of),
+                        (CustomerType(1, RateCurve.constant(1.0), model),))
+        report = validate_instance(inst)
+        assert report.ok
+        assert [int(w.split()[1]) for w in report.warnings] == warned
+
+
 class _RefusesPairs(ChoiceModel):
     """A model whose ``distribution`` raises a plain ``ValueError`` on
     every pair, which is no subset a probability table omits."""

@@ -19,6 +19,7 @@ from choicealloc import (
 from choicealloc import cdlp
 from choicealloc import lp as lp_module
 from choicealloc.lp import OPTIMALITY_TOL, PIVOT_TOL, LpSolution
+from choicealloc.model import _reward_rows
 from choicealloc.verify import _batch_instance
 from test_cdlp import _MIXTURE10
 
@@ -202,10 +203,10 @@ def test_no_constraints_edge():
 def test_status_stress_against_scipy(batch):
     # Mixed bounded/unbounded draws, degeneracy-prone (about a fifth of the
     # right-hand sides are exactly 0); HiGHS runs with presolve off so
-    # unbounded problems are labeled as such.  Every draw is also restarted
-    # from the optimal basis of its rows and right-hand sides under another
-    # objective, which is feasible by construction.  Each solve runs under
-    # both entering rules.
+    # unbounded problems are labeled as such.  Every draw is also solved on
+    # a grown tableau: its first columns from the slack basis, then the
+    # rest appended as B^-1 a, the simplex going on from the basis the
+    # first solve ended on.  Each solve runs under both entering rules.
     rng = np.random.default_rng(7000 + batch)
     for i in range(50):
         n = int(rng.integers(1, 7))
@@ -221,43 +222,41 @@ def test_status_stress_against_scipy(batch):
         ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None),
                                      method="highs", options={"presolve": False})
         want = {0: "optimal", 3: "unbounded"}.get(ref.status, "other")
-        other = _other_optimal_basis(A, b, (7000 + batch, i))
+        split = 1 + i % n  # the columns that enter first; the draws stay as they were
         for canonical in (True, False):
             mine = solve_lp(program, canonical=canonical)
             assert mine.status == want
             if want == "optimal":
                 assert abs(mine.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
-                # restarted from its own optimal basis, the solve stays optimal
-                # with the same objective, and its duals are dual feasible
-                again = solve_lp(program, mine.basis, canonical=canonical)
-                assert again.status == "optimal"
-                assert abs(again.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
-                y = np.array(again.duals)
-                assert (y >= -1e-8).all()
-                assert (A.T @ y >= c - 1e-8).all()
-            restarted = solve_lp(program, other, canonical=canonical)
-            assert restarted.status == want
+            status, grown, _ = _grown_solve(program, split, canonical)
+            assert status == want
             if want == "optimal":
-                assert abs(restarted.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
-                y = np.array(restarted.duals)
+                # the grown tableau's basis is optimal: its objective is the
+                # optimum, and its duals are dual feasible
+                assert abs(grown.objective_value - (-ref.fun)) <= 1e-6 * (1 + abs(ref.fun))
+                y = np.array(grown.duals)
                 assert (y >= -1e-8).all()
                 assert (A.T @ y >= c - 1e-8).all()
 
 
-def _other_optimal_basis(A, b, seed):
-    """The optimal basis of rows A and right-hand sides b (b >= 0, so x = 0
-    is feasible) under the first of 20 random objectives drawn from
-    ``seed`` that is bounded on them, or else under the last one's negated
-    magnitudes, which x = 0 maximizes."""
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        c = rng.uniform(-1, 1, A.shape[1])
-        other = solve_lp(LinearProgram(tuple(c), tuple(map(tuple, A)), tuple(b)))
-        if other.status == "optimal":
-            return other.basis
-    other = solve_lp(LinearProgram(tuple(-np.abs(c)), tuple(map(tuple, A)), tuple(b)))
-    assert other.status == "optimal"
-    return other.basis
+def _grown_solve(program, split, canonical=True):
+    """(status, LpSolution, tableau) of ``program`` on one ``lp._Tableau``: its
+    first ``split`` columns solved from the slack basis, then the others
+    appended and the simplex run on.  The solution is ``_basic_solution``
+    at the final basis, with the tableau's own duals c_B B^-1 checked
+    against the refactored ones."""
+    c, A, b = program.objective, program.rows, program.rhs
+    tableau = lp_module._Tableau(c[:split], A[:, :split], b, lp_module._entering_tol(c[:split]))
+    status = tableau.run(canonical)
+    if status == "optimal" and split < c.size:
+        tableau.add(c[split:], A[:, split:])
+        status = tableau.run(canonical)
+    if status != "optimal":
+        return status, None, tableau
+    sol = _at_basis(program, tableau.basis)
+    scale = max(1.0, float(np.abs(sol.duals).max(initial=0.0)))
+    assert np.allclose(tableau.duals(), sol.duals, rtol=0.0, atol=1e-9 * scale)
+    return status, sol, tableau
 
 
 # ------------------------------------------------- frozen reference solver
@@ -301,7 +300,7 @@ def _reference_run_simplex(T, basis, cost, max_iters, tol, canonical, fallback):
     return "failed"
 
 
-def _reference_solve_lp(program, basis=None, *, canonical=True, fallback=True):
+def _reference_solve_lp(program, *, canonical=True, fallback=True):
     m = len(program.rows)
     n = len(program.objective)
     c = np.asarray(program.objective, dtype=float)
@@ -315,18 +314,7 @@ def _reference_solve_lp(program, basis=None, *, canonical=True, fallback=True):
     b = np.asarray(program.rhs, dtype=float)
     M = np.hstack([A, np.eye(m)])
     T = np.hstack([M, b[:, None]])
-    if basis is None:
-        basis = np.arange(n, n + m)
-    else:
-        basis = np.array(basis)
-        try:
-            T = np.linalg.solve(M[:, basis], T)
-        except np.linalg.LinAlgError:
-            return LpSolution("failed")
-        T[:, basis] = np.eye(m)
-        if not np.all(T[:, -1] >= -lp_module.FEASIBILITY_TOL):
-            return LpSolution("failed")
-        T[T[:, -1] < 0.0, -1] = 0.0
+    basis = np.arange(n, n + m)
     cost = np.zeros(n + m)
     cost[:n] = c
     status = _reference_run_simplex(T, basis, cost, 200 + 50 * (2 * m + n), tol,
@@ -424,44 +412,88 @@ def test_overflowing_tableau_fails_instead_of_raising():
 # ----------------------------------------- column-generation-shaped LPs
 
 
-
 def _recorded_masters(monkeypatch, instances):
-    """Every LP that solve_cdlp, solve_cdlp_enumeration and hindsight_bound
-    solve on ``instances``, as (program, starting basis, canonical)
-    triples; the basis is None for a solve from the slack basis."""
-    recorded = []
-    real_solve = cdlp.solve_lp
+    """Every LP that solve_cdlp and solve_cdlp_enumeration solve on
+    ``instances``, as (program, canonical) pairs, and every simplex run on
+    the tableau hindsight_bound grows on one path of each, as (args,
+    status, after) records: ``args`` copies what ``lp._run_simplex`` was
+    given but its buffer, (T, basis, cost, max_iters, tol, canonical), and
+    ``after`` is (T, basis) as the run left them."""
+    recorded, runs = [], []
+    real_solve, real_simplex = cdlp.solve_lp, lp_module._run_simplex
 
-    def spy(prog, basis=None, *, canonical=True):
-        recorded.append((prog, basis, canonical))
-        return real_solve(prog, basis, canonical=canonical)
+    def solve_spy(prog, *, canonical=True):
+        recorded.append((prog, canonical))
+        return real_solve(prog, canonical=canonical)
 
-    monkeypatch.setattr(cdlp, "solve_lp", spy)
+    def simplex_spy(T, buf, basis, cost, max_iters, tol, canonical):
+        args = (T.copy(), list(basis), cost.copy(), max_iters, tol, canonical)
+        status = real_simplex(T, buf, basis, cost, max_iters, tol, canonical)
+        runs.append((args, status, (T.copy(), list(basis))))
+        return status
+
+    monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
     for seed, inst in enumerate(instances):
         solve_cdlp(inst)
         solve_cdlp_enumeration(inst)
+        monkeypatch.setattr(lp_module, "_run_simplex", simplex_spy)
         hindsight_bound(inst, generate_arrivals(inst, 100 + seed))
+        monkeypatch.setattr(lp_module, "_run_simplex", real_simplex)
     monkeypatch.undo()
-    return recorded
+    return recorded, runs
+
+
+def _grown_masters(monkeypatch, inst, paths):
+    """Every master hindsight_bound's tableau ends on over ``paths``, as
+    (program, solution) pairs: the ``cdlp._master_lp`` program of its
+    columns, built afresh in ``master_columns`` order, and the
+    ``LpSolution`` (without duals) that the tableau's basis gives it."""
+    ends = []
+    real_solve = cdlp._GrownMaster.solve
+    rewards = _reward_rows(inst)
+
+    def spy(master, new):
+        duals = real_solve(master, new)
+        cols, sol = master.solution()
+        tables = {k: {} for k in range(1, inst.num_types + 1)}
+        for k, S in cols:
+            tables[k][S] = None
+        ends.append((cdlp._master_lp(inst, tables, rewards, master.masses), sol))
+        return duals
+
+    monkeypatch.setattr(cdlp._GrownMaster, "solve", spy)
+    for path in paths:
+        hindsight_bound(inst, path)
+    monkeypatch.undo()
+    return ends
 
 
 def test_in_place_pivots_equal_reference_on_recorded_masters(monkeypatch):
     # batch 20240604's largest reward mass is below 1, so its tolerances are scaled
     instances = [random_instance(7), *(_batch_instance(20240601 + i) for i in range(4)), _MIXTURE10]
-    # Each master is replayed as it was solved, from its recorded basis
-    # under its recorded rule, and also cold under both rules.
-    recorded = _recorded_masters(monkeypatch, instances)
-    assert max(len(p.objective) for p, _, _ in recorded) == 5 * 2 ** 10
-    assert any(basis is not None for _, basis, _ in recorded)
-    assert {canonical for _, _, canonical in recorded} == {True, False}
-    for prog, basis, canonical in recorded:
-        assert (solve_lp(prog, basis, canonical=canonical)
-                == _reference_solve_lp(prog, basis, canonical=canonical))
-        if basis is not None:
-            assert solve_lp(prog, canonical=canonical) == _reference_solve_lp(
-                prog, canonical=canonical)
-        assert solve_lp(prog, canonical=not canonical) == _reference_solve_lp(
-            prog, canonical=not canonical)
+    # Each program is solved under its recorded rule and the other one.  Each
+    # run of a hindsight tableau, grown or not, is replayed by the reference
+    # simplex from the tableau it started on, and each master it ends on is
+    # solved cold under both rules.
+    recorded, runs = _recorded_masters(monkeypatch, instances)
+    assert max(len(p.objective) for p, _ in recorded) == 5 * 2 ** 10
+    assert {canonical for _, canonical in recorded} == {True, False}
+    # hindsight pivots on from the basis the last master ended on, off the
+    # slack basis, which only a grown tableau starts from
+    assert any(basis != list(range(len(cost) - len(basis), len(cost)))
+               for (_, basis, cost, *_), _, _ in runs)
+    for prog, canonical in recorded:
+        for rule in (canonical, not canonical):
+            assert solve_lp(prog, canonical=rule) == _reference_solve_lp(prog, canonical=rule)
+    for (T, basis, *rest), status, (T_after, basis_after) in runs:
+        basis = np.array(basis)
+        assert _reference_run_simplex(T, basis, *rest, True) == status
+        assert basis.tolist() == basis_after
+        assert T.tobytes() == T_after.tobytes()
+    for seed, inst in enumerate(instances):
+        for prog, _ in _grown_masters(monkeypatch, inst, [generate_arrivals(inst, 100 + seed)]):
+            for rule in (True, False):
+                assert solve_lp(prog, canonical=rule) == _reference_solve_lp(prog, canonical=rule)
 
 
 def _count_pivots(monkeypatch):
@@ -477,50 +509,47 @@ def _count_pivots(monkeypatch):
     return pivots
 
 
-def _assert_restart_is_idle(prog, monkeypatch):
-    """Started from its own optimal basis, a solve makes no pivot and
-    returns the cold ``LpSolution``, basis included."""
-    cold = solve_lp(prog)
-    if cold.status != "optimal":
-        return
-    pivots = _count_pivots(monkeypatch)
-    warm = solve_lp(prog, cold.basis)
-    monkeypatch.undo()
-    assert pivots == []
-    assert warm == cold
-
-
 @settings(max_examples=300, deadline=None)
-@given(prog=_integer_programs())
+@given(prog=_integer_programs(), split=st.integers(1, 14))
 @example(prog=LinearProgram(  # a duplicated row, a zero row, a zero rhs
-    (1.0, 1.0), ((-1.0, 1.0), (-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)), (0.0, 0.0, 0.0, 2.0)))
-def test_restart_from_optimal_basis_makes_no_pivot(prog):
+    (1.0, 1.0), ((-1.0, 1.0), (-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)), (0.0, 0.0, 0.0, 2.0)), split=1)
+def test_grown_tableau_ends_on_an_optimal_basis(prog, split):
+    # Grown from its first columns, a program ends with a fresh solve's
+    # status and optimum.  Copies of all its columns then price out as
+    # their originals do, so the simplex goes on from an optimal basis
+    # without a pivot.
+    n = prog.objective.size
+    cold = solve_lp(prog)
+    status, grown, tableau = _grown_solve(prog, min(split, n))
+    assert status == cold.status
+    if status != "optimal":
+        return
+    assert abs(grown.objective_value - cold.objective_value) <= 1e-9 * max(
+        1.0, abs(cold.objective_value))
+    basis = [j + n if j >= n else j for j in tableau.basis]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_restart_is_idle(prog, monkeypatch)
+        pivots = _count_pivots(monkeypatch)
+        tableau.add(prog.objective, prog.rows)
+        assert tableau.run() == "optimal"
+    assert pivots == [] and tableau.basis == basis
 
 
-def test_restart_from_optimal_basis_on_recorded_masters(monkeypatch):
-    instances = [random_instance(7), _batch_instance(20240601), _MIXTURE10]
-    for prog, _, _ in _recorded_masters(monkeypatch, instances):
-        _assert_restart_is_idle(prog, monkeypatch)
+def _at_basis(program, basis):
+    """``lp._basic_solution`` of ``program`` at ``basis``, duals included."""
+    tableau = lp_module._Tableau(program.objective, program.rows, program.rhs,
+                                 program.optimality_tol)
+    return lp_module._basic_solution(tableau.M, tableau.b, tableau.cost, basis)
 
 
-def test_refused_starting_bases():
-    prog = LinearProgram((1.0, 1.0), ((1.0, 1.0), (1.0, -1.0)), (2.0, 0.0))
-    for bad in ((0,), (0, 0), (0, 4), (-1, 2)):
-        with pytest.raises(ValueError, match="starting basis"):
-            solve_lp(prog, bad)
-    # Columns x1, x2, slack 1, slack 2.  {x1, x2} is the vertex (1, 1);
-    # {x1, slack 2} sets x1 = 2 and leaves slack 2 at -2, infeasible.
-    assert solve_lp(prog, (0, 1)).status == "optimal"
-    assert solve_lp(prog, (0, 3)) == LpSolution("failed")
+def test_basic_solution_of_a_singular_basis_fails():
     singular = LinearProgram((1.0, 1.0), ((1.0, 1.0), (2.0, 2.0)), (1.0, 2.0))
-    assert solve_lp(singular, (0, 1)) == LpSolution("failed")
+    assert _at_basis(singular, [0, 1]) == LpSolution("failed")
 
 
-def _assert_agrees_with_highs(prog, basis=None, canonical=True):
+def _assert_agrees_with_highs(prog, sol):
+    """``sol`` of ``prog`` has HiGHS's status and optimum, and its duals
+    certify it."""
     A, b, c = np.array(prog.rows), np.array(prog.rhs), np.array(prog.objective)
-    sol = solve_lp(prog, basis, canonical=canonical)
     ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     assert sol.status == {0: "optimal", 3: "unbounded"}.get(ref.status)
     assert abs(sol.objective_value - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun))
@@ -531,15 +560,15 @@ def _assert_agrees_with_highs(prog, basis=None, canonical=True):
 
 
 def test_column_generation_masters_agree_with_highs(monkeypatch):
-    # Restricted and hindsight masters, and the 10 x 5120 enumeration master
-    # that vertex enumeration cannot reach.  Each is checked cold under its
-    # rule, and each hindsight master also from the basis it was started from.
-    recorded = _recorded_masters(monkeypatch, [_MIXTURE10])
-    assert len(recorded) > 9
-    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p, _, _ in recorded}
-    warm = [(prog, basis, canonical) for prog, basis, canonical in recorded if basis is not None]
-    assert len(warm) > 3
-    for prog, _, canonical in recorded:
-        _assert_agrees_with_highs(prog, canonical=canonical)
-    for prog, basis, canonical in warm:
-        _assert_agrees_with_highs(prog, basis, canonical)
+    # Restricted masters and the 10 x 5120 enumeration master that vertex
+    # enumeration cannot reach, each solved cold under its rule, and every
+    # master hindsight's tableau ends on, at the basis it ended on.
+    recorded, _ = _recorded_masters(monkeypatch, [_MIXTURE10])
+    assert len(recorded) > 4
+    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p, _ in recorded}
+    for prog, canonical in recorded:
+        _assert_agrees_with_highs(prog, solve_lp(prog, canonical=canonical))
+    grown = _grown_masters(monkeypatch, _MIXTURE10, [generate_arrivals(_MIXTURE10, 100)])
+    assert len(grown) > 3
+    for prog, sol in grown:
+        _assert_agrees_with_highs(prog, _at_basis(prog, sol.basis))

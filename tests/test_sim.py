@@ -32,7 +32,7 @@ from choicealloc import cdlp, sim
 from choicealloc.cdlp import CdlpError, SubproblemResult
 from choicealloc.verify import _batch_instance, _scaling_base_instance
 from test_cdlp import _MIXTURE10, _WIDE4
-from test_lp import _count_pivots
+from test_lp import _count_pivots, _grown_masters, _reference_solve_lp
 
 
 def always_buyer():
@@ -497,13 +497,16 @@ def test_hindsight_upper_bounds_policy_on_average():
     assert run.mean <= bounds.mean() + paired_half_width(bounds, run.rewards)
 
 
-@pytest.mark.parametrize("inst", [
-    *(_batch_instance(20240601 + i) for i in range(20)),
-    scale_instance(_scaling_base_instance(), 16),
-    scale_instance(_scaling_base_instance(), 64),
-    _MIXTURE10,
-    _WIDE4,
-], ids=[*(f"batch{i}" for i in range(20)), "theta16", "theta64", "mixture10", "wide4"])
+_HINDSIGHT_CASES = {
+    **{f"batch{i}": _batch_instance(20240601 + i) for i in range(20)},
+    "theta16": scale_instance(_scaling_base_instance(), 16),
+    "theta64": scale_instance(_scaling_base_instance(), 64),
+    "mixture10": _MIXTURE10,
+    "wide4": _WIDE4,  # 23 products: the branch and bound prices its columns
+}
+
+
+@pytest.mark.parametrize("inst", _HINDSIGHT_CASES.values(), ids=_HINDSIGHT_CASES.keys())
 def test_warm_hindsight_equals_cold(inst, monkeypatch):
     # Warm-started masters may end on other optimal bases than cold ones,
     # and so generate other columns, but the fluid optimum is one number:
@@ -523,6 +526,33 @@ def test_warm_hindsight_equals_cold(inst, monkeypatch):
         assert math.isclose(warm, cold.objective_value, rel_tol=1e-12), (path.counts, warm, cold)
     if inst is _MIXTURE10:
         assert warm_pivots < cold_pivots
+
+
+@pytest.mark.parametrize("inst", [*_HINDSIGHT_CASES.values(), random_instance(
+    3, max_products=5, model_kinds=("table",))], ids=[*_HINDSIGHT_CASES, "table3"])
+def test_grown_masters_are_optimal(inst, monkeypatch):
+    # An oracle for every master hindsight's one tableau ends on, whose
+    # columns entered as B^-1 a and whose duals came off the tableau: its
+    # basis must be optimal for the _master_lp program of its columns,
+    # built afresh, and its c @ x must equal the reference solver's cold
+    # optimum within 1e-12 relative, a tolerance fixed before any run.
+    # Tier-1 budget, also fixed before the first run: 3 s for all cases.
+    ends = _grown_masters(monkeypatch, inst, [generate_arrivals(inst, (7, r, 0)) for r in range(3)])
+    assert len(ends) >= 3
+    for prog, sol in ends:
+        c, A, b = prog.objective, prog.rows, prog.rhs
+        m, n = A.shape
+        basis = list(sol.basis)
+        B = np.concatenate([A, np.eye(m)], axis=1)[:, basis]
+        x = np.zeros(n + m)
+        x[basis] = np.linalg.solve(B, b)
+        y = np.linalg.solve(B.T, np.concatenate([c, np.zeros(m)])[basis])
+        assert (x >= -1e-9).all()  # primal feasible
+        tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
+        assert (y >= -tol).all() and (A.T @ y >= c - tol).all()  # dual feasible
+        want = _reference_solve_lp(prog).objective_value
+        assert abs(sol.objective_value - want) <= 1e-12 * abs(want), (sol, want)
+        assert abs(float(c @ x[:n]) - want) <= 1e-12 * abs(want)
 
 
 def test_hindsight_refuses_a_run_stopped_by_its_cap(monkeypatch):
