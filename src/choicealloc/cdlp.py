@@ -15,7 +15,8 @@ Three exact kernels take ascending (product, price) pairs: ``_best_prefix``
 subsets, then the near-best confirmed from their table rows) and
 ``_branch_and_bound``.  ``_kernel(model)`` alone picks one, by the model.
 ``_auto``, ``solve_cdlp``'s default solver, runs it on the prices that
-``_priced`` checks, and opr runs it per arrival.  A caller may pass any
+``_priced`` checks; the column generation and opr run each type's kernel
+directly, from the instance's compile.  A caller may pass any
 other function of (model, prices), as the verification suite does with a
 degraded one.  A solver states its guarantee on each ``SubproblemResult``
 it returns, and nowhere else: it is 1 on every exact result, and below 1
@@ -33,13 +34,24 @@ last.  It keeps Bland's rule, as ``solve_cdlp`` does; only
 ``solve_cdlp_enumeration``, the oracle, enters the largest reduced cost.
 The loop keeps one column table a type, ``H[k]`` (see ``_master_lp``); the
 oracle reads each ``_subset_table`` as stored.
+
+Planning, hindsight bounds, the oracle and runs read an instance through
+one ``_Compiled``, built by ``_compiled`` on first use and kept on the
+instance object: its validation, reward rows, resource positions, arrival
+masses, right-hand sides, each type's first columns and kernel.  So the
+many hindsight bounds of one instance object validate it once and scan its
+singletons once, and each model's memoized ``_distribution`` makes a
+column's coefficients cost one ``distribution`` call per (model,
+assortment).  Instances and their models are treated as immutable: a
+model or a reward changed in place would not be seen.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations
 from typing import Callable, Mapping, Sequence
 
@@ -49,7 +61,7 @@ from .choice import (_ENUMERATION_CAP, ChoiceModel, _as_assortment, _not_present
                      _revenue, _subsets)
 from .lp import (LinearProgram, LpSolution, _basic_solution, _entering_tol, _objective_tol,
                  _Tableau, solve_lp)
-from .model import Instance, _reward_rows, products_of_resource, validate_instance
+from .model import Instance, _reward_rows, validate_instance
 
 __all__ = [
     "SubproblemResult",
@@ -120,67 +132,125 @@ def master_columns(H: Mapping[int, Sequence[frozenset[int]]]) -> list[tuple[int,
     return [(k, S) for k in sorted(H) for S in dict.fromkeys(H[k])]
 
 
-def _require_valid(inst: Instance) -> None:
-    """Raise ``ValueError`` listing every violation of an invalid instance."""
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError("invalid instance: " + "; ".join(report.errors))
+class _Compiled:
+    """The one compile of an instance: everything the planner, the
+    hindsight bounds and the runs read that depends on the instance alone.
+    ``_compiled`` builds it on first use and keeps it on the instance
+    object, so it is built once per object (two equal instances build one
+    each); instances and their choice models are treated as immutable.
+
+    Building it validates the instance: an invalid one raises
+    ``ValueError`` listing every violation and keeps nothing, so every
+    call refuses it.  Resources sit at position l-1, products and types at
+    their id, slot 0 unused:
+
+    - ``models[k]``: type k's choice model;
+    - ``rewards[k][n]``: ``_reward_rows``, type k's operative reward for n,
+      and ``tops[k-1]``, the largest |rewards[k][n]|;
+    - ``resource_of[n]``: the position of n's resource; ``expiry`` and
+      ``capacity`` by position;
+    - ``masses[k-1]``: type k's expected arrival mass; ``rhs``: the
+      master's right-hand sides, the capacities then 1.0 per type;
+    - ``first[k]``: type k's first columns, the empty assortment and its
+      best single-product offer at face rewards (any nonempty start works,
+      this one avoids degenerate first masters); a singleton a table omits
+      (``choice._not_present``) is skipped;
+    - ``kernels[k]``: type k's ``_kernel``.
+
+    ``first`` and ``kernels`` are built on first use, by the column
+    generation and opr: the oracle and fcfs and pr runs read neither, and
+    a kernel may fill its model's subset table.
+    """
+
+    def __init__(self, inst: Instance):
+        report = validate_instance(inst)
+        if not report.ok:
+            raise ValueError("invalid instance: " + "; ".join(report.errors))
+        self.models = {k: ctype.choice for k, ctype in enumerate(inst.types, start=1)}
+        self.rewards = _reward_rows(inst)
+        self.tops = [max(map(abs, row)) for row in self.rewards.values()]
+        self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
+        self.expiry = [r.expiry for r in inst.resources]
+        self.capacity = [r.capacity for r in inst.resources]
+        self.masses = [ctype.rate.cumulative(1.0) for ctype in inst.types]
+        self.rhs = np.array([float(c) for c in self.capacity] + [1.0] * inst.num_types)
+        self.rhs.flags.writeable = False  # shared by every master
+
+    @cached_property
+    def first(self) -> dict:
+        first = {}
+        for k, model in self.models.items():
+            reward, best_n, best_v = self.rewards[k], None, 0.0
+            for n in range(1, len(reward)):
+                try:
+                    [(_, p)] = model._distribution(frozenset({n}))
+                except _NotListed:
+                    continue  # singleton not tabulated for this type
+                v = p * reward[n]
+                if v > best_v:
+                    best_n, best_v = n, v
+            first[k] = (frozenset(),) + (() if best_n is None else (frozenset({best_n}),))
+        return first
+
+    @cached_property
+    def kernels(self) -> dict:
+        return {k: _kernel(model) for k, model in self.models.items()}
+
+
+def _compiled(inst: Instance) -> _Compiled:
+    """The ``_Compiled`` of ``inst``, built on first use and kept in the
+    object's ``__dict__``, as ``functools.cached_property`` keeps a value
+    (a frozen dataclass refuses only attribute assignment)."""
+    compiled = inst.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = inst.__dict__["_compiled"] = _Compiled(inst)
+    return compiled
 
 
 def build_master(inst: Instance, H: Mapping[int, Sequence[frozenset[int]]]) -> LinearProgram:
     """Restricted master LP over the assortments ``H[k]``, one column each."""
-    _require_valid(inst)
-    tables = {k: dict.fromkeys(H[k]) for k in H}
-    return _master_lp(inst, tables, _reward_rows(inst), _masses(inst))
+    c = _compiled(inst)
+    return _master_lp(c, {k: dict.fromkeys(H[k]) for k in H}, c.masses)
 
 
-def _masses(inst: Instance) -> list[float]:
-    """The expected arrival mass of each type, in type order."""
-    return [inst.arrival_mass(k) for k in range(1, inst.num_types + 1)]
-
-
-def _master_lp(inst: Instance, H: Mapping[int, dict[frozenset[int], tuple | None]],
-               rewards: Mapping[int, Sequence[float]], masses: Sequence[float]) -> LinearProgram:
-    """``build_master`` over the column tables ``H`` of an instance the
-    caller has validated, at arrival masses ``masses``.
+def _master_lp(c: _Compiled, H: Mapping[int, dict[frozenset[int], tuple | None]],
+               masses: Sequence[float]) -> LinearProgram:
+    """``build_master`` over the column tables ``H`` of the instance
+    compiled into ``c``, at arrival masses ``masses``.
 
     ``H[k]`` maps type k's assortments, in ``master_columns`` order, to the
     coefficients ``_columns`` fills in, or to None: tables passed to every
-    master build each column once.  ``rewards`` is the instance's
-    ``_reward_rows``.  ``_enumeration_master`` builds the same coefficients
-    a type at a time.
+    master build each column once.  ``_enumeration_master`` builds the
+    same coefficients a type at a time.
     """
     keys = [(k, S) for k, table in sorted(H.items()) for S in table]
-    return LinearProgram(*_columns(inst, H, rewards, masses, keys), _rhs(inst))
+    return LinearProgram(*_columns(c, H, masses, keys), c.rhs)
 
 
-def _rhs(inst: Instance) -> np.ndarray:
-    """The master's right-hand sides: the capacities, then 1.0 per type."""
-    return np.array([float(r.capacity) for r in inst.resources] + [1.0] * inst.num_types)
-
-
-def _columns(inst: Instance, H: Mapping[int, dict[frozenset[int], tuple | None]],
-             rewards: Mapping[int, Sequence[float]], masses: Sequence[float],
+def _columns(c: _Compiled, H: Mapping[int, dict[frozenset[int], tuple | None]],
+             masses: Sequence[float],
              keys: Sequence[tuple[int, frozenset[int]]]) -> tuple[np.ndarray, np.ndarray]:
     """The objective (n,) and constraint rows (L + K, n) of the variables
     x_k(S), (k, S) in ``keys``, in that order.  Column (k, S) holds L
     capacity entries then K convexity entries (1.0 at type k); it and its
-    objective coefficient are read from ``H[k][S]``, or built there when
-    that is None.  An objective coefficient that overflows raises
-    ``ValueError``, as a ``LinearProgram`` of it would; a column's entries
-    sum at most the arrival mass."""
-    L, K = inst.num_resources, inst.num_types
-    resource_of = {p.id: p.resource for p in inst.products}
+    objective coefficient are read from ``H[k][S]``, or built there from
+    the model's memoized ``_distribution`` when that is None.  An
+    objective coefficient that overflows raises ``ValueError``, as a
+    ``LinearProgram`` of it would; a column's entries sum at most the
+    arrival mass."""
+    L, K = len(c.capacity), len(c.masses)
+    resource_of = c.resource_of
     coefs = []
     for k, S in keys:
         coef = H[k][S]
         if coef is None:
             lam = masses[k - 1]
+            reward = c.rewards[k]
             column = [0.0] * (L + K)
             obj = 0.0
-            for n, p in inst.ctype(k).choice.distribution(_as_assortment(S)):
-                obj += lam * p * rewards[k][n]
-                column[resource_of[n] - 1] += lam * p
+            for n, p in c.models[k]._distribution(_as_assortment(S)):
+                obj += lam * p * reward[n]
+                column[resource_of[n]] += lam * p
             if not math.isfinite(obj):
                 raise ValueError("all coefficients must be finite")
             column[L + k - 1] = 1.0
@@ -446,38 +516,13 @@ class AutoExactSolver:
     __call__ = staticmethod(_auto)
 
 
-def _initial_columns(inst: Instance, rewards: Mapping[int, Sequence[float]]
-                     ) -> dict[int, dict[frozenset[int], None]]:
-    """Each type's column table, no coefficient built: the empty assortment
-    and its best single-product offer at face rewards (``_reward_rows``);
-    any nonempty start works, this one avoids degenerate first masters.
-    Only a singleton a table omits (``choice._not_present``) is skipped."""
-    H: dict[int, dict[frozenset[int], None]] = {}
-    for k in range(1, inst.num_types + 1):
-        model = inst.ctype(k).choice
-        table = H[k] = {frozenset(): None}
-        best_n, best_v = None, 0.0
-        for n in range(1, inst.num_products + 1):
-            try:
-                dist = model.distribution(frozenset({n}))
-            except _NotListed:
-                continue  # singleton not tabulated for this type
-            [(_, p)] = dist
-            v = p * rewards[k][n]
-            if v > best_v:
-                best_n, best_v = n, v
-        if best_n is not None:
-            table[frozenset({best_n})] = None
-    return H
-
-
 def _selection_probs(inst: Instance, active, x) -> dict[tuple[int, int], float]:
     s_star: dict[tuple[int, int], float] = {}
     for k in range(1, inst.num_types + 1):
         model = inst.ctype(k).choice
         for S in active.get(k, ()):
             weight = x[(k, S)]
-            prob = dict(model.distribution(S))
+            prob = dict(model._distribution(S))
             for n in S:
                 s_star[(k, n)] = s_star.get((k, n), 0.0) + weight * prob[n]
     return s_star
@@ -526,27 +571,33 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     exact.  Hitting the iteration cap returns the best plan found so far
     flagged ``certified=False``.
 
-    The instance is validated once, and each (type, assortment) column's
-    coefficients are computed once and reused by every later master; each
-    master equals ``build_master`` on the iteration's columns and is
-    solved from the slack basis.
+    The instance is read through its ``_compiled`` (validated once per
+    instance object), and each (type, assortment) column's coefficients
+    are computed once and reused by every later master; each master equals
+    ``build_master`` on the iteration's columns and is solved from the
+    slack basis.  ``max_iterations`` defaults to 10 (L + K + N), at least
+    1; a cap that is no integer of at least 1 raises ``ValueError``.
     """
     cols, lp_sol, certified, iterations, trace = _column_generation(
-        inst, _masses(inst), eps, solver, max_iterations, False)
+        inst, _compiled(inst).masses, eps, solver, max_iterations, False)
     return _extract_solution(inst, cols, lp_sol, eps, certified, iterations, trace)
 
 
 def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solver,
                        max_iterations: int | None, warm: bool):
     """The loop behind ``solve_cdlp``, with its arguments and checks, at
-    arrival masses ``masses``: ``_masses`` or a path's counts.
+    arrival masses ``masses``: the compile's or a path's counts.
 
     Returns (cols, lp_sol, certified, iterations, trace): the variables of
     the last master solved and its ``LpSolution``, then ``solve_cdlp``'s
     flags and objective trace.  The last iteration may have added columns
     to H after its master was solved, so a plan is read against ``cols``.
-    The operative rewards are read once, as ``_reward_rows``, by the first
-    columns, every master's new columns and every iteration's prices.
+    The first columns, the operative rewards and the resource positions
+    come from the ``_compiled`` instance.  The default solver ``_auto``
+    is not called: each type's prices, ascending pairs of products 1..N,
+    go straight to its compiled kernel, since ``_priced``'s checks hold by
+    construction and by the validation; any other solver gets the price
+    mapping.
 
     With ``warm``, the masters are one ``_GrownMaster``: each iteration's
     new columns join the last master's tableau, the simplex pivots on from
@@ -555,24 +606,23 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
     master that ends "unbounded" or "failed" raises ``CdlpError`` either
     way.
     """
-    _require_valid(inst)
+    c = _compiled(inst)
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
     required = 1.0 / (1.0 + eps)
 
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
     if max_iterations is None:
-        max_iterations = 10 * (L + K + N)
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-    resource_of = {p.id: p.resource for p in inst.products}
-    rewards = _reward_rows(inst)  # fixed for the run
+        max_iterations = max(1, 10 * (L + K + N))
+    _require_count("max_iterations", max_iterations, 1)
+    rewards, resource_of = c.rewards, c.resource_of
+    kernels = c.kernels if solver is _auto else None
     # the reduced-cost tolerance on the scale of the largest reward mass
     tol = _objective_tol(REDUCED_COST_TOL, max(
-        [lam * max(map(abs, row)) for lam, row in zip(masses, rewards.values())], default=0.0))
+        [lam * top for lam, top in zip(masses, c.tops)], default=0.0))
 
-    H = _initial_columns(inst, rewards)
-    grown = _GrownMaster(inst, H, rewards, masses) if warm else None
+    H = {k: dict.fromkeys(first) for k, first in c.first.items()}
+    grown = _GrownMaster(c, H, masses) if warm else None
     trace: list[float] = []
     cols: list[tuple[int, frozenset[int]]] = []
     lp_sol = None
@@ -586,7 +636,7 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
             duals = grown.solve(new)
         else:
             cols = master_columns(H)
-            lp_sol = solve_lp(_master_lp(inst, H, rewards, masses))
+            lp_sol = solve_lp(_master_lp(c, H, masses))
             if lp_sol.status != "optimal":
                 raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
             trace.append(float(lp_sol.objective_value))
@@ -596,19 +646,21 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
 
         new = []
         for k in range(1, K + 1):
-            lam = masses[k - 1]
-            model = inst.ctype(k).choice
             reward = rewards[k]
-            price = {n: reward[n] - pi[resource_of[n] - 1] for n in range(1, N + 1)}
-            result = solver(model, price)
-            if not result.guarantee >= required - 1e-12:  # NaN fails too
+            items = [(n, reward[n] - pi[resource_of[n]]) for n in range(1, N + 1)]
+            if kernels is None:
+                result = solver(c.models[k], dict(items))
+                assortment, value, guarantee = result.assortment, result.value, result.guarantee
+            else:
+                assortment, value, guarantee = kernels[k](items)
+            if not guarantee >= required - 1e-12:  # NaN fails too
                 raise ValueError(
-                    f"subproblem result guarantee {result.guarantee:g} is below "
+                    f"subproblem result guarantee {guarantee:g} is below "
                     f"the {required:g} required for eps={eps:g}"
                 )
-            if lam * result.value - sigma[k - 1] > tol and result.assortment not in H[k]:
-                H[k][result.assortment] = None
-                new.append((k, result.assortment))
+            if masses[k - 1] * value - sigma[k - 1] > tol and assortment not in H[k]:
+                H[k][assortment] = None
+                new.append((k, assortment))
         if not new:
             certified = True
             break
@@ -631,15 +683,15 @@ class _GrownMaster:
     that c @ x sums as ``solve_lp`` of ``_master_lp`` sums it.
     """
 
-    def __init__(self, inst: Instance, H, rewards, masses):
-        self.inst, self.H, self.rewards, self.masses = inst, H, rewards, masses
+    def __init__(self, c: _Compiled, H, masses):
+        self.compiled, self.H, self.masses = c, H, masses
         self.columns = master_columns(H)  # the tableau's, in the order they entered
-        c, A = _columns(inst, H, rewards, masses, self.columns)
-        self.tableau = _Tableau(c, A, _rhs(inst), _entering_tol(c))
+        obj, A = _columns(c, H, masses, self.columns)
+        self.tableau = _Tableau(obj, A, c.rhs, _entering_tol(obj))
 
     def solve(self, new: Sequence[tuple[int, frozenset[int]]]) -> list[float]:
         if new:
-            self.tableau.add(*_columns(self.inst, self.H, self.rewards, self.masses, new))
+            self.tableau.add(*_columns(self.compiled, self.H, self.masses, new))
             self.columns += new
         status = self.tableau.run()
         if status != "optimal":
@@ -676,7 +728,7 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
     ``solve_cdlp``'s Bland pivots end on.  Its objective is the optimum
     either way, to an ulp: another column order may round it otherwise.
     """
-    _require_valid(inst)
+    _compiled(inst)
     N = inst.num_products
     if N > _ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at {_ENUMERATION_CAP} products, got {N}")
@@ -694,19 +746,20 @@ def _enumeration_master(inst: Instance) -> LinearProgram:
 
     NaN marks a subset a table omits; the first in row order raises
     ``choice._not_present``.  Coefficients are the column loop's
-    operations in its order, on the same ``_reward_rows`` and ``_masses``:
+    operations in its order, on the same compiled rewards and masses:
     the objective adds (Lambda_k * P[:, n]) * r_kn over n ascending, and
     capacity row j adds Lambda_k * P[:, n] over j's products ascending.  A
     non-member's 0.0 adds +0.0 to a sum that starts at 0.0, which changes no
     value, so the master's arrays equal ``build_master``'s.
     """
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
-    rewards = _reward_rows(inst)
-    members = [sorted(products_of_resource(inst, j)) for j in range(1, L + 1)]
+    c = _compiled(inst)
+    rewards = c.rewards
+    members = [[n for n in range(1, N + 1) if c.resource_of[n] == j] for j in range(L)]
     width = 1 << N
     objective = np.zeros(K * width)
     rows = np.zeros((L + K, K * width))
-    for k, lam in enumerate(_masses(inst), start=1):
+    for k, lam in enumerate(c.masses, start=1):
         P = inst.ctype(k).choice._subset_table
         unlisted = np.isnan(P).any(axis=1)
         if unlisted.any():
@@ -720,8 +773,7 @@ def _enumeration_master(inst: Instance) -> LinearProgram:
             for n in members[j]:
                 cap += lam * P[:, n - 1]
         rows[L + k - 1, block] = 1.0
-    rhs = [float(r.capacity) for r in inst.resources] + [1.0] * K
-    return LinearProgram(objective, rows, rhs)
+    return LinearProgram(objective, rows, c.rhs)
 
 
 def dual_bound(sol: CdlpSolution, inst: Instance) -> float:
@@ -734,6 +786,14 @@ def dual_bound(sol: CdlpSolution, inst: Instance) -> float:
     _require_plan_of(sol, inst)
     caps = math.fsum(r.capacity * p for r, p in zip(inst.resources, sol.pi))
     return caps + math.fsum(sol.sigma)
+
+
+def _require_count(name: str, value, least: int) -> None:
+    """Refuse a count that is no integer (``numbers.Integral``) of at least
+    ``least``, such as 2.5 or NaN, with ``ValueError``: an iteration cap
+    here, a number of replications or workers in ``sim.monte_carlo``."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _require_plan_of(sol: CdlpSolution, inst: Instance) -> None:

@@ -28,7 +28,10 @@ protocol, which every model class implements:
 - ``_subset_table``: the subset-probability table P[s, n-1] of any model
   of at most ``_ENUMERATION_CAP`` products, filled on first use from
   ``distribution`` over ``_subsets(N)``, or None;
-- ``_cdf(S)``: the inverse-transform row of ``distribution(S)`` that
+- ``_distribution(S)``: ``distribution(S)`` memoized per model (at most
+  ``_CDF_MEMO`` sets), so that the planner's columns, its plans and every
+  run read one call per (model, assortment); its lists are never changed;
+- ``_cdf(S)``: the inverse-transform row of ``_distribution(S)`` that
   ``_draw`` bisects, memoized per model (at most ``_CDF_MEMO`` sets);
 - ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
 """
@@ -155,18 +158,33 @@ class ChoiceModel(Protocol):
         return table
 
     @cached_property
+    def _dists(self) -> dict:  # _distribution's memo
+        return {}
+
+    def _distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
+        """``distribution(S)`` of a valid assortment, memoized as ``_cdf`` is;
+        callers never change the list.  An error is not memoized."""
+        memo = self._dists
+        dist = memo.get(S)
+        if dist is None:
+            if len(memo) >= _CDF_MEMO:
+                memo.clear()
+            dist = memo[S] = self.distribution(S)
+        return dist
+
+    @cached_property
     def _cdfs(self) -> dict:  # _cdf's memo
         return {}
 
     def _cdf(self, S: frozenset[int]) -> tuple[list[float], list[int]]:
-        """``_cdf_row`` of ``distribution(S)``, no purchase last, memoized outside
+        """``_cdf_row`` of ``_distribution(S)``, no purchase last, memoized outside
         the dataclass fields and cleared at ``_CDF_MEMO`` sets (< 2 MB at N = 20)."""
         memo = self._cdfs
         row = memo.get(S)
         if row is None:
             if len(memo) >= _CDF_MEMO:
                 memo.clear()
-            row = memo[S] = _cdf_row(self.distribution(S), 0)
+            row = memo[S] = _cdf_row(self._distribution(S), 0)
         return row
 
     def to_doc(self) -> dict: ...

@@ -253,7 +253,11 @@ class _Tableau:
 
     def run(self, canonical: bool = True) -> str:
         """``_run_simplex`` from the current basis, under ``solve_lp``'s
-        iteration cap for the current width."""
+        iteration cap for the current width.  With no rows it finishes as
+        ``solve_lp`` finishes a program without rows: "unbounded" if a
+        cost exceeds ``tol``, else "optimal"."""
+        if not self.basis:
+            return "unbounded" if (self.cost > self.tol).any() else "optimal"
         m, width = self.T.shape
         return _run_simplex(self.T, self.buf, self.basis, self.cost,
                             200 + 50 * (m + width - 1), self.tol, canonical)

@@ -10,17 +10,23 @@ and never lists a product that cannot be sold, so every purchase it induces
 is accepted.
 
 opr offers the answer of the exact kernel the planner prices columns
-with, ``cdlp._kernel(model)``, picked once per type when a run compiles
-its tables (see ``opr_offer``).
+with, ``cdlp._kernel(model)``, picked once per type and instance object by
+the instance's compile (see ``opr_offer``).
 
-The simulator compiles the instance, the plan and the value grids into a
-``_Tables`` once per run, with only what its policy reads, and calls the
-private decision functions directly; opr's compile refuses a model that
-is not removal-monotone before any arrival.  The public functions below
-are thin wrappers over the same functions, and only ``opr_offer``
-compiles tables per call.  Offers and choices are both drawn by
-``choice._draw``.  ``_sellable`` alone decides whether a product can be
-sold (its resource is in stock and not expired).
+Two compiles feed a run.  ``cdlp._compiled(inst)``, built once per
+instance object and kept on it, validates the instance and holds what
+depends on it alone: each type's model, reward row and kernel, each
+product's resource position, the capacities and expiries.  Instances and
+their choice models are treated as immutable, so a changed model would
+not be seen.  The simulator then compiles the plan and the value grids
+into a ``_Tables`` once per run, sharing those lists, with only what its
+policy reads, and calls the private decision functions directly; opr's
+``_Tables`` refuses a model that is not removal-monotone before any
+arrival.  The public functions below are thin wrappers over the same
+functions, and only ``opr_offer`` compiles tables per call.  Offers and
+choices are both drawn by ``choice._draw``.  ``_sellable`` alone decides
+whether a product can be sold (its resource is in stock and not
+expired).
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import CdlpSolution, _kernel, _require_plan_of
+from .cdlp import CdlpSolution, _compiled, _require_plan_of
 from .choice import _cdf_row, _draw
-from .model import Instance, _reward_rows
+from .model import Instance
 from .valuefn import ResourceValueGrid, _marginal, _require_integral_level
 
 __all__ = [
@@ -74,24 +80,26 @@ def _offer_cdf(sol: CdlpSolution, k: int) -> tuple[list[float], list[frozenset[i
 
 class _Tables:
     """The one compile of a run of ``policy``: what its decisions read that
-    stays fixed for the run.  An unknown policy, a plan ``sol`` that
-    ``cdlp._require_plan_of`` refuses (a plan of another instance), and pr
-    or opr without ``grids``, raise ``ValueError``.
+    stays fixed for the run.  An unknown policy, an invalid instance, a
+    plan ``sol`` that ``cdlp._require_plan_of`` refuses (a plan of another
+    instance), and pr or opr without ``grids``, raise ``ValueError``.
 
     Resources sit at position l-1 (as in ``PolicyState.inventory``);
     products and types at their id, slot 0 unused.  Every policy reads
     ``resource_of[n]`` (the position of n's resource), ``expiry``,
     ``capacity``, ``models`` and ``rewards[k][n]`` (type k's operative
-    reward for n).  The rest is None unless the policy reads it.  pr and
-    opr: ``views[l-1]``, the ``_view`` of resource l's grid, which must
-    cover its capacity.  fcfs and pr: ``offers[k]``, the ``_offer_cdf`` of
-    type k, and unless ``relaxed``, ``sellable``, ``_sellable_resources``
-    at time 0, which filters their offers.  opr: ``products[k]``, type k's
-    (product, resource position, operative reward) rows, which opr prices
-    (for an attraction model only those of positive weight mu + nu, which
-    alone are bought), and ``kernels[k]``, type k's ``cdlp._kernel``.  opr
-    ignores ``relaxed`` and refuses a model that is not removal-monotone:
-    its dominance argument prunes nonpositive prices.
+    reward for n), shared with the instance's ``cdlp._compiled``, which
+    validates it once per instance object.  The rest is None unless the
+    policy reads it.  pr and opr: ``views[l-1]``, the ``_view`` of
+    resource l's grid, which must cover its capacity.  fcfs and pr:
+    ``offers[k]``, the ``_offer_cdf`` of type k, and unless ``relaxed``,
+    ``sellable``, ``_sellable_resources`` at time 0, which filters their
+    offers.  opr: ``products[k]``, type k's (product, resource position,
+    operative reward) rows, which opr prices (for an attraction model only
+    those of positive weight mu + nu, which alone are bought), and
+    ``kernels[k]``, the compile's ``cdlp._kernel`` of type k.  opr ignores
+    ``relaxed`` and refuses a model that is not removal-monotone: its
+    dominance argument prunes nonpositive prices.
     """
 
     __slots__ = ("policy", "resource_of", "expiry", "capacity", "models", "rewards",
@@ -101,15 +109,13 @@ class _Tables:
                  grids: Mapping[int, ResourceValueGrid] | None = None, relaxed: bool = False):
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy!r}")
+        c = _compiled(inst)
         _require_plan_of(sol, inst)
         if policy != "fcfs" and grids is None:
             raise ValueError(f"policy {policy!r} needs value grids")
         self.policy = policy
-        self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
-        self.expiry = [r.expiry for r in inst.resources]
-        self.capacity = [r.capacity for r in inst.resources]
-        self.models = {k: ctype.choice for k, ctype in enumerate(inst.types, start=1)}
-        self.rewards = _reward_rows(inst)
+        self.resource_of, self.expiry, self.capacity = c.resource_of, c.expiry, c.capacity
+        self.models, self.rewards = c.models, c.rewards
         self.views = self.offers = self.sellable = self.products = self.kernels = None
         if policy != "fcfs":
             missing = [r.id for r in inst.resources if r.id not in grids]
@@ -127,9 +133,8 @@ class _Tables:
         if not all(model.is_removal_monotone for model in self.models.values()):
             raise ValueError("opr requires choice models where pruning cannot hurt expected "
                              "revenue; this probability table violates that")
-        self.products, self.kernels = {}, {}
+        self.products, self.kernels = {}, c.kernels
         for k, model in self.models.items():
-            self.kernels[k] = _kernel(model)
             weights = model.attraction()
             rows = zip(range(1, inst.num_products + 1), self.resource_of[1:], self.rewards[k][1:])
             self.products[k] = [(n, l, r) for n, l, r in rows

@@ -12,14 +12,23 @@ through ``_replication`` for the suites' hindsight paths and the CLI's
 seeded by the uint32 words ``SeedSequence`` reads those tuples as, which
 numpy turns into a generator faster than the tuples themselves.
 
+Everything that depends on the instance alone is compiled once per
+instance object, by ``cdlp._compiled``, and kept on it: the validation,
+each type's model, reward row and kernel, each product's resource
+position, the capacities, expiries and arrival masses, and each type's
+first planner columns; each choice model memoizes its ``distribution`` by
+assortment.  So a plan, every hindsight bound and every run of one
+instance object validate it once and read one ``distribution`` call per
+(model, assortment); an instance and its models are treated as
+immutable.  A worker process receives the instance with its compile.
 A run is compiled into ``policies._Tables`` once per ``run_policy`` call
 and once per ``monte_carlo`` call, in the calling process before any
 worker starts (each worker compiles it again, since the grids' views do
 not pickle), with what its policy and mode read: fcfs and pr get the offer
 CDF rows, pr and opr the grids' views, opr its priced rows and kernels.
-So a run the compile refuses (opr on a model that is not removal-monotone,
-pr or opr without grids) raises before any replication and before any
-worker process starts, whatever the seed.
+So a run the compile refuses (an invalid instance, opr on a model that is
+not removal-monotone, pr or opr without grids) raises before any
+replication and before any worker process starts, whatever the seed.
 One flat per-arrival loop then drives fcfs, pr and opr on (time, type)
 pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
@@ -40,7 +49,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .cdlp import CdlpError, CdlpSolution, _auto, _column_generation
+from .cdlp import CdlpError, CdlpSolution, _auto, _column_generation, _require_count
 from .choice import _draw
 from .model import Instance
 from .policies import _opr_decision, _pr_accepts, _sellable, _sellable_resources, _Tables
@@ -313,16 +322,16 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
     Replication r draws its arrivals and its choice stream from the seeds
     of ``_seeds``; running several policies with the same base seed
     therefore pairs them path by path and draw by draw.  A base seed that
-    is not a nonnegative integer raises ``ValueError`` before any sampling.
+    is not a nonnegative integer, ``reps`` that is no integer of at least
+    2 and ``workers`` that is no integer of at least 1 raise
+    ``ValueError`` before any sampling.
     ``sol`` is the plan to follow; pr and opr also need its value ``grids``.
     ``workers`` > 1 splits the replications over at most ``reps`` processes.
     The run is compiled here first, so a run its compile refuses raises
     before any process starts.
     """
-    if reps < 2:
-        raise ValueError("at least two replications required")
-    if workers < 1:
-        raise ValueError("at least one worker required")
+    _require_count("reps", reps, 2)
+    _require_count("workers", workers, 1)
     base_words = _base_words(base_seed)
     tables = _Tables(inst, policy, sol, grids, relaxed)
 
@@ -356,7 +365,8 @@ def hindsight_bound(inst: Instance, path: SamplePath) -> float:
     The path must have one count per customer type of ``inst``.
 
     It runs ``solve_cdlp``'s column generation with ``_auto`` on ``inst``,
-    which it validates, the counts as the masses, except that every master
+    through its compile (validated once per instance object), the counts as
+    the masses, except that every master
     lives on one simplex tableau: each new column enters it as B^-1 a, the
     simplex pivots on from the basis the last master ended on, and the
     duals are read off the tableau.  Only the last master is refactored

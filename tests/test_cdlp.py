@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 from dataclasses import replace as dc_replace
 from itertools import chain, combinations
 
@@ -36,7 +37,6 @@ from choicealloc import (
 )
 from choicealloc import cdlp, choice
 from choicealloc.lp import LinearProgram
-from choicealloc.model import _reward_rows
 from choicealloc.verify import (
     DegradedSolver,
     _batch_instance,
@@ -538,12 +538,14 @@ def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
         return got
 
     for inst in [_MIXTURE10] + [_table_instance(seed) for seed in range(5)]:
+        inst = dc_replace(inst)  # a new object, whose compile picks its kernels afresh
         model_of.update({id(ct.choice._subset_table): ct.choice for ct in inst.types})
-        sol = solve_cdlp(inst)
-        grids = build_value_grids(inst, sol.s_star, 200)
         with monkeypatch.context() as mp:
-            # the run's tables bind each type's kernel, cdlp._kernel, to the spy
+            # the instance's compile binds each type's kernel, cdlp._kernel, to the
+            # spy, for the planner's columns and for the run
             mp.setattr(cdlp, "_table_best", spy)
+            sol = solve_cdlp(inst)
+            grids = build_value_grids(inst, sol.s_star, 200)
             monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
     assert {(model.kind, len(price) < model.num_products) for model, price, _ in calls} == {
         ("mixture", True), ("mixture", False), ("table", True), ("table", False)}
@@ -553,16 +555,20 @@ def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
 
 def _priced_tables(model, price):
     """opr's compiled tables for one type of ``model`` whose products, all
-    on one resource in stock, have rewards ``price`` and marginal values
-    0, so that opr prices product n at price[n].  The compile refuses a
-    model that is not removal-monotone."""
+    on one resource in stock, have marginal values 0 and, in the rows opr
+    prices, rewards ``price``, so that opr prices product n at price[n].
+    The rewards are set in those rows, after the compile: a valid instance,
+    which the compile requires, has no negative reward.  The compile
+    refuses a model that is not removal-monotone."""
     from choicealloc import CdlpSolution, build_value_grids, policies
 
     inst = Instance((Resource(1, 1),),
-                    tuple(Product(n, 1, price[n]) for n in range(1, model.num_products + 1)),
+                    tuple(Product(n, 1, 1.0) for n in range(1, model.num_products + 1)),
                     (CustomerType(1, RateCurve.constant(1.0), model),))
     plan = CdlpSolution({1: ()}, {}, (0.0,), (0.0,), 0.0, 0.0, {}, True, 0)
-    return policies._Tables(inst, "opr", plan, build_value_grids(inst, {}, 100))
+    tables = policies._Tables(inst, "opr", plan, build_value_grids(inst, {}, 100))
+    tables.products = {1: [(n, l, price[n]) for n, l, _ in tables.products[1]]}
+    return tables
 
 
 def _opr(model, price):
@@ -920,6 +926,30 @@ def test_planner_pivot_paths_are_pinned():
     assert digest.hexdigest() == "f25460f623c1c04cf76ee55ee7fa9ea69b7f7656fb1790b79668f63e70a8c8a1"
 
 
+def test_hindsight_bounds_are_pinned():
+    # The bytes of hindsight_bound on 2 paths of each of 300 random
+    # instances, 100 of each model kind, as SHA-256 of the float64 values:
+    # a bound follows the grown tableau's pivots, its column order and its
+    # coefficient arithmetic, so any change to them that moves a bound by
+    # one ulp shows here.  Unlike the pivot paths above, a bound's last ulp
+    # depends on the BLAS kernel, which sums c @ x and solves the last
+    # master in its own order: 38 of the 600 bounds differ by one ulp
+    # between the kernel families OpenBLAS picks on x86-64.  So the digest
+    # must be the one recorded for one of them.  Budget: 1 s.
+    digest = hashlib.sha256()
+    for kind in ("attraction", "mixture", "table"):
+        for seed in range(100):
+            inst = random_instance(seed, model_kinds=(kind,))
+            for r in range(2):
+                bound = hindsight_bound(inst, generate_arrivals(inst, (seed, r, 0)))
+                digest.update(struct.pack("<d", bound))
+    assert digest.hexdigest() in {
+        "01328f066695f7eceb935e3dcf31bc311069a2ae391832164931e1365aec4df2",  # SkylakeX
+        "232b6e0baa4c5a37816ab1511966b4f7cefbaacdd4eb685c2c9a26de5dc0b6fd",  # Haswell, Zen, Sandybridge
+        "72f9386d481806eead3c1aca17d9bf36f7b95e5b099645f28dfaa82a5f31c89d",  # Prescott
+    }
+
+
 def test_enumeration_raises_on_a_missing_table_entry():
     model = TabulatedChoiceModel({frozenset({1}): {1: 0.5}, frozenset({2}): {2: 0.5}})
     inst = Instance((Resource(1, 1),), (Product(1, 1, 1.0), Product(2, 1, 1.0)),
@@ -975,7 +1005,8 @@ def test_objective_trace_monotone():
 
 
 def _reference_initial_columns(inst):
-    """cdlp._initial_columns as it was: one distribution per product."""
+    """The compile's first columns as they were built per plan: one
+    distribution per product."""
     H = {}
     for k in range(1, inst.num_types + 1):
         model = inst.ctype(k).choice
@@ -1026,9 +1057,8 @@ def test_selection_probs_and_initial_columns_equal_per_product_loop(inst):
     sol = solve_cdlp(inst)
     assert list(sol.s_star.items()) == list(
         _reference_selection_probs(inst, sol.active, sol.x).items())
-    tables = cdlp._initial_columns(inst, _reward_rows(inst))
-    assert all(coef is None for table in tables.values() for coef in table.values())
-    assert [(k, list(table)) for k, table in tables.items()] == list(
+    first = cdlp._compiled(inst).first
+    assert [(k, list(cols)) for k, cols in first.items()] == list(
         _reference_initial_columns(inst).items())
 
 
@@ -1128,8 +1158,27 @@ def test_iteration_cap_flags_non_certified():
     assert not capped.certified
     assert capped.objective <= full.objective + 1e-9
     assert full.certified
-    with pytest.raises(ValueError):
-        solve_cdlp(inst, max_iterations=0)
+    for cap in (0, 2.5, math.nan):
+        with pytest.raises(ValueError, match="max_iterations must be an integer of at least 1"):
+            solve_cdlp(inst, max_iterations=cap)
+
+
+@pytest.mark.parametrize("resources", [(), (Resource(1, 1),)], ids=["empty", "one-resource"])
+def test_an_instance_without_types_plans_zero(resources):
+    # no types means no columns: the default iteration cap, 10 (L + K + N),
+    # is 0 for the empty instance and must still allow one master, and a
+    # grown tableau without rows finishes as solve_lp finishes a program
+    # without rows
+    inst = Instance(resources, (), ())
+    path = generate_arrivals(inst, 1)
+    for plan in (solve_cdlp(inst), solve_cdlp(inst, max_iterations=1),
+                 solve_cdlp_enumeration(inst)):
+        assert (plan.objective, plan.certified, plan.x) == (0.0, True, {})
+    assert hindsight_bound(inst, path) == 0.0
+    _, lp_sol, certified, iterations, _ = cdlp._column_generation(
+        inst, [], 0.0, cdlp._auto, 1, True)
+    assert (lp_sol.status, lp_sol.objective_value, certified, iterations) == (
+        "optimal", 0.0, True, 1)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])

@@ -251,6 +251,17 @@ def test_cdlp_command_objective(good_path, capsys, tmp_path):
     assert header == "record,index,assortment,value"
 
 
+def test_an_empty_instance_validates_and_plans_zero(tmp_path, capsys):
+    # no resources, products or types is a valid instance, and its plan is 0.0
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"resources": [], "products": [], "types": []}))
+    assert main(["validate", "--instance", str(path)]) == 0
+    assert main(["cdlp", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "ok: 0 resources, 0 products, 0 types" in out
+    assert "objective 0.0  eps 0.0  certified yes  iterations 1" in out
+
+
 def test_cdlp_rejects_localsearch_at_eps_zero(good_path, capsys):
     # the planner has one exact subproblem solver, so there is nothing to pick
     with pytest.raises(SystemExit) as exit_:

@@ -19,7 +19,6 @@ from choicealloc import (
 from choicealloc import cdlp
 from choicealloc import lp as lp_module
 from choicealloc.lp import OPTIMALITY_TOL, PIVOT_TOL, LpSolution
-from choicealloc.model import _reward_rows
 from choicealloc.verify import _batch_instance
 from test_cdlp import _MIXTURE10
 
@@ -450,7 +449,6 @@ def _grown_masters(monkeypatch, inst, paths):
     ``LpSolution`` (without duals) that the tableau's basis gives it."""
     ends = []
     real_solve = cdlp._GrownMaster.solve
-    rewards = _reward_rows(inst)
 
     def spy(master, new):
         duals = real_solve(master, new)
@@ -458,7 +456,7 @@ def _grown_masters(monkeypatch, inst, paths):
         tables = {k: {} for k in range(1, inst.num_types + 1)}
         for k, S in cols:
             tables[k][S] = None
-        ends.append((cdlp._master_lp(inst, tables, rewards, master.masses), sol))
+        ends.append((cdlp._master_lp(cdlp._compiled(inst), tables, master.masses), sol))
         return duals
 
     monkeypatch.setattr(cdlp._GrownMaster, "solve", spy)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import pickle
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -290,6 +291,21 @@ def test_monte_carlo_refuses_a_base_seed_that_is_not_a_nonnegative_integer(base,
     assert repr(base) in str(err.value)
     with pytest.raises(ValueError, match="base seed"):
         sim._replication(inst, base, 0)
+
+
+@pytest.mark.parametrize("reps, workers, name", [
+    (2.5, 1, "reps"), (math.nan, 1, "reps"), (1, 1, "reps"), ("4", 1, "reps"),
+    (4, 1.5, "workers"), (4, 0, "workers"), (4, math.nan, "workers")])
+def test_monte_carlo_refuses_counts_that_are_not_integers(reps, workers, name, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the counts were checked")
+
+    monkeypatch.setattr(sim, "_replication_rewards", no_sampling)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_sampling)
+    inst = unit_instance(1.0)
+    sol = solve_cdlp(inst)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        monte_carlo(inst, "fcfs", reps, 3, sol=sol, workers=workers)
 
 
 def test_monte_carlo_accepts_a_numpy_integer_base_seed():
@@ -861,6 +877,67 @@ def test_each_policy_compiles_only_what_it_reads():
             _Tables(inst, policy, sol)
     with pytest.raises(ValueError, match="unknown policy 'lifo'"):
         _Tables(inst, "lifo", sol, grids)
+
+
+def test_the_instance_compile_is_built_once(monkeypatch):
+    # A plan, 20 hindsight bounds and one run per policy on one instance
+    # object validate it once and call distribution at most once per
+    # (model, assortment); an invalid instance is refused by every call and
+    # never kept as valid; an equal instance object builds its own compile;
+    # and workers, which receive the instance with its compile, reward as
+    # the serial run does.
+    from collections import Counter
+
+    from choicealloc import choice
+
+    validated, dists = [], Counter()
+    real_validate, real_distribution = cdlp.validate_instance, choice.ChoiceModel.distribution
+
+    def validate(inst):
+        validated.append(inst)
+        return real_validate(inst)
+
+    def distribution(model, S):
+        dists[id(model), S] += 1
+        return real_distribution(model, S)
+
+    inst = random_instance(11, max_products=8, model_kinds=("attraction", "mixture"))
+    assert {ct.choice.kind for ct in inst.types} == {"attraction", "mixture"}
+    for ct in inst.types:  # the subset tables are filled from distribution once per model
+        ct.choice._subset_table
+    monkeypatch.setattr(cdlp, "validate_instance", validate)
+    monkeypatch.setattr(choice.ChoiceModel, "distribution", distribution)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 200)
+    paths = [generate_arrivals(inst, (5, r, 0)) for r in range(20)]
+    bounds = [hindsight_bound(inst, path) for path in paths]
+    serial = {policy: monte_carlo(inst, policy, 20, 3, sol=sol, grids=grids).rewards
+              for policy in ("fcfs", "pr", "opr")}
+    assert validated == [inst]
+    assert dists and max(dists.values()) == 1
+
+    twin = Instance(inst.resources, inst.products, inst.types)
+    assert twin == inst and "_compiled" not in vars(twin)
+    assert hindsight_bound(twin, paths[0]) == bounds[0]
+    assert validated == [inst, twin] and cdlp._compiled(twin) is not cdlp._compiled(inst)
+    assert max(dists.values()) == 1  # the models, and so their memos, are shared
+
+    bad = dc_replace(inst, products=(dc_replace(inst.products[0], reward=-1.0),)
+                     + inst.products[1:])
+    calls = [lambda: solve_cdlp(bad)] + [lambda: hindsight_bound(bad, paths[0])] * 2 + [
+        lambda p=policy: monte_carlo(bad, p, 20, 3, sol=sol, grids=grids)
+        for policy in ("fcfs", "pr", "opr")]
+    for i, call in enumerate(calls, start=1):
+        with pytest.raises(ValueError, match="^invalid instance: product 1: non-finite or "
+                                             "negative reward$"):
+            call()
+        assert validated[2:] == [bad] * i and "_compiled" not in vars(bad)
+
+    monkeypatch.undo()
+    assert type(vars(pickle.loads(pickle.dumps(inst)))["_compiled"]) is cdlp._Compiled
+    for policy, rewards in serial.items():
+        pooled = monte_carlo(inst, policy, 20, 3, sol=sol, grids=grids, workers=2)
+        assert pooled.rewards.tobytes() == rewards.tobytes()
 
 
 def test_distribution_memo_bound_keeps_rewards(monkeypatch):
