@@ -789,10 +789,11 @@ def dual_bound(sol: CdlpSolution, inst: Instance) -> float:
 
 
 def _require_count(name: str, value, least: int) -> None:
-    """Refuse a count that is no integer (``numbers.Integral``) of at least
-    ``least``, such as 2.5 or NaN, with ``ValueError``: an iteration cap
-    here, a number of replications or workers in ``sim.monte_carlo``."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """Refuse a count that is no integer (``numbers.Integral``, not a bool) of
+    at least ``least``, such as 2.5, NaN or True, with ``ValueError``: an
+    iteration cap here, a number of replications or workers in
+    ``sim.monte_carlo``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 

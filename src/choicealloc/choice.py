@@ -29,10 +29,12 @@ protocol, which every model class implements:
   of at most ``_ENUMERATION_CAP`` products, filled on first use from
   ``distribution`` over ``_subsets(N)``, or None;
 - ``_distribution(S)``: ``distribution(S)`` memoized per model (at most
-  ``_CDF_MEMO`` sets), so that the planner's columns, its plans and every
-  run read one call per (model, assortment); its lists are never changed;
-- ``_cdf(S)``: the inverse-transform row of ``_distribution(S)`` that
-  ``_draw`` bisects, memoized per model (at most ``_CDF_MEMO`` sets);
+  ``_CDF_MEMO`` sets), so that the planner's columns and its plans read one
+  call per (model, assortment); its lists are never changed;
+- ``_cdf(S)``: the inverse-transform row of ``distribution(S)`` that
+  ``_draw`` bisects, memoized per model (at most ``_CDF_MEMO`` sets); it
+  reads a memoized ``_distribution`` list but keeps only the row, since a
+  run reads nothing else;
 - ``to_doc()``/``from_doc(doc)``: the instance-file document of ``kind``.
 """
 
@@ -162,8 +164,9 @@ class ChoiceModel(Protocol):
         return {}
 
     def _distribution(self, S: frozenset[int]) -> list[tuple[int, float]]:
-        """``distribution(S)`` of a valid assortment, memoized as ``_cdf`` is;
-        callers never change the list.  An error is not memoized."""
+        """``distribution(S)`` of a valid assortment, memoized for the planner's
+        columns as ``_cdf`` is; callers never change the list.  An error is not
+        memoized."""
         memo = self._dists
         dist = memo.get(S)
         if dist is None:
@@ -177,14 +180,17 @@ class ChoiceModel(Protocol):
         return {}
 
     def _cdf(self, S: frozenset[int]) -> tuple[list[float], list[int]]:
-        """``_cdf_row`` of ``_distribution(S)``, no purchase last, memoized outside
-        the dataclass fields and cleared at ``_CDF_MEMO`` sets (< 2 MB at N = 20)."""
+        """``_cdf_row`` of ``distribution(S)``, no purchase last, memoized outside
+        the dataclass fields and cleared at ``_CDF_MEMO`` sets (< 2 MB at N = 20).
+        A list the planner memoized in ``_dists`` is read, not computed again;
+        a list computed here is not kept."""
         memo = self._cdfs
         row = memo.get(S)
         if row is None:
             if len(memo) >= _CDF_MEMO:
                 memo.clear()
-            row = memo[S] = _cdf_row(self._distribution(S), 0)
+            dist = self._dists.get(S)
+            row = memo[S] = _cdf_row(self.distribution(S) if dist is None else dist, 0)
         return row
 
     def to_doc(self) -> dict: ...

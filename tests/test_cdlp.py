@@ -1158,7 +1158,7 @@ def test_iteration_cap_flags_non_certified():
     assert not capped.certified
     assert capped.objective <= full.objective + 1e-9
     assert full.certified
-    for cap in (0, 2.5, math.nan):
+    for cap in (0, 2.5, math.nan, True):
         with pytest.raises(ValueError, match="max_iterations must be an integer of at least 1"):
             solve_cdlp(inst, max_iterations=cap)
 

@@ -266,19 +266,25 @@ def test_replication_seed_layout():
 @example(base=2**32 - 1)
 @example(base=2**32)
 @example(base=2**64 + 5)
+@example(base=2**96)  # rows of 6 and 7 words: SeedSequence mixes the words past its pool
 @example(base=np.int64(2**40 + 3))
 def test_word_seeds_give_the_tuple_streams(base):
+    # the seed arrays, and _pcg_states's batch of them, give the tuples' streams
     words = sim._base_words(base)
     for r in (0, 1, 2**32):
-        for index, seed in enumerate(sim._seeds(words, r)):
+        seeds = sim._seeds(words, r)
+        batched = sim._pcg_states(np.stack(seeds))
+        for index, seed in enumerate(seeds):
             assert seed.dtype == np.uint32
-            assert _state(seed) == _state((base, r, index))
+            want = _state((base, r, index))
+            assert _state(seed) == want
+            assert batched[index] == (want["state"]["state"], want["state"]["inc"])
             a, b = np.random.default_rng(seed), np.random.default_rng((base, r, index))
             assert a.random(4).tobytes() == b.random(4).tobytes()
             assert a.poisson(2.5, 4).tobytes() == b.poisson(2.5, 4).tobytes()
 
 
-@pytest.mark.parametrize("base", [-1, -(2**40), 1.5, "7", None])
+@pytest.mark.parametrize("base", [-1, -(2**40), 1.5, "7", None, True])
 def test_monte_carlo_refuses_a_base_seed_that_is_not_a_nonnegative_integer(base, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before the seed was checked")
@@ -295,7 +301,8 @@ def test_monte_carlo_refuses_a_base_seed_that_is_not_a_nonnegative_integer(base,
 
 @pytest.mark.parametrize("reps, workers, name", [
     (2.5, 1, "reps"), (math.nan, 1, "reps"), (1, 1, "reps"), ("4", 1, "reps"),
-    (4, 1.5, "workers"), (4, 0, "workers"), (4, math.nan, "workers")])
+    (4, 1.5, "workers"), (4, 0, "workers"), (4, math.nan, "workers"), (True, 1, "reps"),
+    (4, True, "workers")])
 def test_monte_carlo_refuses_counts_that_are_not_integers(reps, workers, name, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before the counts were checked")
@@ -306,6 +313,27 @@ def test_monte_carlo_refuses_counts_that_are_not_integers(reps, workers, name, m
     sol = solve_cdlp(inst)
     with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
         monte_carlo(inst, "fcfs", reps, 3, sol=sol, workers=workers)
+
+
+@pytest.mark.parametrize("size", [sim._BATCH_MIN - 1, sim._BATCH_MIN + 1])
+def test_replication_rewards_equal_runs_on_each_replication(size, monkeypatch):
+    # a chunk of replications on both sides of 2^32 (r of one and of two words),
+    # out of order and, above _BATCH_MIN, in blocks that split each word count,
+    # rewards as run_policy does on each replication's path and choice seed
+    monkeypatch.setattr(sim, "_BLOCK", 3)
+    inst = _batch_instance(2)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 200)
+    base = 2**40 + 7
+    indices = [2**32 + (i // 2 if i % 2 else -1 - i // 2) for i in range(size)]
+    for policy in ("fcfs", "pr", "opr"):
+        tables = sim._Tables(inst, policy, sol, grids, False)
+        got = np.array(sim._replication_rewards(tables, inst, sim._base_words(base), indices))
+        want = np.array([
+            run_policy(inst, policy, sol, grids, *sim._replication(inst, base, r)).reward
+            for r in indices])
+        assert len(set(want.tolist())) > 1
+        assert got.tobytes() == want.tobytes()
 
 
 def test_monte_carlo_accepts_a_numpy_integer_base_seed():
