@@ -36,9 +36,10 @@ The loop keeps one column table a type, ``H[k]`` (see ``_master_lp``); the
 oracle reads each ``_subset_table`` as stored.
 
 Planning, hindsight bounds, the oracle and runs read an instance through
-one ``_Compiled``, built by ``_compiled`` on first use and kept on the
-instance object: its validation, reward rows, resource positions, arrival
-masses, right-hand sides, each type's first columns and kernel.  So the
+one ``_Compiled``, the instance compile, built by ``_compiled`` on first
+use and kept on the instance object: its validation, reward rows, resource
+positions, arrival masses, right-hand sides, each type's first columns and
+kernel, and what runs read of the instance alone.  So the
 many hindsight bounds of one instance object validate it once and scan its
 singletons once, and each model's memoized ``_distribution`` makes a
 column's coefficients cost one ``distribution`` call per (model,
@@ -133,11 +134,13 @@ def master_columns(H: Mapping[int, Sequence[frozenset[int]]]) -> list[tuple[int,
 
 
 class _Compiled:
-    """The one compile of an instance: everything the planner, the
-    hindsight bounds and the runs read that depends on the instance alone.
-    ``_compiled`` builds it on first use and keeps it on the instance
-    object, so it is built once per object (two equal instances build one
-    each); instances and their choice models are treated as immutable.
+    """The instance compile: everything the planner, the hindsight bounds
+    and the runs read that depends on the instance alone.  ``_compiled``
+    builds it on first use and keeps it on the instance object, so it is
+    built once per object (two equal instances build one each); instances
+    and their choice models are treated as immutable.  Beside it, a run
+    reads the plan compile (``policies._plan_offers``, kept on the plan
+    object) and its own run compile (``policies._Tables``).
 
     Building it validates the instance: an invalid one raises
     ``ValueError`` listing every violation and keeps nothing, so every
@@ -149,17 +152,24 @@ class _Compiled:
       and ``tops[k-1]``, the largest |rewards[k][n]|;
     - ``resource_of[n]``: the position of n's resource; ``expiry`` and
       ``capacity`` by position;
-    - ``masses[k-1]``: type k's expected arrival mass; ``rhs``: the
-      master's right-hand sides, the capacities then 1.0 per type;
+    - ``rates[k-1]``: type k's rate curve, and ``masses[k-1]``: its
+      expected arrival mass; ``rhs``: the master's right-hand sides, the
+      capacities then 1.0 per type;
     - ``first[k]``: type k's first columns, the empty assortment and its
       best single-product offer at face rewards (any nonempty start works,
       this one avoids degenerate first masters); a singleton a table omits
       (``choice._not_present``) is skipped;
-    - ``kernels[k]``: type k's ``_kernel``.
+    - ``kernels[k]``: type k's ``_kernel``;
+    - ``segments``: ``sim._segments`` of the rates, the (a, b, mass) rate
+      segments each Monte Carlo replication draws its arrivals from;
+    - ``products[k]``: the (product, resource position, operative reward)
+      rows opr prices for type k, for an attraction model only those of
+      positive weight mu + nu, which alone are bought.
 
-    ``first`` and ``kernels`` are built on first use, by the column
-    generation and opr: the oracle and fcfs and pr runs read neither, and
-    a kernel may fill its model's subset table.
+    ``first``, ``kernels``, ``segments`` and ``products`` are built on
+    first use: the first two by the column generation and opr (the oracle
+    and fcfs and pr runs read neither, and a kernel may fill its model's
+    subset table), the last two by runs.
     """
 
     def __init__(self, inst: Instance):
@@ -172,7 +182,8 @@ class _Compiled:
         self.resource_of = [-1] + [p.resource - 1 for p in inst.products]
         self.expiry = [r.expiry for r in inst.resources]
         self.capacity = [r.capacity for r in inst.resources]
-        self.masses = [ctype.rate.cumulative(1.0) for ctype in inst.types]
+        self.rates = [ctype.rate for ctype in inst.types]
+        self.masses = [rate.cumulative(1.0) for rate in self.rates]
         self.rhs = np.array([float(c) for c in self.capacity] + [1.0] * inst.num_types)
         self.rhs.flags.writeable = False  # shared by every master
 
@@ -195,6 +206,22 @@ class _Compiled:
     @cached_property
     def kernels(self) -> dict:
         return {k: _kernel(model) for k, model in self.models.items()}
+
+    @cached_property
+    def segments(self) -> list:
+        from .sim import _segments  # sim imports this module
+
+        return _segments(self.rates)
+
+    @cached_property
+    def products(self) -> dict:
+        products = {}
+        for k, model in self.models.items():
+            weights = model.attraction()
+            rows = zip(range(1, len(self.resource_of)), self.resource_of[1:], self.rewards[k][1:])
+            products[k] = [(n, l, r) for n, l, r in rows
+                           if weights is None or weights[0][n - 1] > 0.0]
+        return products
 
 
 def _compiled(inst: Instance) -> _Compiled:
@@ -528,15 +555,14 @@ def _selection_probs(inst: Instance, active, x) -> dict[tuple[int, int], float]:
     return s_star
 
 
-def _extract_solution(inst: Instance, cols, lp_sol: LpSolution, eps: float,
+def _extract_solution(inst: Instance, column, lp_sol: LpSolution, eps: float,
                       certified: bool, iterations: int,
                       trace: tuple[float, ...]) -> CdlpSolution:
-    """Plan from the master over variables ``cols`` that ``lp_sol`` solved."""
+    """Plan from the master that ``lp_sol`` solved, whose variable j is the
+    (type, assortment) ``column(j)``; only the variables above
+    ``SUPPORT_TOL`` are named, in ascending j."""
     L, K = inst.num_resources, inst.num_types
-    x = {}
-    for (k, S), v in zip(cols, lp_sol.primal):
-        if v > SUPPORT_TOL:
-            x[(k, S)] = float(v)
+    x = {column(j): float(v) for j, v in enumerate(lp_sol.primal) if v > SUPPORT_TOL}
     active = {
         k: tuple(sorted((S for (kk, S) in x if kk == k), key=lambda S: tuple(sorted(S))))
         for k in range(1, K + 1)
@@ -580,7 +606,7 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     """
     cols, lp_sol, certified, iterations, trace = _column_generation(
         inst, _compiled(inst).masses, eps, solver, max_iterations, False)
-    return _extract_solution(inst, cols, lp_sol, eps, certified, iterations, trace)
+    return _extract_solution(inst, cols.__getitem__, lp_sol, eps, certified, iterations, trace)
 
 
 def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solver,
@@ -732,11 +758,12 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
     N = inst.num_products
     if N > _ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at {_ENUMERATION_CAP} products, got {N}")
-    cols = [(k, S) for k in range(1, inst.num_types + 1) for S in _subsets(N)]
     lp_sol = solve_lp(_enumeration_master(inst), canonical=False)
     if lp_sol.status != "optimal":
         raise CdlpError(f"enumeration LP solve failed with status {lp_sol.status!r}")
-    return _extract_solution(inst, cols, lp_sol, 0.0, True, 1, (float(lp_sol.objective_value),))
+    subsets, width = _subsets(N), 1 << N
+    return _extract_solution(inst, lambda j: (j // width + 1, subsets[j % width]), lp_sol,
+                             0.0, True, 1, (float(lp_sol.objective_value),))
 
 
 def _enumeration_master(inst: Instance) -> LinearProgram:

@@ -13,20 +13,23 @@ opr offers the answer of the exact kernel the planner prices columns
 with, ``cdlp._kernel(model)``, picked once per type and instance object by
 the instance's compile (see ``opr_offer``).
 
-Two compiles feed a run.  ``cdlp._compiled(inst)``, built once per
-instance object and kept on it, validates the instance and holds what
-depends on it alone: each type's model, reward row and kernel, each
-product's resource position, the capacities and expiries.  Instances and
-their choice models are treated as immutable, so a changed model would
-not be seen.  The simulator then compiles the plan and the value grids
-into a ``_Tables`` once per run, sharing those lists, with only what its
-policy reads, and calls the private decision functions directly; opr's
+Three compiles feed a run.  The instance compile, ``cdlp._compiled(inst)``,
+built once per instance object and kept on it, validates the instance
+and holds what depends on it alone: each type's model, reward row and
+kernel, each product's resource position, the capacities and expiries,
+the arrival segments and opr's priced product rows.  The plan compile,
+``_plan_offers(sol)``, built once per plan object and kept on it, holds
+each type's offer CDF row.  Instances, their choice models and plans are
+treated as immutable, so a changed model or plan would not be seen.  The
+run compile, ``_Tables``, is assembled per ``run_policy``,
+``monte_carlo`` and ``opr_offer`` call from those two and the value
+grids' views, with only what its policy reads, after the plan check; the
+simulator then calls the private decision functions directly, and opr's
 ``_Tables`` refuses a model that is not removal-monotone before any
 arrival.  The public functions below are thin wrappers over the same
-functions, and only ``opr_offer`` compiles tables per call.  Offers and
-choices are both drawn by ``choice._draw``.  ``_sellable`` alone decides
-whether a product can be sold (its resource is in stock and not
-expired).
+functions.  Offers and choices are both drawn by ``choice._draw``.
+``_sellable`` alone decides whether a product can be sold (its resource
+is in stock and not expired).
 """
 
 from __future__ import annotations
@@ -78,32 +81,46 @@ def _offer_cdf(sol: CdlpSolution, k: int) -> tuple[list[float], list[frozenset[i
     return _cdf_row([(S, sol.x[(k, S)]) for S in sol.active.get(k, ())], _EMPTY)
 
 
+def _plan_offers(sol: CdlpSolution) -> dict[int, tuple[list[float], list[frozenset[int]]]]:
+    """The plan compile: the ``_offer_cdf`` of every type 1..K of ``sol`` (K
+    its number of convexity duals), built on first use and kept in the plan
+    object's ``__dict__``, as ``cdlp._compiled`` keeps an instance's; so a
+    pickled plan carries it.  Plans are treated as immutable: an ``x`` or
+    ``active`` changed in place after the first run is not seen."""
+    offers = sol.__dict__.get("_offers")
+    if offers is None:
+        offers = sol.__dict__["_offers"] = {k: _offer_cdf(sol, k)
+                                            for k in range(1, len(sol.sigma) + 1)}
+    return offers
+
+
 class _Tables:
-    """The one compile of a run of ``policy``: what its decisions read that
-    stays fixed for the run.  An unknown policy, an invalid instance, a
-    plan ``sol`` that ``cdlp._require_plan_of`` refuses (a plan of another
+    """The run compile of ``policy``: what its decisions read that stays
+    fixed for the run.  An unknown policy, an invalid instance, a plan
+    ``sol`` that ``cdlp._require_plan_of`` refuses (a plan of another
     instance), and pr or opr without ``grids``, raise ``ValueError``.
 
     Resources sit at position l-1 (as in ``PolicyState.inventory``);
     products and types at their id, slot 0 unused.  Every policy reads
     ``resource_of[n]`` (the position of n's resource), ``expiry``,
-    ``capacity``, ``models`` and ``rewards[k][n]`` (type k's operative
-    reward for n), shared with the instance's ``cdlp._compiled``, which
-    validates it once per instance object.  The rest is None unless the
+    ``capacity``, ``models``, ``rewards[k][n]`` (type k's operative reward
+    for n) and ``segments`` (what ``sim.monte_carlo`` draws arrivals
+    from), shared with the instance compile ``cdlp._compiled``, which
+    validates the instance once per object.  The rest is None unless the
     policy reads it.  pr and opr: ``views[l-1]``, the ``_view`` of
     resource l's grid, which must cover its capacity.  fcfs and pr:
-    ``offers[k]``, the ``_offer_cdf`` of type k, and unless ``relaxed``,
-    ``sellable``, ``_sellable_resources`` at time 0, which filters their
-    offers.  opr: ``products[k]``, type k's (product, resource position,
-    operative reward) rows, which opr prices (for an attraction model only
-    those of positive weight mu + nu, which alone are bought), and
-    ``kernels[k]``, the compile's ``cdlp._kernel`` of type k.  opr ignores
-    ``relaxed`` and refuses a model that is not removal-monotone: its
-    dominance argument prunes nonpositive prices.
+    ``offers[k]``, type k's row of the plan compile ``_plan_offers``, and
+    unless ``relaxed``, ``sellable``, ``_sellable_resources`` at time 0,
+    which filters their offers.  opr: the instance compile's
+    ``products[k]``, type k's (product, resource position, operative
+    reward) rows, which opr prices, and ``kernels[k]``, its
+    ``cdlp._kernel`` of type k.  opr ignores ``relaxed`` and refuses a
+    model that is not removal-monotone: its dominance argument prunes
+    nonpositive prices.
     """
 
     __slots__ = ("policy", "resource_of", "expiry", "capacity", "models", "rewards",
-                 "views", "offers", "sellable", "products", "kernels")
+                 "segments", "views", "offers", "sellable", "products", "kernels")
 
     def __init__(self, inst: Instance, policy: str, sol: CdlpSolution,
                  grids: Mapping[int, ResourceValueGrid] | None = None, relaxed: bool = False):
@@ -115,7 +132,7 @@ class _Tables:
             raise ValueError(f"policy {policy!r} needs value grids")
         self.policy = policy
         self.resource_of, self.expiry, self.capacity = c.resource_of, c.expiry, c.capacity
-        self.models, self.rewards = c.models, c.rewards
+        self.models, self.rewards, self.segments = c.models, c.rewards, c.segments
         self.views = self.offers = self.sellable = self.products = self.kernels = None
         if policy != "fcfs":
             missing = [r.id for r in inst.resources if r.id not in grids]
@@ -126,19 +143,14 @@ class _Tables:
                 raise ValueError(f"value grids of resources {short} are below capacity")
             self.views = [grids[r.id]._view for r in inst.resources]
         if policy != "opr":
-            self.offers = {k: _offer_cdf(sol, k) for k in self.models}
+            self.offers = _plan_offers(sol)
             if not relaxed:
                 self.sellable = _sellable_resources(self.capacity, self.expiry, 0.0)
             return
         if not all(model.is_removal_monotone for model in self.models.values()):
             raise ValueError("opr requires choice models where pruning cannot hurt expected "
                              "revenue; this probability table violates that")
-        self.products, self.kernels = {}, c.kernels
-        for k, model in self.models.items():
-            weights = model.attraction()
-            rows = zip(range(1, inst.num_products + 1), self.resource_of[1:], self.rewards[k][1:])
-            self.products[k] = [(n, l, r) for n, l, r in rows
-                                if weights is None or weights[0][n - 1] > 0.0]
+        self.products, self.kernels = c.products, c.kernels
 
 
 def _require_reachable(inst: Instance, state: PolicyState, k: int) -> None:
@@ -223,7 +235,7 @@ def fcfs_offer(state: PolicyState, k: int, sol: CdlpSolution, u: float) -> Offer
         raise ValueError(f"type index {k} out of range 1..{len(sol.sigma)}")
     if not 0.0 <= u < 1.0:  # NaN fails too
         raise ValueError(f"uniform draw {u} outside [0, 1)")
-    return OfferDecision(_draw(_offer_cdf(sol, k), u))
+    return OfferDecision(_draw(_plan_offers(sol)[k], u))
 
 
 def pr_accept(state: PolicyState, n: int, grids: Mapping[int, ResourceValueGrid],
@@ -270,11 +282,11 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     covering its capacity.  A state no run of ``inst`` reaches (see
     ``_require_reachable``: a time outside [0, 1] or NaN, or an inventory
     that does not fit the resources) or a type outside 1..K raises
-    ``ValueError`` before the tables are compiled.
+    ``ValueError`` before the run compile.
 
-    Each call compiles opr's ``_Tables`` for the whole instance (a run
-    compiles once), so any type, not only k, whose model is not
-    removal-monotone raises ``ValueError``.
+    Each call assembles opr's ``_Tables`` for the whole instance from its
+    compile, so any type, not only k, whose model is not removal-monotone
+    raises ``ValueError``.
     """
     _require_reachable(inst, state, k)
     tables = _Tables(inst, "opr", sol, grids)

@@ -2,7 +2,8 @@
 
 Arrival paths are sampled per type segment by segment (the piecewise-
 constant envelope makes thinning acceptance-free), merged in time order;
-``_segments`` lists the rate segments of positive mass once per run.
+``_segments`` lists the rate segments of positive mass, which the
+instance compile keeps.
 Choice randomness is a separate stream indexed by event ordinal, so every
 policy replayed on the same path with the same choice seed consumes
 identical draws per arrival; paired policy comparisons rely on this.
@@ -17,31 +18,39 @@ state in one numpy pass, ``_pcg_states``, which repeats ``SeedSequence``'s
 and PCG64's seeding arithmetic; it sets the states on two generators built
 once per call, so every stream keeps its bytes.
 
-Everything that depends on the instance alone is compiled once per
-instance object, by ``cdlp._compiled``, and kept on it: the validation,
-each type's model, reward row and kernel, each product's resource
-position, the capacities, expiries and arrival masses, and each type's
-first planner columns; each choice model memoizes by assortment the
-``distribution`` lists its planner columns read, and the CDF rows its runs
-read, which reuse a memoized list and keep no other.  So a plan, every
-hindsight bound and every run of one instance object validate it once,
-and the planners read one ``distribution`` call per (model, assortment),
-as do the runs (a set a run reads first is computed again if a planner
-reads it later); an instance and its models are treated as immutable.
-A worker process receives the instance with its compile.
-A run is compiled into ``policies._Tables`` once per ``run_policy`` call
-and once per ``monte_carlo`` call, in the calling process before any
-worker starts (each worker compiles it again, since the grids' views do
-not pickle), with what its policy and mode read: fcfs and pr get the offer
-CDF rows, pr and opr the grids' views, opr its priced rows and kernels.
-So a run the compile refuses (an invalid instance, opr on a model that is
-not removal-monotone, pr or opr without grids) raises before any
-replication and before any worker process starts, whatever the seed.
+A run reads three compiles.  The instance compile, ``cdlp._compiled``,
+is built once per instance object and kept on it: the validation, each
+type's model, reward row and kernel, each product's resource position,
+the capacities, expiries and arrival masses, each type's first planner
+columns, the rate segments of positive mass that replications draw
+arrivals from (``_segments``) and opr's priced product rows.  The plan
+compile, ``policies._plan_offers``, is built once per plan object and
+kept on it: each type's offer CDF row.  Each choice model memoizes by
+assortment the ``distribution`` lists its planner columns read, and the
+CDF rows its runs read, which reuse a memoized list and keep no other.
+So a plan, every hindsight bound and every run of one instance object
+validate it once, and the planners read one ``distribution`` call per
+(model, assortment), as do the runs (a set a run reads first is computed
+again if a planner reads it later); instances, their models and plans
+are treated as immutable.  A worker process receives the instance and
+the plan with their compiles.  The run compile, ``policies._Tables``, is
+assembled once per ``run_policy`` call and once per ``monte_carlo`` call,
+in the calling process before any worker starts (each worker assembles
+it again, since the grids' views do not pickle), after the plan check,
+with what its policy and mode read: fcfs and pr get the offer CDF rows,
+pr and opr the grids' views, opr its priced rows and kernels.  So a run
+the compile refuses (an invalid instance, a plan of another instance,
+opr on a model that is not removal-monotone, pr or opr without grids)
+raises before any replication and before any worker process starts,
+whatever the seed.
 One flat per-arrival loop then drives fcfs, pr and opr on (time, type)
 pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
 ``choice._draw`` bisection, and ``policies._sellable`` alone decides
-whether a product can be sold.  ``hindsight_bound`` plans on the
+whether a product can be sold.  Default-mode fcfs and pr offer only
+products of the resources in a sellable set: a sale that empties a
+resource drops that resource alone from the set, which is rebuilt over
+every resource at the earliest expiry it held when last rebuilt.  ``hindsight_bound`` plans on the
 instance itself, a path's counts its arrival masses, with all its masters
 on one growing simplex tableau (``cdlp._GrownMaster``).
 """
@@ -146,16 +155,16 @@ class MonteCarloReport:
 def generate_arrivals(inst: Instance, seed) -> SamplePath:
     """Sample one arrival path for every customer type, deterministic in
     ``seed`` (any seed accepted by numpy's default_rng)."""
-    events, counts = _arrivals(_segments(inst), seed)
+    events, counts = _arrivals(_segments([ctype.rate for ctype in inst.types]), seed)
     return SamplePath(events=tuple(map(ArrivalEvent._make, events)), counts=counts)
 
 
-def _segments(inst: Instance) -> list[tuple[int, list[tuple[float, float, float]]]]:
-    """Every type k with its rate curve's segments (a, b, mass) that ``_arrivals``
-    draws from, in time order: all but those of mass <= 0."""
+def _segments(rates) -> list[tuple[int, list[tuple[float, float, float]]]]:
+    """Every type k, of rate curve ``rates[k-1]``, with its segments (a, b,
+    mass) that ``_arrivals`` draws from, in time order: all but those of
+    mass <= 0."""
     out = []
-    for k in range(1, inst.num_types + 1):
-        curve = inst.ctype(k).rate
+    for k, curve in enumerate(rates, start=1):
         segments = []
         for i, rate in enumerate(curve.rates):
             a, b = curve.breakpoints[i], curve.breakpoints[i + 1]
@@ -195,7 +204,9 @@ def _require_path_of(inst: Instance, path: SamplePath) -> None:
 
 def _run(tables: _Tables, events: Sequence[tuple[float, int]], choice_seed,
          collect_trace: bool) -> ReplicationReport:
-    draws = np.random.default_rng(choice_seed).random((len(events), 2)).tolist()
+    # two uniforms per event, (offer draw, choice draw): the doubles of
+    # random((n, 2)), in its order, as one flat list
+    draws = iter(np.random.default_rng(choice_seed).random(2 * len(events)).tolist())
     policy, resource_of, expiry, models, offers = (tables.policy, tables.resource_of,
                                                    tables.expiry, tables.models, tables.offers)
     inventory = list(tables.capacity)
@@ -203,13 +214,14 @@ def _run(tables: _Tables, events: Sequence[tuple[float, int]], choice_seed,
     reward = 0.0
     trace: list[tuple] | None = [] if collect_trace else None
     # default-mode fcfs and pr (compiled with ``sellable``) offer products of ``live``
-    # resources only, until ``horizon`` or a sell-out; ``kept`` (None: all sellable)
-    # memoizes filtered offers
+    # resources only; ``kept`` (None: all sellable) memoizes filtered offers.  A
+    # sell-out drops its resource from ``live``; the set is rebuilt from every
+    # resource at ``horizon``, the earliest expiry in it when it was last rebuilt
     filtering = tables.sellable is not None
     live, horizon = tables.sellable if filtering else (None, math.inf)
     kept = {} if filtering and len(live) < len(inventory) else None
 
-    for (now, k), (u_offer, u_choice) in zip(events, draws):
+    for (now, k), u_offer, u_choice in zip(events, draws, draws):
         if policy == "opr":
             offer = _opr_decision(tables, inventory, now, k)[0]
             bad = [n for n in offer
@@ -239,8 +251,8 @@ def _run(tables: _Tables, events: Sequence[tuple[float, int]], choice_seed,
             reward += tables.rewards[k][n]
             sales[l] += 1
             inventory[l] -= 1
-            if filtering and not inventory[l]:
-                live, horizon = _sellable_resources(inventory, expiry, now)
+            if filtering and not _sellable(inventory[l], expiry[l], now):
+                live = live - {l}
                 kept = {}
 
         if trace is not None:
@@ -432,13 +444,13 @@ def _replication(inst: Instance, base_seed: int, r: int) -> tuple[SamplePath, np
 
 def _worker_rewards(inst, policy, sol, grids, base_words, relaxed, indices):
     """``_replication_rewards`` in a worker process, which compiles the run
-    again: the grids' views are memoryviews, which do not pickle."""
-    return _replication_rewards(_Tables(inst, policy, sol, grids, relaxed), inst, base_words,
-                                indices)
+    again: the grids' views are memoryviews, which do not pickle.  The
+    instance and the plan arrive with their compiles."""
+    return _replication_rewards(_Tables(inst, policy, sol, grids, relaxed), base_words, indices)
 
 
-def _replication_rewards(tables, inst, base_words, indices):
-    segments = _segments(inst)
+def _replication_rewards(tables, base_words, indices):
+    segments = tables.segments
     rewards = []
     for arrival_seed, choice_seed in _seed_pairs(base_words, indices):
         events = _arrivals(segments, arrival_seed)[0]
@@ -490,7 +502,7 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
                 for r, value in zip(chunk, fut.result()):
                     rewards[r] = value
     else:
-        rewards = np.array(_replication_rewards(tables, inst, base_words, indices))
+        rewards = np.array(_replication_rewards(tables, base_words, indices))
 
     mean = float(rewards.mean())
     half = float(Z_95 * rewards.std(ddof=1) / math.sqrt(reps))

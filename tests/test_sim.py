@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import pickle
 from dataclasses import replace as dc_replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ def test_replication_rewards_equal_runs_on_each_replication(size, monkeypatch):
     indices = [2**32 + (i // 2 if i % 2 else -1 - i // 2) for i in range(size)]
     for policy in ("fcfs", "pr", "opr"):
         tables = sim._Tables(inst, policy, sol, grids, False)
-        got = np.array(sim._replication_rewards(tables, inst, sim._base_words(base), indices))
+        got = np.array(sim._replication_rewards(tables, sim._base_words(base), indices))
         want = np.array([
             run_policy(inst, policy, sol, grids, *sim._replication(inst, base, r)).reward
             for r in indices])
@@ -968,6 +969,60 @@ def test_the_instance_compile_is_built_once(monkeypatch):
         assert pooled.rewards.tobytes() == rewards.tobytes()
 
 
+def test_the_plan_and_segment_compiles_are_built_once(monkeypatch):
+    # Runs of one plan object build each type's offer row once, and runs of
+    # one instance object its arrival segments once: fcfs, pr and opr
+    # monte_carlo calls (the first a pooled one, whose workers receive both
+    # compiles), run_policy and the public decision wrappers.  A copy of the
+    # plan, or an equal instance object, builds its own.
+    from collections import Counter
+
+    from choicealloc import POLICY_NAMES, PolicyState, fcfs_offer, opr_offer, policies
+
+    rows, segments = Counter(), Counter()
+    real_offer_cdf, real_segments = policies._offer_cdf, sim._segments
+
+    def offer_cdf(sol, k):
+        rows[id(sol), k] += 1
+        return real_offer_cdf(sol, k)
+
+    def segments_of(rates):
+        segments[tuple(map(id, rates))] += 1
+        return real_segments(rates)
+
+    inst = random_instance(7)
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 200)
+    paths = [generate_arrivals(inst, (3, r, 0)) for r in range(3)]
+    state = PolicyState(tuple(r.capacity for r in inst.resources), 0.5)
+    monkeypatch.setattr(policies, "_offer_cdf", offer_cdf)
+    monkeypatch.setattr(sim, "_segments", segments_of)
+
+    pooled = monte_carlo(inst, "fcfs", 8, 3, sol=sol, workers=2)
+    sent_plan, sent_inst = pickle.loads(pickle.dumps((sol, inst)))
+    assert vars(sent_plan)["_offers"] == vars(sol)["_offers"]
+    assert vars(vars(sent_inst)["_compiled"])["segments"] == cdlp._compiled(inst).segments
+    for policy in POLICY_NAMES:
+        for relaxed in (False, True):
+            monte_carlo(inst, policy, 8, 3, sol=sol, grids=grids, relaxed=relaxed)
+            for r, path in enumerate(paths):
+                run_policy(inst, policy, sol, grids, path, (3, r, 1), relaxed=relaxed)
+        monte_carlo(inst, policy, 8, 3, sol=sol, grids=grids, workers=2)
+    for k in range(1, inst.num_types + 1):
+        fcfs_offer(state, k, sol, 0.5)
+        opr_offer(state, k, grids, sol, inst)
+    types = range(1, inst.num_types + 1)
+    rates = tuple(id(ct.rate) for ct in inst.types)
+    assert rows == {(id(sol), k): 1 for k in types} and segments == {rates: 1}
+
+    copy, twin = dc_replace(sol), Instance(inst.resources, inst.products, inst.types)
+    assert copy == sol and "_offers" not in vars(copy)
+    again = monte_carlo(twin, "fcfs", 8, 3, sol=copy, workers=2)
+    assert again.rewards.tobytes() == pooled.rewards.tobytes()
+    assert rows == {(id(s), k): 1 for s in (sol, copy) for k in types}
+    assert segments == {rates: 2}
+
+
 def test_distribution_memo_bound_keeps_rewards(monkeypatch):
     from choicealloc import choice
 
@@ -1014,8 +1069,9 @@ def _reference_run(inst, policy, sol, grids, path, choice_seed, relaxed):
     """The simulator's loop as it was before offers and choices were drawn
     by bisection: a linear scan of the plan's offer CDF, a per-arrival
     ``_sellable`` filter of the offer in the default mode, and a linear
-    scan of the model's ``distribution``.  Returns the report and how many
-    arrivals the filter changed an offer for."""
+    scan of the model's ``distribution``.  Returns the report, and how many
+    arrivals the filter dropped a product of a sold-out resource for and
+    how many it dropped a product of an expired resource for."""
     from choicealloc.policies import _opr_decision, _pr_accepts, _sellable, _Tables
     from choicealloc.sim import ReplicationReport
 
@@ -1023,7 +1079,7 @@ def _reference_run(inst, policy, sol, grids, path, choice_seed, relaxed):
     draws = np.random.default_rng(choice_seed).random((len(path.events), 2)).tolist()
     inventory = list(t.capacity)
     sales = [0] * len(inventory)
-    reward, trace, filtered = 0.0, [], 0
+    reward, trace, sold_out, expired = 0.0, [], 0, 0
     for (now, k), (u_offer, u_choice) in zip(path.events, draws):
         if policy == "opr":
             offer = _opr_decision(t, inventory, now, k)[0]
@@ -1037,7 +1093,9 @@ def _reference_run(inst, policy, sol, grids, path, choice_seed, relaxed):
             if not relaxed:
                 kept = frozenset(n for n in offer if _sellable(
                     inventory[t.resource_of[n]], t.expiry[t.resource_of[n]], now))
-                filtered += kept != offer
+                dropped = [t.resource_of[n] for n in offer - kept]
+                sold_out += any(inventory[l] == 0 for l in dropped)
+                expired += any(now >= t.expiry[l] for l in dropped)
                 offer = kept
         n, cum = 0, 0.0
         for m, p in inst.ctype(k).choice.distribution(offer):
@@ -1058,12 +1116,16 @@ def _reference_run(inst, policy, sol, grids, path, choice_seed, relaxed):
             inventory[l] -= 1
         trace.append((now, k, "|".join(str(m) for m in sorted(offer)), n,
                       int(accepted), t.rewards[k][n] if accepted else 0.0))
-    return ReplicationReport(policy, reward, tuple(sales), trace), filtered
+    return ReplicationReport(policy, reward, tuple(sales), trace), (sold_out, expired)
 
 
 def _expiring_instances():
-    """The golden expiry and theta64 cases, and ten random instances (four
-    times the demand) in which one resource expires in (0.2, 0.95)."""
+    """The golden expiry and theta64 cases; ten random instances (four times
+    the demand) in which one resource expires in (0.2, 0.95); and five in
+    which resources of capacity 1 sell out before the last one, of capacity
+    2, expires in (0.4, 0.7), so sell-outs and expiries interleave in one
+    run: the hand-written instance of CI's smoke run, and four random ones
+    of two or more resources at 2 to 4 arrivals a type."""
     from choicealloc import scale_instance
 
     yield _golden_instance("expiry")[0]
@@ -1076,10 +1138,23 @@ def _expiring_instances():
         resources = list(inst.resources)
         resources[pos] = Resource(res.id, res.capacity, expiry=float(rng.uniform(0.2, 0.95)))
         yield Instance(tuple(resources), inst.products, inst.types)
+    yield Instance(
+        (Resource(1, 1), Resource(2, 1), Resource(3, 2, expiry=0.5)),
+        tuple(Product(n, n, reward) for n, reward in enumerate((2.0, 1.5, 1.0), start=1)),
+        (CustomerType(1, RateCurve.constant(4.0), AttractionChoiceModel((0.0,) * 3, (1.0,) * 3)),))
+    instances = (random_instance(seed, capacity_range=(1, 1), mass_range=(2.0, 4.0))
+                 for seed in range(300, 400))
+    for inst in islice((inst for inst in instances if len(inst.resources) > 1), 4):
+        *resources, last = inst.resources
+        resources.append(Resource(last.id, 2, expiry=float(rng.uniform(0.4, 0.7))))
+        yield Instance(tuple(resources), inst.products, inst.types)
 
 
 def test_runs_equal_the_frozen_per_arrival_reference():
-    filtered = 0
+    # default-mode offers were filtered after sell-outs and after expiries,
+    # and both in one run: the sellable set's sale updates and its rebuilds
+    # at an expiry interleave
+    sold_out = expired = both = 0
     for i, inst in enumerate(_expiring_instances()):
         sol = solve_cdlp(inst)
         grids = build_value_grids(inst, sol.s_star, 500)
@@ -1087,10 +1162,11 @@ def test_runs_equal_the_frozen_per_arrival_reference():
             path = generate_arrivals(inst, (i, r, 0))
             for policy, relaxed in (("fcfs", False), ("fcfs", True), ("pr", False),
                                     ("pr", True), ("opr", False)):
-                want, changed = _reference_run(inst, policy, sol, grids, path, (i, r, 1), relaxed)
+                want, (s, e) = _reference_run(inst, policy, sol, grids, path, (i, r, 1),
+                                              relaxed)
                 got = run_policy(inst, policy, sol, grids, path, (i, r, 1),
                                  relaxed=relaxed, collect_trace=True)
                 assert (got.reward, got.per_resource_sales, got.trace) == \
                     (want.reward, want.per_resource_sales, want.trace)
-                filtered += changed
-    assert filtered > 0  # sell-outs and expiries did filter default-mode offers
+                sold_out, expired, both = sold_out + s, expired + e, both + (s > 0 < e)
+    assert sold_out > 0 and expired > 0 and both > 0
