@@ -23,17 +23,20 @@ it returns, and nowhere else: it is 1 on every exact result, and below 1
 only on a branch and bound cut by its node budget.
 
 One loop, ``_column_generation``, serves ``solve_cdlp`` and
-``sim.hindsight_bound``.  ``solve_cdlp`` solves every master from the
-slack basis, because a plan's bytes follow the pivot path: a degenerate
-master started elsewhere can end on another optimal basis, with other x
-and duals.  ``hindsight_bound`` reads only the optimal value, so its
-masters share one ``_GrownMaster``: one simplex tableau for the whole run,
-which takes each new column as B^-1 a and pivots on from the basis the
-last master ended on, so it makes fewer pivots and no refactor but the
-last.  It keeps Bland's rule, as ``solve_cdlp`` does; only
-``solve_cdlp_enumeration``, the oracle, enters the largest reduced cost.
-The loop keeps one column table a type, ``H[k]`` (see ``_master_lp``); the
-oracle reads each ``_subset_table`` as stored.
+``sim.hindsight_bound``.  Its masters share one ``_GrownMaster``: one
+simplex tableau for the whole run, which takes each new column as B^-1 a
+and pivots on from the basis the last master ended on, so it makes fewer
+pivots than masters solved afresh.  ``hindsight_bound`` reads only the
+last master's value, refactored at the basis the tableau ended on.  A
+plan's x and duals follow the pivot path, since a degenerate master
+started elsewhere can end on another optimal basis; so ``solve_cdlp``
+solves its last master once more, from the slack basis, and reads the
+plan off that solve.  On every plan checked the tableau's duals price
+in the same columns as cold masters' duals, so the plans keep the bytes
+of the planner that solved every master cold.  Both keep Bland's rule;
+only ``solve_cdlp_enumeration``, the oracle, enters the largest reduced
+cost.  The loop keeps one column table a type, ``H[k]`` (see
+``_master_lp``); the oracle reads each ``_subset_table`` as stored.
 
 Planning, hindsight bounds, the oracle and runs read an instance through
 one ``_Compiled``, the instance compile, built by ``_compiled`` on first
@@ -54,6 +57,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations
+from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -592,45 +596,49 @@ def solve_cdlp(inst: Instance, eps: float = 0.0,
     ``SubproblemResult``.  Every result's guarantee must be at least
     1/(1+eps) (1 at ``eps == 0``), and the returned plan's objective is
     then certified to be at least (1-eps) times the true optimum.  The
-    first result below that, or NaN, raises ``ValueError``; an instance
-    with no customer types calls no solver, and its plan of objective 0 is
-    exact.  Hitting the iteration cap returns the best plan found so far
-    flagged ``certified=False``.
+    first result below that, or NaN, raises ``ValueError``, as does an
+    assortment with a product outside 1..N; an instance with no customer
+    types calls no solver, and its plan of objective 0 is exact.  Hitting
+    the iteration cap returns the best plan found so far flagged
+    ``certified=False``.
 
     The instance is read through its ``_compiled`` (validated once per
     instance object), and each (type, assortment) column's coefficients
-    are computed once and reused by every later master; each master equals
-    ``build_master`` on the iteration's columns and is solved from the
+    are computed once and reused by every later master.  The masters grow
+    on one tableau (``_column_generation``); the plan is read off one cold
+    solve of the last one, ``build_master`` on its columns solved from the
     slack basis.  ``max_iterations`` defaults to 10 (L + K + N), at least
     1; a cap that is no integer of at least 1 raises ``ValueError``.
     """
-    cols, lp_sol, certified, iterations, trace = _column_generation(
-        inst, _compiled(inst).masses, eps, solver, max_iterations, False)
+    c = _compiled(inst)
+    grown, certified, iterations, trace = _column_generation(
+        inst, c.masses, eps, solver, max_iterations)
+    cols = sorted(grown.columns, key=itemgetter(0))  # stable: each type's in H's order
+    lp_sol = solve_lp(LinearProgram(*_columns(c, grown.H, c.masses, cols), c.rhs))
+    if lp_sol.status != "optimal":
+        raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
     return _extract_solution(inst, cols.__getitem__, lp_sol, eps, certified, iterations, trace)
 
 
 def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solver,
-                       max_iterations: int | None, warm: bool):
-    """The loop behind ``solve_cdlp``, with its arguments and checks, at
-    arrival masses ``masses``: the compile's or a path's counts.
+                       max_iterations: int | None):
+    """The loop behind ``solve_cdlp`` and ``sim.hindsight_bound``, with
+    ``solve_cdlp``'s arguments and checks, at arrival masses ``masses``:
+    the compile's or a path's counts.
 
-    Returns (cols, lp_sol, certified, iterations, trace): the variables of
-    the last master solved and its ``LpSolution``, then ``solve_cdlp``'s
-    flags and objective trace.  The last iteration may have added columns
-    to H after its master was solved, so a plan is read against ``cols``.
-    The first columns, the operative rewards and the resource positions
-    come from the ``_compiled`` instance.  The default solver ``_auto``
-    is not called: each type's prices, ascending pairs of products 1..N,
-    go straight to its compiled kernel, since ``_priced``'s checks hold by
-    construction and by the validation; any other solver gets the price
-    mapping.
-
-    With ``warm``, the masters are one ``_GrownMaster``: each iteration's
-    new columns join the last master's tableau, the simplex pivots on from
-    the basis it ended on, and the duals are read off that tableau.  Only
-    the last master is refactored, into ``lp_sol``; the trace is empty.  A
-    master that ends "unbounded" or "failed" raises ``CdlpError`` either
-    way.
+    Returns (grown, certified, iterations, trace): the ``_GrownMaster``
+    that held every master, then ``solve_cdlp``'s flags and each master's
+    value: the duals read off the tableau times the right-hand sides, its
+    value at an optimal basis.  Its tableau holds the last master's
+    columns: a capped run's last iteration adds columns to H after its
+    master was solved, and they never enter it.  A master that ends
+    "unbounded" or "failed" raises ``CdlpError``.  The first columns, the
+    operative rewards and the resource positions come from the
+    ``_compiled`` instance.  The default solver ``_auto`` is not called:
+    each type's prices, ascending pairs of products 1..N, go straight to
+    its compiled kernel, since ``_priced``'s checks hold by construction
+    and by the validation; any other solver gets the price mapping, and
+    its assortment is checked to hold products 1..N.
     """
     c = _compiled(inst)
     if not (math.isfinite(eps) and eps >= 0):
@@ -647,26 +655,18 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
     tol = _objective_tol(REDUCED_COST_TOL, max(
         [lam * top for lam, top in zip(masses, c.tops)], default=0.0))
 
+    rhs = c.rhs.tolist()
     H = {k: dict.fromkeys(first) for k, first in c.first.items()}
-    grown = _GrownMaster(c, H, masses) if warm else None
+    grown = _GrownMaster(c, H, masses)
     trace: list[float] = []
-    cols: list[tuple[int, frozenset[int]]] = []
-    lp_sol = None
     certified = False
     iterations = 0
     new: list[tuple[int, frozenset[int]]] = []  # the columns the last iteration added
 
     while iterations < max_iterations:
         iterations += 1
-        if grown is not None:
-            duals = grown.solve(new)
-        else:
-            cols = master_columns(H)
-            lp_sol = solve_lp(_master_lp(c, H, masses))
-            if lp_sol.status != "optimal":
-                raise CdlpError(f"master LP solve failed with status {lp_sol.status!r}")
-            trace.append(float(lp_sol.objective_value))
-            duals = lp_sol.duals
+        duals = grown.solve(new)
+        trace.append(math.fsum(map(mul, duals, rhs)))  # y @ b: the master's value, by duality
         pi = duals[:L]
         sigma = duals[L:L + K]
 
@@ -676,7 +676,8 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
             items = [(n, reward[n] - pi[resource_of[n]]) for n in range(1, N + 1)]
             if kernels is None:
                 result = solver(c.models[k], dict(items))
-                assortment, value, guarantee = result.assortment, result.value, result.guarantee
+                assortment = _as_assortment(result.assortment, N, "returned")
+                value, guarantee = result.value, result.guarantee
             else:
                 assortment, value, guarantee = kernels[k](items)
             if not guarantee >= required - 1e-12:  # NaN fails too
@@ -691,22 +692,25 @@ def _column_generation(inst: Instance, masses: Sequence[float], eps: float, solv
             certified = True
             break
 
-    if grown is not None:
-        cols, lp_sol = grown.solution()
-    return cols, lp_sol, certified, iterations, tuple(trace)
+    return grown, certified, iterations, tuple(trace)
 
 
 class _GrownMaster:
-    """The restricted masters of one warm column generation on one
+    """The restricted masters of one column generation on one
     ``lp._Tableau``, over the loop's column tables ``H``.
 
     The first master holds the first columns, in ``master_columns`` order,
     and is solved from the slack basis.  Each ``solve`` appends the columns
     the loop added since the last one, in that order, as B^-1 a, pivots on
     by Bland's rule from the basis the last master ended on, and returns
-    the duals c_B B^-1 read off the tableau.  ``solution`` alone refactors,
-    against the original columns laid out in ``master_columns`` order, so
-    that c @ x sums as ``solve_lp`` of ``_master_lp`` sums it.
+    the duals c_B B^-1 read off the tableau.  ``columns`` lists the
+    tableau's columns, the last master's, in the order they entered; ``H``
+    holds their coefficients (and, after a capped run, the columns its last
+    iteration added).  ``solution`` alone refactors, against the original
+    columns laid out in ``master_columns`` order, so that c @ x sums as
+    ``solve_lp`` of ``_master_lp`` sums it: a hindsight bound reads its
+    value.  A plan does not: ``solve_cdlp`` solves the last master's
+    columns cold.
     """
 
     def __init__(self, c: _Compiled, H, masses):

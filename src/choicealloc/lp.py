@@ -9,7 +9,7 @@ that slack basis.  Its slack block is B^-1 itself, so a tableau can grow:
 ``_Tableau.add`` appends structural columns as B^-1 a, keeping the basis
 (and so its feasibility, since b does not change), and ``_Tableau.duals``
 reads c_B B^-1 off the same block.  ``solve_lp`` builds one tableau per
-program; the column generation behind ``sim.hindsight_bound`` keeps one
+program; the column generation behind plans and hindsight bounds keeps one
 for its whole run.  By default the solver uses Bland's entering/leaving
 rule, so it cannot cycle and is fully deterministic; degenerate optima
 resolve toward the lowest variable index, and every plan reads its duals,
@@ -26,9 +26,10 @@ linear solve against the original columns (``_basic_solution``) rather
 than read off the pivoted tableau, which keeps the certificates clean of
 accumulated roundoff.  The dual values are load-bearing downstream
 (column-generation reduced costs), hence the insistence on exact basis
-duals over speed; only a grown tableau prices its next columns with the
-duals it holds, since ``hindsight_bound`` reads nothing of its masters but
-the last one's objective.
+duals over speed.  Only a grown tableau prices its next columns with the
+duals it holds: the column generation reads nothing else of its masters but
+the last one, which a hindsight bound refactors and a plan solves again
+from the slack basis.
 
 A ``LinearProgram`` copies its coefficients once into one read-only
 float64 buffer and checks them there; its objective, rows and right-hand
@@ -252,10 +253,10 @@ class _Tableau:
         self.tol = _entering_tol(self.cost)
 
     def run(self, canonical: bool = True) -> str:
-        """``_run_simplex`` from the current basis, under ``solve_lp``'s
-        iteration cap for the current width.  With no rows it finishes as
-        ``solve_lp`` finishes a program without rows: "unbounded" if a
-        cost exceeds ``tol``, else "optimal"."""
+        """``_run_simplex`` from the current basis, capped at 200 + 50 (m +
+        n) iterations for m rows and n columns, slacks included.  With no
+        rows it finishes at once: "unbounded" if a cost exceeds ``tol``,
+        else "optimal" on the empty basis, where every variable is 0."""
         if not self.basis:
             return "unbounded" if (self.cost > self.tol).any() else "optimal"
         m, width = self.T.shape
@@ -302,10 +303,6 @@ def solve_lp(program: LinearProgram, *, canonical: bool = True) -> LpSolution:
     objective is the same optimum, but on a degenerate LP its basis, primal
     and duals may be another optimal one.
     """
-    if program.rows.shape[0] == 0:
-        if np.any(program.objective > program.optimality_tol):
-            return LpSolution("unbounded")
-        return LpSolution("optimal", (0.0,) * program.objective.size, (), 0.0)
     tableau = _Tableau(program.objective, program.rows, program.rhs, program.optimality_tol)
     status = tableau.run(canonical)
     if status != "optimal":

@@ -52,7 +52,7 @@ products of the resources in a sellable set: a sale that empties a
 resource drops that resource alone from the set, which is rebuilt over
 every resource at the earliest expiry it held when last rebuilt.  ``hindsight_bound`` plans on the
 instance itself, a path's counts its arrival masses, with all its masters
-on one growing simplex tableau (``cdlp._GrownMaster``).
+on one growing simplex tableau (``cdlp._GrownMaster``), as plans do.
 """
 
 from __future__ import annotations
@@ -516,22 +516,22 @@ def hindsight_bound(inst: Instance, path: SamplePath) -> float:
 
     It runs ``solve_cdlp``'s column generation with ``_auto`` on ``inst``,
     through its compile (validated once per instance object), the counts as
-    the masses, except that every master
-    lives on one simplex tableau: each new column enters it as B^-1 a, the
-    simplex pivots on from the basis the last master ended on, and the
-    duals are read off the tableau.  Only the last master is refactored
-    against its original columns, in ``master_columns`` order, and its c @ x
-    is the bound; no plan is built.  A run stopped by its iteration cap
-    proves no bound, since its value may lie below the optimum, so it
-    raises ``CdlpError``.
+    the masses: every master lives on one simplex tableau, each new column
+    enters it as B^-1 a, the simplex pivots on from the basis the last
+    master ended on, and the duals are read off the tableau.  Where a plan
+    solves its last master again from the slack basis, the bound refactors
+    it at the basis the tableau ended on, against its original columns in
+    ``master_columns`` order, and its c @ x is the bound; no plan is built.
+    A run stopped by its iteration cap proves no bound, since its value may
+    lie below the optimum, so it raises ``CdlpError``.
     """
     _require_path_of(inst, path)
-    _, lp_sol, certified, iterations, _ = _column_generation(
-        inst, [float(c) for c in path.counts], 0.0, _auto, None, True)
+    grown, certified, iterations, _ = _column_generation(
+        inst, [float(c) for c in path.counts], 0.0, _auto, None)
     if not certified:
         raise CdlpError(f"hindsight column generation stopped at its cap of {iterations} "
                         "iterations, short of the fluid optimum")
-    return float(lp_sol.objective_value)
+    return float(grown.solution()[1].objective_value)
 
 
 def estimate_ratio(report: MonteCarloReport, benchmark: float) -> tuple[float, float]:

@@ -32,12 +32,14 @@ from choicealloc import (
     products_of_resource,
     random_instance,
     sample_choice,
+    scale_instance,
     solve_cdlp,
     solve_cdlp_enumeration,
 )
 from choicealloc import cdlp, choice
-from choicealloc.lp import LinearProgram
+from choicealloc.lp import LinearProgram, _objective_tol, solve_lp
 from choicealloc.verify import (
+    DEFAULT_SEED,
     DegradedSolver,
     _batch_instance,
     _extended_model,
@@ -167,28 +169,72 @@ def test_build_master_equals_per_member_reference(inst):
     random_instance(3, max_products=5, model_kinds=("table",)),
 ], ids=["mnl", "mixture4", "table3"])
 def test_solve_cdlp_masters_equal_build_master(inst, monkeypatch):
-    # solve_cdlp caches each column's coefficients across iterations; every
-    # master it solves must still be the one build_master gives for its H,
-    # solved from the slack basis by Bland's rule.
-    snapshots, solved = [], []
-    real_columns, real_solve = cdlp.master_columns, cdlp.solve_lp
+    # solve_cdlp caches each column's coefficients across iterations and
+    # grows its masters on one tableau.  Every master that tableau ends on
+    # must be an optimal basis of build_master over its columns, and the
+    # one program solved cold, from the slack basis by Bland's rule, must
+    # be build_master over the last master's columns.
+    solved = []
+    real_solve = cdlp.solve_lp
 
-    def columns_spy(H):
-        snapshots.append({k: list(v) for k, v in H.items()})
-        return real_columns(H)
-
-    def solve_spy(prog, *, canonical=True):  # solve_lp starts every solve from the slack basis
+    def solve_spy(prog, *, canonical=True):
         assert canonical
-        solved.append((snapshots[-1], prog))
+        solved.append(prog)
         return real_solve(prog, canonical=canonical)
 
-    monkeypatch.setattr(cdlp, "master_columns", columns_spy)
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
-    sol = solve_cdlp(inst, 0.0, assortment_subproblem_bruteforce)
+    ends = _grown_masters(inst, [], assortment_subproblem_bruteforce)
     monkeypatch.undo()
-    assert len(solved) == sol.iterations > 1
-    for H, prog in solved:
+    sol = solve_cdlp(inst, 0.0, assortment_subproblem_bruteforce)
+    assert len(ends) == sol.iterations > 1
+    for H, prog, end in ends:
         _assert_same_program(prog, build_master(inst, H))
+        _assert_optimal_basis(prog, end)
+    [prog] = solved
+    _assert_same_program(prog, ends[-1][1])
+
+
+def _grown_masters(inst, paths, solver=None):
+    """Every master the grown tableau ends on in hindsight_bound on each of
+    ``paths``, then, given a ``solver``, in solve_cdlp with it, as (H,
+    program, solution) triples: the master's columns as a ``master_columns``
+    table, the ``cdlp._master_lp`` program of them, built afresh, and the
+    ``LpSolution`` (without duals) that the tableau's basis gives it."""
+    ends = []
+    real_solve = cdlp._GrownMaster.solve
+
+    def spy(master, new):
+        duals = real_solve(master, new)
+        cols, sol = master.solution()
+        H = {k: {} for k in range(1, inst.num_types + 1)}
+        for k, S in cols:
+            H[k][S] = None
+        ends.append((H, cdlp._master_lp(cdlp._compiled(inst), H, master.masses), sol))
+        return duals
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cdlp._GrownMaster, "solve", spy)
+        for path in paths:
+            hindsight_bound(inst, path)
+        if solver is not None:
+            solve_cdlp(inst, 0.0, solver)
+    return ends
+
+
+def _assert_optimal_basis(prog, sol):
+    """``sol.basis`` is an optimal basis of ``prog``: x_B solved against
+    the original columns is feasible, and so are the duals it gives."""
+    c, A, b = prog.objective, prog.rows, prog.rhs
+    m, n = A.shape
+    basis = list(sol.basis)
+    B = np.concatenate([A, np.eye(m)], axis=1)[:, basis]
+    x = np.zeros(n + m)
+    x[basis] = np.linalg.solve(B, b)
+    y = np.linalg.solve(B.T, np.concatenate([c, np.zeros(m)])[basis])
+    assert (x >= -1e-9).all()  # primal feasible
+    tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
+    assert (y >= -tol).all() and (A.T @ y >= c - tol).all()  # dual feasible
+    return x[:n]
 
 
 def test_build_master_rejects_invalid_instance():
@@ -926,6 +972,100 @@ def test_planner_pivot_paths_are_pinned():
     assert digest.hexdigest() == "f25460f623c1c04cf76ee55ee7fa9ea69b7f7656fb1790b79668f63e70a8c8a1"
 
 
+def _reference_cold_plan(inst, eps=0.0, solver=cdlp._auto, max_iterations=None, masses=None):
+    """The planner as it was when it solved every restricted master cold,
+    frozen: each iteration builds ``_master_lp`` over every column so far
+    and solves it from the slack basis, its duals price the next columns,
+    and the plan is read off the last master solved.  ``masses`` replaces
+    the arrival masses, as a path's counts do in a hindsight bound."""
+    c = cdlp._compiled(inst)
+    masses = c.masses if masses is None else masses
+    required = 1.0 / (1.0 + eps)
+    L, N, K = inst.num_resources, inst.num_products, inst.num_types
+    if max_iterations is None:
+        max_iterations = max(1, 10 * (L + K + N))
+    tol = _objective_tol(cdlp.REDUCED_COST_TOL, max(
+        [lam * top for lam, top in zip(masses, c.tops)], default=0.0))
+    H = {k: dict.fromkeys(first) for k, first in c.first.items()}
+    trace, certified, iterations = [], False, 0
+    while iterations < max_iterations:
+        iterations += 1
+        cols = master_columns(H)
+        lp_sol = solve_lp(cdlp._master_lp(c, H, masses))
+        assert lp_sol.status == "optimal"
+        trace.append(float(lp_sol.objective_value))
+        pi, sigma = lp_sol.duals[:L], lp_sol.duals[L:L + K]
+        new = False
+        for k in range(1, K + 1):
+            items = [(n, c.rewards[k][n] - pi[c.resource_of[n]]) for n in range(1, N + 1)]
+            if solver is cdlp._auto:
+                assortment, value, guarantee = c.kernels[k](items)
+            else:
+                result = solver(c.models[k], dict(items))
+                assortment, value, guarantee = result.assortment, result.value, result.guarantee
+            assert guarantee >= required - 1e-12
+            if masses[k - 1] * value - sigma[k - 1] > tol and assortment not in H[k]:
+                H[k][assortment] = None
+                new = True
+        if not new:
+            certified = True
+            break
+    # the plan off the last master solved: only variables above SUPPORT_TOL
+    x = {cols[j]: float(v) for j, v in enumerate(lp_sol.primal) if v > cdlp.SUPPORT_TOL}
+    active = {k: tuple(sorted((S for (kk, S) in x if kk == k), key=lambda S: tuple(sorted(S))))
+              for k in range(1, K + 1)}
+    return cdlp.CdlpSolution(
+        active=active, x=x,
+        pi=tuple(max(0.0, float(d)) for d in lp_sol.duals[:L]),
+        sigma=tuple(max(0.0, float(d)) for d in lp_sol.duals[L:L + K]),
+        objective=float(lp_sol.objective_value), epsilon=float(eps),
+        s_star=cdlp._selection_probs(inst, active, x), certified=certified,
+        iterations=iterations, objective_trace=tuple(trace))
+
+
+def _plan_bytes(sol):
+    """Every field of a plan as its exact repr, the trace as its length:
+    the trace's values are read off the grown tableau, not a cold solve."""
+    return repr((sol.active, sol.x, sol.pi, sol.sigma, sol.objective, sol.epsilon,
+                 sol.s_star, sol.certified, sol.iterations, len(sol.objective_trace)))
+
+
+_COLD_REFERENCE_CASES = {
+    **{f"pinned-{'-'.join(kinds)}": [random_instance(seed, model_kinds=kinds)
+                                     for seed in range(100)]
+       for kinds in (("attraction", "mixture"), ("table",), ("attraction", "mixture", "table"))},
+    "batch": [_batch_instance(20240601 + i) for i in range(20)],
+    "theta-mixture10": [*(scale_instance(_scaling_base_instance(), theta)
+                          for theta in (1, 16, 64)), _MIXTURE10],
+}
+
+
+@pytest.mark.parametrize("cases", _COLD_REFERENCE_CASES.values(), ids=_COLD_REFERENCE_CASES.keys())
+def test_plans_keep_the_bytes_of_cold_masters(cases):
+    # A plan grows its masters on one tableau, then solves the last one
+    # cold; every field but the trace's values must keep the bytes of the
+    # planner that solved every master cold, uncapped and capped, on the
+    # pivot pin's 300 instances, the 20 batch instances, theta 1, 16 and
+    # 64 and the 10-product mixture.  Tier-1 budget, fixed before the
+    # first run: 4 s for all cases.
+    for inst in cases:
+        for cap in (None, 1, 2, 3):
+            want = _plan_bytes(_reference_cold_plan(inst, max_iterations=cap))
+            assert _plan_bytes(solve_cdlp(inst, max_iterations=cap)) == want, cap
+
+
+def test_degraded_plans_keep_the_bytes_of_cold_masters():
+    # The same through a solver passed in, at its guarantee: five of the
+    # verification suite's instances at eps 0.05.
+    solver = DegradedSolver(1.0 / 1.05)
+    for i in range(5):
+        inst = random_instance(DEFAULT_SEED + i, max_resources=4, max_products=8, max_types=3,
+                               model_kinds=("attraction", "table"))
+        for cap in (None, 1, 2, 3):
+            want = _reference_cold_plan(inst, 0.05, solver, cap)
+            assert _plan_bytes(solve_cdlp(inst, 0.05, solver, cap)) == _plan_bytes(want)
+
+
 def test_hindsight_bounds_are_pinned():
     # The bytes of hindsight_bound on 2 paths of each of 300 random
     # instances, 100 of each model kind, as SHA-256 of the float64 values:
@@ -1167,18 +1307,18 @@ def test_iteration_cap_flags_non_certified():
 def test_an_instance_without_types_plans_zero(resources):
     # no types means no columns: the default iteration cap, 10 (L + K + N),
     # is 0 for the empty instance and must still allow one master, and a
-    # grown tableau without rows finishes as solve_lp finishes a program
-    # without rows
+    # tableau without rows, the grown one and solve_lp's alike, ends
+    # optimal on the empty basis
     inst = Instance(resources, (), ())
     path = generate_arrivals(inst, 1)
     for plan in (solve_cdlp(inst), solve_cdlp(inst, max_iterations=1),
                  solve_cdlp_enumeration(inst)):
         assert (plan.objective, plan.certified, plan.x) == (0.0, True, {})
     assert hindsight_bound(inst, path) == 0.0
-    _, lp_sol, certified, iterations, _ = cdlp._column_generation(
-        inst, [], 0.0, cdlp._auto, 1, True)
-    assert (lp_sol.status, lp_sol.objective_value, certified, iterations) == (
-        "optimal", 0.0, True, 1)
+    grown, certified, iterations, trace = cdlp._column_generation(inst, [], 0.0, cdlp._auto, 1)
+    assert (certified, iterations, trace) == (True, 1, (0.0,))
+    _, lp_sol = grown.solution()
+    assert (lp_sol.status, lp_sol.objective_value) == ("optimal", 0.0)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -1249,6 +1389,19 @@ def test_plain_callable_solver_without_guarantee():
 
     assert solve_cdlp(inst, 0.0, solver) == solve_cdlp(inst)
     assert calls
+
+
+def test_solver_returning_a_product_outside_the_instance_is_refused():
+    # the compiled kernels return products 1..N by construction; a solver
+    # passed in is checked, so product 6 of 5 is named, not an IndexError
+    inst = random_instance(7)
+    assert inst.num_products == 5
+
+    def solver(model, price):
+        return SubproblemResult(frozenset({6}), 1e9, 1.0)
+
+    with pytest.raises(ValueError, match="^product 6 is returned, but the model covers 5 products$"):
+        solve_cdlp(inst, 0.0, solver)
 
 
 # ------------------------------------------------------ reward scaling

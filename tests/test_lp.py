@@ -20,7 +20,7 @@ from choicealloc import cdlp
 from choicealloc import lp as lp_module
 from choicealloc.lp import OPTIMALITY_TOL, PIVOT_TOL, LpSolution
 from choicealloc.verify import _batch_instance
-from test_cdlp import _MIXTURE10
+from test_cdlp import _MIXTURE10, _grown_masters
 
 
 def test_single_constraint_example():
@@ -413,11 +413,13 @@ def test_overflowing_tableau_fails_instead_of_raising():
 
 def _recorded_masters(monkeypatch, instances):
     """Every LP that solve_cdlp and solve_cdlp_enumeration solve on
-    ``instances``, as (program, canonical) pairs, and every simplex run on
-    the tableau hindsight_bound grows on one path of each, as (args,
-    status, after) records: ``args`` copies what ``lp._run_simplex`` was
-    given but its buffer, (T, basis, cost, max_iters, tol, canonical), and
-    ``after`` is (T, basis) as the run left them."""
+    ``instances``, as (program, canonical) pairs: a plan's last master
+    solved cold and the enumeration master.  And every simplex run on the
+    tableaux that solve_cdlp and hindsight_bound grow, the latter on one
+    path of each instance, as (args, status, after) records: ``args``
+    copies what ``lp._run_simplex`` was given but its buffer, (T, basis,
+    cost, max_iters, tol, canonical), and ``after`` is (T, basis) as the
+    run left them."""
     recorded, runs = [], []
     real_solve, real_simplex = cdlp.solve_lp, lp_module._run_simplex
 
@@ -433,51 +435,27 @@ def _recorded_masters(monkeypatch, instances):
 
     monkeypatch.setattr(cdlp, "solve_lp", solve_spy)
     for seed, inst in enumerate(instances):
-        solve_cdlp(inst)
         solve_cdlp_enumeration(inst)
         monkeypatch.setattr(lp_module, "_run_simplex", simplex_spy)
+        solve_cdlp(inst)
         hindsight_bound(inst, generate_arrivals(inst, 100 + seed))
         monkeypatch.setattr(lp_module, "_run_simplex", real_simplex)
     monkeypatch.undo()
     return recorded, runs
 
 
-def _grown_masters(monkeypatch, inst, paths):
-    """Every master hindsight_bound's tableau ends on over ``paths``, as
-    (program, solution) pairs: the ``cdlp._master_lp`` program of its
-    columns, built afresh in ``master_columns`` order, and the
-    ``LpSolution`` (without duals) that the tableau's basis gives it."""
-    ends = []
-    real_solve = cdlp._GrownMaster.solve
-
-    def spy(master, new):
-        duals = real_solve(master, new)
-        cols, sol = master.solution()
-        tables = {k: {} for k in range(1, inst.num_types + 1)}
-        for k, S in cols:
-            tables[k][S] = None
-        ends.append((cdlp._master_lp(cdlp._compiled(inst), tables, master.masses), sol))
-        return duals
-
-    monkeypatch.setattr(cdlp._GrownMaster, "solve", spy)
-    for path in paths:
-        hindsight_bound(inst, path)
-    monkeypatch.undo()
-    return ends
-
-
 def test_in_place_pivots_equal_reference_on_recorded_masters(monkeypatch):
     # batch 20240604's largest reward mass is below 1, so its tolerances are scaled
     instances = [random_instance(7), *(_batch_instance(20240601 + i) for i in range(4)), _MIXTURE10]
     # Each program is solved under its recorded rule and the other one.  Each
-    # run of a hindsight tableau, grown or not, is replayed by the reference
-    # simplex from the tableau it started on, and each master it ends on is
-    # solved cold under both rules.
+    # run of a plan's or a hindsight tableau, grown or not, is replayed by
+    # the reference simplex from the tableau it started on, and each master
+    # it ends on is solved cold under both rules.
     recorded, runs = _recorded_masters(monkeypatch, instances)
     assert max(len(p.objective) for p, _ in recorded) == 5 * 2 ** 10
     assert {canonical for _, canonical in recorded} == {True, False}
-    # hindsight pivots on from the basis the last master ended on, off the
-    # slack basis, which only a grown tableau starts from
+    # a grown tableau pivots on from the basis the last master ended on, off
+    # the slack basis, which only a grown tableau starts from
     assert any(basis != list(range(len(cost) - len(basis), len(cost)))
                for (_, basis, cost, *_), _, _ in runs)
     for prog, canonical in recorded:
@@ -489,7 +467,7 @@ def test_in_place_pivots_equal_reference_on_recorded_masters(monkeypatch):
         assert basis.tolist() == basis_after
         assert T.tobytes() == T_after.tobytes()
     for seed, inst in enumerate(instances):
-        for prog, _ in _grown_masters(monkeypatch, inst, [generate_arrivals(inst, 100 + seed)]):
+        for _, prog, _ in _grown_masters(inst, [generate_arrivals(inst, 100 + seed)], cdlp._auto):
             for rule in (True, False):
                 assert solve_lp(prog, canonical=rule) == _reference_solve_lp(prog, canonical=rule)
 
@@ -558,15 +536,16 @@ def _assert_agrees_with_highs(prog, sol):
 
 
 def test_column_generation_masters_agree_with_highs(monkeypatch):
-    # Restricted masters and the 10 x 5120 enumeration master that vertex
-    # enumeration cannot reach, each solved cold under its rule, and every
-    # master hindsight's tableau ends on, at the basis it ended on.
+    # The plan's last master and the 10 x 5120 enumeration master that
+    # vertex enumeration cannot reach, each solved cold under its rule, and
+    # every master the plan's and hindsight's tableaux end on, at the basis
+    # it ended on.
     recorded, _ = _recorded_masters(monkeypatch, [_MIXTURE10])
-    assert len(recorded) > 4
-    assert (10, 5120) in {(len(p.rows), len(p.objective)) for p, _ in recorded}
+    [(enumeration, _), (plan, _)] = recorded
+    assert enumeration.rows.shape == (10, 5120) and plan.rows.shape[0] == 10
     for prog, canonical in recorded:
         _assert_agrees_with_highs(prog, solve_lp(prog, canonical=canonical))
-    grown = _grown_masters(monkeypatch, _MIXTURE10, [generate_arrivals(_MIXTURE10, 100)])
-    assert len(grown) > 3
-    for prog, sol in grown:
+    grown = _grown_masters(_MIXTURE10, [generate_arrivals(_MIXTURE10, 100)], cdlp._auto)
+    assert len(grown) > 3 + solve_cdlp(_MIXTURE10).iterations
+    for _, prog, sol in grown:
         _assert_agrees_with_highs(prog, _at_basis(prog, sol.basis))

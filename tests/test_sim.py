@@ -33,8 +33,9 @@ from choicealloc import (
 from choicealloc import cdlp, sim
 from choicealloc.cdlp import CdlpError, SubproblemResult
 from choicealloc.verify import _batch_instance, _scaling_base_instance
-from test_cdlp import _MIXTURE10, _WIDE4
-from test_lp import _count_pivots, _grown_masters, _reference_solve_lp
+from test_cdlp import (_MIXTURE10, _WIDE4, _assert_optimal_basis, _grown_masters,
+                       _reference_cold_plan)
+from test_lp import _count_pivots, _reference_solve_lp
 
 
 def always_buyer():
@@ -555,7 +556,8 @@ _HINDSIGHT_CASES = {
 def test_warm_hindsight_equals_cold(inst, monkeypatch):
     # Warm-started masters may end on other optimal bases than cold ones,
     # and so generate other columns, but the fluid optimum is one number:
-    # equal within 1e-12 relative, a tolerance fixed before any run.
+    # the bound equals the frozen planner's, which solved every master
+    # cold, within 1e-12 relative, a tolerance fixed before any run.
     warm_pivots = cold_pivots = 0
     pivots = _count_pivots(monkeypatch)
     for r in range(3):
@@ -563,41 +565,31 @@ def test_warm_hindsight_equals_cold(inst, monkeypatch):
         warm = hindsight_bound(inst, path)
         warm_pivots += len(pivots)
         pivots.clear()
-        _, cold, certified, _, _ = cdlp._column_generation(
-            inst, [float(c) for c in path.counts], 0.0, cdlp._auto, None, False)
+        cold = _reference_cold_plan(inst, masses=[float(c) for c in path.counts])
         cold_pivots += len(pivots)
         pivots.clear()
-        assert certified
-        assert math.isclose(warm, cold.objective_value, rel_tol=1e-12), (path.counts, warm, cold)
+        assert cold.certified
+        assert math.isclose(warm, cold.objective, rel_tol=1e-12), (path.counts, warm, cold)
     if inst is _MIXTURE10:
         assert warm_pivots < cold_pivots
 
 
 @pytest.mark.parametrize("inst", [*_HINDSIGHT_CASES.values(), random_instance(
     3, max_products=5, model_kinds=("table",))], ids=[*_HINDSIGHT_CASES, "table3"])
-def test_grown_masters_are_optimal(inst, monkeypatch):
+def test_grown_masters_are_optimal(inst):
     # An oracle for every master hindsight's one tableau ends on, whose
     # columns entered as B^-1 a and whose duals came off the tableau: its
     # basis must be optimal for the _master_lp program of its columns,
     # built afresh, and its c @ x must equal the reference solver's cold
     # optimum within 1e-12 relative, a tolerance fixed before any run.
     # Tier-1 budget, also fixed before the first run: 3 s for all cases.
-    ends = _grown_masters(monkeypatch, inst, [generate_arrivals(inst, (7, r, 0)) for r in range(3)])
+    ends = _grown_masters(inst, [generate_arrivals(inst, (7, r, 0)) for r in range(3)])
     assert len(ends) >= 3
-    for prog, sol in ends:
-        c, A, b = prog.objective, prog.rows, prog.rhs
-        m, n = A.shape
-        basis = list(sol.basis)
-        B = np.concatenate([A, np.eye(m)], axis=1)[:, basis]
-        x = np.zeros(n + m)
-        x[basis] = np.linalg.solve(B, b)
-        y = np.linalg.solve(B.T, np.concatenate([c, np.zeros(m)])[basis])
-        assert (x >= -1e-9).all()  # primal feasible
-        tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
-        assert (y >= -tol).all() and (A.T @ y >= c - tol).all()  # dual feasible
+    for _, prog, sol in ends:
+        x = _assert_optimal_basis(prog, sol)
         want = _reference_solve_lp(prog).objective_value
         assert abs(sol.objective_value - want) <= 1e-12 * abs(want), (sol, want)
-        assert abs(float(c @ x[:n]) - want) <= 1e-12 * abs(want)
+        assert abs(float(prog.objective @ x) - want) <= 1e-12 * abs(want)
 
 
 def test_hindsight_refuses_a_run_stopped_by_its_cap(monkeypatch):
