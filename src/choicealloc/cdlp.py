@@ -166,14 +166,21 @@ class _Compiled:
     - ``kernels[k]``: type k's ``_kernel``;
     - ``segments``: ``sim._segments`` of the rates, the (a, b, mass) rate
       segments each Monte Carlo replication draws its arrivals from;
-    - ``products[k]``: the (product, resource position, operative reward)
-      rows opr prices for type k, for an attraction model only those of
-      positive weight mu + nu, which alone are bought.
+    - ``sellable``: ``policies._sellable_resources`` at time 0, the set
+      default-mode fcfs and pr runs start from;
+    - ``products[k]``: the rows opr prices for type k, as a pair (base,
+      groups).  ``groups`` holds one (resource position, rows) pair per
+      resource with rows, positions ascending, and each group's rows
+      ascend by product.  Where ``kernels[k]`` is the sort kernel, base is
+      the base weight of its ``attraction()`` tuple and a row is (product,
+      operative reward, mu + nu, nu), for the products of positive weight
+      mu + nu only, which alone are bought.  Otherwise base is None and a
+      row is (product, operative reward), for every product.
 
-    ``first``, ``kernels``, ``segments`` and ``products`` are built on
-    first use: the first two by the column generation and opr (the oracle
-    and fcfs and pr runs read neither, and a kernel may fill its model's
-    subset table), the last two by runs.
+    ``first``, ``kernels``, ``segments``, ``sellable`` and ``products``
+    are built on first use: the first two by the column generation and
+    opr (the oracle and fcfs and pr runs read neither, and a kernel may
+    fill its model's subset table), the last three by runs.
     """
 
     def __init__(self, inst: Instance):
@@ -218,13 +225,25 @@ class _Compiled:
         return _segments(self.rates)
 
     @cached_property
+    def sellable(self) -> tuple[frozenset[int], float]:
+        from .policies import _sellable_resources  # policies imports this module
+
+        return _sellable_resources(self.capacity, self.expiry, 0.0)
+
+    @cached_property
     def products(self) -> dict:
         products = {}
-        for k, model in self.models.items():
-            weights = model.attraction()
-            rows = zip(range(1, len(self.resource_of)), self.resource_of[1:], self.rewards[k][1:])
-            products[k] = [(n, l, r) for n, l, r in rows
-                           if weights is None or weights[0][n - 1] > 0.0]
+        for k, kernel in self.kernels.items():
+            groups = {l: [] for l in range(len(self.capacity))}
+            base = None
+            if kernel.func is _best_prefix:
+                weight, nu, base = kernel.args[0]
+            for n, reward in enumerate(self.rewards[k][1:], start=1):
+                if base is None:
+                    groups[self.resource_of[n]].append((n, reward))
+                elif weight[n - 1] > 0.0:
+                    groups[self.resource_of[n]].append((n, reward, weight[n - 1], nu[n - 1]))
+            products[k] = (base, tuple((l, tuple(rows)) for l, rows in groups.items() if rows))
         return products
 
 
@@ -345,8 +364,16 @@ def _best_prefix(attraction: tuple[tuple[float, ...], tuple[float, ...], float],
         nu = nus[n - 1]
         rho = gain / nu if nu > 0.0 else math.inf
         ranked.append((-rho, n, gain, nu))
-    ranked.sort()
+    return _prefix_scan(ranked, num, den)
 
+
+def _prefix_scan(ranked: list, num: float, den: float) -> tuple[frozenset[int], float, float]:
+    """``_best_prefix``'s scan: sorts its (-rho, product, gain, nu) tuples in
+    place and returns the best prefix of that ranking from numerator
+    ``num`` over denominator ``den`` (the empty prefix scoring num / den),
+    its value and guarantee 1.0.  opr builds the tuples as it prices, and
+    calls this directly."""
+    ranked.sort()
     best_value, best_len, length = num / den, 0, 0
     for _, _, gain, nu in ranked:
         num += gain
@@ -833,8 +860,13 @@ def _require_plan_of(sol: CdlpSolution, inst: Instance) -> None:
     ``pi`` and ``sigma`` number the resources and types, and every type of
     ``active`` is in 1..K and offers only products in 1..N.  Runs and
     ``dual_bound`` call it, so a plan of another instance is refused before
-    any replication reads it."""
+    any replication reads it.  The plan object keeps each (L, N, K) it
+    passed for, as ``policies._plan_offers`` keeps its rows, so a plan run
+    many times is checked once; plans are treated as immutable."""
     L, N, K = inst.num_resources, inst.num_products, inst.num_types
+    passed = sol.__dict__.setdefault("_fits", set())
+    if (L, N, K) in passed:
+        return
     if (len(sol.pi), len(sol.sigma)) != (L, K):
         raise ValueError(f"the plan has {len(sol.pi)} capacity and {len(sol.sigma)} convexity "
                          f"duals for {L} resources and {K} types")
@@ -846,3 +878,4 @@ def _require_plan_of(sol: CdlpSolution, inst: Instance) -> None:
             if not S <= products:
                 raise ValueError(f"the plan offers {sorted(S)} to type {k}, "
                                  f"outside products 1..{N}")
+    passed.add((L, N, K))

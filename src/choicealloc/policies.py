@@ -11,13 +11,16 @@ is accepted.
 
 opr offers the answer of the exact kernel the planner prices columns
 with, ``cdlp._kernel(model)``, picked once per type and instance object by
-the instance's compile (see ``opr_offer``).
+the instance's compile (see ``opr_offer``).  opr reads a type's products
+grouped by resource, so it checks and prices each resource once per
+arrival; for a sort-kernel type it ranks the offer in that same pass.
 
 Three compiles feed a run.  The instance compile, ``cdlp._compiled(inst)``,
 built once per instance object and kept on it, validates the instance
 and holds what depends on it alone: each type's model, reward row and
 kernel, each product's resource position, the capacities and expiries,
-the arrival segments and opr's priced product rows.  The plan compile,
+the arrival segments, the resources sellable at time 0 and opr's priced
+rows, grouped by resource.  The plan compile,
 ``_plan_offers(sol)``, built once per plan object and kept on it, holds
 each type's offer CDF row.  Instances, their choice models and plans are
 treated as immutable, so a changed model or plan would not be seen.  The
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cdlp import CdlpSolution, _compiled, _require_plan_of
+from .cdlp import CdlpSolution, _compiled, _prefix_scan, _require_plan_of
 from .choice import _cdf_row, _draw
 from .model import Instance
 from .valuefn import ResourceValueGrid, _marginal, _require_integral_level
@@ -110,10 +113,10 @@ class _Tables:
     policy reads it.  pr and opr: ``views[l-1]``, the ``_view`` of
     resource l's grid, which must cover its capacity.  fcfs and pr:
     ``offers[k]``, type k's row of the plan compile ``_plan_offers``, and
-    unless ``relaxed``, ``sellable``, ``_sellable_resources`` at time 0,
-    which filters their offers.  opr: the instance compile's
-    ``products[k]``, type k's (product, resource position, operative
-    reward) rows, which opr prices, and ``kernels[k]``, its
+    unless ``relaxed``, the instance compile's ``sellable``
+    (``_sellable_resources`` at time 0), which filters their offers.  opr:
+    the instance compile's ``products[k]``, type k's rows grouped by
+    resource position, which opr prices, and ``kernels[k]``, its
     ``cdlp._kernel`` of type k.  opr ignores ``relaxed`` and refuses a
     model that is not removal-monotone: its dominance argument prunes
     nonpositive prices.
@@ -145,7 +148,7 @@ class _Tables:
         if policy != "opr":
             self.offers = _plan_offers(sol)
             if not relaxed:
-                self.sellable = _sellable_resources(self.capacity, self.expiry, 0.0)
+                self.sellable = c.sellable
             return
         if not all(model.is_removal_monotone for model in self.models.values()):
             raise ValueError("opr requires choice models where pruning cannot hurt expected "
@@ -193,30 +196,54 @@ def _pr_accepts(reward: float, stock: int, expiry: float, view, now: float) -> b
 
 def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[int], float]:
     """opr's offer to a type-k arrival and its expected marginal reward, by
-    the rule of ``opr_offer``.  A resource's marginal value is read only
-    when one of the products the type can buy is sellable, once per call.
-    The prices go to the type's kernel as they are, already ascending and
-    of known products, without a solver entry's ``cdlp._priced`` check."""
+    the rule of ``opr_offer``.  It walks type k's row groups of the
+    instance compile (``cdlp._Compiled.products``): one ``_sellable`` check
+    and, for a sellable resource, one marginal-value read per group.  For
+    a sort-kernel type it builds the kernel's (-rho, product, gain, nu)
+    ranking as it prices, by ``cdlp._best_prefix``'s arithmetic, and calls
+    its scan, ``cdlp._prefix_scan``; the sort key is unique, so the order
+    of the groups does not matter.  Other types pass their prices,
+    ascending by product, to their kernel, without a solver entry's
+    ``cdlp._priced`` check."""
     if not 0.0 <= now <= 1.0:  # _marginal checks too, but may not be called
         raise ValueError(f"time {now} outside [0, 1]")
     expiry, views = t.expiry, t.views
-    value_of_unit: dict[int, float] = {}
-    prices, positive = {}, False  # the sellable products, in product order
-    for n, l, reward in t.products[k]:
+    base, groups = t.products[k]
+    if base is not None:
+        ranked = []
+        for l, rows in groups:
+            stock = inventory[l]
+            if _sellable(stock, expiry[l], now):
+                v = _marginal(views[l], stock, now)
+                for n, reward, weight, nu in rows:
+                    price = reward - v
+                    if price <= 0.0:
+                        continue
+                    gain = price * weight
+                    if gain <= 0.0:
+                        continue
+                    ranked.append((-(gain / nu) if nu > 0.0 else -math.inf, n, gain, nu))
+        if not ranked:
+            return _EMPTY, 0.0
+        return _prefix_scan(ranked, 0.0, base)[:2]
+
+    prices, positive = [], False
+    for l, rows in groups:
         stock = inventory[l]
         if _sellable(stock, expiry[l], now):
-            v = value_of_unit.get(l)
-            if v is None:
-                v = value_of_unit[l] = _marginal(views[l], stock, now)
-            price = prices[n] = reward - v
-            if price > 0.0:
-                positive = True
+            v = _marginal(views[l], stock, now)
+            for n, reward in rows:
+                price = reward - v
+                prices.append((n, price))
+                if price > 0.0:
+                    positive = True
     if not positive:
         # no offer is worth more than 0, reading a table's entries in
         # [-1e-12, 0) as 0: such an entry can make one worth ~1e-12 * |price|
         return _EMPTY, 0.0
 
-    offer, value, guarantee = t.kernels[k](prices.items())
+    prices.sort()  # ascending products; each product once, so no price is compared
+    offer, value, guarantee = t.kernels[k](prices)
     if guarantee < 1.0:
         raise ValueError(f"opr needs an exact offer; the solver's guarantee is {guarantee:g}")
     return offer, value
@@ -268,9 +295,12 @@ def opr_offer(state: PolicyState, k: int, grids: Mapping[int, ResourceValueGrid]
     arrival.
 
     Products are priced at reward minus the marginal value of their
-    resource; products that cannot be sold are excluded outright.  The
-    offer is the answer of the exact kernel the planner's ``cdlp._auto``
-    uses for the model, ``cdlp._kernel``.  A subset a table omits, and a
+    resource, read once per resource; products that cannot be sold are
+    excluded outright, a resource at a time.  The offer is the answer of
+    the exact kernel the planner's ``cdlp._auto`` uses for the model,
+    ``cdlp._kernel``; for the sort kernel opr ranks the products as it
+    prices them and runs the kernel's prefix scan, with the kernel's
+    bytes.  A subset a table omits, and a
     result short of exact (a branch and bound cut by its node budget),
     raise ``ValueError``.  When no sellable price is positive the offer is
     empty without a kernel call: no offer is then worth more than 0,

@@ -23,11 +23,14 @@ is built once per instance object and kept on it: the validation, each
 type's model, reward row and kernel, each product's resource position,
 the capacities, expiries and arrival masses, each type's first planner
 columns, the rate segments of positive mass that replications draw
-arrivals from (``_segments``) and opr's priced product rows.  The plan
-compile, ``policies._plan_offers``, is built once per plan object and
-kept on it: each type's offer CDF row.  Each choice model memoizes by
-assortment the ``distribution`` lists its planner columns read, and the
-CDF rows its runs read, which reuse a memoized list and keep no other.
+arrivals from (``_segments``), the resources sellable at time 0 and
+opr's priced rows, grouped by resource, with a sort-kernel type's ratio
+weights beside each reward.  The plan compile, ``policies._plan_offers``,
+is built once per plan object and kept on it: each type's offer CDF row.
+The plan object also keeps the instance shapes ``cdlp._require_plan_of``
+passed it for.  Each choice model memoizes by assortment the
+``distribution`` lists its planner columns read, and the CDF rows its
+runs read, which reuse a memoized list and keep no other.
 So a plan, every hindsight bound and every run of one instance object
 validate it once, and the planners read one ``distribution`` call per
 (model, assortment), as do the runs (a set a run reads first is computed
@@ -37,12 +40,16 @@ the plan with their compiles.  The run compile, ``policies._Tables``, is
 assembled once per ``run_policy`` call and once per ``monte_carlo`` call,
 in the calling process before any worker starts (each worker assembles
 it again, since the grids' views do not pickle), after the plan check,
-with what its policy and mode read: fcfs and pr get the offer CDF rows,
-pr and opr the grids' views, opr its priced rows and kernels.  So a run
-the compile refuses (an invalid instance, a plan of another instance,
-opr on a model that is not removal-monotone, pr or opr without grids)
-raises before any replication and before any worker process starts,
-whatever the seed.
+with what its policy and mode read: fcfs and pr get the offer CDF rows
+(and in the default mode the compile's time-0 sellable set, not rebuilt
+per call), pr and opr the grids' views, opr its grouped rows and
+kernels.  opr walks a type's groups once per arrival: a sold-out or
+expired resource is skipped at one check, a sellable one's marginal
+value is read once, and a sort-kernel type's offer is ranked in that
+same pass.  So a run the compile refuses (an invalid instance, a plan
+of another instance, opr on a model that is not removal-monotone, pr or
+opr without grids) raises before any replication and before any worker
+process starts, whatever the seed.
 One flat per-arrival loop then drives fcfs, pr and opr on (time, type)
 pairs with the private decision functions behind
 ``fcfs_offer``/``pr_accept``/``opr_offer``; every offer and choice is one
@@ -504,9 +511,20 @@ def monte_carlo(inst: Instance, policy: str, reps: int, base_seed: int, *,
     else:
         rewards = np.array(_replication_rewards(tables, base_words, indices))
 
-    mean = float(rewards.mean())
-    half = float(Z_95 * rewards.std(ddof=1) / math.sqrt(reps))
-    return MonteCarloReport(policy, mean, half, reps, rewards)
+    return MonteCarloReport(policy, *_mean_half_width(rewards), reps, rewards)
+
+
+def _mean_half_width(values: np.ndarray) -> tuple[float, float]:
+    """The mean of the float64 array ``values`` (at least two) and the 95%
+    CI half-width of it, with the bytes of ``values.mean()`` and ``Z_95 *
+    values.std(ddof=1) / sqrt(n)``: the same two ``np.add.reduce`` pairwise
+    sums, of the values and of their squared deviations, without numpy's
+    per-call dispatch of ``mean`` and ``std``."""
+    n = values.size
+    mean = float(np.add.reduce(values, axis=None)) / n
+    dev = values - mean
+    var = float(np.add.reduce(np.square(dev, out=dev), axis=None)) / (n - 1)
+    return mean, Z_95 * math.sqrt(var) / math.sqrt(n)
 
 
 def hindsight_bound(inst: Instance, path: SamplePath) -> float:
@@ -549,4 +567,4 @@ def paired_half_width(a: Sequence[float], b: Sequence[float]) -> float:
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     if diff.size < 2:
         raise ValueError("need at least two paired samples")
-    return float(Z_95 * diff.std(ddof=1) / math.sqrt(diff.size))
+    return _mean_half_width(diff)[1]

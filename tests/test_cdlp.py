@@ -613,7 +613,9 @@ def _priced_tables(model, price):
                     (CustomerType(1, RateCurve.constant(1.0), model),))
     plan = CdlpSolution({1: ()}, {}, (0.0,), (0.0,), 0.0, 0.0, {}, True, 0)
     tables = policies._Tables(inst, "opr", plan, build_value_grids(inst, {}, 100))
-    tables.products = {1: [(n, l, price[n]) for n, l, _ in tables.products[1]]}
+    base, groups = tables.products[1]
+    tables.products = {1: (base, tuple((l, tuple((n, price[n], *rest) for n, _, *rest in rows))
+                                       for l, rows in groups))}
     return tables
 
 

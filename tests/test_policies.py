@@ -410,6 +410,39 @@ def _corner_instance(kind):
     )
 
 
+def _flights_case():
+    """A hand-built instance at the scale of parallel flights, with its
+    plan, opr's compiled tables and its states: 20 resources of 4 nested
+    fares each (product f * 20 + l is fare f of resource l, so a resource's
+    products are not adjacent), every fourth resource expiring at 0.5, and
+    10 MNL types, each buying about 30 % of the products.  The states are
+    20 random ones and, per type, two in which every resource the type
+    buys from is sold out or expired."""
+    rng = np.random.default_rng(10)
+    L, fares = 20, (1.0, 0.8, 0.6, 0.45)
+    resources = tuple(Resource(l, int(rng.integers(2, 8)), expiry=0.5 if l % 4 == 0 else 1.0)
+                      for l in range(1, L + 1))
+    base = rng.uniform(1.0, 3.0, L)
+    products = tuple(Product(f * L + l, l, float(base[l - 1] * fare))
+                     for f, fare in enumerate(fares) for l in range(1, L + 1))
+    types = []
+    for k in range(1, 11):
+        nu = np.where(rng.random(len(products)) < 0.3, rng.uniform(0.2, 1.5, len(products)), 0.0)
+        types.append(CustomerType(k, RateCurve.constant(7.0), mnl(*map(float, nu))))
+    inst = Instance(resources, products, tuple(types))
+    sol = solve_cdlp(inst)
+    grids = build_value_grids(inst, sol.s_star, 400)
+    states = [([int(rng.integers(0, r.capacity + 1)) for r in inst.resources],
+               float(rng.uniform(0.0, 1.0)))
+              for _ in range(20)]
+    for ctype in inst.types:
+        bought = {inst.product(n).resource - 1 for n, v in enumerate(ctype.choice.nu, 1) if v > 0}
+        for now in (0.3, 0.7):  # before and after the expiry at 0.5
+            states.append(([0 if l in bought and now < r.expiry else r.capacity
+                            for l, r in enumerate(inst.resources)], now))
+    return inst, sol, policies._Tables(inst, "opr", sol, grids), states
+
+
 class _Unreadable:
     """Stands in for the grid view of an empty resource: any read of it
     fails the test."""
@@ -463,12 +496,37 @@ def test_opr_offers_equal_class_dispatch(kind):
     for inst, _, tables, states in _random_cases(kind):
         _assert_decisions_equal(tables, states, inst.num_types)
 
+    if kind == "attraction":
+        # parallel flights: the grids of resources that are sold out or
+        # expired are never read, and a type whose every resource is one
+        # of them is offered nothing
+        inst, _, tables, states = _flights_case()
+        views, closed = tables.views, 0
+        for inventory, now in states:
+            want = [_reference_opr_decision(tables, inventory, now, k)
+                    for k in range(1, inst.num_types + 1)]
+            tables.views = [view if policies._sellable(c, r.expiry, now) else _Unreadable()
+                            for view, c, r in zip(views, inventory, inst.resources)]
+            assert [policies._opr_decision(tables, inventory, now, k)
+                    for k in range(1, inst.num_types + 1)] == want
+            tables.views = views
+            for k, (_, groups) in tables.products.items():
+                if not any(policies._sellable(inventory[l], inst.resources[l].expiry, now)
+                           for l, _ in groups):
+                    assert want[k - 1] == (frozenset(), 0.0)
+                    closed += 1
+        assert closed >= 2 * inst.num_types
+        offered = sum(bool(policies._opr_decision(tables, inventory, now, k)[0])
+                      for inventory, now in states[:20] for k in range(1, inst.num_types + 1))
+        assert offered > 100  # most random states get an offer
+
     # states the random draws rarely reach, on weights with the sort's corners
     inst, sol, grids, states = _corner_case(kind)
     tables = policies._Tables(inst, "opr", sol, grids)
     # attraction types list only the products they can buy (product 2 has
     # weight 0 for both, product 6 for the second); mixtures and tables all
-    listed = {k: [n for n, _, _ in rows] for k, rows in tables.products.items()}
+    listed = {k: sorted(row[0] for _, rows in groups for row in rows)
+              for k, (_, groups) in tables.products.items()}
     assert listed == ({1: [1, 3, 4, 5, 6], 2: [1, 3, 4, 5]} if kind == "attraction"
                       else {1: [1, 2, 3, 4, 5, 6], 2: [1, 2, 3, 4, 5, 6]})
     _assert_decisions_equal(tables, states, inst.num_types)
@@ -526,13 +584,22 @@ def test_opr_offers_equal_class_dispatch_on_a_ten_product_mixture():
     # level, and the reward of every third product equals its resource's
     tables.views = [ResourceValueGrid(l, 0.25 * l * np.indices(grid.values.shape)[0])._view
                     for l, grid in grids.items()]
-    signs = set()
-    for k, rows in tables.products.items():
-        for i, (n, l, reward) in enumerate(rows):
-            if n % 3 == 0:
-                reward = tables.rewards[k][n] = 0.25 * (l + 1)
-                rows[i] = (n, l, reward)
-            signs.add(np.sign(reward - 0.25 * (l + 1)))
+    # on copies: the instance compile, which the module-level instance
+    # keeps for later tests, stays as it is
+    tables.rewards = {k: list(row) for k, row in tables.rewards.items()}
+    signs, products = set(), {}
+    for k, (base, groups) in tables.products.items():
+        regrouped = []
+        for l, rows in groups:
+            rows = list(rows)
+            for i, (n, reward) in enumerate(rows):
+                if n % 3 == 0:
+                    reward = tables.rewards[k][n] = 0.25 * (l + 1)
+                    rows[i] = (n, reward)
+                signs.add(np.sign(reward - 0.25 * (l + 1)))
+            regrouped.append((l, tuple(rows)))
+        products[k] = (base, tuple(regrouped))
+    tables.products = products
     assert signs == {-1.0, 0.0, 1.0}
     kernel_ids.clear()
     _assert_decisions_equal(tables, states, inst.num_types)

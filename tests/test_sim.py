@@ -622,6 +622,24 @@ def test_paired_half_width_refuses_samples_of_unequal_length():
             paired_half_width(a, b)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_summaries_have_the_bytes_of_numpy_mean_and_std(workers):
+    # monte_carlo and paired_half_width take numpy's two pairwise sums
+    # directly; the sizes straddle its unrolled blocks of 8 and its pairwise
+    # blocks of 128
+    inst = random_instance(7)
+    sol = solve_cdlp(inst)
+    for reps in (2, 7, 8, 9, 128, 129, 1000):
+        run = monte_carlo(inst, "fcfs", reps, 5, sol=sol, workers=workers)
+        rewards = run.rewards
+        assert run.mean.hex() == float(rewards.mean()).hex()
+        assert run.half_width.hex() == \
+            float(sim.Z_95 * rewards.std(ddof=1) / math.sqrt(reps)).hex()
+        diff = rewards - rewards[::-1] * 0.75
+        assert paired_half_width(rewards, rewards[::-1] * 0.75).hex() == \
+            float(sim.Z_95 * diff.std(ddof=1) / math.sqrt(reps)).hex()
+
+
 def test_estimate_ratio():
     from choicealloc.sim import MonteCarloReport
 
@@ -884,6 +902,8 @@ def test_each_policy_compiles_only_what_it_reads():
                                                         "products", "kernels")
                                       if getattr(t, name) is not None}
             assert t.policy == policy
+            # the time-0 sellable set is the instance compile's, not rebuilt per run
+            assert t.sellable is None or t.sellable is cdlp._compiled(inst).sellable
     assert built == {
         ("fcfs", False): {"offers", "sellable"}, ("fcfs", True): {"offers"},
         ("pr", False): {"views", "offers", "sellable"}, ("pr", True): {"views", "offers"},
