@@ -11,9 +11,10 @@ solver carrying a guarantee factor gamma >= 1/(1+eps) it terminates with an
 eps-optimal plan certified by the terminal duals.
 
 Three exact kernels take ascending (product, price) pairs: ``_best_prefix``
-(sort), ``_table_best`` (the brute force: one matrix-vector screen of all
-subsets, then the near-best confirmed from their table rows) and
-``_branch_and_bound``.  ``_kernel(model)`` alone picks one, by the model.
+(sort), ``_table_best`` (the brute force: one product of the column-major
+subset table screens the subsets of the priced products, then the near-best
+are confirmed from their table rows) and ``_branch_and_bound``.
+``_kernel(model)`` alone picks one, by the model.
 ``_auto``, ``solve_cdlp``'s default solver, runs it on the prices that
 ``_priced`` checks; the column generation and opr run each type's kernel
 directly, from the instance's compile.  A caller may pass any
@@ -168,14 +169,18 @@ class _Compiled:
       segments each Monte Carlo replication draws its arrivals from;
     - ``sellable``: ``policies._sellable_resources`` at time 0, the set
       default-mode fcfs and pr runs start from;
-    - ``products[k]``: the rows opr prices for type k, as a pair (base,
-      groups).  ``groups`` holds one (resource position, rows) pair per
-      resource with rows, positions ascending, and each group's rows
-      ascend by product.  Where ``kernels[k]`` is the sort kernel, base is
-      the base weight of its ``attraction()`` tuple and a row is (product,
-      operative reward, mu + nu, nu), for the products of positive weight
-      mu + nu only, which alone are bought.  Otherwise base is None and a
-      row is (product, operative reward), for every product.
+    - ``products[k]``: what opr prices for type k, as a pair (base,
+      priced).  Where ``kernels[k]`` is the sort kernel, base is the base
+      weight of its ``attraction()`` tuple and ``priced`` holds one
+      (resource position, rows) group per resource with rows, positions
+      ascending, each group's rows ascending by product; a row is
+      (product, operative reward, mu + nu, nu), for the products of
+      positive weight mu + nu only, which alone are bought.  Otherwise
+      base is None and ``priced`` is a pair (resources, rows): rows holds
+      (product, operative reward, resource position) for every product,
+      ascending by product, the order the kernel takes its prices in, and
+      resources one (position, largest reward of its rows) pair per
+      resource with rows, positions ascending.
 
     ``first``, ``kernels``, ``segments``, ``sellable`` and ``products``
     are built on first use: the first two by the column generation and
@@ -234,15 +239,19 @@ class _Compiled:
     def products(self) -> dict:
         products = {}
         for k, kernel in self.kernels.items():
+            reward = self.rewards[k]
+            if kernel.func is not _best_prefix:
+                rows = tuple((n, reward[n], self.resource_of[n]) for n in range(1, len(reward)))
+                tops = {}
+                for _, r, l in rows:
+                    tops[l] = max(r, tops.get(l, r))
+                products[k] = (None, (tuple(sorted(tops.items())), rows))
+                continue
+            weight, nu, base = kernel.args[0]
             groups = {l: [] for l in range(len(self.capacity))}
-            base = None
-            if kernel.func is _best_prefix:
-                weight, nu, base = kernel.args[0]
-            for n, reward in enumerate(self.rewards[k][1:], start=1):
-                if base is None:
-                    groups[self.resource_of[n]].append((n, reward))
-                elif weight[n - 1] > 0.0:
-                    groups[self.resource_of[n]].append((n, reward, weight[n - 1], nu[n - 1]))
+            for n in range(1, len(reward)):
+                if weight[n - 1] > 0.0:
+                    groups[self.resource_of[n]].append((n, reward[n], weight[n - 1], nu[n - 1]))
             products[k] = (base, tuple((l, tuple(rows)) for l, rows in groups.items() if rows))
         return products
 
@@ -410,36 +419,66 @@ def _lex_subsets(ids: Sequence[int]):
 
 
 @lru_cache(maxsize=1024)
-def _subset_index(ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Column of a ``_subset_table`` for each of the ascending ``ids``, and
-    the row for each subset j of them, where bit i of j stands for ids[i]."""
+def _subset_index(ids: tuple[int, ...], num_products: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Where ``_table_screen`` reads the subsets of the m ascending ``ids``
+    in a ``_subset_table`` of N = ``num_products`` products: ``rows[j]`` is
+    the table row of subset j of them, where bit i of j stands for ids[i];
+    ``entries[j, i]`` is the place of that row's entry for ids[i] in the
+    table's column-major buffer, or ``entries`` is None where the screen
+    scores the whole table instead (m 2^m at least a tenth of N 2^N)."""
     rows = np.zeros(1, dtype=np.intp)
     for n in ids:
         rows = np.concatenate((rows, rows + (1 << (n - 1))))
-    cols = np.array(ids, dtype=np.intp) - 1
-    cols.flags.writeable = rows.flags.writeable = False  # shared through the cache
-    return cols, rows
+    rows.flags.writeable = False  # shared through the cache
+    m, N = len(ids), num_products
+    if (m << m) * 10 >= N << N:
+        return rows, None
+    entries = rows[:, None] + ((np.array(ids, dtype=np.intp) - 1) << N)
+    entries.flags.writeable = False
+    return rows, entries
 
 
 def _table_screen(table: np.ndarray, ids: Sequence[int], prices: Sequence[float]):
-    """``_table_best``'s screen: the subsets it keeps, as (members, table
-    row) pairs in ``_lex_subsets`` order, members a tuple of product ids
-    and the row a list of floats.  A subset's score is its row of
-    table @ p, where p is zero outside ``ids``."""
-    cols, rows = _subset_index(tuple(ids))
-    p = np.zeros(table.shape[1])
-    p[cols] = prices
-    values = table @ p
-    if len(ids) < len(p):  # else subset j of ids is row j
-        values = values[rows]
+    """``_table_best``'s screen of the subsets of the ascending ``ids``,
+    priced at ``prices`` (one price per id): the subsets it keeps, as
+    (members, table row) pairs in ``_lex_subsets`` order, members a tuple
+    of product ids and the row a list of floats.
+
+    Only the 2^m rows of subsets of the m priced products are scored, a
+    row's score being the sum of its m priced entries times their prices,
+    in one product with the column-major table.  With every product
+    priced, subset j is row j, and the product is table @ prices.  Else,
+    where m 2^m is below a tenth of N 2^N (``_subset_index``), those rows'
+    priced entries are gathered from the table's buffer, 2^m by m, and
+    multiplied by the prices; above that the whole table's product with
+    the prices padded by zeros is cheaper, read at those rows.  The
+    screen keeps the subsets scored within tol = 1e-9 * max(1, max|price|)
+    of the top score, or every subset when the top, the first NaN if
+    there is one, is not finite."""
+    N = table.shape[1]
+    if len(ids) == N:  # ids are 1..N, and subset j is row j
+        rows, values = None, table.dot(prices)
+    else:
+        rows, entries = _subset_index(tuple(ids), N)
+        if entries is None:
+            dense = [0.0] * N
+            for n, price in zip(ids, prices):
+                dense[n - 1] = price
+            values = table.dot(dense)[rows]
+        else:
+            values = table.ravel("F")[entries].dot(prices)
     top = values[values.argmax()]  # the first nan if there is one
     if math.isfinite(top):
-        tol = 1e-9 * max(1.0, max(prices, default=0.0), -min(prices, default=0.0))
+        tol = 1e-9 * (max(1.0, max(prices), -min(prices)) if prices else 1.0)
         kept = (values >= top - tol).nonzero()[0].tolist()
     else:
         kept = range(len(values))
-    return sorted((tuple([n for i, n in enumerate(ids) if j >> i & 1]), table[rows[j]].tolist())
-                  for j in kept)
+    subsets, found = _subsets(N), []
+    for j in kept:
+        r = j if rows is None else rows[j]
+        found.append((tuple(sorted(subsets[r])), table[r].tolist()))
+    found.sort()
+    return found
 
 
 def _table_best(table: np.ndarray, price_items) -> tuple[frozenset[int], float, float]:
@@ -448,24 +487,24 @@ def _table_best(table: np.ndarray, price_items) -> tuple[frozenset[int], float, 
     model's ``_subset_table``: the brute force's kernel.  No subset worth
     more than 0 gives the empty set and 0.0.
 
-    The screen scores every subset at once, with one product of the table
-    and the prices, and keeps those within tol = 1e-9 * max(1, max|price|)
-    of the top score, or every subset when a score is not finite.  Each
-    kept subset is confirmed in ``_lex_subsets`` order, under the strict
-    ``>`` rule of a full scan, by ``math.fsum`` of row[n-1] * price over
-    its members.  The table is filled from ``distribution``, so that is
-    the value ``expected_revenue`` gives the subset; a row all NaN (valid
-    models hold no NaN) is a subset a probability table omits, whose NaN
-    score keeps every subset, and the first one confirmed raises its
-    ``choice._not_present``.  This is exact: each score sums at most m
-    terms of magnitude at most max|price|, so the two values of any subset
-    differ by a few ulps of max|price|, far below tol/2.  Every subset of
-    largest exact value therefore passes the screen, and the
-    lexicographically first one is returned.
+    The screen, ``_table_screen``, scores the subsets of the priced
+    products at once and keeps those within tol of the top score, or all
+    of them when a score is not finite.  Each kept subset is confirmed in
+    ``_lex_subsets`` order, under the strict ``>`` rule of a full scan, by
+    ``math.fsum`` of row[n-1] * price over its members.  The table is
+    filled from ``distribution``, so that is the value ``expected_revenue``
+    gives the subset; a row all NaN (valid models hold no NaN) is a subset
+    a probability table omits, whose NaN score keeps every subset, and the
+    first one confirmed raises its ``choice._not_present``.  This is exact,
+    whichever form the screen's product takes and however BLAS orders its
+    sums: each score sums at most m terms of magnitude at most max|price|,
+    so the two values of any subset differ by a few ulps of max|price|,
+    far below tol/2.  Every subset of largest exact value therefore passes
+    the screen, and the lexicographically first one is returned.
     """
     price_of = dict(price_items)
     best_value, best = 0.0, ()
-    for members, row in _table_screen(table, list(price_of), list(price_of.values())):
+    for members, row in _table_screen(table, [*price_of], [*price_of.values()]):
         if members:
             value = math.fsum([row[n - 1] * price_of[n] for n in members])
             if value > best_value:
@@ -800,7 +839,9 @@ def solve_cdlp_enumeration(inst: Instance) -> CdlpSolution:
 def _enumeration_master(inst: Instance) -> LinearProgram:
     """``_master_lp`` over every subset for every type, one block of
     columns a type, written from its selection probabilities P[s, n-1]:
-    the model's ``_subset_table`` as stored, row s ``choice._subsets(N)[s]``.
+    the model's ``_subset_table`` as stored, row s ``choice._subsets(N)[s]``,
+    whose column-major layout makes each column P[:, n-1] it reads
+    contiguous.
 
     NaN marks a subset a table omits; the first in row order raises
     ``choice._not_present``.  Coefficients are the column loop's

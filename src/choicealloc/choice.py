@@ -27,7 +27,7 @@ protocol, which every model class implements:
   branch and bound read it;
 - ``_subset_table``: the subset-probability table P[s, n-1] of any model
   of at most ``_ENUMERATION_CAP`` products, filled on first use from
-  ``distribution`` over ``_subsets(N)``, or None;
+  ``distribution`` over ``_subsets(N)`` and stored column-major, or None;
 - ``_distribution(S)``: ``distribution(S)`` memoized per model (at most
   ``_CDF_MEMO`` sets), so that the planner's columns and its plans read one
   call per (model, assortment); its lists are never changed;
@@ -145,11 +145,18 @@ class ChoiceModel(Protocol):
         ``_subsets(N)[s]`` (bit n-1 of s for product n), and 0.0 for a
         non-member.  A subset a probability table omits (``_not_present``)
         is a row all NaN; any other error of ``distribution`` propagates.
-        None above ``_ENUMERATION_CAP`` products."""
+        None above ``_ENUMERATION_CAP`` products.
+
+        The array is column-major (Fortran order): each product's column
+        of 2**N probabilities is contiguous, which is the layout the
+        brute force's screen (``cdlp._table_screen``) reads fastest, both
+        as one matrix-vector product and as a gather of the priced
+        entries of some rows.  Its entries, and ``tobytes()``, are the
+        row-major bytes all the same."""
         N = self.num_products
         if N > _ENUMERATION_CAP:
             return None
-        table = np.zeros((1 << N, N))
+        table = np.zeros((1 << N, N), order="F")
         for s, S in enumerate(_subsets(N)):
             try:
                 for n, p in self.distribution(S):
@@ -335,9 +342,10 @@ class TabulatedChoiceModel(ChoiceModel):
         over the ``_subset_table``: each step of the loop lets every subset
         without product i+1 take the NaN-ignoring maximum of its own row
         and its superset's with i+1, so ``top[s]`` ends as the maximum over
-        the listed supersets of s."""
+        the listed supersets of s.  The loop reshapes a row-major copy of
+        the table in place."""
         P, N = self._subset_table, self.num_products
-        top = P.copy()
+        top = P.copy(order="C")
         for i in range(N):
             pairs = top.reshape(-1, 2, 1 << i, N)  # [:, 0] lacks bit i, [:, 1] has it
             np.fmax(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])

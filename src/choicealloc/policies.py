@@ -11,9 +11,11 @@ is accepted.
 
 opr offers the answer of the exact kernel the planner prices columns
 with, ``cdlp._kernel(model)``, picked once per type and instance object by
-the instance's compile (see ``opr_offer``).  opr reads a type's products
-grouped by resource, so it checks and prices each resource once per
-arrival; for a sort-kernel type it ranks the offer in that same pass.
+the instance's compile (see ``opr_offer``).  opr checks and prices each
+resource once per arrival; for a sort-kernel type it reads the products
+grouped by resource and ranks the offer in that same pass, and for any
+other type it then prices the products in ascending order, the order the
+kernel takes them in.
 
 Three compiles feed a run.  The instance compile, ``cdlp._compiled(inst)``,
 built once per instance object and kept on it, validates the instance
@@ -115,11 +117,10 @@ class _Tables:
     ``offers[k]``, type k's row of the plan compile ``_plan_offers``, and
     unless ``relaxed``, the instance compile's ``sellable``
     (``_sellable_resources`` at time 0), which filters their offers.  opr:
-    the instance compile's ``products[k]``, type k's rows grouped by
-    resource position, which opr prices, and ``kernels[k]``, its
-    ``cdlp._kernel`` of type k.  opr ignores ``relaxed`` and refuses a
-    model that is not removal-monotone: its dominance argument prunes
-    nonpositive prices.
+    the instance compile's ``products[k]``, type k's rows and resources,
+    which opr prices, and ``kernels[k]``, its ``cdlp._kernel`` of type k.
+    opr ignores ``relaxed`` and refuses a model that is not
+    removal-monotone: its dominance argument prunes nonpositive prices.
     """
 
     __slots__ = ("policy", "resource_of", "expiry", "capacity", "models", "rewards",
@@ -196,22 +197,23 @@ def _pr_accepts(reward: float, stock: int, expiry: float, view, now: float) -> b
 
 def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[int], float]:
     """opr's offer to a type-k arrival and its expected marginal reward, by
-    the rule of ``opr_offer``.  It walks type k's row groups of the
-    instance compile (``cdlp._Compiled.products``): one ``_sellable`` check
-    and, for a sellable resource, one marginal-value read per group.  For
-    a sort-kernel type it builds the kernel's (-rho, product, gain, nu)
-    ranking as it prices, by ``cdlp._best_prefix``'s arithmetic, and calls
-    its scan, ``cdlp._prefix_scan``; the sort key is unique, so the order
-    of the groups does not matter.  Other types pass their prices,
-    ascending by product, to their kernel, without a solver entry's
-    ``cdlp._priced`` check."""
+    the rule of ``opr_offer``.  It reads type k's rows of the instance
+    compile (``cdlp._Compiled.products``) and makes one ``_sellable`` check
+    and, for a sellable resource, one marginal-value read per resource.
+    For a sort-kernel type it builds the kernel's (-rho, product, gain, nu)
+    ranking as it prices each group, by ``cdlp._best_prefix``'s
+    arithmetic, and calls its scan, ``cdlp._prefix_scan``; the sort key is
+    unique, so the order of the groups does not matter.  Other types price
+    their rows, which ascend by product, in one pass after the resources'
+    reads, and pass those ascending pairs to their kernel, without a sort
+    or a solver entry's ``cdlp._priced`` check."""
     if not 0.0 <= now <= 1.0:  # _marginal checks too, but may not be called
         raise ValueError(f"time {now} outside [0, 1]")
     expiry, views = t.expiry, t.views
-    base, groups = t.products[k]
+    base, priced = t.products[k]
     if base is not None:
         ranked = []
-        for l, rows in groups:
+        for l, rows in priced:
             stock = inventory[l]
             if _sellable(stock, expiry[l], now):
                 v = _marginal(views[l], stock, now)
@@ -227,23 +229,21 @@ def _opr_decision(t: _Tables, inventory, now: float, k: int) -> tuple[frozenset[
             return _EMPTY, 0.0
         return _prefix_scan(ranked, 0.0, base)[:2]
 
-    prices, positive = [], False
-    for l, rows in groups:
+    resources, rows = priced
+    marginal = [None] * len(expiry)  # by position, for the sellable resources
+    positive = False
+    for l, top in resources:
         stock = inventory[l]
         if _sellable(stock, expiry[l], now):
-            v = _marginal(views[l], stock, now)
-            for n, reward in rows:
-                price = reward - v
-                prices.append((n, price))
-                if price > 0.0:
-                    positive = True
+            v = marginal[l] = _marginal(views[l], stock, now)
+            if top - v > 0.0:  # rounding is monotone: the largest price of the group
+                positive = True
     if not positive:
         # no offer is worth more than 0, reading a table's entries in
         # [-1e-12, 0) as 0: such an entry can make one worth ~1e-12 * |price|
         return _EMPTY, 0.0
-
-    prices.sort()  # ascending products; each product once, so no price is compared
-    offer, value, guarantee = t.kernels[k](prices)
+    offer, value, guarantee = t.kernels[k](
+        [(n, reward - marginal[l]) for n, reward, l in rows if marginal[l] is not None])
     if guarantee < 1.0:
         raise ValueError(f"opr needs an exact offer; the solver's guarantee is {guarantee:g}")
     return offer, value

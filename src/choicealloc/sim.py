@@ -42,8 +42,8 @@ in the calling process before any worker starts (each worker assembles
 it again, since the grids' views do not pickle), after the plan check,
 with what its policy and mode read: fcfs and pr get the offer CDF rows
 (and in the default mode the compile's time-0 sellable set, not rebuilt
-per call), pr and opr the grids' views, opr its grouped rows and
-kernels.  opr walks a type's groups once per arrival: a sold-out or
+per call), pr and opr the grids' views, opr its priced rows and
+kernels.  opr walks a type's resources once per arrival: a sold-out or
 expired resource is skipped at one check, a sellable one's marginal
 value is read once, and a sort-kernel type's offer is ranked in that
 same pass.  So a run the compile refuses (an invalid instance, a plan

@@ -6,7 +6,7 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicealloc import (
@@ -512,13 +512,21 @@ def test_bruteforce_screen_equals_scalar_enumeration(case):
     ((0.0,) * 5, (0.1, 0.3, 0.3, 0.3, 0.7), (0.1, 0.2, 0.1, -0.1, 0.2)),
     ((0.0,) * 5, (0.3, 0.6, 0.6, 0.3, 0.7), (0.2, 0.1, -0.1, 0.1, 0.2)),
     ((0.0, 0.6, 0.0, 0.3, 0.1), (0.0, 0.1, 0.7, 0.0, 0.6), (1.0, 0.1, 0.1, 0.2, 0.2)),
+    ((0.6, 0.1, 0.6, 0.1, 0.3), (0.7, 0.3, 0.0, 0.1, 0.7), (0.1, 0.2, 1.0, 1.0, 0.2)),
+    ((0.0,) * 5, (0.1, 0.3, 0.1, 0.3, 0.3), (0.1, 0.2, 0.2, 0.2, 0.2)),
+    # products left unpriced (None): the full product read at some rows,
+    # then the gathers of 3 of 6 and of 4 of 7 products' entries
+    ((0.0,) * 5, (0.1, 0.1, 0.6, 0.3, 0.7), (0.2, 0.1, 0.2, 0.2, None)),
+    ((0.0,) * 6, (0.7, 0.1, 0.1, 0.1, 0.6, 0.3), (None, None, 1.0, 0.2, 0.1, None)),
+    ((0.0,) * 7, (0.3, 0.0, 0.7, 0.7, 0.7, 0.7, 0.3), (0.2, None, 0.1, 0.2, 0.1, None, None)),
 ])
 def test_bruteforce_screen_keeps_rounding_ties(mu, nu, prices):
     # Several subsets reach the maximum in real arithmetic; rounding orders
     # them differently in the kernel and in expected_revenue, so a screen
-    # keeping only the kernel's own maximum would return the wrong one.
+    # keeping only the kernel's own maximum would return the wrong one on
+    # some of these cases, whichever form the screen's product takes.
     model = AttractionChoiceModel(mu, nu)
-    price = dict(enumerate(prices, start=1))
+    price = {n: p for n, p in enumerate(prices, start=1) if p is not None}
     res = assortment_subproblem_bruteforce(model, price)
     assert (res.assortment, res.value) == _scalar_bruteforce(model, price)
 
@@ -569,18 +577,57 @@ def test_bruteforce_over_a_subset_of_the_products_equals_scalar_enumeration(case
     assert (res.assortment, res.value) == _scalar_bruteforce(model, sub)
 
 
+@st.composite
+def _table_kernel_cases(draw):
+    """(model, price) for the table kernel: a probability table of
+    ``_listed_tables`` (subsets left out, entries that break removal
+    monotonicity, entries down to -1e-12) priced on all its products or,
+    as opr prices them, on a random subset.  Each price is drawn afresh
+    or from a pool of one to three draws, so that some tie, with zeros
+    and negatives, at a scale of 1 or 1e200."""
+    model = draw(_listed_tables())
+    N = model.num_products
+    ids = range(1, N + 1)
+    if draw(st.booleans()):
+        ids = [n for n in ids if draw(st.booleans())]
+    scale = draw(st.sampled_from([1.0, 1e200]))
+    pool = draw(st.lists(_prices, min_size=1, max_size=3))
+    return model, {n: scale * draw(st.one_of(st.sampled_from(pool), _prices)) for n in ids}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_table_kernel_cases())
+@example(case=(TabulatedChoiceModel({(1,): {1: 0.2}, (2,): {2: 0.4}, (1, 2): {1: 0.5, 2: 0.3}}),
+               {1: 1e200, 2: -1e200}))  # not removal-monotone
+@example(case=(TabulatedChoiceModel({(1,): {1: 0.5}, (1, 3): {3: 0.25}}, num_products=3),
+               {1: 1.0, 3: 1.0}))  # {3} is the first subset the table omits
+@example(case=(TabulatedChoiceModel({(1,): {1: 0.5}, (2,): {2: 0.5}, (1, 2): {1: 0.25, 2: 0.25}}),
+               {1: 2e200, 2: 2e200}))  # {1}, {2} and {1, 2} tie
+def test_table_kernel_equals_scalar_enumeration_on_probability_tables(case):
+    # the kernel itself, as the planner, the bounds and opr call it: the
+    # scan's set and value, or the ValueError of the first subset the
+    # table omits
+    model, price = case
+    try:
+        want = (*_scalar_bruteforce(model, price), 1.0)
+    except ValueError as exc:
+        want = str(exc)
+    assert _outcome(cdlp._table_best, model._subset_table, sorted(price.items())) == want
+
+
 def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
-    # opr solves mixtures of at most 12 products and probability tables
-    # with the table kernel: each of its answers is the scalar scan's, on
-    # the whole table and on the rows of the products it can still sell
+    # plans, hindsight bounds and opr solve mixtures of at most 12 products
+    # and probability tables with the table kernel: each of its answers is
+    # the scalar scan's, on the whole table and, in opr, on the rows of the
+    # products it can still sell
     from choicealloc import build_value_grids, monte_carlo, policies
     from test_policies import _table_instance
 
-    calls, model_of, kernel = [], {}, cdlp._table_best
+    calls, model_of, kernel, phase = [], {}, cdlp._table_best, [None]
 
     def spy(table, price_items):
         got = kernel(table, price_items)
-        calls.append((model_of[id(table)], dict(price_items), got))
+        calls.append((phase[0], model_of[id(table)], dict(price_items), got))
         return got
 
     for inst in [_MIXTURE10] + [_table_instance(seed) for seed in range(5)]:
@@ -588,35 +635,42 @@ def test_opr_bruteforce_calls_equal_scalar_enumeration(monkeypatch):
         model_of.update({id(ct.choice._subset_table): ct.choice for ct in inst.types})
         with monkeypatch.context() as mp:
             # the instance's compile binds each type's kernel, cdlp._kernel, to the
-            # spy, for the planner's columns and for the run
+            # spy, for the planner's columns, the bounds' and the run's
             mp.setattr(cdlp, "_table_best", spy)
+            phase[0] = "plan"
             sol = solve_cdlp(inst)
+            phase[0] = "bound"
+            for seed in range(3):
+                hindsight_bound(inst, generate_arrivals(inst, seed))
+            phase[0] = "opr"
             grids = build_value_grids(inst, sol.s_star, 200)
             monte_carlo(inst, "opr", 4, 11, sol=sol, grids=grids)
-    assert {(model.kind, len(price) < model.num_products) for model, price, _ in calls} == {
+    assert {(stage, model.kind) for stage, model, _, _ in calls} == {
+        (stage, kind) for stage in ("plan", "bound", "opr") for kind in ("mixture", "table")}
+    assert {(model.kind, len(price) < model.num_products)
+            for stage, model, price, _ in calls if stage == "opr"} == {
         ("mixture", True), ("mixture", False), ("table", True), ("table", False)}
-    for model, price, got in calls:
+    for _, model, price, got in calls:
         assert got == (*_scalar_bruteforce(model, price), 1.0)
 
 
 def _priced_tables(model, price):
     """opr's compiled tables for one type of ``model`` whose products, all
-    on one resource in stock, have marginal values 0 and, in the rows opr
-    prices, rewards ``price``, so that opr prices product n at price[n].
-    The rewards are set in those rows, after the compile: a valid instance,
-    which the compile requires, has no negative reward.  The compile
-    refuses a model that is not removal-monotone."""
+    on one resource in stock, have marginal values 0 and operative rewards
+    ``price``, so that opr prices product n at price[n].  The rewards are
+    set in the instance compile after it validated the instance, before
+    opr's rows are built from them: a valid instance, which the compile
+    requires, has no negative reward.  The run compile refuses a model
+    that is not removal-monotone."""
     from choicealloc import CdlpSolution, build_value_grids, policies
 
     inst = Instance((Resource(1, 1),),
                     tuple(Product(n, 1, 1.0) for n in range(1, model.num_products + 1)),
                     (CustomerType(1, RateCurve.constant(1.0), model),))
     plan = CdlpSolution({1: ()}, {}, (0.0,), (0.0,), 0.0, 0.0, {}, True, 0)
-    tables = policies._Tables(inst, "opr", plan, build_value_grids(inst, {}, 100))
-    base, groups = tables.products[1]
-    tables.products = {1: (base, tuple((l, tuple((n, price[n], *rest) for n, _, *rest in rows))
-                                       for l, rows in groups))}
-    return tables
+    grids = build_value_grids(inst, {}, 100)
+    cdlp._compiled(inst).rewards = {1: [0.0] + [price[n] for n in range(1, model.num_products + 1)]}
+    return policies._Tables(inst, "opr", plan, grids)
 
 
 def _opr(model, price):

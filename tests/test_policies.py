@@ -525,8 +525,9 @@ def test_opr_offers_equal_class_dispatch(kind):
     tables = policies._Tables(inst, "opr", sol, grids)
     # attraction types list only the products they can buy (product 2 has
     # weight 0 for both, product 6 for the second); mixtures and tables all
-    listed = {k: sorted(row[0] for _, rows in groups for row in rows)
-              for k, (_, groups) in tables.products.items()}
+    listed = {k: sorted(row[0] for _, rows in priced for row in rows) if base is not None
+              else [n for n, _, _ in priced[1]]
+              for k, (base, priced) in tables.products.items()}
     assert listed == ({1: [1, 3, 4, 5, 6], 2: [1, 3, 4, 5]} if kind == "attraction"
                       else {1: [1, 2, 3, 4, 5, 6], 2: [1, 2, 3, 4, 5, 6]})
     _assert_decisions_equal(tables, states, inst.num_types)
@@ -584,22 +585,18 @@ def test_opr_offers_equal_class_dispatch_on_a_ten_product_mixture():
     # level, and the reward of every third product equals its resource's
     tables.views = [ResourceValueGrid(l, 0.25 * l * np.indices(grid.values.shape)[0])._view
                     for l, grid in grids.items()]
-    # on copies: the instance compile, which the module-level instance
-    # keeps for later tests, stays as it is
-    tables.rewards = {k: list(row) for k, row in tables.rewards.items()}
-    signs, products = set(), {}
-    for k, (base, groups) in tables.products.items():
-        regrouped = []
-        for l, rows in groups:
-            rows = list(rows)
-            for i, (n, reward) in enumerate(rows):
-                if n % 3 == 0:
-                    reward = tables.rewards[k][n] = 0.25 * (l + 1)
-                    rows[i] = (n, reward)
-                signs.add(np.sign(reward - 0.25 * (l + 1)))
-            regrouped.append((l, tuple(rows)))
-        products[k] = (base, tuple(regrouped))
-    tables.products = products
+    # on a second compile: the instance's own, which the module-level
+    # instance keeps for later tests, stays as it is
+    c = cdlp._Compiled(inst)
+    c.rewards = {k: list(row) for k, row in c.rewards.items()}
+    signs = set()
+    for row in c.rewards.values():
+        for n in range(1, len(row)):
+            v = 0.25 * (c.resource_of[n] + 1)
+            if n % 3 == 0:
+                row[n] = v
+            signs.add(np.sign(row[n] - v))
+    tables.rewards, tables.products = c.rewards, c.products
     assert signs == {-1.0, 0.0, 1.0}
     kernel_ids.clear()
     _assert_decisions_equal(tables, states, inst.num_types)
